@@ -15,10 +15,9 @@ from .admissibility import (AdmissibilityReport, admissibility_integral,
 from .so3 import (GridCell, Rotation, ScaleSequence, SO3Grid, make_rotation,
                   make_scale_sequence, make_so3_grid, rotate_signal_pullback)
 from .transform import (FrameConvergenceError, FrameOperatorConfig,
-                        TransformCoefficients, adaptive_frame_matrix,
-                        adjoint_transform, forward_transform, frame_apply,
-                        frame_matrix, reconstruct, rotate_coefficients,
-                        uniform_specs)
+                        TransformCoefficients, adjoint_transform,
+                        forward_transform, frame_apply, frame_matrix,
+                        reconstruct, rotate_coefficients, uniform_specs)
 from .multiselect import (DiscretizationBudget, SelectivityMap,
                           SelectivitySet, adaptive_analysis,
                           budget_discretization, calibrate_budget,
@@ -44,9 +43,8 @@ __all__ = [
     "GridCell", "Rotation", "ScaleSequence", "SO3Grid", "make_rotation",
     "make_scale_sequence", "make_so3_grid", "rotate_signal_pullback",
     "FrameConvergenceError", "FrameOperatorConfig", "TransformCoefficients",
-    "adaptive_frame_matrix", "adjoint_transform", "forward_transform",
-    "frame_apply", "frame_matrix", "reconstruct", "rotate_coefficients",
-    "uniform_specs",
+    "adjoint_transform", "forward_transform", "frame_apply",
+    "frame_matrix", "reconstruct", "rotate_coefficients", "uniform_specs",
     "DiscretizationBudget", "SelectivityMap", "SelectivitySet",
     "adaptive_analysis", "budget_discretization", "calibrate_budget",
     "estimate_sup_norms", "refine_tau", "select_tau", "selectivity_scan",

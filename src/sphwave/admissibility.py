@@ -253,7 +253,12 @@ def _poly_scale_integral(degs, coefs, quad):
 
 
 def scale_integral_closed_form(family, l, k):
-    """Exact value of R[l,k] from int rho e^{-a rho} drho = 1/a^2."""
+    """Exact value of R[l,k] from int rho e^{-a rho} drho = 1/a^2.
+
+    Valid for l <= 40 (1e-3 relative); above, the sum cancels to noise.
+    """
+    if l > 40:
+        raise ValueError("closed form is unreliable above degree 40")
     degs, coefs = _coefficient_polynomial(family, l, k)
     total = 0.0
     for ni, ci in zip(degs, coefs):

@@ -19,8 +19,8 @@ import numpy as np
 from .sphfn import analyze_signal
 from .profiles import (AngularWindow, WaveletSpec, profile_dtheta_fn,
                        profile_fn, wavelet_norm_sq)
-from .transform import (_band_partition, _kernel_matrix, _odd_orders,
-                        _tilt_blocks, forward_transform)
+from .transform import (BandPlan, _band_partition, _kernel_matrix,
+                        forward_transform)
 
 DEFAULT_TAUS = (1.0, 2.0, 4.0, 8.0, 16.0)
 TAU_CAP = 16.0
@@ -86,27 +86,15 @@ def _pick(values, taus, angles, tol):
     return taus[pick[0]], angles[pick[1]], values[pick]
 
 
-def _band_landscape(fhat, l_band, family, rho, taus, theta_b, phis, axial):
+def _band_landscape(table, family, rho, taus, theta_b, phis, axial):
     """Normalized correlation per (tau, cell, axial angle) in one band."""
-    blocks = _tilt_blocks(round(theta_b, 12), l_band)
-    ks = _odd_orders(l_band)
-    col_of = {int(k): i for i, k in enumerate(ks)}
-    parts = []
-    for l in range(1, l_band + 1):
-        m = np.arange(-l, l + 1)
-        carried = np.exp(1j * np.outer(phis, m)) * fhat[l][None, :]
-        kcols = [l + k for k in range(-l, l + 1) if k % 2 != 0]
-        gcols = [col_of[c - l] for c in kcols]
-        parts.append((l, gcols, carried @ np.conj(blocks[l][:, kcols])))
-    axial_phase = np.exp(1j * np.outer(ks, axial))
+    plan = BandPlan(table.l_band, axial)
+    carried = plan.carried(phis) * table.values
     out = np.empty((len(taus), len(phis), len(axial)))
     for it, tau in enumerate(taus):
-        kern = _kernel_matrix(family, float(rho), float(tau), l_band)
-        c = np.zeros((len(phis), len(ks)), dtype=complex)
-        for l, gcols, t in parts:
-            c[:, gcols] += t * np.conj(kern[l, ks[gcols] + l_band])
+        beta = plan.beta(theta_b, family, rho, tau)
         norm = np.sqrt(wavelet_norm_sq(WaveletSpec(family, rho, tau)))
-        out[it] = np.abs(c @ axial_phase) / norm
+        out[it] = np.abs(carried @ beta.T @ plan.axial_phase) / norm
     return out
 
 
@@ -118,11 +106,9 @@ def select_tau(f, scales, j, alpha2, tsel, grid, family="omega"):
     then the smaller angle.
     """
     table = analyze_signal(f)
-    fhat = [table.degree_block(l) for l in range(table.l_band + 1)]
     cell = grid.cells[alpha2]
-    vals = _band_landscape(fhat, table.l_band, family, scales[j],
-                           tuple(tsel), cell.theta, np.array([cell.phi]),
-                           grid.axial_angles)
+    vals = _band_landscape(table, family, scales[j], tuple(tsel), cell.theta,
+                           np.array([cell.phi]), grid.axial_angles)
     tol = TIE_MARGIN * np.sqrt(table.norm_sq())
     return _pick(vals[:, 0, :], tuple(tsel), grid.axial_angles, tol)
 
@@ -130,7 +116,6 @@ def select_tau(f, scales, j, alpha2, tsel, grid, family="omega"):
 def selectivity_scan(f, scales, grid, tsel, family="omega"):
     """SelectivityMap over every (scale, carrier), batched per band."""
     table = analyze_signal(f)
-    fhat = [table.degree_block(l) for l in range(table.l_band + 1)]
     taus = tuple(tsel)
     tol = TIE_MARGIN * np.sqrt(table.norm_sq())
     n_j = len(scales)
@@ -139,8 +124,8 @@ def selectivity_scan(f, scales, grid, tsel, family="omega"):
     value = np.empty((n_j, grid.n_carriers))
     for theta_b, idx, phis, _ in _band_partition(grid):
         for j, rho in enumerate(scales):
-            vals = _band_landscape(fhat, table.l_band, family, rho, taus,
-                                   theta_b, phis, grid.axial_angles)
+            vals = _band_landscape(table, family, rho, taus, theta_b, phis,
+                                   grid.axial_angles)
             for pos, a in enumerate(idx):
                 t, p, v = _pick(vals[:, pos, :], taus, grid.axial_angles,
                                 tol)
@@ -158,12 +143,10 @@ def refine_tau(f, scales, j, alpha2, tsel, grid, family="omega",
     bracket between the discrete winner's neighbors in the set.
     """
     table = analyze_signal(f)
-    fhat = [table.degree_block(l) for l in range(table.l_band + 1)]
     cell = grid.cells[alpha2]
     taus = tuple(tsel)
-    vals = _band_landscape(fhat, table.l_band, family, scales[j], taus,
-                           cell.theta, np.array([cell.phi]),
-                           grid.axial_angles)
+    vals = _band_landscape(table, family, scales[j], taus, cell.theta,
+                           np.array([cell.phi]), grid.axial_angles)
     tol = TIE_MARGIN * np.sqrt(table.norm_sq())
     tau0, phi1, _ = _pick(vals[:, 0, :], taus, grid.axial_angles, tol)
     i0 = taus.index(tau0)
@@ -171,9 +154,8 @@ def refine_tau(f, scales, j, alpha2, tsel, grid, family="omega",
     hi = taus[i0 + 1] if i0 + 1 < len(taus) else tsel.tau_cap
 
     def score(tau):
-        v = _band_landscape(fhat, table.l_band, family, scales[j], (tau,),
-                            cell.theta, np.array([cell.phi]),
-                            np.array([phi1]))
+        v = _band_landscape(table, family, scales[j], (tau,), cell.theta,
+                            np.array([cell.phi]), np.array([phi1]))
         return float(v[0, 0, 0])
 
     gr = 0.5 * (np.sqrt(5.0) - 1.0)

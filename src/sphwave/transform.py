@@ -4,9 +4,13 @@ A coefficient W(rho_j, g) is the normalized inner product of the rotated
 kernel with the signal, 1/(4 pi) <U_g Psi, f>.  Everything runs in
 harmonic space: rotating a kernel multiplies its coefficient table by
 per-degree unitary blocks, so one tilt block per latitude band (cached)
-plus diagonal phase factors cover the whole grid.  Reconstruction
-inverts the discrete frame operator S = sum of weighted rank-one terms
-with a diagonally preconditioned relaxed iteration.
+plus diagonal phase factors cover the whole grid.  A BandPlan joins a
+band's tilt blocks with the kernel's odd axial orders into one matrix
+beta, so the forward transform, its adjoint, the matched-filter
+landscape and the dense frame matrix are each a product with beta per
+latitude band and selectivity.  Reconstruction inverts the discrete
+frame operator S = sum of weighted rank-one terms with a diagonally
+preconditioned relaxed iteration.
 """
 
 from dataclasses import dataclass
@@ -15,9 +19,8 @@ from functools import lru_cache
 import numpy as np
 
 from .sphfn import (CoefficientTable, SphericalSignal, analyze_signal,
-                    coef_index, default_grid_spec, grid_phis,
-                    make_colat_grid, normalized_assoc_column,
-                    synthesize_signal)
+                    default_grid_spec, grid_phis, make_colat_grid,
+                    normalized_assoc_column, synthesize_signal)
 from .profiles import FAMILY_ORDER, WaveletSpec
 from .admissibility import default_k_cut, wavelet_coefficient_table
 from .so3 import sphere_points, tilt_rotation
@@ -134,6 +137,56 @@ def _odd_orders(l_band):
     return np.array([k for k in range(-l_band, l_band + 1) if k % 2 != 0])
 
 
+def _degree_orders(l_band):
+    l_of = np.concatenate([np.full(2 * l + 1, l) for l in range(l_band + 1)])
+    m_of = np.concatenate([np.arange(-l, l + 1) for l in range(l_band + 1)])
+    return l_of, m_of
+
+
+class BandPlan:
+    """Index maps of the band operator for one band limit and axial grid.
+
+    Coefficient tables are flat over (l, m); the kernel's axial orders
+    are the odd k in [-l_band, l_band].  For a latitude band at
+    colatitude theta, beta(...)[k, (l, m)] = conj(T^l[m, k] Psi_l^k) is
+    zero where |k| > l, so correlating the band's cells with a kernel is
+    carried(phis) * table @ beta.T, followed by the axial phases.
+    """
+
+    def __init__(self, l_band, axial_angles):
+        self.l_band = l_band
+        self.ks = _odd_orders(l_band)
+        self.l_of, self.m_of = _degree_orders(l_band)
+        self.axial_phase = np.exp(1j * np.outer(self.ks, axial_angles))
+        # position of T^l[m, k] in the concatenated row-major tilt blocks;
+        # orders |k| > l point one past the end, at an appended zero
+        start = np.cumsum([0] + [(2 * l + 1) ** 2 for l in range(l_band + 1)])
+        l, m, k = self.l_of[None, :], self.m_of[None, :], self.ks[:, None]
+        self._gather = np.where(np.abs(k) <= l,
+                                start[l] + (m + l) * (2 * l + 1) + k + l,
+                                start[-1])
+        self._kern_at = (l, k + l_band)
+
+    def carried(self, phis):
+        """Longitude phases e^{i m phi}, one row per cell of a band."""
+        return np.exp(1j * np.outer(phis, self.m_of))
+
+    def beta(self, theta, family, rho, tau):
+        """Tilted kernel matrix (odd k) x (flat l, m) for one band."""
+        blocks = _tilt_blocks(round(theta, 12), self.l_band)
+        tilt = np.concatenate([b.ravel() for b in blocks] + [np.zeros(1)])
+        kern = _kernel_matrix(family, float(rho), float(tau), self.l_band)
+        return np.conj(tilt[self._gather] * kern[self._kern_at])
+
+
+def _tau_groups(tau_j, idx):
+    """(tau, row mask) per selectivity used among the band cells idx."""
+    band_taus = (np.full(len(idx), tau_j) if np.ndim(tau_j) == 0
+                 else np.asarray(tau_j)[idx])
+    for tau in np.unique(band_taus):
+        yield tau, band_taus == tau
+
+
 def uniform_specs(family, tau, scales):
     """One kernel spec per scale, same selectivity everywhere."""
     return tuple(WaveletSpec(family, rho, tau) for rho in scales)
@@ -182,34 +235,17 @@ def forward_transform(f, specs, grid, scales):
     family, taus = _normalize_specs(specs, grid, scales)
     table = analyze_signal(f)
     l_band = table.l_band
-    fhat = [table.degree_block(l) for l in range(l_band + 1)]
-    ks = _odd_orders(l_band)
-    col_of = {int(k): i for i, k in enumerate(ks)}
+    plan = BandPlan(l_band, grid.axial_angles)
     n_axial = len(grid.axial_angles)
-    axial_phase = np.exp(1j * np.outer(ks, grid.axial_angles))
     values = [np.zeros((grid.n_carriers, n_axial), dtype=complex)
               for _ in scales]
     for theta_b, idx, phis, _ in _band_partition(grid):
-        blocks = _tilt_blocks(round(theta_b, 12), l_band)
-        parts = []
-        for l in range(1, l_band + 1):
-            m = np.arange(-l, l + 1)
-            carried = np.exp(1j * np.outer(phis, m)) * fhat[l][None, :]
-            kcols = [l + k for k in range(-l, l + 1) if k % 2 != 0]
-            gcols = [col_of[c - l] for c in kcols]
-            parts.append((l, gcols, carried @ np.conj(blocks[l][:, kcols])))
+        carried = plan.carried(phis) * table.values
         for j, rho in enumerate(scales):
-            tau_j = taus[j]
-            band_taus = (np.full(len(idx), tau_j) if np.ndim(tau_j) == 0
-                         else np.asarray(tau_j)[idx])
-            c = np.zeros((len(idx), len(ks)), dtype=complex)
-            for tau in np.unique(band_taus):
-                rows = band_taus == tau
-                kern = _kernel_matrix(family, float(rho), float(tau), l_band)
-                for l, gcols, t in parts:
-                    c[np.ix_(rows, gcols)] += (
-                        t[rows] * np.conj(kern[l, ks[gcols] + l_band]))
-            values[j][idx] = c @ axial_phase / (4.0 * np.pi)
+            for tau, rows in _tau_groups(taus[j], idx):
+                beta = plan.beta(theta_b, family, rho, tau)
+                values[j][idx[rows]] = (carried[rows] @ beta.T
+                                        @ plan.axial_phase / (4.0 * np.pi))
     k_need = min(l_band, default_k_cut(_max_tau(taus)))
     if k_need % 2 == 0:
         k_need -= 1
@@ -221,34 +257,18 @@ def forward_transform(f, specs, grid, scales):
 
 def adjoint_transform(coeffs):
     """Weighted synthesis sum: the frame image S f when coeffs came from f."""
-    l_band = coeffs.l_band
     grid = coeffs.grid
-    ks = _odd_orders(l_band)
-    col_of = {int(k): i for i, k in enumerate(ks)}
-    n_axial = len(grid.axial_angles)
-    arc = 2.0 * np.pi / n_axial
-    axial_phase = np.exp(1j * np.outer(ks, grid.axial_angles))
-    out = CoefficientTable(l_band)
-    for theta_b, idx, phis, measure in _band_partition(grid):
-        blocks = _tilt_blocks(round(theta_b, 12), l_band)
+    plan = BandPlan(coeffs.l_band, grid.axial_angles)
+    out = CoefficientTable(coeffs.l_band)
+    for theta_b, idx, phis, _ in _band_partition(grid):
+        carried = plan.carried(phis)
         for j, rho in enumerate(coeffs.scales):
-            tau_j = coeffs.taus[j]
-            band_taus = (np.full(len(idx), tau_j) if np.ndim(tau_j) == 0
-                         else np.asarray(tau_j)[idx])
-            w = measure * arc * coeffs.scales.log_step / (4.0 * np.pi)
-            d = coeffs.values[j][idx] @ np.conj(axial_phase).T * w
-            for tau in np.unique(band_taus):
-                rows = np.where(band_taus == tau)[0]
-                kern = _kernel_matrix(coeffs.family, float(rho), float(tau),
-                                      l_band)
-                for l in range(1, l_band + 1):
-                    m = np.arange(-l, l + 1)
-                    kcols = [l + k for k in range(-l, l + 1) if k % 2 != 0]
-                    gcols = [col_of[c - l] for c in kcols]
-                    x = d[np.ix_(rows, gcols)] * kern[l, ks[gcols] + l_band]
-                    y = x @ blocks[l][:, kcols].T
-                    phase = np.exp(-1j * np.outer(phis[rows], m))
-                    out.degree_block(l)[:] += np.sum(phase * y, axis=0)
+            d = (coeffs.values[j][idx] * coeffs.weights(j)[idx]
+                 @ np.conj(plan.axial_phase).T / (4.0 * np.pi))
+            for tau, rows in _tau_groups(coeffs.taus[j], idx):
+                beta = plan.beta(theta_b, coeffs.family, rho, tau)
+                out.values += np.sum(np.conj(carried[rows])
+                                     * (d[rows] @ np.conj(beta)), axis=0)
     return out
 
 
@@ -275,96 +295,30 @@ def rotate_coefficients(table, rotation):
 # ---------------------------------------------------------------------------
 # frame operator assembly and inversion
 
-def _degree_orders(l_band):
-    l_of = np.concatenate([np.full(2 * l + 1, l) for l in range(l_band + 1)])
-    m_of = np.concatenate([np.arange(-l, l + 1) for l in range(l_band + 1)])
-    return l_of, m_of
-
-
 def frame_matrix(family, taus, grid, scales, l_band):
-    """Dense frame operator on coefficient tables, uniform tau per scale.
+    """Dense frame operator S on coefficient tables.
 
-    The axial and longitudinal sums are geometric series, so each
-    latitude band contributes a closed-form Hadamard factor; only the
-    band colatitudes are genuine quadrature.
+    taus[j] is the selectivity of scale j, one value or one per carrier.
+    The cells of a band that share a selectivity share the kernel factor
+    beta^H G beta (G the axial Gram matrix); the measure-weighted sum of
+    their longitudinal phases is the Hadamard factor multiplying it.
     """
     n = (l_band + 1) ** 2
-    l_of, m_of = _degree_orders(l_band)
-    ks = _odd_orders(l_band)
-    n_axial = len(grid.axial_angles)
-    axial_gram = 2.0 * np.pi * ((ks[:, None] - ks[None, :]) % n_axial == 0)
-    dm = m_of[None, :] - m_of[:, None]
-    s = np.zeros((n, n), dtype=complex)
-    for theta_b, idx, _, measure in _band_partition(grid):
-        blocks = _tilt_blocks(round(theta_b, 12), l_band)
-        n_cells = len(idx)
-        tilt_part = np.zeros((len(ks), n), dtype=complex)
-        for l in range(1, l_band + 1):
-            kcols = [l + k for k in range(-l, l + 1) if k % 2 != 0]
-            rows = [int(np.where(ks == c - l)[0][0]) for c in kcols]
-            tilt_part[rows, coef_index(l, -l):coef_index(l, l) + 1] = (
-                np.conj(blocks[l][:, kcols]).T)
-        hadamard = (measure * n_cells
-                    * np.exp(1j * dm * np.pi / n_cells) * (dm % n_cells == 0))
-        for j, rho in enumerate(scales):
-            kern = _kernel_matrix(family, float(rho), float(taus[j]), l_band)
-            beta = tilt_part * np.conj(kern[l_of[None, :],
-                                            ks[:, None] + l_band])
-            core = beta.conj().T @ axial_gram @ beta
-            s += (scales.log_step / (16.0 * np.pi ** 2)) * core * hadamard
-    return s
-
-
-def adaptive_frame_matrix(coeffs):
-    """Dense frame operator honoring per-carrier selectivities.
-
-    Cells sharing one selectivity within a latitude band contribute a
-    common kernel factor; their explicit longitudinal phase sum replaces
-    the geometric-series closed form of the uniform case.
-    """
-    l_band = coeffs.l_band
-    grid = coeffs.grid
-    n = (l_band + 1) ** 2
-    l_of, m_of = _degree_orders(l_band)
-    ks = _odd_orders(l_band)
+    plan = BandPlan(l_band, grid.axial_angles)
+    ks = plan.ks
     n_axial = len(grid.axial_angles)
     axial_gram = 2.0 * np.pi * ((ks[:, None] - ks[None, :]) % n_axial == 0)
     s = np.zeros((n, n), dtype=complex)
     for theta_b, idx, phis, measure in _band_partition(grid):
-        blocks = _tilt_blocks(round(theta_b, 12), l_band)
-        tilt_part = np.zeros((len(ks), n), dtype=complex)
-        for l in range(1, l_band + 1):
-            kcols = [l + k for k in range(-l, l + 1) if k % 2 != 0]
-            rows = [int(np.where(ks == c - l)[0][0]) for c in kcols]
-            tilt_part[rows, coef_index(l, -l):coef_index(l, l) + 1] = (
-                np.conj(blocks[l][:, kcols]).T)
-        for j, rho in enumerate(coeffs.scales):
-            tau_j = coeffs.taus[j]
-            band_taus = (np.full(len(idx), tau_j) if np.ndim(tau_j) == 0
-                         else np.asarray(tau_j)[idx])
-            for tau in np.unique(band_taus):
-                sub = phis[band_taus == tau]
-                kern = _kernel_matrix(coeffs.family, float(rho), float(tau),
-                                      l_band)
-                beta = tilt_part * np.conj(kern[l_of[None, :],
-                                                ks[:, None] + l_band])
+        carried = plan.carried(phis)
+        for j, rho in enumerate(scales):
+            for tau, rows in _tau_groups(taus[j], idx):
+                beta = plan.beta(theta_b, family, rho, tau)
                 core = beta.conj().T @ axial_gram @ beta
-                carried = np.exp(1j * np.outer(m_of, sub))
-                hadamard = measure * (np.conj(carried) @ carried.T)
-                s += (coeffs.scales.log_step / (16.0 * np.pi ** 2)
-                      ) * core * hadamard
+                hadamard = measure * (np.conj(carried[rows]).T
+                                      @ carried[rows])
+                s += (scales.log_step / (16.0 * np.pi ** 2)) * core * hadamard
     return s
-
-
-def _frame_matrix_for(coeffs):
-    """Pick the closed-form path when every scale has one selectivity."""
-    taus = []
-    for t in coeffs.taus:
-        if np.ndim(t) != 0 and np.ptp(t) != 0.0:
-            return adaptive_frame_matrix(coeffs)
-        taus.append(float(t) if np.ndim(t) == 0 else float(np.ravel(t)[0]))
-    return frame_matrix(coeffs.family, taus, coeffs.grid, coeffs.scales,
-                        coeffs.l_band)
 
 
 def reconstruct(coeffs, cfg=None, grid_spec=None):
@@ -377,7 +331,8 @@ def reconstruct(coeffs, cfg=None, grid_spec=None):
         cfg = FrameOperatorConfig()
     l_band = coeffs.l_band
     l_of, _ = _degree_orders(l_band)
-    s = _frame_matrix_for(coeffs)
+    s = frame_matrix(coeffs.family, coeffs.taus, coeffs.grid,
+                     coeffs.scales, l_band)
     rhs = adjoint_transform(coeffs).values
     active = np.where(l_of > FAMILY_ORDER[coeffs.family])[0]
     sa = s[np.ix_(active, active)]

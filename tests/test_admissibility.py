@@ -61,6 +61,12 @@ def test_scale_integral_matches_closed_form():
         a = _scale_integral("omega", l, 1)
         b = scale_integral_closed_form("omega", l, 1)
         assert abs(a - b) < 1e-5 * abs(b), l
+    a = _scale_integral("omega", 40, 1)
+    b = scale_integral_closed_form("omega", 40, 1)
+    assert abs(a - b) < 1e-3 * abs(b)
+    for l in (41, 160):
+        with pytest.raises(ValueError):
+            scale_integral_closed_form("omega", l, 1)
 
 
 def test_scale_integral_exact_high_degree():

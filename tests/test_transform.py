@@ -11,10 +11,12 @@ from sphwave.sphfn import (CoefficientTable, SphericalSignal, analyze_signal,
 from sphwave.so3 import (make_rotation, make_scale_sequence, make_so3_grid,
                          rotate_signal_pullback)
 from sphwave.transform import (FrameConvergenceError, FrameOperatorConfig,
-                               adaptive_frame_matrix, adjoint_transform,
-                               forward_transform, frame_matrix, reconstruct,
+                               adjoint_transform, forward_transform,
+                               frame_matrix, reconstruct,
                                rotate_coefficients, uniform_specs)
 from sphwave.transform import _tilt_blocks
+
+import oracles
 
 SCALES = make_scale_sequence(1.0, 0.5, 1)
 
@@ -136,14 +138,19 @@ def test_frame_matrix_matches_composition():
     l_band = 6
     table = _random_table(l_band, 33, kill_below=-1)
     grid = make_so3_grid(0.5, 0.5)
-    coeffs = forward_transform(_signal(table),
-                               uniform_specs("omega", 2.0, SCALES),
-                               grid, SCALES)
-    st = adjoint_transform(coeffs)
-    s = frame_matrix("omega", [2.0, 2.0], grid, SCALES, l_band)
-    assert np.max(np.abs(s - s.conj().T)) < 1e-14 * np.max(np.abs(s))
-    sv = s @ table.values
-    assert np.max(np.abs(sv - st.values)) < 1e-12 * np.max(np.abs(st.values))
+    # per carrier: tau by hemisphere at scale 0, by longitude at scale 1
+    tau_a = np.where(grid.carrier_thetas < 0.5 * np.pi, 1.0, 2.0)
+    tau_b = np.where(grid.carrier_phis < np.pi, 2.0, 4.0)
+    mixed = [tuple(WaveletSpec("omega", rho, float(t)) for t in arr)
+             for rho, arr in zip(SCALES, (tau_a, tau_b))]
+    for specs in (uniform_specs("omega", 2.0, SCALES), mixed):
+        coeffs = forward_transform(_signal(table), specs, grid, SCALES)
+        st = adjoint_transform(coeffs)
+        s = frame_matrix("omega", coeffs.taus, grid, SCALES, l_band)
+        assert np.max(np.abs(s - s.conj().T)) < 1e-14 * np.max(np.abs(s))
+        sv = s @ table.values
+        assert (np.max(np.abs(sv - st.values))
+                < 1e-12 * np.max(np.abs(st.values)))
 
 
 def test_adaptive_matrix_matches_uniform():
@@ -154,9 +161,11 @@ def test_adaptive_matrix_matches_uniform():
                    for _ in range(grid.n_carriers)) for rho in SCALES]
     coeffs = forward_transform(_signal(table), specs, grid, SCALES)
     s_uniform = frame_matrix("omega", [2.0, 2.0], grid, SCALES, l_band)
-    s_adaptive = adaptive_frame_matrix(coeffs)
+    s_adaptive = oracles.adaptive_frame_matrix(coeffs)
     scale = np.max(np.abs(s_uniform))
     assert np.max(np.abs(s_adaptive - s_uniform)) < 1e-13 * scale
+    s_closed = oracles.frame_matrix("omega", [2.0, 2.0], grid, SCALES, l_band)
+    assert np.max(np.abs(s_closed - s_uniform)) < 1e-13 * scale
 
 
 def test_rotate_coefficients_matches_pullback():
