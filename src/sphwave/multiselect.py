@@ -142,13 +142,10 @@ def refine_tau(f, scales, j, alpha2, tsel, grid, family="omega",
     Keeps the winning axial angle fixed and searches the continuous
     bracket between the discrete winner's neighbors in the set.
     """
+    tau0, phi1, _ = select_tau(f, scales, j, alpha2, tsel, grid, family)
     table = analyze_signal(f)
     cell = grid.cells[alpha2]
     taus = tuple(tsel)
-    vals = _band_landscape(table, family, scales[j], taus, cell.theta,
-                           np.array([cell.phi]), grid.axial_angles)
-    tol = TIE_MARGIN * np.sqrt(table.norm_sq())
-    tau0, phi1, _ = _pick(vals[:, 0, :], taus, grid.axial_angles, tol)
     i0 = taus.index(tau0)
     lo = taus[i0 - 1] if i0 > 0 else max(1.0, taus[0])
     hi = taus[i0 + 1] if i0 + 1 < len(taus) else tsel.tau_cap

@@ -100,19 +100,26 @@ def normalized_assoc_column(k, t, l_max):
     return out
 
 
-def normalized_assoc_triangle(t, l_max):
-    """Dense table q[tri(l, k)] of Q_l^k(t) for 0 <= k <= l <= l_max.
+def degree_orders(l_band):
+    """Degree l and order m of every index l*l + l + m of the flat layout."""
+    l_of = np.repeat(np.arange(l_band + 1), 2 * np.arange(l_band + 1) + 1)
+    return l_of, np.arange((l_band + 1) ** 2) - l_of * (l_of + 1)
 
-    tri(l, k) = l (l + 1) / 2 + k. Shape ((l_max+1)(l_max+2)/2,) + t.shape.
+
+def legendre_rows(t, l_band):
+    """(-1)^|m| Q_l^|m|(t) at flat index l*l + l + m, |m| <= l <= l_band.
+
+    Times exp(i m phi), row l*l + l + m is Y_l^m.  Shape
+    ((l_band+1)^2,) + t.shape.
     """
     t = np.asarray(t, dtype=float)
-    n_tri = (l_max + 1) * (l_max + 2) // 2
-    q = np.empty((n_tri,) + t.shape)
-    for k in range(l_max + 1):
-        col = normalized_assoc_column(k, t, l_max)
-        for l in range(k, l_max + 1):
-            q[l * (l + 1) // 2 + k] = col[l - k]
-    return q
+    out = np.empty(((l_band + 1) ** 2,) + t.shape)
+    for m in range(l_band + 1):
+        col = (-1.0) ** m * normalized_assoc_column(m, t, l_band)
+        l = np.arange(m, l_band + 1)
+        out[coef_index(l, m)] = col
+        out[coef_index(l, -m)] = col
+    return out
 
 
 def spherical_harmonic(l, k, theta, phi):
@@ -248,16 +255,10 @@ def analyze_signal(f, l_band=None):
         raise ValueError("grid under-resolves the requested band limit")
     n_phi = f.spec.n_phi
     g = np.fft.fft(f.values, axis=1) * (2.0 * np.pi / n_phi)
-    q = normalized_assoc_triangle(f.colat.cos_nodes, l_band)
-    w = f.colat.weights
-    table = CoefficientTable(l_band)
-    for m in range(-l_band, l_band + 1):
-        gm = w * g[:, m % n_phi]
-        sign = (-1.0) ** abs(m)
-        for l in range(abs(m), l_band + 1):
-            table.values[coef_index(l, m)] = sign * np.dot(
-                q[l * (l + 1) // 2 + abs(m)], gm)
-    return table
+    _, m_of = degree_orders(l_band)
+    rows = legendre_rows(f.colat.cos_nodes, l_band) * f.colat.weights
+    return CoefficientTable(l_band, np.sum(rows * g[:, m_of % n_phi].T,
+                                           axis=1))
 
 
 def synthesize_signal(table, spec, colat=None):
@@ -267,14 +268,11 @@ def synthesize_signal(table, spec, colat=None):
     if colat is None:
         colat = make_colat_grid(spec.n_theta)
     l_band = table.l_band
-    q = normalized_assoc_triangle(colat.cos_nodes, l_band)
+    _, m_of = degree_orders(l_band)
     # s[i, m] = sum_l coef(l, m) (-1)^|m| Q_l^|m|(theta_i)
     s = np.zeros((spec.n_theta, spec.n_phi), dtype=complex)
-    for m in range(-l_band, l_band + 1):
-        acc = np.zeros(spec.n_theta, dtype=complex)
-        for l in range(abs(m), l_band + 1):
-            acc += table.values[coef_index(l, m)] * q[l * (l + 1) // 2 + abs(m)]
-        s[:, m % spec.n_phi] += (-1.0) ** abs(m) * acc
+    np.add.at(s.T, m_of % spec.n_phi,
+              table.values[:, None] * legendre_rows(colat.cos_nodes, l_band))
     values = np.fft.ifft(s, axis=1) * spec.n_phi
     return SphericalSignal(values=values, spec=spec, colat=colat)
 
@@ -286,11 +284,6 @@ def harmonic_matrix(l_band, theta, phi):
     """
     theta = np.asarray(theta, dtype=float).ravel()
     phi = np.asarray(phi, dtype=float).ravel()
-    q = normalized_assoc_triangle(np.cos(theta), l_band)
-    out = np.empty(((l_band + 1) ** 2, theta.size), dtype=complex)
-    for k in range(-l_band, l_band + 1):
-        e = np.exp(1j * k * phi)
-        sign = (-1.0) ** abs(k)
-        for l in range(abs(k), l_band + 1):
-            out[coef_index(l, k)] = sign * q[l * (l + 1) // 2 + abs(k)] * e
-    return out
+    _, m_of = degree_orders(l_band)
+    return (legendre_rows(np.cos(theta), l_band)
+            * np.exp(1j * np.outer(m_of, phi)))

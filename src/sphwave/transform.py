@@ -18,8 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sphfn import (CoefficientTable, SphericalSignal, analyze_signal,
-                    default_grid_spec, grid_phis, make_colat_grid,
+from .sphfn import (CoefficientTable, analyze_signal, default_grid_spec,
+                    degree_orders, grid_phis, legendre_rows, make_colat_grid,
                     normalized_assoc_column, synthesize_signal)
 from .profiles import FAMILY_ORDER, WaveletSpec
 from .admissibility import default_k_cut, wavelet_coefficient_table
@@ -98,8 +98,9 @@ def _band_partition(grid):
 def _tilt_blocks(theta_key, l_band):
     """Per-degree unitary blocks T^l[m, k] = <Y_l^m, Y_l^k o tilt^{-1}>.
 
-    Computed by analyzing each tilted harmonic on an exact quadrature
-    grid; a tilt preserves the degree, so the projection is exact.
+    Each tilted harmonic is sampled on an exact quadrature grid, Fourier
+    transformed in longitude and projected onto its own degree (a tilt
+    preserves the degree) with the weighted flat Legendre table.
     """
     theta = float(theta_key)
     spec = default_grid_spec(l_band)
@@ -108,18 +109,25 @@ def _tilt_blocks(theta_key, l_band):
     xyz = np.tensordot(tilt_rotation(theta).T, sphere_points(tt, pp), axes=1)
     ct = np.clip(xyz[0], -1.0, 1.0)
     ph = np.arctan2(xyz[2], xyz[1])
-    blocks = [np.zeros((2 * l + 1, 2 * l + 1), dtype=complex)
-              for l in range(l_band + 1)]
+    l_of, m_of = degree_orders(l_band)
+    proj = (legendre_rows(colat.cos_nodes, l_band) * colat.weights
+            * (2.0 * np.pi / spec.n_phi))
+    # flat[(l, m), k + l_band] = T^l[m, k], zero where |k| > l
+    flat = np.zeros(((l_band + 1) ** 2, 2 * l_band + 1), dtype=complex)
     for k in range(-l_band, l_band + 1):
         ka = abs(k)
         col = normalized_assoc_column(ka, ct, l_band)
-        phase = (-1.0) ** ka * np.exp(1j * k * ph)
-        for l in range(ka, l_band + 1):
-            sig = SphericalSignal(col[l - ka] * phase, spec, colat)
-            blocks[l][:, k + l] = analyze_signal(sig, l).degree_block(l)
+        spectra = np.fft.fft(col * ((-1.0) ** ka * np.exp(1j * k * ph)),
+                             axis=-1)
+        rows = l_of >= ka
+        flat[rows, k + l_band] = np.sum(
+            proj[rows] * spectra[l_of[rows] - ka, :, m_of[rows] % spec.n_phi],
+            axis=1)
+    blocks = tuple(flat[l * l:(l + 1) ** 2, l_band - l:l_band + l + 1].copy()
+                   for l in range(l_band + 1))
     for b in blocks:
         b.flags.writeable = False
-    return tuple(blocks)
+    return blocks
 
 
 @lru_cache(maxsize=256)
@@ -127,20 +135,14 @@ def _kernel_matrix(family, rho, tau, l_band):
     """Kernel coefficients as a dense (l, k) matrix, index [l, k + l_band]."""
     table = wavelet_coefficient_table(WaveletSpec(family, rho, tau), l_band)
     mat = np.zeros((l_band + 1, 2 * l_band + 1), dtype=complex)
-    for l in range(l_band + 1):
-        mat[l, l_band - l:l_band + l + 1] = table.degree_block(l)
+    l_of, m_of = degree_orders(l_band)
+    mat[l_of, m_of + l_band] = table.values
     mat.flags.writeable = False
     return mat
 
 
 def _odd_orders(l_band):
     return np.array([k for k in range(-l_band, l_band + 1) if k % 2 != 0])
-
-
-def _degree_orders(l_band):
-    l_of = np.concatenate([np.full(2 * l + 1, l) for l in range(l_band + 1)])
-    m_of = np.concatenate([np.arange(-l, l + 1) for l in range(l_band + 1)])
-    return l_of, m_of
 
 
 class BandPlan:
@@ -156,7 +158,7 @@ class BandPlan:
     def __init__(self, l_band, axial_angles):
         self.l_band = l_band
         self.ks = _odd_orders(l_band)
-        self.l_of, self.m_of = _degree_orders(l_band)
+        self.l_of, self.m_of = degree_orders(l_band)
         self.axial_phase = np.exp(1j * np.outer(self.ks, axial_angles))
         # position of T^l[m, k] in the concatenated row-major tilt blocks;
         # orders |k| > l point one past the end, at an appended zero
@@ -330,7 +332,7 @@ def reconstruct(coeffs, cfg=None, grid_spec=None):
     if cfg is None:
         cfg = FrameOperatorConfig()
     l_band = coeffs.l_band
-    l_of, _ = _degree_orders(l_band)
+    l_of, _ = degree_orders(l_band)
     s = frame_matrix(coeffs.family, coeffs.taus, coeffs.grid,
                      coeffs.scales, l_band)
     rhs = adjoint_transform(coeffs).values

@@ -4,14 +4,43 @@ The dense frame builders below are the library's former per-degree
 constructions: a closed-form Hadamard factor for one selectivity per
 scale, and an explicit longitudinal phase sum for per-carrier
 selectivities.  The library now builds both cases from its band
-operator, and tests hold it to these.
+operator, and tests hold it to these.  The tilt blocks are the former
+per-harmonic construction, which analyzes every tilted harmonic as a
+gridded signal.
 """
 
 import numpy as np
 
-from sphwave.sphfn import coef_index
-from sphwave.transform import (_band_partition, _degree_orders,
-                               _kernel_matrix, _odd_orders, _tilt_blocks)
+from sphwave.sphfn import (SphericalSignal, analyze_signal, coef_index,
+                           default_grid_spec, degree_orders, grid_phis,
+                           make_colat_grid, normalized_assoc_column)
+from sphwave.so3 import sphere_points, tilt_rotation
+from sphwave.transform import (_band_partition, _kernel_matrix, _odd_orders,
+                               _tilt_blocks)
+
+
+def tilt_blocks(theta, l_band):
+    """Per-degree unitary blocks T^l[m, k] = <Y_l^m, Y_l^k o tilt^{-1}>.
+
+    Computed by analyzing each tilted harmonic on an exact quadrature
+    grid; a tilt preserves the degree, so the projection is exact.
+    """
+    spec = default_grid_spec(l_band)
+    colat = make_colat_grid(spec.n_theta)
+    tt, pp = np.meshgrid(colat.nodes, grid_phis(spec), indexing="ij")
+    xyz = np.tensordot(tilt_rotation(theta).T, sphere_points(tt, pp), axes=1)
+    ct = np.clip(xyz[0], -1.0, 1.0)
+    ph = np.arctan2(xyz[2], xyz[1])
+    blocks = [np.zeros((2 * l + 1, 2 * l + 1), dtype=complex)
+              for l in range(l_band + 1)]
+    for k in range(-l_band, l_band + 1):
+        ka = abs(k)
+        col = normalized_assoc_column(ka, ct, l_band)
+        phase = (-1.0) ** ka * np.exp(1j * k * ph)
+        for l in range(ka, l_band + 1):
+            sig = SphericalSignal(col[l - ka] * phase, spec, colat)
+            blocks[l][:, k + l] = analyze_signal(sig, l).degree_block(l)
+    return blocks
 
 
 def frame_matrix(family, taus, grid, scales, l_band):
@@ -22,7 +51,7 @@ def frame_matrix(family, taus, grid, scales, l_band):
     band colatitudes are genuine quadrature.
     """
     n = (l_band + 1) ** 2
-    l_of, m_of = _degree_orders(l_band)
+    l_of, m_of = degree_orders(l_band)
     ks = _odd_orders(l_band)
     n_axial = len(grid.axial_angles)
     axial_gram = 2.0 * np.pi * ((ks[:, None] - ks[None, :]) % n_axial == 0)
@@ -58,7 +87,7 @@ def adaptive_frame_matrix(coeffs):
     l_band = coeffs.l_band
     grid = coeffs.grid
     n = (l_band + 1) ** 2
-    l_of, m_of = _degree_orders(l_band)
+    l_of, m_of = degree_orders(l_band)
     ks = _odd_orders(l_band)
     n_axial = len(grid.axial_angles)
     axial_gram = 2.0 * np.pi * ((ks[:, None] - ks[None, :]) % n_axial == 0)

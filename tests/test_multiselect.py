@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sphwave import multiselect
 from sphwave.admissibility import wavelet_coefficient_table
 from sphwave.multiselect import (SelectivitySet, adaptive_analysis,
                                  budget_discretization, calibrate_budget,
@@ -148,6 +149,25 @@ def test_refine_tau_sharpens_discrete_winner():
     assert phi1 == PHI1
     assert abs(tau - 5.0) < 5e-3
     assert value >= val_d - 1e-12 * val_d
+
+
+def test_refine_tau_honors_tol(monkeypatch):
+    tsel = SelectivitySet()
+    f = _signal(_planted(16, WaveletSpec("omega", 1.0, 5.0), 40, PHI1))
+    calls = []
+    landscape = multiselect._band_landscape
+
+    def counted(*args):
+        calls.append(1)
+        return landscape(*args)
+
+    monkeypatch.setattr(multiselect, "_band_landscape", counted)
+    n_evals = []
+    for tol in (0.5, 1e-4):
+        calls.clear()
+        refine_tau(f, SCALES, 0, 40, tsel, GRID, tol=tol)
+        n_evals.append(len(calls))
+    assert n_evals[0] < n_evals[1] < 60, n_evals
 
 
 def test_two_feature_signal_prefers_sharper():

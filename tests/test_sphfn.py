@@ -7,9 +7,9 @@ import scipy.special as sps
 
 from sphwave.sphfn import (CoefficientTable, SphericalSignal, analyze_signal,
                            assoc_legendre_P, coef_index, default_grid_spec,
-                           grid_phis, legendre_P, legendre_P_all,
-                           make_colat_grid, normalized_assoc_column,
-                           normalized_assoc_triangle, spherical_harmonic,
+                           grid_phis, harmonic_matrix, legendre_P,
+                           legendre_P_all, legendre_rows, make_colat_grid,
+                           normalized_assoc_column, spherical_harmonic,
                            synthesize_signal)
 
 
@@ -67,13 +67,26 @@ def test_normalized_column_high_degree_finite():
     assert np.all(np.isfinite(col))
 
 
-def test_triangle_layout():
+def test_legendre_rows_layout():
     t = np.array([0.25])
-    q = normalized_assoc_triangle(t, 8)
+    q = legendre_rows(t, 8)
+    assert q.shape == (81, 1)
     for l in range(9):
-        for k in range(l + 1):
-            ref = normalized_assoc_column(k, t, l)[l - k]
-            assert abs(q[l * (l + 1) // 2 + k][0] - ref[0]) < 1e-14
+        for k in range(-l, l + 1):
+            ref = (-1.0) ** abs(k) * normalized_assoc_column(abs(k), t, l)
+            assert abs(q[coef_index(l, k)][0] - ref[-1][0]) < 1e-14, (l, k)
+
+
+def test_harmonic_matrix_rows():
+    rng = np.random.default_rng(12)
+    theta = rng.uniform(0.0, np.pi, 25)
+    phi = rng.uniform(0.0, 2 * np.pi, 25)
+    y = harmonic_matrix(8, theta, phi)
+    assert y.shape == (81, 25)
+    for l in range(9):
+        for k in range(-l, l + 1):
+            ref = spherical_harmonic(l, k, theta, phi)
+            assert np.max(np.abs(y[coef_index(l, k)] - ref)) < 1e-13, (l, k)
 
 
 def test_spherical_harmonic_against_scipy():

@@ -52,6 +52,17 @@ def test_tilt_blocks_unitary():
             assert np.max(np.abs(gram - np.eye(2 * l + 1))) < 1e-12, (theta, l)
     for l, b in enumerate(_tilt_blocks(0.0, 5)):
         assert np.max(np.abs(b - np.eye(2 * l + 1))) < 1e-12, l
+    # the per-harmonic analysis construction is the reference
+    rng = np.random.default_rng(41)
+    for l_band in (4, 8, 12):
+        for theta in np.round(rng.uniform(0.0, np.pi, 4), 12):
+            ref = oracles.tilt_blocks(theta, l_band)
+            blocks = _tilt_blocks(theta, l_band)
+            for l, (b, r) in enumerate(zip(blocks, ref)):
+                assert np.max(np.abs(b - r)) < 1e-13, (l_band, theta, l)
+    for l, b in enumerate(_tilt_blocks(1.1, 32)):
+        gram = b.conj().T @ b
+        assert np.max(np.abs(gram - np.eye(2 * l + 1))) < 1e-13, l
 
 
 def test_forward_matches_spatial_quadrature():
