@@ -13,7 +13,7 @@ from .admissibility import (AdmissibilityReport, admissibility_integral,
                             coefficient_upper_bound, default_k_cut,
                             wavelet_coefficient, wavelet_coefficient_table)
 from .so3 import (GridCell, Rotation, ScaleSequence, SO3Grid, make_rotation,
-                  make_scale_sequence, make_so3_grid, rotate_signal_pullback)
+                  make_scale_sequence, make_so3_grid)
 from .transform import (FrameConvergenceError, FrameOperatorConfig,
                         TransformCoefficients, adjoint_transform,
                         forward_transform, frame_apply, frame_matrix,
@@ -41,7 +41,7 @@ __all__ = [
     "analytic_upper_bound", "coefficient_upper_bound", "default_k_cut",
     "wavelet_coefficient", "wavelet_coefficient_table",
     "GridCell", "Rotation", "ScaleSequence", "SO3Grid", "make_rotation",
-    "make_scale_sequence", "make_so3_grid", "rotate_signal_pullback",
+    "make_scale_sequence", "make_so3_grid",
     "FrameConvergenceError", "FrameOperatorConfig", "TransformCoefficients",
     "adjoint_transform", "forward_transform", "frame_apply",
     "frame_matrix", "reconstruct", "rotate_coefficients", "uniform_specs",

@@ -267,16 +267,14 @@ def scale_integral_closed_form(family, l, k):
     return total
 
 
-def admissibility_integral(family, tau, l, k_cut=None):
+def admissibility_integral(family, tau, l):
     """G(l) = sum over odd |k| <= min(l, K) of int |Psi_l^k|^2 drho/rho."""
     if family not in FAMILIES:
         raise ValueError("family must be one of %s" % (FAMILIES,))
     if l < 0:
         raise ValueError("degree must be nonnegative")
-    if k_cut is None:
-        k_cut = default_k_cut(tau)
     total = 0.0
-    for k in range(1, min(l, k_cut) + 1, 2):
+    for k in range(1, min(l, default_k_cut(tau)) + 1, 2):
         ck = angular_coefficient(tau, k)
         # both signs of k contribute equally
         total += 2.0 * ck * ck / (16.0 * np.pi ** 2) * _scale_integral(family, l, k)
@@ -300,14 +298,6 @@ def k1_ratio(family, tau, l):
     """The k=+1 contribution to G(l)/(2l+1) alone (asymptote diagnostics)."""
     ck = angular_coefficient(tau, 1)
     return ck * ck / (16.0 * np.pi ** 2) * _scale_integral(family, l, 1) / (2 * l + 1)
-
-
-def expansion_scale_integral(family, l, quad=None):
-    """int_0^infty rho * coef_l(e^{-rho})^2 drho for the P_l^1 coefficient."""
-    if quad is None:
-        quad = default_quadrature()
-    c = expansion_coefficient_fn(family)(l, quad.r_nodes)
-    return float(np.sum(quad.weights * quad.nodes * c * c))
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +325,7 @@ class AdmissibilityReport:
         return len(self.g_values) - 1
 
 
-def admissibility_report(family, tau, l_max, k_cut=None):
+def admissibility_report(family, tau, l_max):
     """Verify the two-sided frame bounds and low-degree vanishing.
 
     Returns a report rather than raising: violations are listed in
@@ -345,7 +335,7 @@ def admissibility_report(family, tau, l_max, k_cut=None):
         raise ValueError("report requires l_max of at least 10")
     order = FAMILY_ORDER[family]
     ls = np.arange(l_max + 1)
-    g = np.array([admissibility_integral(family, tau, l, k_cut) for l in ls])
+    g = np.array([admissibility_integral(family, tau, l) for l in ls])
     ratios = g / (2.0 * ls + 1.0)
     lower = float(np.min(ratios[order + 1:]))
     upper = float(np.max(ratios))

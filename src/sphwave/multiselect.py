@@ -19,8 +19,7 @@ import numpy as np
 from .sphfn import analyze_signal
 from .profiles import (AngularWindow, WaveletSpec, profile_dtheta_fn,
                        profile_fn, wavelet_norm_sq)
-from .transform import (BandPlan, _band_partition, _kernel_matrix,
-                        forward_transform)
+from .transform import BandPlan, _kernel_matrix, forward_transform
 
 DEFAULT_TAUS = (1.0, 2.0, 4.0, 8.0, 16.0)
 TAU_CAP = 16.0
@@ -86,11 +85,9 @@ def _pick(values, taus, angles, tol):
     return taus[pick[0]], angles[pick[1]], values[pick]
 
 
-def _band_landscape(table, family, rho, taus, theta_b, phis, axial):
+def _band_landscape(plan, carried, theta_b, family, rho, taus):
     """Normalized correlation per (tau, cell, axial angle) in one band."""
-    plan = BandPlan(table.l_band, axial)
-    carried = plan.carried(phis) * table.values
-    out = np.empty((len(taus), len(phis), len(axial)))
+    out = np.empty((len(taus), len(carried), plan.axial_phase.shape[1]))
     for it, tau in enumerate(taus):
         beta = plan.beta(theta_b, family, rho, tau)
         norm = np.sqrt(wavelet_norm_sq(WaveletSpec(family, rho, tau)))
@@ -107,8 +104,10 @@ def select_tau(f, scales, j, alpha2, tsel, grid, family="omega"):
     """
     table = analyze_signal(f)
     cell = grid.cells[alpha2]
-    vals = _band_landscape(table, family, scales[j], tuple(tsel), cell.theta,
-                           np.array([cell.phi]), grid.axial_angles)
+    plan = BandPlan(table.l_band, grid.axial_angles)
+    carried = plan.carried(np.array([cell.phi])) * table.values
+    vals = _band_landscape(plan, carried, cell.theta, family, scales[j],
+                           tuple(tsel))
     tol = TIE_MARGIN * np.sqrt(table.norm_sq())
     return _pick(vals[:, 0, :], tuple(tsel), grid.axial_angles, tol)
 
@@ -122,10 +121,11 @@ def selectivity_scan(f, scales, grid, tsel, family="omega"):
     tau_star = np.empty((n_j, grid.n_carriers))
     phi1_star = np.empty((n_j, grid.n_carriers))
     value = np.empty((n_j, grid.n_carriers))
-    for theta_b, idx, phis, _ in _band_partition(grid):
+    plan = BandPlan(table.l_band, grid.axial_angles)
+    for theta_b, idx, phis, _ in grid.bands:
+        carried = plan.carried(phis) * table.values
         for j, rho in enumerate(scales):
-            vals = _band_landscape(table, family, rho, taus, theta_b, phis,
-                                   grid.axial_angles)
+            vals = _band_landscape(plan, carried, theta_b, family, rho, taus)
             for pos, a in enumerate(idx):
                 t, p, v = _pick(vals[:, pos, :], taus, grid.axial_angles,
                                 tol)
@@ -136,7 +136,7 @@ def selectivity_scan(f, scales, grid, tsel, family="omega"):
 
 
 def refine_tau(f, scales, j, alpha2, tsel, grid, family="omega",
-               tol=1e-4, max_iter=60):
+               tol=1e-4):
     """Golden-section sweetening of the discrete winner over [1, cap].
 
     Keeps the winning axial angle fixed and searches the continuous
@@ -149,17 +149,19 @@ def refine_tau(f, scales, j, alpha2, tsel, grid, family="omega",
     i0 = taus.index(tau0)
     lo = taus[i0 - 1] if i0 > 0 else max(1.0, taus[0])
     hi = taus[i0 + 1] if i0 + 1 < len(taus) else tsel.tau_cap
+    plan = BandPlan(table.l_band, np.array([phi1]))
+    carried = plan.carried(np.array([cell.phi])) * table.values
 
     def score(tau):
-        v = _band_landscape(table, family, scales[j], (tau,), cell.theta,
-                            np.array([cell.phi]), np.array([phi1]))
+        v = _band_landscape(plan, carried, cell.theta, family, scales[j],
+                            (tau,))
         return float(v[0, 0, 0])
 
     gr = 0.5 * (np.sqrt(5.0) - 1.0)
     a, b = lo, hi
     c, d = b - gr * (b - a), a + gr * (b - a)
     fc, fd = score(c), score(d)
-    for _ in range(max_iter):
+    for _ in range(60):
         if b - a < tol * max(1.0, a):
             break
         if fc < fd:

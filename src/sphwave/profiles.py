@@ -16,11 +16,9 @@ polynomial in r = exp(-rho).
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import fsum
+from functools import lru_cache
 
 import numpy as np
-
-from .sphfn import legendre_P_all
 
 # smallest supported scale: the rational forms lose accuracy below this
 RHO_MIN = 1e-4
@@ -115,13 +113,13 @@ class AngularWindow:
     coefficients: np.ndarray   # matching coefficient values
 
     @classmethod
-    def build(cls, tau, tail_eps=1e-16):
+    def build(cls, tau):
         ks, vals = [], []
         k = 1
         top = angular_coefficient(tau, 1)
         while True:
             c = angular_coefficient(tau, k)
-            if c < tail_eps * top and k > tau:
+            if c < 1e-16 * top and k > tau:
                 break
             ks.append(k)
             vals.append(c)
@@ -174,56 +172,6 @@ def poisson_kernel(rho, theta):
     return v if v.ndim else float(v)
 
 
-def _series_degree(r, tail=1e-14):
-    # smallest L with (2L+1) L^2 r^L below the tail threshold
-    l, term = 1, 3 * r
-    while term > tail and l < 200000:
-        l += 1
-        term = (2 * l + 1) * l * l * r ** l
-    return l
-
-
-def _series_weights(kind, r, tail=1e-17):
-    """Terms weight(l) r^l for l = 0..L, truncated relative to the peak.
-
-    kind 0: weight 2l+1 (kernel); 1: (2l+1) l^2; 2: (2l+1) l (l-1).
-    """
-    out, peak, l, r_pow = [], 0.0, 0, 1.0
-    while True:
-        if kind == 0:
-            w = 2 * l + 1
-        elif kind == 1:
-            w = (2 * l + 1) * l * l
-        else:
-            w = (2 * l + 1) * l * (l - 1)
-        term = w * r_pow
-        out.append(term)
-        peak = max(peak, term)
-        if l >= 6 and term < tail * (1.0 + peak):
-            return np.array(out)
-        if l > 100000:
-            raise ValueError("series too long for this scale")
-        l += 1
-        r_pow *= r
-
-
-def _sum_series(c, t):
-    """sum_l c_l P_l(t); compensated summation for scalar arguments."""
-    P = legendre_P_all(len(c) - 1, np.asarray(t, dtype=float))
-    if P.ndim == 1:
-        return fsum(c * P)
-    return np.tensordot(c, P, axes=(0, 0))
-
-
-def poisson_kernel_series(rho, theta, tail=1e-17):
-    """Legendre series sum (1/4pi) sum (2l+1) r^l P_l; dual-formula oracle."""
-    _check_rho(rho)
-    c = _series_weights(0, np.exp(-rho), tail)
-    theta = np.asarray(theta, dtype=float)
-    v = _sum_series(c, np.cos(theta)) / (4.0 * np.pi)
-    return v if np.ndim(v) else float(v)
-
-
 def omega_profile(rho, theta):
     """First radial-derivative profile, rational closed form.
 
@@ -256,26 +204,6 @@ def upsilon_profile(rho, theta):
            - (15.0 + r * r) * c * c)
     v = -rho * r * r * num * s ** 5 / (4.0 * np.pi * d ** 3.5)
     return v if v.ndim else float(v)
-
-
-def omega_profile_series(rho, theta, tail=1e-17):
-    """Series form rho sin^5 / 4pi * sum (2l+1) l^2 r^l P_l."""
-    _check_rho(rho)
-    c = _series_weights(1, np.exp(-rho), tail)
-    theta = np.asarray(theta, dtype=float)
-    core = _sum_series(c, np.cos(theta))
-    v = rho * np.sin(theta) ** 5 * core / (4.0 * np.pi)
-    return v if np.ndim(v) else float(v)
-
-
-def upsilon_profile_series(rho, theta, tail=1e-17):
-    """Series form rho sin^5 / 4pi * sum (2l+1) l (l-1) r^l P_l."""
-    _check_rho(rho)
-    c = _series_weights(2, np.exp(-rho), tail)
-    theta = np.asarray(theta, dtype=float)
-    core = _sum_series(c, np.cos(theta))
-    v = rho * np.sin(theta) ** 5 * core / (4.0 * np.pi)
-    return v if np.ndim(v) else float(v)
 
 
 def profile_fn(family):
@@ -412,29 +340,6 @@ def expansion_coefficient_fn(family):
             else upsilon_expansion_coefficient)
 
 
-def profile_from_expansion(family, rho, theta, l_max=None):
-    """Rebuild a profile pointwise from its P_l^1 expansion (oracle use)."""
-    _check_rho(rho)
-    r = np.exp(-rho)
-    theta = np.asarray(theta, dtype=float)
-    if l_max is None:
-        l_max = _series_degree(r, 1e-15) + 6
-    coef_fn = expansion_coefficient_fn(family)
-    c, s = np.cos(theta), np.sin(theta)
-    # P_l^1 by upward recurrence, accumulated on the fly
-    acc = np.zeros_like(theta)
-    p_prev = -s                      # P_1^1
-    p = -3.0 * c * s                 # P_2^1
-    acc += coef_fn(1, r) * p_prev
-    if l_max >= 2:
-        acc += coef_fn(2, r) * p
-    for l in range(2, l_max):
-        p_prev, p = p, ((2 * l + 1) * c * p - (l + 1) * p_prev) / l
-        acc += coef_fn(l + 1, r) * p
-    v = rho * acc / (4.0 * np.pi)
-    return v if v.ndim else float(v)
-
-
 # ---------------------------------------------------------------------------
 # assembled kernels
 
@@ -444,20 +349,24 @@ def evaluate_wavelet(spec, theta, phi):
     return prof * angular_window(spec.tau, phi)
 
 
-def profile_norm_sq(family, rho, n_nodes=None):
-    """int_0^pi profile(theta)^2 sin(theta) dtheta by Gauss quadrature."""
+@lru_cache(maxsize=None)
+def profile_norm_sq(family, rho):
+    """int_0^pi profile(theta)^2 sin(theta) dtheta by Gauss quadrature.
+
+    Cached: it depends on (family, rho) only, and every selectivity of a
+    kernel shares it.
+    """
     _check_rho(rho)
-    if n_nodes is None:
-        n_nodes = int(max(256, min(4000, 40.0 / max(rho, 0.02))))
+    n_nodes = int(max(256, min(4000, 40.0 / max(rho, 0.02))))
     u, w = np.polynomial.legendre.leggauss(n_nodes)
     v = profile_fn(family)(rho, np.arccos(u))
     return float(np.sum(w * v * v))
 
 
-def wavelet_norm_sq(spec, n_nodes=None):
+def wavelet_norm_sq(spec):
     """Squared L2 norm over the sphere; separable and untruncated.
 
     ||Psi||^2 = int profile^2 sin dtheta * int window^2 dphi.
     """
     win = AngularWindow.build(spec.tau)
-    return profile_norm_sq(spec.family, spec.rho, n_nodes) * win.window_norm_sq()
+    return profile_norm_sq(spec.family, spec.rho) * win.window_norm_sq()

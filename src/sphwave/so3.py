@@ -29,14 +29,6 @@ def sphere_points(theta, phi):
                      st * np.sin(phi)))
 
 
-def point_angles(xyz):
-    """Inverse of sphere_points; longitude of a pole image is 0."""
-    x1, x2, x3 = xyz[0], xyz[1], xyz[2]
-    theta = np.arccos(np.clip(x1, -1.0, 1.0))
-    phi = np.where(np.hypot(x2, x3) > 0.0, np.arctan2(x3, x2), 0.0)
-    return theta, np.mod(phi, 2.0 * np.pi)
-
-
 def axis_rotation(beta):
     """Rotation by beta about the pole axis (the (xi2, xi3) plane)."""
     c, s = np.cos(beta), np.sin(beta)
@@ -85,16 +77,6 @@ def make_rotation(phi1, theta2, phi2):
     matrix = axis_rotation(phi2) @ tilt_rotation(theta2) @ axis_rotation(phi1)
     matrix.flags.writeable = False
     return Rotation(phi1, theta2, phi2, matrix)
-
-
-def rotate_signal_pullback(rotation, kernel):
-    """Return x -> kernel(g^{-1} x) as a callable of (theta, phi)."""
-
-    def rotated(theta, phi):
-        xyz = rotation.apply_inverse(sphere_points(theta, phi))
-        return kernel(*point_angles(xyz))
-
-    return rotated
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +142,7 @@ class SO3Grid:
     delta1: float
     cells: tuple
     axial_angles: np.ndarray
+    bands: tuple    # per latitude band: (theta, cell indices, phis, measure)
 
     @property
     def n_carriers(self):
@@ -217,6 +200,7 @@ def make_so3_grid(delta2, delta1):
     cap = np.sin(0.5 * delta2) ** 2 - np.sin(0.5 * band_height) ** 2
 
     cells = []
+    bands = []
     for b in range(n_bands):
         lo, hi = edges[b], edges[b + 1]
         if lo < 0.5 * np.pi < hi:
@@ -229,11 +213,12 @@ def make_so3_grid(delta2, delta1):
         width = 2.0 * np.pi / n_cells
         measure = (cos_edges[b] - cos_edges[b + 1]) * width
         center = 0.5 * (lo + hi)
-        for i in range(n_cells):
-            cells.append(GridCell(center, (i + 0.5) * width,
-                                  lo, hi, width, measure))
+        phis = (np.arange(n_cells) + 0.5) * width
+        bands.append((center, len(cells) + np.arange(n_cells), phis, measure))
+        cells.extend(GridCell(center, float(p), lo, hi, width, measure)
+                     for p in phis)
 
     n_axial = int(np.ceil(2.0 * np.pi / delta1))
     axial = np.arange(n_axial) * (2.0 * np.pi / n_axial)
     axial.flags.writeable = False
-    return SO3Grid(delta2, delta1, tuple(cells), axial)
+    return SO3Grid(delta2, delta1, tuple(cells), axial, tuple(bands))

@@ -11,33 +11,14 @@ Conventions used throughout the package:
   polynomials below the node count).
 """
 
-from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-HarmonicIndex = namedtuple("HarmonicIndex", ["l", "k"])
 
 
 def coef_index(l, k):
     """Flat index of the harmonic (l, k) in a dense table: l*l + l + k."""
     return l * l + l + k
-
-
-def legendre_P(l, t):
-    """Legendre polynomial P_l(t) via the stable three-term recurrence."""
-    if l < 0:
-        raise ValueError("degree must be non-negative")
-    t = np.asarray(t, dtype=float)
-    if np.any(np.abs(t) > 1.0):
-        raise ValueError("argument outside [-1, 1]")
-    p_prev = np.ones_like(t)
-    if l == 0:
-        return p_prev if p_prev.ndim else float(p_prev)
-    p = t.copy()
-    for n in range(1, l):
-        p_prev, p = p, ((2 * n + 1) * t * p - n * p_prev) / (n + 1)
-    return p if p.ndim else float(p)
 
 
 def legendre_P_all(l_max, t):
@@ -50,30 +31,6 @@ def legendre_P_all(l_max, t):
     for n in range(1, l_max):
         P[n + 1] = ((2 * n + 1) * t * P[n] - n * P[n - 1]) / (n + 1)
     return P
-
-
-def assoc_legendre_P(l, k, t):
-    """Associated Legendre P_l^k(t), Condon-Shortley sign included.
-
-    Seeded from P_k^k = (-1)^k (2k-1)!! (1-t^2)^{k/2} and raised in degree.
-    Plain (unnormalized) values; degrees above ~120 should use the
-    normalized variant to avoid overflow in the double factorial.
-    """
-    if not 0 <= k <= l:
-        raise ValueError("order must satisfy 0 <= k <= l")
-    t = np.asarray(t, dtype=float)
-    if np.any(np.abs(t) > 1.0):
-        raise ValueError("argument outside [-1, 1]")
-    s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
-    pkk = np.ones_like(t)
-    for j in range(1, k + 1):
-        pkk = -pkk * (2 * j - 1) * s
-    if l == k:
-        return pkk if pkk.ndim else float(pkk)
-    p_prev, p = pkk, t * (2 * k + 1) * pkk
-    for n in range(k + 2, l + 1):
-        p_prev, p = p, ((2 * n - 1) * t * p - (n + k - 1) * p_prev) / (n - k)
-    return p if p.ndim else float(p)
 
 
 def normalized_assoc_column(k, t, l_max):
@@ -275,15 +232,3 @@ def synthesize_signal(table, spec, colat=None):
               table.values[:, None] * legendre_rows(colat.cos_nodes, l_band))
     values = np.fft.ifft(s, axis=1) * spec.n_phi
     return SphericalSignal(values=values, spec=spec, colat=colat)
-
-
-def harmonic_matrix(l_band, theta, phi):
-    """All Y_l^k at scattered points: shape ((l_band+1)^2, n_points).
-
-    Used for evaluating rotated harmonics; theta and phi are flat arrays.
-    """
-    theta = np.asarray(theta, dtype=float).ravel()
-    phi = np.asarray(phi, dtype=float).ravel()
-    _, m_of = degree_orders(l_band)
-    return (legendre_rows(np.cos(theta), l_band)
-            * np.exp(1j * np.outer(m_of, phi)))

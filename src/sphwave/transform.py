@@ -82,23 +82,13 @@ class TransformCoefficients:
 # ---------------------------------------------------------------------------
 # rotation machinery
 
-def _band_partition(grid):
-    """Group cell indices by latitude band: (theta, indices, phis, measure)."""
-    bands = []
-    for idx, cell in enumerate(grid.cells):
-        if not bands or cell.theta_lo != bands[-1][0]:
-            bands.append((cell.theta_lo, cell.theta, [], [], cell.measure))
-        bands[-1][2].append(idx)
-        bands[-1][3].append(cell.phi)
-    return [(theta, np.array(idx), np.array(phis), measure)
-            for (_, theta, idx, phis, measure) in bands]
-
-
 @lru_cache(maxsize=512)
 def _tilt_blocks(theta_key, l_band):
-    """Per-degree unitary blocks T^l[m, k] = <Y_l^m, Y_l^k o tilt^{-1}>.
+    """Unitary tilt blocks T^l[m, k] = <Y_l^m, Y_l^k o tilt^{-1}>, flat.
 
-    Each tilted harmonic is sampled on an exact quadrature grid, Fourier
+    Row l*l + l + m, column k + l_band; zero where |k| > l, so the block
+    of degree l is the slice [l*l:(l+1)^2, l_band-l:l_band+l+1].  Each
+    tilted harmonic is sampled on an exact quadrature grid, Fourier
     transformed in longitude and projected onto its own degree (a tilt
     preserves the degree) with the weighted flat Legendre table.
     """
@@ -112,7 +102,6 @@ def _tilt_blocks(theta_key, l_band):
     l_of, m_of = degree_orders(l_band)
     proj = (legendre_rows(colat.cos_nodes, l_band) * colat.weights
             * (2.0 * np.pi / spec.n_phi))
-    # flat[(l, m), k + l_band] = T^l[m, k], zero where |k| > l
     flat = np.zeros(((l_band + 1) ** 2, 2 * l_band + 1), dtype=complex)
     for k in range(-l_band, l_band + 1):
         ka = abs(k)
@@ -123,11 +112,8 @@ def _tilt_blocks(theta_key, l_band):
         flat[rows, k + l_band] = np.sum(
             proj[rows] * spectra[l_of[rows] - ka, :, m_of[rows] % spec.n_phi],
             axis=1)
-    blocks = tuple(flat[l * l:(l + 1) ** 2, l_band - l:l_band + l + 1].copy()
-                   for l in range(l_band + 1))
-    for b in blocks:
-        b.flags.writeable = False
-    return blocks
+    flat.flags.writeable = False
+    return flat
 
 
 @lru_cache(maxsize=256)
@@ -158,16 +144,11 @@ class BandPlan:
     def __init__(self, l_band, axial_angles):
         self.l_band = l_band
         self.ks = _odd_orders(l_band)
-        self.l_of, self.m_of = degree_orders(l_band)
+        l_of, self.m_of = degree_orders(l_band)
         self.axial_phase = np.exp(1j * np.outer(self.ks, axial_angles))
-        # position of T^l[m, k] in the concatenated row-major tilt blocks;
-        # orders |k| > l point one past the end, at an appended zero
-        start = np.cumsum([0] + [(2 * l + 1) ** 2 for l in range(l_band + 1)])
-        l, m, k = self.l_of[None, :], self.m_of[None, :], self.ks[:, None]
-        self._gather = np.where(np.abs(k) <= l,
-                                start[l] + (m + l) * (2 * l + 1) + k + l,
-                                start[-1])
-        self._kern_at = (l, k + l_band)
+        # odd orders k are every other tilt column k + l_band
+        self._odd_cols = slice((l_band + 1) % 2, None, 2)
+        self._kern_at = (l_of[None, :], self.ks[:, None] + l_band)
 
     def carried(self, phis):
         """Longitude phases e^{i m phi}, one row per cell of a band."""
@@ -175,18 +156,24 @@ class BandPlan:
 
     def beta(self, theta, family, rho, tau):
         """Tilted kernel matrix (odd k) x (flat l, m) for one band."""
-        blocks = _tilt_blocks(round(theta, 12), self.l_band)
-        tilt = np.concatenate([b.ravel() for b in blocks] + [np.zeros(1)])
+        tilt = _tilt_blocks(round(theta, 12), self.l_band)[:, self._odd_cols]
         kern = _kernel_matrix(family, float(rho), float(tau), self.l_band)
-        return np.conj(tilt[self._gather] * kern[self._kern_at])
+        return np.conj(tilt.T * kern[self._kern_at])
 
-
-def _tau_groups(tau_j, idx):
-    """(tau, row mask) per selectivity used among the band cells idx."""
-    band_taus = (np.full(len(idx), tau_j) if np.ndim(tau_j) == 0
-                 else np.asarray(tau_j)[idx])
-    for tau in np.unique(band_taus):
-        yield tau, band_taus == tau
+    def groups(self, grid, family, scales, taus):
+        """(j, cells, carried, beta, measure) per latitude band, scale j
+        and set of the band's cells sharing one selectivity of taus[j]
+        (a scalar, or one value per carrier)."""
+        for theta, idx, phis, measure in grid.bands:
+            carried = self.carried(phis)
+            for j, rho in enumerate(scales):
+                tau_j = taus[j]
+                band_taus = (np.full(len(idx), tau_j) if np.ndim(tau_j) == 0
+                             else np.asarray(tau_j)[idx])
+                for tau in np.unique(band_taus):
+                    rows = band_taus == tau
+                    yield (j, idx[rows], carried[rows],
+                           self.beta(theta, family, rho, tau), measure)
 
 
 def uniform_specs(family, tau, scales):
@@ -241,13 +228,9 @@ def forward_transform(f, specs, grid, scales):
     n_axial = len(grid.axial_angles)
     values = [np.zeros((grid.n_carriers, n_axial), dtype=complex)
               for _ in scales]
-    for theta_b, idx, phis, _ in _band_partition(grid):
-        carried = plan.carried(phis) * table.values
-        for j, rho in enumerate(scales):
-            for tau, rows in _tau_groups(taus[j], idx):
-                beta = plan.beta(theta_b, family, rho, tau)
-                values[j][idx[rows]] = (carried[rows] @ beta.T
-                                        @ plan.axial_phase / (4.0 * np.pi))
+    for j, cells, carried, beta, _ in plan.groups(grid, family, scales, taus):
+        values[j][cells] = (carried * table.values @ beta.T
+                            @ plan.axial_phase / (4.0 * np.pi))
     k_need = min(l_band, default_k_cut(_max_tau(taus)))
     if k_need % 2 == 0:
         k_need -= 1
@@ -262,15 +245,11 @@ def adjoint_transform(coeffs):
     grid = coeffs.grid
     plan = BandPlan(coeffs.l_band, grid.axial_angles)
     out = CoefficientTable(coeffs.l_band)
-    for theta_b, idx, phis, _ in _band_partition(grid):
-        carried = plan.carried(phis)
-        for j, rho in enumerate(coeffs.scales):
-            d = (coeffs.values[j][idx] * coeffs.weights(j)[idx]
-                 @ np.conj(plan.axial_phase).T / (4.0 * np.pi))
-            for tau, rows in _tau_groups(coeffs.taus[j], idx):
-                beta = plan.beta(theta_b, coeffs.family, rho, tau)
-                out.values += np.sum(np.conj(carried[rows])
-                                     * (d[rows] @ np.conj(beta)), axis=0)
+    for j, cells, carried, beta, _ in plan.groups(
+            grid, coeffs.family, coeffs.scales, coeffs.taus):
+        d = (coeffs.values[j][cells] * coeffs.weights(j)[cells]
+             @ np.conj(plan.axial_phase).T / (4.0 * np.pi))
+        out.values += np.sum(np.conj(carried) * (d @ np.conj(beta)), axis=0)
     return out
 
 
@@ -284,13 +263,14 @@ def frame_apply(f, specs, grid, scales):
 def rotate_coefficients(table, rotation):
     """Coefficient table of the rotated signal x -> f(g^{-1} x)."""
     l_band = table.l_band
-    blocks = _tilt_blocks(round(rotation.theta2, 12), l_band)
+    flat = _tilt_blocks(round(rotation.theta2, 12), l_band)
     out = CoefficientTable(l_band)
     for l in range(l_band + 1):
         m = np.arange(-l, l + 1)
         spun = np.exp(-1j * m * rotation.phi1) * table.degree_block(l)
+        block = flat[l * l:(l + 1) ** 2, l_band - l:l_band + l + 1]
         out.degree_block(l)[:] = (np.exp(-1j * m * rotation.phi2)
-                                  * (blocks[l] @ spun))
+                                  * (block @ spun))
     return out
 
 
@@ -311,19 +291,15 @@ def frame_matrix(family, taus, grid, scales, l_band):
     n_axial = len(grid.axial_angles)
     axial_gram = 2.0 * np.pi * ((ks[:, None] - ks[None, :]) % n_axial == 0)
     s = np.zeros((n, n), dtype=complex)
-    for theta_b, idx, phis, measure in _band_partition(grid):
-        carried = plan.carried(phis)
-        for j, rho in enumerate(scales):
-            for tau, rows in _tau_groups(taus[j], idx):
-                beta = plan.beta(theta_b, family, rho, tau)
-                core = beta.conj().T @ axial_gram @ beta
-                hadamard = measure * (np.conj(carried[rows]).T
-                                      @ carried[rows])
-                s += (scales.log_step / (16.0 * np.pi ** 2)) * core * hadamard
+    for _, _, carried, beta, measure in plan.groups(
+            grid, family, scales, taus):
+        core = beta.conj().T @ axial_gram @ beta
+        hadamard = measure * (np.conj(carried).T @ carried)
+        s += (scales.log_step / (16.0 * np.pi ** 2)) * core * hadamard
     return s
 
 
-def reconstruct(coeffs, cfg=None, grid_spec=None):
+def reconstruct(coeffs, cfg=None):
     """Invert the frame operator by preconditioned relaxed iteration.
 
     Degrees at or below the family order carry no kernel energy and are
@@ -340,8 +316,7 @@ def reconstruct(coeffs, cfg=None, grid_spec=None):
     sa = s[np.ix_(active, active)]
     b = rhs[active]
     table = CoefficientTable(l_band)
-    if grid_spec is None:
-        grid_spec = default_grid_spec(l_band)
+    grid_spec = default_grid_spec(l_band)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return synthesize_signal(table, grid_spec)

@@ -6,17 +6,45 @@ scale, and an explicit longitudinal phase sum for per-carrier
 selectivities.  The library now builds both cases from its band
 operator, and tests hold it to these.  The tilt blocks are the former
 per-harmonic construction, which analyzes every tilted harmonic as a
-gridded signal.
+gridded signal, and the band partition regroups a grid's cells by
+latitude band.  The remaining functions are independent routes to
+values the library computes otherwise: plain Legendre recurrences,
+harmonics at scattered points, pointwise rotation, the Legendre series
+forms of the kernel profiles and the profiles rebuilt from their P_l^1
+expansion.
 """
+
+from math import fsum
 
 import numpy as np
 
+from sphwave.admissibility import default_quadrature
+from sphwave.profiles import _check_rho, expansion_coefficient_fn
 from sphwave.sphfn import (SphericalSignal, analyze_signal, coef_index,
                            default_grid_spec, degree_orders, grid_phis,
-                           make_colat_grid, normalized_assoc_column)
+                           legendre_P_all, legendre_rows, make_colat_grid,
+                           normalized_assoc_column)
 from sphwave.so3 import sphere_points, tilt_rotation
-from sphwave.transform import (_band_partition, _kernel_matrix, _odd_orders,
-                               _tilt_blocks)
+from sphwave.transform import _kernel_matrix, _odd_orders, _tilt_blocks
+
+
+def band_partition(grid):
+    """Group cell indices by latitude band: (theta, indices, phis, measure)."""
+    bands = []
+    for idx, cell in enumerate(grid.cells):
+        if not bands or cell.theta_lo != bands[-1][0]:
+            bands.append((cell.theta_lo, cell.theta, [], [], cell.measure))
+        bands[-1][2].append(idx)
+        bands[-1][3].append(cell.phi)
+    return [(theta, np.array(idx), np.array(phis), measure)
+            for (_, theta, idx, phis, measure) in bands]
+
+
+def degree_blocks(flat):
+    """Per-degree blocks T^l[m, k] sliced from the flat tilt array."""
+    l_band = (flat.shape[1] - 1) // 2
+    return [flat[l * l:(l + 1) ** 2, l_band - l:l_band + l + 1]
+            for l in range(l_band + 1)]
 
 
 def tilt_blocks(theta, l_band):
@@ -57,8 +85,8 @@ def frame_matrix(family, taus, grid, scales, l_band):
     axial_gram = 2.0 * np.pi * ((ks[:, None] - ks[None, :]) % n_axial == 0)
     dm = m_of[None, :] - m_of[:, None]
     s = np.zeros((n, n), dtype=complex)
-    for theta_b, idx, _, measure in _band_partition(grid):
-        blocks = _tilt_blocks(round(theta_b, 12), l_band)
+    for theta_b, idx, _, measure in band_partition(grid):
+        blocks = degree_blocks(_tilt_blocks(round(theta_b, 12), l_band))
         n_cells = len(idx)
         tilt_part = np.zeros((len(ks), n), dtype=complex)
         for l in range(1, l_band + 1):
@@ -92,8 +120,8 @@ def adaptive_frame_matrix(coeffs):
     n_axial = len(grid.axial_angles)
     axial_gram = 2.0 * np.pi * ((ks[:, None] - ks[None, :]) % n_axial == 0)
     s = np.zeros((n, n), dtype=complex)
-    for theta_b, idx, phis, measure in _band_partition(grid):
-        blocks = _tilt_blocks(round(theta_b, 12), l_band)
+    for theta_b, idx, phis, measure in band_partition(grid):
+        blocks = degree_blocks(_tilt_blocks(round(theta_b, 12), l_band))
         tilt_part = np.zeros((len(ks), n), dtype=complex)
         for l in range(1, l_band + 1):
             kcols = [l + k for k in range(-l, l + 1) if k % 2 != 0]
@@ -116,3 +144,174 @@ def adaptive_frame_matrix(coeffs):
                 s += (coeffs.scales.log_step / (16.0 * np.pi ** 2)
                       ) * core * hadamard
     return s
+
+
+def legendre_P(l, t):
+    """Legendre polynomial P_l(t) via the stable three-term recurrence."""
+    if l < 0:
+        raise ValueError("degree must be non-negative")
+    t = np.asarray(t, dtype=float)
+    if np.any(np.abs(t) > 1.0):
+        raise ValueError("argument outside [-1, 1]")
+    p_prev = np.ones_like(t)
+    if l == 0:
+        return p_prev if p_prev.ndim else float(p_prev)
+    p = t.copy()
+    for n in range(1, l):
+        p_prev, p = p, ((2 * n + 1) * t * p - n * p_prev) / (n + 1)
+    return p if p.ndim else float(p)
+
+
+def assoc_legendre_P(l, k, t):
+    """Associated Legendre P_l^k(t), Condon-Shortley sign included.
+
+    Seeded from P_k^k = (-1)^k (2k-1)!! (1-t^2)^{k/2} and raised in degree.
+    Plain (unnormalized) values; degrees above ~120 should use the
+    normalized variant to avoid overflow in the double factorial.
+    """
+    if not 0 <= k <= l:
+        raise ValueError("order must satisfy 0 <= k <= l")
+    t = np.asarray(t, dtype=float)
+    if np.any(np.abs(t) > 1.0):
+        raise ValueError("argument outside [-1, 1]")
+    s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
+    pkk = np.ones_like(t)
+    for j in range(1, k + 1):
+        pkk = -pkk * (2 * j - 1) * s
+    if l == k:
+        return pkk if pkk.ndim else float(pkk)
+    p_prev, p = pkk, t * (2 * k + 1) * pkk
+    for n in range(k + 2, l + 1):
+        p_prev, p = p, ((2 * n - 1) * t * p - (n + k - 1) * p_prev) / (n - k)
+    return p if p.ndim else float(p)
+
+
+def harmonic_matrix(l_band, theta, phi):
+    """All Y_l^k at scattered points: shape ((l_band+1)^2, n_points).
+
+    theta and phi are flat arrays.
+    """
+    theta = np.asarray(theta, dtype=float).ravel()
+    phi = np.asarray(phi, dtype=float).ravel()
+    _, m_of = degree_orders(l_band)
+    return (legendre_rows(np.cos(theta), l_band)
+            * np.exp(1j * np.outer(m_of, phi)))
+
+
+def point_angles(xyz):
+    """Inverse of sphere_points; longitude of a pole image is 0."""
+    x1, x2, x3 = xyz[0], xyz[1], xyz[2]
+    theta = np.arccos(np.clip(x1, -1.0, 1.0))
+    phi = np.where(np.hypot(x2, x3) > 0.0, np.arctan2(x3, x2), 0.0)
+    return theta, np.mod(phi, 2.0 * np.pi)
+
+
+def rotate_signal_pullback(rotation, kernel):
+    """Return x -> kernel(g^{-1} x) as a callable of (theta, phi)."""
+
+    def rotated(theta, phi):
+        xyz = rotation.apply_inverse(sphere_points(theta, phi))
+        return kernel(*point_angles(xyz))
+
+    return rotated
+
+
+def _series_degree(r, tail=1e-14):
+    # smallest L with (2L+1) L^2 r^L below the tail threshold
+    l, term = 1, 3 * r
+    while term > tail and l < 200000:
+        l += 1
+        term = (2 * l + 1) * l * l * r ** l
+    return l
+
+
+def _series_weights(kind, r, tail=1e-17):
+    """Terms weight(l) r^l for l = 0..L, truncated relative to the peak.
+
+    kind 0: weight 2l+1 (kernel); 1: (2l+1) l^2; 2: (2l+1) l (l-1).
+    """
+    out, peak, l, r_pow = [], 0.0, 0, 1.0
+    while True:
+        if kind == 0:
+            w = 2 * l + 1
+        elif kind == 1:
+            w = (2 * l + 1) * l * l
+        else:
+            w = (2 * l + 1) * l * (l - 1)
+        term = w * r_pow
+        out.append(term)
+        peak = max(peak, term)
+        if l >= 6 and term < tail * (1.0 + peak):
+            return np.array(out)
+        if l > 100000:
+            raise ValueError("series too long for this scale")
+        l += 1
+        r_pow *= r
+
+
+def _sum_series(c, t):
+    """sum_l c_l P_l(t); compensated summation for scalar arguments."""
+    P = legendre_P_all(len(c) - 1, np.asarray(t, dtype=float))
+    if P.ndim == 1:
+        return fsum(c * P)
+    return np.tensordot(c, P, axes=(0, 0))
+
+
+def poisson_kernel_series(rho, theta, tail=1e-17):
+    """Legendre series sum (1/4pi) sum (2l+1) r^l P_l; dual-formula oracle."""
+    _check_rho(rho)
+    c = _series_weights(0, np.exp(-rho), tail)
+    theta = np.asarray(theta, dtype=float)
+    v = _sum_series(c, np.cos(theta)) / (4.0 * np.pi)
+    return v if np.ndim(v) else float(v)
+
+
+def omega_profile_series(rho, theta, tail=1e-17):
+    """Series form rho sin^5 / 4pi * sum (2l+1) l^2 r^l P_l."""
+    _check_rho(rho)
+    c = _series_weights(1, np.exp(-rho), tail)
+    theta = np.asarray(theta, dtype=float)
+    core = _sum_series(c, np.cos(theta))
+    v = rho * np.sin(theta) ** 5 * core / (4.0 * np.pi)
+    return v if np.ndim(v) else float(v)
+
+
+def upsilon_profile_series(rho, theta, tail=1e-17):
+    """Series form rho sin^5 / 4pi * sum (2l+1) l (l-1) r^l P_l."""
+    _check_rho(rho)
+    c = _series_weights(2, np.exp(-rho), tail)
+    theta = np.asarray(theta, dtype=float)
+    core = _sum_series(c, np.cos(theta))
+    v = rho * np.sin(theta) ** 5 * core / (4.0 * np.pi)
+    return v if np.ndim(v) else float(v)
+
+
+def profile_from_expansion(family, rho, theta, l_max=None):
+    """Rebuild a profile pointwise from its P_l^1 expansion (oracle use)."""
+    _check_rho(rho)
+    r = np.exp(-rho)
+    theta = np.asarray(theta, dtype=float)
+    if l_max is None:
+        l_max = _series_degree(r, 1e-15) + 6
+    coef_fn = expansion_coefficient_fn(family)
+    c, s = np.cos(theta), np.sin(theta)
+    # P_l^1 by upward recurrence, accumulated on the fly
+    acc = np.zeros_like(theta)
+    p_prev = -s                      # P_1^1
+    p = -3.0 * c * s                 # P_2^1
+    acc += coef_fn(1, r) * p_prev
+    if l_max >= 2:
+        acc += coef_fn(2, r) * p
+    for l in range(2, l_max):
+        p_prev, p = p, ((2 * l + 1) * c * p - (l + 1) * p_prev) / l
+        acc += coef_fn(l + 1, r) * p
+    v = rho * acc / (4.0 * np.pi)
+    return v if v.ndim else float(v)
+
+
+def expansion_scale_integral(family, l, quad=None):
+    """int_0^infty rho * coef_l(e^{-rho})^2 drho for the P_l^1 coefficient."""
+    if quad is None:
+        quad = default_quadrature()
+    c = expansion_coefficient_fn(family)(l, quad.r_nodes)
+    return float(np.sum(quad.weights * quad.nodes * c * c))

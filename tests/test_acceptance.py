@@ -22,17 +22,19 @@ from sphwave.admissibility import (admissibility_report, coefficient_upper_bound
 from sphwave.multiselect import (SelectivitySet, estimate_sup_norms,
                                  select_tau)
 from sphwave.profiles import (WaveletSpec, omega_expansion_coefficient,
-                              omega_profile, omega_profile_series,
-                              poisson_kernel, poisson_kernel_series,
-                              profile_from_expansion,
+                              omega_profile, poisson_kernel,
                               upsilon_expansion_coefficient, upsilon_profile,
-                              upsilon_profile_series, wavelet_norm_sq)
-from sphwave.sphfn import (CoefficientTable, analyze_signal, assoc_legendre_P,
-                           coef_index, default_grid_spec, synthesize_signal)
+                              wavelet_norm_sq)
+from sphwave.sphfn import (CoefficientTable, analyze_signal, coef_index,
+                           default_grid_spec, synthesize_signal)
 from sphwave.so3 import make_rotation, make_scale_sequence, make_so3_grid
 from sphwave.transform import (FrameOperatorConfig, forward_transform,
                                reconstruct, rotate_coefficients,
                                uniform_specs)
+
+from oracles import (assoc_legendre_P, omega_profile_series,
+                     poisson_kernel_series, profile_from_expansion,
+                     upsilon_profile_series)
 
 
 def test_closed_form_integrals():

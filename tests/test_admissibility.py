@@ -7,7 +7,7 @@ from sphwave.admissibility import (admissibility_integral,
                                    admissibility_report,
                                    analytic_upper_bound,
                                    coefficient_upper_bound, default_k_cut,
-                                   default_quadrature, expansion_scale_integral,
+                                   default_quadrature,
                                    k1_ratio, k1_ratio_limit,
                                    scale_integral_closed_form,
                                    wavelet_coefficient,
@@ -16,6 +16,8 @@ from sphwave.admissibility import _scale_integral
 from sphwave.profiles import WaveletSpec, angular_coefficient, evaluate_wavelet
 from sphwave.sphfn import (SphericalSignal, analyze_signal, default_grid_spec,
                            grid_phis, make_colat_grid)
+
+from oracles import expansion_scale_integral
 
 # scale integrals of the squared degree-l coefficient polynomial at order 1,
 # computed once in exact rational arithmetic (Legendre recurrence and

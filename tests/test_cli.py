@@ -7,9 +7,10 @@ import pytest
 
 from sphwave.cli import main
 from sphwave.fileio import read_selectivity_rows, read_signal
-from sphwave.sphfn import analyze_signal, harmonic_matrix
-from sphwave.so3 import (axis_rotation, point_angles, sphere_points,
-                         tilt_rotation)
+from sphwave.sphfn import analyze_signal
+from sphwave.so3 import axis_rotation, sphere_points, tilt_rotation
+
+from oracles import harmonic_matrix, point_angles
 
 
 def _read_csv(path):
@@ -219,6 +220,17 @@ def test_config_merge_flags_win(tmp_path):
                  "--out", str(out1)]) == 2
     with pytest.raises(SystemExit):
         main(["synthesize", "--preset", "noise", "--config"])
+
+
+def test_config_mistyped_values_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    for bad, field in (({"taus": 5}, "taus"), ({"taus": ["a"]}, "taus"),
+                       ({"j_max": 1.5}, "j_max")):
+        cfg.write_text(json.dumps(bad))
+        assert main(["select", "--config", str(cfg), "--in",
+                     str(tmp_path / "sig.bin"), "--out",
+                     str(tmp_path / "map.csv")]) == 2, bad
+        assert field in capsys.readouterr().err
 
 
 def test_bad_input_exit_codes(tmp_path, capsys):

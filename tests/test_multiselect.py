@@ -170,6 +170,29 @@ def test_refine_tau_honors_tol(monkeypatch):
     assert n_evals[0] < n_evals[1] < 60, n_evals
 
 
+def test_scan_norm_quadrature_once_per_scale(monkeypatch):
+    # the kernel norm depends on (family, rho) only; a scan over several
+    # bands, scales and selectivities runs one quadrature per scale
+    grid = make_so3_grid(0.8, 0.5)
+    f = _random_signal(8, 3)
+    tsel = SelectivitySet((1.0, 2.0, 4.0))
+    # warm the tilt blocks and kernel tables, which run their own rules
+    selectivity_scan(f, SCALES, grid, tsel)
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counted(n):
+        calls.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    # scales no other test uses, so their norms are not cached yet
+    scales = make_scale_sequence(0.83, 0.5, 1)
+    selectivity_scan(f, scales, grid, tsel)
+    assert len(calls) == len(scales), len(calls)
+    assert len(grid.bands) > 1
+
+
 def test_two_feature_signal_prefers_sharper():
     # equal-energy broad and sharp features at well separated carriers
     l_band = 16

@@ -10,13 +10,14 @@ from sphwave.profiles import (AngularWindow, WaveletSpec, _p1_expansion,
                               angular_window_dphi, evaluate_wavelet,
                               expansion_coefficient_fn,
                               omega_expansion_coefficient, omega_profile,
-                              omega_profile_series, poisson_kernel,
-                              poisson_kernel_series, profile_dtheta_fn,
-                              profile_fn, profile_from_expansion,
+                              poisson_kernel, profile_dtheta_fn, profile_fn,
                               profile_norm_sq, sin5_legendre_expansion,
                               upsilon_expansion_coefficient, upsilon_profile,
-                              upsilon_profile_series, wavelet_norm_sq)
-from sphwave.sphfn import assoc_legendre_P, legendre_P
+                              wavelet_norm_sq)
+
+from oracles import (assoc_legendre_P, legendre_P, omega_profile_series,
+                     poisson_kernel_series, profile_from_expansion,
+                     upsilon_profile_series)
 
 
 def _window_quadrature(tau, k, n=4096):

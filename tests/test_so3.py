@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from sphwave.so3 import (GridCell, Rotation, axis_rotation, make_rotation,
-                         make_scale_sequence, make_so3_grid, point_angles,
-                         rotate_signal_pullback, sphere_points, tilt_rotation)
+                         make_scale_sequence, make_so3_grid, sphere_points,
+                         tilt_rotation)
+
+from oracles import band_partition, point_angles, rotate_signal_pullback
 
 
 def test_sphere_points_roundtrip():
@@ -116,6 +118,20 @@ def test_grid_partition_properties():
             assert cell.measure > 0
     assert (make_so3_grid(0.2, 0.5).n_carriers
             > make_so3_grid(0.4, 0.5).n_carriers)
+
+
+def test_grid_bands_match_cell_partition():
+    # the stored bands equal the cells regrouped by latitude band
+    for delta2, delta1 in ((np.pi, np.pi), (0.8, 0.5), (0.4, 0.2),
+                           (0.25, 1.0), (0.1, 0.1)):
+        grid = make_so3_grid(delta2, delta1)
+        ref = band_partition(grid)
+        assert len(grid.bands) == len(ref), (delta2, delta1)
+        for (theta, idx, phis, measure), (r_theta, r_idx, r_phis,
+                                          r_measure) in zip(grid.bands, ref):
+            assert theta == r_theta and measure == r_measure
+            assert np.array_equal(idx, r_idx) and idx.dtype == r_idx.dtype
+            assert np.array_equal(phis, r_phis)
 
 
 def test_grid_axial_angles_and_rows():

@@ -5,11 +5,10 @@ import pytest
 
 from sphwave.profiles import WaveletSpec, evaluate_wavelet
 from sphwave.sphfn import (CoefficientTable, SphericalSignal, analyze_signal,
-                           coef_index, default_grid_spec, grid_phis,
-                           make_colat_grid, spherical_harmonic,
+                           coef_index, default_grid_spec, degree_orders,
+                           grid_phis, make_colat_grid, spherical_harmonic,
                            synthesize_signal)
-from sphwave.so3 import (make_rotation, make_scale_sequence, make_so3_grid,
-                         rotate_signal_pullback)
+from sphwave.so3 import make_rotation, make_scale_sequence, make_so3_grid
 from sphwave.transform import (FrameConvergenceError, FrameOperatorConfig,
                                adjoint_transform, forward_transform,
                                frame_matrix, reconstruct,
@@ -17,6 +16,7 @@ from sphwave.transform import (FrameConvergenceError, FrameOperatorConfig,
 from sphwave.transform import _tilt_blocks
 
 import oracles
+from oracles import rotate_signal_pullback
 
 SCALES = make_scale_sequence(1.0, 0.5, 1)
 
@@ -46,21 +46,26 @@ def _evaluate_table(table, theta, phi):
 
 def test_tilt_blocks_unitary():
     for theta in (0.35, 1.2):
-        blocks = _tilt_blocks(theta, 8)
+        blocks = oracles.degree_blocks(_tilt_blocks(theta, 8))
         for l, b in enumerate(blocks):
             gram = b.conj().T @ b
             assert np.max(np.abs(gram - np.eye(2 * l + 1))) < 1e-12, (theta, l)
-    for l, b in enumerate(_tilt_blocks(0.0, 5)):
+    for l, b in enumerate(oracles.degree_blocks(_tilt_blocks(0.0, 5))):
         assert np.max(np.abs(b - np.eye(2 * l + 1))) < 1e-12, l
     # the per-harmonic analysis construction is the reference
     rng = np.random.default_rng(41)
     for l_band in (4, 8, 12):
         for theta in np.round(rng.uniform(0.0, np.pi, 4), 12):
             ref = oracles.tilt_blocks(theta, l_band)
-            blocks = _tilt_blocks(theta, l_band)
+            flat = _tilt_blocks(theta, l_band)
+            blocks = oracles.degree_blocks(flat)
             for l, (b, r) in enumerate(zip(blocks, ref)):
                 assert np.max(np.abs(b - r)) < 1e-13, (l_band, theta, l)
-    for l, b in enumerate(_tilt_blocks(1.1, 32)):
+            # orders |k| > l hold exact zeros, which the band operator uses
+            l_of, _ = degree_orders(l_band)
+            k = np.arange(-l_band, l_band + 1)
+            assert np.all(flat[np.abs(k)[None, :] > l_of[:, None]] == 0.0)
+    for l, b in enumerate(oracles.degree_blocks(_tilt_blocks(1.1, 32))):
         gram = b.conj().T @ b
         assert np.max(np.abs(gram - np.eye(2 * l + 1))) < 1e-13, l
 
