@@ -14,8 +14,8 @@ polynomial in r = exp(-rho) with coefficients w_n H[n, l, k], where
 H vanishes for n > l + 5 and for n + l even; for k <= 5 it is additionally
 banded (zero unless |n - l| <= 5). The integrands are polynomials for odd
 k, so Gauss-Legendre evaluates them exactly. The scale integrals
-G(l) = sum_k int |Psi_l^k|^2 drho/rho then reduce to integrals of rho times
-squared polynomials in r, handled by RhoQuadrature.
+G(l) = sum_k int |Psi_l^k|^2 drho/rho reduce to int rho p(r)^2 drho, with
+p evaluated by Horner's scheme in r^2 on two RhoQuadrature rules that agree.
 """
 
 from dataclasses import dataclass
@@ -226,10 +226,10 @@ def default_k_cut(tau):
 
 @lru_cache(maxsize=None)
 def _scale_integral(family, l, k):
-    """R[l,k] = int_0^infty rho (sum_n c_n r^n)^2 drho, convergence-checked.
-
-    Independent of tau: the window coefficient is factored out by the
-    caller. Cached, so each (family, l, k) pair is integrated once.
+    """R[l,k] = int_0^infty rho (sum_n c_n r^n)^2 drho, convergence-checked:
+    the (48, 32) and (56, 40) rules, each one Horner pass, agree to 1e-6.
+    Independent of tau (the caller factors out the window coefficient);
+    cached, so each (family, l, k) pair is integrated once.
     """
     degs, coefs = _coefficient_polynomial(family, l, k)
     if not degs:
@@ -245,10 +245,9 @@ def _scale_integral(family, l, k):
 
 
 def _poly_scale_integral(degs, coefs, quad):
-    r = quad.r_nodes
-    acc = np.zeros_like(r)
-    for n, c in zip(degs, coefs):
-        acc += c * r ** n
+    """int rho p(r)^2 drho on one rule. The degrees step by 2 from d0 =
+    degs[0], so p(r) = r^d0 q(r^2) with coefs as q: one Horner pass."""
+    acc = quad.r_nodes ** degs[0] * np.polyval(coefs[::-1], quad.r_nodes ** 2)
     return float(np.sum(quad.weights * quad.nodes * acc * acc))
 
 

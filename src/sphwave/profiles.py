@@ -24,9 +24,9 @@ import numpy as np
 RHO_MIN = 1e-4
 
 FAMILIES = ("omega", "upsilon")
-# nominal vanishing order per family (degrees l <= order are treated as
-# invisible by the analysis); the measured degree-1 content of upsilon is
-# in fact nonzero, see upsilon_expansion_coefficient(1, r)
+# nominal vanishing order per family (the admissibility report checks that
+# degrees l <= order carry no energy); the measured degree-1 content of
+# upsilon is in fact nonzero, see upsilon_expansion_coefficient(1, r)
 FAMILY_ORDER = {"omega": 0, "upsilon": 1}
 
 
@@ -368,5 +368,9 @@ def wavelet_norm_sq(spec):
 
     ||Psi||^2 = int profile^2 sin dtheta * int window^2 dphi.
     """
-    win = AngularWindow.build(spec.tau)
-    return profile_norm_sq(spec.family, spec.rho) * win.window_norm_sq()
+    return profile_norm_sq(spec.family, spec.rho) * _window_norm_sq(spec.tau)
+
+
+@lru_cache(maxsize=None)
+def _window_norm_sq(tau):
+    return AngularWindow.build(tau).window_norm_sq()

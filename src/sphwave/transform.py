@@ -21,7 +21,7 @@ import numpy as np
 from .sphfn import (CoefficientTable, analyze_signal, default_grid_spec,
                     degree_orders, grid_phis, legendre_rows, make_colat_grid,
                     normalized_assoc_column, synthesize_signal)
-from .profiles import FAMILY_ORDER, WaveletSpec
+from .profiles import WaveletSpec
 from .admissibility import default_k_cut, wavelet_coefficient_table
 from .so3 import sphere_points, tilt_rotation
 
@@ -302,8 +302,8 @@ def frame_matrix(family, taus, grid, scales, l_band):
 def reconstruct(coeffs, cfg=None):
     """Invert the frame operator by preconditioned relaxed iteration.
 
-    Degrees at or below the family order carry no kernel energy and are
-    excluded; the result is band-limited to the coefficients' band.
+    Degrees where no kernel of coeffs has energy (degree 0) are excluded;
+    the result is band-limited to the coefficients' band.
     """
     if cfg is None:
         cfg = FrameOperatorConfig()
@@ -312,7 +312,9 @@ def reconstruct(coeffs, cfg=None):
     s = frame_matrix(coeffs.family, coeffs.taus, coeffs.grid,
                      coeffs.scales, l_band)
     rhs = adjoint_transform(coeffs).values
-    active = np.where(l_of > FAMILY_ORDER[coeffs.family])[0]
+    rows = [_kernel_matrix(coeffs.family, float(rho), float(t), l_band)
+            for rho, ts in zip(coeffs.scales, coeffs.taus) for t in np.unique(ts)]
+    active = np.where(np.any(rows, axis=(0, 2))[l_of])[0]
     sa = s[np.ix_(active, active)]
     b = rhs[active]
     table = CoefficientTable(l_band)

@@ -10,8 +10,10 @@ gridded signal, and the band partition regroups a grid's cells by
 latitude band.  The remaining functions are independent routes to
 values the library computes otherwise: plain Legendre recurrences,
 harmonics at scattered points, pointwise rotation, the Legendre series
-forms of the kernel profiles and the profiles rebuilt from their P_l^1
-expansion.
+forms of the kernel profiles, the profiles rebuilt from their P_l^1
+expansion, and the scale integral of a coefficient polynomial summed
+term by term, one power of r per degree, as the library did before it
+evaluated the polynomial by Horner's scheme.
 """
 
 from math import fsum
@@ -315,3 +317,11 @@ def expansion_scale_integral(family, l, quad=None):
         quad = default_quadrature()
     c = expansion_coefficient_fn(family)(l, quad.r_nodes)
     return float(np.sum(quad.weights * quad.nodes * c * c))
+
+
+def poly_scale_integral(degs, coefs, quad):
+    r = quad.r_nodes
+    acc = np.zeros_like(r)
+    for n, c in zip(degs, coefs):
+        acc += c * r ** n
+    return float(np.sum(quad.weights * quad.nodes * acc * acc))

@@ -12,12 +12,15 @@ from sphwave.admissibility import (admissibility_integral,
                                    scale_integral_closed_form,
                                    wavelet_coefficient,
                                    wavelet_coefficient_table)
-from sphwave.admissibility import _scale_integral
+from sphwave import admissibility
+from sphwave.admissibility import (RhoQuadrature, _cached_quadrature,
+                                   _coefficient_polynomial,
+                                   _poly_scale_integral, _scale_integral)
 from sphwave.profiles import WaveletSpec, angular_coefficient, evaluate_wavelet
 from sphwave.sphfn import (SphericalSignal, analyze_signal, default_grid_spec,
                            grid_phis, make_colat_grid)
 
-from oracles import expansion_scale_integral
+from oracles import expansion_scale_integral, poly_scale_integral
 
 # scale integrals of the squared degree-l coefficient polynomial at order 1,
 # computed once in exact rational arithmetic (Legendre recurrence and
@@ -69,6 +72,31 @@ def test_scale_integral_matches_closed_form():
     for l in (41, 160):
         with pytest.raises(ValueError):
             scale_integral_closed_form("omega", l, 1)
+
+
+def test_poly_scale_integral_matches_per_term_sum():
+    # Horner in r^2 against the per-term power sum, on both rules
+    rules = (_cached_quadrature(48, 32), _cached_quadrature(56, 40))
+    for family in ("omega", "upsilon"):
+        for l in (1, 2, 3, 4, 7, 10, 17, 26, 35, 64):
+            for k in range(1, l + 1, 2):
+                degs, coefs = _coefficient_polynomial(family, l, k)
+                for quad in rules:
+                    got = _poly_scale_integral(degs, coefs, quad)
+                    ref = poly_scale_integral(degs, coefs, quad)
+                    assert abs(got - ref) <= 1e-8 * abs(ref), (family, l, k)
+
+
+def test_scale_integral_convergence_check(monkeypatch):
+    # a fine rule far too coarse to agree with the base rule must still
+    # make the two-rule check refuse the value
+    coarse = RhoQuadrature.build(4, 4)
+    monkeypatch.setattr(
+        admissibility, "_cached_quadrature",
+        lambda d, n: coarse if (d, n) == (56, 40) else _cached_quadrature(d, n))
+    _scale_integral.cache_clear()
+    with pytest.raises(ArithmeticError):
+        _scale_integral("omega", 9, 1)
 
 
 def test_scale_integral_exact_high_degree():

@@ -237,8 +237,8 @@ def test_reconstruct_upsilon_low_degree_handling():
     rec = reconstruct(coeffs)
     scale = np.max(np.abs(f.values))
     assert np.max(np.abs(rec.values - f.values)) < 1e-7 * scale
-    # with degree-1 content present the inversion is measurably biased:
-    # the kernels see degree 1, the reconstruction excludes it
+    # with degree-1 content present the kernels see degree 1 and so does
+    # the reconstruction: it no longer matches the truncated signal
     dirty = _random_table(8, 35, kill_below=0)
     truncated = dirty.values.copy()
     truncated[coef_index(1, -1):coef_index(1, 1) + 1] = 0.0
@@ -249,6 +249,25 @@ def test_reconstruct_upsilon_low_degree_handling():
     rec = reconstruct(coeffs)
     err = np.max(np.abs(rec.values - ft.values)) / np.max(np.abs(ft.values))
     assert err > 1e-4
+
+
+def test_reconstruct_degree_one_content():
+    # every degree with kernel energy is inverted, degree 1 included,
+    # whatever the family's nominal order
+    table = _random_table(8, 53, kill_below=0)
+    f = _signal(table)
+    grid = make_so3_grid(0.3, 0.3)
+    cfg = FrameOperatorConfig(tolerance=1e-12)
+    l_of, _ = degree_orders(8)
+    for family in ("omega", "upsilon"):
+        coeffs = forward_transform(f, uniform_specs(family, 2.0, SCALES),
+                                   grid, SCALES)
+        assert not coeffs.under_resolved
+        rec = analyze_signal(reconstruct(coeffs, cfg)).values
+        for l in range(1, 9):
+            want = table.values[l_of == l]
+            err = np.linalg.norm(rec[l_of == l] - want) / np.linalg.norm(want)
+            assert err <= 1e-10, (family, l, err)
 
 
 def test_reconstruct_controls():
