@@ -294,8 +294,12 @@ def build_parser():
     sub = subs.add_parser("reconstruct", help="invert coefficients")
     _add_common(sub)
     sub.add_argument("--in", dest="infile", required=True)
-    sub.add_argument("--tolerance", type=float, default=1e-10)
-    sub.add_argument("--max-iterations", type=int, default=300)
+    solve = FrameOperatorConfig()
+    sub.add_argument("--tolerance", type=float, default=solve.tolerance,
+                     help="Jacobi-scaled relative residual to stop at")
+    sub.add_argument("--max-iterations", type=int,
+                     default=solve.max_iterations,
+                     help="step limit for reaching the scaled residual")
     sub.set_defaults(func=cmd_reconstruct)
     registry["reconstruct"] = sub
 

@@ -72,17 +72,14 @@ class SelectivityMap:
 
 
 def _pick(values, taus, angles, tol):
-    """Sequential argmax over (tau asc, angle asc); differences within
-    tol count as ties and keep the earlier candidate."""
-    best = -np.inf
-    pick = (0, 0)
-    for it in range(values.shape[0]):
-        row = values[it]
-        for ia in range(values.shape[1]):
-            if row[ia] > best + tol:
-                best = row[ia]
-                pick = (it, ia)
-    return taus[pick[0]], angles[pick[1]], values[pick]
+    """Per cell of a (tau, cell, angle) landscape, the first candidate in
+    (tau asc, angle asc) order whose value is within tol of the cell's
+    maximum: (taus, angles, values), one entry per cell."""
+    flat = np.moveaxis(values, 1, 0).reshape(values.shape[1], -1)
+    first = np.argmax(flat >= flat.max(axis=1, keepdims=True) - tol, axis=1)
+    it, ia = np.divmod(first, values.shape[2])
+    return (np.asarray(taus)[it], np.asarray(angles)[ia],
+            flat[np.arange(len(first)), first])
 
 
 def _band_landscape(plan, carried, theta_b, family, rho, taus):
@@ -99,8 +96,9 @@ def select_tau(f, scales, j, alpha2, tsel, grid, family="omega"):
     """Best (tau, axial angle) for one carrier by exhaustive search.
 
     Maximizes |<rotated kernel, f>| / ||kernel|| over the selectivity
-    set and the grid's axial angles; ties break toward the smaller tau,
-    then the smaller angle.
+    set and the grid's axial angles.  Values within TIE_MARGIN * ||f||
+    of the maximum tie, and ties break toward the smaller tau, then the
+    smaller angle.
     """
     table = analyze_signal(f)
     cell = grid.cells[alpha2]
@@ -109,7 +107,8 @@ def select_tau(f, scales, j, alpha2, tsel, grid, family="omega"):
     vals = _band_landscape(plan, carried, cell.theta, family, scales[j],
                            tuple(tsel))
     tol = TIE_MARGIN * np.sqrt(table.norm_sq())
-    return _pick(vals[:, 0, :], tuple(tsel), grid.axial_angles, tol)
+    tau, phi1, value = _pick(vals, tuple(tsel), grid.axial_angles, tol)
+    return float(tau[0]), phi1[0], value[0]
 
 
 def selectivity_scan(f, scales, grid, tsel, family="omega"):
@@ -126,12 +125,8 @@ def selectivity_scan(f, scales, grid, tsel, family="omega"):
         carried = plan.carried(phis) * table.values
         for j, rho in enumerate(scales):
             vals = _band_landscape(plan, carried, theta_b, family, rho, taus)
-            for pos, a in enumerate(idx):
-                t, p, v = _pick(vals[:, pos, :], taus, grid.axial_angles,
-                                tol)
-                tau_star[j, a] = t
-                phi1_star[j, a] = p
-                value[j, a] = v
+            tau_star[j, idx], phi1_star[j, idx], value[j, idx] = _pick(
+                vals, taus, grid.axial_angles, tol)
     return SelectivityMap(family, tau_star, phi1_star, value, grid, scales)
 
 

@@ -9,8 +9,8 @@ band's tilt blocks with the kernel's odd axial orders into one matrix
 beta, so the forward transform, its adjoint, the matched-filter
 landscape and the dense frame matrix are each a product with beta per
 latitude band and selectivity.  Reconstruction inverts the discrete
-frame operator S = sum of weighted rank-one terms with a diagonally
-preconditioned relaxed iteration.
+frame operator S = sum of weighted rank-one terms by conjugate gradients
+preconditioned with the frame diagonal (Jacobi).
 """
 
 from dataclasses import dataclass
@@ -28,7 +28,9 @@ from .so3 import sphere_points, tilt_rotation
 
 @dataclass
 class FrameOperatorConfig:
-    """Iteration controls for inverting the frame operator."""
+    """Iteration controls for inverting the frame operator: tolerance
+    bounds the Jacobi-scaled relative residual ||D^-1 r|| / ||D^-1 b||
+    (D the frame diagonal).  relaxation is accepted and has no effect."""
 
     max_iterations: int = 200
     tolerance: float = 1e-10
@@ -43,7 +45,7 @@ class FrameOperatorConfig:
 
 
 class FrameConvergenceError(RuntimeError):
-    """Raised when the frame iteration stalls; carries the last residual."""
+    """Raised when the frame solve stalls; carries the scaled residual."""
 
     def __init__(self, residual, iterations):
         super().__init__("frame iteration did not reach tolerance after "
@@ -149,10 +151,12 @@ class BandPlan:
         # odd orders k are every other tilt column k + l_band
         self._odd_cols = slice((l_band + 1) % 2, None, 2)
         self._kern_at = (l_of[None, :], self.ks[:, None] + l_band)
+        self._orders = np.arange(-l_band, l_band + 1)
 
     def carried(self, phis):
-        """Longitude phases e^{i m phi}, one row per cell of a band."""
-        return np.exp(1j * np.outer(phis, self.m_of))
+        """Phases e^{i m phi}, one row per cell; one exp per order m."""
+        phases = np.exp(1j * np.outer(phis, self._orders))
+        return phases[:, self.m_of + self.l_band]
 
     def beta(self, theta, family, rho, tau):
         """Tilted kernel matrix (odd k) x (flat l, m) for one band."""
@@ -161,18 +165,15 @@ class BandPlan:
         return np.conj(tilt.T * kern[self._kern_at])
 
     def groups(self, grid, family, scales, taus):
-        """(j, cells, carried, beta, measure) per latitude band, scale j
-        and set of the band's cells sharing one selectivity of taus[j]
-        (a scalar, or one value per carrier)."""
+        """(j, cells, phis, beta, measure) per latitude band, scale j and
+        set of the band's cells sharing one selectivity of taus[j] (a
+        scalar, or one value per carrier); phis are the cells' longitudes."""
         for theta, idx, phis, measure in grid.bands:
-            carried = self.carried(phis)
             for j, rho in enumerate(scales):
-                tau_j = taus[j]
-                band_taus = (np.full(len(idx), tau_j) if np.ndim(tau_j) == 0
-                             else np.asarray(tau_j)[idx])
+                band_taus = np.broadcast_to(taus[j], grid.n_carriers)[idx]
                 for tau in np.unique(band_taus):
                     rows = band_taus == tau
-                    yield (j, idx[rows], carried[rows],
+                    yield (j, idx[rows], phis[rows],
                            self.beta(theta, family, rho, tau), measure)
 
 
@@ -209,10 +210,6 @@ def _normalize_specs(specs, grid, scales):
     return family, taus
 
 
-def _max_tau(taus):
-    return max(float(np.max(t)) if np.ndim(t) else float(t) for t in taus)
-
-
 def forward_transform(f, specs, grid, scales):
     """Wavelet coefficients of a band-limited signal over the grid.
 
@@ -228,10 +225,10 @@ def forward_transform(f, specs, grid, scales):
     n_axial = len(grid.axial_angles)
     values = [np.zeros((grid.n_carriers, n_axial), dtype=complex)
               for _ in scales]
-    for j, cells, carried, beta, _ in plan.groups(grid, family, scales, taus):
-        values[j][cells] = (carried * table.values @ beta.T
+    for j, cells, phis, beta, _ in plan.groups(grid, family, scales, taus):
+        values[j][cells] = (plan.carried(phis) * table.values @ beta.T
                             @ plan.axial_phase / (4.0 * np.pi))
-    k_need = min(l_band, default_k_cut(_max_tau(taus)))
+    k_need = min(l_band, default_k_cut(max(float(np.max(t)) for t in taus)))
     if k_need % 2 == 0:
         k_need -= 1
     under = (n_axial < 2 * k_need + 1
@@ -245,11 +242,11 @@ def adjoint_transform(coeffs):
     grid = coeffs.grid
     plan = BandPlan(coeffs.l_band, grid.axial_angles)
     out = CoefficientTable(coeffs.l_band)
-    for j, cells, carried, beta, _ in plan.groups(
+    for j, cells, phis, beta, _ in plan.groups(
             grid, coeffs.family, coeffs.scales, coeffs.taus):
         d = (coeffs.values[j][cells] * coeffs.weights(j)[cells]
              @ np.conj(plan.axial_phase).T / (4.0 * np.pi))
-        out.values += np.sum(np.conj(carried) * (d @ np.conj(beta)), axis=0)
+        out.values += np.sum(plan.carried(-phis) * (d @ np.conj(beta)), axis=0)
     return out
 
 
@@ -282,25 +279,30 @@ def frame_matrix(family, taus, grid, scales, l_band):
 
     taus[j] is the selectivity of scale j, one value or one per carrier.
     The cells of a band that share a selectivity share the kernel factor
-    beta^H G beta (G the axial Gram matrix); the measure-weighted sum of
-    their longitudinal phases is the Hadamard factor multiplying it.
+    beta^H G beta (G the axial Gram matrix).  The Hadamard factor
+    multiplying it, measure * sum_c e^{i (m' - m) phi_c}, depends only on
+    m' - m in [-2 l_band, 2 l_band], so it is gathered from one phase sum
+    over the cells' longitudes.
     """
-    n = (l_band + 1) ** 2
     plan = BandPlan(l_band, grid.axial_angles)
     ks = plan.ks
     n_axial = len(grid.axial_angles)
     axial_gram = 2.0 * np.pi * ((ks[:, None] - ks[None, :]) % n_axial == 0)
-    s = np.zeros((n, n), dtype=complex)
-    for _, _, carried, beta, measure in plan.groups(
-            grid, family, scales, taus):
-        core = beta.conj().T @ axial_gram @ beta
-        hadamard = measure * (np.conj(carried).T @ carried)
-        s += (scales.log_step / (16.0 * np.pi ** 2)) * core * hadamard
+    offsets = np.arange(-2 * l_band, 2 * l_band + 1)
+    diff_at = plan.m_of[None, :] - plan.m_of[:, None] + 2 * l_band
+    weight = scales.log_step / (16.0 * np.pi ** 2)
+    s = np.zeros(diff_at.shape, dtype=complex)
+    for _, _, phis, beta, measure in plan.groups(grid, family, scales, taus):
+        phase_sum = np.exp(1j * np.outer(offsets, phis)).sum(axis=1)
+        # in place: fresh n x n temporaries cost more than the products
+        term = beta.conj().T @ axial_gram @ beta
+        term *= ((weight * measure) * phase_sum)[diff_at]
+        s += term
     return s
 
 
 def reconstruct(coeffs, cfg=None):
-    """Invert the frame operator by preconditioned relaxed iteration.
+    """Invert the frame operator by Jacobi-preconditioned conjugate gradients.
 
     Degrees where no kernel of coeffs has energy (degree 0) are excluded;
     the result is band-limited to the coefficients' band.
@@ -319,28 +321,27 @@ def reconstruct(coeffs, cfg=None):
     b = rhs[active]
     table = CoefficientTable(l_band)
     grid_spec = default_grid_spec(l_band)
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
+    if np.linalg.norm(b) == 0.0:
         return synthesize_signal(table, grid_spec)
     diag = sa.diagonal().real
     if np.any(diag <= 0.0):
         raise ArithmeticError("frame operator diagonal is not positive; "
                               "the grid is too coarse for this band")
-    lam = cfg.relaxation
-    if lam is None:
-        root = 1.0 / np.sqrt(diag)
-        eig = np.linalg.eigvalsh(sa * np.outer(root, root))
-        lam = 2.0 / (eig[0] + eig[-1])
-    x = np.zeros_like(b)
-    residual = 1.0
+    x, r = np.zeros_like(b), b
+    z = p = b / diag
+    rz, znorm = np.vdot(r, z).real, np.linalg.norm(z)
     for _ in range(cfg.max_iterations):
-        r = b - sa @ x
-        residual = np.linalg.norm(r) / bnorm
+        q = sa @ p
+        alpha = rz / np.vdot(p, q).real
+        x = x + alpha * p
+        r = r - alpha * q
+        z = r / diag
+        residual = np.linalg.norm(z) / znorm
         if residual <= cfg.tolerance:
             break
-        x = x + lam * (r / diag)
-    else:
-        if cfg.strict:
-            raise FrameConvergenceError(residual, cfg.max_iterations)
+        rz, rz_old = np.vdot(r, z).real, rz
+        p = z + (rz / rz_old) * p
+    if cfg.strict and not residual <= cfg.tolerance:
+        raise FrameConvergenceError(residual, cfg.max_iterations)
     table.values[active] = x
     return synthesize_signal(table, grid_spec)

@@ -13,7 +13,8 @@ harmonics at scattered points, pointwise rotation, the Legendre series
 forms of the kernel profiles, the profiles rebuilt from their P_l^1
 expansion, and the scale integral of a coefficient polynomial summed
 term by term, one power of r per degree, as the library did before it
-evaluated the polynomial by Horner's scheme.
+evaluated the polynomial by Horner's scheme, and the matched filter's
+former one-candidate-at-a-time argmax.
 """
 
 from math import fsum
@@ -325,3 +326,19 @@ def poly_scale_integral(degs, coefs, quad):
     for n, c in zip(degs, coefs):
         acc += c * r ** n
     return float(np.sum(quad.weights * quad.nodes * acc * acc))
+
+
+def sequential_pick(values, taus, angles, tol):
+    """Argmax of one cell's (tau, angle) landscape, one candidate at a
+    time in (tau asc, angle asc) order: a candidate replaces the best so
+    far only when it exceeds it by more than tol.  Agrees with the
+    library's pick wherever no chain of near-ties spans more than tol."""
+    best = -np.inf
+    pick = (0, 0)
+    for it in range(values.shape[0]):
+        row = values[it]
+        for ia in range(values.shape[1]):
+            if row[ia] > best + tol:
+                best = row[ia]
+                pick = (it, ia)
+    return taus[pick[0]], angles[pick[1]], values[pick]

@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from sphwave.cli import main
+from sphwave.cli import build_parser, main
 from sphwave.fileio import read_selectivity_rows, read_signal
 from sphwave.sphfn import analyze_signal
 from sphwave.so3 import axis_rotation, sphere_points, tilt_rotation
+from sphwave.transform import FrameOperatorConfig
 
 from oracles import harmonic_matrix, point_angles
 
@@ -181,6 +182,14 @@ def test_analyze_reconstruct_round_trip(tmp_path, capsys):
                  "--delta2", "0.8", "--delta1", "1.2",
                  "--out", str(coef)]) == 0
     assert "under-resolves" in capsys.readouterr().err
+
+
+def test_reconstruct_defaults_follow_library():
+    parser, _ = build_parser()
+    args = parser.parse_args(["reconstruct", "--in", "coef.bin"])
+    lib = FrameOperatorConfig()
+    assert args.tolerance == lib.tolerance
+    assert args.max_iterations == lib.max_iterations
 
 
 def test_select_two_ridges(tmp_path):

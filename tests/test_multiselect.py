@@ -1,5 +1,7 @@
 """Matched-filter selectivity choice, refinement, and the grid budget."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from sphwave.sphfn import (CoefficientTable, SphericalSignal, analyze_signal,
 from sphwave.so3 import make_rotation, make_scale_sequence, make_so3_grid
 from sphwave.transform import forward_transform, reconstruct, \
     rotate_coefficients
+
+from oracles import sequential_pick
 
 SCALES = make_scale_sequence(1.0, 0.5, 1)
 GRID = make_so3_grid(0.4, 0.2)
@@ -78,6 +82,37 @@ def test_select_matches_brute_force():
         assert tau == tsel.taus[it], alpha2
         assert phi1 == grid.axial_angles[ia], alpha2
         assert abs(value - vals[it, ia]) < 1e-12 * vals[it, ia], alpha2
+
+
+def test_pick_matches_sequential_oracle():
+    # small integer landscapes tie exactly and often; with tol below the
+    # value spacing both rules take the first maximum in (tau, angle) order
+    rng = np.random.default_rng(61)
+    taus = (1.0, 2.0, 4.0, 8.0)
+    angles = np.arange(6) * (np.pi / 3.0)
+    for tol in (0.0, 0.25):
+        vals = rng.integers(0, 3, size=(len(taus), 40, len(angles)))
+        vals = vals.astype(float)
+        got = multiselect._pick(vals, taus, angles, tol)
+        for pos in range(vals.shape[1]):
+            want = sequential_pick(vals[:, pos, :], taus, angles, tol)
+            assert (got[0][pos], got[1][pos], got[2][pos]) == want, (tol, pos)
+
+
+def test_pick_near_tie_chain():
+    # steps of 0.75 * tol chain up to the maximum 3.0: the pick is the
+    # first candidate within tol of the maximum (2.25 at tau 2, angle 1),
+    # not the end of a chain of pairwise ties (3.0 at tau 4)
+    taus = (1.0, 2.0, 4.0)
+    angles = np.array([0.0, 1.0])
+    chain = np.array([[0.0, 0.75], [1.5, 2.25], [3.0, 0.0]])
+    # exactly tol below the maximum still ties
+    edge = np.array([[0.0, 2.0], [3.0, 0.0], [0.0, 0.0]])
+    tau, phi1, value = multiselect._pick(np.stack([chain, edge], axis=1),
+                                         taus, angles, 1.0)
+    assert (tau[0], phi1[0], value[0]) == (2.0, 1.0, 2.25)
+    assert (tau[1], phi1[1], value[1]) == (1.0, 1.0, 2.0)
+    assert sequential_pick(chain, taus, angles, 1.0) == (4.0, 0.0, 3.0)
 
 
 def test_select_zonal_and_zero_tiebreak():
@@ -313,3 +348,28 @@ def test_adaptive_analysis_round_trip():
     rec = reconstruct(coeffs)
     scale = np.max(np.abs(f.values))
     assert np.max(np.abs(rec.values - f.values)) < 1e-6 * scale
+
+
+def test_adaptive_round_trip_at_defaults(monkeypatch):
+    # the default solve inverts the adaptive frame of the default set
+    # with no eigenvalue estimate; Gauss-Legendre nodes for synthesis
+    # still come from numpy's own eigvalsh, so only library calls raise
+    eigvalsh = np.linalg.eigvalsh
+
+    def no_eigvalsh(*args, **kwargs):
+        if sys._getframe(1).f_globals.get("__name__", "").startswith(
+                "sphwave"):
+            raise AssertionError("reconstruct must not call eigvalsh")
+        return eigvalsh(*args, **kwargs)
+
+    grid = make_so3_grid(0.2, 0.2)
+    for seed in (2, 3):
+        f = _random_signal(16, seed)
+        _, coeffs = adaptive_analysis(f, SCALES, grid, SelectivitySet())
+        assert not coeffs.under_resolved
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+            rec = reconstruct(coeffs)
+        err = (np.linalg.norm(rec.values - f.values)
+               / np.linalg.norm(f.values))
+        assert err < 1e-9, (seed, err)

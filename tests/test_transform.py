@@ -164,6 +164,9 @@ def test_frame_matrix_matches_composition():
         st = adjoint_transform(coeffs)
         s = frame_matrix("omega", coeffs.taus, grid, SCALES, l_band)
         assert np.max(np.abs(s - s.conj().T)) < 1e-14 * np.max(np.abs(s))
+        # gathered Hadamard factor against the explicit phase products
+        s_phases = oracles.adaptive_frame_matrix(coeffs)
+        assert np.max(np.abs(s - s_phases)) < 1e-14 * np.max(np.abs(s))
         sv = s @ table.values
         assert (np.max(np.abs(sv - st.values))
                 < 1e-12 * np.max(np.abs(st.values)))
