@@ -23,7 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sphfn import CoefficientTable, legendre_P_all, normalized_assoc_column
+from .sphfn import (CoefficientTable, degree_orders, legendre_P_all,
+                    normalized_assoc_column)
 from .profiles import FAMILIES, FAMILY_ORDER, angular_coefficient, \
     expansion_coefficient_fn
 
@@ -156,32 +157,36 @@ def _coefficient_polynomial(family, l, k):
 # ---------------------------------------------------------------------------
 # coefficients and their printed bound
 
+def _profile_coefficient(family, rho, l, ka):
+    """tau-free factor P_l^k of the coefficient at odd order ka = |k| >= 1.
+
+    The |k| = 1 value uses the closed form through the P_l^1 expansion
+    coefficient, all other odd orders the banded-moment polynomial in r.
+    """
+    r = np.exp(-rho)
+    if ka == 1:
+        coef = expansion_coefficient_fn(family)(l, r)
+        return (-rho / (2.0 * np.sqrt(2.0 * np.pi) * np.pi)
+                * np.sqrt(l * (l + 1) / (2.0 * (2 * l + 1))) * coef)
+    degs, coefs = _coefficient_polynomial(family, l, ka)
+    acc = 0.0
+    for n, c in zip(degs, coefs):
+        acc += c * r ** n
+    return (-1.0) ** ka * rho / (4.0 * np.pi) * acc
+
+
 def wavelet_coefficient(spec, l, k):
     """Fourier coefficient of the kernel at degree l, order k.
 
-    Real for this kernel class; identically zero for even k. The |k| = 1
-    value uses the closed form through the P_l^1 expansion coefficient,
-    all other odd orders the banded-moment polynomial in r.
+    Real for this kernel class; identically zero for even k.  Steerable:
+    the selectivity enters only as the window coefficient c_|k|(tau).
     """
     if abs(k) > l:
         raise IndexError("order exceeds degree")
     if k % 2 == 0:
         return 0.0j
-    ka = abs(k)
-    tau, rho, r = spec.tau, spec.rho, spec.r
-    if ka == 1:
-        coef = expansion_coefficient_fn(spec.family)(l, r)
-        val = (-rho / (tau * np.pi)
-               * np.sqrt(l * (l + 1) / (2.0 * (2 * l + 1)))
-               * coef * np.exp(-1.0 / (2.0 * tau * tau)))
-    else:
-        degs, coefs = _coefficient_polynomial(spec.family, l, ka)
-        acc = 0.0
-        for n, c in zip(degs, coefs):
-            acc += c * r ** n
-        val = ((-1.0) ** ka * angular_coefficient(tau, ka)
-               * rho / (4.0 * np.pi) * acc)
-    return complex(val)
+    return complex(angular_coefficient(spec.tau, abs(k))
+                   * _profile_coefficient(spec.family, spec.rho, l, abs(k)))
 
 
 def coefficient_upper_bound(spec, l, k):
@@ -199,18 +204,40 @@ def coefficient_upper_bound(spec, l, k):
     return 6.0 * spec.rho * r * r / spec.tau * root * gauss
 
 
+@lru_cache(maxsize=64)
+def _kernel_matrix(family, rho, l_band):
+    """tau-free factors P_l^k as a dense (l, k) matrix, index [l, k + l_band];
+    the kernel of selectivity tau is window_weights(tau) * P.  Cached per
+    (family, rho, l_band) and read-only."""
+    mat = np.zeros((l_band + 1, 2 * l_band + 1))
+    for l in range(1, l_band + 1):
+        for k in range(1, l + 1, 2):
+            mat[l, l_band + k] = mat[l, l_band - k] = \
+                _profile_coefficient(family, rho, l, k)
+    mat.flags.writeable = False
+    return mat
+
+
+def window_weights(taus, l_band, k_cut=None):
+    """Window coefficients w_k(tau) for k in [-l_band, l_band]: c_|k|(tau)
+    at odd |k| <= k_cut (default_k_cut(tau)), zero elsewhere.  One row per
+    entry of taus (a scalar, or an array of any shape)."""
+    uniq, inverse = np.unique(np.asarray(taus, dtype=float),
+                              return_inverse=True)
+    rows = np.zeros((len(uniq), 2 * l_band + 1))
+    for row, tau in zip(rows, uniq):
+        cut = default_k_cut(tau) if k_cut is None else k_cut
+        for k in range(1, min(l_band, cut) + 1, 2):
+            row[l_band + k] = row[l_band - k] = angular_coefficient(tau, k)
+    return rows[inverse].reshape(np.shape(taus) + (-1,))
+
+
 def wavelet_coefficient_table(spec, l_band, k_cut=None):
     """CoefficientTable of the kernel's coefficients up to l_band."""
-    if k_cut is None:
-        k_cut = default_k_cut(spec.tau)
-    values = np.zeros((l_band + 1) ** 2, dtype=complex)
-    table = CoefficientTable(l_band, values)
-    for l in range(1, l_band + 1):
-        for k in range(1, min(l, k_cut) + 1, 2):
-            v = wavelet_coefficient(spec, l, k)
-            table.set(l, k, v)
-            table.set(l, -k, v)
-    return table
+    l_of, m_of = degree_orders(l_band)
+    kern = (_kernel_matrix(spec.family, spec.rho, l_band)
+            * window_weights(spec.tau, l_band, k_cut))
+    return CoefficientTable(l_band, kern[l_of, m_of + l_band].astype(complex))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ codes: 0 success, 1 numerical failure, 2 usage or format error.
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -32,12 +33,7 @@ def _parse_taus(value):
 
 
 def _open_out(path):
-    return sys.stdout if path is None else open(path, "w")
-
-
-def _close_out(fh):
-    if fh is not sys.stdout:
-        fh.close()
+    return nullcontext(sys.stdout) if path is None else open(path, "w")
 
 
 def _require_out(args):
@@ -53,8 +49,7 @@ def cmd_profile(args):
         raise ValueError("need at least one sample")
     phi = np.linspace(-0.5 * np.pi, 1.5 * np.pi, args.samples)
     windows = [AngularWindow.build(t) for t in taus]
-    fh = _open_out(args.out)
-    try:
+    with _open_out(args.out) as fh:
         fh.write("phi," + ",".join("f_%g" % t for t in taus) + "\n")
         cols = [w.evaluate(phi) for w in windows]
         for i, p in enumerate(phi):
@@ -62,8 +57,6 @@ def cmd_profile(args):
             for c in cols:
                 fh.write(",%r" % float(np.atleast_1d(c)[i]))
             fh.write("\n")
-    finally:
-        _close_out(fh)
     return 0
 
 
@@ -81,15 +74,12 @@ def cmd_kernel(args):
         phi = np.linspace(-np.pi, np.pi, args.n_phi)
         tt, pp = np.meshgrid(theta, phi, indexing="ij")
         values = evaluate_wavelet(spec, tt, pp)
-        fh = _open_out(args.out)
-        try:
+        with _open_out(args.out) as fh:
             fh.write("theta,phi,value\n")
             for i in range(args.n_theta):
                 for j in range(args.n_phi):
                     fh.write("%r,%r,%r\n" % (float(theta[i]), float(phi[j]),
                                              float(values[i, j])))
-        finally:
-            _close_out(fh)
     return 0
 
 
@@ -218,7 +208,6 @@ def build_parser():
         description="directional spherical wavelets with steerable "
                     "angular selectivity")
     subs = parser.add_subparsers(dest="command", required=True)
-    registry = {}
 
     sub = subs.add_parser("profile", help="angular window curves as CSV")
     _add_common(sub)
@@ -226,7 +215,6 @@ def build_parser():
                      help="comma-separated selectivities")
     sub.add_argument("--samples", type=int, default=513)
     sub.set_defaults(func=cmd_profile)
-    registry["profile"] = sub
 
     sub = subs.add_parser("kernel", help="sample one kernel on a grid")
     _add_common(sub)
@@ -239,7 +227,6 @@ def build_parser():
     sub.add_argument("--n-phi", type=int, default=181)
     sub.add_argument("--format", choices=("csv", "bin"), default="csv")
     sub.set_defaults(func=cmd_kernel)
-    registry["kernel"] = sub
 
     sub = subs.add_parser("verify", help="check the admissibility bounds")
     _add_common(sub)
@@ -247,7 +234,6 @@ def build_parser():
     sub.add_argument("--tau", type=float, default=1.0)
     sub.add_argument("--l-max", type=int, default=64)
     sub.set_defaults(func=cmd_verify)
-    registry["verify"] = sub
 
     sub = subs.add_parser("synthesize", help="write a test signal")
     _add_common(sub)
@@ -271,7 +257,6 @@ def build_parser():
     sub.add_argument("--tau-broad", type=float, default=1.0)
     sub.add_argument("--tau-sharp", type=float, default=8.0)
     sub.set_defaults(func=cmd_synthesize)
-    registry["synthesize"] = sub
 
     sub = subs.add_parser("analyze", help="wavelet-analyze a signal file")
     _add_common(sub)
@@ -280,7 +265,6 @@ def build_parser():
                      help="uniform selectivity")
     _add_grid_flags(sub)
     sub.set_defaults(func=cmd_analyze)
-    registry["analyze"] = sub
 
     sub = subs.add_parser("select", help="per-position selectivity map")
     _add_common(sub)
@@ -289,7 +273,6 @@ def build_parser():
     sub.add_argument("--tau-cap", type=float, default=16.0)
     _add_grid_flags(sub)
     sub.set_defaults(func=cmd_select)
-    registry["select"] = sub
 
     sub = subs.add_parser("reconstruct", help="invert coefficients")
     _add_common(sub)
@@ -301,9 +284,8 @@ def build_parser():
                      default=solve.max_iterations,
                      help="step limit for reaching the scaled residual")
     sub.set_defaults(func=cmd_reconstruct)
-    registry["reconstruct"] = sub
 
-    return parser, registry
+    return parser, subs.choices
 
 
 def main(argv=None):
@@ -325,16 +307,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileFormatError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     except (FrameConvergenceError, ArithmeticError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:    # FileFormatError included
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

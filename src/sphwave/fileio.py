@@ -112,9 +112,8 @@ def write_coefficients(path, coeffs):
                  float(scales.rho0), float(scales.q), float(grid.delta2),
                  float(grid.delta1), grid.n_carriers, n_axial,
                  int(coeffs.under_resolved)))
-    taus = np.empty((len(scales), grid.n_carriers))
-    for j, t in enumerate(coeffs.taus):
-        taus[j] = t
+    taus = np.array([np.broadcast_to(t, grid.n_carriers) for t in coeffs.taus],
+                    dtype=float)
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         fh.write(taus.astype("<f8").tobytes())

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sphfn import analyze_signal
+from .sphfn import analyze_signal, degree_orders
 from .profiles import (AngularWindow, WaveletSpec, profile_dtheta_fn,
                        profile_fn, wavelet_norm_sq)
-from .transform import BandPlan, _kernel_matrix, forward_transform
+from .admissibility import _kernel_matrix, window_weights
+from .transform import BandPlan, forward_transform
 
 DEFAULT_TAUS = (1.0, 2.0, 4.0, 8.0, 16.0)
 TAU_CAP = 16.0
@@ -82,14 +83,22 @@ def _pick(values, taus, angles, tol):
             flat[np.arange(len(first)), first])
 
 
-def _band_landscape(plan, carried, theta_b, family, rho, taus):
-    """Normalized correlation per (tau, cell, axial angle) in one band."""
-    out = np.empty((len(taus), len(carried), plan.axial_phase.shape[1]))
-    for it, tau in enumerate(taus):
-        beta = plan.beta(theta_b, family, rho, tau)
-        norm = np.sqrt(wavelet_norm_sq(WaveletSpec(family, rho, tau)))
-        out[it] = np.abs(carried @ beta.T @ plan.axial_phase) / norm
-    return out
+def _band_landscape(plan, d, family, rho, taus):
+    """Normalized correlation per (tau, cell, axial angle) in one band,
+    from the band's tau-free correlation d = carried @ beta.T: each tau
+    scales the columns of d by its window weights."""
+    norms = np.sqrt([wavelet_norm_sq(WaveletSpec(family, rho, t))
+                     for t in taus])
+    weighted = d * plan.weights(np.asarray(taus))[:, None, :]
+    return np.abs(weighted @ plan.axial_phase) / norms[:, None, None]
+
+
+def _band_pick(plan, carried, theta, family, rho, taus, angles, tol):
+    """_pick over one band's landscape, from one tau-free correlation
+    carried @ beta.T that every selectivity reweights."""
+    d = carried @ plan.beta(theta, family, rho).T
+    return _pick(_band_landscape(plan, d, family, rho, taus), taus, angles,
+                 tol)
 
 
 def select_tau(f, scales, j, alpha2, tsel, grid, family="omega"):
@@ -103,11 +112,10 @@ def select_tau(f, scales, j, alpha2, tsel, grid, family="omega"):
     table = analyze_signal(f)
     cell = grid.cells[alpha2]
     plan = BandPlan(table.l_band, grid.axial_angles)
-    carried = plan.carried(np.array([cell.phi])) * table.values
-    vals = _band_landscape(plan, carried, cell.theta, family, scales[j],
-                           tuple(tsel))
-    tol = TIE_MARGIN * np.sqrt(table.norm_sq())
-    tau, phi1, value = _pick(vals, tuple(tsel), grid.axial_angles, tol)
+    tau, phi1, value = _band_pick(
+        plan, plan.carried(np.array([cell.phi])) * table.values, cell.theta,
+        family, scales[j], tuple(tsel), grid.axial_angles,
+        TIE_MARGIN * np.sqrt(table.norm_sq()))
     return float(tau[0]), phi1[0], value[0]
 
 
@@ -124,9 +132,9 @@ def selectivity_scan(f, scales, grid, tsel, family="omega"):
     for theta_b, idx, phis, _ in grid.bands:
         carried = plan.carried(phis) * table.values
         for j, rho in enumerate(scales):
-            vals = _band_landscape(plan, carried, theta_b, family, rho, taus)
-            tau_star[j, idx], phi1_star[j, idx], value[j, idx] = _pick(
-                vals, taus, grid.axial_angles, tol)
+            tau_star[j, idx], phi1_star[j, idx], value[j, idx] = _band_pick(
+                plan, carried, theta_b, family, rho, taus, grid.axial_angles,
+                tol)
     return SelectivityMap(family, tau_star, phi1_star, value, grid, scales)
 
 
@@ -135,7 +143,8 @@ def refine_tau(f, scales, j, alpha2, tsel, grid, family="omega",
     """Golden-section sweetening of the discrete winner over [1, cap].
 
     Keeps the winning axial angle fixed and searches the continuous
-    bracket between the discrete winner's neighbors in the set.
+    bracket between the discrete winner's neighbors in the set.  Each
+    score reweights the carrier's tau-free correlation, O(k) work.
     """
     tau0, phi1, _ = select_tau(f, scales, j, alpha2, tsel, grid, family)
     table = analyze_signal(f)
@@ -145,11 +154,11 @@ def refine_tau(f, scales, j, alpha2, tsel, grid, family="omega",
     lo = taus[i0 - 1] if i0 > 0 else max(1.0, taus[0])
     hi = taus[i0 + 1] if i0 + 1 < len(taus) else tsel.tau_cap
     plan = BandPlan(table.l_band, np.array([phi1]))
-    carried = plan.carried(np.array([cell.phi])) * table.values
+    corr = (plan.carried(np.array([cell.phi])) * table.values
+            @ plan.beta(cell.theta, family, scales[j]).T)
 
     def score(tau):
-        v = _band_landscape(plan, carried, cell.theta, family, scales[j],
-                            (tau,))
+        v = _band_landscape(plan, corr, family, scales[j], (tau,))
         return float(v[0, 0, 0])
 
     gr = 0.5 * (np.sqrt(5.0) - 1.0)
@@ -264,13 +273,11 @@ def budget_discretization(scales, tsel=None, target=0.5, calibration=1.0,
 
 def continuous_energy(table, family, tau, rho):
     """Rotation-integrated coefficient energy at one exact scale."""
-    kern = _kernel_matrix(family, float(rho), float(tau), table.l_band)
-    total = 0.0
-    for l in range(1, table.l_band + 1):
-        kern_sq = float(np.sum(np.abs(kern[l]) ** 2))
-        block_sq = float(np.sum(np.abs(table.degree_block(l)) ** 2))
-        total += kern_sq * block_sq / (2.0 * (2 * l + 1))
-    return total
+    kern = (_kernel_matrix(family, float(rho), table.l_band)
+            * window_weights(tau, table.l_band))
+    l_of, _ = degree_orders(table.l_band)
+    return float(np.sum(np.sum(kern ** 2, axis=1)[l_of]
+                        * np.abs(table.values) ** 2 / (2.0 * (2 * l_of + 1))))
 
 
 def calibrate_budget(f, scales, tsel=None, target=0.5, family="omega"):

@@ -172,19 +172,30 @@ def poisson_kernel(rho, theta):
     return v if v.ndim else float(v)
 
 
+def _profile_terms(family, rho, theta):
+    """r = exp(-rho), cos(theta), sin(theta), d = 1 - 2 r cos(theta) + r^2
+    and the numerator of the family's rational profile."""
+    _check_rho(rho)
+    r = np.exp(-rho)
+    theta = np.asarray(theta, dtype=float)
+    c, s = np.cos(theta), np.sin(theta)
+    if family == "omega":
+        num = (r * (10.0 - 19.0 * r * r + r ** 4)
+               - (3.0 - 14.0 * r * r - 5.0 * r ** 4) * c
+               - r * (9.0 - r * r) * c * c)
+    else:
+        num = (5.0 - 23.0 * r * r + 2.0 * r ** 4
+               + 4.0 * r * (7.0 + r * r) * c
+               - (15.0 + r * r) * c * c)
+    return r, c, s, 1.0 - 2.0 * r * c + r * r, num
+
+
 def omega_profile(rho, theta):
     """First radial-derivative profile, rational closed form.
 
     omega_rho = rho sin^5(theta) r d_r (r d_r p_rho).
     """
-    _check_rho(rho)
-    r = np.exp(-rho)
-    theta = np.asarray(theta, dtype=float)
-    c, s = np.cos(theta), np.sin(theta)
-    d = 1.0 - 2.0 * r * c + r * r
-    num = (r * (10.0 - 19.0 * r * r + r ** 4)
-           - (3.0 - 14.0 * r * r - 5.0 * r ** 4) * c
-           - r * (9.0 - r * r) * c * c)
+    r, c, s, d, num = _profile_terms("omega", rho, theta)
     v = -rho * r * num * s ** 5 / (4.0 * np.pi * d ** 3.5)
     return v if v.ndim else float(v)
 
@@ -194,14 +205,7 @@ def upsilon_profile(rho, theta):
 
     upsilon_rho = rho sin^5(theta) r^2 d_r^2 p_rho.
     """
-    _check_rho(rho)
-    r = np.exp(-rho)
-    theta = np.asarray(theta, dtype=float)
-    c, s = np.cos(theta), np.sin(theta)
-    d = 1.0 - 2.0 * r * c + r * r
-    num = (5.0 - 23.0 * r * r + 2.0 * r ** 4
-           + 4.0 * r * (7.0 + r * r) * c
-           - (15.0 + r * r) * c * c)
+    r, c, s, d, num = _profile_terms("upsilon", rho, theta)
     v = -rho * r * r * num * s ** 5 / (4.0 * np.pi * d ** 3.5)
     return v if v.ndim else float(v)
 
@@ -210,43 +214,25 @@ def profile_fn(family):
     return omega_profile if family == "omega" else upsilon_profile
 
 
-def omega_profile_dtheta(rho, theta):
-    """Analytic theta-derivative of the rational omega profile."""
-    _check_rho(rho)
-    r = np.exp(-rho)
-    theta = np.asarray(theta, dtype=float)
-    c, s = np.cos(theta), np.sin(theta)
-    d = 1.0 - 2.0 * r * c + r * r
-    num = (r * (10.0 - 19.0 * r * r + r ** 4)
-           - (3.0 - 14.0 * r * r - 5.0 * r ** 4) * c
-           - r * (9.0 - r * r) * c * c)
-    dnum_dc = -(3.0 - 14.0 * r * r - 5.0 * r ** 4) - 2.0 * r * (9.0 - r * r) * c
+def profile_dtheta(family, rho, theta):
+    """Analytic theta-derivative of the family's rational profile."""
+    r, c, s, d, num = _profile_terms(family, rho, theta)
+    if family == "omega":
+        scale = -rho * r
+        dnum_dc = (-(3.0 - 14.0 * r * r - 5.0 * r ** 4)
+                   - 2.0 * r * (9.0 - r * r) * c)
+    else:
+        scale = -rho * r * r
+        dnum_dc = 4.0 * r * (7.0 + r * r) - 2.0 * (15.0 + r * r) * c
     # d/dtheta of num s^5 d^{-7/2}: s^4 (5 c num - s^2 num' - 7 r s^2 num / d)
-    v = (-rho * r / (4.0 * np.pi) * s ** 4
-         * (5.0 * c * num - s * s * dnum_dc - 7.0 * r * s * s * num / d)
-         / d ** 3.5)
-    return v if v.ndim else float(v)
-
-
-def upsilon_profile_dtheta(rho, theta):
-    """Analytic theta-derivative of the rational upsilon profile."""
-    _check_rho(rho)
-    r = np.exp(-rho)
-    theta = np.asarray(theta, dtype=float)
-    c, s = np.cos(theta), np.sin(theta)
-    d = 1.0 - 2.0 * r * c + r * r
-    num = (5.0 - 23.0 * r * r + 2.0 * r ** 4
-           + 4.0 * r * (7.0 + r * r) * c
-           - (15.0 + r * r) * c * c)
-    dnum_dc = 4.0 * r * (7.0 + r * r) - 2.0 * (15.0 + r * r) * c
-    v = (-rho * r * r / (4.0 * np.pi) * s ** 4
+    v = (scale / (4.0 * np.pi) * s ** 4
          * (5.0 * c * num - s * s * dnum_dc - 7.0 * r * s * s * num / d)
          / d ** 3.5)
     return v if v.ndim else float(v)
 
 
 def profile_dtheta_fn(family):
-    return omega_profile_dtheta if family == "omega" else upsilon_profile_dtheta
+    return lambda rho, theta: profile_dtheta(family, rho, theta)
 
 
 # ---------------------------------------------------------------------------

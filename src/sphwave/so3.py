@@ -143,6 +143,7 @@ class SO3Grid:
     cells: tuple
     axial_angles: np.ndarray
     bands: tuple    # per latitude band: (theta, cell indices, phis, measure)
+    measures: np.ndarray    # per carrier, read-only
 
     @property
     def n_carriers(self):
@@ -159,10 +160,6 @@ class SO3Grid:
     @property
     def carrier_phis(self):
         return np.array([c.phi for c in self.cells])
-
-    @property
-    def measures(self):
-        return np.array([c.measure for c in self.cells])
 
     def all_rotations(self):
         """Flattened list of rotations, carrier-major then axial angle."""
@@ -221,4 +218,7 @@ def make_so3_grid(delta2, delta1):
     n_axial = int(np.ceil(2.0 * np.pi / delta1))
     axial = np.arange(n_axial) * (2.0 * np.pi / n_axial)
     axial.flags.writeable = False
-    return SO3Grid(delta2, delta1, tuple(cells), axial, tuple(bands))
+    measures = np.array([c.measure for c in cells])
+    measures.flags.writeable = False
+    return SO3Grid(delta2, delta1, tuple(cells), axial, tuple(bands),
+                   measures)

@@ -12,6 +12,7 @@ Conventions used throughout the package:
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -94,7 +95,7 @@ def spherical_harmonic(l, k, theta, phi):
     return val if np.ndim(val) else complex(val)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ColatGrid:
     """Gauss-Legendre colatitude rule: nodes increasing in (0, pi), weights sum to 2."""
     nodes: np.ndarray
@@ -106,13 +107,19 @@ class ColatGrid:
         return np.cos(self.nodes)
 
 
+@lru_cache(maxsize=64)
 def make_colat_grid(n):
-    """Gauss-Legendre nodes/weights in u = cos(theta), mapped to colatitudes."""
+    """Gauss-Legendre nodes/weights in u = cos(theta), mapped to colatitudes.
+
+    Cached per n; the shared arrays are read-only.
+    """
     if n < 1:
         raise ValueError("need at least one node")
     u, w = np.polynomial.legendre.leggauss(n)
     # u ascending means theta descending; flip so nodes increase
-    return ColatGrid(nodes=np.arccos(u)[::-1].copy(), weights=w[::-1].copy())
+    nodes, weights = np.arccos(u)[::-1].copy(), w[::-1].copy()
+    nodes.flags.writeable = weights.flags.writeable = False
+    return ColatGrid(nodes=nodes, weights=weights)
 
 
 @dataclass

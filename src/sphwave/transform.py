@@ -3,14 +3,14 @@
 A coefficient W(rho_j, g) is the normalized inner product of the rotated
 kernel with the signal, 1/(4 pi) <U_g Psi, f>.  Everything runs in
 harmonic space: rotating a kernel multiplies its coefficient table by
-per-degree unitary blocks, so one tilt block per latitude band (cached)
-plus diagonal phase factors cover the whole grid.  A BandPlan joins a
-band's tilt blocks with the kernel's odd axial orders into one matrix
-beta, so the forward transform, its adjoint, the matched-filter
-landscape and the dense frame matrix are each a product with beta per
-latitude band and selectivity.  Reconstruction inverts the discrete
-frame operator S = sum of weighted rank-one terms by conjugate gradients
-preconditioned with the frame diagonal (Jacobi).
+per-degree real Wigner blocks, so one tilt block per latitude band
+(cached) plus diagonal phase factors cover the whole grid.  The kernel
+is steerable, Psi_l^k(tau) = w_k(tau) P_l^k: a BandPlan joins a band's
+tilt blocks with the tau-free P into one real matrix beta per band and
+scale, and a selectivity only weights each cell's axial orders.  The
+forward transform, its adjoint and the matched-filter landscape are one
+product with beta per band and scale.  Reconstruction inverts the frame
+operator S by conjugate gradients with a Jacobi preconditioner.
 """
 
 from dataclasses import dataclass
@@ -22,7 +22,7 @@ from .sphfn import (CoefficientTable, analyze_signal, default_grid_spec,
                     degree_orders, grid_phis, legendre_rows, make_colat_grid,
                     normalized_assoc_column, synthesize_signal)
 from .profiles import WaveletSpec
-from .admissibility import default_k_cut, wavelet_coefficient_table
+from .admissibility import _kernel_matrix, default_k_cut, window_weights
 from .so3 import sphere_points, tilt_rotation
 
 
@@ -86,13 +86,15 @@ class TransformCoefficients:
 
 @lru_cache(maxsize=512)
 def _tilt_blocks(theta_key, l_band):
-    """Unitary tilt blocks T^l[m, k] = <Y_l^m, Y_l^k o tilt^{-1}>, flat.
+    """Tilt blocks d^l[m, k] = <Y_l^m, Y_l^k o tilt^{-1}>, flat and real.
 
     Row l*l + l + m, column k + l_band; zero where |k| > l, so the block
     of degree l is the slice [l*l:(l+1)^2, l_band-l:l_band+l+1].  Each
     tilted harmonic is sampled on an exact quadrature grid, Fourier
     transformed in longitude and projected onto its own degree (a tilt
-    preserves the degree) with the weighted flat Legendre table.
+    preserves the degree) with the weighted flat Legendre table.  The
+    tilt turns about a real axis, so the blocks are real Wigner
+    d-matrices and only the real part of the projection is kept.
     """
     theta = float(theta_key)
     spec = default_grid_spec(l_band)
@@ -104,12 +106,12 @@ def _tilt_blocks(theta_key, l_band):
     l_of, m_of = degree_orders(l_band)
     proj = (legendre_rows(colat.cos_nodes, l_band) * colat.weights
             * (2.0 * np.pi / spec.n_phi))
-    flat = np.zeros(((l_band + 1) ** 2, 2 * l_band + 1), dtype=complex)
+    flat = np.zeros(((l_band + 1) ** 2, 2 * l_band + 1))
     for k in range(-l_band, l_band + 1):
         ka = abs(k)
         col = normalized_assoc_column(ka, ct, l_band)
         spectra = np.fft.fft(col * ((-1.0) ** ka * np.exp(1j * k * ph)),
-                             axis=-1)
+                             axis=-1).real
         rows = l_of >= ka
         flat[rows, k + l_band] = np.sum(
             proj[rows] * spectra[l_of[rows] - ka, :, m_of[rows] % spec.n_phi],
@@ -118,38 +120,25 @@ def _tilt_blocks(theta_key, l_band):
     return flat
 
 
-@lru_cache(maxsize=256)
-def _kernel_matrix(family, rho, tau, l_band):
-    """Kernel coefficients as a dense (l, k) matrix, index [l, k + l_band]."""
-    table = wavelet_coefficient_table(WaveletSpec(family, rho, tau), l_band)
-    mat = np.zeros((l_band + 1, 2 * l_band + 1), dtype=complex)
-    l_of, m_of = degree_orders(l_band)
-    mat[l_of, m_of + l_band] = table.values
-    mat.flags.writeable = False
-    return mat
-
-
-def _odd_orders(l_band):
-    return np.array([k for k in range(-l_band, l_band + 1) if k % 2 != 0])
-
-
 class BandPlan:
     """Index maps of the band operator for one band limit and axial grid.
 
     Coefficient tables are flat over (l, m); the kernel's axial orders
-    are the odd k in [-l_band, l_band].  For a latitude band at
-    colatitude theta, beta(...)[k, (l, m)] = conj(T^l[m, k] Psi_l^k) is
-    zero where |k| > l, so correlating the band's cells with a kernel is
-    carried(phis) * table @ beta.T, followed by the axial phases.
+    are the odd k in [-l_band, l_band].  The kernel is steerable,
+    Psi_l^k(tau) = w_k(tau) P_l^k, so for a latitude band at colatitude
+    theta the real, tau-free matrix beta(...)[k, (l, m)] = d^l[m, k] P_l^k
+    serves every selectivity: correlating the band's cells with a kernel
+    is carried(phis) * table @ beta.T, each cell's row scaled by its
+    weights(tau), followed by the axial phases.
     """
 
     def __init__(self, l_band, axial_angles):
         self.l_band = l_band
-        self.ks = _odd_orders(l_band)
-        l_of, self.m_of = degree_orders(l_band)
-        self.axial_phase = np.exp(1j * np.outer(self.ks, axial_angles))
         # odd orders k are every other tilt column k + l_band
         self._odd_cols = slice((l_band + 1) % 2, None, 2)
+        self.ks = np.arange(-l_band, l_band + 1)[self._odd_cols]
+        l_of, self.m_of = degree_orders(l_band)
+        self.axial_phase = np.exp(1j * np.outer(self.ks, axial_angles))
         self._kern_at = (l_of[None, :], self.ks[:, None] + l_band)
         self._orders = np.arange(-l_band, l_band + 1)
 
@@ -158,23 +147,18 @@ class BandPlan:
         phases = np.exp(1j * np.outer(phis, self._orders))
         return phases[:, self.m_of + self.l_band]
 
-    def beta(self, theta, family, rho, tau):
-        """Tilted kernel matrix (odd k) x (flat l, m) for one band."""
+    def beta(self, theta, family, rho):
+        """Real tilted kernel factor (odd k) x (flat l, m) for one band,
+        shared by every selectivity."""
         tilt = _tilt_blocks(round(theta, 12), self.l_band)[:, self._odd_cols]
-        kern = _kernel_matrix(family, float(rho), float(tau), self.l_band)
-        return np.conj(tilt.T * kern[self._kern_at])
+        return tilt.T * _kernel_matrix(family, float(rho),
+                                       self.l_band)[self._kern_at]
 
-    def groups(self, grid, family, scales, taus):
-        """(j, cells, phis, beta, measure) per latitude band, scale j and
-        set of the band's cells sharing one selectivity of taus[j] (a
-        scalar, or one value per carrier); phis are the cells' longitudes."""
-        for theta, idx, phis, measure in grid.bands:
-            for j, rho in enumerate(scales):
-                band_taus = np.broadcast_to(taus[j], grid.n_carriers)[idx]
-                for tau in np.unique(band_taus):
-                    rows = band_taus == tau
-                    yield (j, idx[rows], phis[rows],
-                           self.beta(theta, family, rho, tau), measure)
+    def weights(self, taus, n=None):
+        """Window weights w_k(tau) on the odd orders, one row per entry of
+        taus, or broadcast to n rows (taus a scalar or one per cell)."""
+        w = window_weights(taus, self.l_band)[..., self.ks + self.l_band]
+        return w if n is None else np.broadcast_to(w, (n, len(self.ks)))
 
 
 def uniform_specs(family, tau, scales):
@@ -186,28 +170,21 @@ def _normalize_specs(specs, grid, scales):
     """Flatten the per-(scale, position) spec argument to (family, taus)."""
     if isinstance(specs, WaveletSpec):
         specs = (specs,)
-    specs = list(specs)
-    if len(specs) != len(scales):
+    groups = [[e] if isinstance(e, WaveletSpec) else list(e) for e in specs]
+    if len(groups) != len(scales):
         raise ValueError("need one kernel spec entry per scale")
-    family = None
-    taus = []
-    for entry, rho in zip(specs, scales):
-        group = [entry] if isinstance(entry, WaveletSpec) else list(entry)
-        if len(group) not in (1, grid.n_carriers):
-            raise ValueError("per-position specs must cover every carrier")
+    if any(len(g) not in (1, grid.n_carriers) for g in groups):
+        raise ValueError("per-position specs must cover every carrier")
+    family = groups[0][0].family
+    for group, rho in zip(groups, scales):
         for s in group:
-            if family is None:
-                family = s.family
             if s.family != family:
                 raise ValueError("all kernel specs must share one family")
             if abs(s.rho - rho) > 1e-12 * rho:
                 raise ValueError("kernel scale %.6g does not match the "
                                  "scale sequence entry %.6g" % (s.rho, rho))
-        if len(group) == 1:
-            taus.append(float(group[0].tau))
-        else:
-            taus.append(np.array([s.tau for s in group]))
-    return family, taus
+    return family, [float(g[0].tau) if len(g) == 1
+                    else np.array([s.tau for s in g]) for g in groups]
 
 
 def forward_transform(f, specs, grid, scales):
@@ -223,11 +200,14 @@ def forward_transform(f, specs, grid, scales):
     l_band = table.l_band
     plan = BandPlan(l_band, grid.axial_angles)
     n_axial = len(grid.axial_angles)
+    weights = [plan.weights(t, grid.n_carriers) / (4.0 * np.pi) for t in taus]
     values = [np.zeros((grid.n_carriers, n_axial), dtype=complex)
               for _ in scales]
-    for j, cells, phis, beta, _ in plan.groups(grid, family, scales, taus):
-        values[j][cells] = (plan.carried(phis) * table.values @ beta.T
-                            @ plan.axial_phase / (4.0 * np.pi))
+    for theta, idx, phis, _ in grid.bands:
+        signal = plan.carried(phis) * table.values
+        for j, rho in enumerate(scales):
+            d = signal @ plan.beta(theta, family, rho).T
+            values[j][idx] = (d * weights[j][idx]) @ plan.axial_phase
     k_need = min(l_band, default_k_cut(max(float(np.max(t)) for t in taus)))
     if k_need % 2 == 0:
         k_need -= 1
@@ -241,12 +221,17 @@ def adjoint_transform(coeffs):
     """Weighted synthesis sum: the frame image S f when coeffs came from f."""
     grid = coeffs.grid
     plan = BandPlan(coeffs.l_band, grid.axial_angles)
+    back = np.conj(plan.axial_phase).T / (4.0 * np.pi)
+    weighted = [coeffs.values[j] * coeffs.weights(j)
+                for j in range(len(coeffs.scales))]
+    weights = [plan.weights(t, grid.n_carriers) for t in coeffs.taus]
     out = CoefficientTable(coeffs.l_band)
-    for j, cells, phis, beta, _ in plan.groups(
-            grid, coeffs.family, coeffs.scales, coeffs.taus):
-        d = (coeffs.values[j][cells] * coeffs.weights(j)[cells]
-             @ np.conj(plan.axial_phase).T / (4.0 * np.pi))
-        out.values += np.sum(plan.carried(-phis) * (d @ np.conj(beta)), axis=0)
+    for theta, idx, phis, _ in grid.bands:
+        acc = 0.0
+        for j, rho in enumerate(coeffs.scales):
+            acc = acc + ((weighted[j][idx] @ back) * weights[j][idx]
+                         @ plan.beta(theta, coeffs.family, rho))
+        out.values += np.sum(plan.carried(-phis) * acc, axis=0)
     return out
 
 
@@ -278,11 +263,12 @@ def frame_matrix(family, taus, grid, scales, l_band):
     """Dense frame operator S on coefficient tables.
 
     taus[j] is the selectivity of scale j, one value or one per carrier.
-    The cells of a band that share a selectivity share the kernel factor
-    beta^H G beta (G the axial Gram matrix).  The Hadamard factor
-    multiplying it, measure * sum_c e^{i (m' - m) phi_c}, depends only on
-    m' - m in [-2 l_band, 2 l_band], so it is gathered from one phase sum
-    over the cells' longitudes.
+    The cells of a band that share a selectivity share the real kernel
+    factor beta^T diag(w) G diag(w) beta (G the axial Gram matrix, w the
+    window weights).  The Hadamard factor multiplying it,
+    measure * sum_c e^{i (m' - m) phi_c}, depends only on m' - m in
+    [-2 l_band, 2 l_band], so it is gathered from one phase sum over the
+    cells' longitudes.
     """
     plan = BandPlan(l_band, grid.axial_angles)
     ks = plan.ks
@@ -291,13 +277,21 @@ def frame_matrix(family, taus, grid, scales, l_band):
     offsets = np.arange(-2 * l_band, 2 * l_band + 1)
     diff_at = plan.m_of[None, :] - plan.m_of[:, None] + 2 * l_band
     weight = scales.log_step / (16.0 * np.pi ** 2)
+    weights = [plan.weights(t, grid.n_carriers) for t in taus]
     s = np.zeros(diff_at.shape, dtype=complex)
-    for _, _, phis, beta, measure in plan.groups(grid, family, scales, taus):
-        phase_sum = np.exp(1j * np.outer(offsets, phis)).sum(axis=1)
-        # in place: fresh n x n temporaries cost more than the products
-        term = beta.conj().T @ axial_gram @ beta
-        term *= ((weight * measure) * phase_sum)[diff_at]
-        s += term
+    for theta, idx, phis, measure in grid.bands:
+        for j, rho in enumerate(scales):
+            beta = plan.beta(theta, family, rho)
+            band_taus = np.broadcast_to(taus[j], grid.n_carriers)[idx]
+            for tau in np.unique(band_taus):
+                rows = band_taus == tau
+                w = weights[j][idx[rows][0]]
+                cells = phis[rows]
+                phase_sum = np.exp(1j * np.outer(offsets, cells)).sum(axis=1)
+                # in place: fresh n x n temporaries cost more than the products
+                hadamard = ((weight * measure) * phase_sum)[diff_at]
+                hadamard *= beta.T @ ((w[:, None] * axial_gram * w) @ beta)
+                s += hadamard
     return s
 
 
@@ -314,8 +308,11 @@ def reconstruct(coeffs, cfg=None):
     s = frame_matrix(coeffs.family, coeffs.taus, coeffs.grid,
                      coeffs.scales, l_band)
     rhs = adjoint_transform(coeffs).values
-    rows = [_kernel_matrix(coeffs.family, float(rho), float(t), l_band)
-            for rho, ts in zip(coeffs.scales, coeffs.taus) for t in np.unique(ts)]
+    # the sharpest window reaches the highest order (default_k_cut grows)
+    tau_max = max(float(np.max(t)) for t in coeffs.taus)
+    k_used = window_weights(tau_max, l_band) != 0.0
+    rows = [_kernel_matrix(coeffs.family, float(rho), l_band)[:, k_used]
+            for rho in coeffs.scales]
     active = np.where(np.any(rows, axis=(0, 2))[l_of])[0]
     sa = s[np.ix_(active, active)]
     b = rhs[active]

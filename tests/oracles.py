@@ -14,21 +14,31 @@ forms of the kernel profiles, the profiles rebuilt from their P_l^1
 expansion, and the scale integral of a coefficient polynomial summed
 term by term, one power of r per degree, as the library did before it
 evaluated the polynomial by Horner's scheme, and the matched filter's
-former one-candidate-at-a-time argmax.
+former one-candidate-at-a-time argmax.  The last section keeps the
+per-selectivity construction that the steerable band operator replaced:
+the kernel coefficient with tau inside its formula, its per-(l, k)
+table loop, the complex flat tilt quadrature, and the forward
+transform, adjoint, scan, select and refine built on one complex band
+matrix per selectivity.
 """
 
 from math import fsum
 
 import numpy as np
 
-from sphwave.admissibility import default_quadrature
-from sphwave.profiles import _check_rho, expansion_coefficient_fn
-from sphwave.sphfn import (SphericalSignal, analyze_signal, coef_index,
-                           default_grid_spec, degree_orders, grid_phis,
-                           legendre_P_all, legendre_rows, make_colat_grid,
-                           normalized_assoc_column)
+from functools import lru_cache
+
+from sphwave.admissibility import (_coefficient_polynomial, default_k_cut,
+                                   default_quadrature)
+from sphwave.multiselect import TIE_MARGIN, _pick
+from sphwave.profiles import (WaveletSpec, _check_rho, angular_coefficient,
+                              expansion_coefficient_fn, wavelet_norm_sq)
+from sphwave.sphfn import (CoefficientTable, SphericalSignal, analyze_signal,
+                           coef_index, default_grid_spec, degree_orders,
+                           grid_phis, legendre_P_all, legendre_rows,
+                           make_colat_grid, normalized_assoc_column)
 from sphwave.so3 import sphere_points, tilt_rotation
-from sphwave.transform import _kernel_matrix, _odd_orders, _tilt_blocks
+from sphwave.transform import BandPlan, _normalize_specs, _tilt_blocks
 
 
 def band_partition(grid):
@@ -41,6 +51,10 @@ def band_partition(grid):
         bands[-1][3].append(cell.phi)
     return [(theta, np.array(idx), np.array(phis), measure)
             for (_, theta, idx, phis, measure) in bands]
+
+
+def odd_orders(l_band):
+    return np.array([k for k in range(-l_band, l_band + 1) if k % 2 != 0])
 
 
 def degree_blocks(flat):
@@ -83,7 +97,7 @@ def frame_matrix(family, taus, grid, scales, l_band):
     """
     n = (l_band + 1) ** 2
     l_of, m_of = degree_orders(l_band)
-    ks = _odd_orders(l_band)
+    ks = odd_orders(l_band)
     n_axial = len(grid.axial_angles)
     axial_gram = 2.0 * np.pi * ((ks[:, None] - ks[None, :]) % n_axial == 0)
     dm = m_of[None, :] - m_of[:, None]
@@ -100,7 +114,7 @@ def frame_matrix(family, taus, grid, scales, l_band):
         hadamard = (measure * n_cells
                     * np.exp(1j * dm * np.pi / n_cells) * (dm % n_cells == 0))
         for j, rho in enumerate(scales):
-            kern = _kernel_matrix(family, float(rho), float(taus[j]), l_band)
+            kern = kernel_matrix(family, float(rho), float(taus[j]), l_band)
             beta = tilt_part * np.conj(kern[l_of[None, :],
                                             ks[:, None] + l_band])
             core = beta.conj().T @ axial_gram @ beta
@@ -119,7 +133,7 @@ def adaptive_frame_matrix(coeffs):
     grid = coeffs.grid
     n = (l_band + 1) ** 2
     l_of, m_of = degree_orders(l_band)
-    ks = _odd_orders(l_band)
+    ks = odd_orders(l_band)
     n_axial = len(grid.axial_angles)
     axial_gram = 2.0 * np.pi * ((ks[:, None] - ks[None, :]) % n_axial == 0)
     s = np.zeros((n, n), dtype=complex)
@@ -137,8 +151,8 @@ def adaptive_frame_matrix(coeffs):
                          else np.asarray(tau_j)[idx])
             for tau in np.unique(band_taus):
                 sub = phis[band_taus == tau]
-                kern = _kernel_matrix(coeffs.family, float(rho), float(tau),
-                                      l_band)
+                kern = kernel_matrix(coeffs.family, float(rho), float(tau),
+                                     l_band)
                 beta = tilt_part * np.conj(kern[l_of[None, :],
                                                 ks[:, None] + l_band])
                 core = beta.conj().T @ axial_gram @ beta
@@ -342,3 +356,203 @@ def sequential_pick(values, taus, angles, tol):
                 best = row[ia]
                 pick = (it, ia)
     return taus[pick[0]], angles[pick[1]], values[pick]
+
+
+# ---------------------------------------------------------------------------
+# the former per-selectivity kernels and band operator
+
+def wavelet_coefficient(spec, l, k):
+    """Kernel coefficient with tau inside the formula, as the library
+    computed it before it factored out the window coefficient."""
+    if abs(k) > l:
+        raise IndexError("order exceeds degree")
+    if k % 2 == 0:
+        return 0.0j
+    ka = abs(k)
+    tau, rho, r = spec.tau, spec.rho, spec.r
+    if ka == 1:
+        coef = expansion_coefficient_fn(spec.family)(l, r)
+        val = (-rho / (tau * np.pi)
+               * np.sqrt(l * (l + 1) / (2.0 * (2 * l + 1)))
+               * coef * np.exp(-1.0 / (2.0 * tau * tau)))
+    else:
+        degs, coefs = _coefficient_polynomial(spec.family, l, ka)
+        acc = 0.0
+        for n, c in zip(degs, coefs):
+            acc += c * r ** n
+        val = ((-1.0) ** ka * angular_coefficient(tau, ka)
+               * rho / (4.0 * np.pi) * acc)
+    return complex(val)
+
+
+def wavelet_coefficient_table(spec, l_band, k_cut=None):
+    """CoefficientTable of the kernel's coefficients up to l_band."""
+    if k_cut is None:
+        k_cut = default_k_cut(spec.tau)
+    values = np.zeros((l_band + 1) ** 2, dtype=complex)
+    table = CoefficientTable(l_band, values)
+    for l in range(1, l_band + 1):
+        for k in range(1, min(l, k_cut) + 1, 2):
+            v = wavelet_coefficient(spec, l, k)
+            table.set(l, k, v)
+            table.set(l, -k, v)
+    return table
+
+
+@lru_cache(maxsize=None)
+def kernel_matrix(family, rho, tau, l_band):
+    """Kernel coefficients as a dense (l, k) matrix, index [l, k + l_band]."""
+    table = wavelet_coefficient_table(WaveletSpec(family, rho, tau), l_band)
+    mat = np.zeros((l_band + 1, 2 * l_band + 1), dtype=complex)
+    l_of, m_of = degree_orders(l_band)
+    mat[l_of, m_of + l_band] = table.values
+    return mat
+
+
+@lru_cache(maxsize=None)
+def tilt_blocks_flat(theta_key, l_band):
+    """Flat tilt blocks by the same quadrature as the library, kept
+    complex: the imaginary part is the quadrature's roundoff."""
+    theta = float(theta_key)
+    spec = default_grid_spec(l_band)
+    colat = make_colat_grid(spec.n_theta)
+    tt, pp = np.meshgrid(colat.nodes, grid_phis(spec), indexing="ij")
+    xyz = np.tensordot(tilt_rotation(theta).T, sphere_points(tt, pp), axes=1)
+    ct = np.clip(xyz[0], -1.0, 1.0)
+    ph = np.arctan2(xyz[2], xyz[1])
+    l_of, m_of = degree_orders(l_band)
+    proj = (legendre_rows(colat.cos_nodes, l_band) * colat.weights
+            * (2.0 * np.pi / spec.n_phi))
+    flat = np.zeros(((l_band + 1) ** 2, 2 * l_band + 1), dtype=complex)
+    for k in range(-l_band, l_band + 1):
+        ka = abs(k)
+        col = normalized_assoc_column(ka, ct, l_band)
+        spectra = np.fft.fft(col * ((-1.0) ** ka * np.exp(1j * k * ph)),
+                             axis=-1)
+        rows = l_of >= ka
+        flat[rows, k + l_band] = np.sum(
+            proj[rows] * spectra[l_of[rows] - ka, :, m_of[rows] % spec.n_phi],
+            axis=1)
+    return flat
+
+
+def tau_beta(theta, family, rho, tau, l_band):
+    """Complex band matrix conj(T^l[m, k] Psi_l^k(tau)) of one selectivity."""
+    ks = odd_orders(l_band)
+    l_of, _ = degree_orders(l_band)
+    tilt = tilt_blocks_flat(round(theta, 12), l_band)[:, ks + l_band]
+    kern = kernel_matrix(family, float(rho), float(tau), l_band)
+    return np.conj(tilt.T * kern[l_of[None, :], ks[:, None] + l_band])
+
+
+def _tau_groups(grid, taus_j, idx):
+    band_taus = np.broadcast_to(taus_j, grid.n_carriers)[idx]
+    for tau in np.unique(band_taus):
+        yield tau, band_taus == tau
+
+
+def forward_per_tau(f, specs, grid, scales):
+    """Coefficient arrays per scale, one band product per selectivity."""
+    family, taus = _normalize_specs(specs, grid, scales)
+    table = analyze_signal(f)
+    plan = BandPlan(table.l_band, grid.axial_angles)
+    values = [np.zeros((grid.n_carriers, len(grid.axial_angles)),
+                       dtype=complex) for _ in scales]
+    for theta, idx, phis, _ in grid.bands:
+        for j, rho in enumerate(scales):
+            for tau, rows in _tau_groups(grid, taus[j], idx):
+                beta = tau_beta(theta, family, rho, tau, table.l_band)
+                values[j][idx[rows]] = (plan.carried(phis[rows])
+                                        * table.values @ beta.T
+                                        @ plan.axial_phase / (4.0 * np.pi))
+    return values
+
+
+def adjoint_per_tau(coeffs):
+    """Flat coefficients of the adjoint, one band product per selectivity."""
+    grid = coeffs.grid
+    plan = BandPlan(coeffs.l_band, grid.axial_angles)
+    out = np.zeros((coeffs.l_band + 1) ** 2, dtype=complex)
+    for theta, idx, phis, _ in grid.bands:
+        for j, rho in enumerate(coeffs.scales):
+            for tau, rows in _tau_groups(grid, coeffs.taus[j], idx):
+                beta = tau_beta(theta, coeffs.family, rho, tau, coeffs.l_band)
+                cells = idx[rows]
+                d = (coeffs.values[j][cells] * coeffs.weights(j)[cells]
+                     @ np.conj(plan.axial_phase).T / (4.0 * np.pi))
+                out += np.sum(plan.carried(-phis[rows])
+                              * (d @ np.conj(beta)), axis=0)
+    return out
+
+
+def landscape_per_tau(plan, carried, theta, family, rho, taus):
+    """Normalized correlation per (tau, cell, axial angle) in one band."""
+    out = np.empty((len(taus), len(carried), plan.axial_phase.shape[1]))
+    for it, tau in enumerate(taus):
+        beta = tau_beta(theta, family, rho, tau, plan.l_band)
+        norm = np.sqrt(wavelet_norm_sq(WaveletSpec(family, rho, tau)))
+        out[it] = np.abs(carried @ beta.T @ plan.axial_phase) / norm
+    return out
+
+
+def scan_per_tau(f, scales, grid, tsel, family):
+    """(tau_star, phi1_star, value) arrays, one landscape per selectivity."""
+    table = analyze_signal(f)
+    taus = tuple(tsel)
+    tol = TIE_MARGIN * np.sqrt(table.norm_sq())
+    out = np.empty((3, len(scales), grid.n_carriers))
+    plan = BandPlan(table.l_band, grid.axial_angles)
+    for theta, idx, phis, _ in grid.bands:
+        carried = plan.carried(phis) * table.values
+        for j, rho in enumerate(scales):
+            vals = landscape_per_tau(plan, carried, theta, family, rho, taus)
+            out[:, j, idx] = _pick(vals, taus, grid.axial_angles, tol)
+    return out
+
+
+def select_per_tau(f, scales, j, alpha2, tsel, grid, family):
+    table = analyze_signal(f)
+    cell = grid.cells[alpha2]
+    plan = BandPlan(table.l_band, grid.axial_angles)
+    carried = plan.carried(np.array([cell.phi])) * table.values
+    vals = landscape_per_tau(plan, carried, cell.theta, family, scales[j],
+                             tuple(tsel))
+    tol = TIE_MARGIN * np.sqrt(table.norm_sq())
+    tau, phi1, value = _pick(vals, tuple(tsel), grid.axial_angles, tol)
+    return float(tau[0]), phi1[0], value[0]
+
+
+def refine_per_tau(f, scales, j, alpha2, tsel, grid, family, tol=1e-4):
+    """Golden-section refinement, rebuilding the band matrix per score."""
+    tau0, phi1, _ = select_per_tau(f, scales, j, alpha2, tsel, grid, family)
+    table = analyze_signal(f)
+    cell = grid.cells[alpha2]
+    taus = tuple(tsel)
+    i0 = taus.index(tau0)
+    lo = taus[i0 - 1] if i0 > 0 else max(1.0, taus[0])
+    hi = taus[i0 + 1] if i0 + 1 < len(taus) else tsel.tau_cap
+    plan = BandPlan(table.l_band, np.array([phi1]))
+    carried = plan.carried(np.array([cell.phi])) * table.values
+
+    def score(tau):
+        v = landscape_per_tau(plan, carried, cell.theta, family, scales[j],
+                              (tau,))
+        return float(v[0, 0, 0])
+
+    gr = 0.5 * (np.sqrt(5.0) - 1.0)
+    a, b = lo, hi
+    c, d = b - gr * (b - a), a + gr * (b - a)
+    fc, fd = score(c), score(d)
+    for _ in range(60):
+        if b - a < tol * max(1.0, a):
+            break
+        if fc < fd:
+            a, c, fc = c, d, fd
+            d = a + gr * (b - a)
+            fd = score(d)
+        else:
+            b, d, fd = d, c, fc
+            c = b - gr * (b - a)
+            fc = score(c)
+    tau = 0.5 * (a + b)
+    return tau, phi1, score(tau)

@@ -18,8 +18,9 @@ from sphwave.admissibility import (RhoQuadrature, _cached_quadrature,
                                    _poly_scale_integral, _scale_integral)
 from sphwave.profiles import WaveletSpec, angular_coefficient, evaluate_wavelet
 from sphwave.sphfn import (SphericalSignal, analyze_signal, default_grid_spec,
-                           grid_phis, make_colat_grid)
+                           degree_orders, grid_phis, make_colat_grid)
 
+import oracles
 from oracles import expansion_scale_integral, poly_scale_integral
 
 # scale integrals of the squared degree-l coefficient polynomial at order 1,
@@ -168,6 +169,23 @@ def test_coefficient_table_and_guards():
     with pytest.raises(IndexError):
         wavelet_coefficient(spec_w, 3, 5)
     assert wavelet_coefficient(spec_w, 4, 2) == 0.0j
+
+
+def test_steerable_table_matches_per_coefficient_loop():
+    # the table is w(tau) * P with one tau-free P per (family, rho); the
+    # reference evaluates every (l, k) with tau inside the formula
+    l_band = 20
+    _, k = degree_orders(l_band)
+    for fam in ("omega", "upsilon"):
+        for rho in (0.25, 0.5, 1.0):
+            for tau in (1.0, 1.37, 2.0, 4.0, 5.0, 8.0, 11.3, 16.0):
+                spec_w = WaveletSpec(fam, rho, tau)
+                got = wavelet_coefficient_table(spec_w, l_band).values
+                ref = oracles.wavelet_coefficient_table(spec_w, l_band).values
+                assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref)), \
+                    (fam, rho, tau)
+                assert np.all(got[np.abs(k) > default_k_cut(tau)] == 0.0)
+    assert default_k_cut(1.0) < l_band
 
 
 def test_default_k_cut():

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from sphwave import multiselect
+from sphwave import admissibility, multiselect, transform
 from sphwave.admissibility import wavelet_coefficient_table
 from sphwave.multiselect import (SelectivitySet, adaptive_analysis,
                                  budget_discretization, calibrate_budget,
@@ -18,6 +18,7 @@ from sphwave.so3 import make_rotation, make_scale_sequence, make_so3_grid
 from sphwave.transform import forward_transform, reconstruct, \
     rotate_coefficients
 
+import oracles
 from oracles import sequential_pick
 
 SCALES = make_scale_sequence(1.0, 0.5, 1)
@@ -226,6 +227,70 @@ def test_scan_norm_quadrature_once_per_scale(monkeypatch):
     selectivity_scan(f, scales, grid, tsel)
     assert len(calls) == len(scales), len(calls)
     assert len(grid.bands) > 1
+
+
+def test_selection_matches_per_tau_path():
+    # every selectivity reweights one tau-free correlation per (band,
+    # scale); the reference rebuilds the band matrix per selectivity
+    tsel = SelectivitySet()
+    for fam, l_band, grid in (("omega", 16, GRID),
+                              ("upsilon", 16, GRID),
+                              ("upsilon", 8, make_so3_grid(0.8, 0.5))):
+        # a planted kernel between two set members, plus weak noise
+        plant = _planted(l_band, WaveletSpec(fam, 1.0, 5.0), 40, PHI1).values
+        noise = analyze_signal(_random_signal(l_band, 7)).values
+        f = _signal(CoefficientTable(l_band, plant + 0.01 * np.max(
+            np.abs(plant)) * noise))
+        smap = selectivity_scan(f, SCALES, grid, tsel, fam)
+        ref = oracles.scan_per_tau(f, SCALES, grid, tsel, fam)
+        assert np.array_equal(smap.tau_star, ref[0]), fam
+        assert np.array_equal(smap.phi1_star, ref[1]), fam
+        assert np.all(np.abs(smap.value - ref[2]) <= 1e-13 * ref[2]), fam
+        for j, alpha2 in ((0, 40), (1, 40), (0, 3), (1, 17)):
+            got = select_tau(f, SCALES, j, alpha2, tsel, grid, fam)
+            want = oracles.select_per_tau(f, SCALES, j, alpha2, tsel, grid,
+                                          fam)
+            assert got[:2] == want[:2], (fam, j, alpha2)
+            assert abs(got[2] - want[2]) <= 1e-13 * want[2], (fam, alpha2)
+            got = refine_tau(f, SCALES, j, alpha2, tsel, grid, fam)
+            want = oracles.refine_per_tau(f, SCALES, j, alpha2, tsel, grid,
+                                          fam)
+            assert got[:2] == want[:2], (fam, j, alpha2)
+            assert abs(got[2] - want[2]) <= 1e-13 * want[2], (fam, alpha2)
+
+
+def test_refine_builds_no_kernel_table(monkeypatch):
+    # the selectivity enters as a window weight only: once the scale's
+    # tau-free table exists, fresh continuous tau cost no coefficients
+    tsel = SelectivitySet()
+    f = _signal(_planted(16, WaveletSpec("omega", 1.0, 5.0), 40, PHI1))
+    refine_tau(f, SCALES, 0, 40, tsel, GRID)
+    calls = []
+    for name in ("wavelet_coefficient", "_profile_coefficient"):
+        original = getattr(admissibility, name)
+        monkeypatch.setattr(admissibility, name,
+                            lambda *a, _f=original: calls.append(1) or _f(*a))
+    # a tighter tolerance visits tau the first call never evaluated
+    tau, _, _ = refine_tau(f, SCALES, 0, 40, tsel, GRID, tol=1e-7)
+    assert abs(tau - 5.0) < 5e-3
+    assert not calls, len(calls)
+
+
+def test_scan_beta_once_per_band_and_scale(monkeypatch):
+    grid = make_so3_grid(0.8, 0.5)
+    f = _random_signal(8, 3)
+    tsel = SelectivitySet()
+    selectivity_scan(f, SCALES, grid, tsel)
+    calls = []
+    beta = transform.BandPlan.beta
+
+    def counted(self, *args):
+        calls.append(args)
+        return beta(self, *args)
+
+    monkeypatch.setattr(transform.BandPlan, "beta", counted)
+    selectivity_scan(f, SCALES, grid, tsel)
+    assert len(calls) == len(grid.bands) * len(SCALES), len(calls)
 
 
 def test_two_feature_signal_prefers_sharper():

@@ -120,6 +120,18 @@ def test_grid_partition_properties():
             > make_so3_grid(0.4, 0.5).n_carriers)
 
 
+def test_grid_measures_built_once():
+    # the per-carrier measures are stored by the grid, not rebuilt from
+    # the cells on each access, and no caller can overwrite them
+    grid = make_so3_grid(0.4, 0.5)
+    m = grid.measures
+    assert grid.measures is m
+    assert not m.flags.writeable
+    assert np.array_equal(m, [c.measure for c in grid.cells])
+    with pytest.raises(ValueError):
+        m[0] = 1.0
+
+
 def test_grid_bands_match_cell_partition():
     # the stored bands equal the cells regrouped by latitude band
     for delta2, delta1 in ((np.pi, np.pi), (0.8, 0.5), (0.4, 0.2),

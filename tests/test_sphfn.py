@@ -118,6 +118,27 @@ def test_colat_grid_properties():
     assert np.all((g.nodes > 0) & (g.nodes < np.pi))
 
 
+def test_colat_grid_cached(monkeypatch):
+    # Gauss-Legendre nodes are computed once per node count and shared
+    # read-only by every synthesis at that band limit
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counted(n):
+        calls.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    make_colat_grid.cache_clear()
+    table = CoefficientTable(6, np.ones(49, dtype=complex))
+    a = synthesize_signal(table, default_grid_spec(6))
+    b = synthesize_signal(table, default_grid_spec(6))
+    assert calls == [7]
+    assert a.colat is b.colat
+    assert not a.colat.nodes.flags.writeable
+    assert not a.colat.weights.flags.writeable
+
+
 def test_coef_index_and_table():
     assert coef_index(0, 0) == 0
     assert coef_index(1, -1) == 1

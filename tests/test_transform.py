@@ -70,6 +70,54 @@ def test_tilt_blocks_unitary():
         assert np.max(np.abs(gram - np.eye(2 * l + 1))) < 1e-13, l
 
 
+def test_tilt_blocks_real():
+    # the blocks are real Wigner d-matrices: the library keeps the real
+    # part of the projection, and the complex quadrature's imaginary
+    # part is roundoff
+    rng = np.random.default_rng(43)
+    for l_band in (4, 8, 16, 32):
+        for theta in np.round(rng.uniform(0.0, np.pi, 2), 12):
+            flat = _tilt_blocks(theta, l_band)
+            ref = oracles.tilt_blocks_flat(theta, l_band)
+            assert flat.dtype == np.float64
+            assert np.max(np.abs(ref.imag)) <= 1e-13, (l_band, theta)
+            assert np.max(np.abs(flat - ref.real)) <= 1e-14, (l_band, theta)
+
+
+def _split_taus(grid, pattern):
+    # per-carrier selectivities that change within latitude bands
+    th, ph = grid.carrier_thetas, grid.carrier_phis
+    if pattern == 0:
+        return np.where(np.cos(ph) > 0.0, 2.0, np.where(th < 1.5, 8.0, 1.37))
+    return np.where(np.sin(2.0 * ph) > 0.3, 16.0, np.where(th > 1.0, 5.0, 1.0))
+
+
+def test_steerable_operator_matches_per_tau_path():
+    # one tau-free band product per (band, scale), rows weighted per
+    # carrier, against one complex band product per selectivity
+    for fam, l_band, delta in (("omega", 8, 0.5), ("upsilon", 8, 0.5),
+                               ("omega", 16, 0.3), ("upsilon", 16, 0.3)):
+        grid = make_so3_grid(delta, delta)
+        f = _signal(_random_table(l_band, 71 + l_band))
+        specs = [tuple(WaveletSpec(fam, rho, t)
+                       for t in _split_taus(grid, j))
+                 for j, rho in enumerate(SCALES)]
+        for spec in (specs, uniform_specs(fam, 5.0, SCALES)):
+            coeffs = forward_transform(f, spec, grid, SCALES)
+            ref = oracles.forward_per_tau(f, spec, grid, SCALES)
+            for got, want in zip(coeffs.values, ref):
+                assert (np.max(np.abs(got - want))
+                        <= 1e-13 * np.max(np.abs(want))), (fam, l_band)
+            adj = adjoint_transform(coeffs).values
+            want = oracles.adjoint_per_tau(coeffs)
+            assert (np.max(np.abs(adj - want))
+                    <= 1e-13 * np.max(np.abs(want))), (fam, l_band)
+            s = frame_matrix(fam, coeffs.taus, grid, SCALES, l_band)
+            want = oracles.adaptive_frame_matrix(coeffs)
+            assert (np.max(np.abs(s - want))
+                    <= 1e-13 * np.max(np.abs(want))), (fam, l_band)
+
+
 def test_forward_matches_spatial_quadrature():
     # independent check: rotate the kernel pointwise and integrate the
     # product with the signal on a quadrature grid resolving the kernel
