@@ -4,14 +4,14 @@ from .sphfn import (CoefficientTable, ColatGrid, SphericalGridSpec,
                     SphericalSignal, analyze_signal, coef_index,
                     default_grid_spec, grid_phis, make_colat_grid,
                     spherical_harmonic, synthesize_signal)
-from .profiles import (FAMILIES, FAMILY_ORDER, AngularWindow, WaveletSpec,
-                       angular_coefficient, angular_window, dog_window,
-                       evaluate_wavelet, omega_profile, poisson_kernel,
-                       upsilon_profile, wavelet_norm_sq)
+from .profiles import (FAMILIES, FAMILY_ORDER, WaveletSpec,
+                       angular_coefficient, angular_window, default_k_cut,
+                       dog_window, evaluate_wavelet, omega_profile,
+                       poisson_kernel, upsilon_profile, wavelet_norm_sq)
 from .admissibility import (AdmissibilityReport, admissibility_integral,
                             admissibility_report, analytic_upper_bound,
-                            coefficient_upper_bound, default_k_cut,
-                            wavelet_coefficient, wavelet_coefficient_table)
+                            coefficient_upper_bound, wavelet_coefficient,
+                            wavelet_coefficient_table)
 from .so3 import (GridCell, Rotation, ScaleSequence, SO3Grid, make_rotation,
                   make_scale_sequence, make_so3_grid)
 from .transform import (FrameConvergenceError, FrameOperatorConfig,
@@ -33,7 +33,7 @@ __all__ = [
     "CoefficientTable", "ColatGrid", "SphericalGridSpec", "SphericalSignal",
     "analyze_signal", "coef_index", "default_grid_spec", "grid_phis",
     "make_colat_grid", "spherical_harmonic", "synthesize_signal",
-    "FAMILIES", "FAMILY_ORDER", "AngularWindow", "WaveletSpec",
+    "FAMILIES", "FAMILY_ORDER", "WaveletSpec",
     "angular_coefficient", "angular_window", "dog_window",
     "evaluate_wavelet", "omega_profile", "poisson_kernel", "upsilon_profile",
     "wavelet_norm_sq",

@@ -5,8 +5,10 @@ coefficients factor as
 
     Psi_l^k = (-1)^|k| c_k(tau) * int Q_l^|k|(theta) profile(theta) sin dtheta
 
-with c_k the window coefficient (zero for even k). The profile is a series
-sum_n w_n r^n sin^5(theta) P_n(cos theta), so the theta integral is a
+with c_k the window coefficient (zero for even k). The kernel itself is
+defined in profiles: the window coefficients, their cut default_k_cut and
+the series weights w_n of the profile sum_n w_n r^n sin^5(theta)
+P_n(cos theta) are all taken from there. The theta integral is a
 polynomial in r = exp(-rho) with coefficients w_n H[n, l, k], where
 
     H[n, l, k] = int_{-1}^{1} (1 - t^2)^{5/2} P_n(t) Q_l^k(t) dt.
@@ -25,8 +27,9 @@ import numpy as np
 
 from .sphfn import (CoefficientTable, degree_orders, legendre_P_all,
                     normalized_assoc_column)
-from .profiles import FAMILIES, FAMILY_ORDER, angular_coefficient, \
-    expansion_coefficient_fn
+from .profiles import (FAMILIES, FAMILY_ORDER, _series_weight,
+                       angular_coefficient, default_k_cut,
+                       expansion_coefficient_fn, window_weights)
 
 # low-degree energy above this is reported as a violated vanishing condition
 VANISH_TOL = 1e-10
@@ -131,13 +134,6 @@ def _moment_matrix(k, cap):
     return H
 
 
-def _source_weight(family, n):
-    # series weights of the profile: (2n+1) n^2 resp. (2n+1) n (n-1)
-    if family == "omega":
-        return (2 * n + 1) * n * n
-    return (2 * n + 1) * n * (n - 1)
-
-
 @lru_cache(maxsize=None)
 def _coefficient_polynomial(family, l, k):
     """Degrees and coefficients of sum_n w_n H[n,l,k] r^n over sources of l."""
@@ -146,7 +142,7 @@ def _coefficient_polynomial(family, l, k):
     degs, coefs = [], []
     start = 1 if l % 2 == 0 else 2
     for n in range(start, l + 6, 2):
-        w = _source_weight(family, n)
+        w = _series_weight(family, n)
         if w == 0:
             continue
         degs.append(n)
@@ -218,20 +214,6 @@ def _kernel_matrix(family, rho, l_band):
     return mat
 
 
-def window_weights(taus, l_band, k_cut=None):
-    """Window coefficients w_k(tau) for k in [-l_band, l_band]: c_|k|(tau)
-    at odd |k| <= k_cut (default_k_cut(tau)), zero elsewhere.  One row per
-    entry of taus (a scalar, or an array of any shape)."""
-    uniq, inverse = np.unique(np.asarray(taus, dtype=float),
-                              return_inverse=True)
-    rows = np.zeros((len(uniq), 2 * l_band + 1))
-    for row, tau in zip(rows, uniq):
-        cut = default_k_cut(tau) if k_cut is None else k_cut
-        for k in range(1, min(l_band, cut) + 1, 2):
-            row[l_band + k] = row[l_band - k] = angular_coefficient(tau, k)
-    return rows[inverse].reshape(np.shape(taus) + (-1,))
-
-
 def wavelet_coefficient_table(spec, l_band, k_cut=None):
     """CoefficientTable of the kernel's coefficients up to l_band."""
     l_of, m_of = degree_orders(l_band)
@@ -242,14 +224,6 @@ def wavelet_coefficient_table(spec, l_band, k_cut=None):
 
 # ---------------------------------------------------------------------------
 # admissibility integrals
-
-def default_k_cut(tau):
-    """Smallest odd K with exp(-K^2/tau^2)/K below 1e-14 (Gaussian tail)."""
-    k = 1
-    while np.exp(-k * k / (tau * tau)) / k >= 1e-14:
-        k += 2
-    return k
-
 
 @lru_cache(maxsize=None)
 def _scale_integral(family, l, k):

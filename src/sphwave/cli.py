@@ -13,8 +13,7 @@ import numpy as np
 
 from .sphfn import (CoefficientTable, SphericalSignal, default_grid_spec,
                     grid_phis, make_colat_grid, synthesize_signal)
-from .profiles import (AngularWindow, FAMILIES, WaveletSpec,
-                       evaluate_wavelet)
+from .profiles import FAMILIES, WaveletSpec, angular_window, evaluate_wavelet
 from .admissibility import admissibility_report, wavelet_coefficient_table
 from .so3 import make_rotation, make_scale_sequence, make_so3_grid
 from .transform import (FrameConvergenceError, FrameOperatorConfig,
@@ -48,14 +47,13 @@ def cmd_profile(args):
     if args.samples < 1:
         raise ValueError("need at least one sample")
     phi = np.linspace(-0.5 * np.pi, 1.5 * np.pi, args.samples)
-    windows = [AngularWindow.build(t) for t in taus]
     with _open_out(args.out) as fh:
         fh.write("phi," + ",".join("f_%g" % t for t in taus) + "\n")
-        cols = [w.evaluate(phi) for w in windows]
+        cols = [angular_window(t, phi) for t in taus]
         for i, p in enumerate(phi):
             fh.write("%r" % float(p))
             for c in cols:
-                fh.write(",%r" % float(np.atleast_1d(c)[i]))
+                fh.write(",%r" % float(c[i]))
             fh.write("\n")
     return 0
 

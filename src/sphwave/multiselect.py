@@ -17,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sphfn import analyze_signal, degree_orders
-from .profiles import (AngularWindow, WaveletSpec, profile_dtheta_fn,
-                       profile_fn, wavelet_norm_sq)
-from .admissibility import _kernel_matrix, window_weights
+from .profiles import (WaveletSpec, _window_orders, angular_window,
+                       angular_window_dphi, profile_dtheta_fn, profile_fn,
+                       wavelet_norm_sq, window_weights)
+from .admissibility import _kernel_matrix
 from .transform import BandPlan, forward_transform
 
 DEFAULT_TAUS = (1.0, 2.0, 4.0, 8.0, 16.0)
@@ -93,12 +94,20 @@ def _band_landscape(plan, d, family, rho, taus):
     return np.abs(weighted @ plan.axial_phase) / norms[:, None, None]
 
 
-def _band_pick(plan, carried, theta, family, rho, taus, angles, tol):
-    """_pick over one band's landscape, from one tau-free correlation
-    carried @ beta.T that every selectivity reweights."""
-    d = carried @ plan.beta(theta, family, rho).T
-    return _pick(_band_landscape(plan, d, family, rho, taus), taus, angles,
-                 tol)
+def _carrier_pick(f, scales, j, alpha2, tsel, grid, family):
+    """select_tau's (tau, phi1, value) for one carrier from one analysis
+    of f, with the carrier's tau-free correlation row carried @ beta.T
+    and the band limit of f."""
+    table = analyze_signal(f)
+    cell = grid.cells[alpha2]
+    plan = BandPlan(table.l_band, grid.axial_angles)
+    corr = (plan.carried(np.array([cell.phi])) * table.values
+            @ plan.beta(cell.theta, family, scales[j]).T)
+    taus = tuple(tsel)
+    tau, phi1, value = _pick(
+        _band_landscape(plan, corr, family, scales[j], taus), taus,
+        grid.axial_angles, TIE_MARGIN * np.sqrt(table.norm_sq()))
+    return float(tau[0]), phi1[0], value[0], corr, table.l_band
 
 
 def select_tau(f, scales, j, alpha2, tsel, grid, family="omega"):
@@ -109,14 +118,7 @@ def select_tau(f, scales, j, alpha2, tsel, grid, family="omega"):
     of the maximum tie, and ties break toward the smaller tau, then the
     smaller angle.
     """
-    table = analyze_signal(f)
-    cell = grid.cells[alpha2]
-    plan = BandPlan(table.l_band, grid.axial_angles)
-    tau, phi1, value = _band_pick(
-        plan, plan.carried(np.array([cell.phi])) * table.values, cell.theta,
-        family, scales[j], tuple(tsel), grid.axial_angles,
-        TIE_MARGIN * np.sqrt(table.norm_sq()))
-    return float(tau[0]), phi1[0], value[0]
+    return _carrier_pick(f, scales, j, alpha2, tsel, grid, family)[:3]
 
 
 def selectivity_scan(f, scales, grid, tsel, family="omega"):
@@ -132,9 +134,10 @@ def selectivity_scan(f, scales, grid, tsel, family="omega"):
     for theta_b, idx, phis, _ in grid.bands:
         carried = plan.carried(phis) * table.values
         for j, rho in enumerate(scales):
-            tau_star[j, idx], phi1_star[j, idx], value[j, idx] = _band_pick(
-                plan, carried, theta_b, family, rho, taus, grid.axial_angles,
-                tol)
+            d = carried @ plan.beta(theta_b, family, rho).T
+            tau_star[j, idx], phi1_star[j, idx], value[j, idx] = _pick(
+                _band_landscape(plan, d, family, rho, taus), taus,
+                grid.axial_angles, tol)
     return SelectivityMap(family, tau_star, phi1_star, value, grid, scales)
 
 
@@ -144,18 +147,16 @@ def refine_tau(f, scales, j, alpha2, tsel, grid, family="omega",
 
     Keeps the winning axial angle fixed and searches the continuous
     bracket between the discrete winner's neighbors in the set.  Each
-    score reweights the carrier's tau-free correlation, O(k) work.
+    score reweights the carrier's tau-free correlation from the discrete
+    pick, O(k) work, so f is analyzed once.
     """
-    tau0, phi1, _ = select_tau(f, scales, j, alpha2, tsel, grid, family)
-    table = analyze_signal(f)
-    cell = grid.cells[alpha2]
+    tau0, phi1, _, corr, l_band = _carrier_pick(f, scales, j, alpha2, tsel,
+                                                grid, family)
     taus = tuple(tsel)
     i0 = taus.index(tau0)
     lo = taus[i0 - 1] if i0 > 0 else max(1.0, taus[0])
     hi = taus[i0 + 1] if i0 + 1 < len(taus) else tsel.tau_cap
-    plan = BandPlan(table.l_band, np.array([phi1]))
-    corr = (plan.carried(np.array([cell.phi])) * table.values
-            @ plan.beta(cell.theta, family, scales[j]).T)
+    plan = BandPlan(l_band, np.array([phi1]))
 
     def score(tau):
         v = _band_landscape(plan, corr, family, scales[j], (tau,))
@@ -202,17 +203,16 @@ def estimate_sup_norms(spec, n_theta=None, n_phi=None):
     longitude density default resolves the fastest retained oscillation
     with at least 8 samples per period.
     """
-    window = AngularWindow.build(spec.tau)
     if n_phi is None:
-        n_phi = max(256, 8 * int(window.odd_k[-1]))
+        n_phi = max(256, 8 * int(_window_orders(spec.tau)[-1]))
     if n_theta is None:
         n_theta = max(512, int(np.ceil(64.0 / min(1.0, spec.rho))))
     theta = (np.arange(n_theta) + 0.5) * (np.pi / n_theta)
     phi = np.arange(n_phi) * (2.0 * np.pi / n_phi)
     prof = profile_fn(spec.family)(spec.rho, theta)
     dprof = profile_dtheta_fn(spec.family)(spec.rho, theta)
-    win = window.evaluate(phi)
-    dwin = window.evaluate_dphi(phi)
+    win = angular_window(spec.tau, phi)
+    dwin = angular_window_dphi(spec.tau, phi)
     sup_psi = np.max(np.abs(prof)) * np.max(np.abs(win))
     grad_sq = (np.outer(dprof, win) ** 2
                + np.outer(prof / np.sin(theta), dwin) ** 2)

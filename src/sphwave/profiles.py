@@ -1,4 +1,4 @@
-"""Kernel construction: angular window, Poisson kernel, colatitude profiles.
+"""Kernel definition: angular window, Poisson kernel, colatitude profiles.
 
 The directional kernels are separable products of a colatitude profile and
 a difference-of-Gaussians angular window,
@@ -6,12 +6,15 @@ a difference-of-Gaussians angular window,
     Omega(theta, phi) = omega_rho(theta) * angular_window(tau, phi)
     Upsilon(theta, phi) = upsilon_rho(theta) * angular_window(tau, phi)
 
-where omega_rho comes from the first and upsilon_rho from the second
-radial derivative of the Poisson kernel, damped by sin^5(theta). Both
-profiles have an equivalent Legendre series and rational closed form, and
-an expansion in first-order associated Legendre functions whose
-coefficients (beta_l for omega, gamma_l for upsilon) are rational in l and
-polynomial in r = exp(-rho).
+The window is evaluated in its periodized form; its series, its odd-order
+Fourier coefficients and both cuts of them (_window_orders for the norm,
+default_k_cut for the kernel tables) are defined here only.  omega_rho
+comes from the first and upsilon_rho from the second radial derivative of
+the Poisson kernel, damped by sin^5(theta). Each profile is the series
+sum_n w_n r^n sin^5(theta) P_n with the weights of _series_weight, has a
+rational closed form, and an expansion in first-order associated Legendre
+functions whose coefficients (beta_l for omega, gamma_l for upsilon) are
+rational in l and polynomial in r = exp(-rho).
 """
 
 from dataclasses import dataclass
@@ -105,51 +108,38 @@ def angular_coefficient(tau, k):
     return 2.0 * np.sqrt(2.0 * np.pi) / tau * np.exp(-k * k / (2.0 * tau * tau))
 
 
-@dataclass
-class AngularWindow:
-    """Truncated coefficient series of the angular window (odd k only)."""
-    tau: float
-    odd_k: np.ndarray          # positive odd orders 1, 3, ..., k_max
-    coefficients: np.ndarray   # matching coefficient values
+def _window_orders(tau):
+    """Positive odd orders 1, 3, ..., k_max of the window's series: k is
+    kept while c_k >= 1e-16 c_1 or k <= tau."""
+    ks = []
+    k = 1
+    top = angular_coefficient(tau, 1)
+    while angular_coefficient(tau, k) >= 1e-16 * top or k <= tau:
+        ks.append(k)
+        k += 2
+    return np.array(ks)
 
-    @classmethod
-    def build(cls, tau):
-        ks, vals = [], []
-        k = 1
-        top = angular_coefficient(tau, 1)
-        while True:
-            c = angular_coefficient(tau, k)
-            if c < 1e-16 * top and k > tau:
-                break
-            ks.append(k)
-            vals.append(c)
-            k += 2
-        return cls(tau=tau, odd_k=np.array(ks), coefficients=np.array(vals))
 
-    def coefficient(self, k):
-        return angular_coefficient(self.tau, k)
+def default_k_cut(tau):
+    """Smallest odd K with exp(-K^2/tau^2)/K below 1e-14 (Gaussian tail)."""
+    k = 1
+    while np.exp(-k * k / (tau * tau)) / k >= 1e-14:
+        k += 2
+    return k
 
-    def window_norm_sq(self):
-        """int_0^{2pi} f^2 dphi = sum_k |c_k|^2 / (2 pi), both signs of k."""
-        return float(np.sum(self.coefficients ** 2) / np.pi)
 
-    def evaluate(self, phi):
-        """Pointwise series sum (dual formula to the periodization)."""
-        phi = np.asarray(phi, dtype=float)
-        acc = np.zeros_like(phi)
-        for k, c in zip(self.odd_k, self.coefficients):
-            acc += c * np.cos(k * phi)
-        v = acc / np.pi
-        return v if v.ndim else float(v)
-
-    def evaluate_dphi(self, phi):
-        """Derivative of the series sum with respect to the angle."""
-        phi = np.asarray(phi, dtype=float)
-        acc = np.zeros_like(phi)
-        for k, c in zip(self.odd_k, self.coefficients):
-            acc -= c * k * np.sin(k * phi)
-        v = acc / np.pi
-        return v if v.ndim else float(v)
+def window_weights(taus, l_band, k_cut=None):
+    """Window coefficients w_k(tau) for k in [-l_band, l_band]: c_|k|(tau)
+    at odd |k| <= k_cut (default_k_cut(tau)), zero elsewhere.  One row per
+    entry of taus (a scalar, or an array of any shape)."""
+    uniq, inverse = np.unique(np.asarray(taus, dtype=float),
+                              return_inverse=True)
+    rows = np.zeros((len(uniq), 2 * l_band + 1))
+    for row, tau in zip(rows, uniq):
+        cut = default_k_cut(tau) if k_cut is None else k_cut
+        for k in range(1, min(l_band, cut) + 1, 2):
+            row[l_band + k] = row[l_band - k] = angular_coefficient(tau, k)
+    return rows[inverse].reshape(np.shape(taus) + (-1,))
 
 
 # ---------------------------------------------------------------------------
@@ -286,19 +276,27 @@ def _p1_expansion(n):
     return {n + off: c / (2 * n + 1) for off, c in coeffs.items() if n + off >= 1}
 
 
-def _expansion_coefficient(l, r, source_weight):
-    """sum over source degrees n of w(n) (2n+1) r^n [coeff of P_l^1]."""
+def _series_weight(family, n):
+    """Weight w_n of r^n sin^5(theta) P_n in the family's profile series:
+    (2n+1) n^2 for omega, (2n+1) n (n-1) for upsilon (exact integers)."""
+    if family == "omega":
+        return (2 * n + 1) * n * n
+    return (2 * n + 1) * n * (n - 1)
+
+
+def _expansion_coefficient(l, r, family):
+    """sum over source degrees n of w_n r^n [coeff of P_l^1]."""
     if l < 1:
         raise ValueError("target degree must be at least 1")
     r = np.asarray(r, dtype=float)
     acc = np.zeros_like(r)
     for n in range(max(1, l - 5), l + 6):
-        w = source_weight(n)
-        if w == 0.0:
+        w = _series_weight(family, n)
+        if w == 0:
             continue
         c = _p1_expansion(n).get(l)
         if c is not None:
-            acc = acc + w * (2 * n + 1) * c * r ** n
+            acc = acc + w * c * r ** n
     return acc if acc.ndim else float(acc)
 
 
@@ -308,7 +306,7 @@ def omega_expansion_coefficient(l, r):
     Closed form, polynomial in r with six terms r^{l-5}..r^{l+5}; valid for
     every l >= 1 (low degrees use the exact low-degree expansion tables).
     """
-    return _expansion_coefficient(l, r, lambda n: float(n * n))
+    return _expansion_coefficient(l, r, "omega")
 
 
 def upsilon_expansion_coefficient(l, r):
@@ -318,7 +316,7 @@ def upsilon_expansion_coefficient(l, r):
     (16/7) r^2 - (2592/385) r^4 + (240/77) r^6, with one isolated zero
     near r ~ 0.6495; the second family therefore has order 0, not 1.
     """
-    return _expansion_coefficient(l, r, lambda n: float(n * (n - 1)))
+    return _expansion_coefficient(l, r, "upsilon")
 
 
 def expansion_coefficient_fn(family):
@@ -359,4 +357,6 @@ def wavelet_norm_sq(spec):
 
 @lru_cache(maxsize=None)
 def _window_norm_sq(tau):
-    return AngularWindow.build(tau).window_norm_sq()
+    """int_0^{2pi} f^2 dphi = sum_k |c_k|^2 / (2 pi), both signs of k."""
+    c = np.array([angular_coefficient(tau, k) for k in _window_orders(tau)])
+    return float(np.sum(c ** 2) / np.pi)

@@ -100,7 +100,6 @@ class ColatGrid:
     """Gauss-Legendre colatitude rule: nodes increasing in (0, pi), weights sum to 2."""
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str = "gauss-legendre-cos"
 
     @property
     def cos_nodes(self):

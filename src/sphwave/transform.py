@@ -21,8 +21,8 @@ import numpy as np
 from .sphfn import (CoefficientTable, analyze_signal, default_grid_spec,
                     degree_orders, grid_phis, legendre_rows, make_colat_grid,
                     normalized_assoc_column, synthesize_signal)
-from .profiles import WaveletSpec
-from .admissibility import _kernel_matrix, default_k_cut, window_weights
+from .profiles import WaveletSpec, default_k_cut, window_weights
+from .admissibility import _kernel_matrix
 from .so3 import sphere_points, tilt_rotation
 
 

@@ -10,11 +10,11 @@ gridded signal, and the band partition regroups a grid's cells by
 latitude band.  The remaining functions are independent routes to
 values the library computes otherwise: plain Legendre recurrences,
 harmonics at scattered points, pointwise rotation, the Legendre series
-forms of the kernel profiles, the profiles rebuilt from their P_l^1
-expansion, and the scale integral of a coefficient polynomial summed
-term by term, one power of r per degree, as the library did before it
-evaluated the polynomial by Horner's scheme, and the matched filter's
-former one-candidate-at-a-time argmax.  The last section keeps the
+forms of the kernel profiles, the Fourier series of the angular window
+and its slope, the profiles rebuilt from their P_l^1 expansion, and the scale integral of a
+coefficient polynomial summed term by term, one power of r per degree,
+as the library did before it evaluated the polynomial by Horner's
+scheme, and the matched filter's former one-candidate-at-a-time argmax.  The last section keeps the
 per-selectivity construction that the steerable band operator replaced:
 the kernel coefficient with tau inside its formula, its per-(l, k)
 table loop, the complex flat tilt quadrature, and the forward
@@ -31,8 +31,9 @@ from functools import lru_cache
 from sphwave.admissibility import (_coefficient_polynomial, default_k_cut,
                                    default_quadrature)
 from sphwave.multiselect import TIE_MARGIN, _pick
-from sphwave.profiles import (WaveletSpec, _check_rho, angular_coefficient,
-                              expansion_coefficient_fn, wavelet_norm_sq)
+from sphwave.profiles import (WaveletSpec, _check_rho, _window_orders,
+                              angular_coefficient, expansion_coefficient_fn,
+                              wavelet_norm_sq)
 from sphwave.sphfn import (CoefficientTable, SphericalSignal, analyze_signal,
                            coef_index, default_grid_spec, degree_orders,
                            grid_phis, legendre_P_all, legendre_rows,
@@ -323,6 +324,27 @@ def profile_from_expansion(family, rho, theta, l_max=None):
         p_prev, p = p, ((2 * l + 1) * c * p - (l + 1) * p_prev) / l
         acc += coef_fn(l + 1, r) * p
     v = rho * acc / (4.0 * np.pi)
+    return v if v.ndim else float(v)
+
+
+def window_series(tau, phi):
+    """Pointwise series sum of the angular window over the library's odd
+    orders (dual formula to its periodization)."""
+    phi = np.asarray(phi, dtype=float)
+    acc = np.zeros_like(phi)
+    for k in _window_orders(tau):
+        acc += angular_coefficient(tau, k) * np.cos(k * phi)
+    v = acc / np.pi
+    return v if v.ndim else float(v)
+
+
+def window_series_dphi(tau, phi):
+    """Derivative of the series sum with respect to the angle."""
+    phi = np.asarray(phi, dtype=float)
+    acc = np.zeros_like(phi)
+    for k in _window_orders(tau):
+        acc -= angular_coefficient(tau, k) * k * np.sin(k * phi)
+    v = acc / np.pi
     return v if v.ndim else float(v)
 
 

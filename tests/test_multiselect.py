@@ -7,6 +7,7 @@ import pytest
 
 from sphwave import admissibility, multiselect, transform
 from sphwave.admissibility import wavelet_coefficient_table
+from sphwave.cli import main
 from sphwave.multiselect import (SelectivitySet, adaptive_analysis,
                                  budget_discretization, calibrate_budget,
                                  continuous_energy, estimate_sup_norms,
@@ -276,6 +277,19 @@ def test_refine_builds_no_kernel_table(monkeypatch):
     assert not calls, len(calls)
 
 
+def test_refine_analyzes_signal_once(monkeypatch):
+    # the golden-section scores reweight the discrete pick's correlation
+    tsel = SelectivitySet()
+    f = _signal(_planted(16, WaveletSpec("omega", 1.0, 5.0), 40, PHI1))
+    want = refine_tau(f, SCALES, 0, 40, tsel, GRID)
+    calls = []
+    analyze = multiselect.analyze_signal
+    monkeypatch.setattr(multiselect, "analyze_signal",
+                        lambda g: calls.append(1) or analyze(g))
+    assert refine_tau(f, SCALES, 0, 40, tsel, GRID) == want
+    assert len(calls) == 1, len(calls)
+
+
 def test_scan_beta_once_per_band_and_scale(monkeypatch):
     grid = make_so3_grid(0.8, 0.5)
     f = _random_signal(8, 3)
@@ -339,6 +353,46 @@ def test_estimate_sup_norms_stability():
     grads = [estimate_sup_norms(WaveletSpec("omega", 0.5, t))[1]
              for t in (1.0, 2.0, 4.0)]
     assert grads[0] <= grads[1] <= grads[2]
+
+
+def test_sup_norms_match_series_window(monkeypatch, tmp_path):
+    # the periodized window and its slope replace the series sum in the
+    # sup-norm probe, the budgets and the profile CSV
+    def with_series(fn, *args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(multiselect, "angular_window", oracles.window_series)
+            patch.setattr(multiselect, "angular_window_dphi",
+                          oracles.window_series_dphi)
+            return fn(*args, **kwargs)
+
+    for fam in ("omega", "upsilon"):
+        for rho in (0.25, 0.5, 1.0):
+            for tau in (1.0, 1.37, 2.0, 4.0, 8.0, 16.0):
+                spec = WaveletSpec(fam, rho, tau)
+                got = np.array(estimate_sup_norms(spec))
+                want = np.array(with_series(estimate_sup_norms, spec))
+                assert np.all(np.abs(got - want) <= 1e-13 * want), \
+                    (fam, rho, tau)
+    scales = make_scale_sequence(1.0, 0.5, 3)
+    for tsel in (SelectivitySet(), SelectivitySet((1.0, 1.37, 2.0, 4.0))):
+        for fam in ("omega", "upsilon"):
+            got = budget_discretization(scales, tsel, family=fam)
+            want = with_series(budget_discretization, scales, tsel,
+                               family=fam)
+            for name in ("delta1", "delta2"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert np.all(np.abs(a - b) <= 1e-13 * b), (fam, name)
+            g_got = make_so3_grid(*got.grid_deltas())
+            g_want = make_so3_grid(*want.grid_deltas())
+            assert g_got.cells == g_want.cells
+            assert np.array_equal(g_got.axial_angles, g_want.axial_angles)
+    out = tmp_path / "win.csv"
+    assert main(["profile", "--out", str(out), "--taus", "1,1.37,4,16"]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    for c, tau in enumerate((1.0, 1.37, 4.0, 16.0), start=1):
+        ref = oracles.window_series(tau, rows[:, 0])
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(rows[:, c] - ref)) <= 1e-13 * scale, tau
 
 
 def test_budget_discretization_properties():

@@ -5,9 +5,10 @@ from math import fsum
 import numpy as np
 import pytest
 
-from sphwave.profiles import (AngularWindow, WaveletSpec, _p1_expansion,
-                              angular_coefficient, angular_window,
-                              angular_window_dphi, evaluate_wavelet,
+from sphwave.profiles import (WaveletSpec, _p1_expansion, _window_norm_sq,
+                              _window_orders, angular_coefficient,
+                              angular_window, angular_window_dphi,
+                              evaluate_wavelet,
                               expansion_coefficient_fn,
                               omega_expansion_coefficient, omega_profile,
                               poisson_kernel, profile_dtheta_fn, profile_fn,
@@ -17,7 +18,8 @@ from sphwave.profiles import (AngularWindow, WaveletSpec, _p1_expansion,
 
 from oracles import (assoc_legendre_P, legendre_P, omega_profile_series,
                      poisson_kernel_series, profile_from_expansion,
-                     upsilon_profile_series)
+                     upsilon_profile_series, window_series,
+                     window_series_dphi)
 
 
 def _window_quadrature(tau, k, n=4096):
@@ -50,18 +52,19 @@ def test_window_coefficients_match_quadrature():
 def test_window_series_matches_periodization():
     ph = np.linspace(-2.0 * np.pi, 2.0 * np.pi, 600)
     for tau in (1.0, 3.0, 16.0):
-        win = AngularWindow.build(tau)
-        assert np.max(np.abs(win.evaluate(ph) - angular_window(tau, ph))) < 1e-12
-    assert isinstance(AngularWindow.build(2.0).evaluate(0.5), float)
+        assert np.max(np.abs(window_series(tau, ph)
+                             - angular_window(tau, ph))) < 1e-12
+    assert isinstance(window_series(2.0, 0.5), float)
+    assert isinstance(angular_window(2.0, 0.5), float)
+    assert isinstance(angular_window_dphi(2.0, 0.5), float)
 
 
 def test_window_norm_matches_quadrature():
     n = 8192
     ph = np.arange(n) * 2.0 * np.pi / n
     for tau in (1.0, 2.0, 8.0):
-        win = AngularWindow.build(tau)
         ref = np.sum(angular_window(tau, ph) ** 2) * 2.0 * np.pi / n
-        assert abs(win.window_norm_sq() - ref) < 1e-12 * ref
+        assert abs(_window_norm_sq(tau) - ref) < 1e-12 * ref
 
 
 def test_window_derivatives():
@@ -72,20 +75,24 @@ def test_window_derivatives():
         fd = (angular_window(tau, ph + h) - angular_window(tau, ph - h)) / (2 * h)
         scale = np.max(np.abs(d))
         assert np.max(np.abs(d - fd)) < 1e-7 * scale, tau
-        win = AngularWindow.build(tau)
-        assert np.max(np.abs(win.evaluate_dphi(ph) - d)) < 1e-10 * scale, tau
+        series = window_series_dphi(tau, ph)
+        assert np.max(np.abs(series - d)) < 1e-10 * scale, tau
 
 
 def test_window_build_and_validation():
     with pytest.raises(ValueError):
         angular_window(0.5, 0.0)
-    win = AngularWindow.build(2.0)
-    assert np.all(win.odd_k % 2 == 1)
-    assert np.all(np.diff(win.odd_k) == 2)
-    assert np.all(win.coefficients > 0)
-    assert win.coefficients[-1] < 1e-15 * win.coefficients[0]
-    assert win.coefficient(4) == 0.0
-    assert win.coefficient(3) == angular_coefficient(2.0, 3)
+    ks = _window_orders(2.0)
+    assert ks[0] == 1
+    assert np.all(ks % 2 == 1)
+    assert np.all(np.diff(ks) == 2)
+    coefficients = np.array([angular_coefficient(2.0, k) for k in ks])
+    assert np.all(coefficients > 0)
+    assert coefficients[-1] < 1e-15 * coefficients[0]
+    # the series stops before the first order below 1e-16 c_1
+    assert coefficients[-1] >= 1e-16 * coefficients[0]
+    assert angular_coefficient(2.0, ks[-1] + 2) < 1e-16 * coefficients[0]
+    assert angular_coefficient(2.0, 4) == 0.0
 
 
 def test_poisson_kernel_dual_forms():
