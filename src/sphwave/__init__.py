@@ -23,7 +23,7 @@ from .multiselect import (DiscretizationBudget, SelectivityMap,
                           budget_discretization, calibrate_budget,
                           estimate_sup_norms, refine_tau, select_tau,
                           selectivity_scan)
-from .fileio import (FileFormatError, load_config, read_coefficients,
+from .fileio import (FileFormatError, read_coefficients,
                      read_selectivity_rows, read_signal, write_coefficients,
                      write_selectivity_csv, write_signal)
 
@@ -48,7 +48,7 @@ __all__ = [
     "DiscretizationBudget", "SelectivityMap", "SelectivitySet",
     "adaptive_analysis", "budget_discretization", "calibrate_budget",
     "estimate_sup_norms", "refine_tau", "select_tau", "selectivity_scan",
-    "FileFormatError", "load_config", "read_coefficients",
+    "FileFormatError", "read_coefficients",
     "read_selectivity_rows", "read_signal", "write_coefficients",
     "write_selectivity_csv", "write_signal",
 ]

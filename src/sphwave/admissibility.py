@@ -27,7 +27,7 @@ import numpy as np
 
 from .sphfn import (CoefficientTable, degree_orders, legendre_P_all,
                     normalized_assoc_column)
-from .profiles import (FAMILIES, FAMILY_ORDER, _series_weight,
+from .profiles import (FAMILIES, FAMILY_ORDER, _check_tau, _series_weight,
                        angular_coefficient, default_k_cut,
                        expansion_coefficient_fn, window_weights)
 
@@ -283,8 +283,7 @@ def admissibility_integral(family, tau, l):
 
 def analytic_upper_bound(family, tau):
     """Closed-form upper frame constant for the family at selectivity tau."""
-    if tau < 1:
-        raise ValueError("selectivity must be at least 1")
+    _check_tau(tau)
     base = (np.log(tau) + 0.5 * np.sqrt(np.pi)) / (tau * tau)
     return 2.0 * base if family == "omega" else 3.0 * base
 
@@ -334,12 +333,12 @@ def admissibility_report(family, tau, l_max):
     if l_max < 10:
         raise ValueError("report requires l_max of at least 10")
     order = FAMILY_ORDER[family]
+    analytic = analytic_upper_bound(family, tau)
     ls = np.arange(l_max + 1)
     g = np.array([admissibility_integral(family, tau, l) for l in ls])
     ratios = g / (2.0 * ls + 1.0)
     lower = float(np.min(ratios[order + 1:]))
     upper = float(np.max(ratios))
-    analytic = analytic_upper_bound(family, tau)
     residuals = g[:order + 1].copy()
 
     failures = []

@@ -6,6 +6,7 @@ codes: 0 success, 1 numerical failure, 2 usage or format error.
 """
 
 import argparse
+import json
 import sys
 from contextlib import nullcontext
 
@@ -20,15 +21,13 @@ from .transform import (FrameConvergenceError, FrameOperatorConfig,
                         forward_transform, reconstruct,
                         rotate_coefficients, uniform_specs)
 from .multiselect import SelectivitySet, selectivity_scan
-from .fileio import (FileFormatError, load_config, read_coefficients,
-                     read_signal, write_coefficients, write_selectivity_csv,
-                     write_signal)
+from .fileio import (FileFormatError, read_coefficients, read_signal,
+                     write_coefficients, write_selectivity_csv, write_signal)
 
 
-def _parse_taus(value):
-    if isinstance(value, str):
-        value = [part for part in value.split(",") if part]
-    return [float(t) for t in value]
+def tau_list(value):
+    """Comma-separated selectivities as a list of floats."""
+    return [float(part) for part in value.split(",") if part]
 
 
 def _open_out(path):
@@ -41,15 +40,15 @@ def _require_out(args):
 
 
 def cmd_profile(args):
-    taus = _parse_taus(args.taus)
-    if any(t < 1.0 for t in taus) or not taus:
-        raise ValueError("profile selectivities must be >= 1")
+    if not args.taus:
+        raise ValueError("need at least one selectivity")
     if args.samples < 1:
         raise ValueError("need at least one sample")
     phi = np.linspace(-0.5 * np.pi, 1.5 * np.pi, args.samples)
+    # angular_window checks each selectivity before anything is written
+    cols = [angular_window(t, phi) for t in args.taus]
     with _open_out(args.out) as fh:
-        fh.write("phi," + ",".join("f_%g" % t for t in taus) + "\n")
-        cols = [angular_window(t, phi) for t in taus]
+        fh.write("phi," + ",".join("f_%g" % t for t in args.taus) + "\n")
         for i, p in enumerate(phi):
             fh.write("%r" % float(p))
             for c in cols:
@@ -164,7 +163,7 @@ def cmd_select(args):
     _require_out(args)
     signal = read_signal(args.infile)
     scales, grid = _scales_and_grid(args)
-    tsel = SelectivitySet(tuple(_parse_taus(args.taus)), args.tau_cap)
+    tsel = SelectivitySet(tuple(args.taus), args.tau_cap)
     smap = selectivity_scan(signal, scales, grid, tsel, args.family)
     write_selectivity_csv(args.out, smap)
     return 0
@@ -209,7 +208,7 @@ def build_parser():
 
     sub = subs.add_parser("profile", help="angular window curves as CSV")
     _add_common(sub)
-    sub.add_argument("--taus", default="1,2,4,8,16",
+    sub.add_argument("--taus", type=tau_list, default="1,2,4,8,16",
                      help="comma-separated selectivities")
     sub.add_argument("--samples", type=int, default=513)
     sub.set_defaults(func=cmd_profile)
@@ -267,7 +266,7 @@ def build_parser():
     sub = subs.add_parser("select", help="per-position selectivity map")
     _add_common(sub)
     sub.add_argument("--in", dest="infile", required=True)
-    sub.add_argument("--taus", default="1,2,4,8,16")
+    sub.add_argument("--taus", type=tau_list, default="1,2,4,8,16")
     sub.add_argument("--tau-cap", type=float, default=16.0)
     _add_grid_flags(sub)
     sub.set_defaults(func=cmd_select)
@@ -284,6 +283,50 @@ def build_parser():
     sub.set_defaults(func=cmd_reconstruct)
 
     return parser, subs.choices
+
+
+# option type -> expected JSON type of its config value: float accepts any
+# number, list is a list of numbers, options without a type take a string
+_JSON_TYPES = {float: float, int: int, tau_list: list}
+_TYPE_NAMES = {str: "a string", list: "a list of numbers", float: "a number",
+               int: "an integer"}
+
+
+def _has_type(value, kind):
+    if kind is list:
+        return (isinstance(value, list)
+                and all(_has_type(v, float) for v in value))
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def load_config(path):
+    """JSON config of option defaults.  Its keys are the dests of the
+    parser's options that a default can set, and each value must fit its
+    option's type, so typos fail loudly; value ranges are checked by the
+    owning modules."""
+    kinds = {a.dest: _JSON_TYPES.get(a.type, str)
+             for sub in build_parser()[1].values() for a in sub._actions
+             if a.option_strings and not a.required
+             and a.dest not in ("help", "config")}
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FileFormatError("%s: not valid JSON (%s)" % (path, exc))
+    if not isinstance(data, dict):
+        raise FileFormatError("%s: top level must be an object" % path)
+    for key, value in data.items():
+        kind = kinds.get(key)
+        if kind is None:
+            raise FileFormatError("%s: unknown config field %r" % (path, key))
+        if not _has_type(value, kind):
+            raise FileFormatError("%s: config field %r must be %s"
+                                  % (path, key, _TYPE_NAMES[kind]))
+        if kind is list:
+            data[key] = [float(t) for t in value]
+    return data
 
 
 def main(argv=None):

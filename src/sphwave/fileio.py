@@ -1,12 +1,10 @@
-"""File formats: sampled signals, coefficient sets, maps, run configs.
+"""File formats: sampled signals, coefficient sets, selectivity maps.
 
 Binary files carry a one-line ASCII header (magic word plus key=value
 fields) followed by a raw little-endian payload, so metadata stays
 human-inspectable while the numbers round-trip bit-exactly.  Grids are
 never stored: they rebuild deterministically from the header fields.
 """
-
-import json
 
 import numpy as np
 
@@ -16,17 +14,6 @@ from .transform import TransformCoefficients
 
 SIGNAL_MAGIC = "SPHSIG1"
 COEFF_MAGIC = "SPHWCF1"
-
-# config field -> expected JSON type: float accepts any number, list is
-# a list of numbers
-CONFIG_TYPES = {
-    "family": str, "taus": list, "tau_cap": float, "rho0": float,
-    "q": float, "j_max": int, "target": float, "l_band": int,
-    "delta2": float, "delta1": float, "tolerance": float,
-    "max_iterations": int, "n_theta": int, "n_phi": int, "seed": int,
-}
-_TYPE_NAMES = {str: "a string", list: "a list of numbers", float: "a number",
-               int: "an integer"}
 
 
 class FileFormatError(ValueError):
@@ -183,37 +170,3 @@ def read_selectivity_rows(path):
             rows.append((int(parts[0]), int(parts[1]))
                         + tuple(float(x) for x in parts[2:]))
     return rows
-
-
-# ---------------------------------------------------------------------------
-# run configuration
-
-def _has_type(value, kind):
-    if kind is list:
-        return (isinstance(value, list)
-                and all(_has_type(v, float) for v in value))
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, (int, float) if kind is float else kind)
-
-
-def load_config(path):
-    """JSON config; keys and value types validated so typos fail loudly,
-    value ranges checked by the owning modules."""
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FileFormatError("%s: not valid JSON (%s)" % (path, exc))
-    if not isinstance(data, dict):
-        raise FileFormatError("%s: top level must be an object" % path)
-    for key, value in data.items():
-        kind = CONFIG_TYPES.get(key)
-        if kind is None:
-            raise FileFormatError("%s: unknown config field %r" % (path, key))
-        if not _has_type(value, kind):
-            raise FileFormatError("%s: config field %r must be %s"
-                                  % (path, key, _TYPE_NAMES[kind]))
-    if "taus" in data:
-        data["taus"] = [float(t) for t in data["taus"]]
-    return data

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sphfn import analyze_signal, degree_orders
-from .profiles import (WaveletSpec, _window_orders, angular_window,
-                       angular_window_dphi, profile_dtheta_fn, profile_fn,
-                       wavelet_norm_sq, window_weights)
+from .profiles import (WaveletSpec, _check_tau, _window_orders,
+                       angular_window, angular_window_dphi, profile_dtheta_fn,
+                       profile_fn, wavelet_norm_sq, window_weights)
 from .admissibility import _kernel_matrix
 from .transform import BandPlan, forward_transform
 
@@ -40,10 +40,10 @@ class SelectivitySet:
         object.__setattr__(self, "taus", taus)
         if not taus:
             raise ValueError("selectivity set must be nonempty")
+        for tau in taus + (self.tau_cap,):
+            _check_tau(tau)
         if any(b <= a for a, b in zip(taus, taus[1:])):
             raise ValueError("selectivities must be strictly increasing")
-        if taus[0] < 1.0:
-            raise ValueError("selectivities start at 1")
         if taus[-1] > self.tau_cap:
             raise ValueError("selectivities must not exceed the cap")
 

@@ -25,6 +25,9 @@ import numpy as np
 
 # smallest supported scale: the rational forms lose accuracy below this
 RHO_MIN = 1e-4
+# largest supported selectivity: the window's series, and with it the norm
+# and the sup-norm lattice, grows linearly in tau (about 4.3 tau orders)
+TAU_MAX = 1e4
 
 FAMILIES = ("omega", "upsilon")
 # nominal vanishing order per family (the admissibility report checks that
@@ -45,8 +48,7 @@ class WaveletSpec:
             raise ValueError("family must be one of %s" % (FAMILIES,))
         if not self.rho > 0:
             raise ValueError("scale must be positive")
-        if not self.tau >= 1:
-            raise ValueError("selectivity must be at least 1")
+        _check_tau(self.tau)
 
     @property
     def r(self):
@@ -68,6 +70,11 @@ def dog_window(tau, phi):
     return v if v.ndim else float(v)
 
 
+def _check_tau(tau):
+    if not 1 <= tau <= TAU_MAX:
+        raise ValueError("selectivity must be a number in [1, %g]" % TAU_MAX)
+
+
 def _periodization_count(tau):
     # tail of the dropped Gaussians below 1e-16: tau^2 (2 pi J - pi)^2 / 2 > 38
     return max(2, int(np.ceil((np.sqrt(76.0) / tau + np.pi) / (2.0 * np.pi))))
@@ -75,8 +82,7 @@ def _periodization_count(tau):
 
 def angular_window(tau, phi):
     """2 pi periodization of the difference-of-Gaussians window."""
-    if tau < 1:
-        raise ValueError("selectivity must be at least 1")
+    _check_tau(tau)
     phi = np.mod(np.asarray(phi, dtype=float), 2.0 * np.pi)
     J = _periodization_count(tau)
     v = np.zeros_like(phi)
@@ -108,24 +114,30 @@ def angular_coefficient(tau, k):
     return 2.0 * np.sqrt(2.0 * np.pi) / tau * np.exp(-k * k / (2.0 * tau * tau))
 
 
+def _first_odd(stop):
+    """Smallest odd k >= 1 with stop(k), for a stop that is false below
+    some odd k and true from there on: doubling, then bisection."""
+    lo, hi = -1, 1
+    while not stop(hi):
+        lo, hi = hi, 2 * hi + 1
+    while hi - lo > 2:
+        mid = (lo + hi) // 2 | 1
+        lo, hi = (lo, mid) if stop(mid) else (mid, hi)
+    return hi
+
+
 def _window_orders(tau):
     """Positive odd orders 1, 3, ..., k_max of the window's series: k is
     kept while c_k >= 1e-16 c_1 or k <= tau."""
-    ks = []
-    k = 1
     top = angular_coefficient(tau, 1)
-    while angular_coefficient(tau, k) >= 1e-16 * top or k <= tau:
-        ks.append(k)
-        k += 2
-    return np.array(ks)
+    return np.arange(1, _first_odd(
+        lambda k: not (angular_coefficient(tau, k) >= 1e-16 * top
+                       or k <= tau)), 2)
 
 
 def default_k_cut(tau):
     """Smallest odd K with exp(-K^2/tau^2)/K below 1e-14 (Gaussian tail)."""
-    k = 1
-    while np.exp(-k * k / (tau * tau)) / k >= 1e-14:
-        k += 2
-    return k
+    return _first_odd(lambda k: not np.exp(-k * k / (tau * tau)) / k >= 1e-14)
 
 
 def window_weights(taus, l_band, k_cut=None):
@@ -355,7 +367,10 @@ def wavelet_norm_sq(spec):
     return profile_norm_sq(spec.family, spec.rho) * _window_norm_sq(spec.tau)
 
 
-@lru_cache(maxsize=None)
+# bounded: refine_tau scores a fresh continuous tau at almost every step.
+# Its first scores depend only on the bracket and recur across refines;
+# 1024 entries keep those hits and any scan's discrete selectivity set.
+@lru_cache(maxsize=1024)
 def _window_norm_sq(tau):
     """int_0^{2pi} f^2 dphi = sum_k |c_k|^2 / (2 pi), both signs of k."""
     c = np.array([angular_coefficient(tau, k) for k in _window_orders(tau)])

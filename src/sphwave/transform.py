@@ -19,11 +19,9 @@ from functools import lru_cache
 import numpy as np
 
 from .sphfn import (CoefficientTable, analyze_signal, default_grid_spec,
-                    degree_orders, grid_phis, legendre_rows, make_colat_grid,
-                    normalized_assoc_column, synthesize_signal)
+                    degree_orders, synthesize_signal)
 from .profiles import WaveletSpec, default_k_cut, window_weights
 from .admissibility import _kernel_matrix
-from .so3 import sphere_points, tilt_rotation
 
 
 @dataclass
@@ -90,32 +88,23 @@ def _tilt_blocks(theta_key, l_band):
 
     Row l*l + l + m, column k + l_band; zero where |k| > l, so the block
     of degree l is the slice [l*l:(l+1)^2, l_band-l:l_band+l+1].  Each
-    tilted harmonic is sampled on an exact quadrature grid, Fourier
-    transformed in longitude and projected onto its own degree (a tilt
-    preserves the degree) with the weighted flat Legendre table.  The
-    tilt turns about a real axis, so the blocks are real Wigner
-    d-matrices and only the real part of the projection is kept.
+    block is the real Wigner d-matrix exp(-i theta J_y) of its degree.
+    J_x is real, symmetric and tridiagonal with eigenvalues -l..l, so its
+    eigenbasis V gives exp(-i theta J_x) = V diag(e^{-i theta m}) V^T.
+    The phases i^(m-k) turn J_x into J_y, and the factor (-1)^m on
+    negative orders follows Y_l^-m = conj(Y_l^m): together they are
+    i^|m| on row m and its conjugate on column k.
     """
     theta = float(theta_key)
-    spec = default_grid_spec(l_band)
-    colat = make_colat_grid(spec.n_theta)
-    tt, pp = np.meshgrid(colat.nodes, grid_phis(spec), indexing="ij")
-    xyz = np.tensordot(tilt_rotation(theta).T, sphere_points(tt, pp), axes=1)
-    ct = np.clip(xyz[0], -1.0, 1.0)
-    ph = np.arctan2(xyz[2], xyz[1])
-    l_of, m_of = degree_orders(l_band)
-    proj = (legendre_rows(colat.cos_nodes, l_band) * colat.weights
-            * (2.0 * np.pi / spec.n_phi))
     flat = np.zeros(((l_band + 1) ** 2, 2 * l_band + 1))
-    for k in range(-l_band, l_band + 1):
-        ka = abs(k)
-        col = normalized_assoc_column(ka, ct, l_band)
-        spectra = np.fft.fft(col * ((-1.0) ** ka * np.exp(1j * k * ph)),
-                             axis=-1).real
-        rows = l_of >= ka
-        flat[rows, k + l_band] = np.sum(
-            proj[rows] * spectra[l_of[rows] - ka, :, m_of[rows] % spec.n_phi],
-            axis=1)
+    for l in range(l_band + 1):
+        m = np.arange(-l, l + 1)
+        half = 0.5 * np.sqrt(l * (l + 1) - m[:-1] * (m[:-1] + 1.0))
+        _, v = np.linalg.eigh(np.diag(half, 1) + np.diag(half, -1))
+        phase = np.array([1, 1j, -1, -1j])[np.abs(m) % 4]
+        turned = (v * np.exp(-1j * theta * m)) @ v.T
+        flat[l * l:(l + 1) ** 2, l_band - l:l_band + l + 1] = (
+            phase[:, None] * turned * phase.conj()).real
     flat.flags.writeable = False
     return flat
 

@@ -433,7 +433,7 @@ def kernel_matrix(family, rho, tau, l_band):
 
 @lru_cache(maxsize=None)
 def tilt_blocks_flat(theta_key, l_band):
-    """Flat tilt blocks by the same quadrature as the library, kept
+    """Flat tilt blocks by the library's former quadrature, kept
     complex: the imaginary part is the quadrature's roundoff."""
     theta = float(theta_key)
     spec = default_grid_spec(l_band)

@@ -1,11 +1,15 @@
 """Command-line surface: outputs, presets, config merging, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from sphwave.cli import build_parser, main
+import sphwave
+from sphwave.cli import build_parser, load_config, main
 from sphwave.fileio import read_selectivity_rows, read_signal
 from sphwave.sphfn import analyze_signal
 from sphwave.so3 import axis_rotation, sphere_points, tilt_rotation
@@ -240,6 +244,63 @@ def test_config_mistyped_values_exit_2(tmp_path, capsys):
                      str(tmp_path / "sig.bin"), "--out",
                      str(tmp_path / "map.csv")]) == 2, bad
         assert field in capsys.readouterr().err
+
+
+def test_config_keys_follow_parser(tmp_path, capsys):
+    sig = tmp_path / "f.sig"
+    out1 = tmp_path / "a.wav"
+    out2 = tmp_path / "b.wav"
+    cfg = tmp_path / "run.json"
+    assert main(["synthesize", "--preset", "noise", "--l-band", "4",
+                 "--out", str(sig)]) == 0
+    args = ["analyze", "--in", str(sig), "--j-max", "0",
+            "--delta2", "0.5", "--delta1", "0.5"]
+    cfg.write_text(json.dumps({"tau": 8}))
+    assert main(args + ["--config", str(cfg), "--out", str(out1)]) == 0
+    assert main(args + ["--tau", "8", "--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+
+    # every option a default can set is a key, with the option's type
+    for key in ("tau", "rho", "l_max", "samples", "width", "theta", "phi",
+                "orientation", "tau_broad", "tau_sharp"):
+        cfg.write_text(json.dumps({key: 2}))
+        assert load_config(cfg) == {key: 2}, key
+    for bad in ({"target": 0.1}, {"preset": "noise"}, {"config": "x"}):
+        cfg.write_text(json.dumps(bad))
+        assert main(args + ["--config", str(cfg), "--out", str(out1)]) == 2
+        assert "unknown config field" in capsys.readouterr().err, bad
+    cfg.write_text(json.dumps({"samples": 2.5}))
+    assert main(["profile", "--config", str(cfg), "--out", str(out1)]) == 2
+    assert "must be an integer" in capsys.readouterr().err
+
+
+def _run_cli(args, cwd):
+    # a fresh process with a timeout: a hang fails instead of stalling
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sphwave.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "sphwave.cli"] + args,
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=30)
+
+
+def test_bad_selectivity_exits_2(tmp_path):
+    # NaN, infinite and huge selectivities stop with a message, not a
+    # hang, a PASS verdict or NaN samples
+    assert main(["synthesize", "--preset", "noise", "--l-band", "4",
+                 "--out", str(tmp_path / "f.sig")]) == 0
+    for args in (["verify", "--tau", "nan", "--l-max", "10"],
+                 ["verify", "--tau", "inf"],
+                 ["analyze", "--tau", "inf", "--in", "f.sig", "--out", "w"],
+                 ["analyze", "--tau", "1e9", "--in", "f.sig", "--out", "w"],
+                 ["select", "--taus", "1,1e9", "--tau-cap", "1e9",
+                  "--in", "f.sig", "--out", "m.csv"],
+                 ["kernel", "--tau", "inf", "--out", "k.csv"],
+                 ["profile", "--taus", "1,nan", "--out", "p.csv"]):
+        run = _run_cli(args, tmp_path)
+        assert run.returncode == 2, (args, run.returncode, run.stdout)
+        assert "error: selectivity must be" in run.stderr, (args, run.stderr)
+    assert not (tmp_path / "k.csv").exists()
 
 
 def test_bad_input_exit_codes(tmp_path, capsys):

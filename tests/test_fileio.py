@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from sphwave.fileio import (FileFormatError, load_config, read_coefficients,
+from sphwave.cli import load_config
+from sphwave.fileio import (FileFormatError, read_coefficients,
                             read_selectivity_rows, read_signal, write_signal,
                             write_coefficients, write_selectivity_csv)
 from sphwave.multiselect import SelectivitySet, selectivity_scan

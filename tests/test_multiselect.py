@@ -12,7 +12,7 @@ from sphwave.multiselect import (SelectivitySet, adaptive_analysis,
                                  budget_discretization, calibrate_budget,
                                  continuous_energy, estimate_sup_norms,
                                  refine_tau, select_tau, selectivity_scan)
-from sphwave.profiles import WaveletSpec, wavelet_norm_sq
+from sphwave.profiles import WaveletSpec, _window_norm_sq, wavelet_norm_sq
 from sphwave.sphfn import (CoefficientTable, SphericalSignal, analyze_signal,
                            default_grid_spec, synthesize_signal)
 from sphwave.so3 import make_rotation, make_scale_sequence, make_so3_grid
@@ -207,13 +207,34 @@ def test_refine_tau_honors_tol(monkeypatch):
     assert n_evals[0] < n_evals[1] < 60, n_evals
 
 
+def test_refines_keep_window_norm_cache_bounded():
+    # refine_tau scores a fresh continuous tau at almost every step; the
+    # window norm cache keeps its fixed size, and scan picks do not
+    # depend on what it holds
+    tsel = SelectivitySet()
+    f = _random_signal(8, 11)
+    before = selectivity_scan(f, SCALES, GRID, tsel)
+    _window_norm_sq.cache_clear()
+    for seed in range(8):
+        g = _random_signal(8, 100 + seed)
+        for alpha2 in range(0, GRID.n_carriers, 12):
+            refine_tau(g, SCALES, seed % 2, alpha2, tsel, GRID)
+    info = _window_norm_sq.cache_info()
+    assert info.misses > info.maxsize, info
+    assert info.currsize <= info.maxsize, info
+    assert info.maxsize >= len(tsel)
+    after = selectivity_scan(f, SCALES, GRID, tsel)
+    for field in ("tau_star", "phi1_star", "value"):
+        assert np.array_equal(getattr(before, field), getattr(after, field))
+
+
 def test_scan_norm_quadrature_once_per_scale(monkeypatch):
     # the kernel norm depends on (family, rho) only; a scan over several
     # bands, scales and selectivities runs one quadrature per scale
     grid = make_so3_grid(0.8, 0.5)
     f = _random_signal(8, 3)
     tsel = SelectivitySet((1.0, 2.0, 4.0))
-    # warm the tilt blocks and kernel tables, which run their own rules
+    # warm the kernel tables, which run their own rules
     selectivity_scan(f, SCALES, grid, tsel)
     calls = []
     leggauss = np.polynomial.legendre.leggauss

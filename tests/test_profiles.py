@@ -5,9 +5,12 @@ from math import fsum
 import numpy as np
 import pytest
 
-from sphwave.profiles import (WaveletSpec, _p1_expansion, _window_norm_sq,
-                              _window_orders, angular_coefficient,
-                              angular_window, angular_window_dphi,
+from sphwave.admissibility import analytic_upper_bound
+from sphwave.multiselect import SelectivitySet
+from sphwave.profiles import (TAU_MAX, WaveletSpec, _p1_expansion,
+                              _window_norm_sq, _window_orders,
+                              angular_coefficient, angular_window,
+                              angular_window_dphi, default_k_cut,
                               evaluate_wavelet,
                               expansion_coefficient_fn,
                               omega_expansion_coefficient, omega_profile,
@@ -236,6 +239,37 @@ def test_norms_against_two_dimensional_quadrature():
     ref = np.sum(w[:, None] * vals ** 2) * 2.0 * np.pi / n_phi
     assert abs(wavelet_norm_sq(spec) - ref) < 1e-10 * ref
     assert profile_norm_sq("upsilon", 1.3) > 0
+
+
+def test_window_cuts_match_stepping_rule():
+    # both cuts bisect a monotone rule; stepping through the odd orders
+    # one at a time finds the same smallest order
+    for tau in (1.0, 1.37, 2.0, 5.0, 16.0, 33.3, 100.0, 1e3, TAU_MAX):
+        k = 1
+        while np.exp(-k * k / (tau * tau)) / k >= 1e-14:
+            k += 2
+        assert default_k_cut(tau) == k, tau
+        ks, k = [], 1
+        top = angular_coefficient(tau, 1)
+        while angular_coefficient(tau, k) >= 1e-16 * top or k <= tau:
+            ks.append(k)
+            k += 2
+        assert np.array_equal(_window_orders(tau), ks), tau
+
+
+def test_selectivity_check_everywhere():
+    # one check: a selectivity is a number in [1, TAU_MAX], so NaN and
+    # infinity fail everywhere a selectivity enters
+    for bad in (0.5, np.nan, np.inf, 2.0 * TAU_MAX):
+        for make in (lambda t: WaveletSpec("omega", 1.0, t),
+                     lambda t: angular_window(t, 0.0),
+                     lambda t: analytic_upper_bound("omega", t),
+                     lambda t: SelectivitySet((1.0, t), TAU_MAX),
+                     lambda t: SelectivitySet((1.0, 2.0), t)):
+            with pytest.raises(ValueError, match="selectivity"):
+                make(bad)
+    WaveletSpec("omega", 1.0, TAU_MAX)
+    SelectivitySet((1.0, TAU_MAX), TAU_MAX)
 
 
 def test_wavelet_spec_validation():

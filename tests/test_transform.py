@@ -71,9 +71,9 @@ def test_tilt_blocks_unitary():
 
 
 def test_tilt_blocks_real():
-    # the blocks are real Wigner d-matrices: the library keeps the real
-    # part of the projection, and the complex quadrature's imaginary
-    # part is roundoff
+    # the blocks are real Wigner d-matrices: the library builds them in
+    # real arithmetic from the J_x eigenbasis, and the complex
+    # quadrature's imaginary part is roundoff
     rng = np.random.default_rng(43)
     for l_band in (4, 8, 16, 32):
         for theta in np.round(rng.uniform(0.0, np.pi, 2), 12):
@@ -82,6 +82,24 @@ def test_tilt_blocks_real():
             assert flat.dtype == np.float64
             assert np.max(np.abs(ref.imag)) <= 1e-13, (l_band, theta)
             assert np.max(np.abs(flat - ref.real)) <= 1e-14, (l_band, theta)
+
+
+def test_tilt_blocks_orthogonal_at_high_degree():
+    # uncached, so the 34 MB table is not held for the rest of the run
+    blocks = oracles.degree_blocks(_tilt_blocks.__wrapped__(1.1, 128))
+    for l, b in enumerate(blocks):
+        assert np.max(np.abs(b.T @ b - np.eye(2 * l + 1))) < 1e-13, l
+
+
+def test_tilt_blocks_compose():
+    # tilts about one axis add their angles: d(a) d(b) = d(a + b)
+    for a, b in ((0.7, 1.9), (2.9, 0.35), (1.1, -0.4)):
+        d_a, d_b, d_ab = (
+            oracles.degree_blocks(_tilt_blocks.__wrapped__(t, 64))
+            for t in (a, b, a + b))
+        for l, (x, y, z) in enumerate(zip(d_a, d_b, d_ab)):
+            assert np.max(np.abs(x @ y - z)) < 1e-13, (a, b, l)
+            assert np.max(np.abs(y @ x - z)) < 1e-13, (a, b, l)
 
 
 def _split_taus(grid, pattern):
