@@ -16,10 +16,12 @@ polynomial in r = exp(-rho) with coefficients w_n H[n, l, k], where
 H vanishes for n > l + 5 and for n + l even; for k <= 5 it is additionally
 banded (zero unless |n - l| <= 5). The integrands are polynomials for odd
 k, so Gauss-Legendre evaluates them exactly. The scale integrals
-G(l) = sum_k int |Psi_l^k|^2 drho/rho reduce to int rho p(r)^2 drho, with
-p evaluated by Horner's scheme in r^2 on two RhoQuadrature rules that agree.
+G(l) = sum_k int |Psi_l^k|^2 drho/rho reduce to int rho p(r)^2 drho, a
+finite sum that is taken exactly.  Its error at k = 1 (6.1e-8 relative
+at l = 160) comes from the float moments H, not from the integration.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,77 +37,6 @@ from .profiles import (FAMILIES, FAMILY_ORDER, _check_tau, _series_weight,
 VANISH_TOL = 1e-10
 # allowed overshoot of the analytic upper frame constant
 BOUND_SLACK = 1e-6
-
-
-# ---------------------------------------------------------------------------
-# quadrature for integrals over the scale axis
-
-@dataclass
-class RhoQuadrature:
-    """Nodes and weights for int_0^infty F(rho) drho.
-
-    Built by the substitution r = exp(-rho) followed by composite
-    Gauss-Legendre on (0,1) with panels refined geometrically toward both
-    endpoints: the r -> 0 end carries the rho -> infinity tail and the
-    r -> 1 end the rho -> 0 boundary layer (including r^{2l} factors with
-    large l, whose mass sits at 1 - r ~ 1/(2l)).
-    """
-    nodes: np.ndarray      # rho values, all > 0
-    weights: np.ndarray    # weights for plain d rho integration
-    r_nodes: np.ndarray    # exp(-rho), kept exact from the construction
-    depth: int
-    nodes_per_panel: int
-
-    @classmethod
-    def build(cls, depth=48, nodes_per_panel=32):
-        # edges 1 - 2^-j collapse onto 1.0 in double precision past j = 52;
-        # the skipped sliver carries rho < 1e-15 and is negligible
-        right = min(depth, 50)
-        edges = ([0.0] + [2.0 ** -j for j in range(depth, 0, -1)]
-                 + [1.0 - 2.0 ** -j for j in range(2, right + 1)] + [1.0])
-        x, w = np.polynomial.legendre.leggauss(nodes_per_panel)
-        rs, rhos, ws = [], [], []
-        for a, b in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (b - a)
-            if a >= 0.5:
-                # work with r - 1 so rho = -log1p(d) stays positive and
-                # accurate when r is within a few ulp of 1
-                d = (a - 1.0) + half * (x + 1.0)
-                rs.append(1.0 + d)
-                rhos.append(-np.log1p(d))
-            else:
-                rp = a + half * (x + 1.0)
-                rs.append(rp)
-                rhos.append(-np.log(rp))
-            ws.append(half * w)
-        r = np.concatenate(rs)
-        rho = np.concatenate(rhos)
-        wr = np.concatenate(ws)
-        if not np.all(rho > 0.0):
-            raise AssertionError("quadrature produced a nonpositive scale node")
-        return cls(nodes=rho, weights=wr / r, r_nodes=r,
-                   depth=depth, nodes_per_panel=nodes_per_panel)
-
-    def integrate(self, fn):
-        """int_0^infty fn(rho) drho."""
-        return float(np.sum(self.weights * fn(self.nodes)))
-
-    def integrate_scale_invariant(self, fn):
-        """int_0^infty fn(rho) drho / rho."""
-        return float(np.sum(self.weights * fn(self.nodes) / self.nodes))
-
-    def refine(self):
-        """A strictly denser rule, for convergence checks."""
-        return RhoQuadrature.build(self.depth + 8, self.nodes_per_panel + 8)
-
-
-@lru_cache(maxsize=4)
-def _cached_quadrature(depth, nodes_per_panel):
-    return RhoQuadrature.build(depth, nodes_per_panel)
-
-
-def default_quadrature():
-    return _cached_quadrature(48, 32)
 
 
 # ---------------------------------------------------------------------------
@@ -227,44 +158,26 @@ def wavelet_coefficient_table(spec, l_band, k_cut=None):
 
 @lru_cache(maxsize=None)
 def _scale_integral(family, l, k):
-    """R[l,k] = int_0^infty rho (sum_n c_n r^n)^2 drho, convergence-checked:
-    the (48, 32) and (56, 40) rules, each one Horner pass, agree to 1e-6.
-    Independent of tau (the caller factors out the window coefficient);
-    cached, so each (family, l, k) pair is integrated once.
+    """R[l,k] = int_0^infty rho p(r)^2 drho = sum_s A_s / s^2 over the
+    coefficients A_s of p^2, for p = sum_n c_n r^n.  The float c_n are
+    dyadic rationals, so one power of two makes them integers and the sum
+    is exact until its one rounding.  Independent of tau (the caller
+    factors out the window coefficient); cached per (family, l, k).
     """
     degs, coefs = _coefficient_polynomial(family, l, k)
     if not degs:
         return 0.0
-    base = _poly_scale_integral(degs, coefs, default_quadrature())
-    fine = _poly_scale_integral(degs, coefs, _cached_quadrature(56, 40))
-    # the polynomial cancels ~l/2 leading digits pointwise near r = 1, so
-    # agreement much below 1e-6 relative cannot be expected at high degree
-    if abs(fine - base) > 1e-6 * max(abs(fine), 1e-300):
-        raise ArithmeticError(
-            "scale quadrature did not converge for degree %d order %d" % (l, k))
-    return fine
-
-
-def _poly_scale_integral(degs, coefs, quad):
-    """int rho p(r)^2 drho on one rule. The degrees step by 2 from d0 =
-    degs[0], so p(r) = r^d0 q(r^2) with coefs as q: one Horner pass."""
-    acc = quad.r_nodes ** degs[0] * np.polyval(coefs[::-1], quad.r_nodes ** 2)
-    return float(np.sum(quad.weights * quad.nodes * acc * acc))
-
-
-def scale_integral_closed_form(family, l, k):
-    """Exact value of R[l,k] from int rho e^{-a rho} drho = 1/a^2.
-
-    Valid for l <= 40 (1e-3 relative); above, the sum cancels to noise.
-    """
-    if l > 40:
-        raise ValueError("closed form is unreliable above degree 40")
-    degs, coefs = _coefficient_polynomial(family, l, k)
-    total = 0.0
-    for ni, ci in zip(degs, coefs):
-        for nj, cj in zip(degs, coefs):
-            total += ci * cj / float(ni + nj) ** 2
-    return total
+    ratios = [c.as_integer_ratio() for c in coefs]
+    den = max(d for _, d in ratios)
+    a = np.zeros((degs[-1] - degs[0]) // 2 + 1, dtype=object)
+    for n, (num, d) in zip(degs, ratios):
+        a[(n - degs[0]) // 2] = num * (den // d)
+    squares = [(2 * degs[0] + 2 * j) ** 2 for j in range(2 * len(a) - 1)]
+    common = math.lcm(*squares)
+    total = sum(int(v) * (common // s)
+                for v, s in zip(np.convolve(a, a), squares))
+    # int / int rounds correctly, so this is the one rounding
+    return total / (common * den * den)
 
 
 def admissibility_integral(family, tau, l):

@@ -333,19 +333,18 @@ def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
     parser, registry = build_parser()
-    # config is applied as per-command parser defaults so flags win
-    if "--config" in argv:
+    args = parser.parse_args(argv)
+    # config is applied as the command's parser defaults so flags win
+    if args.config is not None:
         try:
-            cfg = load_config(argv[argv.index("--config") + 1])
-        except IndexError:
-            parser.error("--config requires a path")
+            cfg = load_config(args.config)
         except (OSError, FileFormatError) as exc:
             print("error: %s" % exc, file=sys.stderr)
             return 2
-        for sub in registry.values():
-            known = {a.dest for a in sub._actions}
-            sub.set_defaults(**{k: v for k, v in cfg.items() if k in known})
-    args = parser.parse_args(argv)
+        sub = registry[args.command]
+        known = {a.dest for a in sub._actions}
+        sub.set_defaults(**{k: v for k, v in cfg.items() if k in known})
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (FrameConvergenceError, ArithmeticError) as exc:

@@ -214,8 +214,12 @@ def estimate_sup_norms(spec, n_theta=None, n_phi=None):
     win = angular_window(spec.tau, phi)
     dwin = angular_window_dphi(spec.tau, phi)
     sup_psi = np.max(np.abs(prof)) * np.max(np.abs(win))
-    grad_sq = (np.outer(dprof, win) ** 2
-               + np.outer(prof / np.sin(theta), dwin) ** 2)
+    # the lattice widens with tau: scan it in blocks of about 2^16 points
+    step = max(1, 2 ** 16 // n_theta)
+    prof_sin = prof / np.sin(theta)
+    grad_sq = [np.max(np.outer(dprof, win[s:s + step]) ** 2
+                      + np.outer(prof_sin, dwin[s:s + step]) ** 2)
+               for s in range(0, n_phi, step)]
     return float(sup_psi), float(np.sqrt(np.max(grad_sq)))
 
 

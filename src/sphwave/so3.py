@@ -19,16 +19,6 @@ RHO0_FLOOR = 0.0
 RATIO_SPAN = 4.0
 
 
-def sphere_points(theta, phi):
-    """Unit vectors for colatitude theta, longitude phi, shape (3,) + shape."""
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    st = np.sin(theta)
-    return np.stack((np.cos(theta) * np.ones_like(phi),
-                     st * np.cos(phi),
-                     st * np.sin(phi)))
-
-
 def axis_rotation(beta):
     """Rotation by beta about the pole axis (the (xi2, xi3) plane)."""
     c, s = np.cos(beta), np.sin(beta)

@@ -80,6 +80,16 @@ def legendre_rows(t, l_band):
     return out
 
 
+@lru_cache(maxsize=8)
+def _colat_rows(nodes, l_band):
+    """legendre_rows at the cosines of colatitude nodes passed as their
+    bytes: keyed by the node values, so grids with different nodes never
+    share rows.  Cached per (nodes, l_band) and read-only."""
+    rows = legendre_rows(np.cos(np.frombuffer(nodes)), l_band)
+    rows.flags.writeable = False
+    return rows
+
+
 def spherical_harmonic(l, k, theta, phi):
     """Y_l^k(theta, phi) = (-1)^|k| Q_l^|k|(cos theta) exp(i k phi).
 
@@ -219,7 +229,7 @@ def analyze_signal(f, l_band=None):
     n_phi = f.spec.n_phi
     g = np.fft.fft(f.values, axis=1) * (2.0 * np.pi / n_phi)
     _, m_of = degree_orders(l_band)
-    rows = legendre_rows(f.colat.cos_nodes, l_band) * f.colat.weights
+    rows = _colat_rows(f.colat.nodes.tobytes(), l_band) * f.colat.weights
     return CoefficientTable(l_band, np.sum(rows * g[:, m_of % n_phi].T,
                                            axis=1))
 
@@ -235,6 +245,7 @@ def synthesize_signal(table, spec, colat=None):
     # s[i, m] = sum_l coef(l, m) (-1)^|m| Q_l^|m|(theta_i)
     s = np.zeros((spec.n_theta, spec.n_phi), dtype=complex)
     np.add.at(s.T, m_of % spec.n_phi,
-              table.values[:, None] * legendre_rows(colat.cos_nodes, l_band))
+              table.values[:, None]
+              * _colat_rows(colat.nodes.tobytes(), l_band))
     values = np.fft.ifft(s, axis=1) * spec.n_phi
     return SphericalSignal(values=values, spec=spec, colat=colat)

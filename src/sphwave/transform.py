@@ -28,11 +28,10 @@ from .admissibility import _kernel_matrix
 class FrameOperatorConfig:
     """Iteration controls for inverting the frame operator: tolerance
     bounds the Jacobi-scaled relative residual ||D^-1 r|| / ||D^-1 b||
-    (D the frame diagonal).  relaxation is accepted and has no effect."""
+    (D the frame diagonal)."""
 
     max_iterations: int = 200
     tolerance: float = 1e-10
-    relaxation: float = None
     strict: bool = True
 
     def __post_init__(self):

@@ -9,12 +9,14 @@ per-harmonic construction, which analyzes every tilted harmonic as a
 gridded signal, and the band partition regroups a grid's cells by
 latitude band.  The remaining functions are independent routes to
 values the library computes otherwise: plain Legendre recurrences,
-harmonics at scattered points, pointwise rotation, the Legendre series
-forms of the kernel profiles, the Fourier series of the angular window
-and its slope, the profiles rebuilt from their P_l^1 expansion, and the scale integral of a
-coefficient polynomial summed term by term, one power of r per degree,
-as the library did before it evaluated the polynomial by Horner's
-scheme, and the matched filter's former one-candidate-at-a-time argmax.  The last section keeps the
+unit vectors and harmonics at scattered points, pointwise rotation, the
+Legendre series forms of the kernel profiles, the Fourier series of the
+angular window and its slope, the profiles rebuilt from their P_l^1
+expansion, the matched filter's former one-candidate-at-a-time argmax,
+and the scale integrals by the library's former composite quadrature
+over rho, with the coefficient polynomial summed term by term, and by
+the former float closed form (the library now sums that closed form
+exactly).  The last section keeps the
 per-selectivity construction that the steerable band operator replaced:
 the kernel coefficient with tau inside its formula, its per-(l, k)
 table loop, the complex flat tilt quadrature, and the forward
@@ -22,14 +24,13 @@ transform, adjoint, scan, select and refine built on one complex band
 matrix per selectivity.
 """
 
+from dataclasses import dataclass
+from functools import lru_cache
 from math import fsum
 
 import numpy as np
 
-from functools import lru_cache
-
-from sphwave.admissibility import (_coefficient_polynomial, default_k_cut,
-                                   default_quadrature)
+from sphwave.admissibility import _coefficient_polynomial, default_k_cut
 from sphwave.multiselect import TIE_MARGIN, _pick
 from sphwave.profiles import (WaveletSpec, _check_rho, _window_orders,
                               angular_coefficient, expansion_coefficient_fn,
@@ -38,7 +39,7 @@ from sphwave.sphfn import (CoefficientTable, SphericalSignal, analyze_signal,
                            coef_index, default_grid_spec, degree_orders,
                            grid_phis, legendre_P_all, legendre_rows,
                            make_colat_grid, normalized_assoc_column)
-from sphwave.so3 import sphere_points, tilt_rotation
+from sphwave.so3 import tilt_rotation
 from sphwave.transform import BandPlan, _normalize_specs, _tilt_blocks
 
 
@@ -204,6 +205,16 @@ def assoc_legendre_P(l, k, t):
     return p if p.ndim else float(p)
 
 
+def sphere_points(theta, phi):
+    """Unit vectors for colatitude theta, longitude phi, shape (3,) + shape."""
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    st = np.sin(theta)
+    return np.stack((np.cos(theta) * np.ones_like(phi),
+                     st * np.cos(phi),
+                     st * np.sin(phi)))
+
+
 def harmonic_matrix(l_band, theta, phi):
     """All Y_l^k at scattered points: shape ((l_band+1)^2, n_points).
 
@@ -348,20 +359,98 @@ def window_series_dphi(tau, phi):
     return v if v.ndim else float(v)
 
 
+@dataclass
+class RhoQuadrature:
+    """Nodes and weights for int_0^infty F(rho) drho.
+
+    Built by the substitution r = exp(-rho) followed by composite
+    Gauss-Legendre on (0,1) with panels refined geometrically toward both
+    endpoints: the r -> 0 end carries the rho -> infinity tail and the
+    r -> 1 end the rho -> 0 boundary layer (including r^{2l} factors with
+    large l, whose mass sits at 1 - r ~ 1/(2l)).
+    """
+    nodes: np.ndarray      # rho values, all > 0
+    weights: np.ndarray    # weights for plain d rho integration
+    r_nodes: np.ndarray    # exp(-rho), kept exact from the construction
+    depth: int
+    nodes_per_panel: int
+
+    @classmethod
+    def build(cls, depth=48, nodes_per_panel=32):
+        # edges 1 - 2^-j collapse onto 1.0 in double precision past j = 52;
+        # the skipped sliver carries rho < 1e-15 and is negligible
+        right = min(depth, 50)
+        edges = ([0.0] + [2.0 ** -j for j in range(depth, 0, -1)]
+                 + [1.0 - 2.0 ** -j for j in range(2, right + 1)] + [1.0])
+        x, w = np.polynomial.legendre.leggauss(nodes_per_panel)
+        rs, rhos, ws = [], [], []
+        for a, b in zip(edges[:-1], edges[1:]):
+            half = 0.5 * (b - a)
+            if a >= 0.5:
+                # work with r - 1 so rho = -log1p(d) stays positive and
+                # accurate when r is within a few ulp of 1
+                d = (a - 1.0) + half * (x + 1.0)
+                rs.append(1.0 + d)
+                rhos.append(-np.log1p(d))
+            else:
+                rp = a + half * (x + 1.0)
+                rs.append(rp)
+                rhos.append(-np.log(rp))
+            ws.append(half * w)
+        r = np.concatenate(rs)
+        rho = np.concatenate(rhos)
+        wr = np.concatenate(ws)
+        if not np.all(rho > 0.0):
+            raise AssertionError("quadrature produced a nonpositive scale node")
+        return cls(nodes=rho, weights=wr / r, r_nodes=r,
+                   depth=depth, nodes_per_panel=nodes_per_panel)
+
+    def integrate(self, fn):
+        """int_0^infty fn(rho) drho."""
+        return float(np.sum(self.weights * fn(self.nodes)))
+
+    def integrate_scale_invariant(self, fn):
+        """int_0^infty fn(rho) drho / rho."""
+        return float(np.sum(self.weights * fn(self.nodes) / self.nodes))
+
+    def refine(self):
+        """A strictly denser rule, for convergence checks."""
+        return RhoQuadrature.build(self.depth + 8, self.nodes_per_panel + 8)
+
+
+@lru_cache(maxsize=4)
+def rho_quadrature(depth=48, nodes_per_panel=32):
+    """Cached RhoQuadrature; the default (48, 32) rule and its refinement
+    (56, 40) are the two rules the scale integrals are checked on."""
+    return RhoQuadrature.build(depth, nodes_per_panel)
+
+
 def expansion_scale_integral(family, l, quad=None):
     """int_0^infty rho * coef_l(e^{-rho})^2 drho for the P_l^1 coefficient."""
     if quad is None:
-        quad = default_quadrature()
+        quad = rho_quadrature()
     c = expansion_coefficient_fn(family)(l, quad.r_nodes)
     return float(np.sum(quad.weights * quad.nodes * c * c))
 
 
 def poly_scale_integral(degs, coefs, quad):
+    """int_0^infty rho p(r)^2 drho on one rule, p = sum_n c_n r^n summed
+    term by term, one power of r per degree."""
     r = quad.r_nodes
     acc = np.zeros_like(r)
     for n, c in zip(degs, coefs):
         acc += c * r ** n
     return float(np.sum(quad.weights * quad.nodes * acc * acc))
+
+
+def float_closed_form_scale_integral(degs, coefs):
+    """sum_ij c_i c_j / (n_i + n_j)^2 in float arithmetic, the library's
+    former closed form; it cancels heavily as the degree grows."""
+    total = 0.0
+    for ni, ci in zip(degs, coefs):
+        for nj, cj in zip(degs, coefs):
+            total += ci * cj / float(ni + nj) ** 2
+    return total
 
 
 def sequential_pick(values, taus, angles, tol):

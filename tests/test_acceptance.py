@@ -16,8 +16,7 @@ from math import fsum
 import numpy as np
 
 from sphwave.admissibility import (admissibility_report, coefficient_upper_bound,
-                                   default_quadrature, k1_ratio,
-                                   wavelet_coefficient,
+                                   k1_ratio, wavelet_coefficient,
                                    wavelet_coefficient_table)
 from sphwave.multiselect import (SelectivitySet, estimate_sup_norms,
                                  select_tau)
@@ -34,13 +33,13 @@ from sphwave.transform import (FrameOperatorConfig, forward_transform,
 
 from oracles import (assoc_legendre_P, omega_profile_series,
                      poisson_kernel_series, profile_from_expansion,
-                     upsilon_profile_series)
+                     rho_quadrature, upsilon_profile_series)
 
 
 def test_closed_form_integrals():
     # scale integrals of the geometric kernel series; 1 - e^{-2 rho} is
     # evaluated with expm1 so boundary-layer nodes cannot divide by zero
-    quad = default_quadrature()
+    quad = rho_quadrature()
     got = quad.integrate(lambda r: -r * np.exp(-2.0 * r) / np.expm1(-2.0 * r))
     want = np.pi ** 2 / 24.0
     assert abs(got - want) < 1e-10 * want
@@ -186,7 +185,7 @@ def test_frame_round_trip():
 
     # refinement sweep at a fixed iteration budget is strictly monotone
     cfg = FrameOperatorConfig(max_iterations=6, tolerance=1e-15,
-                              relaxation=1.0, strict=False)
+                              strict=False)
     errs = []
     for delta in (0.30, 0.25, 0.20):
         g = make_so3_grid(delta, delta)

@@ -7,21 +7,18 @@ from sphwave.admissibility import (admissibility_integral,
                                    admissibility_report,
                                    analytic_upper_bound,
                                    coefficient_upper_bound, default_k_cut,
-                                   default_quadrature,
                                    k1_ratio, k1_ratio_limit,
-                                   scale_integral_closed_form,
                                    wavelet_coefficient,
                                    wavelet_coefficient_table)
-from sphwave import admissibility
-from sphwave.admissibility import (RhoQuadrature, _cached_quadrature,
-                                   _coefficient_polynomial,
-                                   _poly_scale_integral, _scale_integral)
+from sphwave.admissibility import _coefficient_polynomial, _scale_integral
 from sphwave.profiles import WaveletSpec, angular_coefficient, evaluate_wavelet
 from sphwave.sphfn import (SphericalSignal, analyze_signal, default_grid_spec,
                            degree_orders, grid_phis, make_colat_grid)
 
 import oracles
-from oracles import expansion_scale_integral, poly_scale_integral
+from oracles import (expansion_scale_integral,
+                     float_closed_form_scale_integral, poly_scale_integral,
+                     rho_quadrature)
 
 # scale integrals of the squared degree-l coefficient polynomial at order 1,
 # computed once in exact rational arithmetic (Legendre recurrence and
@@ -38,7 +35,7 @@ E_K1_EXACT = {9: 2.458729598730269e-05,
 
 
 def test_rho_quadrature_exact_integrals():
-    q = default_quadrature()
+    q = rho_quadrature()
     assert np.all(q.nodes > 0)
     assert abs(q.integrate(lambda r: r * np.exp(-2 * r)) - 0.25) < 1e-14
     # sum_n 1/(4 n^2): rho e^-2rho / (1 - e^-2rho), stable via expm1
@@ -55,49 +52,51 @@ def test_rho_quadrature_exact_integrals():
 
 
 def test_scale_integral_matches_closed_form():
-    # the closed form sum c_i c_j / (n_i + n_j)^2 is exact but cancels
-    # heavily as l grows; compare where it retains precision
+    # the exact sum against the same closed form summed in floats, which
+    # cancels heavily as l grows; compare where it retains precision
+    def float_sum(family, l, k):
+        return float_closed_form_scale_integral(
+            *_coefficient_polynomial(family, l, k))
     for family in ("omega", "upsilon"):
         for l in range(1, 11):
             for k in range(1, min(l, 7) + 1, 2):
                 a = _scale_integral(family, l, k)
-                b = scale_integral_closed_form(family, l, k)
+                b = float_sum(family, l, k)
                 assert abs(a - b) < 1e-8 * abs(b), (family, l, k)
     for l in range(11, 25):
         a = _scale_integral("omega", l, 1)
-        b = scale_integral_closed_form("omega", l, 1)
+        b = float_sum("omega", l, 1)
         assert abs(a - b) < 1e-5 * abs(b), l
     a = _scale_integral("omega", 40, 1)
-    b = scale_integral_closed_form("omega", 40, 1)
+    b = float_sum("omega", 40, 1)
     assert abs(a - b) < 1e-3 * abs(b)
-    for l in (41, 160):
-        with pytest.raises(ValueError):
-            scale_integral_closed_form("omega", l, 1)
+    # past degree 40 the float sum is noise; the exact sum is not
+    exact = R_K1_EXACT[160]
+    assert abs(_scale_integral("omega", 160, 1) - exact) < 1e-5 * exact
+    assert abs(float_sum("omega", 160, 1) - exact) > exact
 
 
 def test_poly_scale_integral_matches_per_term_sum():
-    # Horner in r^2 against the per-term power sum, on both rules
-    rules = (_cached_quadrature(48, 32), _cached_quadrature(56, 40))
+    # the exact sum against the former runtime quadrature, with the
+    # coefficient polynomial summed term by term, on both of its rules
+    rules = (rho_quadrature(48, 32), rho_quadrature(56, 40))
     for family in ("omega", "upsilon"):
         for l in (1, 2, 3, 4, 7, 10, 17, 26, 35, 64):
             for k in range(1, l + 1, 2):
+                got = _scale_integral(family, l, k)
                 degs, coefs = _coefficient_polynomial(family, l, k)
                 for quad in rules:
-                    got = _poly_scale_integral(degs, coefs, quad)
                     ref = poly_scale_integral(degs, coefs, quad)
                     assert abs(got - ref) <= 1e-8 * abs(ref), (family, l, k)
-
-
-def test_scale_integral_convergence_check(monkeypatch):
-    # a fine rule far too coarse to agree with the base rule must still
-    # make the two-rule check refuse the value
-    coarse = RhoQuadrature.build(4, 4)
-    monkeypatch.setattr(
-        admissibility, "_cached_quadrature",
-        lambda d, n: coarse if (d, n) == (56, 40) else _cached_quadrature(d, n))
-    _scale_integral.cache_clear()
-    with pytest.raises(ArithmeticError):
-        _scale_integral("omega", 9, 1)
+    # degree 200: the sum holds far past where the float closed form
+    # cancels to noise, to within the rules' own accuracy there
+    for family in ("omega", "upsilon"):
+        for k in range(1, 42, 2):
+            got = _scale_integral(family, 200, k)
+            degs, coefs = _coefficient_polynomial(family, 200, k)
+            for quad in rules:
+                ref = poly_scale_integral(degs, coefs, quad)
+                assert abs(got - ref) <= 1e-7 * abs(ref), (family, k)
 
 
 def test_scale_integral_exact_high_degree():

@@ -12,10 +12,10 @@ import sphwave
 from sphwave.cli import build_parser, load_config, main
 from sphwave.fileio import read_selectivity_rows, read_signal
 from sphwave.sphfn import analyze_signal
-from sphwave.so3 import axis_rotation, sphere_points, tilt_rotation
+from sphwave.so3 import axis_rotation, tilt_rotation
 from sphwave.transform import FrameOperatorConfig
 
-from oracles import harmonic_matrix, point_angles
+from oracles import harmonic_matrix, point_angles, sphere_points
 
 
 def _read_csv(path):
@@ -228,8 +228,16 @@ def test_config_merge_flags_win(tmp_path):
                  "--seed", "4", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
 
+    # the --config=path spelling loads the same defaults
+    cfg.write_text(json.dumps({"l_band": 3}))
+    assert main(["synthesize", "--preset", "noise", "--config=%s" % cfg,
+                 "--out", str(out1)]) == 0
+    assert read_signal(out1).spec.l_band == 3
+
     cfg.write_text(json.dumps({"vibes": 11}))
     assert main(["synthesize", "--preset", "noise", "--config", str(cfg),
+                 "--out", str(out1)]) == 2
+    assert main(["synthesize", "--preset", "noise", "--config=%s" % cfg,
                  "--out", str(out1)]) == 2
     with pytest.raises(SystemExit):
         main(["synthesize", "--preset", "noise", "--config"])

@@ -1,6 +1,7 @@
 """Matched-filter selectivity choice, refinement, and the grid budget."""
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -374,6 +375,19 @@ def test_estimate_sup_norms_stability():
     grads = [estimate_sup_norms(WaveletSpec("omega", 0.5, t))[1]
              for t in (1.0, 2.0, 4.0)]
     assert grads[0] <= grads[1] <= grads[2]
+
+
+def test_estimate_sup_norms_memory_flat_in_tau():
+    # the phi lattice grows linearly in tau; scanning it in blocks keeps
+    # the peak flat (a whole-lattice scan peaks near 54 MB at tau = 100)
+    spec = WaveletSpec("omega", 1.0, 100.0)
+    tracemalloc.start()
+    try:
+        estimate_sup_norms(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, peak
 
 
 def test_sup_norms_match_series_window(monkeypatch, tmp_path):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from sphwave.so3 import (GridCell, Rotation, axis_rotation, make_rotation,
-                         make_scale_sequence, make_so3_grid, sphere_points,
-                         tilt_rotation)
+                         make_scale_sequence, make_so3_grid, tilt_rotation)
 
-from oracles import band_partition, point_angles, rotate_signal_pullback
+from oracles import (band_partition, point_angles, rotate_signal_pullback,
+                     sphere_points)
 
 
 def test_sphere_points_roundtrip():

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import scipy.special as sps
 
-from sphwave.sphfn import (CoefficientTable, SphericalSignal, analyze_signal,
-                           coef_index, default_grid_spec, grid_phis,
-                           legendre_P_all, legendre_rows, make_colat_grid,
-                           normalized_assoc_column, spherical_harmonic,
-                           synthesize_signal)
+from sphwave import sphfn
+from sphwave.sphfn import (CoefficientTable, ColatGrid, SphericalSignal,
+                           analyze_signal, coef_index, default_grid_spec,
+                           grid_phis, legendre_P_all, legendre_rows,
+                           make_colat_grid, normalized_assoc_column,
+                           spherical_harmonic, synthesize_signal)
 
 from oracles import assoc_legendre_P, harmonic_matrix, legendre_P
 
@@ -137,6 +138,34 @@ def test_colat_grid_cached(monkeypatch):
     assert a.colat is b.colat
     assert not a.colat.nodes.flags.writeable
     assert not a.colat.weights.flags.writeable
+
+
+def test_legendre_rows_cached(monkeypatch):
+    # the Legendre rows are built once per (colatitude nodes, band limit)
+    # and shared read-only by analyses and syntheses
+    calls = []
+
+    def counted(t, l_band):
+        calls.append(l_band)
+        return legendre_rows(t, l_band)
+
+    monkeypatch.setattr(sphfn, "legendre_rows", counted)
+    sphfn._colat_rows.cache_clear()
+    spec = default_grid_spec(6)
+    table = CoefficientTable(6, np.ones(49, dtype=complex))
+    f = synthesize_signal(table, spec)
+    a = analyze_signal(f)
+    b = analyze_signal(f)
+    assert calls == [6]
+    assert np.array_equal(a.values, b.values)
+    assert not sphfn._colat_rows(f.colat.nodes.tobytes(), 6).flags.writeable
+    # a custom grid with other nodes gets its own rows
+    nodes = f.colat.nodes * 0.5
+    custom = ColatGrid(nodes=nodes, weights=f.colat.weights)
+    synthesize_signal(table, spec, custom)
+    assert calls == [6, 6]
+    assert np.array_equal(sphfn._colat_rows(nodes.tobytes(), 6),
+                          legendre_rows(np.cos(nodes), 6))
 
 
 def test_coef_index_and_table():
