@@ -84,13 +84,16 @@ def _pick(values, taus, angles, tol):
             flat[np.arange(len(first)), first])
 
 
-def _band_landscape(plan, d, family, rho, taus):
+def _kernel_norms(family, rho, taus):
+    return np.sqrt([wavelet_norm_sq(WaveletSpec(family, rho, t))
+                    for t in taus])
+
+
+def _band_landscape(plan, d, w, norms):
     """Normalized correlation per (tau, cell, axial angle) in one band,
     from the band's tau-free correlation d = carried @ beta.T: each tau
-    scales the columns of d by its window weights."""
-    norms = np.sqrt([wavelet_norm_sq(WaveletSpec(family, rho, t))
-                     for t in taus])
-    weighted = d * plan.weights(np.asarray(taus))[:, None, :]
+    scales the columns of d by its row of w, then divides by its norm."""
+    weighted = d * w[:, None, :]
     return np.abs(weighted @ plan.axial_phase) / norms[:, None, None]
 
 
@@ -105,8 +108,9 @@ def _carrier_pick(f, scales, j, alpha2, tsel, grid, family):
             @ plan.beta(cell.theta, family, scales[j]).T)
     taus = tuple(tsel)
     tau, phi1, value = _pick(
-        _band_landscape(plan, corr, family, scales[j], taus), taus,
-        grid.axial_angles, TIE_MARGIN * np.sqrt(table.norm_sq()))
+        _band_landscape(plan, corr, plan.weights(np.asarray(taus)),
+                        _kernel_norms(family, scales[j], taus)),
+        taus, grid.axial_angles, TIE_MARGIN * np.sqrt(table.norm_sq()))
     return float(tau[0]), phi1[0], value[0], corr, table.l_band
 
 
@@ -126,17 +130,16 @@ def selectivity_scan(f, scales, grid, tsel, family="omega"):
     table = analyze_signal(f)
     taus = tuple(tsel)
     tol = TIE_MARGIN * np.sqrt(table.norm_sq())
-    n_j = len(scales)
-    tau_star = np.empty((n_j, grid.n_carriers))
-    phi1_star = np.empty((n_j, grid.n_carriers))
-    value = np.empty((n_j, grid.n_carriers))
+    tau_star, phi1_star, value = np.empty((3, len(scales), grid.n_carriers))
     plan = BandPlan(table.l_band, grid.axial_angles)
+    w = plan.weights(np.asarray(taus))
+    norms = [_kernel_norms(family, rho, taus) for rho in scales]
     for theta_b, idx, phis, _ in grid.bands:
         carried = plan.carried(phis) * table.values
         for j, rho in enumerate(scales):
             d = carried @ plan.beta(theta_b, family, rho).T
             tau_star[j, idx], phi1_star[j, idx], value[j, idx] = _pick(
-                _band_landscape(plan, d, family, rho, taus), taus,
+                _band_landscape(plan, d, w, norms[j]), taus,
                 grid.axial_angles, tol)
     return SelectivityMap(family, tau_star, phi1_star, value, grid, scales)
 
@@ -159,7 +162,8 @@ def refine_tau(f, scales, j, alpha2, tsel, grid, family="omega",
     plan = BandPlan(l_band, np.array([phi1]))
 
     def score(tau):
-        v = _band_landscape(plan, corr, family, scales[j], (tau,))
+        v = _band_landscape(plan, corr, plan.weights(np.array([tau])),
+                            _kernel_norms(family, scales[j], (tau,)))
         return float(v[0, 0, 0])
 
     gr = 0.5 * (np.sqrt(5.0) - 1.0)

@@ -8,9 +8,9 @@ per-degree real Wigner blocks, so one tilt block per latitude band
 is steerable, Psi_l^k(tau) = w_k(tau) P_l^k: a BandPlan joins a band's
 tilt blocks with the tau-free P into one real matrix beta per band and
 scale, and a selectivity only weights each cell's axial orders.  The
-forward transform, its adjoint and the matched-filter landscape are one
-product with beta per band and scale.  Reconstruction inverts the frame
-operator S by conjugate gradients with a Jacobi preconditioner.
+forward transform, adjoint, matched-filter landscape and frame operator
+S are products with beta per band and scale; S pays one phase factor per
+ring of equal-longitude bands, and Jacobi-preconditioned CG inverts it.
 """
 
 from dataclasses import dataclass
@@ -247,39 +247,50 @@ def rotate_coefficients(table, rotation):
 # ---------------------------------------------------------------------------
 # frame operator assembly and inversion
 
+def _hadamard(cells, real, l_band, diff_at):
+    """real * sum_c e^{i (m' - m) phi_c}, gathered from one phase sum."""
+    offsets = np.arange(-2 * l_band, 2 * l_band + 1)
+    term = np.exp(1j * np.outer(offsets, cells)).sum(axis=1)[diff_at]
+    term *= real  # in place: n x n temporaries cost more than products
+    return term
+
+
 def frame_matrix(family, taus, grid, scales, l_band):
     """Dense frame operator S on coefficient tables.
 
     taus[j] is the selectivity of scale j, one value or one per carrier.
-    The cells of a band that share a selectivity share the real kernel
-    factor beta^T diag(w) G diag(w) beta (G the axial Gram matrix, w the
-    window weights).  The Hadamard factor multiplying it,
-    measure * sum_c e^{i (m' - m) phi_c}, depends only on m' - m in
-    [-2 l_band, 2 l_band], so it is gathered from one phase sum over the
-    cells' longitudes.
+    A cell subset sharing a selectivity adds beta^T diag(w) G diag(w) beta
+    times measure * sum_c e^{i (m'-m) phi_c}; G = 2 pi F^T F, F folding odd
+    k onto k mod n_axial, is the axial Gram matrix, aliased or not.  A ring
+    (bands with byte-equal longitudes) sums its whole-band terms under one.
     """
     plan = BandPlan(l_band, grid.axial_angles)
-    ks = plan.ks
     n_axial = len(grid.axial_angles)
-    axial_gram = 2.0 * np.pi * ((ks[:, None] - ks[None, :]) % n_axial == 0)
-    offsets = np.arange(-2 * l_band, 2 * l_band + 1)
+    axial_gram = 2.0 * np.pi * ((plan.ks[:, None] - plan.ks) % n_axial == 0)
     diff_at = plan.m_of[None, :] - plan.m_of[:, None] + 2 * l_band
     weight = scales.log_step / (16.0 * np.pi ** 2)
     weights = [plan.weights(t, grid.n_carriers) for t in taus]
+    rings = {}
+    for band in grid.bands:
+        rings.setdefault(band[2].tobytes(), []).append(band)
     s = np.zeros(diff_at.shape, dtype=complex)
-    for theta, idx, phis, measure in grid.bands:
-        for j, rho in enumerate(scales):
-            beta = plan.beta(theta, family, rho)
-            band_taus = np.broadcast_to(taus[j], grid.n_carriers)[idx]
-            for tau in np.unique(band_taus):
-                rows = band_taus == tau
-                w = weights[j][idx[rows][0]]
-                cells = phis[rows]
-                phase_sum = np.exp(1j * np.outer(offsets, cells)).sum(axis=1)
-                # in place: fresh n x n temporaries cost more than the products
-                hadamard = ((weight * measure) * phase_sum)[diff_at]
-                hadamard *= beta.T @ ((w[:, None] * axial_gram * w) @ beta)
-                s += hadamard
+    for ring in rings.values():
+        whole = np.zeros(diff_at.shape)
+        for theta, idx, phis, measure in ring:
+            for j, rho in enumerate(scales):
+                beta = plan.beta(theta, family, rho)
+                band_taus = np.broadcast_to(taus[j], grid.n_carriers)[idx]
+                for tau in np.unique(band_taus):
+                    rows = band_taus == tau
+                    w = weights[j][idx[rows][0]]
+                    core = (weight * measure) * (w[:, None] * axial_gram * w)
+                    if rows.all():
+                        whole += beta.T @ (core @ beta)
+                    else:
+                        s += _hadamard(phis[rows], beta.T @ (core @ beta),
+                                       l_band, diff_at)
+        if whole.any():
+            s += _hadamard(phis, whole, l_band, diff_at)
     return s
 
 

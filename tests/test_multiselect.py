@@ -329,6 +329,21 @@ def test_scan_beta_once_per_band_and_scale(monkeypatch):
     assert len(calls) == len(grid.bands) * len(SCALES), len(calls)
 
 
+def test_scan_window_weights_once_per_scan(monkeypatch):
+    # the weight rows depend on the selectivity set only: one evaluation
+    # per scan, whatever the number of bands and scales
+    f = _random_signal(8, 3)
+    tsel = SelectivitySet()
+    for grid in (make_so3_grid(0.8, 0.5), GRID):
+        calls = []
+        weights = transform.window_weights
+        monkeypatch.setattr(transform, "window_weights",
+                            lambda *a: calls.append(1) or weights(*a))
+        selectivity_scan(f, SCALES, grid, tsel)
+        monkeypatch.undo()
+        assert len(calls) == 1, (len(grid.bands), len(calls))
+
+
 def test_two_feature_signal_prefers_sharper():
     # equal-energy broad and sharp features at well separated carriers
     l_band = 16

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sphwave import transform
 from sphwave.profiles import WaveletSpec, evaluate_wavelet
 from sphwave.sphfn import (CoefficientTable, SphericalSignal, analyze_signal,
                            coef_index, default_grid_spec, degree_orders,
@@ -251,6 +252,68 @@ def test_adaptive_matrix_matches_uniform():
     assert np.max(np.abs(s_adaptive - s_uniform)) < 1e-13 * scale
     s_closed = oracles.frame_matrix("omega", [2.0, 2.0], grid, SCALES, l_band)
     assert np.max(np.abs(s_closed - s_uniform)) < 1e-13 * scale
+
+
+def test_frame_matrix_on_aliased_axial_grids():
+    # fewer axial angles than 2 k_max + 1: odd orders k, k' with
+    # k - k' a multiple of n_axial alias, so the axial Gram matrix has
+    # off-diagonal entries (7 angles pair k = +-7; 5 angles pair +-5,
+    # (7, -3) and (3, -7)) and the fold of k onto k mod n_axial matters
+    l_band = 8
+    table = _random_table(l_band, 52, kill_below=-1)
+    for delta1, n_axial in ((1.0, 7), (1.3, 5)):
+        grid = make_so3_grid(0.5, delta1)
+        assert len(grid.axial_angles) == n_axial
+        for fam in ("omega", "upsilon"):
+            mixed = [tuple(WaveletSpec(fam, rho, t)
+                           for t in _split_taus(grid, j))
+                     for j, rho in enumerate(SCALES)]
+            for specs in (uniform_specs(fam, 5.0, SCALES), mixed):
+                coeffs = forward_transform(_signal(table), specs, grid,
+                                           SCALES)
+                assert coeffs.under_resolved
+                s = frame_matrix(fam, coeffs.taus, grid, SCALES, l_band)
+                want = oracles.adaptive_frame_matrix(coeffs)
+                assert (np.max(np.abs(s - want))
+                        <= 1e-13 * np.max(np.abs(want))), (fam, n_axial)
+                st = adjoint_transform(coeffs).values
+                assert (np.max(np.abs(s @ table.values - st))
+                        < 1e-12 * np.max(np.abs(st))), (fam, n_axial)
+
+
+def test_frame_matrix_one_phase_factor_per_ring(monkeypatch):
+    # the Hadamard factor depends on the cells' longitudes only: bands
+    # with equal longitudes (a ring) share one across all their scales,
+    # and a selectivity covering part of a band keeps its own
+    l_band = 16
+    grid = make_so3_grid(0.2, 0.2)
+    n_rings = len({phis.tobytes() for _, _, phis, _ in grid.bands})
+    assert (len(grid.bands), n_rings) == (23, 11)
+    calls = []
+    hadamard = transform._hadamard
+    monkeypatch.setattr(transform, "_hadamard",
+                        lambda *a: calls.append(1) or hadamard(*a))
+    for j_max in (0, 2):
+        scales = make_scale_sequence(1.0, 0.5, j_max)
+        calls.clear()
+        frame_matrix("omega", [4.0] * len(scales), grid, scales, l_band)
+        assert len(calls) == n_rings, (j_max, len(calls))
+    # a ring pays for its whole-band terms once, and not at all when
+    # every selectivity splits its bands
+    scales = make_scale_sequence(1.0, 0.5, 2)
+    mixed = [_split_taus(grid, 0),
+             np.where(grid.carrier_thetas < 0.5 * np.pi, 1.0, 2.0), 4.0]
+    split = [_split_taus(grid, j % 2) for j in range(3)]
+    for taus, want_rings in ((mixed, n_rings), (split, 0)):
+        subsets = [(phis.tobytes(),
+                    len(np.unique(np.broadcast_to(t, grid.n_carriers)[idx])))
+                   for _, idx, phis, _ in grid.bands for t in taus]
+        partial = sum(n for _, n in subsets if n > 1)
+        assert len({key for key, n in subsets if n == 1}) == want_rings
+        assert partial > 0
+        calls.clear()
+        frame_matrix("omega", taus, grid, scales, l_band)
+        assert len(calls) == want_rings + partial, len(calls)
 
 
 def test_rotate_coefficients_matches_pullback():
