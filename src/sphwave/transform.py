@@ -4,13 +4,15 @@ A coefficient W(rho_j, g) is the normalized inner product of the rotated
 kernel with the signal, 1/(4 pi) <U_g Psi, f>.  Everything runs in
 harmonic space: rotating a kernel multiplies its coefficient table by
 per-degree real Wigner blocks, so one tilt block per latitude band
-(cached) plus diagonal phase factors cover the whole grid.  The kernel
-is steerable, Psi_l^k(tau) = w_k(tau) P_l^k: a BandPlan joins a band's
-tilt blocks with the tau-free P into one real matrix beta per band and
-scale, and a selectivity only weights each cell's axial orders.  The
-forward transform, adjoint, matched-filter landscape and frame operator
-S are products with beta per band and scale; S pays one phase factor per
-ring of equal-longitude bands, and Jacobi-preconditioned CG inverts it.
+(its odd-k columns cached) plus diagonal phase factors cover the whole
+grid.  The kernel is steerable, Psi_l^k(tau) = w_k(tau) P_l^k: a
+BandPlan joins a band's tilt blocks with the tau-free P into one real
+matrix beta per band and scale, and a selectivity only weights each
+cell's axial orders.  The forward transform, adjoint, matched-filter
+landscape and frame operator S are products with beta per band and
+scale.  The cells enter S only through one phase sum per axial pair and
+order difference m' - m, in closed form for a band with one selectivity,
+and Jacobi-preconditioned CG inverts S.
 """
 
 from dataclasses import dataclass
@@ -81,8 +83,7 @@ class TransformCoefficients:
 # ---------------------------------------------------------------------------
 # rotation machinery
 
-@lru_cache(maxsize=512)
-def _tilt_blocks(theta_key, l_band):
+def _tilt_blocks(theta, l_band):
     """Tilt blocks d^l[m, k] = <Y_l^m, Y_l^k o tilt^{-1}>, flat and real.
 
     Row l*l + l + m, column k + l_band; zero where |k| > l, so the block
@@ -92,9 +93,10 @@ def _tilt_blocks(theta_key, l_band):
     eigenbasis V gives exp(-i theta J_x) = V diag(e^{-i theta m}) V^T.
     The phases i^(m-k) turn J_x into J_y, and the factor (-1)^m on
     negative orders follows Y_l^-m = conj(Y_l^m): together they are
-    i^|m| on row m and its conjugate on column k.
+    i^|m| on row m and its conjugate on column k.  Built uncached: the
+    band operator keeps only the odd-k columns (_odd_tilt).
     """
-    theta = float(theta_key)
+    theta = float(theta)
     flat = np.zeros(((l_band + 1) ** 2, 2 * l_band + 1))
     for l in range(l_band + 1):
         m = np.arange(-l, l + 1)
@@ -104,8 +106,22 @@ def _tilt_blocks(theta_key, l_band):
         turned = (v * np.exp(-1j * theta * m)) @ v.T
         flat[l * l:(l + 1) ** 2, l_band - l:l_band + l + 1] = (
             phase[:, None] * turned * phase.conj()).real
-    flat.flags.writeable = False
     return flat
+
+
+def _odd_orders(l_band):
+    """The kernel's axial orders: odd k in [-l_band, l_band], ascending."""
+    return np.arange(-l_band, l_band + 1)[(l_band + 1) % 2::2]
+
+
+@lru_cache(maxsize=512)
+def _odd_tilt(theta_key, l_band):
+    """Tilt blocks transposed to (odd k) x (flat l, m): all that the band
+    operator reads, cached per band and read-only."""
+    flat = _tilt_blocks(theta_key, l_band)
+    odd = np.ascontiguousarray(flat[:, _odd_orders(l_band) + l_band].T)
+    odd.flags.writeable = False
+    return odd
 
 
 class BandPlan:
@@ -122,12 +138,11 @@ class BandPlan:
 
     def __init__(self, l_band, axial_angles):
         self.l_band = l_band
-        # odd orders k are every other tilt column k + l_band
-        self._odd_cols = slice((l_band + 1) % 2, None, 2)
-        self.ks = np.arange(-l_band, l_band + 1)[self._odd_cols]
-        l_of, self.m_of = degree_orders(l_band)
+        self.ks = _odd_orders(l_band)
+        self.m_of = degree_orders(l_band)[1]
         self.axial_phase = np.exp(1j * np.outer(self.ks, axial_angles))
-        self._kern_at = (l_of[None, :], self.ks[:, None] + l_band)
+        self._kern_cols = self.ks + l_band
+        self._degree_sizes = 2 * np.arange(l_band + 1) + 1
         self._orders = np.arange(-l_band, l_band + 1)
 
     def carried(self, phis):
@@ -138,9 +153,11 @@ class BandPlan:
     def beta(self, theta, family, rho):
         """Real tilted kernel factor (odd k) x (flat l, m) for one band,
         shared by every selectivity."""
-        tilt = _tilt_blocks(round(theta, 12), self.l_band)[:, self._odd_cols]
-        return tilt.T * _kernel_matrix(family, float(rho),
-                                       self.l_band)[self._kern_at]
+        kern = _kernel_matrix(family, float(rho), self.l_band)
+        # the 2l+1 columns of degree l share the kernel row P[l, ks]
+        per_degree = np.repeat(kern[:, self._kern_cols].T,
+                               self._degree_sizes, axis=1)
+        return _odd_tilt(round(theta, 12), self.l_band) * per_degree
 
     def weights(self, taus, n=None):
         """Window weights w_k(tau) on the odd orders, one row per entry of
@@ -247,51 +264,92 @@ def rotate_coefficients(table, rotation):
 # ---------------------------------------------------------------------------
 # frame operator assembly and inversion
 
-def _hadamard(cells, real, l_band, diff_at):
-    """real * sum_c e^{i (m' - m) phi_c}, gathered from one phase sum."""
-    offsets = np.arange(-2 * l_band, 2 * l_band + 1)
-    term = np.exp(1j * np.outer(offsets, cells)).sum(axis=1)[diff_at]
-    term *= real  # in place: n x n temporaries cost more than products
-    return term
-
-
 def frame_matrix(family, taus, grid, scales, l_band):
     """Dense frame operator S on coefficient tables.
 
     taus[j] is the selectivity of scale j, one value or one per carrier.
-    A cell subset sharing a selectivity adds beta^T diag(w) G diag(w) beta
-    times measure * sum_c e^{i (m'-m) phi_c}; G = 2 pi F^T F, F folding odd
-    k onto k mod n_axial, is the axial Gram matrix, aliased or not.  A ring
-    (bands with byte-equal longitudes) sums its whole-band terms under one.
+    Block (m, m') of S sums beta_k[:, m] beta_k'[:, m']^T H(m' - m) over
+    bands, scales and axial pairs k = k' (mod n_axial), where
+    H(d) = measure log_step / (8 pi) sum_c w_ck w_ck' e^{i d phi_c} is the
+    one place the cells and their selectivities enter.  A band whose cells
+    share one selectivity and sit at longitudes (c + 1/2) 2 pi / N has
+    H(d) = N H(0) (-1)^(d/N) where N divides d and 0 elsewhere, so it
+    costs a few batched per-order products; the rows of every other band
+    are stacked for one product per order m.  S is Hermitian, and
+    beta_-k[l, m] = beta_k[l, -m] with w_-k = w_k, so only blocks m' >= m
+    and pairs k + k' >= 0 (k + k' = 0 at half weight) are summed.
     """
     plan = BandPlan(l_band, grid.axial_angles)
-    n_axial = len(grid.axial_angles)
-    axial_gram = 2.0 * np.pi * ((plan.ks[:, None] - plan.ks) % n_axial == 0)
-    diff_at = plan.m_of[None, :] - plan.m_of[:, None] + 2 * l_band
-    weight = scales.log_step / (16.0 * np.pi ** 2)
+    n_axial, n_m, n_l = len(grid.axial_angles), 2 * l_band + 1, l_band + 1
+    ks = plan.ks
+    ia, ib = np.nonzero(((ks[:, None] - ks) % n_axial == 0)
+                        & (ks[:, None] + ks >= 0))
+    pair_w = (np.where(ks[ia] + ks[ib] == 0, 0.5, 1.0)
+              * scales.log_step / (8.0 * np.pi))
     weights = [plan.weights(t, grid.n_carriers) for t in taus]
-    rings = {}
-    for band in grid.bands:
-        rings.setdefault(band[2].tobytes(), []).append(band)
-    s = np.zeros(diff_at.shape, dtype=complex)
-    for ring in rings.values():
-        whole = np.zeros(diff_at.shape)
-        for theta, idx, phis, measure in ring:
-            for j, rho in enumerate(scales):
-                beta = plan.beta(theta, family, rho)
-                band_taus = np.broadcast_to(taus[j], grid.n_carriers)[idx]
-                for tau in np.unique(band_taus):
-                    rows = band_taus == tau
-                    w = weights[j][idx[rows][0]]
-                    core = (weight * measure) * (w[:, None] * axial_gram * w)
-                    if rows.all():
-                        whole += beta.T @ (core @ beta)
-                    else:
-                        s += _hadamard(phis[rows], beta.T @ (core @ beta),
-                                       l_band, diff_at)
-        if whole.any():
-            s += _hadamard(phis, whole, l_band, diff_at)
-    return s
+    whole, mixed = [], []
+    for theta, idx, phis, measure in grid.bands:
+        n_cells = len(idx)
+        regular = np.array_equal(
+            phis, (np.arange(n_cells) + 0.5) * (2.0 * np.pi / n_cells))
+        for j, rho in enumerate(scales):
+            band_taus = np.broadcast_to(taus[j], grid.n_carriers)[idx]
+            shared = regular and np.all(band_taus == band_taus[0])
+            (whole if shared else mixed).append(
+                (theta, rho, weights[j][idx], phis, measure))
+    # m-major layout: orders m = -L..L, degrees l = |m|..L within each
+    l_of, m_of = degree_orders(l_band)
+    order = np.lexsort((l_of, m_of))
+    off = np.searchsorted(m_of[order], np.arange(-l_band, l_band + 2))
+    s = np.zeros((len(order), len(order)), dtype=complex)
+
+    # whole bands: per-order blocks padded to l = 0..L, one batch per d
+    pad_at = (m_of + l_band) * n_l + l_of
+    diagonals = {}
+    for theta, rho, w, phis, measure in whole:
+        padded = np.zeros((n_m * n_l, len(ks)))
+        padded[pad_at] = plan.beta(theta, family, rho).T
+        padded = padded.reshape(n_m, n_l, len(ks))
+        c = (len(phis) * measure) * pair_w * w[0, ia] * w[0, ib]
+        left = padded[:, :, ia]
+        right = (padded[:, :, ib] * c).transpose(0, 2, 1)
+        for q, d in enumerate(range(0, n_m, len(phis))):
+            block = (-1) ** q * (left[:n_m - d] @ right[d:])
+            diagonals[d] = diagonals.get(d, 0.0) + block
+    for d, blocks in diagonals.items():
+        for i, block in enumerate(blocks):
+            s[off[i]:off[i + 1], off[i + d]:off[i + d + 1]] += \
+                block[abs(i - l_band):, abs(i + d - l_band):]
+
+    # other bands: H(d) per stacked pair row, one product per order m
+    low = np.empty((len(ia) * len(mixed), len(order)))
+    high = low if np.array_equal(ia, ib) else np.empty_like(low)
+    h = np.empty((len(low), n_m), dtype=complex)
+    for r, (theta, rho, w, phis, measure) in enumerate(mixed):
+        rows = slice(r * len(ia), (r + 1) * len(ia))
+        beta = plan.beta(theta, family, rho)[:, order]
+        low[rows], high[rows] = beta[ia], beta[ib]
+        phase = np.exp(1j * np.outer(phis, np.arange(n_m)))
+        h[rows] = ((w[:, ia] * w[:, ib]).T @ phase) * (measure
+                                                       * pair_w[:, None])
+    sizes = np.diff(off)
+    for i in range(n_m if mixed else 0):
+        a, b = off[i], off[i + 1]
+        for part, hp in ((s[a:b, a:].real, h.real),
+                         (s[a:b, a:].imag, h.imag)):
+            z = np.repeat(hp[:, :n_m - i], sizes[i:], axis=1)
+            z *= high[:, a:]
+            part += low[:, a:b].T @ z
+    del low, high, h  # before the n x n temporaries below
+
+    # with T the sum above, S[m, m'] = T[m, m'] + T[-m', -m]^T
+    back = np.argsort(order)
+    mirror = back[(l_of * (l_of + 1) - m_of)[order]]
+    s += s[np.ix_(mirror, mirror)].T
+    for a, b in zip(off[:-1], off[1:]):
+        s[a:b, a:b] = 0.5 * (s[a:b, a:b] + s[a:b, a:b].conj().T)
+        s[b:, a:b] = s[a:b, b:].conj().T
+    return s[np.ix_(back, back)]
 
 
 def reconstruct(coeffs, cfg=None):
@@ -303,7 +361,6 @@ def reconstruct(coeffs, cfg=None):
     if cfg is None:
         cfg = FrameOperatorConfig()
     l_band = coeffs.l_band
-    l_of, _ = degree_orders(l_band)
     s = frame_matrix(coeffs.family, coeffs.taus, coeffs.grid,
                      coeffs.scales, l_band)
     rhs = adjoint_transform(coeffs).values
@@ -312,9 +369,11 @@ def reconstruct(coeffs, cfg=None):
     k_used = window_weights(tau_max, l_band) != 0.0
     rows = [_kernel_matrix(coeffs.family, float(rho), l_band)[:, k_used]
             for rho in coeffs.scales]
-    active = np.where(np.any(rows, axis=(0, 2))[l_of])[0]
-    sa = s[np.ix_(active, active)]
-    b = rhs[active]
+    # odd orders need |k| <= l, so degree 0 is the one inactive degree and
+    # the active indices are a tail: the solve runs on a view of S
+    start = int(np.argmax(np.any(rows, axis=(0, 2)))) ** 2
+    sa = s[start:, start:]
+    b = rhs[start:]
     table = CoefficientTable(l_band)
     grid_spec = default_grid_spec(l_band)
     if np.linalg.norm(b) == 0.0:
@@ -339,5 +398,5 @@ def reconstruct(coeffs, cfg=None):
         p = z + (rz / rz_old) * p
     if cfg.strict and not residual <= cfg.tolerance:
         raise FrameConvergenceError(residual, cfg.max_iterations)
-    table.values[active] = x
+    table.values[start:] = x
     return synthesize_signal(table, grid_spec)

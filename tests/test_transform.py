@@ -1,10 +1,12 @@
 """Rotation-grid analysis, adjoint, frame operator, and reconstruction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from sphwave import transform
-from sphwave.profiles import WaveletSpec, evaluate_wavelet
+from sphwave.admissibility import _kernel_matrix
+from sphwave.profiles import WaveletSpec, evaluate_wavelet, window_weights
 from sphwave.sphfn import (CoefficientTable, SphericalSignal, analyze_signal,
                            coef_index, default_grid_spec, degree_orders,
                            grid_phis, make_colat_grid, spherical_harmonic,
@@ -87,7 +89,7 @@ def test_tilt_blocks_real():
 
 def test_tilt_blocks_orthogonal_at_high_degree():
     # uncached, so the 34 MB table is not held for the rest of the run
-    blocks = oracles.degree_blocks(_tilt_blocks.__wrapped__(1.1, 128))
+    blocks = oracles.degree_blocks(_tilt_blocks(1.1, 128))
     for l, b in enumerate(blocks):
         assert np.max(np.abs(b.T @ b - np.eye(2 * l + 1))) < 1e-13, l
 
@@ -96,7 +98,7 @@ def test_tilt_blocks_compose():
     # tilts about one axis add their angles: d(a) d(b) = d(a + b)
     for a, b in ((0.7, 1.9), (2.9, 0.35), (1.1, -0.4)):
         d_a, d_b, d_ab = (
-            oracles.degree_blocks(_tilt_blocks.__wrapped__(t, 64))
+            oracles.degree_blocks(_tilt_blocks(t, 64))
             for t in (a, b, a + b))
         for l, (x, y, z) in enumerate(zip(d_a, d_b, d_ab)):
             assert np.max(np.abs(x @ y - z)) < 1e-13, (a, b, l)
@@ -231,7 +233,7 @@ def test_frame_matrix_matches_composition():
         st = adjoint_transform(coeffs)
         s = frame_matrix("omega", coeffs.taus, grid, SCALES, l_band)
         assert np.max(np.abs(s - s.conj().T)) < 1e-14 * np.max(np.abs(s))
-        # gathered Hadamard factor against the explicit phase products
+        # per-order phase sums against the explicit phase products
         s_phases = oracles.adaptive_frame_matrix(coeffs)
         assert np.max(np.abs(s - s_phases)) < 1e-14 * np.max(np.abs(s))
         sv = s @ table.values
@@ -281,39 +283,75 @@ def test_frame_matrix_on_aliased_axial_grids():
                         < 1e-12 * np.max(np.abs(st))), (fam, n_axial)
 
 
-def test_frame_matrix_one_phase_factor_per_ring(monkeypatch):
-    # the Hadamard factor depends on the cells' longitudes only: bands
-    # with equal longitudes (a ring) share one across all their scales,
-    # and a selectivity covering part of a band keeps its own
+def _band_grid(grid, bands, shift=0.0):
+    # the grid restricted to some of its bands, each band's longitudes
+    # turned by shift times its position in the list
+    cells, kept = [], []
+    for i, b in enumerate(bands):
+        theta, idx, phis, measure = grid.bands[b]
+        phis = np.mod(phis + shift * (i + 1), 2.0 * np.pi)
+        kept.append((theta, len(cells) + np.arange(len(idx)), phis, measure))
+        cells.extend(dataclasses.replace(grid.cells[c], phi=float(p))
+                     for c, p in zip(idx, phis))
+    measures = np.array([c.measure for c in cells])
+    return dataclasses.replace(grid, cells=tuple(cells), bands=tuple(kept),
+                               measures=measures)
+
+
+def test_frame_matrix_whole_band_closed_form():
+    # cells at (c + 1/2) 2 pi / N sharing one selectivity: the phase sum
+    # is N (-1)^(d/N) where N divides d = m' - m and exactly 0 elsewhere
     l_band = 16
     grid = make_so3_grid(0.2, 0.2)
-    n_rings = len({phis.tobytes() for _, _, phis, _ in grid.bands})
-    assert (len(grid.bands), n_rings) == (23, 11)
-    calls = []
-    hadamard = transform._hadamard
-    monkeypatch.setattr(transform, "_hadamard",
-                        lambda *a: calls.append(1) or hadamard(*a))
-    for j_max in (0, 2):
-        scales = make_scale_sequence(1.0, 0.5, j_max)
-        calls.clear()
-        frame_matrix("omega", [4.0] * len(scales), grid, scales, l_band)
-        assert len(calls) == n_rings, (j_max, len(calls))
-    # a ring pays for its whole-band terms once, and not at all when
-    # every selectivity splits its bands
+    f = _signal(_random_table(l_band, 61, kill_below=-1))
+    _, m_of = degree_orders(l_band)
+    for b in (0, 3, 11):
+        band = _band_grid(grid, [b])
+        n_cells = band.n_carriers
+        coeffs = forward_transform(f, uniform_specs("omega", 4.0, SCALES),
+                                   band, SCALES)
+        s = frame_matrix("omega", coeffs.taus, band, SCALES, l_band)
+        aligned = (m_of[None, :] - m_of[:, None]) % n_cells == 0
+        assert np.all(s[~aligned] == 0.0), b
+        want = oracles.adaptive_frame_matrix(coeffs)
+        assert (np.max(np.abs(s - want))
+                <= 1e-13 * np.max(np.abs(want))), b
+        if n_cells <= 2 * l_band:
+            assert np.any(s[aligned & (m_of[None, :] != m_of[:, None])])
+
+
+def test_frame_matrix_on_shifted_longitudes():
+    # bands off the (c + 1/2) 2 pi / N lattice take the general phase sum
+    l_band = 8
+    table = _random_table(l_band, 62, kill_below=-1)
+    base = make_so3_grid(0.5, 0.5)
+    grid = _band_grid(base, range(len(base.bands)), shift=0.37)
+    for fam in ("omega", "upsilon"):
+        mixed = [tuple(WaveletSpec(fam, rho, t) for t in _split_taus(grid, j))
+                 for j, rho in enumerate(SCALES)]
+        for specs in (uniform_specs(fam, 5.0, SCALES), mixed):
+            coeffs = forward_transform(_signal(table), specs, grid, SCALES)
+            s = frame_matrix(fam, coeffs.taus, grid, SCALES, l_band)
+            want = oracles.adaptive_frame_matrix(coeffs)
+            assert (np.max(np.abs(s - want))
+                    <= 1e-13 * np.max(np.abs(want))), fam
+            st = adjoint_transform(coeffs).values
+            assert (np.max(np.abs(s @ table.values - st))
+                    < 1e-12 * np.max(np.abs(st))), fam
+
+
+def test_frame_matrix_hermitian():
+    # whole bands, bands split by selectivity, and both in one frame
+    l_band = 16
+    grid = make_so3_grid(0.2, 0.2)
     scales = make_scale_sequence(1.0, 0.5, 2)
     mixed = [_split_taus(grid, 0),
              np.where(grid.carrier_thetas < 0.5 * np.pi, 1.0, 2.0), 4.0]
     split = [_split_taus(grid, j % 2) for j in range(3)]
-    for taus, want_rings in ((mixed, n_rings), (split, 0)):
-        subsets = [(phis.tobytes(),
-                    len(np.unique(np.broadcast_to(t, grid.n_carriers)[idx])))
-                   for _, idx, phis, _ in grid.bands for t in taus]
-        partial = sum(n for _, n in subsets if n > 1)
-        assert len({key for key, n in subsets if n == 1}) == want_rings
-        assert partial > 0
-        calls.clear()
-        frame_matrix("omega", taus, grid, scales, l_band)
-        assert len(calls) == want_rings + partial, len(calls)
+    for taus in ([4.0] * 3, mixed, split):
+        s = frame_matrix("omega", taus, grid, scales, l_band)
+        assert np.array_equal(s, s.conj().T)
+        assert np.all(s.diagonal()[1:].real > 0.0)
 
 
 def test_rotate_coefficients_matches_pullback():
@@ -400,6 +438,20 @@ def test_reconstruct_degree_one_content():
             want = table.values[l_of == l]
             err = np.linalg.norm(rec[l_of == l] - want) / np.linalg.norm(want)
             assert err <= 1e-10, (family, l, err)
+
+
+def test_reconstruct_active_degrees_are_a_tail():
+    # reconstruct solves on S from the lowest degree a kernel reaches up:
+    # every kernel must reach every degree l >= 1, and none reaches l = 0
+    for fam in ("omega", "upsilon"):
+        for l_band in (6, 12, 16, 32):
+            for tau in (1.0, 4.0, 16.0):
+                k_used = window_weights(tau, l_band) != 0.0
+                for rho in (1.0, 0.5, 0.25):
+                    rows = _kernel_matrix(fam, rho, l_band)[:, k_used]
+                    active = np.any(rows, axis=1)
+                    assert not active[0] and active[1:].all(), (
+                        fam, l_band, tau, rho)
 
 
 def test_reconstruct_controls():
