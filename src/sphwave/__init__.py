@@ -3,15 +3,14 @@
 from .sphfn import (CoefficientTable, ColatGrid, SphericalGridSpec,
                     SphericalSignal, analyze_signal, coef_index,
                     default_grid_spec, grid_phis, make_colat_grid,
-                    spherical_harmonic, synthesize_signal)
+                    synthesize_signal)
 from .profiles import (FAMILIES, FAMILY_ORDER, WaveletSpec,
                        angular_coefficient, angular_window, default_k_cut,
                        dog_window, evaluate_wavelet, omega_profile,
                        poisson_kernel, upsilon_profile, wavelet_norm_sq)
 from .admissibility import (AdmissibilityReport, admissibility_integral,
                             admissibility_report, analytic_upper_bound,
-                            coefficient_upper_bound, wavelet_coefficient,
-                            wavelet_coefficient_table)
+                            wavelet_coefficient, wavelet_coefficient_table)
 from .so3 import (GridCell, Rotation, ScaleSequence, SO3Grid, make_rotation,
                   make_scale_sequence, make_so3_grid)
 from .transform import (FrameConvergenceError, FrameOperatorConfig,
@@ -32,13 +31,13 @@ __version__ = "0.1.0"
 __all__ = [
     "CoefficientTable", "ColatGrid", "SphericalGridSpec", "SphericalSignal",
     "analyze_signal", "coef_index", "default_grid_spec", "grid_phis",
-    "make_colat_grid", "spherical_harmonic", "synthesize_signal",
+    "make_colat_grid", "synthesize_signal",
     "FAMILIES", "FAMILY_ORDER", "WaveletSpec",
     "angular_coefficient", "angular_window", "dog_window",
     "evaluate_wavelet", "omega_profile", "poisson_kernel", "upsilon_profile",
     "wavelet_norm_sq",
     "AdmissibilityReport", "admissibility_integral", "admissibility_report",
-    "analytic_upper_bound", "coefficient_upper_bound", "default_k_cut",
+    "analytic_upper_bound", "default_k_cut",
     "wavelet_coefficient", "wavelet_coefficient_table",
     "GridCell", "Rotation", "ScaleSequence", "SO3Grid", "make_rotation",
     "make_scale_sequence", "make_so3_grid",

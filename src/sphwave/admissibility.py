@@ -82,7 +82,7 @@ def _coefficient_polynomial(family, l, k):
 
 
 # ---------------------------------------------------------------------------
-# coefficients and their printed bound
+# coefficients
 
 def _profile_coefficient(family, rho, l, ka):
     """tau-free factor P_l^k of the coefficient at odd order ka = |k| >= 1.
@@ -116,21 +116,6 @@ def wavelet_coefficient(spec, l, k):
                    * _profile_coefficient(spec.family, spec.rho, l, abs(k)))
 
 
-def coefficient_upper_bound(spec, l, k):
-    """Decay bound on |coefficient| at odd order k, |k| <= l."""
-    if abs(k) > l:
-        raise IndexError("order exceeds degree")
-    if k % 2 == 0:
-        raise ValueError("bound applies to odd orders only")
-    ka = abs(k)
-    r = spec.r
-    root = np.sqrt((2 * l + 1) / (2.0 * ka * (1.0 - r * r)))
-    gauss = np.exp(-ka * ka / (2.0 * spec.tau ** 2))
-    if spec.family == "omega":
-        return 3.0 * spec.rho * r / spec.tau * root * gauss
-    return 6.0 * spec.rho * r * r / spec.tau * root * gauss
-
-
 @lru_cache(maxsize=64)
 def _kernel_matrix(family, rho, l_band):
     """tau-free factors P_l^k as a dense (l, k) matrix, index [l, k + l_band];
@@ -145,11 +130,11 @@ def _kernel_matrix(family, rho, l_band):
     return mat
 
 
-def wavelet_coefficient_table(spec, l_band, k_cut=None):
+def wavelet_coefficient_table(spec, l_band):
     """CoefficientTable of the kernel's coefficients up to l_band."""
     l_of, m_of = degree_orders(l_band)
     kern = (_kernel_matrix(spec.family, spec.rho, l_band)
-            * window_weights(spec.tau, l_band, k_cut))
+            * window_weights(spec.tau, l_band))
     return CoefficientTable(l_band, kern[l_of, m_of + l_band].astype(complex))
 
 

@@ -140,16 +140,15 @@ def default_k_cut(tau):
     return _first_odd(lambda k: not np.exp(-k * k / (tau * tau)) / k >= 1e-14)
 
 
-def window_weights(taus, l_band, k_cut=None):
+def window_weights(taus, l_band):
     """Window coefficients w_k(tau) for k in [-l_band, l_band]: c_|k|(tau)
-    at odd |k| <= k_cut (default_k_cut(tau)), zero elsewhere.  One row per
+    at odd |k| <= default_k_cut(tau), zero elsewhere.  One row per
     entry of taus (a scalar, or an array of any shape)."""
     uniq, inverse = np.unique(np.asarray(taus, dtype=float),
                               return_inverse=True)
     rows = np.zeros((len(uniq), 2 * l_band + 1))
     for row, tau in zip(rows, uniq):
-        cut = default_k_cut(tau) if k_cut is None else k_cut
-        for k in range(1, min(l_band, cut) + 1, 2):
+        for k in range(1, min(l_band, default_k_cut(tau)) + 1, 2):
             row[l_band + k] = row[l_band - k] = angular_coefficient(tau, k)
     return rows[inverse].reshape(np.shape(taus) + (-1,))
 

@@ -19,54 +19,28 @@ RHO0_FLOOR = 0.0
 RATIO_SPAN = 4.0
 
 
-def axis_rotation(beta):
-    """Rotation by beta about the pole axis (the (xi2, xi3) plane)."""
-    c, s = np.cos(beta), np.sin(beta)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def tilt_rotation(beta):
-    """Rotation by beta in the (xi1, xi2) plane; tips the pole over."""
-    c, s = np.cos(beta), np.sin(beta)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
 @dataclass(frozen=True)
 class Rotation:
-    """One rotation with its cached orthogonal matrix."""
+    """One rotation as its three angles; kernels rotate in harmonic space."""
 
     phi1: float
     theta2: float
     phi2: float
-    matrix: np.ndarray
-
-    def apply(self, xyz):
-        return np.tensordot(self.matrix, xyz, axes=1)
-
-    def apply_inverse(self, xyz):
-        return np.tensordot(self.matrix.T, xyz, axes=1)
-
-    @property
-    def carrier(self):
-        """Image of the pole: (colatitude, longitude) of the kernel center."""
-        return self.theta2, self.phi2
 
 
 def make_rotation(phi1, theta2, phi2):
-    """Compose the axial spin, the tilt, and the carrier longitude turn.
+    """The rotation turning by phi1 about the pole axis, tilting the pole
+    by theta2, then turning by phi2 about the pole axis.
 
-    The matrix is axis(phi2) @ tilt(theta2) @ axis(phi1); applied to the
-    pole it yields the carrier point at (theta2, phi2), and phi1 only
-    spins the kernel about its own axis.
+    It carries the pole to the carrier point (theta2, phi2); phi1 only
+    spins the kernel about its own axis.  Both turns are reduced mod 2 pi.
     """
     theta2 = float(theta2)
     if not 0.0 <= theta2 <= np.pi:
         raise ValueError("carrier colatitude must lie in [0, pi]")
     phi1 = float(np.mod(phi1, 2.0 * np.pi))
     phi2 = float(np.mod(phi2, 2.0 * np.pi))
-    matrix = axis_rotation(phi2) @ tilt_rotation(theta2) @ axis_rotation(phi1)
-    matrix.flags.writeable = False
-    return Rotation(phi1, theta2, phi2, matrix)
+    return Rotation(phi1, theta2, phi2)
 
 
 # ---------------------------------------------------------------------------
@@ -138,29 +112,6 @@ class SO3Grid:
     @property
     def n_carriers(self):
         return len(self.cells)
-
-    @property
-    def n_rotations(self):
-        return len(self.cells) * len(self.axial_angles)
-
-    @property
-    def carrier_thetas(self):
-        return np.array([c.theta for c in self.cells])
-
-    @property
-    def carrier_phis(self):
-        return np.array([c.phi for c in self.cells])
-
-    def all_rotations(self):
-        """Flattened list of rotations, carrier-major then axial angle."""
-        return [make_rotation(a, c.theta, c.phi)
-                for c in self.cells for a in self.axial_angles]
-
-    def rows(self):
-        """(theta2, phi2, phi1, measure) rows for serialization."""
-        for c in self.cells:
-            for a in self.axial_angles:
-                yield c.theta, c.phi, float(a), c.measure
 
 
 def make_so3_grid(delta2, delta1):

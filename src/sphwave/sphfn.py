@@ -90,21 +90,6 @@ def _colat_rows(nodes, l_band):
     return rows
 
 
-def spherical_harmonic(l, k, theta, phi):
-    """Y_l^k(theta, phi) = (-1)^|k| Q_l^|k|(cos theta) exp(i k phi).
-
-    Orthonormal under the unnormalized measure; Y(l, -k) = conj(Y(l, k)).
-    """
-    if abs(k) > l:
-        raise IndexError("order exceeds degree")
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    ka = abs(k)
-    q = normalized_assoc_column(ka, np.cos(theta), l)[l - ka]
-    val = (-1.0) ** ka * q * np.exp(1j * k * phi)
-    return val if np.ndim(val) else complex(val)
-
-
 @dataclass(frozen=True)
 class ColatGrid:
     """Gauss-Legendre colatitude rule: nodes increasing in (0, pi), weights sum to 2."""

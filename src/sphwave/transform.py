@@ -157,7 +157,7 @@ class BandPlan:
         # the 2l+1 columns of degree l share the kernel row P[l, ks]
         per_degree = np.repeat(kern[:, self._kern_cols].T,
                                self._degree_sizes, axis=1)
-        return _odd_tilt(round(theta, 12), self.l_band) * per_degree
+        return _odd_tilt(float(theta), self.l_band) * per_degree
 
     def weights(self, taus, n=None):
         """Window weights w_k(tau) on the odd orders, one row per entry of
@@ -250,7 +250,7 @@ def frame_apply(f, specs, grid, scales):
 def rotate_coefficients(table, rotation):
     """Coefficient table of the rotated signal x -> f(g^{-1} x)."""
     l_band = table.l_band
-    flat = _tilt_blocks(round(rotation.theta2, 12), l_band)
+    flat = _tilt_blocks(rotation.theta2, l_band)
     out = CoefficientTable(l_band)
     for l in range(l_band + 1):
         m = np.arange(-l, l + 1)

@@ -7,21 +7,22 @@ selectivities.  The library now builds both cases from its band
 operator, and tests hold it to these.  The tilt blocks are the former
 per-harmonic construction, which analyzes every tilted harmonic as a
 gridded signal, and the band partition regroups a grid's cells by
-latitude band.  The remaining functions are independent routes to
-values the library computes otherwise: plain Legendre recurrences,
-unit vectors and harmonics at scattered points, pointwise rotation, the
-Legendre series forms of the kernel profiles, the Fourier series of the
-angular window and its slope, the profiles rebuilt from their P_l^1
-expansion, the matched filter's former one-candidate-at-a-time argmax,
-and the scale integrals by the library's former composite quadrature
-over rho, with the coefficient polynomial summed term by term, and by
-the former float closed form (the library now sums that closed form
-exactly).  The last section keeps the
+latitude band.  The remaining functions are independent routes to values
+the library computes otherwise: plain Legendre recurrences, unit vectors
+and harmonics at scattered points, the rotation matrix of three angles
+and pointwise rotation by it, the Legendre series forms of the kernel
+profiles, the Fourier series of the angular window and its slope, the
+profiles rebuilt from their P_l^1 expansion, the matched filter's former
+one-candidate-at-a-time argmax, and the scale integrals by the library's
+former composite quadrature over rho, with the coefficient polynomial
+summed term by term, and by the former float closed form (the library
+now sums that closed form exactly).  The kernel coefficients are checked
+against their printed decay bound.  The last section keeps the
 per-selectivity construction that the steerable band operator replaced:
-the kernel coefficient with tau inside its formula, its per-(l, k)
-table loop, the complex flat tilt quadrature, and the forward
-transform, adjoint, scan, select and refine built on one complex band
-matrix per selectivity.
+the kernel coefficient with tau inside its formula, its per-(l, k) table
+loop, the complex flat tilt quadrature, and the forward transform,
+adjoint, scan, select and refine built on one complex band matrix per
+selectivity.
 """
 
 from dataclasses import dataclass
@@ -39,7 +40,6 @@ from sphwave.sphfn import (CoefficientTable, SphericalSignal, analyze_signal,
                            coef_index, default_grid_spec, degree_orders,
                            grid_phis, legendre_P_all, legendre_rows,
                            make_colat_grid, normalized_assoc_column)
-from sphwave.so3 import tilt_rotation
 from sphwave.transform import BandPlan, _normalize_specs, _tilt_blocks
 
 
@@ -105,7 +105,7 @@ def frame_matrix(family, taus, grid, scales, l_band):
     dm = m_of[None, :] - m_of[:, None]
     s = np.zeros((n, n), dtype=complex)
     for theta_b, idx, _, measure in band_partition(grid):
-        blocks = degree_blocks(_tilt_blocks(round(theta_b, 12), l_band))
+        blocks = degree_blocks(_tilt_blocks(theta_b, l_band))
         n_cells = len(idx)
         tilt_part = np.zeros((len(ks), n), dtype=complex)
         for l in range(1, l_band + 1):
@@ -140,7 +140,7 @@ def adaptive_frame_matrix(coeffs):
     axial_gram = 2.0 * np.pi * ((ks[:, None] - ks[None, :]) % n_axial == 0)
     s = np.zeros((n, n), dtype=complex)
     for theta_b, idx, phis, measure in band_partition(grid):
-        blocks = degree_blocks(_tilt_blocks(round(theta_b, 12), l_band))
+        blocks = degree_blocks(_tilt_blocks(theta_b, l_band))
         tilt_part = np.zeros((len(ks), n), dtype=complex)
         for l in range(1, l_band + 1):
             kcols = [l + k for k in range(-l, l + 1) if k % 2 != 0]
@@ -215,6 +215,21 @@ def sphere_points(theta, phi):
                      st * np.sin(phi)))
 
 
+def spherical_harmonic(l, k, theta, phi):
+    """Y_l^k(theta, phi) = (-1)^|k| Q_l^|k|(cos theta) exp(i k phi).
+
+    Orthonormal under the unnormalized measure; Y(l, -k) = conj(Y(l, k)).
+    """
+    if abs(k) > l:
+        raise IndexError("order exceeds degree")
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    ka = abs(k)
+    q = normalized_assoc_column(ka, np.cos(theta), l)[l - ka]
+    val = (-1.0) ** ka * q * np.exp(1j * k * phi)
+    return val if np.ndim(val) else complex(val)
+
+
 def harmonic_matrix(l_band, theta, phi):
     """All Y_l^k at scattered points: shape ((l_band+1)^2, n_points).
 
@@ -235,11 +250,31 @@ def point_angles(xyz):
     return theta, np.mod(phi, 2.0 * np.pi)
 
 
+def axis_rotation(beta):
+    """Rotation by beta about the pole axis (the (xi2, xi3) plane)."""
+    c, s = np.cos(beta), np.sin(beta)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+
+
+def tilt_rotation(beta):
+    """Rotation by beta in the (xi1, xi2) plane; tips the pole over."""
+    c, s = np.cos(beta), np.sin(beta)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def rotation_matrix(rotation):
+    """Orthogonal matrix axis(phi2) @ tilt(theta2) @ axis(phi1) of a
+    Rotation: applied to the pole it yields the carrier point."""
+    return (axis_rotation(rotation.phi2) @ tilt_rotation(rotation.theta2)
+            @ axis_rotation(rotation.phi1))
+
+
 def rotate_signal_pullback(rotation, kernel):
     """Return x -> kernel(g^{-1} x) as a callable of (theta, phi)."""
 
     def rotated(theta, phi):
-        xyz = rotation.apply_inverse(sphere_points(theta, phi))
+        xyz = np.tensordot(rotation_matrix(rotation).T,
+                           sphere_points(theta, phi), axes=1)
         return kernel(*point_angles(xyz))
 
     return rotated
@@ -469,6 +504,21 @@ def sequential_pick(values, taus, angles, tol):
     return taus[pick[0]], angles[pick[1]], values[pick]
 
 
+def coefficient_upper_bound(spec, l, k):
+    """Decay bound on |coefficient| at odd order k, |k| <= l."""
+    if abs(k) > l:
+        raise IndexError("order exceeds degree")
+    if k % 2 == 0:
+        raise ValueError("bound applies to odd orders only")
+    ka = abs(k)
+    r = spec.r
+    root = np.sqrt((2 * l + 1) / (2.0 * ka * (1.0 - r * r)))
+    gauss = np.exp(-ka * ka / (2.0 * spec.tau ** 2))
+    if spec.family == "omega":
+        return 3.0 * spec.rho * r / spec.tau * root * gauss
+    return 6.0 * spec.rho * r * r / spec.tau * root * gauss
+
+
 # ---------------------------------------------------------------------------
 # the former per-selectivity kernels and band operator
 
@@ -496,10 +546,9 @@ def wavelet_coefficient(spec, l, k):
     return complex(val)
 
 
-def wavelet_coefficient_table(spec, l_band, k_cut=None):
+def wavelet_coefficient_table(spec, l_band):
     """CoefficientTable of the kernel's coefficients up to l_band."""
-    if k_cut is None:
-        k_cut = default_k_cut(spec.tau)
+    k_cut = default_k_cut(spec.tau)
     values = np.zeros((l_band + 1) ** 2, dtype=complex)
     table = CoefficientTable(l_band, values)
     for l in range(1, l_band + 1):
@@ -551,7 +600,7 @@ def tau_beta(theta, family, rho, tau, l_band):
     """Complex band matrix conj(T^l[m, k] Psi_l^k(tau)) of one selectivity."""
     ks = odd_orders(l_band)
     l_of, _ = degree_orders(l_band)
-    tilt = tilt_blocks_flat(round(theta, 12), l_band)[:, ks + l_band]
+    tilt = tilt_blocks_flat(theta, l_band)[:, ks + l_band]
     kern = kernel_matrix(family, float(rho), float(tau), l_band)
     return np.conj(tilt.T * kern[l_of[None, :], ks[:, None] + l_band])
 

@@ -15,8 +15,8 @@ from math import fsum
 
 import numpy as np
 
-from sphwave.admissibility import (admissibility_report, coefficient_upper_bound,
-                                   k1_ratio, wavelet_coefficient,
+from sphwave.admissibility import (admissibility_report, k1_ratio,
+                                   wavelet_coefficient,
                                    wavelet_coefficient_table)
 from sphwave.multiselect import (SelectivitySet, estimate_sup_norms,
                                  select_tau)
@@ -31,9 +31,10 @@ from sphwave.transform import (FrameOperatorConfig, forward_transform,
                                reconstruct, rotate_coefficients,
                                uniform_specs)
 
-from oracles import (assoc_legendre_P, omega_profile_series,
-                     poisson_kernel_series, profile_from_expansion,
-                     rho_quadrature, upsilon_profile_series)
+from oracles import (assoc_legendre_P, coefficient_upper_bound,
+                     omega_profile_series, poisson_kernel_series,
+                     profile_from_expansion, rho_quadrature,
+                     upsilon_profile_series)
 
 
 def test_closed_form_integrals():

@@ -12,10 +12,10 @@ import sphwave
 from sphwave.cli import build_parser, load_config, main
 from sphwave.fileio import read_selectivity_rows, read_signal
 from sphwave.sphfn import analyze_signal
-from sphwave.so3 import axis_rotation, tilt_rotation
 from sphwave.transform import FrameOperatorConfig
 
-from oracles import harmonic_matrix, point_angles, sphere_points
+from oracles import (axis_rotation, harmonic_matrix, point_angles,
+                     sphere_points, tilt_rotation)
 
 
 def _read_csv(path):

@@ -98,7 +98,8 @@ def test_coefficients_round_trip(tmp_path):
         assert np.array_equal(back.values[j], coeffs.values[j])
 
     # per-carrier selectivities survive as arrays
-    taus = np.where(grid.carrier_thetas < 0.5 * np.pi, 1.0, 4.0)
+    thetas = np.array([c.theta for c in grid.cells])
+    taus = np.where(thetas < 0.5 * np.pi, 1.0, 4.0)
     from sphwave.profiles import WaveletSpec
     specs = tuple(tuple(WaveletSpec("omega", rho, float(t)) for t in taus)
                   for rho in SCALES)

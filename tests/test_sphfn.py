@@ -10,9 +10,10 @@ from sphwave.sphfn import (CoefficientTable, ColatGrid, SphericalSignal,
                            analyze_signal, coef_index, default_grid_spec,
                            grid_phis, legendre_P_all, legendre_rows,
                            make_colat_grid, normalized_assoc_column,
-                           spherical_harmonic, synthesize_signal)
+                           synthesize_signal)
 
-from oracles import assoc_legendre_P, harmonic_matrix, legendre_P
+from oracles import (assoc_legendre_P, harmonic_matrix, legendre_P,
+                     spherical_harmonic)
 
 
 def test_legendre_known_values():

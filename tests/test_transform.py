@@ -9,8 +9,7 @@ from sphwave.admissibility import _kernel_matrix
 from sphwave.profiles import WaveletSpec, evaluate_wavelet, window_weights
 from sphwave.sphfn import (CoefficientTable, SphericalSignal, analyze_signal,
                            coef_index, default_grid_spec, degree_orders,
-                           grid_phis, make_colat_grid, spherical_harmonic,
-                           synthesize_signal)
+                           grid_phis, make_colat_grid, synthesize_signal)
 from sphwave.so3 import make_rotation, make_scale_sequence, make_so3_grid
 from sphwave.transform import (FrameConvergenceError, FrameOperatorConfig,
                                adjoint_transform, forward_transform,
@@ -19,7 +18,7 @@ from sphwave.transform import (FrameConvergenceError, FrameOperatorConfig,
 from sphwave.transform import _tilt_blocks
 
 import oracles
-from oracles import rotate_signal_pullback
+from oracles import rotate_signal_pullback, spherical_harmonic
 
 SCALES = make_scale_sequence(1.0, 0.5, 1)
 
@@ -107,7 +106,8 @@ def test_tilt_blocks_compose():
 
 def _split_taus(grid, pattern):
     # per-carrier selectivities that change within latitude bands
-    th, ph = grid.carrier_thetas, grid.carrier_phis
+    th = np.array([c.theta for c in grid.cells])
+    ph = np.array([c.phi for c in grid.cells])
     if pattern == 0:
         return np.where(np.cos(ph) > 0.0, 2.0, np.where(th < 1.5, 8.0, 1.37))
     return np.where(np.sin(2.0 * ph) > 0.3, 16.0, np.where(th > 1.0, 5.0, 1.0))
@@ -224,8 +224,10 @@ def test_frame_matrix_matches_composition():
     table = _random_table(l_band, 33, kill_below=-1)
     grid = make_so3_grid(0.5, 0.5)
     # per carrier: tau by hemisphere at scale 0, by longitude at scale 1
-    tau_a = np.where(grid.carrier_thetas < 0.5 * np.pi, 1.0, 2.0)
-    tau_b = np.where(grid.carrier_phis < np.pi, 2.0, 4.0)
+    thetas = np.array([c.theta for c in grid.cells])
+    phis = np.array([c.phi for c in grid.cells])
+    tau_a = np.where(thetas < 0.5 * np.pi, 1.0, 2.0)
+    tau_b = np.where(phis < np.pi, 2.0, 4.0)
     mixed = [tuple(WaveletSpec("omega", rho, float(t)) for t in arr)
              for rho, arr in zip(SCALES, (tau_a, tau_b))]
     for specs in (uniform_specs("omega", 2.0, SCALES), mixed):
@@ -345,8 +347,9 @@ def test_frame_matrix_hermitian():
     l_band = 16
     grid = make_so3_grid(0.2, 0.2)
     scales = make_scale_sequence(1.0, 0.5, 2)
-    mixed = [_split_taus(grid, 0),
-             np.where(grid.carrier_thetas < 0.5 * np.pi, 1.0, 2.0), 4.0]
+    thetas = np.array([c.theta for c in grid.cells])
+    mixed = [_split_taus(grid, 0), np.where(thetas < 0.5 * np.pi, 1.0, 2.0),
+             4.0]
     split = [_split_taus(grid, j % 2) for j in range(3)]
     for taus in ([4.0] * 3, mixed, split):
         s = frame_matrix("omega", taus, grid, scales, l_band)
@@ -385,8 +388,10 @@ def test_reconstruct_mixed_selectivity():
     table = _random_table(8, 35, kill_below=0)
     f = _signal(table)
     grid = make_so3_grid(0.2, 0.2)
-    tau_a = np.where(grid.carrier_thetas < 0.5 * np.pi, 1.0, 2.0)
-    tau_b = np.where(grid.carrier_phis < np.pi, 2.0, 4.0)
+    thetas = np.array([c.theta for c in grid.cells])
+    phis = np.array([c.phi for c in grid.cells])
+    tau_a = np.where(thetas < 0.5 * np.pi, 1.0, 2.0)
+    tau_b = np.where(phis < np.pi, 2.0, 4.0)
     specs = []
     for j, rho in enumerate(SCALES):
         arr = tau_a if j == 0 else tau_b
