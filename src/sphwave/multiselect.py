@@ -84,34 +84,29 @@ def _pick(values, taus, angles, tol):
             flat[np.arange(len(first)), first])
 
 
-def _kernel_norms(family, rho, taus):
-    return np.sqrt([wavelet_norm_sq(WaveletSpec(family, rho, t))
-                    for t in taus])
+def _norm_weights(w, family, rho, taus):
+    """Window weight rows w, one per tau, over each kernel's norm."""
+    return w / np.sqrt([wavelet_norm_sq(WaveletSpec(family, rho, t))
+                        for t in taus])[:, None]
 
 
-def _band_landscape(plan, d, w, norms):
-    """Normalized correlation per (tau, cell, axial angle) in one band,
-    from the band's tau-free correlation d = carried @ beta.T: each tau
-    scales the columns of d by its row of w, then divides by its norm."""
-    weighted = d * w[:, None, :]
-    return np.abs(weighted @ plan.axial_phase) / norms[:, None, None]
+def _band_landscape(axial, d, w):
+    """|(d w_tau) @ axial| per (tau, ..., angle), w from _norm_weights."""
+    return np.abs((d * w[..., None, :]) @ axial)
 
 
 def _carrier_pick(f, scales, j, alpha2, tsel, grid, family):
-    """select_tau's (tau, phi1, value) for one carrier from one analysis
-    of f, with the carrier's tau-free correlation row carried @ beta.T
-    and the band limit of f."""
+    """select_tau's pick for one carrier, its correlation row and plan."""
     table = analyze_signal(f)
     cell = grid.cells[alpha2]
-    plan = BandPlan(table.l_band, grid.axial_angles)
-    corr = (plan.carried(np.array([cell.phi])) * table.values
-            @ plan.beta(cell.theta, family, scales[j]).T)
+    plan = BandPlan(table.l_band, grid.axial_angles, family, (scales[j],))
+    corr = plan.correlate(table.values, [(cell.theta, [0], [cell.phi], 0)])[0]
     taus = tuple(tsel)
-    tau, phi1, value = _pick(
-        _band_landscape(plan, corr, plan.weights(np.asarray(taus)),
-                        _kernel_norms(family, scales[j], taus)),
-        taus, grid.axial_angles, TIE_MARGIN * np.sqrt(table.norm_sq()))
-    return float(tau[0]), phi1[0], value[0], corr, table.l_band
+    w = _norm_weights(plan.weights(np.asarray(taus)), family, scales[j], taus)
+    tau, phi1, value = _pick(_band_landscape(plan.axial_phase, corr, w), taus,
+                             grid.axial_angles,
+                             TIE_MARGIN * np.sqrt(table.norm_sq()))
+    return float(tau[0]), phi1[0], value[0], corr, plan
 
 
 def select_tau(f, scales, j, alpha2, tsel, grid, family="omega"):
@@ -130,18 +125,16 @@ def selectivity_scan(f, scales, grid, tsel, family="omega"):
     table = analyze_signal(f)
     taus = tuple(tsel)
     tol = TIE_MARGIN * np.sqrt(table.norm_sq())
-    tau_star, phi1_star, value = np.empty((3, len(scales), grid.n_carriers))
-    plan = BandPlan(table.l_band, grid.axial_angles)
+    out = np.empty((3, len(scales), grid.n_carriers))
+    plan = BandPlan(table.l_band, grid.axial_angles, family, scales)
     w = plan.weights(np.asarray(taus))
-    norms = [_kernel_norms(family, rho, taus) for rho in scales]
-    for theta_b, idx, phis, _ in grid.bands:
-        carried = plan.carried(phis) * table.values
-        for j, rho in enumerate(scales):
-            d = carried @ plan.beta(theta_b, family, rho).T
-            tau_star[j, idx], phi1_star[j, idx], value[j, idx] = _pick(
-                _band_landscape(plan, d, w, norms[j]), taus,
-                grid.axial_angles, tol)
-    return SelectivityMap(family, tau_star, phi1_star, value, grid, scales)
+    w = [_norm_weights(w, family, rho, taus) for rho in scales]
+    d = plan.correlate(table.values, grid.bands)
+    for _, idx, _, _ in grid.bands:
+        for j, w_j in enumerate(w):
+            land = _band_landscape(plan.axial_phase, d[j, idx], w_j)
+            out[:, j, idx] = _pick(land, taus, grid.axial_angles, tol)
+    return SelectivityMap(family, *out, grid, scales)
 
 
 def refine_tau(f, scales, j, alpha2, tsel, grid, family="omega",
@@ -153,18 +146,18 @@ def refine_tau(f, scales, j, alpha2, tsel, grid, family="omega",
     score reweights the carrier's tau-free correlation from the discrete
     pick, O(k) work, so f is analyzed once.
     """
-    tau0, phi1, _, corr, l_band = _carrier_pick(f, scales, j, alpha2, tsel,
-                                                grid, family)
+    tau0, phi1, _, corr, plan = _carrier_pick(f, scales, j, alpha2, tsel,
+                                              grid, family)
     taus = tuple(tsel)
     i0 = taus.index(tau0)
     lo = taus[i0 - 1] if i0 > 0 else max(1.0, taus[0])
     hi = taus[i0 + 1] if i0 + 1 < len(taus) else tsel.tau_cap
-    plan = BandPlan(l_band, np.array([phi1]))
+    axial = np.exp(1j * np.outer(plan.ks, [phi1]))
 
     def score(tau):
-        v = _band_landscape(plan, corr, plan.weights(np.array([tau])),
-                            _kernel_norms(family, scales[j], (tau,)))
-        return float(v[0, 0, 0])
+        w = _norm_weights(plan.weights(np.array([tau])), family, scales[j],
+                          (tau,))
+        return float(_band_landscape(axial, corr, w)[0, 0, 0])
 
     gr = 0.5 * (np.sqrt(5.0) - 1.0)
     a, b = lo, hi

@@ -1,18 +1,15 @@
 """Wavelet analysis over a rotation grid and frame-based reconstruction.
 
 A coefficient W(rho_j, g) is the normalized inner product of the rotated
-kernel with the signal, 1/(4 pi) <U_g Psi, f>.  Everything runs in
-harmonic space: rotating a kernel multiplies its coefficient table by
-per-degree real Wigner blocks, so one tilt block per latitude band
-(its odd-k columns cached) plus diagonal phase factors cover the whole
-grid.  The kernel is steerable, Psi_l^k(tau) = w_k(tau) P_l^k: a
-BandPlan joins a band's tilt blocks with the tau-free P into one real
-matrix beta per band and scale, and a selectivity only weights each
-cell's axial orders.  The forward transform, adjoint, matched-filter
-landscape and frame operator S are products with beta per band and
-scale.  The cells enter S only through one phase sum per axial pair and
-order difference m' - m, in closed form for a band with one selectivity,
-and Jacobi-preconditioned CG inverts S.
+kernel with the signal, 1/(4 pi) <U_g Psi, f>, computed in harmonic space
+where a rotation acts by per-degree real Wigner blocks d^l(theta) and
+diagonal phases.  The kernel is steerable, Psi_l^k(tau) = w_k(tau) P_l^k,
+and one band operator (BandPlan) serves the forward transform, the
+adjoint, the matched filter and the frame operator S: per latitude band
+it contracts over the degree l once for all scales, then over the orders
+m with each cell's longitude phase.  The cells enter S only through one
+phase sum per axial pair and order difference m' - m, and
+Jacobi-preconditioned CG inverts S.
 """
 
 from dataclasses import dataclass
@@ -83,87 +80,106 @@ class TransformCoefficients:
 # ---------------------------------------------------------------------------
 # rotation machinery
 
-def _tilt_blocks(theta, l_band):
-    """Tilt blocks d^l[m, k] = <Y_l^m, Y_l^k o tilt^{-1}>, flat and real.
+@lru_cache(maxsize=None)
+def _jx_basis(l):
+    """Eigenbasis of J_x for degree l, shared by every band; read-only."""
+    m = np.arange(-l, l + 1)
+    half = 0.5 * np.sqrt(l * (l + 1) - m[:-1] * (m[:-1] + 1.0))
+    v = np.linalg.eigh(np.diag(half, 1) + np.diag(half, -1))[1]
+    v.flags.writeable = False
+    return v
 
-    Row l*l + l + m, column k + l_band; zero where |k| > l, so the block
-    of degree l is the slice [l*l:(l+1)^2, l_band-l:l_band+l+1].  Each
-    block is the real Wigner d-matrix exp(-i theta J_y) of its degree.
-    J_x is real, symmetric and tridiagonal with eigenvalues -l..l, so its
-    eigenbasis V gives exp(-i theta J_x) = V diag(e^{-i theta m}) V^T.
+
+def _wigner_d(theta, l):
+    """Tilt block d^l[m + l, k + l] = <Y_l^m, Y_l^k o tilt^{-1}>, real.
+
+    It is the Wigner d-matrix exp(-i theta J_y).  J_x is real, symmetric
+    and tridiagonal with eigenvalues -l..l, so its eigenbasis V gives
+    exp(-i theta J_x) = V diag(e^{-i theta m}) V^T, one complex product.
     The phases i^(m-k) turn J_x into J_y, and the factor (-1)^m on
-    negative orders follows Y_l^-m = conj(Y_l^m): together they are
-    i^|m| on row m and its conjugate on column k.  Built uncached: the
-    band operator keeps only the odd-k columns (_odd_tilt).
+    negative orders follows Y_l^-m = conj(Y_l^m): together they are i^|m|
+    on row m and its conjugate on column k.
     """
-    theta = float(theta)
-    flat = np.zeros(((l_band + 1) ** 2, 2 * l_band + 1))
-    for l in range(l_band + 1):
-        m = np.arange(-l, l + 1)
-        half = 0.5 * np.sqrt(l * (l + 1) - m[:-1] * (m[:-1] + 1.0))
-        _, v = np.linalg.eigh(np.diag(half, 1) + np.diag(half, -1))
-        phase = np.array([1, 1j, -1, -1j])[np.abs(m) % 4]
-        turned = (v * np.exp(-1j * theta * m)) @ v.T
-        flat[l * l:(l + 1) ** 2, l_band - l:l_band + l + 1] = (
-            phase[:, None] * turned * phase.conj()).real
-    return flat
-
-
-def _odd_orders(l_band):
-    """The kernel's axial orders: odd k in [-l_band, l_band], ascending."""
-    return np.arange(-l_band, l_band + 1)[(l_band + 1) % 2::2]
+    m = np.arange(-l, l + 1)
+    v = _jx_basis(l)
+    phase = np.array([1, 1j, -1, -1j])[np.abs(m) % 4]
+    turned = (v * np.exp(-1j * float(theta) * m)) @ v.T
+    return (phase[:, None] * turned * phase.conj()).real
 
 
 @lru_cache(maxsize=512)
-def _odd_tilt(theta_key, l_band):
-    """Tilt blocks transposed to (odd k) x (flat l, m): all that the band
-    operator reads, cached per band and read-only."""
-    flat = _tilt_blocks(theta_key, l_band)
-    odd = np.ascontiguousarray(flat[:, _odd_orders(l_band) + l_band].T)
-    odd.flags.writeable = False
-    return odd
+def _band_tilt(theta, l_band):
+    """d^l_mk(theta), odd k > 0, as [k // 2, m + l_band, l], zero where l <
+    max(|m|, k); d^l_{-m,-k} = d^l_mk gives k < 0.  Cached, read-only."""
+    tilt = np.zeros(((l_band + 1) // 2, 2 * l_band + 1, l_band + 1))
+    for l in range(1, l_band + 1):
+        tilt[:(l + 1) // 2, l_band - l:l_band + l + 1, l] = \
+            _wigner_d(theta, l)[:, l + 1::2].T
+    tilt.flags.writeable = False
+    return tilt
 
 
 class BandPlan:
-    """Index maps of the band operator for one band limit and axial grid.
+    """The band operator for one band limit, axial grid, family and scales.
 
-    Coefficient tables are flat over (l, m); the kernel's axial orders
-    are the odd k in [-l_band, l_band].  The kernel is steerable,
-    Psi_l^k(tau) = w_k(tau) P_l^k, so for a latitude band at colatitude
-    theta the real, tau-free matrix beta(...)[k, (l, m)] = d^l[m, k] P_l^k
-    serves every selectivity: correlating the band's cells with a kernel
-    is carried(phis) * table @ beta.T, each cell's row scaled by its
-    weights(tau), followed by the axial phases.
+    Axial orders are the odd k, negative half first (ks); tables enter
+    padded, f[m + L, l] = f_lm.  A cell at longitude phi in a band at
+    colatitude theta correlates with the tau-free kernel P_j of scale j as
+    d[j, k] = sum_m e^{i m phi} X[k, m, j], X[k, m, j] = sum_l d^l_mk(theta)
+    P_j[l, k] f_lm: per band one contraction over l for all scales, then
+    one longitude product for its cells; weights(tau) then scales each
+    cell's row before the axial phases.  adjoint runs the steps transposed.
     """
 
-    def __init__(self, l_band, axial_angles):
+    def __init__(self, l_band, axial_angles, family, scales):
         self.l_band = l_band
-        self.ks = _odd_orders(l_band)
-        self.m_of = degree_orders(l_band)[1]
+        odd = np.arange(1, l_band + 1, 2)
+        self.ks = np.concatenate((-odd, odd))
         self.axial_phase = np.exp(1j * np.outer(self.ks, axial_angles))
-        self._kern_cols = self.ks + l_band
-        self._degree_sizes = 2 * np.arange(l_band + 1) + 1
+        self.kern = np.array([_kernel_matrix(family, float(rho), l_band).T[
+            self.ks + l_band] for rho in scales])   # P_j[l, k] at [j, k, l]
         self._orders = np.arange(-l_band, l_band + 1)
+        l_of, m_of = degree_orders(l_band)
+        self._flat = m_of + l_band, l_of
 
-    def carried(self, phis):
-        """Phases e^{i m phi}, one row per cell; one exp per order m."""
-        phases = np.exp(1j * np.outer(phis, self._orders))
-        return phases[:, self.m_of + self.l_band]
+    def tilt(self, theta):
+        """d^l_mk(theta) as [k, m + l_band, l], k over ks."""
+        half = _band_tilt(float(theta), self.l_band)
+        return np.concatenate((half[:, ::-1], half))
 
-    def beta(self, theta, family, rho):
-        """Real tilted kernel factor (odd k) x (flat l, m) for one band,
-        shared by every selectivity."""
-        kern = _kernel_matrix(family, float(rho), self.l_band)
-        # the 2l+1 columns of degree l share the kernel row P[l, ks]
-        per_degree = np.repeat(kern[:, self._kern_cols].T,
-                               self._degree_sizes, axis=1)
-        return _odd_tilt(float(theta), self.l_band) * per_degree
+    def weights(self, taus):
+        """Window weights w_k(tau) on ks, one row per entry of taus."""
+        return window_weights(taus, self.l_band)[..., self.ks + self.l_band]
 
-    def weights(self, taus, n=None):
-        """Window weights w_k(tau) on the odd orders, one row per entry of
-        taus, or broadcast to n rows (taus a scalar or one per cell)."""
-        w = window_weights(taus, self.l_band)[..., self.ks + self.l_band]
-        return w if n is None else np.broadcast_to(w, (n, len(self.ks)))
+    def _phases(self, bands, sign):
+        """Per band e^{sign i m phi} of its cells, from one exp per call."""
+        phis = [b[2] for b in bands]
+        e = np.exp(sign * 1j * np.outer(np.concatenate(phis), self._orders))
+        return np.split(e, np.cumsum([len(p) for p in phis])[:-1])
+
+    def correlate(self, values, bands):
+        """tau-free correlations d[j, c, k] of a flat table with the kernel
+        of every scale j at every cell c of bands, (theta, idx, phis, _)."""
+        f = np.zeros((len(self._orders), self.l_band + 1), dtype=complex)
+        f[self._flat] = values
+        kern = self.kern.transpose(1, 2, 0).astype(complex)
+        out = np.empty((len(self.kern), sum(len(b[1]) for b in bands),
+                        len(self.ks)), dtype=complex)
+        for (theta, idx, _, _), rows in zip(bands, self._phases(bands, 1)):
+            x = (self.tilt(theta) * f) @ kern
+            out[:, idx] = (rows @ x.transpose(1, 2, 0).reshape(len(f), -1)
+                           ).reshape(len(idx), *out.shape[::2]).swapaxes(0, 1)
+        return out
+
+    def adjoint(self, d, bands):
+        """Flat table sum_c e^{-i m phi_c} sum_{j,k} beta_jk[m, l] d[j, c, k]:
+        the transpose of correlate."""
+        kern = self.kern.swapaxes(0, 1).astype(complex)
+        acc = 0.0
+        for (theta, idx, _, _), rows in zip(bands, self._phases(bands, -1)):
+            y = (rows.T @ d[:, idx]).transpose(2, 1, 0) @ kern
+            acc = acc + (self.tilt(theta) * y).sum(axis=0)
+        return acc[self._flat]
 
 
 def uniform_specs(family, tau, scales):
@@ -203,20 +219,14 @@ def forward_transform(f, specs, grid, scales):
     family, taus = _normalize_specs(specs, grid, scales)
     table = analyze_signal(f)
     l_band = table.l_band
-    plan = BandPlan(l_band, grid.axial_angles)
-    n_axial = len(grid.axial_angles)
-    weights = [plan.weights(t, grid.n_carriers) / (4.0 * np.pi) for t in taus]
-    values = [np.zeros((grid.n_carriers, n_axial), dtype=complex)
-              for _ in scales]
-    for theta, idx, phis, _ in grid.bands:
-        signal = plan.carried(phis) * table.values
-        for j, rho in enumerate(scales):
-            d = signal @ plan.beta(theta, family, rho).T
-            values[j][idx] = (d * weights[j][idx]) @ plan.axial_phase
+    plan = BandPlan(l_band, grid.axial_angles, family, scales)
+    d = plan.correlate(table.values, grid.bands)
+    axial = plan.axial_phase / (4.0 * np.pi)
+    values = [(dj * plan.weights(t)) @ axial for dj, t in zip(d, taus)]
     k_need = min(l_band, default_k_cut(max(float(np.max(t)) for t in taus)))
     if k_need % 2 == 0:
         k_need -= 1
-    under = (n_axial < 2 * k_need + 1
+    under = (len(grid.axial_angles) < 2 * k_need + 1
              or grid.n_carriers < (l_band + 1) ** 2)
     return TransformCoefficients(family, l_band, tuple(values), tuple(taus),
                                  grid, scales, under)
@@ -225,19 +235,12 @@ def forward_transform(f, specs, grid, scales):
 def adjoint_transform(coeffs):
     """Weighted synthesis sum: the frame image S f when coeffs came from f."""
     grid = coeffs.grid
-    plan = BandPlan(coeffs.l_band, grid.axial_angles)
+    plan = BandPlan(coeffs.l_band, grid.axial_angles, coeffs.family,
+                    coeffs.scales)
     back = np.conj(plan.axial_phase).T / (4.0 * np.pi)
-    weighted = [coeffs.values[j] * coeffs.weights(j)
-                for j in range(len(coeffs.scales))]
-    weights = [plan.weights(t, grid.n_carriers) for t in coeffs.taus]
-    out = CoefficientTable(coeffs.l_band)
-    for theta, idx, phis, _ in grid.bands:
-        acc = 0.0
-        for j, rho in enumerate(coeffs.scales):
-            acc = acc + ((weighted[j][idx] @ back) * weights[j][idx]
-                         @ plan.beta(theta, coeffs.family, rho))
-        out.values += np.sum(plan.carried(-phis) * acc, axis=0)
-    return out
+    d = np.stack([(coeffs.values[j] * coeffs.weights(j)) @ back
+                  * plan.weights(t) for j, t in enumerate(coeffs.taus)])
+    return CoefficientTable(coeffs.l_band, plan.adjoint(d, grid.bands))
 
 
 def frame_apply(f, specs, grid, scales):
@@ -249,15 +252,12 @@ def frame_apply(f, specs, grid, scales):
 
 def rotate_coefficients(table, rotation):
     """Coefficient table of the rotated signal x -> f(g^{-1} x)."""
-    l_band = table.l_band
-    flat = _tilt_blocks(rotation.theta2, l_band)
-    out = CoefficientTable(l_band)
-    for l in range(l_band + 1):
+    out = CoefficientTable(table.l_band)
+    for l in range(table.l_band + 1):
         m = np.arange(-l, l + 1)
         spun = np.exp(-1j * m * rotation.phi1) * table.degree_block(l)
-        block = flat[l * l:(l + 1) ** 2, l_band - l:l_band + l + 1]
         out.degree_block(l)[:] = (np.exp(-1j * m * rotation.phi2)
-                                  * (block @ spun))
+                                  * (_wigner_d(rotation.theta2, l) @ spun))
     return out
 
 
@@ -268,79 +268,86 @@ def frame_matrix(family, taus, grid, scales, l_band):
     """Dense frame operator S on coefficient tables.
 
     taus[j] is the selectivity of scale j, one value or one per carrier.
-    Block (m, m') of S sums beta_k[:, m] beta_k'[:, m']^T H(m' - m) over
-    bands, scales and axial pairs k = k' (mod n_axial), where
-    H(d) = measure log_step / (8 pi) sum_c w_ck w_ck' e^{i d phi_c} is the
-    one place the cells and their selectivities enter.  A band whose cells
-    share one selectivity and sit at longitudes (c + 1/2) 2 pi / N has
-    H(d) = N H(0) (-1)^(d/N) where N divides d and 0 elsewhere, so it
-    costs a few batched per-order products; the rows of every other band
-    are stacked for one product per order m.  S is Hermitian, and
-    beta_-k[l, m] = beta_k[l, -m] with w_-k = w_k, so only blocks m' >= m
-    and pairs k + k' >= 0 (k + k' = 0 at half weight) are summed.
+    Block (m, m') of S sums beta_jk[m] beta_jk'[m']^T H(m' - m), beta from
+    the band operator, over bands, scales and axial pairs k = k' (mod
+    n_axial); H(d) = measure log_step / (8 pi) sum_c w_ck w_ck' e^{i d phi_c}
+    is the one place the cells and their selectivities enter.  For cells
+    sharing one selectivity at longitudes (c + 1/2) 2 pi / N, H(d) = N H(0)
+    (-1)^(d/N) where N divides d and 0 elsewhere: one batched product per
+    order difference.  Other rows are stacked for one product per order m.
+    S is Hermitian and beta_-k[-m] = beta_k[m], w_-k = w_k: only blocks
+    m' >= m and pairs k + k' >= 0 (k + k' = 0 at half weight) are summed.
     """
-    plan = BandPlan(l_band, grid.axial_angles)
+    plan = BandPlan(l_band, grid.axial_angles, family, scales)
     n_axial, n_m, n_l = len(grid.axial_angles), 2 * l_band + 1, l_band + 1
     ks = plan.ks
     ia, ib = np.nonzero(((ks[:, None] - ks) % n_axial == 0)
                         & (ks[:, None] + ks >= 0))
     pair_w = (np.where(ks[ia] + ks[ib] == 0, 0.5, 1.0)
               * scales.log_step / (8.0 * np.pi))
-    weights = [plan.weights(t, grid.n_carriers) for t in taus]
-    whole, mixed = [], []
-    for theta, idx, phis, measure in grid.bands:
-        n_cells = len(idx)
-        regular = np.array_equal(
-            phis, (np.arange(n_cells) + 0.5) * (2.0 * np.pi / n_cells))
-        for j, rho in enumerate(scales):
-            band_taus = np.broadcast_to(taus[j], grid.n_carriers)[idx]
-            shared = regular and np.all(band_taus == band_taus[0])
-            (whole if shared else mixed).append(
-                (theta, rho, weights[j][idx], phis, measure))
+    wpair = np.array([pair_w * w[:, ia] * w[:, ib] for w in (
+        plan.weights(np.broadcast_to(t, grid.n_carriers)) for t in taus)])
     # m-major layout: orders m = -L..L, degrees l = |m|..L within each
     l_of, m_of = degree_orders(l_band)
     order = np.lexsort((l_of, m_of))
     off = np.searchsorted(m_of[order], np.arange(-l_band, l_band + 2))
     s = np.zeros((len(order), len(order)), dtype=complex)
 
-    # whole bands: per-order blocks padded to l = 0..L, one batch per d
-    pad_at = (m_of + l_band) * n_l + l_of
-    diagonals = {}
-    for theta, rho, w, phis, measure in whole:
-        padded = np.zeros((n_m * n_l, len(ks)))
-        padded[pad_at] = plan.beta(theta, family, rho).T
-        padded = padded.reshape(n_m, n_l, len(ks))
-        c = (len(phis) * measure) * pair_w * w[0, ia] * w[0, ib]
-        left = padded[:, :, ia]
-        right = (padded[:, :, ib] * c).transpose(0, 2, 1)
-        for q, d in enumerate(range(0, n_m, len(phis))):
-            block = (-1) ** q * (left[:n_m - d] @ right[d:])
-            diagonals[d] = diagonals.get(d, 0.0) + block
+    # per band, the scales whose cells share one selectivity on the
+    # longitudes (c + 1/2) 2 pi / N, all in one batch per order difference d
+    diagonals, whole = {}, []
+    for theta, idx, phis, measure in grid.bands:
+        regular = np.array_equal(
+            phis, (np.arange(len(idx)) + 0.5) * (2.0 * np.pi / len(idx)))
+        whole.append([j for j, t in enumerate(taus) if regular and (
+            np.ndim(t) == 0 or np.all(t[idx] == t[idx[0]]))])
+        if whole[-1]:
+            tilt, one = plan.tilt(theta), whole[-1]
+            c = (len(idx) * measure) * wpair[one, idx[0]]
+            # the whole scales and the pairs as one axis, per order m
+            left = (plan.kern[one][:, ia, None] * tilt[ia]).reshape(
+                -1, n_m, n_l).transpose(1, 2, 0)
+            right = (plan.kern[one][:, ib, None] * c[:, :, None, None]
+                     * tilt[ib]).reshape(-1, n_m, n_l).transpose(1, 0, 2)
+            for q, d in enumerate(range(0, n_m, len(idx))):
+                block = left[:n_m - d] @ right[d:]
+                diagonals[d] = diagonals.get(d, 0.0) + (-1) ** q * block
     for d, blocks in diagonals.items():
         for i, block in enumerate(blocks):
             s[off[i]:off[i + 1], off[i + d]:off[i + d + 1]] += \
                 block[abs(i - l_band):, abs(i + d - l_band):]
+    del diagonals
 
-    # other bands: H(d) per stacked pair row, one product per order m
-    low = np.empty((len(ia) * len(mixed), len(order)))
+    # the other scales: compact beta rows and H(d) per pair, stacked
+    n_rows = len(ia) * (len(taus) * len(grid.bands) - sum(map(len, whole)))
+    low = np.empty((len(order), n_rows))
     high = low if np.array_equal(ia, ib) else np.empty_like(low)
-    h = np.empty((len(low), n_m), dtype=complex)
-    for r, (theta, rho, w, phis, measure) in enumerate(mixed):
-        rows = slice(r * len(ia), (r + 1) * len(ia))
-        beta = plan.beta(theta, family, rho)[:, order]
-        low[rows], high[rows] = beta[ia], beta[ib]
-        phase = np.exp(1j * np.outer(phis, np.arange(n_m)))
-        h[rows] = ((w[:, ia] * w[:, ib]).T @ phase) * (measure
-                                                       * pair_w[:, None])
-    sizes = np.diff(off)
-    for i in range(n_m if mixed else 0):
-        a, b = off[i], off[i + 1]
-        for part, hp in ((s[a:b, a:].real, h.real),
-                         (s[a:b, a:].imag, h.imag)):
-            z = np.repeat(hp[:, :n_m - i], sizes[i:], axis=1)
-            z *= high[:, a:]
-            part += low[:, a:b].T @ z
-    del low, high, h  # before the n x n temporaries below
+    h, r = np.empty((n_m, n_rows), dtype=complex), 0
+    for (theta, idx, phis, measure), one in zip(grid.bands, whole):
+        mixed = [j for j in range(len(taus)) if j not in one]
+        if mixed:
+            rows = (plan.kern[mixed][:, :, None] * plan.tilt(theta))[
+                :, :, m_of[order] + l_band, l_of[order]]
+            cols = slice(r, r + len(mixed) * len(ia))
+            low[:, cols] = rows[:, ia].reshape(-1, len(order)).T
+            high[:, cols] = rows[:, ib].reshape(-1, len(order)).T
+            phase = np.exp(1j * np.outer(phis, np.arange(n_m))) * measure
+            h[:, cols] = (phase.T @ wpair[:, idx][mixed]).transpose(
+                1, 0, 2).reshape(n_m, -1)
+            r = cols.stop
+
+    # one product per order m over the stacked rows, H(m' - m) repeated
+    # over the degrees of each order m' as whole contiguous rows
+    if n_rows:
+        h_parts = np.ascontiguousarray(h.real), np.ascontiguousarray(h.imag)
+        sizes = np.diff(off)
+        for i in range(n_m):
+            a, b = off[i], off[i + 1]
+            for part, hp in zip((s[a:b, a:].real, s[a:b, a:].imag), h_parts):
+                z = np.repeat(hp[:n_m - i], sizes[i:], axis=0)
+                z *= high[a:]
+                part += low[a:b] @ z.T
+        del low, high, h, h_parts, z  # before the n x n temporaries
 
     # with T the sum above, S[m, m'] = T[m, m'] + T[-m', -m]^T
     back = np.argsort(order)
@@ -361,9 +368,9 @@ def reconstruct(coeffs, cfg=None):
     if cfg is None:
         cfg = FrameOperatorConfig()
     l_band = coeffs.l_band
+    rhs = adjoint_transform(coeffs).values
     s = frame_matrix(coeffs.family, coeffs.taus, coeffs.grid,
                      coeffs.scales, l_band)
-    rhs = adjoint_transform(coeffs).values
     # the sharpest window reaches the highest order (default_k_cut grows)
     tau_max = max(float(np.max(t)) for t in coeffs.taus)
     k_used = window_weights(tau_max, l_band) != 0.0

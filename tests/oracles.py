@@ -4,8 +4,10 @@ The dense frame builders below are the library's former per-degree
 constructions: a closed-form Hadamard factor for one selectivity per
 scale, and an explicit longitudinal phase sum for per-carrier
 selectivities.  The library now builds both cases from its band
-operator, and tests hold it to these.  The tilt blocks are the former
-per-harmonic construction, which analyzes every tilted harmonic as a
+operator, and tests hold it to these.  flat_tilt_blocks lays the
+library's per-degree tilt blocks out in one flat array for the tests that
+compare whole tables.  The tilt blocks are the former per-harmonic
+construction, which analyzes every tilted harmonic as a
 gridded signal, and the band partition regroups a grid's cells by
 latitude band.  The remaining functions are independent routes to values
 the library computes otherwise: plain Legendre recurrences, unit vectors
@@ -40,7 +42,7 @@ from sphwave.sphfn import (CoefficientTable, SphericalSignal, analyze_signal,
                            coef_index, default_grid_spec, degree_orders,
                            grid_phis, legendre_P_all, legendre_rows,
                            make_colat_grid, normalized_assoc_column)
-from sphwave.transform import BandPlan, _normalize_specs, _tilt_blocks
+from sphwave.transform import _normalize_specs, _wigner_d
 
 
 def band_partition(grid):
@@ -57,6 +59,16 @@ def band_partition(grid):
 
 def odd_orders(l_band):
     return np.array([k for k in range(-l_band, l_band + 1) if k % 2 != 0])
+
+
+def flat_tilt_blocks(theta, l_band):
+    """The library's per-degree tilt blocks d^l(theta) in the flat layout
+    [l*l + l + m, k + l_band], zero where |k| > l."""
+    flat = np.zeros(((l_band + 1) ** 2, 2 * l_band + 1))
+    for l in range(l_band + 1):
+        block = _wigner_d(theta, l)
+        flat[l * l:(l + 1) ** 2, l_band - l:l_band + l + 1] = block
+    return flat
 
 
 def degree_blocks(flat):
@@ -105,7 +117,7 @@ def frame_matrix(family, taus, grid, scales, l_band):
     dm = m_of[None, :] - m_of[:, None]
     s = np.zeros((n, n), dtype=complex)
     for theta_b, idx, _, measure in band_partition(grid):
-        blocks = degree_blocks(_tilt_blocks(theta_b, l_band))
+        blocks = [_wigner_d(theta_b, l) for l in range(l_band + 1)]
         n_cells = len(idx)
         tilt_part = np.zeros((len(ks), n), dtype=complex)
         for l in range(1, l_band + 1):
@@ -140,7 +152,7 @@ def adaptive_frame_matrix(coeffs):
     axial_gram = 2.0 * np.pi * ((ks[:, None] - ks[None, :]) % n_axial == 0)
     s = np.zeros((n, n), dtype=complex)
     for theta_b, idx, phis, measure in band_partition(grid):
-        blocks = degree_blocks(_tilt_blocks(theta_b, l_band))
+        blocks = [_wigner_d(theta_b, l) for l in range(l_band + 1)]
         tilt_part = np.zeros((len(ks), n), dtype=complex)
         for l in range(1, l_band + 1):
             kcols = [l + k for k in range(-l, l + 1) if k % 2 != 0]
@@ -611,27 +623,38 @@ def _tau_groups(grid, taus_j, idx):
         yield tau, band_taus == tau
 
 
+def carried(phis, table):
+    """Cell rows e^{i m phi} f_lm of a flat table, one exp per entry."""
+    _, m_of = degree_orders(table.l_band)
+    return np.exp(1j * np.outer(phis, m_of)) * table.values
+
+
+def axial_phases(l_band, angles):
+    """e^{i k alpha} on the kernel's odd orders k, ascending."""
+    return np.exp(1j * np.outer(odd_orders(l_band), angles))
+
+
 def forward_per_tau(f, specs, grid, scales):
     """Coefficient arrays per scale, one band product per selectivity."""
     family, taus = _normalize_specs(specs, grid, scales)
     table = analyze_signal(f)
-    plan = BandPlan(table.l_band, grid.axial_angles)
+    axial = axial_phases(table.l_band, grid.axial_angles)
     values = [np.zeros((grid.n_carriers, len(grid.axial_angles)),
                        dtype=complex) for _ in scales]
     for theta, idx, phis, _ in grid.bands:
         for j, rho in enumerate(scales):
             for tau, rows in _tau_groups(grid, taus[j], idx):
                 beta = tau_beta(theta, family, rho, tau, table.l_band)
-                values[j][idx[rows]] = (plan.carried(phis[rows])
-                                        * table.values @ beta.T
-                                        @ plan.axial_phase / (4.0 * np.pi))
+                values[j][idx[rows]] = (carried(phis[rows], table) @ beta.T
+                                        @ axial / (4.0 * np.pi))
     return values
 
 
 def adjoint_per_tau(coeffs):
     """Flat coefficients of the adjoint, one band product per selectivity."""
     grid = coeffs.grid
-    plan = BandPlan(coeffs.l_band, grid.axial_angles)
+    axial = axial_phases(coeffs.l_band, grid.axial_angles)
+    _, m_of = degree_orders(coeffs.l_band)
     out = np.zeros((coeffs.l_band + 1) ** 2, dtype=complex)
     for theta, idx, phis, _ in grid.bands:
         for j, rho in enumerate(coeffs.scales):
@@ -639,19 +662,22 @@ def adjoint_per_tau(coeffs):
                 beta = tau_beta(theta, coeffs.family, rho, tau, coeffs.l_band)
                 cells = idx[rows]
                 d = (coeffs.values[j][cells] * coeffs.weights(j)[cells]
-                     @ np.conj(plan.axial_phase).T / (4.0 * np.pi))
-                out += np.sum(plan.carried(-phis[rows])
+                     @ np.conj(axial).T / (4.0 * np.pi))
+                out += np.sum(np.exp(-1j * np.outer(phis[rows], m_of))
                               * (d @ np.conj(beta)), axis=0)
     return out
 
 
-def landscape_per_tau(plan, carried, theta, family, rho, taus):
-    """Normalized correlation per (tau, cell, axial angle) in one band."""
-    out = np.empty((len(taus), len(carried), plan.axial_phase.shape[1]))
+def landscape_per_tau(rows, theta, family, rho, taus, angles):
+    """Normalized correlation per (tau, cell, axial angle) of carried rows
+    in one band."""
+    l_band = int(np.sqrt(rows.shape[1])) - 1
+    axial = axial_phases(l_band, angles)
+    out = np.empty((len(taus), len(rows), len(angles)))
     for it, tau in enumerate(taus):
-        beta = tau_beta(theta, family, rho, tau, plan.l_band)
+        beta = tau_beta(theta, family, rho, tau, l_band)
         norm = np.sqrt(wavelet_norm_sq(WaveletSpec(family, rho, tau)))
-        out[it] = np.abs(carried @ beta.T @ plan.axial_phase) / norm
+        out[it] = np.abs(rows @ beta.T @ axial) / norm
     return out
 
 
@@ -661,11 +687,11 @@ def scan_per_tau(f, scales, grid, tsel, family):
     taus = tuple(tsel)
     tol = TIE_MARGIN * np.sqrt(table.norm_sq())
     out = np.empty((3, len(scales), grid.n_carriers))
-    plan = BandPlan(table.l_band, grid.axial_angles)
     for theta, idx, phis, _ in grid.bands:
-        carried = plan.carried(phis) * table.values
+        rows = carried(phis, table)
         for j, rho in enumerate(scales):
-            vals = landscape_per_tau(plan, carried, theta, family, rho, taus)
+            vals = landscape_per_tau(rows, theta, family, rho, taus,
+                                     grid.axial_angles)
             out[:, j, idx] = _pick(vals, taus, grid.axial_angles, tol)
     return out
 
@@ -673,10 +699,9 @@ def scan_per_tau(f, scales, grid, tsel, family):
 def select_per_tau(f, scales, j, alpha2, tsel, grid, family):
     table = analyze_signal(f)
     cell = grid.cells[alpha2]
-    plan = BandPlan(table.l_band, grid.axial_angles)
-    carried = plan.carried(np.array([cell.phi])) * table.values
-    vals = landscape_per_tau(plan, carried, cell.theta, family, scales[j],
-                             tuple(tsel))
+    vals = landscape_per_tau(carried(np.array([cell.phi]), table),
+                             cell.theta, family, scales[j], tuple(tsel),
+                             grid.axial_angles)
     tol = TIE_MARGIN * np.sqrt(table.norm_sq())
     tau, phi1, value = _pick(vals, tuple(tsel), grid.axial_angles, tol)
     return float(tau[0]), phi1[0], value[0]
@@ -691,12 +716,11 @@ def refine_per_tau(f, scales, j, alpha2, tsel, grid, family, tol=1e-4):
     i0 = taus.index(tau0)
     lo = taus[i0 - 1] if i0 > 0 else max(1.0, taus[0])
     hi = taus[i0 + 1] if i0 + 1 < len(taus) else tsel.tau_cap
-    plan = BandPlan(table.l_band, np.array([phi1]))
-    carried = plan.carried(np.array([cell.phi])) * table.values
+    rows = carried(np.array([cell.phi]), table)
 
     def score(tau):
-        v = landscape_per_tau(plan, carried, cell.theta, family, scales[j],
-                              (tau,))
+        v = landscape_per_tau(rows, cell.theta, family, scales[j], (tau,),
+                              np.array([phi1]))
         return float(v[0, 0, 0])
 
     gr = 0.5 * (np.sqrt(5.0) - 1.0)

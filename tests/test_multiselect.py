@@ -312,21 +312,21 @@ def test_refine_analyzes_signal_once(monkeypatch):
     assert len(calls) == 1, len(calls)
 
 
-def test_scan_beta_once_per_band_and_scale(monkeypatch):
+def test_scan_tilt_once_per_band(monkeypatch):
+    # the band operator contracts every scale against one read of the
+    # band's tilt, whatever the number of scales
     grid = make_so3_grid(0.8, 0.5)
     f = _random_signal(8, 3)
     tsel = SelectivitySet()
-    selectivity_scan(f, SCALES, grid, tsel)
-    calls = []
-    beta = transform.BandPlan.beta
-
-    def counted(self, *args):
-        calls.append(args)
-        return beta(self, *args)
-
-    monkeypatch.setattr(transform.BandPlan, "beta", counted)
-    selectivity_scan(f, SCALES, grid, tsel)
-    assert len(calls) == len(grid.bands) * len(SCALES), len(calls)
+    for scales in (SCALES, make_scale_sequence(1.0, 0.5, 3)):
+        selectivity_scan(f, scales, grid, tsel)
+        calls = []
+        tilt = transform._band_tilt
+        monkeypatch.setattr(transform, "_band_tilt",
+                            lambda *a: calls.append(a) or tilt(*a))
+        selectivity_scan(f, scales, grid, tsel)
+        monkeypatch.undo()
+        assert len(calls) == len(grid.bands), (len(scales), len(calls))
 
 
 def test_scan_window_weights_once_per_scan(monkeypatch):

@@ -7,6 +7,8 @@ import pytest
 
 from sphwave.admissibility import _kernel_matrix
 from sphwave.profiles import WaveletSpec, evaluate_wavelet, window_weights
+from sphwave.multiselect import (SelectivitySet, refine_tau, select_tau,
+                                 selectivity_scan)
 from sphwave.sphfn import (CoefficientTable, SphericalSignal, analyze_signal,
                            coef_index, default_grid_spec, degree_orders,
                            grid_phis, make_colat_grid, synthesize_signal)
@@ -15,7 +17,7 @@ from sphwave.transform import (FrameConvergenceError, FrameOperatorConfig,
                                adjoint_transform, forward_transform,
                                frame_matrix, reconstruct,
                                rotate_coefficients, uniform_specs)
-from sphwave.transform import _tilt_blocks
+from sphwave.transform import _band_tilt, _jx_basis, _wigner_d
 
 import oracles
 from oracles import rotate_signal_pullback, spherical_harmonic
@@ -48,26 +50,32 @@ def _evaluate_table(table, theta, phi):
 
 def test_tilt_blocks_unitary():
     for theta in (0.35, 1.2):
-        blocks = oracles.degree_blocks(_tilt_blocks(theta, 8))
+        blocks = [_wigner_d(theta, l) for l in range(9)]
         for l, b in enumerate(blocks):
             gram = b.conj().T @ b
             assert np.max(np.abs(gram - np.eye(2 * l + 1))) < 1e-12, (theta, l)
-    for l, b in enumerate(oracles.degree_blocks(_tilt_blocks(0.0, 5))):
+    for l, b in enumerate(_wigner_d(0.0, l) for l in range(6)):
         assert np.max(np.abs(b - np.eye(2 * l + 1))) < 1e-12, l
     # the per-harmonic analysis construction is the reference
     rng = np.random.default_rng(41)
     for l_band in (4, 8, 12):
         for theta in np.round(rng.uniform(0.0, np.pi, 4), 12):
             ref = oracles.tilt_blocks(theta, l_band)
-            flat = _tilt_blocks(theta, l_band)
-            blocks = oracles.degree_blocks(flat)
+            blocks = [_wigner_d(theta, l) for l in range(l_band + 1)]
             for l, (b, r) in enumerate(zip(blocks, ref)):
                 assert np.max(np.abs(b - r)) < 1e-13, (l_band, theta, l)
-            # orders |k| > l hold exact zeros, which the band operator uses
-            l_of, _ = degree_orders(l_band)
-            k = np.arange(-l_band, l_band + 1)
-            assert np.all(flat[np.abs(k)[None, :] > l_of[:, None]] == 0.0)
-    for l, b in enumerate(oracles.degree_blocks(_tilt_blocks(1.1, 32))):
+            # the band cache holds the odd k > 0 columns of these blocks
+            # and exact zeros where l < max(|m|, k), which the band
+            # operator sums over
+            tilt = _band_tilt(theta, l_band)
+            k = np.arange(1, l_band + 1, 2)[:, None, None]
+            m = np.arange(-l_band, l_band + 1)[:, None]
+            l = np.arange(l_band + 1)
+            assert np.all(tilt[(l < np.abs(m)) | (l < k)] == 0.0)
+            for kk, mm, ll in zip(*np.nonzero((l >= np.abs(m)) & (l >= k))):
+                assert (tilt[kk, mm, ll]
+                        == blocks[ll][mm - l_band + ll, 2 * kk + 1 + ll])
+    for l, b in enumerate(_wigner_d(1.1, l) for l in range(33)):
         gram = b.conj().T @ b
         assert np.max(np.abs(gram - np.eye(2 * l + 1))) < 1e-13, l
 
@@ -79,7 +87,7 @@ def test_tilt_blocks_real():
     rng = np.random.default_rng(43)
     for l_band in (4, 8, 16, 32):
         for theta in np.round(rng.uniform(0.0, np.pi, 2), 12):
-            flat = _tilt_blocks(theta, l_band)
+            flat = oracles.flat_tilt_blocks(theta, l_band)
             ref = oracles.tilt_blocks_flat(theta, l_band)
             assert flat.dtype == np.float64
             assert np.max(np.abs(ref.imag)) <= 1e-13, (l_band, theta)
@@ -87,21 +95,52 @@ def test_tilt_blocks_real():
 
 
 def test_tilt_blocks_orthogonal_at_high_degree():
-    # uncached, so the 34 MB table is not held for the rest of the run
-    blocks = oracles.degree_blocks(_tilt_blocks(1.1, 128))
-    for l, b in enumerate(blocks):
+    # one degree at a time, and the eigenbases (23 MB up to l = 128) are
+    # not held for the rest of the run
+    for l, b in enumerate(_wigner_d(1.1, l) for l in range(129)):
         assert np.max(np.abs(b.T @ b - np.eye(2 * l + 1))) < 1e-13, l
+    _jx_basis.cache_clear()
 
 
 def test_tilt_blocks_compose():
     # tilts about one axis add their angles: d(a) d(b) = d(a + b)
     for a, b in ((0.7, 1.9), (2.9, 0.35), (1.1, -0.4)):
         d_a, d_b, d_ab = (
-            oracles.degree_blocks(_tilt_blocks(t, 64))
+            [_wigner_d(t, l) for l in range(65)]
             for t in (a, b, a + b))
         for l, (x, y, z) in enumerate(zip(d_a, d_b, d_ab)):
             assert np.max(np.abs(x @ y - z)) < 1e-13, (a, b, l)
             assert np.max(np.abs(y @ x - z)) < 1e-13, (a, b, l)
+
+
+def test_tilt_order_reversal():
+    # the band cache keeps the orders k > 0 and reads k < 0 through
+    # d^l_{-m,-k} = d^l_mk, so the identity must hold to roundoff at every
+    # degree and angle the operator uses, near the pole and equator too
+    for theta in (1e-9, 1e-4, 0.35, 1.1, 0.5 * np.pi - 1e-7, 0.5 * np.pi,
+                  2.3, np.pi - 1e-6):
+        for l in range(65):
+            d = _wigner_d(theta, l)
+            assert np.max(np.abs(d[::-1, ::-1] - d)) <= 1e-13, (theta, l)
+
+
+def test_band_tilt_cache_holds_one_half():
+    # one cache entry per band, of at most K (L + 1)^2 float64 values with
+    # K the number of odd orders: the k < 0 half is derived, not stored
+    grid = make_so3_grid(0.5, 0.5)
+    for l_band in (8, 16, 17):
+        n_odd = 2 * ((l_band + 1) // 2)
+        _band_tilt.cache_clear()
+        forward_transform(_signal(_random_table(l_band, 5)),
+                          uniform_specs("omega", 4.0, SCALES), grid, SCALES)
+        assert _band_tilt.cache_info().currsize == len(grid.bands)
+        for theta, _, _, _ in grid.bands:
+            tilt = _band_tilt(float(theta), l_band)
+            assert tilt.dtype == np.float64 and not tilt.flags.writeable
+            # owned, so no larger array sits behind a view
+            assert tilt.flags.owndata
+            assert tilt.size <= n_odd * (l_band + 1) ** 2, tilt.shape
+        assert _band_tilt.cache_info().currsize == len(grid.bands)
 
 
 def _split_taus(grid, pattern):
@@ -340,6 +379,47 @@ def test_frame_matrix_on_shifted_longitudes():
             st = adjoint_transform(coeffs).values
             assert (np.max(np.abs(s @ table.values - st))
                     < 1e-12 * np.max(np.abs(st))), fam
+
+
+def test_band_operator_matches_oracles():
+    # forward, adjoint, frame operator, scan, select_tau and refine_tau all
+    # read the one band operator; the oracles build one complex band matrix
+    # per selectivity.  Polar bands have fewer than 2L + 1 cells, and the
+    # second grid's longitudes are off the (c + 1/2) 2 pi / N lattice
+    l_band = 16
+    scales = make_scale_sequence(1.0, 0.5, 2)
+    base = make_so3_grid(0.2, 0.2)
+    assert len(base.bands[0][1]) < 2 * l_band + 1
+    f = _signal(_random_table(l_band, 67))
+    tsel = SelectivitySet()
+
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    for grid in (base, _band_grid(base, range(len(base.bands)), shift=0.37)):
+        for fam in ("omega", "upsilon"):
+            specs = [tuple(WaveletSpec(fam, rho, t)
+                           for t in _split_taus(grid, j % 2))
+                     for j, rho in enumerate(scales)]
+            coeffs = forward_transform(f, specs, grid, scales)
+            want = oracles.forward_per_tau(f, specs, grid, scales)
+            assert all(map(close, coeffs.values, want)), fam
+            assert close(adjoint_transform(coeffs).values,
+                         oracles.adjoint_per_tau(coeffs)), fam
+            assert close(frame_matrix(fam, coeffs.taus, grid, scales, l_band),
+                         oracles.adaptive_frame_matrix(coeffs)), fam
+            smap = selectivity_scan(f, scales, grid, tsel, fam)
+            ref = oracles.scan_per_tau(f, scales, grid, tsel, fam)
+            assert np.array_equal(smap.tau_star, ref[0]), fam
+            assert np.array_equal(smap.phi1_star, ref[1]), fam
+            assert np.all(np.abs(smap.value - ref[2]) <= 1e-13 * ref[2]), fam
+            for j, alpha2 in ((0, 3), (1, 200), (2, grid.n_carriers - 5)):
+                for ours, theirs in ((select_tau, oracles.select_per_tau),
+                                     (refine_tau, oracles.refine_per_tau)):
+                    got = ours(f, scales, j, alpha2, tsel, grid, fam)
+                    want = theirs(f, scales, j, alpha2, tsel, grid, fam)
+                    assert got[:2] == want[:2], (fam, j, alpha2)
+                    assert abs(got[2] - want[2]) <= 1e-13 * want[2], fam
 
 
 def test_frame_matrix_hermitian():
