@@ -29,9 +29,9 @@ import numpy as np
 
 from .sphfn import (CoefficientTable, degree_orders, legendre_P_all,
                     normalized_assoc_column)
-from .profiles import (FAMILIES, FAMILY_ORDER, _check_tau, _series_weight,
-                       angular_coefficient, default_k_cut,
-                       expansion_coefficient_fn, window_weights)
+from .profiles import (FAMILIES, FAMILY_ORDER, _check_tau,
+                       _expansion_coefficient, _series_weight,
+                       angular_coefficient, default_k_cut, window_weights)
 
 # low-degree energy above this is reported as a violated vanishing condition
 VANISH_TOL = 1e-10
@@ -92,7 +92,7 @@ def _profile_coefficient(family, rho, l, ka):
     """
     r = np.exp(-rho)
     if ka == 1:
-        coef = expansion_coefficient_fn(family)(l, r)
+        coef = _expansion_coefficient(l, r, family)
         return (-rho / (2.0 * np.sqrt(2.0 * np.pi) * np.pi)
                 * np.sqrt(l * (l + 1) / (2.0 * (2 * l + 1))) * coef)
     degs, coefs = _coefficient_polynomial(family, l, ka)

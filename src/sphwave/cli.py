@@ -62,10 +62,10 @@ def cmd_kernel(args):
     if args.format == "bin":
         _require_out(args)
         gspec = default_grid_spec(args.l_band)
-        colat = make_colat_grid(gspec.n_theta)
-        tt, pp = np.meshgrid(colat.nodes, grid_phis(gspec), indexing="ij")
+        tt, pp = np.meshgrid(make_colat_grid(gspec.n_theta).nodes,
+                             grid_phis(gspec), indexing="ij")
         values = evaluate_wavelet(spec, tt, pp)
-        write_signal(args.out, SphericalSignal(values, gspec, colat))
+        write_signal(args.out, SphericalSignal(values, gspec))
     else:
         theta = np.linspace(0.0, np.pi, args.n_theta)
         phi = np.linspace(-np.pi, np.pi, args.n_phi)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .sphfn import analyze_signal, degree_orders
 from .profiles import (WaveletSpec, _check_tau, _window_orders,
-                       angular_window, angular_window_dphi, profile_dtheta_fn,
+                       angular_window, angular_window_dphi, profile_dtheta,
                        profile_fn, wavelet_norm_sq, window_weights)
 from .admissibility import _kernel_matrix
 from .transform import BandPlan, forward_transform
@@ -207,7 +207,7 @@ def estimate_sup_norms(spec, n_theta=None, n_phi=None):
     theta = (np.arange(n_theta) + 0.5) * (np.pi / n_theta)
     phi = np.arange(n_phi) * (2.0 * np.pi / n_phi)
     prof = profile_fn(spec.family)(spec.rho, theta)
-    dprof = profile_dtheta_fn(spec.family)(spec.rho, theta)
+    dprof = profile_dtheta(spec.family, spec.rho, theta)
     win = angular_window(spec.tau, phi)
     dwin = angular_window_dphi(spec.tau, phi)
     sup_psi = np.max(np.abs(prof)) * np.max(np.abs(win))

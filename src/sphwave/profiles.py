@@ -8,7 +8,9 @@ a difference-of-Gaussians angular window,
 
 The window is evaluated in its periodized form; its series, its odd-order
 Fourier coefficients and both cuts of them (_window_orders for the norm,
-default_k_cut for the kernel tables) are defined here only.  omega_rho
+default_k_cut for the kernel tables) are defined here only, as array
+rules: a cut evaluates its rule over a bounded odd range of orders, and
+window_weights builds the rows of many tau in one expression.  omega_rho
 comes from the first and upsilon_rho from the second radial derivative of
 the Poisson kernel, damped by sin^5(theta). Each profile is the series
 sum_n w_n r^n sin^5(theta) P_n with the weights of _series_weight, has a
@@ -32,7 +34,7 @@ TAU_MAX = 1e4
 FAMILIES = ("omega", "upsilon")
 # nominal vanishing order per family (the admissibility report checks that
 # degrees l <= order carry no energy); the measured degree-1 content of
-# upsilon is in fact nonzero, see upsilon_expansion_coefficient(1, r)
+# upsilon is in fact nonzero, see _expansion_coefficient(1, r, "upsilon")
 FAMILY_ORDER = {"omega": 0, "upsilon": 1}
 
 
@@ -93,6 +95,7 @@ def angular_window(tau, phi):
 
 def angular_window_dphi(tau, phi):
     """Derivative of the periodized window with respect to phi."""
+    _check_tau(tau)
     phi = np.mod(np.asarray(phi, dtype=float), 2.0 * np.pi)
     J = _periodization_count(tau)
     v = np.zeros_like(phi)
@@ -105,39 +108,35 @@ def angular_window_dphi(tau, phi):
 
 
 def angular_coefficient(tau, k):
-    """Fourier coefficient of the angular window: int_0^{2pi} f e^{-ik phi}.
-
-    Zero for even k; 2 sqrt(2 pi)/tau * exp(-k^2/(2 tau^2)) for odd k.
-    """
-    if k % 2 == 0:
-        return 0.0
-    return 2.0 * np.sqrt(2.0 * np.pi) / tau * np.exp(-k * k / (2.0 * tau * tau))
-
-
-def _first_odd(stop):
-    """Smallest odd k >= 1 with stop(k), for a stop that is false below
-    some odd k and true from there on: doubling, then bisection."""
-    lo, hi = -1, 1
-    while not stop(hi):
-        lo, hi = hi, 2 * hi + 1
-    while hi - lo > 2:
-        mid = (lo + hi) // 2 | 1
-        lo, hi = (lo, mid) if stop(mid) else (mid, hi)
-    return hi
+    """Fourier coefficient of the angular window: int_0^{2pi} f e^{-ik phi},
+    zero for even k and 2 sqrt(2 pi)/tau * exp(-k^2/(2 tau^2)) for odd k.
+    k may be an integer array, and tau broadcasts against it."""
+    k = np.asarray(k)
+    c = np.where(k % 2 == 1, 2.0 * np.sqrt(2.0 * np.pi) / tau
+                 * np.exp(-k * k / (2.0 * tau * tau)), 0.0)
+    return c if c.ndim else float(c)
 
 
 def _window_orders(tau):
-    """Positive odd orders 1, 3, ..., k_max of the window's series: k is
-    kept while c_k >= 1e-16 c_1 or k <= tau."""
-    top = angular_coefficient(tau, 1)
-    return np.arange(1, _first_odd(
-        lambda k: not (angular_coefficient(tau, k) >= 1e-16 * top
-                       or k <= tau)), 2)
+    """Odd orders 1, 3, ..., k_max of the window's series: k is kept while
+    c_k >= 1e-16 c_1 or k <= tau (the first dropped k is below 9 tau + 9)."""
+    k = np.arange(1, int(9 * tau) + 10, 2)
+    c = angular_coefficient(tau, k)
+    return k[:np.argmin((c >= 1e-16 * c[0]) | (k <= tau))]
+
+
+def _tail_keeps(k, tau):
+    """The Gaussian-tail rule of default_k_cut, monotone in k: does
+    exp(-k^2/tau^2)/k stay at or above 1e-14?"""
+    return np.exp(-k * k / (tau * tau)) / k >= 1e-14
 
 
 def default_k_cut(tau):
-    """Smallest odd K with exp(-K^2/tau^2)/K below 1e-14 (Gaussian tail)."""
-    return _first_odd(lambda k: not np.exp(-k * k / (tau * tau)) / k >= 1e-14)
+    """Smallest odd K with exp(-K^2/tau^2)/K below 1e-14 (Gaussian tail),
+    which is below 6 tau + 9."""
+    _check_tau(tau)
+    k = np.arange(1, int(6 * tau) + 10, 2)
+    return int(k[np.argmin(_tail_keeps(k, tau))])
 
 
 def window_weights(taus, l_band):
@@ -146,10 +145,10 @@ def window_weights(taus, l_band):
     entry of taus (a scalar, or an array of any shape)."""
     uniq, inverse = np.unique(np.asarray(taus, dtype=float),
                               return_inverse=True)
-    rows = np.zeros((len(uniq), 2 * l_band + 1))
-    for row, tau in zip(rows, uniq):
-        for k in range(1, min(l_band, default_k_cut(tau)) + 1, 2):
-            row[l_band + k] = row[l_band - k] = angular_coefficient(tau, k)
+    k, t = np.abs(np.arange(-l_band, l_band + 1)), uniq[:, None]
+    # an odd |k| is at most the cut where the rule still keeps |k| - 2
+    rows = np.where(_tail_keeps(np.maximum(k - 2, 1), t),
+                    angular_coefficient(t, k), 0.0)
     return rows[inverse].reshape(np.shape(taus) + (-1,))
 
 
@@ -232,10 +231,6 @@ def profile_dtheta(family, rho, theta):
     return v if v.ndim else float(v)
 
 
-def profile_dtheta_fn(family):
-    return lambda rho, theta: profile_dtheta(family, rho, theta)
-
-
 # ---------------------------------------------------------------------------
 # sin^5 expansion and the P_l^1 coefficients beta_l / gamma_l
 
@@ -296,7 +291,10 @@ def _series_weight(family, n):
 
 
 def _expansion_coefficient(l, r, family):
-    """sum over source degrees n of w_n r^n [coeff of P_l^1]."""
+    """beta_l(r) (omega) or gamma_l(r) (upsilon), the coefficient of P_l^1
+    in (4 pi / rho) profile: sum over source degrees n of w_n r^n [coeff
+    of P_l^1], terms r^{l-5}..r^{l+5}.  gamma_1 is nonzero, (16/7) r^2 -
+    (2592/385) r^4 + (240/77) r^6."""
     if l < 1:
         raise ValueError("target degree must be at least 1")
     r = np.asarray(r, dtype=float)
@@ -309,30 +307,6 @@ def _expansion_coefficient(l, r, family):
         if c is not None:
             acc = acc + w * c * r ** n
     return acc if acc.ndim else float(acc)
-
-
-def omega_expansion_coefficient(l, r):
-    """beta_l(r): coefficient of P_l^1 in (4 pi / rho) omega_rho.
-
-    Closed form, polynomial in r with six terms r^{l-5}..r^{l+5}; valid for
-    every l >= 1 (low degrees use the exact low-degree expansion tables).
-    """
-    return _expansion_coefficient(l, r, "omega")
-
-
-def upsilon_expansion_coefficient(l, r):
-    """gamma_l(r): coefficient of P_l^1 in (4 pi / rho) upsilon_rho.
-
-    Note gamma_1 is a genuinely nonzero polynomial,
-    (16/7) r^2 - (2592/385) r^4 + (240/77) r^6, with one isolated zero
-    near r ~ 0.6495; the second family therefore has order 0, not 1.
-    """
-    return _expansion_coefficient(l, r, "upsilon")
-
-
-def expansion_coefficient_fn(family):
-    return (omega_expansion_coefficient if family == "omega"
-            else upsilon_expansion_coefficient)
 
 
 # ---------------------------------------------------------------------------
@@ -366,11 +340,7 @@ def wavelet_norm_sq(spec):
     return profile_norm_sq(spec.family, spec.rho) * _window_norm_sq(spec.tau)
 
 
-# bounded: refine_tau scores a fresh continuous tau at almost every step.
-# Its first scores depend only on the bracket and recur across refines;
-# 1024 entries keep those hits and any scan's discrete selectivity set.
-@lru_cache(maxsize=1024)
 def _window_norm_sq(tau):
     """int_0^{2pi} f^2 dphi = sum_k |c_k|^2 / (2 pi), both signs of k."""
-    c = np.array([angular_coefficient(tau, k) for k in _window_orders(tau)])
-    return float(np.sum(c ** 2) / np.pi)
+    return float(np.sum(angular_coefficient(tau, _window_orders(tau)) ** 2)
+                 / np.pi)

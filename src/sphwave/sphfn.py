@@ -81,11 +81,10 @@ def legendre_rows(t, l_band):
 
 
 @lru_cache(maxsize=8)
-def _colat_rows(nodes, l_band):
-    """legendre_rows at the cosines of colatitude nodes passed as their
-    bytes: keyed by the node values, so grids with different nodes never
-    share rows.  Cached per (nodes, l_band) and read-only."""
-    rows = legendre_rows(np.cos(np.frombuffer(nodes)), l_band)
+def _colat_rows(n_theta, l_band):
+    """legendre_rows at the cosines of make_colat_grid(n_theta), the
+    colatitudes of every signal.  Cached per (n_theta, l_band), read-only."""
+    rows = legendre_rows(make_colat_grid(n_theta).cos_nodes, l_band)
     rows.flags.writeable = False
     return rows
 
@@ -141,16 +140,17 @@ def grid_phis(spec):
 
 @dataclass
 class SphericalSignal:
-    """Samples on a colatitude x longitude grid, theta-major."""
+    """Samples on the spec's Gauss-Legendre x uniform grid, theta-major."""
     values: np.ndarray
     spec: SphericalGridSpec
-    colat: ColatGrid = None
 
     def __post_init__(self):
-        if self.colat is None:
-            self.colat = make_colat_grid(self.spec.n_theta)
         if self.values.shape != (self.spec.n_theta, self.spec.n_phi):
             raise ValueError("sample array does not match the grid spec")
+
+    @property
+    def colat(self):
+        return make_colat_grid(self.spec.n_theta)
 
     @property
     def thetas(self):
@@ -214,23 +214,21 @@ def analyze_signal(f, l_band=None):
     n_phi = f.spec.n_phi
     g = np.fft.fft(f.values, axis=1) * (2.0 * np.pi / n_phi)
     _, m_of = degree_orders(l_band)
-    rows = _colat_rows(f.colat.nodes.tobytes(), l_band) * f.colat.weights
+    rows = _colat_rows(f.spec.n_theta, l_band) * f.colat.weights
     return CoefficientTable(l_band, np.sum(rows * g[:, m_of % n_phi].T,
                                            axis=1))
 
 
-def synthesize_signal(table, spec, colat=None):
+def synthesize_signal(table, spec):
     """Evaluate the harmonic series of a coefficient table on a grid."""
     if spec.l_band < table.l_band:
         raise ValueError("grid spec band limit below the table band limit")
-    if colat is None:
-        colat = make_colat_grid(spec.n_theta)
     l_band = table.l_band
     _, m_of = degree_orders(l_band)
     # s[i, m] = sum_l coef(l, m) (-1)^|m| Q_l^|m|(theta_i)
     s = np.zeros((spec.n_theta, spec.n_phi), dtype=complex)
     np.add.at(s.T, m_of % spec.n_phi,
               table.values[:, None]
-              * _colat_rows(colat.nodes.tobytes(), l_band))
+              * _colat_rows(spec.n_theta, l_band))
     values = np.fft.ifft(s, axis=1) * spec.n_phi
-    return SphericalSignal(values=values, spec=spec, colat=colat)
+    return SphericalSignal(values=values, spec=spec)

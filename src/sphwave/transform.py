@@ -286,7 +286,8 @@ def frame_matrix(family, taus, grid, scales, l_band):
     pair_w = (np.where(ks[ia] + ks[ib] == 0, 0.5, 1.0)
               * scales.log_step / (8.0 * np.pi))
     wpair = np.array([pair_w * w[:, ia] * w[:, ib] for w in (
-        plan.weights(np.broadcast_to(t, grid.n_carriers)) for t in taus)])
+        np.broadcast_to(plan.weights(t), (grid.n_carriers, len(ks)))
+        for t in taus)])
     # m-major layout: orders m = -L..L, degrees l = |m|..L within each
     l_of, m_of = degree_orders(l_band)
     order = np.lexsort((l_of, m_of))

@@ -35,8 +35,8 @@ import numpy as np
 
 from sphwave.admissibility import _coefficient_polynomial, default_k_cut
 from sphwave.multiselect import TIE_MARGIN, _pick
-from sphwave.profiles import (WaveletSpec, _check_rho, _window_orders,
-                              angular_coefficient, expansion_coefficient_fn,
+from sphwave.profiles import (WaveletSpec, _check_rho, _expansion_coefficient,
+                              _window_orders, angular_coefficient,
                               wavelet_norm_sq)
 from sphwave.sphfn import (CoefficientTable, SphericalSignal, analyze_signal,
                            coef_index, default_grid_spec, degree_orders,
@@ -97,7 +97,7 @@ def tilt_blocks(theta, l_band):
         col = normalized_assoc_column(ka, ct, l_band)
         phase = (-1.0) ** ka * np.exp(1j * k * ph)
         for l in range(ka, l_band + 1):
-            sig = SphericalSignal(col[l - ka] * phase, spec, colat)
+            sig = SphericalSignal(col[l - ka] * phase, spec)
             blocks[l][:, k + l] = analyze_signal(sig, l).degree_block(l)
     return blocks
 
@@ -362,6 +362,18 @@ def upsilon_profile_series(rho, theta, tail=1e-17):
     return v if np.ndim(v) else float(v)
 
 
+def omega_expansion_coefficient(l, r):
+    """beta_l(r): the library's closed form for the coefficient of P_l^1
+    in (4 pi / rho) omega_rho."""
+    return _expansion_coefficient(l, r, "omega")
+
+
+def upsilon_expansion_coefficient(l, r):
+    """gamma_l(r): the library's closed form for the coefficient of P_l^1
+    in (4 pi / rho) upsilon_rho."""
+    return _expansion_coefficient(l, r, "upsilon")
+
+
 def profile_from_expansion(family, rho, theta, l_max=None):
     """Rebuild a profile pointwise from its P_l^1 expansion (oracle use)."""
     _check_rho(rho)
@@ -369,18 +381,17 @@ def profile_from_expansion(family, rho, theta, l_max=None):
     theta = np.asarray(theta, dtype=float)
     if l_max is None:
         l_max = _series_degree(r, 1e-15) + 6
-    coef_fn = expansion_coefficient_fn(family)
     c, s = np.cos(theta), np.sin(theta)
     # P_l^1 by upward recurrence, accumulated on the fly
     acc = np.zeros_like(theta)
     p_prev = -s                      # P_1^1
     p = -3.0 * c * s                 # P_2^1
-    acc += coef_fn(1, r) * p_prev
+    acc += _expansion_coefficient(1, r, family) * p_prev
     if l_max >= 2:
-        acc += coef_fn(2, r) * p
+        acc += _expansion_coefficient(2, r, family) * p
     for l in range(2, l_max):
         p_prev, p = p, ((2 * l + 1) * c * p - (l + 1) * p_prev) / l
-        acc += coef_fn(l + 1, r) * p
+        acc += _expansion_coefficient(l + 1, r, family) * p
     v = rho * acc / (4.0 * np.pi)
     return v if v.ndim else float(v)
 
@@ -476,7 +487,7 @@ def expansion_scale_integral(family, l, quad=None):
     """int_0^infty rho * coef_l(e^{-rho})^2 drho for the P_l^1 coefficient."""
     if quad is None:
         quad = rho_quadrature()
-    c = expansion_coefficient_fn(family)(l, quad.r_nodes)
+    c = _expansion_coefficient(l, quad.r_nodes, family)
     return float(np.sum(quad.weights * quad.nodes * c * c))
 
 
@@ -544,7 +555,7 @@ def wavelet_coefficient(spec, l, k):
     ka = abs(k)
     tau, rho, r = spec.tau, spec.rho, spec.r
     if ka == 1:
-        coef = expansion_coefficient_fn(spec.family)(l, r)
+        coef = _expansion_coefficient(l, r, spec.family)
         val = (-rho / (tau * np.pi)
                * np.sqrt(l * (l + 1) / (2.0 * (2 * l + 1)))
                * coef * np.exp(-1.0 / (2.0 * tau * tau)))

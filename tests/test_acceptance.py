@@ -20,10 +20,8 @@ from sphwave.admissibility import (admissibility_report, k1_ratio,
                                    wavelet_coefficient_table)
 from sphwave.multiselect import (SelectivitySet, estimate_sup_norms,
                                  select_tau)
-from sphwave.profiles import (WaveletSpec, omega_expansion_coefficient,
-                              omega_profile, poisson_kernel,
-                              upsilon_expansion_coefficient, upsilon_profile,
-                              wavelet_norm_sq)
+from sphwave.profiles import (WaveletSpec, omega_profile, poisson_kernel,
+                              upsilon_profile, wavelet_norm_sq)
 from sphwave.sphfn import (CoefficientTable, analyze_signal, coef_index,
                            default_grid_spec, synthesize_signal)
 from sphwave.so3 import make_rotation, make_scale_sequence, make_so3_grid
@@ -32,8 +30,9 @@ from sphwave.transform import (FrameOperatorConfig, forward_transform,
                                uniform_specs)
 
 from oracles import (assoc_legendre_P, coefficient_upper_bound,
-                     omega_profile_series, poisson_kernel_series,
-                     profile_from_expansion, rho_quadrature,
+                     omega_expansion_coefficient, omega_profile_series,
+                     poisson_kernel_series, profile_from_expansion,
+                     rho_quadrature, upsilon_expansion_coefficient,
                      upsilon_profile_series)
 
 

@@ -125,7 +125,7 @@ def test_coefficients_against_spherical_transform():
         g = default_grid_spec(128)
         colat = make_colat_grid(g.n_theta)
         vals = evaluate_wavelet(spec_w, colat.nodes[:, None], grid_phis(g)[None, :])
-        table = analyze_signal(SphericalSignal(vals.astype(complex), g, colat))
+        table = analyze_signal(SphericalSignal(vals.astype(complex), g))
         scale = np.sqrt(table.norm_sq())
         for l in range(0, 21):
             for k in range(-l, l + 1):

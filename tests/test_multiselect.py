@@ -13,7 +13,7 @@ from sphwave.multiselect import (SelectivitySet, adaptive_analysis,
                                  budget_discretization, calibrate_budget,
                                  continuous_energy, estimate_sup_norms,
                                  refine_tau, select_tau, selectivity_scan)
-from sphwave.profiles import WaveletSpec, _window_norm_sq, wavelet_norm_sq
+from sphwave.profiles import WaveletSpec, wavelet_norm_sq
 from sphwave.sphfn import (CoefficientTable, SphericalSignal, analyze_signal,
                            default_grid_spec, synthesize_signal)
 from sphwave.so3 import make_rotation, make_scale_sequence, make_so3_grid
@@ -171,7 +171,7 @@ def test_selection_scale_invariance():
     tsel = SelectivitySet((1.0, 2.0, 4.0))
     tau, phi1, value = select_tau(f, SCALES, 0, 23, tsel, grid)
     for c in (3.7, np.exp(0.3j)):
-        g = SphericalSignal(c * f.values, f.spec, f.colat)
+        g = SphericalSignal(c * f.values, f.spec)
         tau_c, phi_c, val_c = select_tau(g, SCALES, 0, 23, tsel, grid)
         assert tau_c == tau and phi_c == phi1, c
         assert abs(val_c - abs(c) * value) < 1e-12 * value, c
@@ -206,27 +206,6 @@ def test_refine_tau_honors_tol(monkeypatch):
         refine_tau(f, SCALES, 0, 40, tsel, GRID, tol=tol)
         n_evals.append(len(calls))
     assert n_evals[0] < n_evals[1] < 60, n_evals
-
-
-def test_refines_keep_window_norm_cache_bounded():
-    # refine_tau scores a fresh continuous tau at almost every step; the
-    # window norm cache keeps its fixed size, and scan picks do not
-    # depend on what it holds
-    tsel = SelectivitySet()
-    f = _random_signal(8, 11)
-    before = selectivity_scan(f, SCALES, GRID, tsel)
-    _window_norm_sq.cache_clear()
-    for seed in range(8):
-        g = _random_signal(8, 100 + seed)
-        for alpha2 in range(0, GRID.n_carriers, 12):
-            refine_tau(g, SCALES, seed % 2, alpha2, tsel, GRID)
-    info = _window_norm_sq.cache_info()
-    assert info.misses > info.maxsize, info
-    assert info.currsize <= info.maxsize, info
-    assert info.maxsize >= len(tsel)
-    after = selectivity_scan(f, SCALES, GRID, tsel)
-    for field in ("tau_star", "phi1_star", "value"):
-        assert np.array_equal(getattr(before, field), getattr(after, field))
 
 
 def test_scan_norm_quadrature_once_per_scale(monkeypatch):

@@ -11,18 +11,17 @@ from sphwave.profiles import (TAU_MAX, WaveletSpec, _p1_expansion,
                               _window_norm_sq, _window_orders,
                               angular_coefficient, angular_window,
                               angular_window_dphi, default_k_cut,
-                              evaluate_wavelet,
-                              expansion_coefficient_fn,
-                              omega_expansion_coefficient, omega_profile,
-                              poisson_kernel, profile_dtheta_fn, profile_fn,
+                              evaluate_wavelet, omega_profile,
+                              poisson_kernel, profile_dtheta, profile_fn,
                               profile_norm_sq, sin5_legendre_expansion,
-                              upsilon_expansion_coefficient, upsilon_profile,
-                              wavelet_norm_sq)
+                              upsilon_profile, wavelet_norm_sq,
+                              window_weights)
 
-from oracles import (assoc_legendre_P, legendre_P, omega_profile_series,
+from oracles import (assoc_legendre_P, legendre_P,
+                     omega_expansion_coefficient, omega_profile_series,
                      poisson_kernel_series, profile_from_expansion,
-                     upsilon_profile_series, window_series,
-                     window_series_dphi)
+                     upsilon_expansion_coefficient, upsilon_profile_series,
+                     window_series, window_series_dphi)
 
 
 def _window_quadrature(tau, k, n=4096):
@@ -150,9 +149,8 @@ def test_profile_theta_derivatives():
     h = 1e-5
     for family in ("omega", "upsilon"):
         fn = profile_fn(family)
-        dfn = profile_dtheta_fn(family)
         for rho in (0.4, 0.8):
-            d = dfn(rho, theta)
+            d = profile_dtheta(family, rho, theta)
             fd = (fn(rho, theta + h) - fn(rho, theta - h)) / (2.0 * h)
             assert np.max(np.abs(d - fd)) < 1e-7 * np.max(np.abs(d)), (family, rho)
 
@@ -196,16 +194,14 @@ def test_low_degree_expansions():
 
 
 def test_expansion_coefficients_match_projection():
-    weights = {"omega": lambda n: n * n, "upsilon": lambda n: n * (n - 1)}
-    for family in ("omega", "upsilon"):
-        fn = expansion_coefficient_fn(family)
-        wfun = weights[family]
+    for fn, wfun in ((omega_expansion_coefficient, lambda n: n * n),
+                     (upsilon_expansion_coefficient, lambda n: n * (n - 1))):
         for l in (1, 2, 3, 6, 9, 14):
             for r in (0.1, 0.5, 0.9):
                 ref = fsum(wfun(n) * (2 * n + 1) * _p1_projection(n, l) * r ** n
                            for n in range(1, l + 8) if wfun(n) != 0)
                 got = fn(l, r)
-                assert abs(got - ref) < 1e-12 * max(1.0, abs(ref)), (family, l, r)
+                assert abs(got - ref) < 1e-12 * max(1.0, abs(ref)), (fn, l, r)
     arr = omega_expansion_coefficient(3, np.array([0.2, 0.4]))
     assert arr.shape == (2,)
 
@@ -242,9 +238,12 @@ def test_norms_against_two_dimensional_quadrature():
 
 
 def test_window_cuts_match_stepping_rule():
-    # both cuts bisect a monotone rule; stepping through the odd orders
-    # one at a time finds the same smallest order
-    for tau in (1.0, 1.37, 2.0, 5.0, 16.0, 33.3, 100.0, 1e3, TAU_MAX):
+    # both cuts evaluate a monotone rule over a bounded range of odd
+    # orders at once; stepping through them one at a time finds the same
+    # smallest order.  The 686 distinct tau in [1, 16], one per carrier of
+    # the L = 16 benchmark grid, run the many-tau array path
+    many = np.random.default_rng(686).uniform(1.0, 16.0, 686)
+    for tau in (1.0, 1.37, 2.0, 5.0, 16.0, 33.3, 100.0, 1e3, TAU_MAX, *many):
         k = 1
         while np.exp(-k * k / (tau * tau)) / k >= 1e-14:
             k += 2
@@ -255,6 +254,19 @@ def test_window_cuts_match_stepping_rule():
             ks.append(k)
             k += 2
         assert np.array_equal(_window_orders(tau), ks), tau
+        # the norm sums the single coefficients over these orders
+        c = np.array([angular_coefficient(tau, k) for k in ks])
+        assert _window_norm_sq(tau) == float(np.sum(c ** 2) / np.pi), tau
+    # the weights of many tau in one call are the single-tau rows, each
+    # nonzero exactly at the odd |k| up to its cut
+    for l_band in (12, 16):
+        rows = window_weights(many, l_band)
+        assert np.array_equal(
+            rows, np.stack([window_weights(t, l_band) for t in many]))
+        k = np.abs(np.arange(-l_band, l_band + 1))
+        for tau, row in zip(many, rows):
+            assert np.array_equal(row != 0.0,
+                                  (k % 2 == 1) & (k <= default_k_cut(tau)))
 
 
 def test_selectivity_check_everywhere():
@@ -263,6 +275,8 @@ def test_selectivity_check_everywhere():
     for bad in (0.5, np.nan, np.inf, 2.0 * TAU_MAX):
         for make in (lambda t: WaveletSpec("omega", 1.0, t),
                      lambda t: angular_window(t, 0.0),
+                     lambda t: angular_window_dphi(t, 0.0),
+                     lambda t: default_k_cut(t),
                      lambda t: analytic_upper_bound("omega", t),
                      lambda t: SelectivitySet((1.0, t), TAU_MAX),
                      lambda t: SelectivitySet((1.0, 2.0), t)):

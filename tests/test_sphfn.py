@@ -6,8 +6,8 @@ import numpy as np
 import scipy.special as sps
 
 from sphwave import sphfn
-from sphwave.sphfn import (CoefficientTable, ColatGrid, SphericalSignal,
-                           analyze_signal, coef_index, default_grid_spec,
+from sphwave.sphfn import (CoefficientTable, SphericalSignal, analyze_signal,
+                           coef_index, default_grid_spec,
                            grid_phis, legendre_P_all, legendre_rows,
                            make_colat_grid, normalized_assoc_column,
                            synthesize_signal)
@@ -122,7 +122,8 @@ def test_colat_grid_properties():
 
 def test_colat_grid_cached(monkeypatch):
     # Gauss-Legendre nodes are computed once per node count and shared
-    # read-only by every synthesis at that band limit
+    # read-only by every synthesis at that band limit; the Legendre rows
+    # are cached per node count in front of them, so both start cold
     calls = []
     leggauss = np.polynomial.legendre.leggauss
 
@@ -132,6 +133,7 @@ def test_colat_grid_cached(monkeypatch):
 
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
     make_colat_grid.cache_clear()
+    sphfn._colat_rows.cache_clear()
     table = CoefficientTable(6, np.ones(49, dtype=complex))
     a = synthesize_signal(table, default_grid_spec(6))
     b = synthesize_signal(table, default_grid_spec(6))
@@ -142,7 +144,7 @@ def test_colat_grid_cached(monkeypatch):
 
 
 def test_legendre_rows_cached(monkeypatch):
-    # the Legendre rows are built once per (colatitude nodes, band limit)
+    # the Legendre rows are built once per (colatitude count, band limit)
     # and shared read-only by analyses and syntheses
     calls = []
 
@@ -159,14 +161,7 @@ def test_legendre_rows_cached(monkeypatch):
     b = analyze_signal(f)
     assert calls == [6]
     assert np.array_equal(a.values, b.values)
-    assert not sphfn._colat_rows(f.colat.nodes.tobytes(), 6).flags.writeable
-    # a custom grid with other nodes gets its own rows
-    nodes = f.colat.nodes * 0.5
-    custom = ColatGrid(nodes=nodes, weights=f.colat.weights)
-    synthesize_signal(table, spec, custom)
-    assert calls == [6, 6]
-    assert np.array_equal(sphfn._colat_rows(nodes.tobytes(), 6),
-                          legendre_rows(np.cos(nodes), 6))
+    assert not sphfn._colat_rows(spec.n_theta, 6).flags.writeable
 
 
 def test_coef_index_and_table():

@@ -446,7 +446,7 @@ def test_rotate_coefficients_matches_pullback():
     gspec = default_grid_spec(l_band)
     colat = make_colat_grid(gspec.n_theta)
     tt, pp = np.meshgrid(colat.nodes, grid_phis(gspec), indexing="ij")
-    ref = analyze_signal(SphericalSignal(rotated(tt, pp), gspec, colat))
+    ref = analyze_signal(SphericalSignal(rotated(tt, pp), gspec))
     got = rotate_coefficients(table, g)
     scale = np.sqrt(table.norm_sq())
     assert np.max(np.abs(got.values - ref.values)) < 1e-10 * scale
