@@ -34,8 +34,8 @@ class FrameOperatorConfig:
     strict: bool = True
 
     def __post_init__(self):
-        if self.tolerance <= 0.0:
-            raise ValueError("residual tolerance must be positive")
+        if not 0.0 < self.tolerance < np.inf:
+            raise ValueError("residual tolerance must be positive and finite")
         if self.max_iterations < 1:
             raise ValueError("need at least one iteration")
 
@@ -138,7 +138,6 @@ class BandPlan:
         self.axial_phase = np.exp(1j * np.outer(self.ks, axial_angles))
         self.kern = np.array([_kernel_matrix(family, float(rho), l_band).T[
             self.ks + l_band] for rho in scales])   # P_j[l, k] at [j, k, l]
-        self._orders = np.arange(-l_band, l_band + 1)
         l_of, m_of = degree_orders(l_band)
         self._flat = m_of + l_band, l_of
 
@@ -152,15 +151,18 @@ class BandPlan:
         return window_weights(taus, self.l_band)[..., self.ks + self.l_band]
 
     def _phases(self, bands, sign):
-        """Per band e^{sign i m phi} of its cells, from one exp per call."""
+        """Per band e^{sign i m phi} of its cells: one exp per cell, then a
+        running product over m > 0, conjugated for m < 0."""
         phis = [b[2] for b in bands]
-        e = np.exp(sign * 1j * np.outer(np.concatenate(phis), self._orders))
+        e = np.exp(sign * 1j * np.concatenate(phis))[:, None]
+        e = np.cumprod(np.broadcast_to(e, (len(e), self.l_band)), axis=1)
+        e = np.concatenate((e[:, ::-1].conj(), np.ones((len(e), 1)), e), 1)
         return np.split(e, np.cumsum([len(p) for p in phis])[:-1])
 
     def correlate(self, values, bands):
         """tau-free correlations d[j, c, k] of a flat table with the kernel
         of every scale j at every cell c of bands, (theta, idx, phis, _)."""
-        f = np.zeros((len(self._orders), self.l_band + 1), dtype=complex)
+        f = np.zeros((2 * self.l_band + 1, self.l_band + 1), dtype=complex)
         f[self._flat] = values
         kern = self.kern.transpose(1, 2, 0).astype(complex)
         out = np.empty((len(self.kern), sum(len(b[1]) for b in bands),
@@ -268,96 +270,157 @@ def frame_matrix(family, taus, grid, scales, l_band):
     """Dense frame operator S on coefficient tables.
 
     taus[j] is the selectivity of scale j, one value or one per carrier.
-    Block (m, m') of S sums beta_jk[m] beta_jk'[m']^T H(m' - m), beta from
-    the band operator, over bands, scales and axial pairs k = k' (mod
-    n_axial); H(d) = measure log_step / (8 pi) sum_c w_ck w_ck' e^{i d phi_c}
-    is the one place the cells and their selectivities enter.  For cells
-    sharing one selectivity at longitudes (c + 1/2) 2 pi / N, H(d) = N H(0)
-    (-1)^(d/N) where N divides d and 0 elsewhere: one batched product per
-    order difference.  Other rows are stacked for one product per order m.
-    S is Hermitian and beta_-k[-m] = beta_k[m], w_-k = w_k: only blocks
-    m' >= m and pairs k + k' >= 0 (k + k' = 0 at half weight) are summed.
+    Block (m, m') of S sums beta_jk[m] beta_jk'[m']^T H(m' - m), beta_jk[m,
+    l] = d^l_mk P_j[l, k], over bands, scales and axial pairs p = (k, k'),
+    k = k' (mod n_axial); H(d) = measure log_step / (8 pi) sum_c w_ck w_ck'
+    e^{i d phi_c} is the one place the cells and their selectivities enter.
+    T sums blocks m' >= m and pairs k + k' >= 0 (k + k' = 0 at half weight),
+    and beta_-k[-m] = beta_k[m] gives S[m, m'] = T[m, m'] + T[-m', -m]^T.
+    Whole bands (cells sharing one tau at longitudes (c + 1/2) 2 pi / N)
+    have H(d) = N H(0) (-1)^(d/N) where N divides d and 0 elsewhere, and
+    are contracted once per d, straight into the flat layout.  The other
+    rows are stacked for one product per order m, into an m-major copy.
+    Both paths take the axial pairs one chunk at a time.
     """
     plan = BandPlan(l_band, grid.axial_angles, family, scales)
-    n_axial, n_m, n_l = len(grid.axial_angles), 2 * l_band + 1, l_band + 1
-    ks = plan.ks
-    ia, ib = np.nonzero(((ks[:, None] - ks) % n_axial == 0)
+    n_m, n_l, ks = 2 * l_band + 1, l_band + 1, plan.ks
+    ia, ib = np.nonzero(((ks[:, None] - ks) % len(grid.axial_angles) == 0)
                         & (ks[:, None] + ks >= 0))
+    same = np.array_equal(ia, ib)
     pair_w = (np.where(ks[ia] + ks[ib] == 0, 0.5, 1.0)
               * scales.log_step / (8.0 * np.pi))
-    wpair = np.array([pair_w * w[:, ia] * w[:, ib] for w in (
-        np.broadcast_to(plan.weights(t), (grid.n_carriers, len(ks)))
-        for t in taus)])
-    # m-major layout: orders m = -L..L, degrees l = |m|..L within each
+    wpair = [np.broadcast_to(pair_w * w[..., ia] * w[..., ib], (
+        grid.n_carriers, len(ia))) for w in map(plan.weights, taus)]
     l_of, m_of = degree_orders(l_band)
-    order = np.lexsort((l_of, m_of))
-    off = np.searchsorted(m_of[order], np.arange(-l_band, l_band + 2))
-    s = np.zeros((len(order), len(order)), dtype=complex)
+    n, m = len(l_of), np.arange(n_m)
+    if not len(ia):     # no odd order below the band: nothing to sum
+        return np.zeros((n, n), dtype=complex)
 
-    # per band, the scales whose cells share one selectivity on the
-    # longitudes (c + 1/2) 2 pi / N, all in one batch per order difference d
-    diagonals, whole = {}, []
-    for theta, idx, phis, measure in grid.bands:
+    def tilts(thetas, p):
+        # per band d^l_mk(theta) as [pair, m + l_band, l], k over ks[p]
+        k, flip = abs(ks[p]) // 2, ks[p] < 0
+        if np.all(np.diff(k) == 1):
+            k = slice(k[0], k[-1] + 1)
+        for theta in thetas:
+            t = _band_tilt(float(theta), l_band)[k]
+            yield np.where(flip[:, None, None], t[:, ::-1], t) if any(
+                flip) else t
+
+    def chunks(entries, budget):
+        # the pairs in runs of at most about budget stacked entries
+        return np.array_split(np.arange(len(ia)),
+                              min(len(ia), -(-entries // budget)))
+
+    # per band its whole scales; per band set, the factors P_j[:, k] and
+    # w_k w_k' P_j[:, k'] of the (scale, tau) groups whole on exactly that
+    # set, whose products summed over the groups are K_p[l, l']
+    whole, groups, sets = [], {}, {}
+    for b, (theta, idx, phis, measure) in enumerate(grid.bands):
         regular = np.array_equal(
             phis, (np.arange(len(idx)) + 0.5) * (2.0 * np.pi / len(idx)))
         whole.append([j for j, t in enumerate(taus) if regular and (
             np.ndim(t) == 0 or np.all(t[idx] == t[idx[0]]))])
-        if whole[-1]:
-            tilt, one = plan.tilt(theta), whole[-1]
-            c = (len(idx) * measure) * wpair[one, idx[0]]
-            # the whole scales and the pairs as one axis, per order m
-            left = (plan.kern[one][:, ia, None] * tilt[ia]).reshape(
-                -1, n_m, n_l).transpose(1, 2, 0)
-            right = (plan.kern[one][:, ib, None] * c[:, :, None, None]
-                     * tilt[ib]).reshape(-1, n_m, n_l).transpose(1, 0, 2)
-            for q, d in enumerate(range(0, n_m, len(idx))):
-                block = left[:n_m - d] @ right[d:]
-                diagonals[d] = diagonals.get(d, 0.0) + (-1) ** q * block
-    for d, blocks in diagonals.items():
-        for i, block in enumerate(blocks):
-            s[off[i]:off[i + 1], off[i + d]:off[i + d + 1]] += \
-                block[abs(i - l_band):, abs(i + d - l_band):]
-    del diagonals
+        for j in whole[-1]:
+            w = wpair[j][idx[0]]
+            groups.setdefault((j, w.tobytes()), (w, []))[1].append(b)
+    for (j, _), (w, bands) in groups.items():
+        sets.setdefault(tuple(bands), []).append(
+            (plan.kern[j, ia], w[:, None] * plan.kern[j, ib]))
 
     # the other scales: compact beta rows and H(d) per pair, stacked
-    n_rows = len(ia) * (len(taus) * len(grid.bands) - sum(map(len, whole)))
-    low = np.empty((len(order), n_rows))
-    high = low if np.array_equal(ia, ib) else np.empty_like(low)
-    h, r = np.empty((n_m, n_rows), dtype=complex), 0
-    for (theta, idx, phis, measure), one in zip(grid.bands, whole):
-        mixed = [j for j in range(len(taus)) if j not in one]
-        if mixed:
-            rows = (plan.kern[mixed][:, :, None] * plan.tilt(theta))[
-                :, :, m_of[order] + l_band, l_of[order]]
-            cols = slice(r, r + len(mixed) * len(ia))
-            low[:, cols] = rows[:, ia].reshape(-1, len(order)).T
-            high[:, cols] = rows[:, ib].reshape(-1, len(order)).T
-            phase = np.exp(1j * np.outer(phis, np.arange(n_m))) * measure
-            h[:, cols] = (phase.T @ wpair[:, idx][mixed]).transpose(
-                1, 0, 2).reshape(n_m, -1)
-            r = cols.stop
+    mixed = [(band, js) for band, one in zip(grid.bands, whole)
+             if (js := [j for j in range(len(taus)) if j not in one])]
+    s = np.zeros((n, n), dtype=complex)
+    if mixed:
+        order = np.lexsort((l_of, m_of))
+        off = np.searchsorted(m_of[order], np.arange(-l_band, l_band + 2))
+        mo, lo, sizes = m_of[order] + l_band, l_of[order], np.diff(off)
+        h = np.concatenate([(np.exp(1j * np.outer(m, phis)) * measure @ (
+            np.stack([wpair[j][idx] for j in js]))).transpose(1, 0, 2)
+            for (_, idx, phis, measure), js in mixed], axis=1)
 
-    # one product per order m over the stacked rows, H(m' - m) repeated
-    # over the degrees of each order m' as whole contiguous rows
-    if n_rows:
-        h_parts = np.ascontiguousarray(h.real), np.ascontiguousarray(h.imag)
-        sizes = np.diff(off)
-        for i in range(n_m):
-            a, b = off[i], off[i + 1]
-            for part, hp in zip((s[a:b, a:].real, s[a:b, a:].imag), h_parts):
-                z = np.repeat(hp[:n_m - i], sizes[i:], axis=0)
-                z *= high[a:]
-                part += low[a:b] @ z.T
-        del low, high, h, h_parts, z  # before the n x n temporaries
+        def rows(p):
+            # beta at [m-major (m, l), (band, scale, pair)]
+            out, c = np.empty((n, len(p) * h.shape[1])), 0
+            for (_, js), t in zip(mixed, tilts([x[0] for x, _ in mixed], p)):
+                out[:, c:c + len(js) * len(p)] = (plan.kern[js][:, p][
+                    ..., lo] * t[:, mo, lo]).reshape(-1, n).T
+                c += len(js) * len(p)
+            return out
 
-    # with T the sum above, S[m, m'] = T[m, m'] + T[-m', -m]^T
-    back = np.argsort(order)
-    mirror = back[(l_of * (l_of + 1) - m_of)[order]]
-    s += s[np.ix_(mirror, mirror)].T
-    for a, b in zip(off[:-1], off[1:]):
-        s[a:b, a:b] = 0.5 * (s[a:b, a:b] + s[a:b, a:b].conj().T)
-        s[b:, a:b] = s[a:b, b:].conj().T
-    return s[np.ix_(back, back)]
+        # the stacked rows of one chunk hold at most a tilt cache's entries
+        for ch in chunks(n * h.size // n_m * (2 - same),
+                         len(grid.bands) * (n_l // 2) * n_m * n_l):
+            low = rows(ia[ch])
+            high = low if same else rows(ib[ch])
+            hc = h[:, :, ch].reshape(n_m, -1)
+            hc = np.ascontiguousarray(hc.real), np.ascontiguousarray(hc.imag)
+            # one product per order m, H(m' - m) repeated over the degrees
+            # of each order m' as whole contiguous rows
+            for i in range(n_m):
+                a, b = off[i], off[i + 1]
+                for part, hp in zip((s[a:b, a:].real, s[a:b, a:].imag), hc):
+                    z = np.repeat(hp[:n_m - i], sizes[i:], axis=0)
+                    z *= high[a:]
+                    part += low[a:b] @ z.T
+            del low, high, z  # before the n x n temporaries
+        back = np.argsort(order)
+        mirror = back[(l_of * (l_of + 1) - m_of)[order]]
+        s += s[np.ix_(mirror, mirror)].T
+        for a, b in zip(off[:-1], off[1:]):
+            s[a:b, a:b] = 0.5 * (s[a:b, a:b] + s[a:b, a:b].conj().T)
+            s[b:, a:b] = s[a:b, b:].conj().T
+        s = s[np.ix_(back, back)]
+
+    # the whole bands per order difference d: T_d[m] = sum_p K_p * sum_b
+    # v_d(b) d^l_mk(theta_b) d^l'_{m+d,k'}(theta_b), v_d = N measure
+    # (-1)^(d/N), added at the flat indices at[m, l] (-1 where l < |m|).
+    # A lone band contracts over its (scale, pair) factors instead, once
+    # for all its order differences
+    thetas, n_cells, measures = (np.array(x) for x in zip(*(
+        (theta, len(idx), measure) for theta, idx, _, measure in grid.bands)))
+    at = np.where(m[:n_l] >= abs(m - l_band)[:, None],
+                  m[:n_l] * (m[:n_l] + 1) + (m - l_band)[:, None], -1)
+    lone, flat = {}, s.reshape(-1).real
+    for bands, uw in list(sets.items()):
+        u, w = map(np.array, zip(*uw))
+        if len(bands) > 1:
+            sets[bands] = np.einsum('gpa,gpb->pab', u, w)
+            continue
+        del sets[bands]
+        b, v = bands[0], n_cells[bands[0]] * measures[bands[0]]
+        a, c = (next(tilts([thetas[b]], p)) for p in (ia, ib))
+        left = np.einsum('pml,gpl->mlgp', a, u).reshape(n_m, n_l, -1)
+        right = np.einsum('pml,gpl->mgpl', c, w).reshape(n_m, -1, n_l)
+        for q, d in enumerate(range(0, n_m, n_cells[b])):
+            lone[d] = lone.get(d, 0.0) + (-1) ** q * v * (
+                left[:n_m - d] @ right[d:])
+    for d in sorted(set(lone) | {d for bands in sets for b in bands
+                                 for d in range(0, n_m, n_cells[b])}):
+        t = lone.pop(d, 0.0)
+        for bands, kp in sets.items():
+            on = np.array(bands)[d % n_cells[list(bands)] == 0]
+            v = (n_cells * measures)[on, None] * (-1.0) ** (
+                d // n_cells[on, None])
+            for ch in chunks(2 * len(on) * len(ia) * n_m * n_l,
+                             n * n // 2) if len(on) else ():
+                left = np.stack(list(tilts(thetas[on], ia[ch])), axis=2)
+                right = (left if same else np.stack(list(tilts(
+                    thetas[on], ib[ch])), axis=2))[:, d:] * v
+                g = left[:, :n_m - d].swapaxes(2, 3) @ right
+                t = t + np.einsum('pmab,pab->mab', g, kp[ch])
+                del left, right, g  # before the next chunk's
+        # T_d flipped in m, blocks transposed, is its mirror; the lower
+        # blocks are its transpose
+        t = t + t[::-1].swapaxes(1, 2)
+        t = 0.5 * (t + t.swapaxes(1, 2)) if d == 0 else t
+        row, col = at[:n_m - d, :, None], at[d:, None, :]
+        keep = (row >= 0) & (col >= 0)
+        idx, t = (row * n + col)[keep], t[keep]
+        flat[idx] += t
+        if d:
+            flat[idx % n * n + idx // n] += t
+    return s
 
 
 def reconstruct(coeffs, cfg=None):

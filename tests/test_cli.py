@@ -322,3 +322,18 @@ def test_bad_input_exit_codes(tmp_path, capsys):
     assert "l_band" in capsys.readouterr().err
     assert main(["reconstruct", "--in", str(corrupt),
                  "--out", str(out)]) == 2
+
+    # a tolerance of nan never converges and inf stops after one step:
+    # both are refused before the solve, and nothing is written
+    sig, coef = tmp_path / "sig.bin", tmp_path / "coef.bin"
+    assert main(["synthesize", "--preset", "noise", "--l-band", "6",
+                 "--seed", "3", "--out", str(sig)]) == 0
+    assert main(["analyze", "--in", str(sig), "--tau", "2", "--j-max", "1",
+                 "--delta2", "0.5", "--delta1", "0.5",
+                 "--out", str(coef)]) == 0
+    capsys.readouterr()
+    for tolerance in ("nan", "inf"):
+        assert main(["reconstruct", "--in", str(coef), "--tolerance",
+                     tolerance, "--out", str(out)]) == 2, tolerance
+        assert "positive and finite" in capsys.readouterr().err, tolerance
+        assert not out.exists(), tolerance

@@ -1,6 +1,7 @@
 """Rotation-grid analysis, adjoint, frame operator, and reconstruction."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -437,6 +438,86 @@ def test_frame_matrix_hermitian():
         assert np.all(s.diagonal()[1:].real > 0.0)
 
 
+def test_frame_matrix_tau_per_scale():
+    # a different uniform tau on each scale: the three (scale, tau) groups
+    # share one set of whole bands and sum into one K_p per axial pair
+    scales = make_scale_sequence(1.0, 0.5, 2)
+    for l_band, delta2, delta1, n_axial in ((16, 0.2, 0.2, 32),
+                                            (8, 0.5, 1.0, 7),
+                                            (8, 0.5, 1.3, 5)):
+        grid = make_so3_grid(delta2, delta1)
+        assert len(grid.axial_angles) == n_axial
+        f = _signal(_random_table(l_band, 73 + n_axial, kill_below=-1))
+        for fam in ("omega", "upsilon"):
+            specs = [WaveletSpec(fam, rho, t)
+                     for rho, t in zip(scales, (1.0, 4.0, 16.0))]
+            coeffs = forward_transform(f, specs, grid, scales)
+            s = frame_matrix(fam, coeffs.taus, grid, scales, l_band)
+            want = oracles.adaptive_frame_matrix(coeffs)
+            assert (np.max(np.abs(s - want))
+                    <= 1e-13 * np.max(np.abs(want))), (fam, n_axial)
+
+
+def test_frame_matrix_tau_alternating_by_band():
+    # tau constant within each band and alternating with the band index:
+    # every band is whole, the even and odd bands form two band sets with
+    # their own K_p, and the uniform third scale spans both.  In the second
+    # map the first scale is split within bands and band 0 alone has tau
+    # 16 on the second scale, a lone band next to stacked rows; in the
+    # third tau follows the colatitude, so most bands are lone
+    l_band = 16
+    scales = make_scale_sequence(1.0, 0.5, 2)
+    grid = make_so3_grid(0.2, 0.2)
+    odd = np.zeros(grid.n_carriers, dtype=bool)
+    for b, (_, idx, _, _) in enumerate(grid.bands):
+        odd[idx] = b % 2 == 1
+    first = np.arange(grid.n_carriers) < len(grid.bands[0][1])
+    uniform = np.full(grid.n_carriers, 4.0)
+    theta = np.array([c.theta for c in grid.cells])
+    maps = ([np.where(odd, 4.0, 1.0), np.where(odd, 2.0, 8.0), uniform],
+            [_split_taus(grid, 0),
+             np.where(first, 16.0, np.where(odd, 2.0, 8.0)), uniform],
+            [1.0 + 3.0 * theta, 2.0 + 6.0 * np.cos(theta) ** 2, uniform])
+    f = _signal(_random_table(l_band, 79, kill_below=-1))
+    for fam in ("omega", "upsilon"):
+        for taus in maps:
+            specs = [tuple(WaveletSpec(fam, rho, t) for t in tau)
+                     for rho, tau in zip(scales, taus)]
+            coeffs = forward_transform(f, specs, grid, scales)
+            s = frame_matrix(fam, coeffs.taus, grid, scales, l_band)
+            want = oracles.adaptive_frame_matrix(coeffs)
+            assert (np.max(np.abs(s - want))
+                    <= 1e-13 * np.max(np.abs(want))), fam
+            assert np.array_equal(s, s.conj().T), fam
+
+
+def test_frame_matrix_without_odd_orders():
+    # at band limit 0 there is no odd axial order, so S is the 1 x 1 zero
+    grid = make_so3_grid(0.5, 0.5)
+    for taus in ([2.0, 2.0], [_split_taus(grid, 0), 4.0]):
+        s = frame_matrix("omega", taus, grid, SCALES, 0)
+        assert s.shape == (1, 1) and s[0, 0] == 0.0
+
+
+def test_frame_matrix_peak_memory():
+    # whole bands are written straight into the degree-major layout, with
+    # no mirrored or permuted copy of S, and their tilts are stacked one
+    # chunk of axial pairs at a time
+    l_band = 16
+    scales = make_scale_sequence(1.0, 0.5, 2)
+    grid = make_so3_grid(0.2, 0.2)
+    frame_matrix("omega", [4.0] * 3, grid, scales, l_band)   # warm caches
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        s = frame_matrix("omega", [4.0] * 3, grid, scales, l_band)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * s.nbytes, peak / s.nbytes
+
+
 def test_rotate_coefficients_matches_pullback():
     l_band = 5
     table = _random_table(l_band, 44, kill_below=-1)
@@ -585,7 +666,8 @@ def test_spec_validation():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        FrameOperatorConfig(tolerance=0.0)
+    for tolerance in (0.0, -1e-10, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            FrameOperatorConfig(tolerance=tolerance)
     with pytest.raises(ValueError):
         FrameOperatorConfig(max_iterations=0)
