@@ -48,8 +48,8 @@ class WaveletSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError("family must be one of %s" % (FAMILIES,))
-        if not self.rho > 0:
-            raise ValueError("scale must be positive")
+        if not 0 < self.rho < np.inf:
+            raise ValueError("scale must be positive and finite")
         _check_tau(self.tau)
 
     @property
@@ -156,8 +156,8 @@ def window_weights(taus, l_band):
 # Poisson kernel and colatitude profiles
 
 def _check_rho(rho):
-    if not rho > 0:
-        raise ValueError("scale must be positive")
+    if not 0 < rho < np.inf:
+        raise ValueError("scale must be positive and finite")
     if rho < RHO_MIN:
         raise ValueError("scale below supported range %g" % RHO_MIN)
 

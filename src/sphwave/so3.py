@@ -38,6 +38,8 @@ def make_rotation(phi1, theta2, phi2):
     theta2 = float(theta2)
     if not 0.0 <= theta2 <= np.pi:
         raise ValueError("carrier colatitude must lie in [0, pi]")
+    if not np.isfinite([phi1, phi2]).all():
+        raise ValueError("turn angles must be finite")
     phi1 = float(np.mod(phi1, 2.0 * np.pi))
     phi2 = float(np.mod(phi2, 2.0 * np.pi))
     return Rotation(phi1, theta2, phi2)
@@ -73,8 +75,8 @@ def make_scale_sequence(rho0, q=0.5, j_max=0):
     """Geometric sequence of scales; q must lie in (1/4, 1)."""
     rho0 = float(rho0)
     q = float(q)
-    if rho0 <= RHO0_FLOOR:
-        raise ValueError("coarsest scale must be positive")
+    if not RHO0_FLOOR < rho0 < np.inf:
+        raise ValueError("coarsest scale must be positive and finite")
     if not 1.0 / RATIO_SPAN < q < 1.0:
         raise ValueError("scale ratio must lie in (%.3g, 1)" % (1.0 / RATIO_SPAN,))
     if j_max < 0:
@@ -106,7 +108,7 @@ class SO3Grid:
     delta1: float
     cells: tuple
     axial_angles: np.ndarray
-    bands: tuple    # per latitude band: (theta, cell indices, phis, measure)
+    bands: tuple    # per band: (theta, cell indices, phis, measure), read-only
     measures: np.ndarray    # per carrier, read-only
 
     @property
@@ -152,7 +154,9 @@ def make_so3_grid(delta2, delta1):
         measure = (cos_edges[b] - cos_edges[b + 1]) * width
         center = 0.5 * (lo + hi)
         phis = (np.arange(n_cells) + 0.5) * width
-        bands.append((center, len(cells) + np.arange(n_cells), phis, measure))
+        idx = len(cells) + np.arange(n_cells)
+        idx.flags.writeable = phis.flags.writeable = False
+        bands.append((center, idx, phis, measure))
         cells.extend(GridCell(center, float(p), lo, hi, width, measure)
                      for p in phis)
 

@@ -9,7 +9,8 @@ adjoint, the matched filter and the frame operator S: per latitude band
 it contracts over the degree l once for all scales, then over the orders
 m with each cell's longitude phase.  The cells enter S only through one
 phase sum per axial pair and order difference m' - m, and
-Jacobi-preconditioned CG inverts S.
+Jacobi-preconditioned CG inverts S, which a frame with one tau per scale
+builds once for all calls on it.
 """
 
 from dataclasses import dataclass
@@ -423,18 +424,25 @@ def frame_matrix(family, taus, grid, scales, l_band):
     return s
 
 
-def reconstruct(coeffs, cfg=None):
-    """Invert the frame operator by Jacobi-preconditioned conjugate gradients.
+# the last frame with one tau per scale: its grid (matched by identity),
+# the rest of its key (by value) and (S read-only, active start, diagonal).
+# A per-carrier tau map comes from one signal's scan and is not kept
+_frame_cache = [None]
 
-    Degrees where no kernel of coeffs has energy (degree 0) are excluded;
-    the result is band-limited to the coefficients' band.
-    """
-    if cfg is None:
-        cfg = FrameOperatorConfig()
+
+def _frame(coeffs):
+    """S of the frame of coeffs, the start of its active degrees and its
+    diagonal there; built on a miss, which first drops the kept frame."""
+    key = (coeffs.family, coeffs.scales, coeffs.l_band, coeffs.taus)
+    uniform = all(np.ndim(t) == 0 for t in coeffs.taus)
+    kept = _frame_cache[0]
+    if uniform and kept and kept[0] is coeffs.grid and kept[1] == key:
+        return kept[2]
+    _frame_cache[0] = kept = None   # two S never coexist
     l_band = coeffs.l_band
-    rhs = adjoint_transform(coeffs).values
     s = frame_matrix(coeffs.family, coeffs.taus, coeffs.grid,
                      coeffs.scales, l_band)
+    s.flags.writeable = False
     # the sharpest window reaches the highest order (default_k_cut grows)
     tau_max = max(float(np.max(t)) for t in coeffs.taus)
     k_used = window_weights(tau_max, l_band) != 0.0
@@ -443,13 +451,30 @@ def reconstruct(coeffs, cfg=None):
     # odd orders need |k| <= l, so degree 0 is the one inactive degree and
     # the active indices are a tail: the solve runs on a view of S
     start = int(np.argmax(np.any(rows, axis=(0, 2)))) ** 2
+    frame = s, start, s[start:, start:].diagonal().real
+    if uniform:
+        _frame_cache[0] = coeffs.grid, key, frame
+    return frame
+
+
+def reconstruct(coeffs, cfg=None):
+    """Invert the frame operator by Jacobi-preconditioned conjugate gradients.
+
+    Degrees where no kernel of coeffs has energy (degree 0) are excluded;
+    the result is band-limited to the coefficients' band.  S of a frame
+    with one tau per scale is kept until a call on another frame.
+    """
+    if cfg is None:
+        cfg = FrameOperatorConfig()
+    l_band = coeffs.l_band
+    rhs = adjoint_transform(coeffs).values
+    s, start, diag = _frame(coeffs)
     sa = s[start:, start:]
     b = rhs[start:]
     table = CoefficientTable(l_band)
     grid_spec = default_grid_spec(l_band)
     if np.linalg.norm(b) == 0.0:
         return synthesize_signal(table, grid_spec)
-    diag = sa.diagonal().real
     if np.any(diag <= 0.0):
         raise ArithmeticError("frame operator diagonal is not positive; "
                               "the grid is too coarse for this band")

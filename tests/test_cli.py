@@ -337,3 +337,12 @@ def test_bad_input_exit_codes(tmp_path, capsys):
                      tolerance, "--out", str(out)]) == 2, tolerance
         assert "positive and finite" in capsys.readouterr().err, tolerance
         assert not out.exists(), tolerance
+
+    # a non-finite scale or turn is refused before any numpy warning
+    assert main(["analyze", "--in", str(sig), "--rho0", "inf",
+                 "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert main(["synthesize", "--preset", "two-ridges", "--phi", "inf",
+                 "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()

@@ -302,6 +302,9 @@ def test_wavelet_spec_validation():
 
 
 def test_scale_guards():
-    for bad in (0.0, -1.0, 1e-5):
+    for bad in (0.0, -1.0, 1e-5, np.inf, np.nan):
         with pytest.raises(ValueError):
             poisson_kernel(bad, 0.5)
+    for bad in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="positive"):
+            WaveletSpec("omega", bad, 2.0)

@@ -53,6 +53,11 @@ def test_make_rotation_validation():
         make_rotation(0.0, -0.1, 0.0)
     with pytest.raises(ValueError):
         make_rotation(0.0, np.pi + 0.1, 0.0)
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            make_rotation(bad, 1.0, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            make_rotation(0.0, 1.0, bad)
     g = make_rotation(-1.0, 1.0, 7.0)
     assert abs(g.phi1 - (2.0 * np.pi - 1.0)) < 1e-14
     assert abs(g.phi2 - (7.0 - 2.0 * np.pi)) < 1e-14
@@ -82,8 +87,9 @@ def test_scale_sequence():
     assert len(seq) == 4
     assert seq[2] == 0.25
     assert list(seq) == [1.0, 0.5, 0.25, 0.125]
-    with pytest.raises(ValueError):
-        make_scale_sequence(0.0)
+    for bad in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            make_scale_sequence(bad)
     with pytest.raises(ValueError):
         make_scale_sequence(1.0, q=0.2)
     with pytest.raises(ValueError):
@@ -131,6 +137,15 @@ def test_grid_measures_built_once():
     assert np.array_equal(m, [c.measure for c in grid.cells])
     with pytest.raises(ValueError):
         m[0] = 1.0
+
+
+def test_grid_bands_read_only():
+    # a grid cannot change under a caller that keeps it, such as the
+    # frame operator kept by reconstruct
+    for _, idx, phis, _ in make_so3_grid(0.4, 0.5).bands:
+        for arr in (idx, phis):
+            with pytest.raises(ValueError):
+                arr[0] = 1
 
 
 def test_grid_bands_match_cell_partition():

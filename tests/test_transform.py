@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sphwave import transform
 from sphwave.admissibility import _kernel_matrix
 from sphwave.profiles import WaveletSpec, evaluate_wavelet, window_weights
 from sphwave.multiselect import (SelectivitySet, refine_tau, select_tau,
@@ -637,6 +638,116 @@ def test_reconstruct_controls():
     zero = forward_transform(_signal(CoefficientTable(6)),
                              uniform_specs("omega", 2.0, SCALES), grid, SCALES)
     assert np.all(reconstruct(zero).values == 0.0)
+
+
+def _count_frame_builds(monkeypatch):
+    # an empty frame cache for this test, and the frame_matrix calls
+    calls, build = [], transform.frame_matrix
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(transform, "_frame_cache", [None])
+    monkeypatch.setattr(transform, "frame_matrix", counted)
+    return calls
+
+
+def _split_specs(family, grid):
+    return [tuple(WaveletSpec(family, rho, t) for t in _split_taus(grid, j))
+            for j, rho in enumerate(SCALES)]
+
+
+def test_reconstruct_reuses_uniform_frame(monkeypatch):
+    # S depends on the frame alone: on the same uniform frame a second
+    # reconstruct builds nothing and gives the same bits as a fresh build
+    calls = _count_frame_builds(monkeypatch)
+    grid = make_so3_grid(0.5, 0.5)
+    specs = uniform_specs("omega", 2.0, SCALES)
+    coeffs = [forward_transform(_signal(_random_table(6, seed, 0)), specs,
+                                grid, SCALES) for seed in (41, 42)]
+    first = [reconstruct(c).values for c in coeffs]
+    assert len(calls) == 1
+    assert all(np.array_equal(reconstruct(c).values, want)
+               for c, want in zip(coeffs, first))
+    assert len(calls) == 1
+    s, start, diag = transform._frame_cache[0][2]
+    fresh = frame_matrix("omega", coeffs[0].taus, grid, SCALES, 6)
+    assert np.array_equal(s, fresh) and start == 1
+    assert np.array_equal(diag, fresh.diagonal()[start:].real)
+    # the kept S is read-only; frame_matrix still returns its own array
+    with pytest.raises(ValueError):
+        s[0, 0] = 1.0
+    fresh[0, 0] = 1.0
+    transform._frame_cache[0] = None
+    assert np.array_equal(reconstruct(coeffs[1]).values, first[1])
+    assert len(calls) == 2
+
+
+def test_frame_cache_rebuilds_on_any_key_change(monkeypatch):
+    # family, tau, scales, band limit and the grid object each make a
+    # new frame; one slot, so returning to the base frame rebuilds too
+    calls = _count_frame_builds(monkeypatch)
+    grid = make_so3_grid(0.5, 0.5)
+    f6, f4 = (_signal(_random_table(l, 43, 0)) for l in (6, 4))
+    other = make_scale_sequence(1.0, 0.6, 1)
+    base = (f6, "omega", 2.0, SCALES, grid)
+    variants = [(f6, "upsilon", 2.0, SCALES, grid),
+                (f6, "omega", 4.0, SCALES, grid),
+                (f6, "omega", [2.0, 4.0], SCALES, grid),
+                (f6, "omega", 2.0, other, grid),
+                (f4, "omega", 2.0, SCALES, grid),
+                (f6, "omega", 2.0, SCALES, dataclasses.replace(grid))]
+    frames = [x for v in variants for x in (base, v)] + [variants[-1]]
+    for n, (f, fam, tau, scales, g) in enumerate(frames, 1):
+        specs = ([WaveletSpec(fam, rho, t) for rho, t in zip(scales, tau)]
+                 if isinstance(tau, list) else uniform_specs(fam, tau, scales))
+        reconstruct(forward_transform(f, specs, g, scales))
+        assert len(calls) == min(n, len(frames) - 1), (n, fam, tau)
+
+
+def test_per_carrier_taus_are_not_kept(monkeypatch):
+    # a per-carrier map comes from one signal's scan: it drops the kept
+    # uniform frame and keeps nothing itself
+    calls = _count_frame_builds(monkeypatch)
+    grid = make_so3_grid(0.5, 0.5)
+    f = _signal(_random_table(6, 44, 0))
+    reconstruct(forward_transform(f, uniform_specs("omega", 2.0, SCALES),
+                                  grid, SCALES))
+    assert transform._frame_cache[0] is not None
+    adaptive = forward_transform(f, _split_specs("omega", grid), grid, SCALES)
+    loose = FrameOperatorConfig(strict=False)
+    for n in (2, 3):
+        reconstruct(adaptive, loose)
+        assert len(calls) == n and transform._frame_cache == [None]
+
+
+def test_reconstruct_controls_on_kept_frame(monkeypatch):
+    # strict and loose solves end the same way whether S was built or
+    # kept, and the adaptive frame (never kept) raises the same each time
+    calls = _count_frame_builds(monkeypatch)
+    grid = make_so3_grid(0.5, 0.5)
+    f = _signal(_random_table(6, 45, 0))
+    strict = FrameOperatorConfig(max_iterations=1, tolerance=1e-15)
+    loose = FrameOperatorConfig(max_iterations=1, tolerance=1e-15,
+                                strict=False)
+    for specs, builds in ((uniform_specs("omega", 2.0, SCALES), 2),
+                          (_split_specs("omega", grid), 4)):
+        coeffs = forward_transform(f, specs, grid, SCALES)
+        del calls[:]
+        errors, recs = [], []
+        for order in ((strict, loose), (loose, strict)):
+            transform._frame_cache[0] = None    # a miss, then a hit
+            for cfg in order:
+                if cfg.strict:
+                    with pytest.raises(FrameConvergenceError) as info:
+                        reconstruct(coeffs, cfg)
+                    errors.append((info.value.residual,
+                                   info.value.iterations))
+                else:
+                    recs.append(reconstruct(coeffs, cfg).values)
+        assert errors[0] == errors[1] and np.array_equal(*recs), builds
+        assert len(calls) == builds
 
 
 def test_under_resolved_flag():
