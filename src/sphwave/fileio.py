@@ -8,6 +8,7 @@ never stored: they rebuild deterministically from the header fields.
 
 import numpy as np
 
+from .profiles import FAMILIES, _check_tau
 from .sphfn import SphericalGridSpec, SphericalSignal
 from .so3 import make_scale_sequence, make_so3_grid
 from .transform import TransformCoefficients
@@ -33,6 +34,11 @@ def _parse_header(line, magic, path):
         key, _, val = item.partition("=")
         fields[key] = val
     return fields
+
+
+def _check_finite(values, path):
+    if not np.all(np.isfinite(values)):
+        raise FileFormatError("%s: payload holds a non-finite value" % path)
 
 
 def _field(fields, key, convert, path):
@@ -80,6 +86,7 @@ def read_signal(path):
         raise FileFormatError("%s: payload holds %d bytes, header implies %d"
                               % (path, len(payload), want))
     values = np.frombuffer(payload, dtype=dtype).reshape(n_theta, n_phi)
+    _check_finite(values, path)
     return SphericalSignal(values.copy(),
                            SphericalGridSpec(l_band, n_theta, n_phi))
 
@@ -113,6 +120,9 @@ def read_coefficients(path):
         fields = _parse_header(fh.readline(), COEFF_MAGIC, path)
         payload = fh.read()
     family = _field(fields, "family", str, path)
+    if family not in FAMILIES:
+        raise FileFormatError("%s: bad value for header field 'family'"
+                              % path)
     l_band = _field(fields, "l_band", int, path)
     n_scales = _field(fields, "n_scales", int, path)
     rho0 = _field(fields, "rho0", float, path)
@@ -136,6 +146,13 @@ def read_coefficients(path):
                               * n_carriers).reshape(n_scales, n_carriers)
     values = np.frombuffer(payload, dtype="<c16", offset=tau_bytes)
     values = values.reshape(n_scales, n_carriers, n_axial)
+    _check_finite(values, path)
+    try:
+        for tau in np.unique(taus_flat):
+            _check_tau(tau)
+    except ValueError as exc:
+        raise FileFormatError("%s: bad value in the tau block: %s"
+                              % (path, exc)) from None
     taus = tuple(float(row[0]) if np.ptp(row) == 0.0 else row.copy()
                  for row in taus_flat)
     return TransformCoefficients(family, l_band,

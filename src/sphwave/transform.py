@@ -8,9 +8,11 @@ and one band operator (BandPlan) serves the forward transform, the
 adjoint, the matched filter and the frame operator S: per latitude band
 it contracts over the degree l once for all scales, then over the orders
 m with each cell's longitude phase.  The cells enter S only through one
-phase sum per axial pair and order difference m' - m, and
-Jacobi-preconditioned CG inverts S, which a frame with one tau per scale
-builds once for all calls on it.
+phase sum per axial pair and order difference m' - m; a band whose cells
+share one tau on the regular longitude lattice needs no phase sum and
+contracts by itself over its (scale, pair) factors.  Jacobi-preconditioned
+CG inverts S, which a frame with one tau per scale builds once for all
+calls on it.
 """
 
 from dataclasses import dataclass
@@ -278,10 +280,11 @@ def frame_matrix(family, taus, grid, scales, l_band):
     T sums blocks m' >= m and pairs k + k' >= 0 (k + k' = 0 at half weight),
     and beta_-k[-m] = beta_k[m] gives S[m, m'] = T[m, m'] + T[-m', -m]^T.
     Whole bands (cells sharing one tau at longitudes (c + 1/2) 2 pi / N)
-    have H(d) = N H(0) (-1)^(d/N) where N divides d and 0 elsewhere, and
-    are contracted once per d, straight into the flat layout.  The other
-    rows are stacked for one product per order m, into an m-major copy.
-    Both paths take the axial pairs one chunk at a time.
+    have H(d) = N H(0) (-1)^(d/N) where N divides d and 0 elsewhere: each
+    contracts over its own (scale, pair) factors once for all its d, and
+    the sums per d go straight into the flat layout.  The other rows are
+    stacked for one product per order m, into an m-major copy, one chunk
+    of axial pairs at a time.
     """
     plan = BandPlan(l_band, grid.axial_angles, family, scales)
     n_m, n_l, ks = 2 * l_band + 1, l_band + 1, plan.ks
@@ -307,26 +310,14 @@ def frame_matrix(family, taus, grid, scales, l_band):
             yield np.where(flip[:, None, None], t[:, ::-1], t) if any(
                 flip) else t
 
-    def chunks(entries, budget):
-        # the pairs in runs of at most about budget stacked entries
-        return np.array_split(np.arange(len(ia)),
-                              min(len(ia), -(-entries // budget)))
-
-    # per band its whole scales; per band set, the factors P_j[:, k] and
-    # w_k w_k' P_j[:, k'] of the (scale, tau) groups whole on exactly that
-    # set, whose products summed over the groups are K_p[l, l']
-    whole, groups, sets = [], {}, {}
-    for b, (theta, idx, phis, measure) in enumerate(grid.bands):
+    # per band its whole scales: one tau on the band's cells, which sit at
+    # longitudes (c + 1/2) 2 pi / N
+    whole = []
+    for _, idx, phis, _ in grid.bands:
         regular = np.array_equal(
             phis, (np.arange(len(idx)) + 0.5) * (2.0 * np.pi / len(idx)))
         whole.append([j for j, t in enumerate(taus) if regular and (
             np.ndim(t) == 0 or np.all(t[idx] == t[idx[0]]))])
-        for j in whole[-1]:
-            w = wpair[j][idx[0]]
-            groups.setdefault((j, w.tobytes()), (w, []))[1].append(b)
-    for (j, _), (w, bands) in groups.items():
-        sets.setdefault(tuple(bands), []).append(
-            (plan.kern[j, ia], w[:, None] * plan.kern[j, ib]))
 
     # the other scales: compact beta rows and H(d) per pair, stacked
     mixed = [(band, js) for band, one in zip(grid.bands, whole)
@@ -350,8 +341,10 @@ def frame_matrix(family, taus, grid, scales, l_band):
             return out
 
         # the stacked rows of one chunk hold at most a tilt cache's entries
-        for ch in chunks(n * h.size // n_m * (2 - same),
-                         len(grid.bands) * (n_l // 2) * n_m * n_l):
+        entries = n * h.size // n_m * (2 - same)
+        budget = len(grid.bands) * (n_l // 2) * n_m * n_l
+        for ch in np.array_split(np.arange(len(ia)),
+                                 min(len(ia), -(-entries // budget))):
             low = rows(ia[ch])
             high = low if same else rows(ib[ch])
             hc = h[:, :, ch].reshape(n_m, -1)
@@ -373,44 +366,26 @@ def frame_matrix(family, taus, grid, scales, l_band):
             s[b:, a:b] = s[a:b, b:].conj().T
         s = s[np.ix_(back, back)]
 
-    # the whole bands per order difference d: T_d[m] = sum_p K_p * sum_b
-    # v_d(b) d^l_mk(theta_b) d^l'_{m+d,k'}(theta_b), v_d = N measure
-    # (-1)^(d/N), added at the flat indices at[m, l] (-1 where l < |m|).
-    # A lone band contracts over its (scale, pair) factors instead, once
-    # for all its order differences
-    thetas, n_cells, measures = (np.array(x) for x in zip(*(
-        (theta, len(idx), measure) for theta, idx, _, measure in grid.bands)))
+    # the whole bands per order difference d: T_d[m] = sum_b v_d(b) sum_jp
+    # beta_jk[m] w_jp beta_jk'[m + d]^T, v_d = N measure (-1)^(d/N), one
+    # contraction over the band's (scale, pair) factors for all its d,
+    # added at the flat indices at[m, l] (-1 where l < |m|)
     at = np.where(m[:n_l] >= abs(m - l_band)[:, None],
                   m[:n_l] * (m[:n_l] + 1) + (m - l_band)[:, None], -1)
-    lone, flat = {}, s.reshape(-1).real
-    for bands, uw in list(sets.items()):
-        u, w = map(np.array, zip(*uw))
-        if len(bands) > 1:
-            sets[bands] = np.einsum('gpa,gpb->pab', u, w)
-            continue
-        del sets[bands]
-        b, v = bands[0], n_cells[bands[0]] * measures[bands[0]]
-        a, c = (next(tilts([thetas[b]], p)) for p in (ia, ib))
-        left = np.einsum('pml,gpl->mlgp', a, u).reshape(n_m, n_l, -1)
-        right = np.einsum('pml,gpl->mgpl', c, w).reshape(n_m, -1, n_l)
-        for q, d in enumerate(range(0, n_m, n_cells[b])):
-            lone[d] = lone.get(d, 0.0) + (-1) ** q * v * (
+    blocks, flat = {}, s.reshape(-1).real
+    bands = [(band, js) for band, js in zip(grid.bands, whole) if js]
+    thetas = [band[0] for band, _ in bands]
+    ka, kb = plan.kern[:, ia, None], plan.kern[:, ib, None]
+    for ((_, idx, _, measure), js), a, c in zip(
+            bands, tilts(thetas, ia), tilts(thetas, ib)):
+        w = np.stack([wpair[j][idx[0]] for j in js])[..., None, None]
+        # beta_jk at [m, l, (j, p)] and w_jp beta_jk' at [m, (j, p), l']
+        left = (ka[js] * a).reshape(-1, n_m, n_l).transpose(1, 2, 0)
+        right = (w * kb[js] * c).reshape(-1, n_m, n_l).swapaxes(0, 1)
+        for q, d in enumerate(range(0, n_m, len(idx))):
+            blocks[d] = blocks.get(d, 0.0) + (-1) ** q * len(idx) * measure * (
                 left[:n_m - d] @ right[d:])
-    for d in sorted(set(lone) | {d for bands in sets for b in bands
-                                 for d in range(0, n_m, n_cells[b])}):
-        t = lone.pop(d, 0.0)
-        for bands, kp in sets.items():
-            on = np.array(bands)[d % n_cells[list(bands)] == 0]
-            v = (n_cells * measures)[on, None] * (-1.0) ** (
-                d // n_cells[on, None])
-            for ch in chunks(2 * len(on) * len(ia) * n_m * n_l,
-                             n * n // 2) if len(on) else ():
-                left = np.stack(list(tilts(thetas[on], ia[ch])), axis=2)
-                right = (left if same else np.stack(list(tilts(
-                    thetas[on], ib[ch])), axis=2))[:, d:] * v
-                g = left[:, :n_m - d].swapaxes(2, 3) @ right
-                t = t + np.einsum('pmab,pab->mab', g, kp[ch])
-                del left, right, g  # before the next chunk's
+    for d, t in blocks.items():
         # T_d flipped in m, blocks transposed, is its mirror; the lower
         # blocks are its transpose
         t = t + t[::-1].swapaxes(1, 2)

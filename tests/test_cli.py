@@ -10,7 +10,8 @@ import pytest
 
 import sphwave
 from sphwave.cli import build_parser, load_config, main
-from sphwave.fileio import read_selectivity_rows, read_signal
+from sphwave.fileio import (read_coefficients, read_selectivity_rows,
+                            read_signal)
 from sphwave.sphfn import analyze_signal
 from sphwave.transform import FrameOperatorConfig
 
@@ -346,3 +347,41 @@ def test_bad_input_exit_codes(tmp_path, capsys):
                  "--out", str(out)]) == 2
     assert "finite" in capsys.readouterr().err
     assert not out.exists()
+
+    # non-finite samples would give NaN coefficients or map values
+    head, _, payload = sig.read_bytes().partition(b"\n")
+    samples = np.frombuffer(payload, dtype="<f8").copy()
+    samples[4] = np.nan
+    bad_sig = tmp_path / "bad_sig.bin"
+    bad_sig.write_bytes(head + b"\n" + samples.tobytes())
+    for cmd in ("analyze", "select"):
+        assert main([cmd, "--in", str(bad_sig), "--j-max", "1",
+                     "--delta2", "0.5", "--delta1", "0.5",
+                     "--out", str(out)]) == 2, cmd
+        assert "non-finite" in capsys.readouterr().err, cmd
+        assert not out.exists(), cmd
+
+    # an unknown family, a tau outside [1, TAU_MAX] or a non-finite
+    # coefficient would reconstruct a wrong signal or stall the solve
+    head, _, payload = coef.read_bytes().partition(b"\n")
+    good = read_coefficients(coef)
+    n_tau = len(good.taus) * good.grid.n_carriers
+    taus = np.frombuffer(payload, dtype="<f8", count=n_tau)
+    bad_coef = tmp_path / "bad_coef.bin"
+    cases = [(head.replace(b"family=omega", b"family=foo") + b"\n"
+              + payload, "family")]
+    for tau in (np.nan, 0.0, np.inf, 0.5, -3.0, 1e9):
+        block = taus.copy()
+        block[0] = tau
+        cases.append((head + b"\n" + block.tobytes() + payload[8 * n_tau:],
+                      "tau block"))
+    values = np.frombuffer(payload, dtype="<c16", offset=8 * n_tau).copy()
+    values[2] = np.inf
+    cases.append((head + b"\n" + payload[:8 * n_tau] + values.tobytes(),
+                  "non-finite"))
+    for raw, field in cases:
+        bad_coef.write_bytes(raw)
+        assert main(["reconstruct", "--in", str(bad_coef),
+                     "--out", str(out)]) == 2, field
+        assert field in capsys.readouterr().err, field
+        assert not out.exists(), field

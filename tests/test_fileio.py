@@ -77,6 +77,12 @@ def test_signal_header_errors(tmp_path):
     rewrite(head + b" orphan")
     with pytest.raises(FileFormatError, match="malformed"):
         read_signal(path)
+    for bad in (np.nan, np.inf, -np.inf):
+        values = np.frombuffer(payload, dtype="<c16").copy()
+        values[3] = complex(0.0, bad)
+        rewrite(head, values.tobytes())
+        with pytest.raises(FileFormatError, match="non-finite"):
+            read_signal(path)
 
 
 def test_coefficients_round_trip(tmp_path):
@@ -131,6 +137,29 @@ def test_coefficients_header_errors(tmp_path):
     path.write_bytes(head + b"\n" + payload[:-16])
     with pytest.raises(FileFormatError, match="payload"):
         read_coefficients(path)
+    # an unknown family would run as upsilon
+    path.write_bytes(head.replace(b"family=omega", b"family=foo")
+                     + b"\n" + payload)
+    with pytest.raises(FileFormatError, match="family"):
+        read_coefficients(path)
+    # a tau outside [1, TAU_MAX] would reconstruct a wrong signal
+    n_tau = len(SCALES) * grid.n_carriers
+    taus = np.frombuffer(payload, dtype="<f8", count=n_tau)
+    for bad in (np.nan, 0.0, np.inf, 0.5, -3.0, 1e9):
+        block = taus.copy()
+        block[5] = bad
+        path.write_bytes(head + b"\n" + block.tobytes()
+                         + payload[8 * n_tau:])
+        with pytest.raises(FileFormatError, match="tau block"):
+            read_coefficients(path)
+    values = np.frombuffer(payload, dtype="<c16", offset=8 * n_tau)
+    for bad in (np.nan, np.inf):
+        block = values.copy()
+        block[7] = complex(bad, 0.0)
+        path.write_bytes(head + b"\n" + payload[:8 * n_tau]
+                         + block.tobytes())
+        with pytest.raises(FileFormatError, match="non-finite"):
+            read_coefficients(path)
 
 
 def test_selectivity_csv_round_trip(tmp_path):

@@ -440,8 +440,8 @@ def test_frame_matrix_hermitian():
 
 
 def test_frame_matrix_tau_per_scale():
-    # a different uniform tau on each scale: the three (scale, tau) groups
-    # share one set of whole bands and sum into one K_p per axial pair
+    # a different uniform tau on each scale: every band is whole on all
+    # three scales and contracts over their (scale, pair) factors at once
     scales = make_scale_sequence(1.0, 0.5, 2)
     for l_band, delta2, delta1, n_axial in ((16, 0.2, 0.2, 32),
                                             (8, 0.5, 1.0, 7),
@@ -461,11 +461,11 @@ def test_frame_matrix_tau_per_scale():
 
 def test_frame_matrix_tau_alternating_by_band():
     # tau constant within each band and alternating with the band index:
-    # every band is whole, the even and odd bands form two band sets with
-    # their own K_p, and the uniform third scale spans both.  In the second
-    # map the first scale is split within bands and band 0 alone has tau
-    # 16 on the second scale, a lone band next to stacked rows; in the
-    # third tau follows the colatitude, so most bands are lone
+    # every band is whole on every scale, with weights that alternate with
+    # the band.  In the second map the first scale is split within bands,
+    # so each band is whole on its last two scales next to stacked rows,
+    # and band 0 alone has tau 16 on the second; in the third tau follows
+    # the colatitude, one tau per band and scale
     l_band = 16
     scales = make_scale_sequence(1.0, 0.5, 2)
     grid = make_so3_grid(0.2, 0.2)
@@ -517,6 +517,23 @@ def test_frame_matrix_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 2.0 * s.nbytes, peak / s.nbytes
+
+
+def test_frame_matrix_tilt_reads_per_band(monkeypatch):
+    # each whole band contracts by itself: on a warm uniform frame its tilt
+    # is read once per side of the axial pairs, whatever the scales
+    l_band = 16
+    scales = make_scale_sequence(1.0, 0.5, 2)
+    grid = make_so3_grid(0.2, 0.2)
+    frame_matrix("omega", [4.0] * 3, grid, scales, l_band)   # warm caches
+    calls, tilt = [], transform._band_tilt
+    monkeypatch.setattr(transform, "_band_tilt",
+                        lambda *a: calls.append(a[0]) or tilt(*a))
+    frame_matrix("omega", [4.0] * 3, grid, scales, l_band)
+    monkeypatch.undo()
+    reads = [calls.count(float(theta)) for theta, _, _, _ in grid.bands]
+    assert len(calls) == sum(reads), len(calls)
+    assert max(reads) <= 2, (len(grid.bands), len(calls))
 
 
 def test_rotate_coefficients_matches_pullback():
