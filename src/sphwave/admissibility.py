@@ -29,7 +29,7 @@ import numpy as np
 
 from .sphfn import (CoefficientTable, degree_orders, legendre_P_all,
                     normalized_assoc_column)
-from .profiles import (FAMILIES, FAMILY_ORDER, _check_tau,
+from .profiles import (FAMILY_ORDER, _check_family, _check_tau,
                        _expansion_coefficient, _series_weight,
                        angular_coefficient, default_k_cut, window_weights)
 
@@ -121,6 +121,7 @@ def _kernel_matrix(family, rho, l_band):
     """tau-free factors P_l^k as a dense (l, k) matrix, index [l, k + l_band];
     the kernel of selectivity tau is window_weights(tau) * P.  Cached per
     (family, rho, l_band) and read-only."""
+    _check_family(family)
     mat = np.zeros((l_band + 1, 2 * l_band + 1))
     for l in range(1, l_band + 1):
         for k in range(1, l + 1, 2):
@@ -167,8 +168,7 @@ def _scale_integral(family, l, k):
 
 def admissibility_integral(family, tau, l):
     """G(l) = sum over odd |k| <= min(l, K) of int |Psi_l^k|^2 drho/rho."""
-    if family not in FAMILIES:
-        raise ValueError("family must be one of %s" % (FAMILIES,))
+    _check_family(family)
     if l < 0:
         raise ValueError("degree must be nonnegative")
     total = 0.0
@@ -228,6 +228,7 @@ def admissibility_report(family, tau, l_max):
     Returns a report rather than raising: violations are listed in
     .failures and flip .ok, so callers can render partial results.
     """
+    _check_family(family)
     if l_max < 10:
         raise ValueError("report requires l_max of at least 10")
     order = FAMILY_ORDER[family]

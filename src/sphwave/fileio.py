@@ -41,14 +41,19 @@ def _check_finite(values, path):
         raise FileFormatError("%s: payload holds a non-finite value" % path)
 
 
-def _field(fields, key, convert, path):
+def _field(fields, key, convert, path, valid=lambda v: True):
+    """Header field key as convert gives it, refused unless valid(value)."""
     if key not in fields:
         raise FileFormatError("%s: missing header field %r" % (path, key))
     try:
-        return convert(fields[key])
+        value = convert(fields[key])
+        ok = valid(value)
     except ValueError:
+        ok = False
+    if not ok:
         raise FileFormatError("%s: bad value for header field %r"
                               % (path, key))
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -71,15 +76,12 @@ def read_signal(path):
     with open(path, "rb") as fh:
         fields = _parse_header(fh.readline(), SIGNAL_MAGIC, path)
         payload = fh.read()
-    grid = _field(fields, "grid", str, path)
-    if grid != "gauss":
-        raise FileFormatError("%s: unsupported grid kind %r" % (path, grid))
-    n_theta = _field(fields, "n_theta", int, path)
-    n_phi = _field(fields, "n_phi", int, path)
-    l_band = _field(fields, "l_band", int, path)
-    kind = _field(fields, "kind", str, path)
-    if kind not in ("real", "complex"):
-        raise FileFormatError("%s: bad value for header field 'kind'" % path)
+    _field(fields, "grid", str, path, lambda v: v == "gauss")
+    l_band = _field(fields, "l_band", int, path, lambda v: v >= 0)
+    n_theta = _field(fields, "n_theta", int, path, lambda v: v > l_band)
+    n_phi = _field(fields, "n_phi", int, path, lambda v: v > 2 * l_band)
+    kind = _field(fields, "kind", str, path,
+                  lambda v: v in ("real", "complex"))
     dtype = "<c16" if kind == "complex" else "<f8"
     want = n_theta * n_phi * np.dtype(dtype).itemsize
     if len(payload) != want:
@@ -119,19 +121,17 @@ def read_coefficients(path):
     with open(path, "rb") as fh:
         fields = _parse_header(fh.readline(), COEFF_MAGIC, path)
         payload = fh.read()
-    family = _field(fields, "family", str, path)
-    if family not in FAMILIES:
-        raise FileFormatError("%s: bad value for header field 'family'"
-                              % path)
-    l_band = _field(fields, "l_band", int, path)
-    n_scales = _field(fields, "n_scales", int, path)
+    family = _field(fields, "family", str, path, lambda v: v in FAMILIES)
+    l_band = _field(fields, "l_band", int, path, lambda v: v >= 0)
+    n_scales = _field(fields, "n_scales", int, path, lambda v: v >= 1)
     rho0 = _field(fields, "rho0", float, path)
     q = _field(fields, "q", float, path)
     delta2 = _field(fields, "delta2", float, path)
     delta1 = _field(fields, "delta1", float, path)
     n_carriers = _field(fields, "n_carriers", int, path)
     n_axial = _field(fields, "n_axial", int, path)
-    under = bool(_field(fields, "under_resolved", int, path))
+    under = bool(_field(fields, "under_resolved", int, path,
+                        lambda v: v in (0, 1)))
     scales = make_scale_sequence(rho0, q, n_scales - 1)
     grid = make_so3_grid(delta2, delta1)
     if grid.n_carriers != n_carriers or len(grid.axial_angles) != n_axial:

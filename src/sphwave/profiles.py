@@ -46,8 +46,7 @@ class WaveletSpec:
     tau: float
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError("family must be one of %s" % (FAMILIES,))
+        _check_family(self.family)
         if not 0 < self.rho < np.inf:
             raise ValueError("scale must be positive and finite")
         _check_tau(self.tau)
@@ -70,6 +69,11 @@ def dog_window(tau, phi):
     v = (np.exp(-0.5 * tau * tau * phi ** 2)
          - np.exp(-0.5 * tau * tau * (phi - np.pi) ** 2))
     return v if v.ndim else float(v)
+
+
+def _check_family(family):
+    if family not in FAMILIES:
+        raise ValueError("family must be one of %s" % (FAMILIES,))
 
 
 def _check_tau(tau):

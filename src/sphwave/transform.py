@@ -7,12 +7,13 @@ diagonal phases.  The kernel is steerable, Psi_l^k(tau) = w_k(tau) P_l^k,
 and one band operator (BandPlan) serves the forward transform, the
 adjoint, the matched filter and the frame operator S: per latitude band
 it contracts over the degree l once for all scales, then over the orders
-m with each cell's longitude phase.  The cells enter S only through one
-phase sum per axial pair and order difference m' - m; a band whose cells
-share one tau on the regular longitude lattice needs no phase sum and
-contracts by itself over its (scale, pair) factors.  Jacobi-preconditioned
-CG inverts S, which a frame with one tau per scale builds once for all
-calls on it.
+m with each cell's longitude phase.  S reads its tilts through the band
+operator too.  The cells enter S only through one phase sum per axial
+pair and order difference m' - m; a band whose cells share one tau on the
+regular longitude lattice needs no phase sum and contracts by itself over
+its (scale, pair) factors.  Jacobi-preconditioned CG inverts S on the
+degrees l >= 1, the ones an odd order reaches; a frame with one tau per
+scale builds S once for all calls on it.
 """
 
 from dataclasses import dataclass
@@ -281,10 +282,10 @@ def frame_matrix(family, taus, grid, scales, l_band):
     and beta_-k[-m] = beta_k[m] gives S[m, m'] = T[m, m'] + T[-m', -m]^T.
     Whole bands (cells sharing one tau at longitudes (c + 1/2) 2 pi / N)
     have H(d) = N H(0) (-1)^(d/N) where N divides d and 0 elsewhere: each
-    contracts over its own (scale, pair) factors once for all its d, and
-    the sums per d go straight into the flat layout.  The other rows are
-    stacked for one product per order m, into an m-major copy, one chunk
-    of axial pairs at a time.
+    reads its tilt once, contracts over its own (scale, pair) factors once
+    for all its d, and the sums per d go straight into the flat layout.
+    The other rows are stacked for one product per order m, into an
+    m-major copy, one chunk of axial pairs at a time.
     """
     plan = BandPlan(l_band, grid.axial_angles, family, scales)
     n_m, n_l, ks = 2 * l_band + 1, l_band + 1, plan.ks
@@ -299,16 +300,6 @@ def frame_matrix(family, taus, grid, scales, l_band):
     n, m = len(l_of), np.arange(n_m)
     if not len(ia):     # no odd order below the band: nothing to sum
         return np.zeros((n, n), dtype=complex)
-
-    def tilts(thetas, p):
-        # per band d^l_mk(theta) as [pair, m + l_band, l], k over ks[p]
-        k, flip = abs(ks[p]) // 2, ks[p] < 0
-        if np.all(np.diff(k) == 1):
-            k = slice(k[0], k[-1] + 1)
-        for theta in thetas:
-            t = _band_tilt(float(theta), l_band)[k]
-            yield np.where(flip[:, None, None], t[:, ::-1], t) if any(
-                flip) else t
 
     # per band its whole scales: one tau on the band's cells, which sit at
     # longitudes (c + 1/2) 2 pi / N
@@ -334,7 +325,8 @@ def frame_matrix(family, taus, grid, scales, l_band):
         def rows(p):
             # beta at [m-major (m, l), (band, scale, pair)]
             out, c = np.empty((n, len(p) * h.shape[1])), 0
-            for (_, js), t in zip(mixed, tilts([x[0] for x, _ in mixed], p)):
+            for (theta, _, _, _), js in mixed:
+                t = plan.tilt(theta)[p]
                 out[:, c:c + len(js) * len(p)] = (plan.kern[js][:, p][
                     ..., lo] * t[:, mo, lo]).reshape(-1, n).T
                 c += len(js) * len(p)
@@ -374,14 +366,13 @@ def frame_matrix(family, taus, grid, scales, l_band):
                   m[:n_l] * (m[:n_l] + 1) + (m - l_band)[:, None], -1)
     blocks, flat = {}, s.reshape(-1).real
     bands = [(band, js) for band, js in zip(grid.bands, whole) if js]
-    thetas = [band[0] for band, _ in bands]
     ka, kb = plan.kern[:, ia, None], plan.kern[:, ib, None]
-    for ((_, idx, _, measure), js), a, c in zip(
-            bands, tilts(thetas, ia), tilts(thetas, ib)):
+    for (theta, idx, _, measure), js in bands:
+        t = plan.tilt(theta)
         w = np.stack([wpair[j][idx[0]] for j in js])[..., None, None]
         # beta_jk at [m, l, (j, p)] and w_jp beta_jk' at [m, (j, p), l']
-        left = (ka[js] * a).reshape(-1, n_m, n_l).transpose(1, 2, 0)
-        right = (w * kb[js] * c).reshape(-1, n_m, n_l).swapaxes(0, 1)
+        left = (ka[js] * t[ia]).reshape(-1, n_m, n_l).transpose(1, 2, 0)
+        right = (w * kb[js] * t[ib]).reshape(-1, n_m, n_l).swapaxes(0, 1)
         for q, d in enumerate(range(0, n_m, len(idx))):
             blocks[d] = blocks.get(d, 0.0) + (-1) ** q * len(idx) * measure * (
                 left[:n_m - d] @ right[d:])
@@ -400,33 +391,24 @@ def frame_matrix(family, taus, grid, scales, l_band):
 
 
 # the last frame with one tau per scale: its grid (matched by identity),
-# the rest of its key (by value) and (S read-only, active start, diagonal).
+# the rest of its key (by value) and (S read-only, its diagonal on l >= 1).
 # A per-carrier tau map comes from one signal's scan and is not kept
 _frame_cache = [None]
 
 
 def _frame(coeffs):
-    """S of the frame of coeffs, the start of its active degrees and its
-    diagonal there; built on a miss, which first drops the kept frame."""
+    """S of the frame of coeffs and its diagonal on the degrees l >= 1;
+    built on a miss, which first drops the kept frame."""
     key = (coeffs.family, coeffs.scales, coeffs.l_band, coeffs.taus)
     uniform = all(np.ndim(t) == 0 for t in coeffs.taus)
     kept = _frame_cache[0]
     if uniform and kept and kept[0] is coeffs.grid and kept[1] == key:
         return kept[2]
     _frame_cache[0] = kept = None   # two S never coexist
-    l_band = coeffs.l_band
     s = frame_matrix(coeffs.family, coeffs.taus, coeffs.grid,
-                     coeffs.scales, l_band)
+                     coeffs.scales, coeffs.l_band)
     s.flags.writeable = False
-    # the sharpest window reaches the highest order (default_k_cut grows)
-    tau_max = max(float(np.max(t)) for t in coeffs.taus)
-    k_used = window_weights(tau_max, l_band) != 0.0
-    rows = [_kernel_matrix(coeffs.family, float(rho), l_band)[:, k_used]
-            for rho in coeffs.scales]
-    # odd orders need |k| <= l, so degree 0 is the one inactive degree and
-    # the active indices are a tail: the solve runs on a view of S
-    start = int(np.argmax(np.any(rows, axis=(0, 2)))) ** 2
-    frame = s, start, s[start:, start:].diagonal().real
+    frame = s, s[1:, 1:].diagonal().real
     if uniform:
         _frame_cache[0] = coeffs.grid, key, frame
     return frame
@@ -435,23 +417,25 @@ def _frame(coeffs):
 def reconstruct(coeffs, cfg=None):
     """Invert the frame operator by Jacobi-preconditioned conjugate gradients.
 
-    Degrees where no kernel of coeffs has energy (degree 0) are excluded;
-    the result is band-limited to the coefficients' band.  S of a frame
-    with one tau per scale is kept until a call on another frame.
+    Odd orders need |k| <= l, so no kernel reaches degree 0 and the solve
+    runs on the degrees l >= 1, a view of S; the result is band-limited to
+    the coefficients' band.  S of a frame with one tau per scale is kept
+    until a call on another frame.
     """
     if cfg is None:
         cfg = FrameOperatorConfig()
     l_band = coeffs.l_band
     rhs = adjoint_transform(coeffs).values
-    s, start, diag = _frame(coeffs)
-    sa = s[start:, start:]
-    b = rhs[start:]
+    s, diag = _frame(coeffs)
+    sa = s[1:, 1:]
+    b = rhs[1:]
     table = CoefficientTable(l_band)
     grid_spec = default_grid_spec(l_band)
     if np.linalg.norm(b) == 0.0:
         return synthesize_signal(table, grid_spec)
     if np.any(diag <= 0.0):
-        raise ArithmeticError("frame operator diagonal is not positive; "
+        raise ArithmeticError("frame operator diagonal is not positive: a "
+                              "degree l >= 1 carries no kernel energy, or "
                               "the grid is too coarse for this band")
     x, r = np.zeros_like(b), b
     z = p = b / diag
@@ -469,5 +453,5 @@ def reconstruct(coeffs, cfg=None):
         p = z + (rz / rz_old) * p
     if cfg.strict and not residual <= cfg.tolerance:
         raise FrameConvergenceError(residual, cfg.max_iterations)
-    table.values[start:] = x
+    table.values[1:] = x
     return synthesize_signal(table, grid_spec)

@@ -226,6 +226,8 @@ def test_admissibility_report_omega():
     assert rep.upper_bound <= rep.analytic_bound * (1.0 + 1e-6)
     with pytest.raises(ValueError):
         admissibility_report("omega", 2.0, 9)
+    with pytest.raises(ValueError, match="family"):
+        admissibility_report("foo", 2.0, 16)
 
 
 def test_admissibility_report_upsilon_degree_one():

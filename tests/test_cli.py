@@ -360,6 +360,14 @@ def test_bad_input_exit_codes(tmp_path, capsys):
                      "--out", str(out)]) == 2, cmd
         assert "non-finite" in capsys.readouterr().err, cmd
         assert not out.exists(), cmd
+    # a negative band, or one too fine for the Gauss rule of n_theta
+    for old, new, field in ((b"l_band=6", b"l_band=-1", "l_band"),
+                            (b"l_band=6", b"l_band=9", "n_theta")):
+        bad_sig.write_bytes(head.replace(old, new) + b"\n" + payload)
+        assert main(["analyze", "--in", str(bad_sig), "--j-max", "1",
+                     "--out", str(out)]) == 2, field
+        assert repr(field) in capsys.readouterr().err, field
+        assert not out.exists(), field
 
     # an unknown family, a tau outside [1, TAU_MAX] or a non-finite
     # coefficient would reconstruct a wrong signal or stall the solve
@@ -370,6 +378,11 @@ def test_bad_input_exit_codes(tmp_path, capsys):
     bad_coef = tmp_path / "bad_coef.bin"
     cases = [(head.replace(b"family=omega", b"family=foo") + b"\n"
               + payload, "family")]
+    for old, new in ((b"l_band=6", b"l_band=-1"),
+                     (b"n_scales=2", b"n_scales=0"),
+                     (b"under_resolved=0", b"under_resolved=7")):
+        cases.append((head.replace(old, new) + b"\n" + payload,
+                      repr(old.split(b"=")[0].decode())))
     for tau in (np.nan, 0.0, np.inf, 0.5, -3.0, 1e9):
         block = taus.copy()
         block[0] = tau

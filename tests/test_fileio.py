@@ -77,6 +77,13 @@ def test_signal_header_errors(tmp_path):
     rewrite(head + b" orphan")
     with pytest.raises(FileFormatError, match="malformed"):
         read_signal(path)
+    # a negative band, or one the Gauss rule cannot resolve
+    for old, bad, field in ((b"l_band=4", b"l_band=-1", "l_band"),
+                            (b"l_band=4", b"l_band=9", "n_theta"),
+                            (b"n_phi=9", b"n_phi=8", "n_phi")):
+        rewrite(head.replace(old, bad))
+        with pytest.raises(FileFormatError, match=field):
+            read_signal(path)
     for bad in (np.nan, np.inf, -np.inf):
         values = np.frombuffer(payload, dtype="<c16").copy()
         values[3] = complex(0.0, bad)
@@ -142,6 +149,15 @@ def test_coefficients_header_errors(tmp_path):
                      + b"\n" + payload)
     with pytest.raises(FileFormatError, match="family"):
         read_coefficients(path)
+    # header integers out of range: no band, no scale, a flag that is
+    # neither 0 nor 1
+    for field, old, bad in (("l_band", b"=6", b"=-1"),
+                            ("n_scales", b"=2", b"=0"),
+                            ("under_resolved", b"=1", b"=7")):
+        key = field.encode()
+        path.write_bytes(head.replace(key + old, key + bad) + b"\n" + payload)
+        with pytest.raises(FileFormatError, match=field):
+            read_coefficients(path)
     # a tau outside [1, TAU_MAX] would reconstruct a wrong signal
     n_tau = len(SCALES) * grid.n_carriers
     taus = np.frombuffer(payload, dtype="<f8", count=n_tau)

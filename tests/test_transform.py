@@ -9,8 +9,8 @@ import pytest
 from sphwave import transform
 from sphwave.admissibility import _kernel_matrix
 from sphwave.profiles import WaveletSpec, evaluate_wavelet, window_weights
-from sphwave.multiselect import (SelectivitySet, refine_tau, select_tau,
-                                 selectivity_scan)
+from sphwave.multiselect import (SelectivitySet, continuous_energy,
+                                 refine_tau, select_tau, selectivity_scan)
 from sphwave.sphfn import (CoefficientTable, SphericalSignal, analyze_signal,
                            coef_index, default_grid_spec, degree_orders,
                            grid_phis, make_colat_grid, synthesize_signal)
@@ -502,8 +502,7 @@ def test_frame_matrix_without_odd_orders():
 
 def test_frame_matrix_peak_memory():
     # whole bands are written straight into the degree-major layout, with
-    # no mirrored or permuted copy of S, and their tilts are stacked one
-    # chunk of axial pairs at a time
+    # no mirrored or permuted copy of S, and each reads its tilt once
     l_band = 16
     scales = make_scale_sequence(1.0, 0.5, 2)
     grid = make_so3_grid(0.2, 0.2)
@@ -521,7 +520,7 @@ def test_frame_matrix_peak_memory():
 
 def test_frame_matrix_tilt_reads_per_band(monkeypatch):
     # each whole band contracts by itself: on a warm uniform frame its tilt
-    # is read once per side of the axial pairs, whatever the scales
+    # is read once, through the band operator, whatever the scales
     l_band = 16
     scales = make_scale_sequence(1.0, 0.5, 2)
     grid = make_so3_grid(0.2, 0.2)
@@ -533,7 +532,7 @@ def test_frame_matrix_tilt_reads_per_band(monkeypatch):
     monkeypatch.undo()
     reads = [calls.count(float(theta)) for theta, _, _, _ in grid.bands]
     assert len(calls) == sum(reads), len(calls)
-    assert max(reads) <= 2, (len(grid.bands), len(calls))
+    assert reads == [1] * len(grid.bands), (len(grid.bands), len(calls))
 
 
 def test_rotate_coefficients_matches_pullback():
@@ -688,10 +687,10 @@ def test_reconstruct_reuses_uniform_frame(monkeypatch):
     assert all(np.array_equal(reconstruct(c).values, want)
                for c, want in zip(coeffs, first))
     assert len(calls) == 1
-    s, start, diag = transform._frame_cache[0][2]
+    s, diag = transform._frame_cache[0][2]
     fresh = frame_matrix("omega", coeffs[0].taus, grid, SCALES, 6)
-    assert np.array_equal(s, fresh) and start == 1
-    assert np.array_equal(diag, fresh.diagonal()[start:].real)
+    assert np.array_equal(s, fresh)
+    assert np.array_equal(diag, fresh.diagonal()[1:].real)
     # the kept S is read-only; frame_matrix still returns its own array
     with pytest.raises(ValueError):
         s[0, 0] = 1.0
@@ -699,6 +698,26 @@ def test_reconstruct_reuses_uniform_frame(monkeypatch):
     transform._frame_cache[0] = None
     assert np.array_equal(reconstruct(coeffs[1]).values, first[1])
     assert len(calls) == 2
+
+
+def test_reconstruct_refuses_degree_without_kernel_energy(monkeypatch):
+    # the solve runs on every degree l >= 1: a degree no kernel reaches
+    # leaves a zero on the frame diagonal and is refused, not dropped
+    monkeypatch.setattr(transform, "_frame_cache", [None])
+    kernel = transform._kernel_matrix
+
+    def no_degree_one(family, rho, l_band):
+        out = kernel(family, rho, l_band).copy()
+        out[1] = 0.0
+        return out
+
+    monkeypatch.setattr(transform, "_kernel_matrix", no_degree_one)
+    grid = make_so3_grid(0.5, 0.5)
+    coeffs = forward_transform(_signal(_random_table(6, 46, 0)),
+                               uniform_specs("omega", 2.0, SCALES),
+                               grid, SCALES)
+    with pytest.raises(ArithmeticError, match="no kernel energy"):
+        reconstruct(coeffs)
 
 
 def test_frame_cache_rebuilds_on_any_key_change(monkeypatch):
@@ -791,6 +810,12 @@ def test_spec_validation():
     short = [(WaveletSpec("omega", rho, 2.0),) * 2 for rho in SCALES]
     with pytest.raises(ValueError):
         forward_transform(f, short, grid, SCALES)
+    # an unknown family reaches no tau-free table: it would run as upsilon
+    with pytest.raises(ValueError, match="family"):
+        frame_matrix("foo", [2.0], make_so3_grid(0.8, 0.8),
+                     make_scale_sequence(1.0, 0.5, 0), 6)
+    with pytest.raises(ValueError, match="family"):
+        continuous_energy(analyze_signal(f), "foo", 2.0, 1.0)
 
 
 def test_config_validation():
