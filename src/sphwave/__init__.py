@@ -17,11 +17,8 @@ from .transform import (FrameConvergenceError, FrameOperatorConfig,
                         TransformCoefficients, adjoint_transform,
                         forward_transform, frame_apply, frame_matrix,
                         reconstruct, rotate_coefficients, uniform_specs)
-from .multiselect import (DiscretizationBudget, SelectivityMap,
-                          SelectivitySet, adaptive_analysis,
-                          budget_discretization, calibrate_budget,
-                          estimate_sup_norms, refine_tau, select_tau,
-                          selectivity_scan)
+from .multiselect import (SelectivityMap, SelectivitySet, adaptive_analysis,
+                          refine_tau, select_tau, selectivity_scan)
 from .fileio import (FileFormatError, read_coefficients,
                      read_selectivity_rows, read_signal, write_coefficients,
                      write_selectivity_csv, write_signal)
@@ -44,9 +41,8 @@ __all__ = [
     "FrameConvergenceError", "FrameOperatorConfig", "TransformCoefficients",
     "adjoint_transform", "forward_transform", "frame_apply",
     "frame_matrix", "reconstruct", "rotate_coefficients", "uniform_specs",
-    "DiscretizationBudget", "SelectivityMap", "SelectivitySet",
-    "adaptive_analysis", "budget_discretization", "calibrate_budget",
-    "estimate_sup_norms", "refine_tau", "select_tau", "selectivity_scan",
+    "SelectivityMap", "SelectivitySet", "adaptive_analysis", "refine_tau",
+    "select_tau", "selectivity_scan",
     "FileFormatError", "read_coefficients",
     "read_selectivity_rows", "read_signal", "write_coefficients",
     "write_selectivity_csv", "write_signal",

@@ -10,7 +10,7 @@ import numpy as np
 
 from .profiles import FAMILIES, _check_tau
 from .sphfn import SphericalGridSpec, SphericalSignal
-from .so3 import make_scale_sequence, make_so3_grid
+from .so3 import RATIO_SPAN, RHO0_FLOOR, make_scale_sequence, make_so3_grid
 from .transform import TransformCoefficients
 
 SIGNAL_MAGIC = "SPHSIG1"
@@ -124,10 +124,13 @@ def read_coefficients(path):
     family = _field(fields, "family", str, path, lambda v: v in FAMILIES)
     l_band = _field(fields, "l_band", int, path, lambda v: v >= 0)
     n_scales = _field(fields, "n_scales", int, path, lambda v: v >= 1)
-    rho0 = _field(fields, "rho0", float, path)
-    q = _field(fields, "q", float, path)
-    delta2 = _field(fields, "delta2", float, path)
-    delta1 = _field(fields, "delta1", float, path)
+    # the ranges of make_scale_sequence and make_so3_grid, NaN refused
+    rho0 = _field(fields, "rho0", float, path,
+                  lambda v: RHO0_FLOOR < v < np.inf)
+    q = _field(fields, "q", float, path, lambda v: 1.0 / RATIO_SPAN < v < 1.0)
+    delta2 = _field(fields, "delta2", float, path, lambda v: 0.0 < v <= np.pi)
+    delta1 = _field(fields, "delta1", float, path,
+                    lambda v: 0.0 < v <= 2.0 * np.pi)
     n_carriers = _field(fields, "n_carriers", int, path)
     n_axial = _field(fields, "n_axial", int, path)
     under = bool(_field(fields, "under_resolved", int, path,

@@ -6,21 +6,18 @@ kernel with the signal divided by the kernel's norm.  That quotient is
 the Cauchy-Schwarz correlation coefficient up to the fixed factor
 ||f||, so a planted kernel is recovered exactly at its own (tau, phi1);
 normalizing by the squared norm instead would bias the argmax toward
-sharp kernels, whose norm shrinks like 1/sqrt(tau).  The discretization
-budget converts sup-norm estimates of the kernels into per-scale grid
-density bounds so that the coefficient-set error stays below a target
-fraction of the signal energy.
+sharp kernels, whose norm shrinks like 1/sqrt(tau).  The grid is the
+caller's, and the band limit L sets how fine it must be: forward_transform
+flags a grid with fewer than (L+1)^2 carriers, or fewer axial angles than
+the odd orders in use up to L need, as under_resolved.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sphfn import analyze_signal, degree_orders
-from .profiles import (WaveletSpec, _check_tau, _window_orders,
-                       angular_window, angular_window_dphi, profile_dtheta,
-                       profile_fn, wavelet_norm_sq, window_weights)
-from .admissibility import _kernel_matrix
+from .sphfn import analyze_signal
+from .profiles import WaveletSpec, _check_tau, wavelet_norm_sq
 from .transform import BandPlan, forward_transform
 
 DEFAULT_TAUS = (1.0, 2.0, 4.0, 8.0, 16.0)
@@ -188,133 +185,3 @@ def adaptive_analysis(f, scales, grid, tsel, family="omega"):
     coeffs = forward_transform(f, specs, grid, scales)
     return smap, coeffs
 
-
-# ---------------------------------------------------------------------------
-# sup norms and discretization budget
-
-def estimate_sup_norms(spec, n_theta=None, n_phi=None):
-    """Probe-lattice estimates of sup |Psi| and sup |surface grad Psi|.
-
-    The kernel is a separable product, so sup |Psi| factorizes exactly;
-    the gradient magnitude is scanned on an outer-product lattice.  The
-    longitude density default resolves the fastest retained oscillation
-    with at least 8 samples per period.
-    """
-    if n_phi is None:
-        n_phi = max(256, 8 * int(_window_orders(spec.tau)[-1]))
-    if n_theta is None:
-        n_theta = max(512, int(np.ceil(64.0 / min(1.0, spec.rho))))
-    theta = (np.arange(n_theta) + 0.5) * (np.pi / n_theta)
-    phi = np.arange(n_phi) * (2.0 * np.pi / n_phi)
-    prof = profile_fn(spec.family)(spec.rho, theta)
-    dprof = profile_dtheta(spec.family, spec.rho, theta)
-    win = angular_window(spec.tau, phi)
-    dwin = angular_window_dphi(spec.tau, phi)
-    sup_psi = np.max(np.abs(prof)) * np.max(np.abs(win))
-    # the lattice widens with tau: scan it in blocks of about 2^16 points
-    step = max(1, 2 ** 16 // n_theta)
-    prof_sin = prof / np.sin(theta)
-    grad_sq = [np.max(np.outer(dprof, win[s:s + step]) ** 2
-                      + np.outer(prof_sin, dwin[s:s + step]) ** 2)
-               for s in range(0, n_phi, step)]
-    return float(sup_psi), float(np.sqrt(np.max(grad_sq)))
-
-
-@dataclass
-class DiscretizationBudget:
-    """Per-scale grid density bounds derived from kernel sup norms."""
-
-    family: str
-    target: float
-    calibration: float
-    taus: tuple               # probed selectivities, cap included last
-    delta2: np.ndarray        # (n_scales,), worst case over the cap
-    delta1: np.ndarray        # (n_scales, n_taus)
-    sup_psi: np.ndarray       # (n_scales, n_taus)
-    sup_grad: np.ndarray      # (n_scales, n_taus)
-
-    def delta1_for(self, j, tau):
-        return float(self.delta1[j, self.taus.index(float(tau))])
-
-    def grid_deltas(self):
-        """Single-grid fallback: tightest bounds over all scales."""
-        return float(np.min(self.delta2)), float(np.min(self.delta1))
-
-
-def budget_discretization(scales, tsel=None, target=0.5, calibration=1.0,
-                          family="omega"):
-    """Grid density bounds keeping the scale-j coefficient-set error
-    below 2^{-j-1} * target * signal energy, split evenly between the
-    positional part (worst case at the cap) and the axial part (per tau).
-    """
-    if target <= 0.0:
-        raise ValueError("target error fraction must be positive")
-    if calibration <= 0.0:
-        raise ValueError("calibration scalar must be positive")
-    if tsel is None:
-        tsel = SelectivitySet()
-    taus = tuple(tsel)
-    if taus[-1] < tsel.tau_cap:
-        taus = taus + (tsel.tau_cap,)
-    n_j = len(scales)
-    sup_psi = np.empty((n_j, len(taus)))
-    sup_grad = np.empty((n_j, len(taus)))
-    for j, rho in enumerate(scales):
-        for it, tau in enumerate(taus):
-            s, g = estimate_sup_norms(WaveletSpec(family, rho, tau))
-            sup_psi[j, it] = s
-            sup_grad[j, it] = g
-    load = sup_psi * sup_grad
-    budget = target * 2.0 ** (-np.arange(n_j) - 2) / calibration
-    delta2 = np.minimum(np.pi, budget / load[:, -1])
-    delta1 = np.minimum(np.pi, budget[:, None] / (4.0 * np.pi * load))
-    return DiscretizationBudget(family, target, calibration, taus,
-                                delta2, delta1, sup_psi, sup_grad)
-
-
-def continuous_energy(table, family, tau, rho):
-    """Rotation-integrated coefficient energy at one exact scale."""
-    kern = (_kernel_matrix(family, float(rho), table.l_band)
-            * window_weights(tau, table.l_band))
-    l_of, _ = degree_orders(table.l_band)
-    return float(np.sum(np.sum(kern ** 2, axis=1)[l_of]
-                        * np.abs(table.values) ** 2 / (2.0 * (2 * l_of + 1))))
-
-
-def calibrate_budget(f, scales, tsel=None, target=0.5, family="omega"):
-    """Fit the budget's unknown constant against a measured error.
-
-    Runs the worst-case analysis on a grid built from the unit-constant
-    budget, measures the per-scale gap between the discrete energy and
-    the exact rotation-integrated energy, and returns the constant that
-    makes the promised bound coincide with the worst observed ratio (so
-    re-measuring with the returned constant gives ratio 1 there).  For
-    band-limited references the measured gap is often orders of
-    magnitude below the sup-norm prediction; the constant reports that
-    honestly, and grid resolution must then be policed separately via
-    the under_resolved flag.
-    """
-    from .so3 import make_so3_grid
-
-    if tsel is None:
-        tsel = SelectivitySet()
-    budget = budget_discretization(scales, tsel, target, 1.0, family)
-    d2, d1 = budget.grid_deltas()
-    grid = make_so3_grid(min(np.pi, d2), min(np.pi, d1))
-    tau_cap = tsel.tau_cap
-    table = analyze_signal(f)
-    specs = tuple(WaveletSpec(family, rho, tau_cap) for rho in scales)
-    coeffs = forward_transform(f, specs, grid, scales)
-    energy = table.norm_sq()
-    worst = 0.0
-    for j, rho in enumerate(scales):
-        discrete = float(np.sum(coeffs.weights(j)
-                                * np.abs(coeffs.values[j]) ** 2))
-        exact = scales.log_step * continuous_energy(table, family,
-                                                    tau_cap, rho)
-        promised = 2.0 ** (-j - 1) * target * energy
-        worst = max(worst, abs(discrete - exact) / promised)
-    # a gap at roundoff level carries no calibration information
-    if worst <= 1e-12:
-        return 1.0
-    return float(worst)

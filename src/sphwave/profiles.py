@@ -28,7 +28,7 @@ import numpy as np
 # smallest supported scale: the rational forms lose accuracy below this
 RHO_MIN = 1e-4
 # largest supported selectivity: the window's series, and with it the norm
-# and the sup-norm lattice, grows linearly in tau (about 4.3 tau orders)
+# and the kernel tables, grows linearly in tau (about 4.3 tau orders)
 TAU_MAX = 1e4
 
 FAMILIES = ("omega", "upsilon")
@@ -97,20 +97,6 @@ def angular_window(tau, phi):
     return v if v.ndim else float(v)
 
 
-def angular_window_dphi(tau, phi):
-    """Derivative of the periodized window with respect to phi."""
-    _check_tau(tau)
-    phi = np.mod(np.asarray(phi, dtype=float), 2.0 * np.pi)
-    J = _periodization_count(tau)
-    v = np.zeros_like(phi)
-    t2 = tau * tau
-    for j in range(-J, J + 1):
-        p = phi + 2.0 * np.pi * j
-        v += -t2 * (p * np.exp(-0.5 * t2 * p ** 2)
-                    - (p - np.pi) * np.exp(-0.5 * t2 * (p - np.pi) ** 2))
-    return v if v.ndim else float(v)
-
-
 def angular_coefficient(tau, k):
     """Fourier coefficient of the angular window: int_0^{2pi} f e^{-ik phi},
     zero for even k and 2 sqrt(2 pi)/tau * exp(-k^2/(2 tau^2)) for odd k.
@@ -149,6 +135,10 @@ def window_weights(taus, l_band):
     entry of taus (a scalar, or an array of any shape)."""
     uniq, inverse = np.unique(np.asarray(taus, dtype=float),
                               return_inverse=True)
+    if uniq.size:
+        # sorted with NaN last, so a tau outside [1, TAU_MAX] is at an end
+        _check_tau(uniq[0])
+        _check_tau(uniq[-1])
     k, t = np.abs(np.arange(-l_band, l_band + 1)), uniq[:, None]
     # an odd |k| is at most the cut where the rule still keeps |k| - 2
     rows = np.where(_tail_keeps(np.maximum(k - 2, 1), t),
@@ -216,23 +206,6 @@ def upsilon_profile(rho, theta):
 
 def profile_fn(family):
     return omega_profile if family == "omega" else upsilon_profile
-
-
-def profile_dtheta(family, rho, theta):
-    """Analytic theta-derivative of the family's rational profile."""
-    r, c, s, d, num = _profile_terms(family, rho, theta)
-    if family == "omega":
-        scale = -rho * r
-        dnum_dc = (-(3.0 - 14.0 * r * r - 5.0 * r ** 4)
-                   - 2.0 * r * (9.0 - r * r) * c)
-    else:
-        scale = -rho * r * r
-        dnum_dc = 4.0 * r * (7.0 + r * r) - 2.0 * (15.0 + r * r) * c
-    # d/dtheta of num s^5 d^{-7/2}: s^4 (5 c num - s^2 num' - 7 r s^2 num / d)
-    v = (scale / (4.0 * np.pi) * s ** 4
-         * (5.0 * c * num - s * s * dnum_dc - 7.0 * r * s * s * num / d)
-         / d ** 3.5)
-    return v if v.ndim else float(v)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ the library computes otherwise: plain Legendre recurrences, unit vectors
 and harmonics at scattered points, the rotation matrix of three angles
 and pointwise rotation by it, the Legendre series forms of the kernel
 profiles, the Fourier series of the angular window and its slope, the
+profiles' theta slopes, the kernels' sup norms on a probe lattice, the
 profiles rebuilt from their P_l^1 expansion, the matched filter's former
 one-candidate-at-a-time argmax, and the scale integrals by the library's
 former composite quadrature over rho, with the coefficient polynomial
@@ -36,7 +37,8 @@ import numpy as np
 from sphwave.admissibility import _coefficient_polynomial, default_k_cut
 from sphwave.multiselect import TIE_MARGIN, _pick
 from sphwave.profiles import (WaveletSpec, _check_rho, _expansion_coefficient,
-                              _window_orders, angular_coefficient,
+                              _profile_terms, _window_orders,
+                              angular_coefficient, profile_fn,
                               wavelet_norm_sq)
 from sphwave.sphfn import (CoefficientTable, SphericalSignal, analyze_signal,
                            coef_index, default_grid_spec, degree_orders,
@@ -415,6 +417,47 @@ def window_series_dphi(tau, phi):
         acc -= angular_coefficient(tau, k) * k * np.sin(k * phi)
     v = acc / np.pi
     return v if v.ndim else float(v)
+
+
+def profile_dtheta(family, rho, theta):
+    """Analytic theta-derivative of the family's rational profile."""
+    r, c, s, d, num = _profile_terms(family, rho, theta)
+    if family == "omega":
+        scale = -rho * r
+        dnum_dc = (-(3.0 - 14.0 * r * r - 5.0 * r ** 4)
+                   - 2.0 * r * (9.0 - r * r) * c)
+    else:
+        scale = -rho * r * r
+        dnum_dc = 4.0 * r * (7.0 + r * r) - 2.0 * (15.0 + r * r) * c
+    # d/dtheta of num s^5 d^{-7/2}: s^4 (5 c num - s^2 num' - 7 r s^2 num / d)
+    v = (scale / (4.0 * np.pi) * s ** 4
+         * (5.0 * c * num - s * s * dnum_dc - 7.0 * r * s * s * num / d)
+         / d ** 3.5)
+    return v if v.ndim else float(v)
+
+
+def estimate_sup_norms(spec, n_theta=None, n_phi=None):
+    """Probe-lattice estimates of sup |Psi| and sup |surface grad Psi|.
+
+    The kernel is a separable product, so sup |Psi| factorizes exactly;
+    the gradient magnitude is scanned on an outer-product lattice whose
+    longitude density puts at least 8 samples on each period of the
+    fastest window order.  The whole lattice is held at once, which
+    stays small for tau <= 16.
+    """
+    if n_phi is None:
+        n_phi = max(256, 8 * int(_window_orders(spec.tau)[-1]))
+    if n_theta is None:
+        n_theta = max(512, int(np.ceil(64.0 / min(1.0, spec.rho))))
+    theta = (np.arange(n_theta) + 0.5) * (np.pi / n_theta)
+    phi = np.arange(n_phi) * (2.0 * np.pi / n_phi)
+    prof = profile_fn(spec.family)(spec.rho, theta)
+    win = window_series(spec.tau, phi)
+    grad_sq = (np.outer(profile_dtheta(spec.family, spec.rho, theta), win) ** 2
+               + np.outer(prof / np.sin(theta),
+                          window_series_dphi(spec.tau, phi)) ** 2)
+    return (float(np.max(np.abs(prof)) * np.max(np.abs(win))),
+            float(np.sqrt(np.max(grad_sq))))
 
 
 @dataclass

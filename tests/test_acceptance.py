@@ -18,8 +18,7 @@ import numpy as np
 from sphwave.admissibility import (admissibility_report, k1_ratio,
                                    wavelet_coefficient,
                                    wavelet_coefficient_table)
-from sphwave.multiselect import (SelectivitySet, estimate_sup_norms,
-                                 select_tau)
+from sphwave.multiselect import SelectivitySet, select_tau
 from sphwave.profiles import (WaveletSpec, omega_profile, poisson_kernel,
                               upsilon_profile, wavelet_norm_sq)
 from sphwave.sphfn import (CoefficientTable, analyze_signal, coef_index,
@@ -30,10 +29,10 @@ from sphwave.transform import (FrameOperatorConfig, forward_transform,
                                uniform_specs)
 
 from oracles import (assoc_legendre_P, coefficient_upper_bound,
-                     omega_expansion_coefficient, omega_profile_series,
-                     poisson_kernel_series, profile_from_expansion,
-                     rho_quadrature, upsilon_expansion_coefficient,
-                     upsilon_profile_series)
+                     estimate_sup_norms, omega_expansion_coefficient,
+                     omega_profile_series, poisson_kernel_series,
+                     profile_from_expansion, rho_quadrature,
+                     upsilon_expansion_coefficient, upsilon_profile_series)
 
 
 def test_closed_form_integrals():

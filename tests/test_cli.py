@@ -16,7 +16,7 @@ from sphwave.sphfn import analyze_signal
 from sphwave.transform import FrameOperatorConfig
 
 from oracles import (axis_rotation, harmonic_matrix, point_angles,
-                     sphere_points, tilt_rotation)
+                     sphere_points, tilt_rotation, window_series)
 
 
 def _read_csv(path):
@@ -67,6 +67,18 @@ def test_profile_csv(tmp_path):
     assert main(["profile", "--out", str(out), "--samples", "1"]) == 0
     assert len(out.read_text().splitlines()) == 2
     assert main(["profile", "--out", str(out), "--taus", "0.5,2"]) == 2
+
+
+def test_profile_csv_matches_series_window(tmp_path):
+    # sphwave profile writes the periodized window, which equals its
+    # Fourier series
+    out = tmp_path / "win.csv"
+    assert main(["profile", "--out", str(out), "--taus", "1,1.37,4,16"]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    for c, tau in enumerate((1.0, 1.37, 4.0, 16.0), start=1):
+        ref = window_series(tau, rows[:, 0])
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(rows[:, c] - ref)) <= 1e-13 * scale, tau
 
 
 def test_kernel_csv_lobes(tmp_path):

@@ -149,11 +149,15 @@ def test_coefficients_header_errors(tmp_path):
                      + b"\n" + payload)
     with pytest.raises(FileFormatError, match="family"):
         read_coefficients(path)
-    # header integers out of range: no band, no scale, a flag that is
-    # neither 0 nor 1
+    # header fields out of range: no band, no scale, a flag that is
+    # neither 0 nor 1, and scale or grid numbers their builders refuse
     for field, old, bad in (("l_band", b"=6", b"=-1"),
                             ("n_scales", b"=2", b"=0"),
-                            ("under_resolved", b"=1", b"=7")):
+                            ("under_resolved", b"=1", b"=7"),
+                            ("rho0", b"=1.0", b"=-1.0"),
+                            ("q", b"=0.5", b"=2.0"),
+                            ("delta2", b"=0.8", b"=0.0"),
+                            ("delta1", b"=1.2", b"=nan")):
         key = field.encode()
         path.write_bytes(head.replace(key + old, key + bad) + b"\n" + payload)
         with pytest.raises(FileFormatError, match=field):

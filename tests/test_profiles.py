@@ -10,18 +10,20 @@ from sphwave.multiselect import SelectivitySet
 from sphwave.profiles import (TAU_MAX, WaveletSpec, _p1_expansion,
                               _window_norm_sq, _window_orders,
                               angular_coefficient, angular_window,
-                              angular_window_dphi, default_k_cut,
-                              evaluate_wavelet, omega_profile,
-                              poisson_kernel, profile_dtheta, profile_fn,
+                              default_k_cut, evaluate_wavelet,
+                              omega_profile, poisson_kernel, profile_fn,
                               profile_norm_sq, sin5_legendre_expansion,
                               upsilon_profile, wavelet_norm_sq,
                               window_weights)
+from sphwave.so3 import make_scale_sequence, make_so3_grid
+from sphwave.transform import frame_matrix
 
 from oracles import (assoc_legendre_P, legendre_P,
                      omega_expansion_coefficient, omega_profile_series,
-                     poisson_kernel_series, profile_from_expansion,
-                     upsilon_expansion_coefficient, upsilon_profile_series,
-                     window_series, window_series_dphi)
+                     poisson_kernel_series, profile_dtheta,
+                     profile_from_expansion, upsilon_expansion_coefficient,
+                     upsilon_profile_series, window_series,
+                     window_series_dphi)
 
 
 def _window_quadrature(tau, k, n=4096):
@@ -58,7 +60,7 @@ def test_window_series_matches_periodization():
                              - angular_window(tau, ph))) < 1e-12
     assert isinstance(window_series(2.0, 0.5), float)
     assert isinstance(angular_window(2.0, 0.5), float)
-    assert isinstance(angular_window_dphi(2.0, 0.5), float)
+    assert isinstance(window_series_dphi(2.0, 0.5), float)
 
 
 def test_window_norm_matches_quadrature():
@@ -73,12 +75,10 @@ def test_window_derivatives():
     ph = np.linspace(0.0, 2.0 * np.pi, 160, endpoint=False)
     h = 1e-6
     for tau in (1.0, 4.0, 16.0):
-        d = angular_window_dphi(tau, ph)
+        # the oracle's slope of the series against the library's window
+        d = window_series_dphi(tau, ph)
         fd = (angular_window(tau, ph + h) - angular_window(tau, ph - h)) / (2 * h)
-        scale = np.max(np.abs(d))
-        assert np.max(np.abs(d - fd)) < 1e-7 * scale, tau
-        series = window_series_dphi(tau, ph)
-        assert np.max(np.abs(series - d)) < 1e-10 * scale, tau
+        assert np.max(np.abs(d - fd)) < 1e-7 * np.max(np.abs(d)), tau
 
 
 def test_window_build_and_validation():
@@ -272,10 +272,13 @@ def test_window_cuts_match_stepping_rule():
 def test_selectivity_check_everywhere():
     # one check: a selectivity is a number in [1, TAU_MAX], so NaN and
     # infinity fail everywhere a selectivity enters
+    grid, scales = make_so3_grid(0.8, 0.8), make_scale_sequence(1.0, 0.5, 0)
     for bad in (0.5, np.nan, np.inf, 2.0 * TAU_MAX):
         for make in (lambda t: WaveletSpec("omega", 1.0, t),
                      lambda t: angular_window(t, 0.0),
-                     lambda t: angular_window_dphi(t, 0.0),
+                     lambda t: window_weights(t, 8),
+                     lambda t: window_weights([2.0, t, 4.0], 8),
+                     lambda t: frame_matrix("omega", [t], grid, scales, 4),
                      lambda t: default_k_cut(t),
                      lambda t: analytic_upper_bound("omega", t),
                      lambda t: SelectivitySet((1.0, t), TAU_MAX),
@@ -284,6 +287,7 @@ def test_selectivity_check_everywhere():
                 make(bad)
     WaveletSpec("omega", 1.0, TAU_MAX)
     SelectivitySet((1.0, TAU_MAX), TAU_MAX)
+    assert window_weights([1.0, TAU_MAX], 8).shape == (2, 17)
 
 
 def test_wavelet_spec_validation():

@@ -9,8 +9,8 @@ import pytest
 from sphwave import transform
 from sphwave.admissibility import _kernel_matrix
 from sphwave.profiles import WaveletSpec, evaluate_wavelet, window_weights
-from sphwave.multiselect import (SelectivitySet, continuous_energy,
-                                 refine_tau, select_tau, selectivity_scan)
+from sphwave.multiselect import (SelectivitySet, refine_tau, select_tau,
+                                 selectivity_scan)
 from sphwave.sphfn import (CoefficientTable, SphericalSignal, analyze_signal,
                            coef_index, default_grid_spec, degree_orders,
                            grid_phis, make_colat_grid, synthesize_signal)
@@ -814,8 +814,6 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="family"):
         frame_matrix("foo", [2.0], make_so3_grid(0.8, 0.8),
                      make_scale_sequence(1.0, 0.5, 0), 6)
-    with pytest.raises(ValueError, match="family"):
-        continuous_energy(analyze_signal(f), "foo", 2.0, 1.0)
 
 
 def test_config_validation():
