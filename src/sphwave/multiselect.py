@@ -95,11 +95,10 @@ def _band_landscape(axial, d, w):
 def _carrier_pick(f, scales, j, alpha2, tsel, grid, family):
     """select_tau's pick for one carrier, its correlation row and plan."""
     table = analyze_signal(f)
-    cell = grid.cells[alpha2]
-    plan = BandPlan(table.l_band, grid.axial_angles, family, (scales[j],))
-    corr = plan.correlate(table.values, [(cell.theta, [0], [cell.phi], 0)])[0]
+    plan = BandPlan(table.l_band, grid, family, (scales[j],))
+    corr = plan.correlate(table.values, alpha2)[0]
     taus = tuple(tsel)
-    w = _norm_weights(plan.weights(np.asarray(taus)), family, scales[j], taus)
+    w = _norm_weights(plan.weights(taus), family, scales[j], taus)
     tau, phi1, value = _pick(_band_landscape(plan.axial_phase, corr, w), taus,
                              grid.axial_angles,
                              TIE_MARGIN * np.sqrt(table.norm_sq()))
@@ -123,10 +122,10 @@ def selectivity_scan(f, scales, grid, tsel, family="omega"):
     taus = tuple(tsel)
     tol = TIE_MARGIN * np.sqrt(table.norm_sq())
     out = np.empty((3, len(scales), grid.n_carriers))
-    plan = BandPlan(table.l_band, grid.axial_angles, family, scales)
-    w = plan.weights(np.asarray(taus))
+    plan = BandPlan(table.l_band, grid, family, scales)
+    w = plan.weights(taus)
     w = [_norm_weights(w, family, rho, taus) for rho in scales]
-    d = plan.correlate(table.values, grid.bands)
+    d = plan.correlate(table.values)
     for _, idx, _, _ in grid.bands:
         for j, w_j in enumerate(w):
             land = _band_landscape(plan.axial_phase, d[j, idx], w_j)
@@ -152,7 +151,7 @@ def refine_tau(f, scales, j, alpha2, tsel, grid, family="omega",
     axial = np.exp(1j * np.outer(plan.ks, [phi1]))
 
     def score(tau):
-        w = _norm_weights(plan.weights(np.array([tau])), family, scales[j],
+        w = _norm_weights(plan.weights((tau,)), family, scales[j],
                           (tau,))
         return float(_band_landscape(axial, corr, w)[0, 0, 0])
 

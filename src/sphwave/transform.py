@@ -5,15 +5,16 @@ kernel with the signal, 1/(4 pi) <U_g Psi, f>, computed in harmonic space
 where a rotation acts by per-degree real Wigner blocks d^l(theta) and
 diagonal phases.  The kernel is steerable, Psi_l^k(tau) = w_k(tau) P_l^k,
 and one band operator (BandPlan) serves the forward transform, the
-adjoint, the matched filter and the frame operator S: per latitude band
-it contracts over the degree l once for all scales, then over the orders
-m with each cell's longitude phase.  S reads its tilts through the band
-operator too.  The cells enter S only through one phase sum per axial
-pair and order difference m' - m; a band whose cells share one tau on the
-regular longitude lattice needs no phase sum and contracts by itself over
-its (scale, pair) factors.  Jacobi-preconditioned CG inverts S on the
-degrees l >= 1, the ones an odd order reaches; a frame with one tau per
-scale builds S once for all calls on it.
+adjoint, the matched filter and the frame operator S.  It reads the tilts
+of every latitude band from one band-last store and contracts over the
+degree l for all bands in one real product per scale, then over the
+orders m with each cell's longitude phase.  The cells enter S only
+through one phase sum per axial pair and order difference m' - m; a band
+whose cells share one tau on the regular longitude lattice needs no phase
+sum and contracts by itself over its (scale, pair) factors.
+Jacobi-preconditioned CG inverts S on the degrees l >= 1, the ones an odd
+order reaches; a frame with one tau per scale builds S once for all calls
+on it.
 """
 
 from dataclasses import dataclass
@@ -111,81 +112,123 @@ def _wigner_d(theta, l):
     return (phase[:, None] * turned * phase.conj()).real
 
 
-@lru_cache(maxsize=512)
-def _band_tilt(theta, l_band):
-    """d^l_mk(theta), odd k > 0, as [k // 2, m + l_band, l], zero where l <
-    max(|m|, k); d^l_{-m,-k} = d^l_mk gives k < 0.  Cached, read-only."""
-    tilt = np.zeros(((l_band + 1) // 2, 2 * l_band + 1, l_band + 1))
-    for l in range(1, l_band + 1):
-        tilt[:(l + 1) // 2, l_band - l:l_band + l + 1, l] = \
-            _wigner_d(theta, l)[:, l + 1::2].T
-    tilt.flags.writeable = False
-    return tilt
+@lru_cache(maxsize=8)
+def _tilt_store(thetas, l_band):
+    """d^l_mk(theta_b), odd k > 0, of the band colatitudes thetas as
+    [k // 2, m + l_band, l, b], zero where l < max(|m|, k); d^l_{-m,-k} =
+    d^l_mk gives k < 0.  One entry per band set, read-only."""
+    store = np.zeros(((l_band + 1) // 2, 2 * l_band + 1, l_band + 1,
+                      len(thetas)))
+    for b, theta in enumerate(thetas):
+        for l in range(1, l_band + 1):
+            store[:(l + 1) // 2, l_band - l:l_band + l + 1, l, b] = \
+                _wigner_d(theta, l)[:, l + 1::2].T
+    store.flags.writeable = False
+    return store
+
+
+@lru_cache(maxsize=4)
+def _cell_phases(phis, l_band):
+    """e^{i m phi} at the longitudes phis (float64 bytes) as [m + l_band,
+    cell], read-only: a running product over m > 0, conjugated for m < 0."""
+    e = np.exp(1j * np.frombuffer(phis))
+    out = np.ones((2 * l_band + 1, len(e)), dtype=complex)
+    for m in range(l_band + 1, len(out)):
+        np.multiply(out[m - 1], e, out=out[m])
+    np.conjugate(out[:l_band:-1], out=out[:l_band])
+    out.flags.writeable = False
+    return out
 
 
 class BandPlan:
-    """The band operator for one band limit, axial grid, family and scales.
+    """The band operator for one band limit, grid, family and scales.
 
-    Axial orders are the odd k, negative half first (ks); tables enter
-    padded, f[m + L, l] = f_lm.  A cell at longitude phi in a band at
-    colatitude theta correlates with the tau-free kernel P_j of scale j as
-    d[j, k] = sum_m e^{i m phi} X[k, m, j], X[k, m, j] = sum_l d^l_mk(theta)
-    P_j[l, k] f_lm: per band one contraction over l for all scales, then
-    one longitude product for its cells; weights(tau) then scales each
-    cell's row before the axial phases.  adjoint runs the steps transposed.
+    Axial orders are the odd k in pairs (-k, k) (ks); tables enter padded,
+    f[m + L, l] = f_lm.  A cell at longitude phi in a band at colatitude
+    theta correlates with the tau-free kernel P_j of scale j as d[j, k] =
+    sum_m e^{i m phi} X[k, m, j], X[k, m, j] = sum_l d^l_mk(theta) P_j[l, k]
+    f_lm.  Per scale, X of all bands is one batched real product: per
+    (k > 0, m) the store's [l, b] matrix times re/im of P_j[l, k] f_lm and
+    of P_j[l, k] conj(f_l,-m), which is conj(X[-k, -m]) as P_j[l, -k] =
+    P_j[l, k].  Per band one longitude product then serves all its cells,
+    and k < 0 is conjugated back.  weights(tau) scales each cell's row
+    before the axial phases; adjoint runs the steps transposed.
     """
 
-    def __init__(self, l_band, axial_angles, family, scales):
-        self.l_band = l_band
+    def __init__(self, l_band, grid, family, scales):
+        self.l_band, self.bands = l_band, grid.bands
         odd = np.arange(1, l_band + 1, 2)
-        self.ks = np.concatenate((-odd, odd))
-        self.axial_phase = np.exp(1j * np.outer(self.ks, axial_angles))
+        self.ks = np.stack((-odd, odd), 1).reshape(-1)
+        self.axial_phase = np.exp(1j * np.outer(self.ks, grid.axial_angles))
         self.kern = np.array([_kernel_matrix(family, float(rho), l_band).T[
             self.ks + l_band] for rho in scales])   # P_j[l, k] at [j, k, l]
         l_of, m_of = degree_orders(l_band)
         self._flat = m_of + l_band, l_of
+        self.store = _tilt_store(tuple(float(b[0]) for b in self.bands),
+                                 l_band)
+        rows = _cell_phases(np.concatenate([b[2] for b in self.bands])
+                            .tobytes(), l_band)
+        at = np.cumsum([0] + [len(b[1]) for b in self.bands])
+        self._rows = [rows[:, a:b] for a, b in zip(at, at[1:])]
 
-    def tilt(self, theta):
-        """d^l_mk(theta) as [k, m + l_band, l], k over ks."""
-        half = _band_tilt(float(theta), self.l_band)
-        return np.concatenate((half[:, ::-1], half))
+    def tilt(self, b):
+        """d^l_mk of band b as [k, m + l_band, l], k over ks."""
+        half = self.store[..., b]
+        return np.stack((half[:, ::-1], half), 1).reshape(-1, *half.shape[1:])
 
     def weights(self, taus):
-        """Window weights w_k(tau) on ks, one row per entry of taus."""
+        """Window weights w_k(tau) on ks, one row per entry of taus, each a
+        tau or (one per scale) an array of one tau per carrier."""
+        taus = np.stack(np.broadcast_arrays(*taus))
         return window_weights(taus, self.l_band)[..., self.ks + self.l_band]
 
-    def _phases(self, bands, sign):
-        """Per band e^{sign i m phi} of its cells: one exp per cell, then a
-        running product over m > 0, conjugated for m < 0."""
-        phis = [b[2] for b in bands]
-        e = np.exp(sign * 1j * np.concatenate(phis))[:, None]
-        e = np.cumprod(np.broadcast_to(e, (len(e), self.l_band)), axis=1)
-        e = np.concatenate((e[:, ::-1].conj(), np.ones((len(e), 1)), e), 1)
-        return np.split(e, np.cumsum([len(p) for p in phis])[:-1])
-
-    def correlate(self, values, bands):
+    def correlate(self, values, carrier=None):
         """tau-free correlations d[j, c, k] of a flat table with the kernel
-        of every scale j at every cell c of bands, (theta, idx, phis, _)."""
-        f = np.zeros((2 * self.l_band + 1, self.l_band + 1), dtype=complex)
-        f[self._flat] = values
-        kern = self.kern.transpose(1, 2, 0).astype(complex)
-        out = np.empty((len(self.kern), sum(len(b[1]) for b in bands),
-                        len(self.ks)), dtype=complex)
-        for (theta, idx, _, _), rows in zip(bands, self._phases(bands, 1)):
-            x = (self.tilt(theta) * f) @ kern
-            out[:, idx] = (rows @ x.transpose(1, 2, 0).reshape(len(f), -1)
-                           ).reshape(len(idx), *out.shape[::2]).swapaxes(0, 1)
+        of every scale j at every cell c, or at the one carrier given."""
+        idxs, rows, store = [b[1] for b in self.bands], self._rows, self.store
+        if carrier is not None:
+            b = next(b for b, idx in enumerate(idxs) if carrier in idx)
+            idxs, rows = [[0]], [rows[b][:, idxs[b] == carrier]]
+            store = store[..., b:b + 1]
+        n_k, n_m, n_l = self.store.shape[:3]
+        out = np.empty((len(self.kern), sum(map(len, idxs)), len(self.ks)),
+                       dtype=complex)
+        f = np.zeros((n_m, n_l, 2), dtype=complex)
+        f[(*self._flat, 1)] = values
+        np.conjugate(f[::-1, :, 1], out=f[:, :, 0])
+        # per scale: P_j f at [k // 2, m, l, (-k, k)], X at [m, b, k // 2,
+        # (-k re, -k im, k re, k im)]
+        a = np.empty((n_k, n_m, n_l, 2), dtype=complex)
+        x = np.empty((n_m, len(idxs), n_k, 4))
+        for kern, d in zip(self.kern[:, 1::2, None, :, None], out):
+            np.multiply(f, kern, out=a)
+            np.matmul(store.swapaxes(2, 3), a.view(float),
+                      out=x.transpose(2, 0, 1, 3))
+            for b, (idx, e) in enumerate(zip(idxs, rows)):
+                d[idx] = e.T @ x[:, b].view(complex).reshape(n_m, -1)
+        np.conjugate(out[..., ::2], out=out[..., ::2])
         return out
 
-    def adjoint(self, d, bands):
-        """Flat table sum_c e^{-i m phi_c} sum_{j,k} beta_jk[m, l] d[j, c, k]:
-        the transpose of correlate."""
-        kern = self.kern.swapaxes(0, 1).astype(complex)
-        acc = 0.0
-        for (theta, idx, _, _), rows in zip(bands, self._phases(bands, -1)):
-            y = (rows.T @ d[:, idx]).transpose(2, 1, 0) @ kern
-            acc = acc + (self.tilt(theta) * y).sum(axis=0)
-        return acc[self._flat]
+    def adjoint(self, d):
+        """Flat table sum_c e^{-i m phi_c} sum_{j,k} beta_jk[m, l] d[j, c, k]
+        over the grid's cells, the transpose of correlate; d is read one
+        scale at a time.  Per band the product with e^{i m phi} gives X^T
+        on k < 0 and its conjugate on k > 0, undone after the degree sum."""
+        n_m, d, acc = self.store.shape[1], iter(d), 0.0
+        x = np.empty((n_m, len(self.bands), self.store.shape[0], 4))
+        y = np.empty(self.store.shape[:3] + (2,), dtype=complex)
+        for kern in self.kern[:, 1::2, None, :, None]:
+            dj = next(d)
+            for b, ((_, idx, _, _), e) in enumerate(zip(self.bands,
+                                                        self._rows)):
+                g = dj[idx]
+                np.conjugate(g[:, 1::2], out=g[:, 1::2])
+                np.matmul(e, g, out=x[:, b].view(complex).reshape(n_m, -1))
+            del dj      # before the next scale's d[j] is made
+            np.matmul(self.store, x.transpose(2, 0, 1, 3), out=y.view(float))
+            y *= kern
+            acc = acc + y.sum(axis=0)
+        return (acc[::-1, :, 0] + acc[:, :, 1].conj())[self._flat]
 
 
 def uniform_specs(family, tau, scales):
@@ -225,10 +268,11 @@ def forward_transform(f, specs, grid, scales):
     family, taus = _normalize_specs(specs, grid, scales)
     table = analyze_signal(f)
     l_band = table.l_band
-    plan = BandPlan(l_band, grid.axial_angles, family, scales)
-    d = plan.correlate(table.values, grid.bands)
-    axial = plan.axial_phase / (4.0 * np.pi)
-    values = [(dj * plan.weights(t)) @ axial for dj, t in zip(d, taus)]
+    plan = BandPlan(l_band, grid, family, scales)
+    d = plan.correlate(table.values)
+    d *= plan.weights(taus).reshape(len(d), -1, d.shape[2])
+    values = (d.reshape(-1, d.shape[2]) @ (plan.axial_phase / (4.0 * np.pi))
+              ).reshape(d.shape[:2] + (-1,))
     k_need = min(l_band, default_k_cut(max(float(np.max(t)) for t in taus)))
     if k_need % 2 == 0:
         k_need -= 1
@@ -241,12 +285,20 @@ def forward_transform(f, specs, grid, scales):
 def adjoint_transform(coeffs):
     """Weighted synthesis sum: the frame image S f when coeffs came from f."""
     grid = coeffs.grid
-    plan = BandPlan(coeffs.l_band, grid.axial_angles, coeffs.family,
-                    coeffs.scales)
+    plan = BandPlan(coeffs.l_band, grid, coeffs.family, coeffs.scales)
     back = np.conj(plan.axial_phase).T / (4.0 * np.pi)
-    d = np.stack([(coeffs.values[j] * coeffs.weights(j)) @ back
-                  * plan.weights(t) for j, t in enumerate(coeffs.taus)])
-    return CoefficientTable(coeffs.l_band, plan.adjoint(d, grid.bands))
+    w = (plan.weights(coeffs.taus).reshape(len(coeffs.taus), -1,
+                                           len(plan.ks))
+         * coeffs.weights(0)[:, :1])
+
+    def scaled():
+        # one scale at a time: no stacked copy of the values
+        for v, wj in zip(coeffs.values, w):
+            dj = v @ back
+            dj *= wj
+            yield dj
+            del dj
+    return CoefficientTable(coeffs.l_band, plan.adjoint(scaled()))
 
 
 def frame_apply(f, specs, grid, scales):
@@ -287,7 +339,7 @@ def frame_matrix(family, taus, grid, scales, l_band):
     The other rows are stacked for one product per order m, into an
     m-major copy, one chunk of axial pairs at a time.
     """
-    plan = BandPlan(l_band, grid.axial_angles, family, scales)
+    plan = BandPlan(l_band, grid, family, scales)
     n_m, n_l, ks = 2 * l_band + 1, l_band + 1, plan.ks
     ia, ib = np.nonzero(((ks[:, None] - ks) % len(grid.axial_angles) == 0)
                         & (ks[:, None] + ks >= 0))
@@ -295,7 +347,7 @@ def frame_matrix(family, taus, grid, scales, l_band):
     pair_w = (np.where(ks[ia] + ks[ib] == 0, 0.5, 1.0)
               * scales.log_step / (8.0 * np.pi))
     wpair = [np.broadcast_to(pair_w * w[..., ia] * w[..., ib], (
-        grid.n_carriers, len(ia))) for w in map(plan.weights, taus)]
+        grid.n_carriers, len(ia))) for w in plan.weights(taus)]
     l_of, m_of = degree_orders(l_band)
     n, m = len(l_of), np.arange(n_m)
     if not len(ia):     # no odd order below the band: nothing to sum
@@ -311,8 +363,8 @@ def frame_matrix(family, taus, grid, scales, l_band):
             np.ndim(t) == 0 or np.all(t[idx] == t[idx[0]]))])
 
     # the other scales: compact beta rows and H(d) per pair, stacked
-    mixed = [(band, js) for band, one in zip(grid.bands, whole)
-             if (js := [j for j in range(len(taus)) if j not in one])]
+    mixed = [(b, band, js) for b, band in enumerate(grid.bands)
+             if (js := [j for j in range(len(taus)) if j not in whole[b]])]
     s = np.zeros((n, n), dtype=complex)
     if mixed:
         order = np.lexsort((l_of, m_of))
@@ -320,23 +372,22 @@ def frame_matrix(family, taus, grid, scales, l_band):
         mo, lo, sizes = m_of[order] + l_band, l_of[order], np.diff(off)
         h = np.concatenate([(np.exp(1j * np.outer(m, phis)) * measure @ (
             np.stack([wpair[j][idx] for j in js]))).transpose(1, 0, 2)
-            for (_, idx, phis, measure), js in mixed], axis=1)
+            for _, (_, idx, phis, measure), js in mixed], axis=1)
 
         def rows(p):
             # beta at [m-major (m, l), (band, scale, pair)]
             out, c = np.empty((n, len(p) * h.shape[1])), 0
-            for (theta, _, _, _), js in mixed:
-                t = plan.tilt(theta)[p]
+            for b, _, js in mixed:
+                t = plan.tilt(b)[p]
                 out[:, c:c + len(js) * len(p)] = (plan.kern[js][:, p][
                     ..., lo] * t[:, mo, lo]).reshape(-1, n).T
                 c += len(js) * len(p)
             return out
 
-        # the stacked rows of one chunk hold at most a tilt cache's entries
+        # the stacked rows of one chunk hold at most the tilt store's entries
         entries = n * h.size // n_m * (2 - same)
-        budget = len(grid.bands) * (n_l // 2) * n_m * n_l
-        for ch in np.array_split(np.arange(len(ia)),
-                                 min(len(ia), -(-entries // budget))):
+        for ch in np.array_split(np.arange(len(ia)), min(
+                len(ia), -(-entries // plan.store.size))):
             low = rows(ia[ch])
             high = low if same else rows(ib[ch])
             hc = h[:, :, ch].reshape(n_m, -1)
@@ -365,10 +416,10 @@ def frame_matrix(family, taus, grid, scales, l_band):
     at = np.where(m[:n_l] >= abs(m - l_band)[:, None],
                   m[:n_l] * (m[:n_l] + 1) + (m - l_band)[:, None], -1)
     blocks, flat = {}, s.reshape(-1).real
-    bands = [(band, js) for band, js in zip(grid.bands, whole) if js]
     ka, kb = plan.kern[:, ia, None], plan.kern[:, ib, None]
-    for (theta, idx, _, measure), js in bands:
-        t = plan.tilt(theta)
+    bands = [(b, grid.bands[b], js) for b, js in enumerate(whole) if js]
+    for b, (_, idx, _, measure), js in bands:
+        t = plan.tilt(b)
         w = np.stack([wpair[j][idx[0]] for j in js])[..., None, None]
         # beta_jk at [m, l, (j, p)] and w_jp beta_jk' at [m, (j, p), l']
         left = (ka[js] * t[ia]).reshape(-1, n_m, n_l).transpose(1, 2, 0)

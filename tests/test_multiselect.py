@@ -289,19 +289,33 @@ def test_refine_analyzes_signal_once(monkeypatch):
 
 def test_scan_tilt_once_per_band(monkeypatch):
     # the band operator contracts every scale against one read of the
-    # band's tilt, whatever the number of scales
+    # grid's tilt store, whatever the number of scales
     grid = make_so3_grid(0.8, 0.5)
     f = _random_signal(8, 3)
     tsel = SelectivitySet()
     for scales in (SCALES, make_scale_sequence(1.0, 0.5, 3)):
         selectivity_scan(f, scales, grid, tsel)
         calls = []
-        tilt = transform._band_tilt
-        monkeypatch.setattr(transform, "_band_tilt",
-                            lambda *a: calls.append(a) or tilt(*a))
+        store = transform._tilt_store
+        monkeypatch.setattr(transform, "_tilt_store",
+                            lambda *a: calls.append(a) or store(*a))
         selectivity_scan(f, scales, grid, tsel)
         monkeypatch.undo()
-        assert len(calls) == len(grid.bands), (len(scales), len(calls))
+        assert len(calls) == 1, (len(scales), len(calls))
+        assert len(calls[0][0]) == len(grid.bands)
+
+
+def test_picks_read_the_grid_store():
+    # select_tau and refine_tau read their carrier's band from the store
+    # of the grid the scan used: no one-band entry for a carrier
+    f = _random_signal(8, 4)
+    tsel = SelectivitySet()
+    transform._tilt_store.cache_clear()
+    selectivity_scan(f, SCALES, GRID, tsel)
+    for alpha2 in (0, 40, GRID.n_carriers - 1):
+        select_tau(f, SCALES, 1, alpha2, tsel, GRID)
+        refine_tau(f, SCALES, 0, alpha2, tsel, GRID)
+    assert transform._tilt_store.cache_info().currsize == 1
 
 
 def test_scan_window_weights_once_per_scan(monkeypatch):

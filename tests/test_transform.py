@@ -19,7 +19,7 @@ from sphwave.transform import (FrameConvergenceError, FrameOperatorConfig,
                                adjoint_transform, forward_transform,
                                frame_matrix, reconstruct,
                                rotate_coefficients, uniform_specs)
-from sphwave.transform import _band_tilt, _jx_basis, _wigner_d
+from sphwave.transform import BandPlan, _jx_basis, _tilt_store, _wigner_d
 
 import oracles
 from oracles import rotate_signal_pullback, spherical_harmonic
@@ -66,10 +66,10 @@ def test_tilt_blocks_unitary():
             blocks = [_wigner_d(theta, l) for l in range(l_band + 1)]
             for l, (b, r) in enumerate(zip(blocks, ref)):
                 assert np.max(np.abs(b - r)) < 1e-13, (l_band, theta, l)
-            # the band cache holds the odd k > 0 columns of these blocks
-            # and exact zeros where l < max(|m|, k), which the band
-            # operator sums over
-            tilt = _band_tilt(theta, l_band)
+            # the tilt store holds the odd k > 0 columns of these blocks,
+            # band last, and exact zeros where l < max(|m|, k), which the
+            # band operator sums over
+            tilt = _tilt_store((0.3, theta, 2.9), l_band)[..., 1]
             k = np.arange(1, l_band + 1, 2)[:, None, None]
             m = np.arange(-l_band, l_band + 1)[:, None]
             l = np.arange(l_band + 1)
@@ -116,7 +116,7 @@ def test_tilt_blocks_compose():
 
 
 def test_tilt_order_reversal():
-    # the band cache keeps the orders k > 0 and reads k < 0 through
+    # the tilt store keeps the orders k > 0 and reads k < 0 through
     # d^l_{-m,-k} = d^l_mk, so the identity must hold to roundoff at every
     # degree and angle the operator uses, near the pole and equator too
     for theta in (1e-9, 1e-4, 0.35, 1.1, 0.5 * np.pi - 1e-7, 0.5 * np.pi,
@@ -127,22 +127,33 @@ def test_tilt_order_reversal():
 
 
 def test_band_tilt_cache_holds_one_half():
-    # one cache entry per band, of at most K (L + 1)^2 float64 values with
-    # K the number of odd orders: the k < 0 half is derived, not stored
+    # one store per band set, K (L + 1)^2 float64 values per band with K
+    # the number of odd orders: the k < 0 half is derived, not stored, and
+    # the forward transform, the adjoint, S and the band reads share it
     grid = make_so3_grid(0.5, 0.5)
+    thetas = tuple(float(b[0]) for b in grid.bands)
     for l_band in (8, 16, 17):
         n_odd = 2 * ((l_band + 1) // 2)
-        _band_tilt.cache_clear()
-        forward_transform(_signal(_random_table(l_band, 5)),
-                          uniform_specs("omega", 4.0, SCALES), grid, SCALES)
-        assert _band_tilt.cache_info().currsize == len(grid.bands)
-        for theta, _, _, _ in grid.bands:
-            tilt = _band_tilt(float(theta), l_band)
-            assert tilt.dtype == np.float64 and not tilt.flags.writeable
-            # owned, so no larger array sits behind a view
-            assert tilt.flags.owndata
-            assert tilt.size <= n_odd * (l_band + 1) ** 2, tilt.shape
-        assert _band_tilt.cache_info().currsize == len(grid.bands)
+        _tilt_store.cache_clear()
+        coeffs = forward_transform(_signal(_random_table(l_band, 5)),
+                                   uniform_specs("omega", 4.0, SCALES), grid,
+                                   SCALES)
+        adjoint_transform(coeffs)
+        frame_matrix("omega", coeffs.taus, grid, SCALES, l_band)
+        assert _tilt_store.cache_info().currsize == 1
+        store = _tilt_store(thetas, l_band)
+        assert store.dtype == np.float64 and not store.flags.writeable
+        # owned, so no larger array sits behind a view
+        assert store.flags.owndata
+        assert store.shape == (n_odd // 2, 2 * l_band + 1, l_band + 1,
+                               len(grid.bands))
+        plan = BandPlan(l_band, grid, "omega", SCALES)
+        assert plan.store is store
+        for b in range(len(grid.bands)):
+            tilt = plan.tilt(b)
+            assert np.array_equal(tilt[1::2], store[..., b])
+            assert np.array_equal(tilt[::2], store[:, ::-1, :, b])
+        assert _tilt_store.cache_info().currsize == 1
 
 
 def _split_taus(grid, pattern):
@@ -424,6 +435,94 @@ def test_band_operator_matches_oracles():
                     assert abs(got[2] - want[2]) <= 1e-13 * want[2], fam
 
 
+def _scattered_grid(grid, bands, seed):
+    # a permuted subset of the bands whose cells are shuffled over the
+    # carrier order, so that no band holds contiguous cell indices
+    sub = _band_grid(grid, bands)
+    order = np.random.default_rng(seed).permutation(sub.n_carriers)
+    where = np.argsort(order)
+    return dataclasses.replace(
+        sub, cells=tuple(sub.cells[c] for c in order),
+        bands=tuple((theta, where[idx], phis, measure)
+                    for theta, idx, phis, measure in sub.bands),
+        measures=sub.measures[order])
+
+
+def test_band_operator_adjoint_at_odd_band():
+    # L = 17 has 9 orders k > 0, read through d^l_{-m,-k} = d^l_mk for
+    # k < 0; a half read in the wrong order or unreversed in m breaks
+    # <correlate(f), d> = <f, adjoint(d)> and the oracle values.  1 and 3
+    # scales, both families, uniform and per-carrier tau, on a permuted
+    # subset of bands with scattered cell indices
+    l_band = 17
+    grid = _scattered_grid(make_so3_grid(0.3, 0.3), [5, 0, 9, 2, 7], 3)
+    assert all(np.any(np.diff(idx) != 1) for _, idx, _, _ in grid.bands)
+    f = _signal(_random_table(l_band, 91, kill_below=-1))
+    table = analyze_signal(f)
+    rng = np.random.default_rng(92)
+
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    for scales in (make_scale_sequence(1.0, 0.5, 0),
+                   make_scale_sequence(1.0, 0.5, 2)):
+        for fam in ("omega", "upsilon"):
+            plan = BandPlan(l_band, grid, fam, scales)
+            assert len(plan.ks) == 18
+            corr = plan.correlate(table.values)
+            d = (rng.standard_normal(corr.shape)
+                 + 1j * rng.standard_normal(corr.shape))
+            lhs = np.vdot(corr, d)
+            rhs = np.vdot(table.values, plan.adjoint(d))
+            assert abs(lhs - rhs) <= 1e-13 * np.linalg.norm(
+                corr) * np.linalg.norm(d), (fam, len(scales))
+            for specs in (uniform_specs(fam, 3.0, scales),
+                          [tuple(WaveletSpec(fam, rho, t)
+                                 for t in _split_taus(grid, j % 2))
+                           for j, rho in enumerate(scales)]):
+                coeffs = forward_transform(f, specs, grid, scales)
+                want = oracles.forward_per_tau(f, specs, grid, scales)
+                assert all(map(close, coeffs.values, want)), fam
+                assert close(adjoint_transform(coeffs).values,
+                             oracles.adjoint_per_tau(coeffs)), fam
+                # the weighted adjoint of the transform itself
+                v = [rng.standard_normal(w.shape)
+                     + 1j * rng.standard_normal(w.shape)
+                     for w in coeffs.values]
+                back = adjoint_transform(
+                    dataclasses.replace(coeffs, values=tuple(v)))
+                lhs = sum(np.vdot(c, coeffs.weights(j) * vj) for j, (c, vj)
+                          in enumerate(zip(coeffs.values, v)))
+                rhs = np.vdot(table.values, back.values)
+                assert abs(lhs - rhs) <= 1e-13 * abs(lhs), fam
+
+
+def test_band_operator_peak_memory():
+    # a warm correlate and a warm adjoint at L = 16 with 3 scales each
+    # peak at most twice the tilt store: per scale buffers, no stacked or
+    # flipped copies
+    l_band = 16
+    scales = make_scale_sequence(1.0, 0.5, 2)
+    grid = make_so3_grid(0.2, 0.2)
+    table = _random_table(l_band, 95)
+    plan = BandPlan(l_band, grid, "omega", scales)
+    d = plan.correlate(table.values)
+    plan.adjoint(d)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for run in (lambda: plan.correlate(table.values),
+                    lambda: plan.adjoint(d)):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) <= 2 * plan.store.nbytes, [
+        p / plan.store.nbytes for p in peaks]
+
+
 def test_frame_matrix_hermitian():
     # whole bands, bands split by selectivity, and both in one frame
     l_band = 16
@@ -525,14 +624,16 @@ def test_frame_matrix_tilt_reads_per_band(monkeypatch):
     scales = make_scale_sequence(1.0, 0.5, 2)
     grid = make_so3_grid(0.2, 0.2)
     frame_matrix("omega", [4.0] * 3, grid, scales, l_band)   # warm caches
-    calls, tilt = [], transform._band_tilt
-    monkeypatch.setattr(transform, "_band_tilt",
-                        lambda *a: calls.append(a[0]) or tilt(*a))
+    stores, store = [], transform._tilt_store
+    monkeypatch.setattr(transform, "_tilt_store",
+                        lambda *a: stores.append(a[0]) or store(*a))
+    reads, tilt = [], transform.BandPlan.tilt
+    monkeypatch.setattr(transform.BandPlan, "tilt",
+                        lambda plan, b: reads.append(b) or tilt(plan, b))
     frame_matrix("omega", [4.0] * 3, grid, scales, l_band)
     monkeypatch.undo()
-    reads = [calls.count(float(theta)) for theta, _, _, _ in grid.bands]
-    assert len(calls) == sum(reads), len(calls)
-    assert reads == [1] * len(grid.bands), (len(grid.bands), len(calls))
+    assert stores == [tuple(float(b[0]) for b in grid.bands)], len(stores)
+    assert sorted(reads) == list(range(len(grid.bands))), reads
 
 
 def test_rotate_coefficients_matches_pullback():
