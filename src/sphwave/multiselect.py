@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sphfn import analyze_signal
-from .profiles import WaveletSpec, _check_tau, wavelet_norm_sq
+from .profiles import WaveletSpec, _check_tau, matched_weights
 from .transform import BandPlan, forward_transform
 
 DEFAULT_TAUS = (1.0, 2.0, 4.0, 8.0, 16.0)
@@ -71,38 +71,39 @@ class SelectivityMap:
 
 
 def _pick(values, taus, angles, tol):
-    """Per cell of a (tau, cell, angle) landscape, the first candidate in
+    """Per cell of a [cell, (tau, angle)] landscape, the first candidate in
     (tau asc, angle asc) order whose value is within tol of the cell's
     maximum: (taus, angles, values), one entry per cell."""
-    flat = np.moveaxis(values, 1, 0).reshape(values.shape[1], -1)
-    first = np.argmax(flat >= flat.max(axis=1, keepdims=True) - tol, axis=1)
-    it, ia = np.divmod(first, values.shape[2])
+    first = np.argmax(values >= values.max(axis=1, keepdims=True) - tol,
+                      axis=1)
+    it, ia = np.divmod(first, len(angles))
     return (np.asarray(taus)[it], np.asarray(angles)[ia],
-            flat[np.arange(len(first)), first])
+            values[np.arange(len(first)), first])
 
 
-def _norm_weights(w, family, rho, taus):
-    """Window weight rows w, one per tau, over each kernel's norm."""
-    return w / np.sqrt([wavelet_norm_sq(WaveletSpec(family, rho, t))
-                        for t in taus])[:, None]
-
-
-def _band_landscape(axial, d, w):
-    """|(d w_tau) @ axial| per (tau, ..., angle), w from _norm_weights."""
-    return np.abs((d * w[..., None, :]) @ axial)
-
-
-def _carrier_pick(f, scales, j, alpha2, tsel, grid, family):
-    """select_tau's pick for one carrier, its correlation row and plan."""
+def _scan(f, scales, grid, tsel, family, carrier=None):
+    """select_tau's picks (tau, phi1, value) per (scale, cell) of every band,
+    or of the one carrier given, with the tau-free correlations d[j, c, k]
+    and their axial orders."""
+    if carrier is not None and carrier not in range(grid.n_carriers):
+        raise ValueError("no carrier %r in [0, %d)"
+                         % (carrier, grid.n_carriers))
+    cells = [b[1] for b in grid.bands] if carrier is None else [[0]]
     table = analyze_signal(f)
-    plan = BandPlan(table.l_band, grid, family, (scales[j],))
-    corr = plan.correlate(table.values, alpha2)[0]
     taus = tuple(tsel)
-    w = _norm_weights(plan.weights(taus), family, scales[j], taus)
-    tau, phi1, value = _pick(_band_landscape(plan.axial_phase, corr, w), taus,
-                             grid.axial_angles,
-                             TIE_MARGIN * np.sqrt(table.norm_sq()))
-    return float(tau[0]), phi1[0], value[0], corr, plan
+    tol = TIE_MARGIN * np.sqrt(table.norm_sq())
+    plan = BandPlan(table.l_band, grid, family, scales)
+    d = plan.correlate(table.values, carrier)
+    out = np.empty((3,) + d.shape[:2])
+    for j, w in enumerate(matched_weights(family, scales, taus, plan.ks)):
+        # the axial phases times each tau's weights, [k, (tau, angle)]: the
+        # landscape of the cells of one band is one product with it
+        factor = (w.T[:, :, None] * plan.axial_phase[:, None]).reshape(
+            len(w.T), -1)
+        for idx in cells:
+            out[:, j, idx] = _pick(np.abs(d[j, idx] @ factor), taus,
+                                   grid.axial_angles, tol)
+    return out, d, plan.ks
 
 
 def select_tau(f, scales, j, alpha2, tsel, grid, family="omega"):
@@ -113,50 +114,39 @@ def select_tau(f, scales, j, alpha2, tsel, grid, family="omega"):
     of the maximum tie, and ties break toward the smaller tau, then the
     smaller angle.
     """
-    return _carrier_pick(f, scales, j, alpha2, tsel, grid, family)[:3]
+    out = _scan(f, (scales[j],), grid, tsel, family, alpha2)[0][:, 0, 0]
+    return float(out[0]), out[1], out[2]
 
 
 def selectivity_scan(f, scales, grid, tsel, family="omega"):
     """SelectivityMap over every (scale, carrier), batched per band."""
-    table = analyze_signal(f)
-    taus = tuple(tsel)
-    tol = TIE_MARGIN * np.sqrt(table.norm_sq())
-    out = np.empty((3, len(scales), grid.n_carriers))
-    plan = BandPlan(table.l_band, grid, family, scales)
-    w = plan.weights(taus)
-    w = [_norm_weights(w, family, rho, taus) for rho in scales]
-    d = plan.correlate(table.values)
-    for _, idx, _, _ in grid.bands:
-        for j, w_j in enumerate(w):
-            land = _band_landscape(plan.axial_phase, d[j, idx], w_j)
-            out[:, j, idx] = _pick(land, taus, grid.axial_angles, tol)
-    return SelectivityMap(family, *out, grid, scales)
+    return SelectivityMap(family, *_scan(f, scales, grid, tsel, family)[0],
+                          grid, scales)
 
 
 def refine_tau(f, scales, j, alpha2, tsel, grid, family="omega",
                tol=1e-4):
     """Golden-section sweetening of the discrete winner over [1, cap].
 
-    Keeps the winning axial angle fixed and searches the continuous
-    bracket between the discrete winner's neighbors in the set.  Each
-    score reweights the carrier's tau-free correlation from the discrete
-    pick, O(k) work, so f is analyzed once.
+    Keeps the winning axial angle fixed and searches the bracket between
+    the discrete winner's neighbors in the set (1 and the cap at its ends)
+    to a width of tol * max(1, tau), tol > 0.  The carrier's tau-free
+    correlations, phased at that angle once, give each score |sum_k v_k
+    w_k(tau)| / ||Psi_tau|| in O(k) array work; f is analyzed once.
     """
-    tau0, phi1, _, corr, plan = _carrier_pick(f, scales, j, alpha2, tsel,
-                                              grid, family)
-    taus = tuple(tsel)
+    if not tol > 0:
+        raise ValueError("tolerance must be positive, got %r" % (tol,))
+    out, d, ks = _scan(f, (scales[j],), grid, tsel, family, alpha2)
+    taus, (tau0, phi1) = tuple(tsel), out[:2, 0, 0]
     i0 = taus.index(tau0)
-    lo = taus[i0 - 1] if i0 > 0 else max(1.0, taus[0])
-    hi = taus[i0 + 1] if i0 + 1 < len(taus) else tsel.tau_cap
-    axial = np.exp(1j * np.outer(plan.ks, [phi1]))
+    a = taus[i0 - 1] if i0 > 0 else 1.0
+    b = taus[i0 + 1] if i0 + 1 < len(taus) else tsel.tau_cap
+    v = d[0, 0] * np.exp(1j * phi1 * ks)
 
     def score(tau):
-        w = _norm_weights(plan.weights((tau,)), family, scales[j],
-                          (tau,))
-        return float(_band_landscape(axial, corr, w)[0, 0, 0])
+        return abs(v @ matched_weights(family, (scales[j],), tau, ks)[0])
 
     gr = 0.5 * (np.sqrt(5.0) - 1.0)
-    a, b = lo, hi
     c, d = b - gr * (b - a), a + gr * (b - a)
     fc, fd = score(c), score(d)
     for _ in range(60):
@@ -171,7 +161,7 @@ def refine_tau(f, scales, j, alpha2, tsel, grid, family="omega",
             c = b - gr * (b - a)
             fc = score(c)
     tau = 0.5 * (a + b)
-    return tau, phi1, score(tau)
+    return tau, phi1, float(score(tau))
 
 
 def adaptive_analysis(f, scales, grid, tsel, family="omega"):

@@ -6,11 +6,11 @@ a difference-of-Gaussians angular window,
     Omega(theta, phi) = omega_rho(theta) * angular_window(tau, phi)
     Upsilon(theta, phi) = upsilon_rho(theta) * angular_window(tau, phi)
 
-The window is evaluated in its periodized form; its series, its odd-order
-Fourier coefficients and both cuts of them (_window_orders for the norm,
-default_k_cut for the kernel tables) are defined here only, as array
-rules: a cut evaluates its rule over a bounded odd range of orders, and
-window_weights builds the rows of many tau in one expression.  omega_rho
+The window is evaluated in its periodized form; its odd-order Fourier
+coefficients, their cut default_k_cut and its norm (a closed form by
+Poisson summation) are defined here only, as array rules: window_weights
+builds the rows of many tau in one expression, and matched_weights
+divides them by the kernel's norm at many scales and tau.  omega_rho
 comes from the first and upsilon_rho from the second radial derivative of
 the Poisson kernel, damped by sin^5(theta). Each profile is the series
 sum_n w_n r^n sin^5(theta) P_n with the weights of _series_weight, has a
@@ -27,9 +27,12 @@ import numpy as np
 
 # smallest supported scale: the rational forms lose accuracy below this
 RHO_MIN = 1e-4
-# largest supported selectivity: the window's series, and with it the norm
-# and the kernel tables, grows linearly in tau (about 4.3 tau orders)
+# largest supported selectivity: the kernel tables' odd orders grow linearly
+# in tau (up to default_k_cut, below 6 tau + 9)
 TAU_MAX = 1e4
+# exponents over tau^2 and weights of the window norm's Poisson terms n <= 4
+_POISSON_EXPONENTS = -(0.5 * np.pi * np.arange(1, 5)) ** 2
+_POISSON_WEIGHTS = 2.0 * (-1.0) ** np.arange(1, 5)
 
 FAMILIES = ("omega", "upsilon")
 # nominal vanishing order per family (the admissibility report checks that
@@ -102,17 +105,9 @@ def angular_coefficient(tau, k):
     zero for even k and 2 sqrt(2 pi)/tau * exp(-k^2/(2 tau^2)) for odd k.
     k may be an integer array, and tau broadcasts against it."""
     k = np.asarray(k)
-    c = np.where(k % 2 == 1, 2.0 * np.sqrt(2.0 * np.pi) / tau
-                 * np.exp(-k * k / (2.0 * tau * tau)), 0.0)
+    c = ((k % 2) * (8.0 * np.pi) ** 0.5 / tau
+         * np.exp(-k * k / (2.0 * tau * tau)))
     return c if c.ndim else float(c)
-
-
-def _window_orders(tau):
-    """Odd orders 1, 3, ..., k_max of the window's series: k is kept while
-    c_k >= 1e-16 c_1 or k <= tau (the first dropped k is below 9 tau + 9)."""
-    k = np.arange(1, int(9 * tau) + 10, 2)
-    c = angular_coefficient(tau, k)
-    return k[:np.argmin((c >= 1e-16 * c[0]) | (k <= tau))]
 
 
 def _tail_keeps(k, tau):
@@ -135,15 +130,18 @@ def window_weights(taus, l_band):
     entry of taus (a scalar, or an array of any shape)."""
     uniq, inverse = np.unique(np.asarray(taus, dtype=float),
                               return_inverse=True)
-    if uniq.size:
-        # sorted with NaN last, so a tau outside [1, TAU_MAX] is at an end
-        _check_tau(uniq[0])
-        _check_tau(uniq[-1])
-    k, t = np.abs(np.arange(-l_band, l_band + 1)), uniq[:, None]
-    # an odd |k| is at most the cut where the rule still keeps |k| - 2
-    rows = np.where(_tail_keeps(np.maximum(k - 2, 1), t),
-                    angular_coefficient(t, k), 0.0)
+    rows = _weight_rows(uniq[:, None], np.arange(-l_band, l_band + 1))
     return rows[inverse].reshape(np.shape(taus) + (-1,))
+
+
+def _weight_rows(t, ks):
+    """w_k(tau) at the orders ks for the (checked) tau t broadcast to them."""
+    if t.size:
+        _check_tau(t.min())
+        _check_tau(t.max())
+    k = np.abs(ks)
+    # an odd |k| is at most the cut where the rule still keeps |k| - 2
+    return _tail_keeps(np.maximum(k - 2, 1), t) * angular_coefficient(t, k)
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +312,22 @@ def wavelet_norm_sq(spec):
 
     ||Psi||^2 = int profile^2 sin dtheta * int window^2 dphi.
     """
-    return profile_norm_sq(spec.family, spec.rho) * _window_norm_sq(spec.tau)
+    return float(profile_norm_sq(spec.family, spec.rho)
+                 * _window_norm_sq(spec.tau))
 
 
 def _window_norm_sq(tau):
-    """int_0^{2pi} f^2 dphi = sum_k |c_k|^2 / (2 pi), both signs of k."""
-    return float(np.sum(angular_coefficient(tau, _window_orders(tau)) ** 2)
-                 / np.pi)
+    """int_0^{2pi} f^2 dphi = sum_k |c_k|^2 / (2 pi) over all odd k, by
+    Poisson summation (2 sqrt(pi) / tau) (1 + 2 sum_n (-1)^n e^{-(pi n
+    tau / 2)^2}), elementwise in tau; past n = 4 the terms are < 1e-26."""
+    e = np.exp(np.multiply.outer(np.square(tau), _POISSON_EXPONENTS))
+    return 2.0 * np.pi ** 0.5 / tau * (1.0 + e @ _POISSON_WEIGHTS)
+
+
+def matched_weights(family, rhos, taus, ks):
+    """The matched filter's weights w_k(tau) / ||Psi_tau|| at the orders ks
+    as [rho, tau, k], over a sequence of scales and any array of taus."""
+    t = np.asarray(taus, dtype=float)[..., None]
+    p = np.multiply.outer([profile_norm_sq(family, rho) for rho in rhos],
+                          _window_norm_sq(t))
+    return _weight_rows(t, ks) / np.sqrt(p)

@@ -25,7 +25,11 @@ per-selectivity construction that the steerable band operator replaced:
 the kernel coefficient with tau inside its formula, its per-(l, k) table
 loop, the complex flat tilt quadrature, and the forward transform,
 adjoint, scan, select and refine built on one complex band matrix per
-selectivity.
+selectivity.  After it comes the matched filter as it was before its
+weights became one array function of tau: a norm per (scale, tau) with
+the window's part summed over its truncated odd-order series (whose
+orders _window_orders gives), a batched landscape per band, and a refine
+that rebuilds both for every score.
 """
 
 from dataclasses import dataclass
@@ -37,14 +41,14 @@ import numpy as np
 from sphwave.admissibility import _coefficient_polynomial, default_k_cut
 from sphwave.multiselect import TIE_MARGIN, _pick
 from sphwave.profiles import (WaveletSpec, _check_rho, _expansion_coefficient,
-                              _profile_terms, _window_orders,
+                              _profile_terms, profile_norm_sq,
                               angular_coefficient, profile_fn,
                               wavelet_norm_sq)
 from sphwave.sphfn import (CoefficientTable, SphericalSignal, analyze_signal,
                            coef_index, default_grid_spec, degree_orders,
                            grid_phis, legendre_P_all, legendre_rows,
                            make_colat_grid, normalized_assoc_column)
-from sphwave.transform import _normalize_specs, _wigner_d
+from sphwave.transform import BandPlan, _normalize_specs, _wigner_d
 
 
 def band_partition(grid):
@@ -398,6 +402,21 @@ def profile_from_expansion(family, rho, theta, l_max=None):
     return v if v.ndim else float(v)
 
 
+def _window_orders(tau):
+    """Odd orders 1, 3, ..., k_max of the window's series: k is kept while
+    c_k >= 1e-16 c_1 or k <= tau (the first dropped k is below 9 tau + 9)."""
+    k = np.arange(1, int(9 * tau) + 10, 2)
+    c = angular_coefficient(tau, k)
+    return k[:np.argmin((c >= 1e-16 * c[0]) | (k <= tau))]
+
+
+def window_norm_series(tau):
+    """The window's squared norm summed over _window_orders, the library's
+    former rule: sum_k c_k^2 / pi over the odd k > 0."""
+    return float(np.sum(angular_coefficient(tau, _window_orders(tau)) ** 2)
+                 / np.pi)
+
+
 def window_series(tau, phi):
     """Pointwise series sum of the angular window over the library's odd
     orders (dual formula to its periodization)."""
@@ -735,6 +754,12 @@ def landscape_per_tau(rows, theta, family, rho, taus, angles):
     return out
 
 
+def _cell_major(values):
+    """A (tau, cell, angle) landscape as the [cell, (tau, angle)] rows _pick
+    reads."""
+    return np.moveaxis(values, 1, 0).reshape(values.shape[1], -1)
+
+
 def scan_per_tau(f, scales, grid, tsel, family):
     """(tau_star, phi1_star, value) arrays, one landscape per selectivity."""
     table = analyze_signal(f)
@@ -746,7 +771,8 @@ def scan_per_tau(f, scales, grid, tsel, family):
         for j, rho in enumerate(scales):
             vals = landscape_per_tau(rows, theta, family, rho, taus,
                                      grid.axial_angles)
-            out[:, j, idx] = _pick(vals, taus, grid.axial_angles, tol)
+            out[:, j, idx] = _pick(_cell_major(vals), taus,
+                                   grid.axial_angles, tol)
     return out
 
 
@@ -757,28 +783,20 @@ def select_per_tau(f, scales, j, alpha2, tsel, grid, family):
                              cell.theta, family, scales[j], tuple(tsel),
                              grid.axial_angles)
     tol = TIE_MARGIN * np.sqrt(table.norm_sq())
-    tau, phi1, value = _pick(vals, tuple(tsel), grid.axial_angles, tol)
+    tau, phi1, value = _pick(_cell_major(vals), tuple(tsel),
+                             grid.axial_angles, tol)
     return float(tau[0]), phi1[0], value[0]
 
 
-def refine_per_tau(f, scales, j, alpha2, tsel, grid, family, tol=1e-4):
-    """Golden-section refinement, rebuilding the band matrix per score."""
-    tau0, phi1, _ = select_per_tau(f, scales, j, alpha2, tsel, grid, family)
-    table = analyze_signal(f)
-    cell = grid.cells[alpha2]
+def golden_section(score, tau0, tsel, tol):
+    """The refine's golden-section search from the discrete winner tau0 over
+    the bracket between its neighbors in the set (1 and the cap at its
+    ends): (a, b) at the end."""
     taus = tuple(tsel)
     i0 = taus.index(tau0)
-    lo = taus[i0 - 1] if i0 > 0 else max(1.0, taus[0])
-    hi = taus[i0 + 1] if i0 + 1 < len(taus) else tsel.tau_cap
-    rows = carried(np.array([cell.phi]), table)
-
-    def score(tau):
-        v = landscape_per_tau(rows, cell.theta, family, scales[j], (tau,),
-                              np.array([phi1]))
-        return float(v[0, 0, 0])
-
+    a = taus[i0 - 1] if i0 > 0 else 1.0
+    b = taus[i0 + 1] if i0 + 1 < len(taus) else tsel.tau_cap
     gr = 0.5 * (np.sqrt(5.0) - 1.0)
-    a, b = lo, hi
     c, d = b - gr * (b - a), a + gr * (b - a)
     fc, fd = score(c), score(d)
     for _ in range(60):
@@ -792,5 +810,90 @@ def refine_per_tau(f, scales, j, alpha2, tsel, grid, family, tol=1e-4):
             b, d, fd = d, c, fc
             c = b - gr * (b - a)
             fc = score(c)
-    tau = 0.5 * (a + b)
+    return a, b
+
+
+def refine_per_tau(f, scales, j, alpha2, tsel, grid, family, tol=1e-4):
+    """Golden-section refinement, rebuilding the band matrix per score."""
+    tau0, phi1, _ = select_per_tau(f, scales, j, alpha2, tsel, grid, family)
+    table = analyze_signal(f)
+    cell = grid.cells[alpha2]
+    rows = carried(np.array([cell.phi]), table)
+
+    def score(tau):
+        v = landscape_per_tau(rows, cell.theta, family, scales[j], (tau,),
+                              np.array([phi1]))
+        return float(v[0, 0, 0])
+
+    tau = 0.5 * sum(golden_section(score, tau0, tsel, tol))
+    return tau, phi1, score(tau)
+
+
+# ---------------------------------------------------------------------------
+# The matched filter before its weights were one array function of tau: each
+# (scale, tau) divided by its own norm, with the window's part summed over
+# the truncated series; per band a batched (tau, cell, angle) landscape; and
+# a refine that rebuilds the weight row and the landscape for every score.
+
+def _series_norm_weights(w, family, rho, taus):
+    """Window weight rows w, one per tau, over each kernel's series norm."""
+    return w / np.sqrt([profile_norm_sq(family, rho) * window_norm_series(t)
+                        for t in taus])[:, None]
+
+
+def _band_landscape(axial, d, w):
+    """|(d w_tau) @ axial| per (tau, ..., angle)."""
+    return np.abs((d * w[..., None, :]) @ axial)
+
+
+def scan_band_landscape(f, scales, grid, tsel, family):
+    """(tau_star, phi1_star, value) arrays of the former scan."""
+    table = analyze_signal(f)
+    taus = tuple(tsel)
+    tol = TIE_MARGIN * np.sqrt(table.norm_sq())
+    out = np.empty((3, len(scales), grid.n_carriers))
+    plan = BandPlan(table.l_band, grid, family, scales)
+    w = plan.weights(taus)
+    w = [_series_norm_weights(w, family, rho, taus) for rho in scales]
+    d = plan.correlate(table.values)
+    for _, idx, _, _ in grid.bands:
+        for j, w_j in enumerate(w):
+            land = _band_landscape(plan.axial_phase, d[j, idx], w_j)
+            out[:, j, idx] = _pick(_cell_major(land), taus,
+                                   grid.axial_angles, tol)
+    return out
+
+
+def _carrier_band_landscape(f, scales, j, alpha2, tsel, grid, family):
+    table = analyze_signal(f)
+    plan = BandPlan(table.l_band, grid, family, (scales[j],))
+    corr = plan.correlate(table.values, alpha2)[0]
+    taus = tuple(tsel)
+    w = _series_norm_weights(plan.weights(taus), family, scales[j], taus)
+    tau, phi1, value = _pick(
+        _cell_major(_band_landscape(plan.axial_phase, corr, w)), taus,
+        grid.axial_angles, TIE_MARGIN * np.sqrt(table.norm_sq()))
+    return float(tau[0]), phi1[0], value[0], corr, plan
+
+
+def select_band_landscape(f, scales, j, alpha2, tsel, grid, family):
+    """(tau, phi1, value) of the former select_tau."""
+    return _carrier_band_landscape(f, scales, j, alpha2, tsel, grid,
+                                   family)[:3]
+
+
+def refine_band_landscape(f, scales, j, alpha2, tsel, grid, family,
+                          tol=1e-4):
+    """(tau, phi1, value) of the former refine_tau: every score builds the
+    weight row of its tau, its series norm and a [1, K] x [K, 1] landscape."""
+    tau0, phi1, _, corr, plan = _carrier_band_landscape(
+        f, scales, j, alpha2, tsel, grid, family)
+    axial = np.exp(1j * np.outer(plan.ks, [phi1]))
+
+    def score(tau):
+        w = _series_norm_weights(plan.weights((tau,)), family, scales[j],
+                                 (tau,))
+        return float(_band_landscape(axial, corr, w)[0, 0, 0])
+
+    tau = 0.5 * sum(golden_section(score, tau0, tsel, tol))
     return tau, phi1, score(tau)

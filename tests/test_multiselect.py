@@ -92,7 +92,8 @@ def test_pick_matches_sequential_oracle():
     for tol in (0.0, 0.25):
         vals = rng.integers(0, 3, size=(len(taus), 40, len(angles)))
         vals = vals.astype(float)
-        got = multiselect._pick(vals, taus, angles, tol)
+        got = multiselect._pick(np.moveaxis(vals, 1, 0).reshape(40, -1),
+                                taus, angles, tol)
         for pos in range(vals.shape[1]):
             want = sequential_pick(vals[:, pos, :], taus, angles, tol)
             assert (got[0][pos], got[1][pos], got[2][pos]) == want, (tol, pos)
@@ -107,8 +108,8 @@ def test_pick_near_tie_chain():
     chain = np.array([[0.0, 0.75], [1.5, 2.25], [3.0, 0.0]])
     # exactly tol below the maximum still ties
     edge = np.array([[0.0, 2.0], [3.0, 0.0], [0.0, 0.0]])
-    tau, phi1, value = multiselect._pick(np.stack([chain, edge], axis=1),
-                                         taus, angles, 1.0)
+    tau, phi1, value = multiselect._pick(
+        np.stack([chain, edge]).reshape(2, -1), taus, angles, 1.0)
     assert (tau[0], phi1[0], value[0]) == (2.0, 1.0, 2.25)
     assert (tau[1], phi1[1], value[1]) == (1.0, 1.0, 2.0)
     assert sequential_pick(chain, taus, angles, 1.0) == (4.0, 0.0, 3.0)
@@ -189,13 +190,13 @@ def test_refine_tau_honors_tol(monkeypatch):
     tsel = SelectivitySet()
     f = _signal(_planted(16, WaveletSpec("omega", 1.0, 5.0), 40, PHI1))
     calls = []
-    landscape = multiselect._band_landscape
+    weights = multiselect.matched_weights
 
     def counted(*args):
         calls.append(1)
-        return landscape(*args)
+        return weights(*args)
 
-    monkeypatch.setattr(multiselect, "_band_landscape", counted)
+    monkeypatch.setattr(multiselect, "matched_weights", counted)
     n_evals = []
     for tol in (0.5, 1e-4):
         calls.clear()
@@ -255,6 +256,72 @@ def test_selection_matches_per_tau_path():
                                           fam)
             assert got[:2] == want[:2], (fam, j, alpha2)
             assert abs(got[2] - want[2]) <= 1e-13 * want[2], (fam, alpha2)
+
+
+def test_refine_searches_below_smallest_tau():
+    # the bracket below the set's smallest tau runs down to 1, the floor
+    # of tau, as the one above its largest runs up to the cap
+    tsel = SelectivitySet((2.0, 4.0, 8.0, 16.0))
+    f = _signal(_planted(16, WaveletSpec("omega", 1.0, 1.4), 40, PHI1))
+    tau_d, phi_d, val_d = select_tau(f, SCALES, 0, 40, tsel, GRID)
+    assert (tau_d, phi_d) == (2.0, PHI1)
+    tau, phi1, value = refine_tau(f, SCALES, 0, 40, tsel, GRID)
+    assert phi1 == PHI1
+    assert abs(tau - 1.4) < 5e-3, tau
+    assert value > 1.02 * val_d
+
+
+def test_select_and_refine_refuse_bad_arguments():
+    f = _random_signal(8, 5)
+    tsel = SelectivitySet()
+    n = GRID.n_carriers
+    for carrier in (n, -1, 2.5):
+        message = r"carrier %s in \[0, %d\)" % (carrier, n)
+        for pick in (select_tau, refine_tau):
+            with pytest.raises(ValueError, match=message):
+                pick(f, SCALES, 0, carrier, tsel, GRID)
+    for tol in (0.0, -1e-4, np.nan):
+        with pytest.raises(ValueError, match="tolerance"):
+            refine_tau(f, SCALES, 0, 40, tsel, GRID, tol=tol)
+
+
+def test_matched_filter_matches_former_path():
+    # one array function of tau gives the scan, select_tau and refine_tau
+    # their weights; the reference divides by one series norm per (scale,
+    # tau) and rebuilds the weights and landscape per refine score
+    tsel = SelectivitySet()
+    for l_band in (12, 16):
+        for fam in ("omega", "upsilon"):
+            for scales in (make_scale_sequence(1.0, 0.5, 0), SCALES):
+                rng = np.random.default_rng(10 * l_band + len(scales))
+                carriers = rng.choice(GRID.n_carriers, 4, replace=False)
+                values = 0.01 * analyze_signal(
+                    _random_signal(l_band, int(rng.integers(100)))).values
+                for c in carriers[:2]:
+                    spec = WaveletSpec(fam, 1.0, rng.uniform(1.0, 16.0))
+                    phi1 = float(rng.choice(GRID.axial_angles))
+                    values = values + _planted(l_band, spec, c, phi1).values
+                f = _signal(CoefficientTable(l_band, values))
+                case = (l_band, fam, len(scales))
+                smap = selectivity_scan(f, scales, GRID, tsel, fam)
+                ref = oracles.scan_band_landscape(f, scales, GRID, tsel, fam)
+                assert np.array_equal(smap.tau_star, ref[0]), case
+                assert np.array_equal(smap.phi1_star, ref[1]), case
+                assert np.all(np.abs(smap.value - ref[2])
+                              <= 1e-14 * ref[2]), case
+                for j in range(len(scales)):
+                    for c in carriers:
+                        args = (f, scales, j, c, tsel, GRID, fam)
+                        got = select_tau(*args)
+                        want = oracles.select_band_landscape(*args)
+                        assert got[:2] == want[:2], (case, j, c)
+                        assert abs(got[2] - want[2]) <= 1e-14 * want[2], \
+                            (case, j, c)
+                        got = refine_tau(*args)
+                        want = oracles.refine_band_landscape(*args)
+                        assert got[1] == want[1], (case, j, c)
+                        for g, w in ((got[0], want[0]), (got[2], want[2])):
+                            assert abs(g - w) <= 1e-12 * w, (case, j, c)
 
 
 def test_refine_builds_no_kernel_table(monkeypatch):
@@ -319,18 +386,19 @@ def test_picks_read_the_grid_store():
 
 
 def test_scan_window_weights_once_per_scan(monkeypatch):
-    # the weight rows depend on the selectivity set only: one evaluation
-    # per scan, whatever the number of bands and scales
+    # the weight rows depend on the selectivity set and the scales only:
+    # one evaluation per scan, whatever the number of bands and scales
     f = _random_signal(8, 3)
     tsel = SelectivitySet()
     for grid in (make_so3_grid(0.8, 0.5), GRID):
-        calls = []
-        weights = transform.window_weights
-        monkeypatch.setattr(transform, "window_weights",
-                            lambda *a: calls.append(1) or weights(*a))
-        selectivity_scan(f, SCALES, grid, tsel)
-        monkeypatch.undo()
-        assert len(calls) == 1, (len(grid.bands), len(calls))
+        for scales in (make_scale_sequence(1.0, 0.5, 0), SCALES):
+            calls = []
+            weights = multiselect.matched_weights
+            monkeypatch.setattr(multiselect, "matched_weights",
+                                lambda *a: calls.append(1) or weights(*a))
+            selectivity_scan(f, scales, grid, tsel)
+            monkeypatch.undo()
+            assert len(calls) == 1, (len(grid.bands), len(scales), calls)
 
 
 def test_two_feature_signal_prefers_sharper():

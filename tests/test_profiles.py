@@ -2,15 +2,16 @@
 
 from math import fsum
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from sphwave.admissibility import analytic_upper_bound
 from sphwave.multiselect import SelectivitySet
 from sphwave.profiles import (TAU_MAX, WaveletSpec, _p1_expansion,
-                              _window_norm_sq, _window_orders,
-                              angular_coefficient, angular_window,
-                              default_k_cut, evaluate_wavelet,
+                              _window_norm_sq, angular_coefficient,
+                              angular_window, default_k_cut,
+                              evaluate_wavelet, matched_weights,
                               omega_profile, poisson_kernel, profile_fn,
                               profile_norm_sq, sin5_legendre_expansion,
                               upsilon_profile, wavelet_norm_sq,
@@ -18,7 +19,7 @@ from sphwave.profiles import (TAU_MAX, WaveletSpec, _p1_expansion,
 from sphwave.so3 import make_scale_sequence, make_so3_grid
 from sphwave.transform import frame_matrix
 
-from oracles import (assoc_legendre_P, legendre_P,
+from oracles import (_window_orders, assoc_legendre_P, legendre_P,
                      omega_expansion_coefficient, omega_profile_series,
                      poisson_kernel_series, profile_dtheta,
                      profile_from_expansion, upsilon_expansion_coefficient,
@@ -69,6 +70,28 @@ def test_window_norm_matches_quadrature():
     for tau in (1.0, 2.0, 8.0):
         ref = np.sum(angular_window(tau, ph) ** 2) * 2.0 * np.pi / n
         assert abs(_window_norm_sq(tau) - ref) < 1e-12 * ref
+
+
+def test_window_norm_closed_form_against_series():
+    # the Poisson-summed norm against the full odd-order series in 40-digit
+    # arithmetic, summed until its terms fall below 1e-45 of the first
+    for tau in (1.0, 1.37, 2.0, 16.0, 100.0, 1e3, 1e4):
+        with mp.workdps(40):
+            t = mp.mpf(tau)
+            k_end = int(tau * np.sqrt(45.0 * np.log(10.0))) + 3
+            ref = 8 / t ** 2 * mp.fsum(mp.exp(-(k / t) ** 2)
+                                       for k in range(1, k_end, 2))
+            err = abs(_window_norm_sq(tau) - ref) / ref
+        assert err <= 1e-15, (tau, float(err))
+    # elementwise over an array of tau, one row of weights per tau
+    taus = np.array([[1.0, 1.37], [16.0, 1e4]])
+    assert np.array_equal(_window_norm_sq(taus),
+                          [[_window_norm_sq(t) for t in r] for r in taus])
+    ks = np.arange(-9, 10, 2)
+    rows = matched_weights("upsilon", (0.7, 1.4), taus, ks)
+    assert rows.shape == (2, 2, 2, len(ks))
+    assert np.array_equal(rows[1, 1, 0], matched_weights("upsilon", (1.4,),
+                                                         16.0, ks)[0])
 
 
 def test_window_derivatives():
@@ -234,6 +257,7 @@ def test_norms_against_two_dimensional_quadrature():
     vals = evaluate_wavelet(spec, np.arccos(u)[:, None], ph[None, :])
     ref = np.sum(w[:, None] * vals ** 2) * 2.0 * np.pi / n_phi
     assert abs(wavelet_norm_sq(spec) - ref) < 1e-10 * ref
+    assert type(wavelet_norm_sq(spec)) is float
     assert profile_norm_sq("upsilon", 1.3) > 0
 
 
@@ -254,9 +278,11 @@ def test_window_cuts_match_stepping_rule():
             ks.append(k)
             k += 2
         assert np.array_equal(_window_orders(tau), ks), tau
-        # the norm sums the single coefficients over these orders
+        # the closed-form norm is the sum of the single coefficients over
+        # these orders
         c = np.array([angular_coefficient(tau, k) for k in ks])
-        assert _window_norm_sq(tau) == float(np.sum(c ** 2) / np.pi), tau
+        ref = float(np.sum(c ** 2) / np.pi)
+        assert abs(_window_norm_sq(tau) - ref) <= 1e-15 * ref, tau
     # the weights of many tau in one call are the single-tau rows, each
     # nonzero exactly at the odd |k| up to its cut
     for l_band in (12, 16):
@@ -278,6 +304,8 @@ def test_selectivity_check_everywhere():
                      lambda t: angular_window(t, 0.0),
                      lambda t: window_weights(t, 8),
                      lambda t: window_weights([2.0, t, 4.0], 8),
+                     lambda t: matched_weights("omega", (1.0,), [2.0, t],
+                                               [-1, 1]),
                      lambda t: frame_matrix("omega", [t], grid, scales, 4),
                      lambda t: default_k_cut(t),
                      lambda t: analytic_upper_bound("omega", t),
