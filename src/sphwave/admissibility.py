@@ -29,9 +29,9 @@ import numpy as np
 
 from .sphfn import (CoefficientTable, degree_orders, legendre_P_all,
                     normalized_assoc_column)
-from .profiles import (FAMILY_ORDER, _check_family, _check_tau,
-                       _expansion_coefficient, _series_weight,
-                       angular_coefficient, default_k_cut, window_weights)
+from .profiles import (FAMILY_ORDER, _check_family, _check_tau, _p1_expansion,
+                       _series_weight, angular_coefficient, default_k_cut,
+                       window_weights)
 
 # low-degree energy above this is reported as a violated vanishing condition
 VANISH_TOL = 1e-10
@@ -43,6 +43,13 @@ BOUND_SLACK = 1e-6
 # banded profile moments and the coefficient polynomial in r
 
 @lru_cache(maxsize=None)
+def _moment_rule(cap):
+    """Gauss-Legendre nodes t and w (1-t^2)^{5/2} P_n(t), n <= cap+5."""
+    t, w = np.polynomial.legendre.leggauss(cap + 13)
+    return t, legendre_P_all(cap + 5, t) * (w * (1.0 - t * t) ** 2.5)
+
+
+@lru_cache(maxsize=None)
 def _moment_matrix(k, cap):
     """H[n, l-k] = int (1-t^2)^{5/2} P_n(t) Q_l^k(t) dt for n <= cap+5, l <= cap.
 
@@ -52,54 +59,28 @@ def _moment_matrix(k, cap):
     factor orthogonal to the higher degree); for k >= 7 all source degrees
     n <= l + 5 of parity opposite to l contribute.
     """
-    n_nodes = cap + 13
-    t, w = np.polynomial.legendre.leggauss(n_nodes)
-    wt = w * (1.0 - t * t) ** 2.5
-    P = legendre_P_all(cap + 5, t)
-    Q = normalized_assoc_column(k, t, cap)
-    H = (P * wt) @ Q.T
+    t, pw = _moment_rule(int(cap))
+    H = pw @ normalized_assoc_column(k, t, cap).T
     if k <= 5:
-        n_idx = np.arange(cap + 6)[:, None]
-        l_idx = np.arange(k, cap + 1)[None, :]
-        H[np.abs(n_idx - l_idx) > 5] = 0.0
+        H[np.abs(np.arange(cap + 6)[:, None] - np.arange(k, cap + 1)) > 5] = 0
     return H
 
 
-@lru_cache(maxsize=None)
 def _coefficient_polynomial(family, l, k):
-    """Degrees and coefficients of sum_n w_n H[n,l,k] r^n over sources of l."""
-    cap = 64 * ((max(l, k) + 63) // 64)
-    H = _moment_matrix(k, cap)
-    degs, coefs = [], []
-    start = 1 if l % 2 == 0 else 2
-    for n in range(start, l + 6, 2):
-        w = _series_weight(family, n)
-        if w == 0:
-            continue
-        degs.append(n)
-        coefs.append(w * H[n, l - k])
-    return tuple(degs), tuple(coefs)
+    """Degrees and coefficients of sum_n w_n H[n,l,k] r^n over the sources
+    n of l (n + l odd, n <= l + 5) whose term is not zero."""
+    H = _moment_matrix(k, 64 * ((max(l, k) + 63) // 64))
+    n = np.arange(1 + l % 2, l + 6, 2)
+    c = _series_weight(family, n) * H[n, l - k]
+    return tuple(n[c != 0].tolist()), tuple(c[c != 0])
 
 
 # ---------------------------------------------------------------------------
 # coefficients
 
 def _profile_coefficient(family, rho, l, ka):
-    """tau-free factor P_l^k of the coefficient at odd order ka = |k| >= 1.
-
-    The |k| = 1 value uses the closed form through the P_l^1 expansion
-    coefficient, all other odd orders the banded-moment polynomial in r.
-    """
-    r = np.exp(-rho)
-    if ka == 1:
-        coef = _expansion_coefficient(l, r, family)
-        return (-rho / (2.0 * np.sqrt(2.0 * np.pi) * np.pi)
-                * np.sqrt(l * (l + 1) / (2.0 * (2 * l + 1))) * coef)
-    degs, coefs = _coefficient_polynomial(family, l, ka)
-    acc = 0.0
-    for n, c in zip(degs, coefs):
-        acc += c * r ** n
-    return (-1.0) ** ka * rho / (4.0 * np.pi) * acc
+    """tau-free factor P_l^k of the coefficient at odd order ka = |k| >= 1."""
+    return _kernel_matrix(family, rho, l)[l, l + ka]
 
 
 def wavelet_coefficient(spec, l, k):
@@ -122,11 +103,35 @@ def _kernel_matrix(family, rho, l_band):
     the kernel of selectivity tau is window_weights(tau) * P.  Cached per
     (family, rho, l_band) and read-only."""
     _check_family(family)
+    # coefficients of r^n in P_l^k at [n, k // 2, l], w_n times the P_l^1
+    # expansion (k = 1) or the moments, zero unless n + l odd, n <= l + 5
+    terms = np.zeros((l_band + 6, (l_band + 1) // 2, l_band + 1))
+    for n in range(1, l_band + 6):
+        for l, c in _p1_expansion(n).items():
+            if l <= l_band:
+                terms[n, 0, l] = c
+    for k in range(3, l_band + 1, 2):
+        for cap in range(64 * ((k + 63) // 64), l_band + 64, 64):
+            lo, hi = max(k, cap - 63), min(cap, l_band) + 1
+            terms[:hi + 5, k // 2, lo:hi] = \
+                _moment_matrix(k, cap)[:hi + 5, lo - k:hi - k]
+    n, l = np.arange(l_band + 6)[:, None, None], np.arange(l_band + 1)
+    terms *= np.where(((n + l) % 2 == 1) & (n <= l + 5),
+                      _series_weight(family, n), 0)
+    # ascending n, with r^n as the per-entry sums took it: a 0-d array for
+    # order 1 and a numpy scalar for the others (the two round apart)
+    r = np.exp(-rho)
+    acc = np.zeros(terms.shape[1:])
+    for n, t in enumerate(terms):
+        acc += t * np.array([np.asarray(r) ** n] + [r ** n] * (len(acc) - 1))[
+            :, None]
+    k = np.arange(1, l_band + 1, 2)
+    pref = np.full(acc.shape, -rho / (4.0 * np.pi))
+    pref[:1] = (-rho / (2.0 * np.sqrt(2.0 * np.pi) * np.pi)
+                * np.sqrt(l * (l + 1) / (2.0 * (2 * l + 1))))
     mat = np.zeros((l_band + 1, 2 * l_band + 1))
-    for l in range(1, l_band + 1):
-        for k in range(1, l + 1, 2):
-            mat[l, l_band + k] = mat[l, l_band - k] = \
-                _profile_coefficient(family, rho, l, k)
+    mat[:, l_band + k] = mat[:, l_band - k] = np.where(k[:, None] <= l,
+                                                       pref * acc, 0.0).T
     mat.flags.writeable = False
     return mat
 

@@ -37,7 +37,7 @@ _POISSON_WEIGHTS = 2.0 * (-1.0) ** np.arange(1, 5)
 FAMILIES = ("omega", "upsilon")
 # nominal vanishing order per family (the admissibility report checks that
 # degrees l <= order carry no energy); the measured degree-1 content of
-# upsilon is in fact nonzero, see _expansion_coefficient(1, r, "upsilon")
+# upsilon is in fact nonzero, see gamma_1 at _p1_expansion
 FAMILY_ORDER = {"omega": 0, "upsilon": 1}
 
 
@@ -247,8 +247,11 @@ _LOW_DEGREE_P1 = {
 }
 
 
+@lru_cache(maxsize=None)
 def _p1_expansion(n):
-    """{target degree m: coefficient of P_m^1 in sin^5(theta) P_n}."""
+    """{target degree m: coefficient of P_m^1 in sin^5(theta) P_n}, cached
+    (not to be modified).  Summed against w_n r^n over n it gives beta_m
+    or gamma_m; gamma_1 = (16/7) r^2 - (2592/385) r^4 + (240/77) r^6."""
     if n <= 0:
         raise ValueError("source degree must be positive")
     if n in _LOW_DEGREE_P1:
@@ -263,25 +266,6 @@ def _series_weight(family, n):
     if family == "omega":
         return (2 * n + 1) * n * n
     return (2 * n + 1) * n * (n - 1)
-
-
-def _expansion_coefficient(l, r, family):
-    """beta_l(r) (omega) or gamma_l(r) (upsilon), the coefficient of P_l^1
-    in (4 pi / rho) profile: sum over source degrees n of w_n r^n [coeff
-    of P_l^1], terms r^{l-5}..r^{l+5}.  gamma_1 is nonzero, (16/7) r^2 -
-    (2592/385) r^4 + (240/77) r^6."""
-    if l < 1:
-        raise ValueError("target degree must be at least 1")
-    r = np.asarray(r, dtype=float)
-    acc = np.zeros_like(r)
-    for n in range(max(1, l - 5), l + 6):
-        w = _series_weight(family, n)
-        if w == 0:
-            continue
-        c = _p1_expansion(n).get(l)
-        if c is not None:
-            acc = acc + w * c * r ** n
-    return acc if acc.ndim else float(acc)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# configured constraints for scale sequences: any positive coarsest
-# scale is accepted, and consecutive scales may shrink at most 4x
+# configured constraints: scale sequences take any positive coarsest scale
+# and shrink at most 4x per step; grids are capped (see make_so3_grid)
 RHO0_FLOOR = 0.0
 RATIO_SPAN = 4.0
+MAX_CARRIERS = 2 ** 18
+MAX_ROTATIONS = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -123,7 +125,9 @@ def make_so3_grid(delta2, delta1):
     each band is chosen from the exact chord identity
         sin^2(d/2) = sin^2(dtheta/2) + sin(t) sin(t') sin^2(dphi/2)
     so that every cell has geodesic diameter at most delta2.  Cell
-    measures are analytic and sum to the full sphere area.
+    measures are analytic and sum to the full sphere area.  More than
+    MAX_CARRIERS cells (Python objects) or MAX_ROTATIONS rotations (one
+    complex coefficient each per scale, 268 MB) are refused up front.
     """
     delta2 = float(delta2)
     delta1 = float(delta1)
@@ -132,35 +136,37 @@ def make_so3_grid(delta2, delta1):
     if not 0.0 < delta1 <= 2.0 * np.pi:
         raise ValueError("axial arc bound must lie in (0, 2 pi]")
 
-    n_bands = int(np.ceil(np.pi / (delta2 / np.sqrt(2.0))))
-    edges = np.linspace(0.0, np.pi, n_bands + 1)
+    n_bands = np.ceil(np.pi / (delta2 / np.sqrt(2.0)))
+    if n_bands > MAX_CARRIERS:
+        raise ValueError("delta2 %g: over %d cells" % (delta2, MAX_CARRIERS))
+    edges = np.linspace(0.0, np.pi, int(n_bands) + 1)
     cos_edges = np.cos(edges)
-    band_height = np.pi / n_bands
+    lo, hi = edges[:-1], edges[1:]
     # height < delta2 keeps the width budget below strictly positive
-    cap = np.sin(0.5 * delta2) ** 2 - np.sin(0.5 * band_height) ** 2
+    cap = np.sin(0.5 * delta2) ** 2 - np.sin(0.5 * np.pi / n_bands) ** 2
+    sin_w = np.where((lo < 0.5 * np.pi) & (0.5 * np.pi < hi), 1.0,
+                     np.maximum(np.sin(lo), np.sin(hi)))
+    dphi_max = 2.0 * np.arcsin(np.minimum(1.0, np.sqrt(cap) / sin_w))
+    n_cells = np.ceil(2.0 * np.pi / dphi_max).astype(int)
+    n_axial = np.ceil(2.0 * np.pi / delta1)
+    if n_cells.sum() > MAX_CARRIERS:
+        raise ValueError("delta2 %g: over %d cells" % (delta2, MAX_CARRIERS))
+    if n_cells.sum() * n_axial > MAX_ROTATIONS:
+        raise ValueError("delta2 %g and delta1 %g: over %d rotations"
+                         % (delta2, delta1, MAX_ROTATIONS))
 
-    cells = []
-    bands = []
-    for b in range(n_bands):
-        lo, hi = edges[b], edges[b + 1]
-        if lo < 0.5 * np.pi < hi:
-            sin_w = 1.0
-        else:
-            sin_w = max(np.sin(lo), np.sin(hi))
-        half_width = np.sqrt(cap) / sin_w
-        dphi_max = 2.0 * np.arcsin(min(1.0, half_width))
-        n_cells = int(np.ceil(2.0 * np.pi / dphi_max))
-        width = 2.0 * np.pi / n_cells
+    cells, bands = [], []
+    for b, n in enumerate(n_cells.tolist()):
+        width = 2.0 * np.pi / n
         measure = (cos_edges[b] - cos_edges[b + 1]) * width
-        center = 0.5 * (lo + hi)
-        phis = (np.arange(n_cells) + 0.5) * width
-        idx = len(cells) + np.arange(n_cells)
+        center = 0.5 * (lo[b] + hi[b])
+        phis = (np.arange(n) + 0.5) * width
+        idx = len(cells) + np.arange(n)
         idx.flags.writeable = phis.flags.writeable = False
         bands.append((center, idx, phis, measure))
-        cells.extend(GridCell(center, float(p), lo, hi, width, measure)
+        cells.extend(GridCell(center, float(p), lo[b], hi[b], width, measure)
                      for p in phis)
 
-    n_axial = int(np.ceil(2.0 * np.pi / delta1))
     axial = np.arange(n_axial) * (2.0 * np.pi / n_axial)
     axial.flags.writeable = False
     measures = np.array([c.measure for c in cells])

@@ -123,8 +123,8 @@ class SphericalGridSpec:
     n_phi: int
 
     def __post_init__(self):
-        if self.n_theta < self.l_band + 1:
-            raise ValueError("n_theta must be at least l_band + 1")
+        if not 0 <= self.l_band < self.n_theta:
+            raise ValueError("band limit l_band must lie in [0, n_theta)")
         if self.n_phi < 2 * self.l_band + 1:
             raise ValueError("n_phi must be at least 2 l_band + 1")
 
@@ -174,6 +174,8 @@ class CoefficientTable:
     values: np.ndarray = None
 
     def __post_init__(self):
+        if self.l_band < 0:
+            raise ValueError("band limit l_band must be nonnegative")
         n = (self.l_band + 1) ** 2
         if self.values is None:
             self.values = np.zeros(n, dtype=complex)

@@ -103,26 +103,28 @@ def _wigner_d(theta, l):
     exp(-i theta J_x) = V diag(e^{-i theta m}) V^T, one complex product.
     The phases i^(m-k) turn J_x into J_y, and the factor (-1)^m on
     negative orders follows Y_l^-m = conj(Y_l^m): together they are i^|m|
-    on row m and its conjugate on column k.
+    on row m and its conjugate on column k.  An array theta stacks blocks.
     """
     m = np.arange(-l, l + 1)
     v = _jx_basis(l)
     phase = np.array([1, 1j, -1, -1j])[np.abs(m) % 4]
-    turned = (v * np.exp(-1j * float(theta) * m)) @ v.T
-    return (phase[:, None] * turned * phase.conj()).real
+    e = np.exp(-1j * np.multiply.outer(theta, m))
+    turned = (v * e[..., None, :]) @ v.T
+    turned *= phase[:, None]
+    turned *= phase.conj()
+    return turned.real
 
 
 @lru_cache(maxsize=8)
 def _tilt_store(thetas, l_band):
     """d^l_mk(theta_b), odd k > 0, of the band colatitudes thetas as
     [k // 2, m + l_band, l, b], zero where l < max(|m|, k); d^l_{-m,-k} =
-    d^l_mk gives k < 0.  One entry per band set, read-only."""
+    d^l_mk gives k < 0.  One product per degree; read-only, per band set."""
     store = np.zeros(((l_band + 1) // 2, 2 * l_band + 1, l_band + 1,
                       len(thetas)))
-    for b, theta in enumerate(thetas):
-        for l in range(1, l_band + 1):
-            store[:(l + 1) // 2, l_band - l:l_band + l + 1, l, b] = \
-                _wigner_d(theta, l)[:, l + 1::2].T
+    for l in range(1, l_band + 1):
+        store[:(l + 1) // 2, l_band - l:l_band + l + 1, l] = \
+            _wigner_d(np.array(thetas), l)[..., l + 1::2].T
     store.flags.writeable = False
     return store
 

@@ -15,7 +15,11 @@ and harmonics at scattered points, the rotation matrix of three angles
 and pointwise rotation by it, the Legendre series forms of the kernel
 profiles, the Fourier series of the angular window and its slope, the
 profiles' theta slopes, the kernels' sup norms on a probe lattice, the
-profiles rebuilt from their P_l^1 expansion, the matched filter's former
+P_l^1 coefficients beta_l and gamma_l summed one target degree at a time
+and the profiles rebuilt from them, the tau-free kernel table filled one
+(l, k) entry at a time and the tilt store filled one (band, degree)
+block at a time (the library builds both as arrays and must match them
+bit for bit), the matched filter's former
 one-candidate-at-a-time argmax, and the scale integrals by the library's
 former composite quadrature over rho, with the coefficient polynomial
 summed term by term, and by the former float closed form (the library
@@ -40,8 +44,8 @@ import numpy as np
 
 from sphwave.admissibility import _coefficient_polynomial, default_k_cut
 from sphwave.multiselect import TIE_MARGIN, _pick
-from sphwave.profiles import (WaveletSpec, _check_rho, _expansion_coefficient,
-                              _profile_terms, profile_norm_sq,
+from sphwave.profiles import (WaveletSpec, _check_rho, _p1_expansion,
+                              _profile_terms, _series_weight, profile_norm_sq,
                               angular_coefficient, profile_fn,
                               wavelet_norm_sq)
 from sphwave.sphfn import (CoefficientTable, SphericalSignal, analyze_signal,
@@ -368,15 +372,69 @@ def upsilon_profile_series(rho, theta, tail=1e-17):
     return v if np.ndim(v) else float(v)
 
 
+def _expansion_coefficient(l, r, family):
+    """beta_l(r) (omega) or gamma_l(r) (upsilon), the coefficient of P_l^1
+    in (4 pi / rho) profile, summed per target degree over the source
+    degrees' expansions, as the library did before its array form."""
+    if l < 1:
+        raise ValueError("target degree must be at least 1")
+    r = np.asarray(r, dtype=float)
+    acc = np.zeros_like(r)
+    for n in range(max(1, l - 5), l + 6):
+        w = _series_weight(family, n)
+        c = _p1_expansion(n).get(l)
+        if w != 0 and c is not None:
+            acc = acc + w * c * r ** n
+    return acc if acc.ndim else float(acc)
+
+
+def profile_coefficient(family, rho, l, ka):
+    """The tau-free factor P_l^k as the library computed it entry by entry
+    before its array form: order 1 through the P_l^1 closed form, the
+    other odd orders summing the coefficient polynomial term by term."""
+    r = np.exp(-rho)
+    if ka == 1:
+        coef = _expansion_coefficient(l, r, family)
+        return (-rho / (2.0 * np.sqrt(2.0 * np.pi) * np.pi)
+                * np.sqrt(l * (l + 1) / (2.0 * (2 * l + 1))) * coef)
+    degs, coefs = _coefficient_polynomial(family, l, ka)
+    acc = 0.0
+    for n, c in zip(degs, coefs):
+        acc += c * r ** n
+    return (-1.0) ** ka * rho / (4.0 * np.pi) * acc
+
+
+def per_entry_kernel_matrix(family, rho, l_band):
+    """_kernel_matrix's [l, k + l_band] layout filled one (l, k) at a time."""
+    mat = np.zeros((l_band + 1, 2 * l_band + 1))
+    for l in range(1, l_band + 1):
+        for k in range(1, l + 1, 2):
+            mat[l, l_band + k] = mat[l, l_band - k] = \
+                profile_coefficient(family, rho, l, k)
+    return mat
+
+
+def per_band_tilt_store(thetas, l_band):
+    """_tilt_store's [k // 2, m + l_band, l, b] layout filled with one
+    _wigner_d block per (band, degree)."""
+    store = np.zeros(((l_band + 1) // 2, 2 * l_band + 1, l_band + 1,
+                      len(thetas)))
+    for b, theta in enumerate(thetas):
+        for l in range(1, l_band + 1):
+            store[:(l + 1) // 2, l_band - l:l_band + l + 1, l, b] = \
+                _wigner_d(theta, l)[:, l + 1::2].T
+    return store
+
+
 def omega_expansion_coefficient(l, r):
-    """beta_l(r): the library's closed form for the coefficient of P_l^1
-    in (4 pi / rho) omega_rho."""
+    """beta_l(r): the closed form for the coefficient of P_l^1 in
+    (4 pi / rho) omega_rho."""
     return _expansion_coefficient(l, r, "omega")
 
 
 def upsilon_expansion_coefficient(l, r):
-    """gamma_l(r): the library's closed form for the coefficient of P_l^1
-    in (4 pi / rho) upsilon_rho."""
+    """gamma_l(r): the closed form for the coefficient of P_l^1 in
+    (4 pi / rho) upsilon_rho."""
     return _expansion_coefficient(l, r, "upsilon")
 
 

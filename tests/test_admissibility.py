@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sphwave import admissibility
 from sphwave.admissibility import (admissibility_integral,
                                    admissibility_report,
                                    analytic_upper_bound, default_k_cut,
@@ -252,3 +253,38 @@ def test_analytic_upper_bound():
     limit = k1_ratio_limit(2.0)
     ref = np.exp(-0.25) / (2048.0 * np.pi ** 2 * 4.0)
     assert abs(limit - ref) < 1e-18
+
+
+def test_kernel_tables_one_rule_per_cap(monkeypatch):
+    # every odd order at one cap reads one Gauss-Legendre rule: from cold
+    # caches, three scales' tables and a report up to degree 64 build the
+    # 77-node rule of cap 64 once
+    for fn in (admissibility._moment_rule, admissibility._moment_matrix,
+               admissibility._kernel_matrix, admissibility._scale_integral):
+        fn.cache_clear()
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counted(n):
+        calls.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    for rho in (1.0, 0.5, 0.25):
+        admissibility._kernel_matrix("omega", rho, 16)
+    assert admissibility_report("omega", 2.0, 64).ok
+    assert calls == [77], calls
+
+
+def test_kernel_matrix_matches_per_entry_values():
+    # the array-built table sums each entry's source degrees in the order
+    # the per-(l, k) formula does, so the two agree exactly; degree 70
+    # reads the moments of two caps
+    for fam in ("omega", "upsilon"):
+        for rho in (0.3, 1.0, 2.5):
+            got = admissibility._kernel_matrix(fam, rho, 33)
+            assert np.array_equal(
+                got, oracles.per_entry_kernel_matrix(fam, rho, 33)), (fam, rho)
+        got = admissibility._kernel_matrix(fam, 0.7, 70)
+        assert np.array_equal(got, oracles.per_entry_kernel_matrix(fam, 0.7,
+                                                                   70)), fam

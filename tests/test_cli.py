@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -410,3 +411,26 @@ def test_bad_input_exit_codes(tmp_path, capsys):
                      "--out", str(out)]) == 2, field
         assert field in capsys.readouterr().err, field
         assert not out.exists(), field
+
+
+def test_oversized_inputs_exit_2_fast(tmp_path):
+    # a grid too large to allocate and a negative band limit stop at
+    # once with exit 2 and the field's name, not a traceback or a hang
+    assert main(["synthesize", "--preset", "noise", "--l-band", "4",
+                 "--out", str(tmp_path / "f.sig")]) == 0
+    for args, field in (
+            (["analyze", "--in", "f.sig", "--delta2", "0.5",
+              "--delta1", "1e-9", "--out", "w.bin"], "delta1"),
+            (["analyze", "--in", "f.sig", "--delta2", "1e-6",
+              "--out", "w.bin"], "delta2"),
+            (["synthesize", "--preset", "two-ridges", "--l-band", "-3",
+              "--out", "g.sig"], "l_band")):
+        start = time.perf_counter()
+        run = _run_cli(args, tmp_path)
+        took = time.perf_counter() - start
+        assert run.returncode == 2, (args, run.returncode, run.stderr)
+        assert field in run.stderr, (args, run.stderr)
+        assert "Traceback" not in run.stderr, args
+        assert took < 1.0, (args, took)
+    assert not (tmp_path / "w.bin").exists()
+    assert not (tmp_path / "g.sig").exists()

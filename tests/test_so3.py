@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from sphwave.so3 import make_rotation, make_scale_sequence, make_so3_grid
+from sphwave.so3 import (MAX_CARRIERS, MAX_ROTATIONS, make_rotation,
+                         make_scale_sequence, make_so3_grid)
 
 from oracles import (axis_rotation, band_partition, point_angles,
                      rotate_signal_pullback, rotation_matrix, sphere_points,
@@ -179,3 +180,17 @@ def test_grid_validation():
     for bad1 in (0.0, 2.0 * np.pi + 0.1):
         with pytest.raises(ValueError):
             make_so3_grid(0.5, bad1)
+
+
+def test_grid_size_caps():
+    # the counts are checked before anything is allocated, and the
+    # message names the bound that makes the grid too large
+    for (delta2, delta1), field in (((0.5, 1e-9), "delta1"),
+                                    ((1e-6, 0.5), "delta2"),
+                                    ((0.003, 0.5), "delta2"),
+                                    ((0.01, 0.001), "delta1")):
+        with pytest.raises(ValueError, match=field):
+            make_so3_grid(delta2, delta1)
+    grid = make_so3_grid(0.05, 0.05)
+    assert grid.n_carriers * len(grid.axial_angles) < MAX_ROTATIONS
+    assert MAX_CARRIERS < MAX_ROTATIONS

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 import scipy.special as sps
 
 from sphwave import sphfn
@@ -244,3 +245,11 @@ def test_signal_shape_validation():
         pass
     else:
         raise AssertionError("mismatched samples must be rejected")
+
+
+def test_negative_band_limit_refused():
+    # refused where the table or grid spec is made, naming the field
+    for make in (CoefficientTable, default_grid_spec):
+        with pytest.raises(ValueError, match="l_band"):
+            make(-3)
+    assert CoefficientTable(0).values.shape == (1,)

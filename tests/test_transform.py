@@ -923,3 +923,13 @@ def test_config_validation():
             FrameOperatorConfig(tolerance=tolerance)
     with pytest.raises(ValueError):
         FrameOperatorConfig(max_iterations=0)
+
+
+def test_tilt_store_matches_per_band_blocks():
+    # one batched product per degree over all bands gives the store that
+    # one _wigner_d block per (band, degree) gives, bit for bit
+    grid = _scattered_grid(make_so3_grid(0.3, 0.3), [5, 0, 9, 2, 7], 3)
+    thetas = tuple(float(b[0]) for b in grid.bands)
+    for l_band in (12, 17):
+        assert np.array_equal(_tilt_store(thetas, l_band),
+                              oracles.per_band_tilt_store(thetas, l_band))
