@@ -279,7 +279,7 @@ def build_parser():
                      help="Jacobi-scaled relative residual to stop at")
     sub.add_argument("--max-iterations", type=int,
                      default=solve.max_iterations,
-                     help="step limit for reaching the scaled residual")
+                     help="CG step limit after the start")
     sub.set_defaults(func=cmd_reconstruct)
 
     return parser, subs.choices

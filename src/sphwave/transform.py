@@ -14,7 +14,9 @@ whose cells share one tau on the regular longitude lattice needs no phase
 sum and contracts by itself over its (scale, pair) factors.
 Jacobi-preconditioned CG inverts S on the degrees l >= 1, the ones an odd
 order reaches; a frame with one tau per scale builds S once for all calls
-on it.
+on it and starts CG from zero.  A per-carrier tau map builds S for one
+solve and starts CG from the LU solution of S, unless its grid is
+under-resolved and S may be singular.
 """
 
 from dataclasses import dataclass
@@ -32,7 +34,9 @@ from .admissibility import _kernel_matrix
 class FrameOperatorConfig:
     """Iteration controls for inverting the frame operator: tolerance
     bounds the Jacobi-scaled relative residual ||D^-1 r|| / ||D^-1 b||
-    (D the frame diagonal)."""
+    (D the frame diagonal), tested at the start and after each CG step;
+    max_iterations counts the CG steps after the start (see
+    reconstruct)."""
 
     max_iterations: int = 200
     tolerance: float = 1e-10
@@ -449,20 +453,25 @@ def frame_matrix(family, taus, grid, scales, l_band):
 _frame_cache = [None]
 
 
+def _kept(coeffs):
+    """Whether the frame of coeffs has one tau per scale, so that its S is
+    kept for later calls; a per-carrier tau map's S serves one solve."""
+    return all(np.ndim(t) == 0 for t in coeffs.taus)
+
+
 def _frame(coeffs):
     """S of the frame of coeffs and its diagonal on the degrees l >= 1;
     built on a miss, which first drops the kept frame."""
     key = (coeffs.family, coeffs.scales, coeffs.l_band, coeffs.taus)
-    uniform = all(np.ndim(t) == 0 for t in coeffs.taus)
-    kept = _frame_cache[0]
-    if uniform and kept and kept[0] is coeffs.grid and kept[1] == key:
+    keep, kept = _kept(coeffs), _frame_cache[0]
+    if keep and kept and kept[0] is coeffs.grid and kept[1] == key:
         return kept[2]
     _frame_cache[0] = kept = None   # two S never coexist
     s = frame_matrix(coeffs.family, coeffs.taus, coeffs.grid,
                      coeffs.scales, coeffs.l_band)
     s.flags.writeable = False
     frame = s, s[1:, 1:].diagonal().real
-    if uniform:
+    if keep:
         _frame_cache[0] = coeffs.grid, key, frame
     return frame
 
@@ -473,7 +482,13 @@ def reconstruct(coeffs, cfg=None):
     Odd orders need |k| <= l, so no kernel reaches degree 0 and the solve
     runs on the degrees l >= 1, a view of S; the result is band-limited to
     the coefficients' band.  S of a frame with one tau per scale is kept
-    until a call on another frame.
+    until a call on another frame, and CG starts from zero.  A per-carrier
+    tau map's S serves this one solve, so CG starts from its LU solution
+    (np.linalg.solve, backward stable, one copy of S).  An under-resolved
+    map starts from zero: its S may be singular, and CG from zero stays in
+    the Krylov space of b where an LU start would carry a null-space
+    component no CG step removes.  cfg.max_iterations counts the CG steps
+    after the start.
     """
     if cfg is None:
         cfg = FrameOperatorConfig()
@@ -490,18 +505,23 @@ def reconstruct(coeffs, cfg=None):
         raise ArithmeticError("frame operator diagonal is not positive: a "
                               "degree l >= 1 carries no kernel energy, or "
                               "the grid is too coarse for this band")
-    x, r = np.zeros_like(b), b
-    z = p = b / diag
-    rz, znorm = np.vdot(r, z).real, np.linalg.norm(z)
+    znorm = np.linalg.norm(b / diag)
+    if _kept(coeffs) or coeffs.under_resolved:
+        x, r = np.zeros_like(b), b
+    else:
+        x = np.linalg.solve(sa, b)
+        r = b - sa @ x
+    z = p = r / diag
+    rz, residual = np.vdot(r, z).real, np.linalg.norm(z) / znorm
     for _ in range(cfg.max_iterations):
+        if residual <= cfg.tolerance:
+            break
         q = sa @ p
         alpha = rz / np.vdot(p, q).real
         x = x + alpha * p
         r = r - alpha * q
         z = r / diag
         residual = np.linalg.norm(z) / znorm
-        if residual <= cfg.tolerance:
-            break
         rz, rz_old = np.vdot(r, z).real, rz
         p = z + (rz / rz_old) * p
     if cfg.strict and not residual <= cfg.tolerance:

@@ -28,9 +28,9 @@ def _signal(table):
     return synthesize_signal(table, default_grid_spec(table.l_band))
 
 
-def _planted(l_band, spec, carrier, phi1, amp=1.0):
+def _planted(l_band, spec, carrier, phi1, amp=1.0, grid=GRID):
     # one rotated kernel as a coefficient table
-    cell = GRID.cells[carrier]
+    cell = grid.cells[carrier]
     table = wavelet_coefficient_table(spec, l_band)
     out = rotate_coefficients(table, make_rotation(phi1, cell.theta,
                                                    cell.phi))
@@ -489,3 +489,38 @@ def test_adaptive_round_trip_at_defaults(monkeypatch):
         err = (np.linalg.norm(rec.values - f.values)
                / np.linalg.norm(f.values))
         assert err < 1e-9, (seed, err)
+
+
+def test_tau_map_reconstruct_error_within_tolerance():
+    # a per-carrier tau map is solved from its LU start: the default
+    # tolerance 1e-10 bounds the error against the input, not only the
+    # Jacobi-scaled residual.  Two unit-energy kernels with tau 1 and 8,
+    # at least 90 degrees apart, planted as the adaptive_select workload
+    # plants them
+    l_band, grid = 16, make_so3_grid(0.2, 0.2)
+    th, ph = (np.array([getattr(c, a) for c in grid.cells])
+              for a in ("theta", "phi"))
+    xyz = np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph),
+                    np.cos(th)], axis=1)
+    half = len(grid.axial_angles) // 2
+
+    def plant(tau, carrier, phi1):
+        spec = WaveletSpec("omega", 1.0, tau)
+        return _planted(l_band, spec, carrier, phi1,
+                        1.0 / np.sqrt(wavelet_norm_sq(spec)), grid).values
+
+    for seed in range(1, 6):
+        rng = np.random.default_rng(seed)
+        a = int(rng.integers(grid.n_carriers))
+        b = int(rng.choice(np.flatnonzero(xyz @ xyz[a]
+                                          <= np.cos(0.5 * np.pi))))
+        pa, pb = (float(grid.axial_angles[i])
+                  for i in rng.integers(half, size=2))
+        f = _signal(CoefficientTable(l_band, plant(1.0, a, pa)
+                                     + plant(8.0, b, pb)))
+        _, coeffs = adaptive_analysis(f, SCALES, grid, SelectivitySet())
+        assert np.ndim(coeffs.taus[0]) == 1
+        rec = reconstruct(coeffs)
+        err = (np.linalg.norm(rec.values - f.values)
+               / np.linalg.norm(f.values))
+        assert err <= 1e-10, (seed, err)

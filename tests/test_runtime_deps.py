@@ -1,21 +1,52 @@
-"""The installed package runs on numpy alone; scipy is a test-only extra."""
+"""The installed package runs on numpy alone; scipy is a test-only extra,
+and a coefficient read stays clear of numpy's lazy numpy.ma."""
 
 import os
 import subprocess
 import sys
 
+import numpy as np
+
 import sphwave
+from sphwave.fileio import write_coefficients
+from sphwave.so3 import make_scale_sequence, make_so3_grid
+from sphwave.sphfn import CoefficientTable, default_grid_spec, synthesize_signal
+from sphwave.transform import forward_transform, uniform_specs
+
+
+def _env():
+    # a fresh interpreter, so modules the test suite imported do not count
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sphwave.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
 def test_runtime_imports_no_scipy():
-    # a fresh interpreter, so modules the test suite imported do not count
-    src = os.path.dirname(os.path.dirname(os.path.abspath(sphwave.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     # the star import fails on a stale __all__ entry
     code = ("import sys, sphwave, sphwave.cli; from sphwave import *; "
             "print(sorted(m for m in sys.modules "
             "if m == 'scipy' or m.startswith('scipy.')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env)
+                         text=True, check=True, env=_env())
+    assert out.stdout.strip() == "[]", out.stdout
+
+
+def test_read_coefficients_imports_no_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on first use, 11-15 ms of a cold
+    # reconstruct; modules imported before the read (numpy 1.x imports
+    # numpy.ma with numpy) do not count
+    scales = make_scale_sequence(1.0, 0.5, 1)
+    f = synthesize_signal(CoefficientTable(4, np.arange(25.0) + 1j),
+                          default_grid_spec(4))
+    path = tmp_path / "w.bin"
+    write_coefficients(path, forward_transform(
+        f, uniform_specs("omega", 2.0, scales), make_so3_grid(0.8, 0.8),
+        scales))
+    code = ("import sys; from sphwave.fileio import read_coefficients; "
+            "before = set(sys.modules); read_coefficients(sys.argv[1]); "
+            "print(sorted(m for m in set(sys.modules) - before "
+            "if m == 'numpy.ma' or m.startswith('numpy.ma.')))")
+    out = subprocess.run([sys.executable, "-c", code, str(path)],
+                         capture_output=True, text=True, check=True,
+                         env=_env())
     assert out.stdout.strip() == "[]", out.stdout

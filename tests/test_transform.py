@@ -861,16 +861,23 @@ def test_per_carrier_taus_are_not_kept(monkeypatch):
 
 def test_reconstruct_controls_on_kept_frame(monkeypatch):
     # strict and loose solves end the same way whether S was built or
-    # kept, and the adaptive frame (never kept) raises the same each time
+    # kept; the adaptive frame (never kept) starts from its LU solution,
+    # so both return at 1e-15, and it raises the same each time at a
+    # tolerance no start reaches
     calls = _count_frame_builds(monkeypatch)
     grid = make_so3_grid(0.5, 0.5)
     f = _signal(_random_table(6, 45, 0))
-    strict = FrameOperatorConfig(max_iterations=1, tolerance=1e-15)
-    loose = FrameOperatorConfig(max_iterations=1, tolerance=1e-15,
-                                strict=False)
-    for specs, builds in ((uniform_specs("omega", 2.0, SCALES), 2),
-                          (_split_specs("omega", grid), 4)):
-        coeffs = forward_transform(f, specs, grid, SCALES)
+
+    def controls(tolerance):
+        return (FrameOperatorConfig(max_iterations=1, tolerance=tolerance),
+                FrameOperatorConfig(max_iterations=1, tolerance=tolerance,
+                                    strict=False))
+
+    uniform = forward_transform(f, uniform_specs("omega", 2.0, SCALES), grid,
+                                SCALES)
+    adaptive = forward_transform(f, _split_specs("omega", grid), grid, SCALES)
+    for coeffs, (strict, loose), builds in (
+            (uniform, controls(1e-15), 2), (adaptive, controls(1e-300), 4)):
         del calls[:]
         errors, recs = [], []
         for order in ((strict, loose), (loose, strict)):
@@ -885,6 +892,9 @@ def test_reconstruct_controls_on_kept_frame(monkeypatch):
                     recs.append(reconstruct(coeffs, cfg).values)
         assert errors[0] == errors[1] and np.array_equal(*recs), builds
         assert len(calls) == builds
+    del calls[:]
+    recs = [reconstruct(adaptive, cfg).values for cfg in controls(1e-15)]
+    assert np.array_equal(*recs) and len(calls) == 2
 
 
 def test_under_resolved_flag():
@@ -895,6 +905,20 @@ def test_under_resolved_flag():
     fine = forward_transform(f, uniform_specs("omega", 2.0, SCALES),
                              make_so3_grid(0.2, 0.2), SCALES)
     assert not fine.under_resolved
+
+
+def test_under_resolved_tau_map_starts_from_zero():
+    # on a grid too coarse for the band S is singular (rank 112 of 120
+    # here): an LU start would carry a null-space component that no CG
+    # step removes (relative error 7.7), so the map starts from zero
+    grid = make_so3_grid(1.2, 2.0)
+    f = _signal(_random_table(10, 46, 0))
+    coeffs = forward_transform(f, _split_specs("omega", grid), grid, SCALES)
+    assert coeffs.under_resolved
+    rec = reconstruct(coeffs, FrameOperatorConfig(strict=False))
+    assert np.all(np.isfinite(rec.values))
+    err = np.linalg.norm(rec.values - f.values) / np.linalg.norm(f.values)
+    assert err < 1.0, err
 
 
 def test_spec_validation():
