@@ -11,7 +11,7 @@ from .profiles import (FAMILIES, FAMILY_ORDER, WaveletSpec,
 from .admissibility import (AdmissibilityReport, admissibility_integral,
                             admissibility_report, analytic_upper_bound,
                             wavelet_coefficient, wavelet_coefficient_table)
-from .so3 import (GridCell, Rotation, ScaleSequence, SO3Grid, make_rotation,
+from .so3 import (Rotation, ScaleSequence, SO3Grid, make_rotation,
                   make_scale_sequence, make_so3_grid)
 from .transform import (FrameConvergenceError, FrameOperatorConfig,
                         TransformCoefficients, adjoint_transform,
@@ -36,7 +36,7 @@ __all__ = [
     "AdmissibilityReport", "admissibility_integral", "admissibility_report",
     "analytic_upper_bound", "default_k_cut",
     "wavelet_coefficient", "wavelet_coefficient_table",
-    "GridCell", "Rotation", "ScaleSequence", "SO3Grid", "make_rotation",
+    "Rotation", "ScaleSequence", "SO3Grid", "make_rotation",
     "make_scale_sequence", "make_so3_grid",
     "FrameConvergenceError", "FrameOperatorConfig", "TransformCoefficients",
     "adjoint_transform", "forward_transform", "frame_apply",

@@ -350,8 +350,9 @@ def main(argv=None):
     except (FrameConvergenceError, ArithmeticError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:    # FileFormatError included
-        print("error: %s" % exc, file=sys.stderr)
+    # FileFormatError included; MemoryError: an array too large to allocate
+    except (ValueError, OSError, MemoryError) as exc:
+        print("error: %s" % (str(exc) or type(exc).__name__), file=sys.stderr)
         return 2
 
 

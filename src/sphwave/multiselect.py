@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sphfn import analyze_signal
-from .profiles import WaveletSpec, _check_tau, matched_weights
-from .transform import BandPlan, forward_transform
+from .profiles import _check_tau, matched_weights
+from .transform import BandPlan, _coefficients
 
 DEFAULT_TAUS = (1.0, 2.0, 4.0, 8.0, 16.0)
 TAU_CAP = 16.0
@@ -64,9 +64,10 @@ class SelectivityMap:
 
     def rows(self):
         """(j, carrier, theta2, phi2, tau, phi1, value) rows."""
+        theta, phi = self.grid.cells.theta, self.grid.cells.phi
         for j in range(self.tau_star.shape[0]):
-            for a, cell in enumerate(self.grid.cells):
-                yield (j, a, cell.theta, cell.phi, self.tau_star[j, a],
+            for a in range(len(theta)):
+                yield (j, a, theta[a], phi[a], self.tau_star[j, a],
                        self.phi1_star[j, a], self.value[j, a])
 
 
@@ -84,7 +85,7 @@ def _pick(values, taus, angles, tol):
 def _scan(f, scales, grid, tsel, family, carrier=None):
     """select_tau's picks (tau, phi1, value) per (scale, cell) of every band,
     or of the one carrier given, with the tau-free correlations d[j, c, k]
-    and their axial orders."""
+    and their band operator."""
     if carrier is not None and carrier not in range(grid.n_carriers):
         raise ValueError("no carrier %r in [0, %d)"
                          % (carrier, grid.n_carriers))
@@ -103,7 +104,7 @@ def _scan(f, scales, grid, tsel, family, carrier=None):
         for idx in cells:
             out[:, j, idx] = _pick(np.abs(d[j, idx] @ factor), taus,
                                    grid.axial_angles, tol)
-    return out, d, plan.ks
+    return out, d, plan
 
 
 def select_tau(f, scales, j, alpha2, tsel, grid, family="omega"):
@@ -136,8 +137,8 @@ def refine_tau(f, scales, j, alpha2, tsel, grid, family="omega",
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive, got %r" % (tol,))
-    out, d, ks = _scan(f, (scales[j],), grid, tsel, family, alpha2)
-    taus, (tau0, phi1) = tuple(tsel), out[:2, 0, 0]
+    out, d, plan = _scan(f, (scales[j],), grid, tsel, family, alpha2)
+    taus, (tau0, phi1), ks = tuple(tsel), out[:2, 0, 0], plan.ks
     i0 = taus.index(tau0)
     a = taus[i0 - 1] if i0 > 0 else 1.0
     b = taus[i0 + 1] if i0 + 1 < len(taus) else tsel.tau_cap
@@ -165,12 +166,9 @@ def refine_tau(f, scales, j, alpha2, tsel, grid, family="omega",
 
 
 def adaptive_analysis(f, scales, grid, tsel, family="omega"):
-    """Select tau per (scale, carrier), then transform with those kernels."""
-    smap = selectivity_scan(f, scales, grid, tsel, family)
-    specs = tuple(
-        tuple(WaveletSpec(family, rho, smap.tau_star[j, a])
-              for a in range(grid.n_carriers))
-        for j, rho in enumerate(scales))
-    coeffs = forward_transform(f, specs, grid, scales)
-    return smap, coeffs
+    """Select tau per (scale, carrier), then transform with those kernels:
+    the scan's own tau-free correlations, weighted at the picked taus."""
+    out, d, plan = _scan(f, scales, grid, tsel, family)
+    smap = SelectivityMap(family, *out, grid, scales)
+    return smap, _coefficients(plan, d, list(smap.tau_star.copy()))
 

@@ -20,7 +20,6 @@ rational in l and polynomial in r = exp(-rho).
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -213,11 +212,10 @@ def sin5_legendre_expansion(l):
     """Coefficients of (2l+1) sin^5(theta) P_l in the first-order basis.
 
     Returns {offset: coefficient} for the terms P_{l+offset}^1,
-    offset in (-5, -3, -1, +1, +3, +5). Valid for l >= 4; terms whose
-    target degree drops below 1 multiply identically vanishing functions.
+    offset in (-5, -3, -1, +1, +3, +5), for every degree l >= 1; terms
+    whose target degree drops below 1 multiply identically vanishing
+    functions.
     """
-    if l < 4:
-        raise ValueError("expansion requires degree at least 4")
     lf = float(l)
     return {
         -5: (lf * (lf - 1) * (lf - 2) * (lf - 3)
@@ -235,18 +233,6 @@ def sin5_legendre_expansion(l):
     }
 
 
-# Exact expansions of sin^5(theta) P_n (no 2n+1 factor) for the lowest
-# degrees, where the generic offsets would reach nonexistent targets.
-# Derived once symbolically from the degree ladder; keys are target degrees.
-_LOW_DEGREE_P1 = {
-    1: {2: Fraction(-8, 63), 4: Fraction(24, 385), 6: Fraction(-8, 693)},
-    2: {1: Fraction(8, 35), 3: Fraction(-56, 495), 5: Fraction(184, 4095),
-        7: Fraction(-8, 1001)},
-    3: {2: Fraction(8, 77), 4: Fraction(-408, 5005), 6: Fraction(8, 231),
-        8: Fraction(-8, 1287)},
-}
-
-
 @lru_cache(maxsize=None)
 def _p1_expansion(n):
     """{target degree m: coefficient of P_m^1 in sin^5(theta) P_n}, cached
@@ -254,8 +240,6 @@ def _p1_expansion(n):
     or gamma_m; gamma_1 = (16/7) r^2 - (2592/385) r^4 + (240/77) r^6."""
     if n <= 0:
         raise ValueError("source degree must be positive")
-    if n in _LOW_DEGREE_P1:
-        return {m: float(c) for m, c in _LOW_DEGREE_P1[n].items()}
     coeffs = sin5_legendre_expansion(n)
     return {n + off: c / (2 * n + 1) for off, c in coeffs.items() if n + off >= 1}
 

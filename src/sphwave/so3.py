@@ -14,7 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 # configured constraints: scale sequences take any positive coarsest scale
-# and shrink at most 4x per step; grids are capped (see make_so3_grid)
+# and shrink at most 4x per step.  Grids are capped for memory: the carrier
+# table takes 48 bytes a carrier (12.6 MB at MAX_CARRIERS), and a band
+# operator's cell phases 16 (2L + 1) bytes a carrier (0.54 GB at the cap and
+# L = 64); each rotation takes one complex coefficient per scale (268 MB at
+# MAX_ROTATIONS)
 RHO0_FLOOR = 0.0
 RATIO_SPAN = 4.0
 MAX_CARRIERS = 2 ** 18
@@ -83,6 +87,9 @@ def make_scale_sequence(rho0, q=0.5, j_max=0):
         raise ValueError("scale ratio must lie in (%.3g, 1)" % (1.0 / RATIO_SPAN,))
     if j_max < 0:
         raise ValueError("j_max must be nonnegative")
+    if not rho0 * q ** j_max > 0.0:
+        raise ValueError("j_max %d: the finest scale rho0 q^j_max underflows "
+                         "to 0" % j_max)
     scales = tuple(rho0 * q ** j for j in range(j_max + 1))
     return ScaleSequence(rho0, q, scales)
 
@@ -91,27 +98,20 @@ def make_scale_sequence(rho0, q=0.5, j_max=0):
 # rotation grids
 
 @dataclass(frozen=True)
-class GridCell:
-    """One cell of the area partition with its carrier at the center."""
-
-    theta: float
-    phi: float
-    theta_lo: float
-    theta_hi: float
-    phi_width: float
-    measure: float
-
-
-@dataclass(frozen=True)
 class SO3Grid:
-    """Area partition x axial angles; every rotation of the discrete set."""
+    """Area partition x axial angles; every rotation of the discrete set.
+
+    cells is one read-only record array with a row per carrier, the
+    center of its cell: theta, phi, theta_lo, theta_hi, phi_width and
+    measure.  measures and each band's phis are views of its columns.
+    """
 
     delta2: float
     delta1: float
-    cells: tuple
+    cells: np.recarray
     axial_angles: np.ndarray
     bands: tuple    # per band: (theta, cell indices, phis, measure), read-only
-    measures: np.ndarray    # per carrier, read-only
+    measures: np.ndarray    # per carrier
 
     @property
     def n_carriers(self):
@@ -125,9 +125,9 @@ def make_so3_grid(delta2, delta1):
     each band is chosen from the exact chord identity
         sin^2(d/2) = sin^2(dtheta/2) + sin(t) sin(t') sin^2(dphi/2)
     so that every cell has geodesic diameter at most delta2.  Cell
-    measures are analytic and sum to the full sphere area.  More than
-    MAX_CARRIERS cells (Python objects) or MAX_ROTATIONS rotations (one
-    complex coefficient each per scale, 268 MB) are refused up front.
+    measures are analytic and sum to the full sphere area.  Grids of more
+    than MAX_CARRIERS cells or MAX_ROTATIONS rotations are refused up
+    front.
     """
     delta2 = float(delta2)
     delta1 = float(delta1)
@@ -155,21 +155,22 @@ def make_so3_grid(delta2, delta1):
         raise ValueError("delta2 %g and delta1 %g: over %d rotations"
                          % (delta2, delta1, MAX_ROTATIONS))
 
-    cells, bands = [], []
-    for b, n in enumerate(n_cells.tolist()):
-        width = 2.0 * np.pi / n
-        measure = (cos_edges[b] - cos_edges[b + 1]) * width
-        center = 0.5 * (lo[b] + hi[b])
-        phis = (np.arange(n) + 0.5) * width
-        idx = len(cells) + np.arange(n)
-        idx.flags.writeable = phis.flags.writeable = False
-        bands.append((center, idx, phis, measure))
-        cells.extend(GridCell(center, float(p), lo[b], hi[b], width, measure)
-                     for p in phis)
+    # per cell its band b, and its position in the band
+    at = np.arange(n_cells.sum())
+    starts = np.cumsum(n_cells) - n_cells
+    b = np.repeat(np.arange(len(n_cells)), n_cells)
+    width = 2.0 * np.pi / n_cells
+    cells = np.recarray(len(at), dtype=[(name, float) for name in (
+        "theta", "phi", "theta_lo", "theta_hi", "phi_width", "measure")])
+    cells.theta = (0.5 * (lo + hi))[b]
+    cells.phi = (at - starts[b] + 0.5) * width[b]
+    cells.theta_lo, cells.theta_hi, cells.phi_width = lo[b], hi[b], width[b]
+    cells.measure = ((cos_edges[:-1] - cos_edges[1:]) * width)[b]
+    cells.flags.writeable = at.flags.writeable = False
+    theta, phi, measure = cells.theta, cells.phi, cells.measure
+    bands = tuple((theta[a], at[a:a + n], phi[a:a + n], measure[a])
+                  for a, n in zip(starts, n_cells))
 
     axial = np.arange(n_axial) * (2.0 * np.pi / n_axial)
     axial.flags.writeable = False
-    measures = np.array([c.measure for c in cells])
-    measures.flags.writeable = False
-    return SO3Grid(delta2, delta1, tuple(cells), axial, tuple(bands),
-                   measures)
+    return SO3Grid(delta2, delta1, cells, axial, bands, measure)

@@ -162,7 +162,9 @@ class BandPlan:
     """
 
     def __init__(self, l_band, grid, family, scales):
-        self.l_band, self.bands = l_band, grid.bands
+        self.l_band, self.grid, self.family, self.scales = (l_band, grid,
+                                                            family, scales)
+        self.bands = grid.bands
         odd = np.arange(1, l_band + 1, 2)
         self.ks = np.stack((-odd, odd), 1).reshape(-1)
         self.axial_phase = np.exp(1j * np.outer(self.ks, grid.axial_angles))
@@ -273,9 +275,15 @@ def forward_transform(f, specs, grid, scales):
     """
     family, taus = _normalize_specs(specs, grid, scales)
     table = analyze_signal(f)
-    l_band = table.l_band
-    plan = BandPlan(l_band, grid, family, scales)
-    d = plan.correlate(table.values)
+    plan = BandPlan(table.l_band, grid, family, scales)
+    return _coefficients(plan, plan.correlate(table.values), taus)
+
+
+def _coefficients(plan, d, taus):
+    """The coefficients from the tau-free correlations d[j, c, k] of plan
+    (weighted in place): each cell's row times w_k(tau), then the axial
+    phases; taus[j] is one tau or one per carrier."""
+    grid, l_band = plan.grid, plan.l_band
     d *= plan.weights(taus).reshape(len(d), -1, d.shape[2])
     values = (d.reshape(-1, d.shape[2]) @ (plan.axial_phase / (4.0 * np.pi))
               ).reshape(d.shape[:2] + (-1,))
@@ -284,8 +292,8 @@ def forward_transform(f, specs, grid, scales):
         k_need -= 1
     under = (len(grid.axial_angles) < 2 * k_need + 1
              or grid.n_carriers < (l_band + 1) ** 2)
-    return TransformCoefficients(family, l_band, tuple(values), tuple(taus),
-                                 grid, scales, under)
+    return TransformCoefficients(plan.family, l_band, tuple(values),
+                                 tuple(taus), grid, plan.scales, under)
 
 
 def adjoint_transform(coeffs):

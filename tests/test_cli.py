@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -296,14 +297,14 @@ def test_config_keys_follow_parser(tmp_path, capsys):
     assert "must be an integer" in capsys.readouterr().err
 
 
-def _run_cli(args, cwd):
+def _run_cli(args, cwd, **kwargs):
     # a fresh process with a timeout: a hang fails instead of stalling
     src = os.path.dirname(os.path.dirname(os.path.abspath(sphwave.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, "-m", "sphwave.cli"] + args,
                           cwd=cwd, env=env, capture_output=True, text=True,
-                          timeout=30)
+                          timeout=30, **kwargs)
 
 
 def test_bad_selectivity_exits_2(tmp_path):
@@ -413,24 +414,44 @@ def test_bad_input_exit_codes(tmp_path, capsys):
         assert not out.exists(), field
 
 
+def _cap_address_space():
+    # 4 GiB of address space for the child: an array numpy would try to
+    # map on a machine that overcommits memory is refused there as well
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 32, 2 ** 32))
+
+
 def test_oversized_inputs_exit_2_fast(tmp_path):
-    # a grid too large to allocate and a negative band limit stop at
-    # once with exit 2 and the field's name, not a traceback or a hang
+    # a grid too large to allocate, a negative band limit, a finest scale
+    # that underflows and arrays numpy refuses to allocate stop at once
+    # with exit 2 and the field's name or numpy's message, not a
+    # traceback or a hang
     assert main(["synthesize", "--preset", "noise", "--l-band", "4",
                  "--out", str(tmp_path / "f.sig")]) == 0
+    big = "Unable to allocate"
     for args, field in (
             (["analyze", "--in", "f.sig", "--delta2", "0.5",
               "--delta1", "1e-9", "--out", "w.bin"], "delta1"),
             (["analyze", "--in", "f.sig", "--delta2", "1e-6",
               "--out", "w.bin"], "delta2"),
             (["synthesize", "--preset", "two-ridges", "--l-band", "-3",
-              "--out", "g.sig"], "l_band")):
+              "--out", "g.sig"], "l_band"),
+            (["analyze", "--in", "f.sig", "--j-max", "100000000",
+              "--out", "w.bin"], "j_max"),
+            (["profile", "--samples", "1000000000000", "--out", "p.csv"],
+             big),
+            (["kernel", "--n-theta", "1000000", "--n-phi", "1000000",
+              "--out", "k.csv"], big),
+            (["synthesize", "--preset", "noise", "--l-band", "100000000",
+              "--out", "g.sig"], big),
+            (["verify", "--l-max", "1000000000000"], big)):
         start = time.perf_counter()
-        run = _run_cli(args, tmp_path)
+        run = _run_cli(args, tmp_path, preexec_fn=_cap_address_space)
         took = time.perf_counter() - start
         assert run.returncode == 2, (args, run.returncode, run.stderr)
-        assert field in run.stderr, (args, run.stderr)
+        assert "error: " in run.stderr and field in run.stderr, (
+            args, run.stderr)
         assert "Traceback" not in run.stderr, args
         assert took < 1.0, (args, took)
-    assert not (tmp_path / "w.bin").exists()
-    assert not (tmp_path / "g.sig").exists()
+    for name in ("w.bin", "g.sig", "p.csv", "k.csv"):
+        assert not (tmp_path / name).exists(), name
+

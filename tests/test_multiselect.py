@@ -14,7 +14,8 @@ from sphwave.profiles import WaveletSpec, wavelet_norm_sq
 from sphwave.sphfn import (CoefficientTable, SphericalSignal, analyze_signal,
                            default_grid_spec, synthesize_signal)
 from sphwave.so3 import make_rotation, make_scale_sequence, make_so3_grid
-from sphwave.transform import reconstruct, rotate_coefficients
+from sphwave.transform import (forward_transform, reconstruct,
+                               rotate_coefficients)
 
 import oracles
 from oracles import sequential_pick
@@ -464,6 +465,38 @@ def test_adaptive_analysis_round_trip():
     rec = reconstruct(coeffs)
     scale = np.max(np.abs(f.values))
     assert np.max(np.abs(rec.values - f.values)) < 1e-6 * scale
+
+
+def test_adaptive_analysis_correlates_once(monkeypatch):
+    # the coefficients weight the scan's own tau-free correlations: f is
+    # correlated once and no kernel spec is built per carrier, for the
+    # numbers of the scan followed by a per-carrier forward transform
+    f = _random_signal(8, 52)
+    grid = make_so3_grid(0.4, 0.3)
+    tsel = SelectivitySet()
+    init, correlate = WaveletSpec.__post_init__, transform.BandPlan.correlate
+    for family in ("omega", "upsilon"):
+        smap = selectivity_scan(f, SCALES, grid, tsel, family)
+        specs = tuple(tuple(WaveletSpec(family, rho, t)
+                            for t in smap.tau_star[j])
+                      for j, rho in enumerate(SCALES))
+        want = forward_transform(f, specs, grid, SCALES)
+        calls = []
+        monkeypatch.setattr(WaveletSpec, "__post_init__",
+                            lambda s: calls.append("spec") or init(s))
+        monkeypatch.setattr(transform.BandPlan, "correlate",
+                            lambda *a: calls.append("correlate")
+                            or correlate(*a))
+        got_map, got = adaptive_analysis(f, SCALES, grid, tsel, family)
+        monkeypatch.undo()
+        assert calls == ["correlate"], family
+        for name in ("tau_star", "phi1_star", "value"):
+            assert np.array_equal(getattr(got_map, name),
+                                  getattr(smap, name)), (family, name)
+        for a, b in zip(got.values + got.taus, want.values + want.taus):
+            assert np.array_equal(a, b), family
+        assert (got.family, got.l_band, got.under_resolved) == (
+            want.family, want.l_band, want.under_resolved)
 
 
 def test_adaptive_round_trip_at_defaults(monkeypatch):

@@ -1,8 +1,12 @@
 """Rotation parametrization, scale sequences, and rotation grids."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import sphwave
+from sphwave import so3
 from sphwave.so3 import (MAX_CARRIERS, MAX_ROTATIONS, make_rotation,
                          make_scale_sequence, make_so3_grid)
 
@@ -97,6 +101,11 @@ def test_scale_sequence():
         make_scale_sequence(1.0, q=1.0)
     with pytest.raises(ValueError):
         make_scale_sequence(1.0, j_max=-1)
+    # a finest scale rho0 q^j_max that underflows to 0 is refused before
+    # the sequence is built, not later by each kernel at that scale
+    assert make_scale_sequence(1.0, 0.5, 1000)[-1] > 0.0
+    with pytest.raises(ValueError, match="j_max"):
+        make_scale_sequence(1.0, 0.5, 2000)
 
 
 def _cell_diameter(cell):
@@ -138,6 +147,38 @@ def test_grid_measures_built_once():
     assert np.array_equal(m, [c.measure for c in grid.cells])
     with pytest.raises(ValueError):
         m[0] = 1.0
+
+
+def test_grid_carrier_table():
+    # one read-only record array holds the carriers; the per-carrier
+    # measures and every band's longitudes are views of its columns
+    grid = make_so3_grid(0.4, 0.5)
+    cells = grid.cells
+    assert isinstance(cells, np.recarray) and len(cells) == grid.n_carriers
+    assert cells.dtype.names == ("theta", "phi", "theta_lo", "theta_hi",
+                                 "phi_width", "measure")
+    assert not cells.flags.writeable
+    assert np.shares_memory(grid.measures, cells)
+    for theta, idx, phis, measure in grid.bands:
+        assert np.shares_memory(phis, cells)
+        assert np.array_equal(phis, cells.phi[idx])
+        assert np.all(cells.theta[idx] == theta)
+        assert np.all(cells.measure[idx] == measure)
+    assert not hasattr(so3, "GridCell") and not hasattr(sphwave, "GridCell")
+
+
+def test_grid_memory_per_carrier():
+    # the grid keeps its carrier table (48 bytes a carrier) and the band
+    # index arrays (8 bytes a carrier), no object per carrier
+    make_so3_grid(0.05, 0.05)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        grid = make_so3_grid(0.05, 0.05)
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert kept <= 100 * grid.n_carriers, kept / grid.n_carriers
 
 
 def test_grid_bands_read_only():

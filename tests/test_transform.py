@@ -340,16 +340,16 @@ def test_frame_matrix_on_aliased_axial_grids():
 def _band_grid(grid, bands, shift=0.0):
     # the grid restricted to some of its bands, each band's longitudes
     # turned by shift times its position in the list
-    cells, kept = [], []
+    cells = grid.cells[np.concatenate([grid.bands[b][1] for b in bands])]
+    kept, at = [], 0
     for i, b in enumerate(bands):
         theta, idx, phis, measure = grid.bands[b]
-        phis = np.mod(phis + shift * (i + 1), 2.0 * np.pi)
-        kept.append((theta, len(cells) + np.arange(len(idx)), phis, measure))
-        cells.extend(dataclasses.replace(grid.cells[c], phi=float(p))
-                     for c, p in zip(idx, phis))
-    measures = np.array([c.measure for c in cells])
-    return dataclasses.replace(grid, cells=tuple(cells), bands=tuple(kept),
-                               measures=measures)
+        phi = cells.phi[at:at + len(idx)]
+        phi[:] = np.mod(phis + shift * (i + 1), 2.0 * np.pi)
+        kept.append((theta, at + np.arange(len(idx)), phi, measure))
+        at += len(idx)
+    return dataclasses.replace(grid, cells=cells, bands=tuple(kept),
+                               measures=cells.measure)
 
 
 def test_frame_matrix_whole_band_closed_form():
@@ -442,7 +442,7 @@ def _scattered_grid(grid, bands, seed):
     order = np.random.default_rng(seed).permutation(sub.n_carriers)
     where = np.argsort(order)
     return dataclasses.replace(
-        sub, cells=tuple(sub.cells[c] for c in order),
+        sub, cells=sub.cells[order],
         bands=tuple((theta, where[idx], phis, measure)
                     for theta, idx, phis, measure in sub.bands),
         measures=sub.measures[order])
