@@ -6,7 +6,6 @@ codes: 0 success, 1 numerical failure, 2 usage or format error.
 """
 
 import argparse
-import json
 import sys
 from contextlib import nullcontext
 
@@ -97,7 +96,7 @@ def cmd_verify(args):
     return 0 if report.ok else 1
 
 
-def _preset_table(args, rng):
+def _preset_table(args):
     l_band = args.l_band
     table = CoefficientTable(l_band)
     if args.preset == "zonal-bump":
@@ -120,6 +119,7 @@ def _preset_table(args, rng):
                           args.phi + np.pi))
         table = CoefficientTable(l_band, broad.values + sharp.values)
     elif args.preset == "noise":
+        rng = np.random.default_rng(args.seed)
         n = table.values.size
         table.values[:] = (rng.standard_normal(n)
                            + 1j * rng.standard_normal(n))
@@ -132,8 +132,7 @@ def _preset_table(args, rng):
 
 def cmd_synthesize(args):
     _require_out(args)
-    rng = np.random.default_rng(args.seed)
-    table = _preset_table(args, rng)
+    table = _preset_table(args)
     signal = synthesize_signal(table, default_grid_spec(args.l_band))
     write_signal(args.out, signal)
     return 0
@@ -199,88 +198,83 @@ def _add_grid_flags(sub):
                      help="axial angle step bound")
 
 
-def build_parser():
+def build_parser(command=None):
+    """The parser and its subcommand parsers by name.  Every subcommand is
+    listed; only the named one (all when command is None) gets arguments."""
     parser = argparse.ArgumentParser(
         prog="sphwave",
         description="directional spherical wavelets with steerable "
                     "angular selectivity")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("profile", help="angular window curves as CSV")
-    _add_common(sub)
-    sub.add_argument("--taus", type=tau_list, default="1,2,4,8,16",
-                     help="comma-separated selectivities")
-    sub.add_argument("--samples", type=int, default=513)
-    sub.set_defaults(func=cmd_profile)
+    def add(name, text, func):
+        sub = subs.add_parser(name, help=text)
+        if command in (None, name):
+            _add_common(sub)
+            sub.set_defaults(func=func)
+            return sub
 
-    sub = subs.add_parser("kernel", help="sample one kernel on a grid")
-    _add_common(sub)
-    sub.add_argument("--family", choices=sorted(FAMILIES), default="omega")
-    sub.add_argument("--rho", type=float, default=0.5)
-    sub.add_argument("--tau", type=float, default=1.0)
-    sub.add_argument("--l-band", type=int, default=16,
-                     help="band limit of the binary sampling grid")
-    sub.add_argument("--n-theta", type=int, default=181)
-    sub.add_argument("--n-phi", type=int, default=181)
-    sub.add_argument("--format", choices=("csv", "bin"), default="csv")
-    sub.set_defaults(func=cmd_kernel)
+    if sub := add("profile", "angular window curves as CSV", cmd_profile):
+        sub.add_argument("--taus", type=tau_list, default="1,2,4,8,16",
+                         help="comma-separated selectivities")
+        sub.add_argument("--samples", type=int, default=513)
 
-    sub = subs.add_parser("verify", help="check the admissibility bounds")
-    _add_common(sub)
-    sub.add_argument("--family", choices=sorted(FAMILIES), default="omega")
-    sub.add_argument("--tau", type=float, default=1.0)
-    sub.add_argument("--l-max", type=int, default=64)
-    sub.set_defaults(func=cmd_verify)
+    if sub := add("kernel", "sample one kernel on a grid", cmd_kernel):
+        sub.add_argument("--family", choices=sorted(FAMILIES), default="omega")
+        sub.add_argument("--rho", type=float, default=0.5)
+        sub.add_argument("--tau", type=float, default=1.0)
+        sub.add_argument("--l-band", type=int, default=16,
+                         help="band limit of the binary sampling grid")
+        sub.add_argument("--n-theta", type=int, default=181)
+        sub.add_argument("--n-phi", type=int, default=181)
+        sub.add_argument("--format", choices=("csv", "bin"), default="csv")
 
-    sub = subs.add_parser("synthesize", help="write a test signal")
-    _add_common(sub)
-    sub.add_argument("--preset", required=True,
-                     choices=("zonal-bump", "ridge", "two-ridges", "noise"))
-    sub.add_argument("--l-band", type=int, default=16)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--width", type=float, default=0.05,
-                     help="zonal bump falloff per l(l+1)")
-    sub.add_argument("--family", choices=sorted(FAMILIES), default="omega")
-    sub.add_argument("--rho", type=float, default=0.5,
-                     help="ridge kernel scale")
-    sub.add_argument("--tau", type=float, default=8.0,
-                     help="ridge kernel selectivity")
-    sub.add_argument("--theta", type=float, default=np.pi / 3,
-                     help="ridge carrier colatitude")
-    sub.add_argument("--phi", type=float, default=1.0,
-                     help="ridge carrier longitude")
-    sub.add_argument("--orientation", type=float, default=0.0,
-                     help="ridge axial rotation")
-    sub.add_argument("--tau-broad", type=float, default=1.0)
-    sub.add_argument("--tau-sharp", type=float, default=8.0)
-    sub.set_defaults(func=cmd_synthesize)
+    if sub := add("verify", "check the admissibility bounds", cmd_verify):
+        sub.add_argument("--family", choices=sorted(FAMILIES), default="omega")
+        sub.add_argument("--tau", type=float, default=1.0)
+        sub.add_argument("--l-max", type=int, default=64)
 
-    sub = subs.add_parser("analyze", help="wavelet-analyze a signal file")
-    _add_common(sub)
-    sub.add_argument("--in", dest="infile", required=True)
-    sub.add_argument("--tau", type=float, default=4.0,
-                     help="uniform selectivity")
-    _add_grid_flags(sub)
-    sub.set_defaults(func=cmd_analyze)
+    if sub := add("synthesize", "write a test signal", cmd_synthesize):
+        sub.add_argument("--preset", required=True, choices=(
+            "zonal-bump", "ridge", "two-ridges", "noise"))
+        sub.add_argument("--l-band", type=int, default=16)
+        sub.add_argument("--seed", type=int, default=0)
+        sub.add_argument("--width", type=float, default=0.05,
+                         help="zonal bump falloff per l(l+1)")
+        sub.add_argument("--family", choices=sorted(FAMILIES), default="omega")
+        sub.add_argument("--rho", type=float, default=0.5,
+                         help="ridge kernel scale")
+        sub.add_argument("--tau", type=float, default=8.0,
+                         help="ridge kernel selectivity")
+        sub.add_argument("--theta", type=float, default=np.pi / 3,
+                         help="ridge carrier colatitude")
+        sub.add_argument("--phi", type=float, default=1.0,
+                         help="ridge carrier longitude")
+        sub.add_argument("--orientation", type=float, default=0.0,
+                         help="ridge axial rotation")
+        sub.add_argument("--tau-broad", type=float, default=1.0)
+        sub.add_argument("--tau-sharp", type=float, default=8.0)
 
-    sub = subs.add_parser("select", help="per-position selectivity map")
-    _add_common(sub)
-    sub.add_argument("--in", dest="infile", required=True)
-    sub.add_argument("--taus", type=tau_list, default="1,2,4,8,16")
-    sub.add_argument("--tau-cap", type=float, default=16.0)
-    _add_grid_flags(sub)
-    sub.set_defaults(func=cmd_select)
+    if sub := add("analyze", "wavelet-analyze a signal file", cmd_analyze):
+        sub.add_argument("--in", dest="infile", required=True)
+        sub.add_argument("--tau", type=float, default=4.0,
+                         help="uniform selectivity")
+        _add_grid_flags(sub)
 
-    sub = subs.add_parser("reconstruct", help="invert coefficients")
-    _add_common(sub)
-    sub.add_argument("--in", dest="infile", required=True)
-    solve = FrameOperatorConfig()
-    sub.add_argument("--tolerance", type=float, default=solve.tolerance,
-                     help="Jacobi-scaled relative residual to stop at")
-    sub.add_argument("--max-iterations", type=int,
-                     default=solve.max_iterations,
-                     help="CG step limit after the start")
-    sub.set_defaults(func=cmd_reconstruct)
+    if sub := add("select", "per-position selectivity map", cmd_select):
+        sub.add_argument("--in", dest="infile", required=True)
+        sub.add_argument("--taus", type=tau_list, default="1,2,4,8,16")
+        sub.add_argument("--tau-cap", type=float, default=16.0)
+        _add_grid_flags(sub)
+
+    if sub := add("reconstruct", "invert coefficients", cmd_reconstruct):
+        sub.add_argument("--in", dest="infile", required=True)
+        solve = FrameOperatorConfig()
+        sub.add_argument("--tolerance", type=float, default=solve.tolerance,
+                         help="Jacobi-scaled relative residual to stop at")
+        sub.add_argument("--max-iterations", type=int,
+                         default=solve.max_iterations,
+                         help="CG step limit after the start")
 
     return parser, subs.choices
 
@@ -306,6 +300,7 @@ def load_config(path):
     parser's options that a default can set, and each value must fit its
     option's type, so typos fail loudly; value ranges are checked by the
     owning modules."""
+    import json     # only a run with --config pays for it
     kinds = {a.dest: _JSON_TYPES.get(a.type, str)
              for sub in build_parser()[1].values() for a in sub._actions
              if a.option_strings and not a.required
@@ -332,7 +327,8 @@ def load_config(path):
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    parser, registry = build_parser()
+    parser, registry = build_parser(
+        next((a for a in argv if not a.startswith("-")), None))
     args = parser.parse_args(argv)
     # config is applied as the command's parser defaults so flags win
     if args.config is not None:

@@ -89,7 +89,6 @@ def _scan(f, scales, grid, tsel, family, carrier=None):
     if carrier is not None and carrier not in range(grid.n_carriers):
         raise ValueError("no carrier %r in [0, %d)"
                          % (carrier, grid.n_carriers))
-    cells = [b[1] for b in grid.bands] if carrier is None else [[0]]
     table = analyze_signal(f)
     taus = tuple(tsel)
     tol = TIE_MARGIN * np.sqrt(table.norm_sq())
@@ -97,13 +96,15 @@ def _scan(f, scales, grid, tsel, family, carrier=None):
     d = plan.correlate(table.values, carrier)
     out = np.empty((3,) + d.shape[:2])
     for j, w in enumerate(matched_weights(family, scales, taus, plan.ks)):
-        # the axial phases times each tau's weights, [k, (tau, angle)]: the
-        # landscape of the cells of one band is one product with it
+        # the axial phases times each tau's weights, [k, (tau, angle)]: one
+        # product with it scores a block of cells, 2^14 values at most (the
+        # whole grid's 2.6 MB at L = 16 took fresh pages on every call)
         factor = (w.T[:, :, None] * plan.axial_phase[:, None]).reshape(
             len(w.T), -1)
-        for idx in cells:
-            out[:, j, idx] = _pick(np.abs(d[j, idx] @ factor), taus,
-                                   grid.axial_angles, tol)
+        step = max(1, 2 ** 14 // factor.shape[1])
+        for a in range(0, d.shape[1], step):
+            out[:, j, a:a + step] = _pick(np.abs(d[j, a:a + step] @ factor),
+                                          taus, grid.axial_angles, tol)
     return out, d, plan
 
 
@@ -120,7 +121,7 @@ def select_tau(f, scales, j, alpha2, tsel, grid, family="omega"):
 
 
 def selectivity_scan(f, scales, grid, tsel, family="omega"):
-    """SelectivityMap over every (scale, carrier), batched per band."""
+    """SelectivityMap over every (scale, carrier), by blocks of cells."""
     return SelectivityMap(family, *_scan(f, scales, grid, tsel, family)[0],
                           grid, scales)
 

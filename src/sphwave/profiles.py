@@ -262,16 +262,24 @@ def evaluate_wavelet(spec, theta, phi):
 
 
 @lru_cache(maxsize=None)
+def _norm_rule(n_nodes):
+    """The n_nodes-point Gauss-Legendre rule in theta; read-only."""
+    u, w = np.polynomial.legendre.leggauss(n_nodes)
+    theta = np.arccos(u)
+    theta.flags.writeable = w.flags.writeable = False
+    return theta, w
+
+
+@lru_cache(maxsize=None)
 def profile_norm_sq(family, rho):
     """int_0^pi profile(theta)^2 sin(theta) dtheta by Gauss quadrature.
 
     Cached: it depends on (family, rho) only, and every selectivity of a
-    kernel shares it.
+    kernel shares it; so is the rule, of 256 nodes for every rho >= 0.16.
     """
     _check_rho(rho)
-    n_nodes = int(max(256, min(4000, 40.0 / max(rho, 0.02))))
-    u, w = np.polynomial.legendre.leggauss(n_nodes)
-    v = profile_fn(family)(rho, np.arccos(u))
+    theta, w = _norm_rule(int(max(256, min(4000, 40.0 / max(rho, 0.02)))))
+    v = profile_fn(family)(rho, theta)
     return float(np.sum(w * v * v))
 
 

@@ -15,8 +15,8 @@ sum and contracts by itself over its (scale, pair) factors.
 Jacobi-preconditioned CG inverts S on the degrees l >= 1, the ones an odd
 order reaches; a frame with one tau per scale builds S once for all calls
 on it and starts CG from zero.  A per-carrier tau map builds S for one
-solve and starts CG from the LU solution of S, unless its grid is
-under-resolved and S may be singular.
+solve and starts CG from the LU solution of S or, when its grid is
+under-resolved and S may be singular, from the minimum-norm solution.
 """
 
 from dataclasses import dataclass
@@ -350,8 +350,11 @@ def frame_matrix(family, taus, grid, scales, l_band):
     have H(d) = N H(0) (-1)^(d/N) where N divides d and 0 elsewhere: each
     reads its tilt once, contracts over its own (scale, pair) factors once
     for all its d, and the sums per d go straight into the flat layout.
-    The other rows are stacked for one product per order m, into an
-    m-major copy, one chunk of axial pairs at a time.
+    The other (band, scale) pairs are stacked, one chunk of axial pairs at
+    a time: beta is one gather from the tilt store (k < 0 at order -m), and
+    per order m one product, with H(m' - m) taken into one buffer, fills
+    the blocks m' >= m of an m-major copy; one conjugate-transpose add
+    fills the rest.
     """
     plan = BandPlan(l_band, grid, family, scales)
     n_m, n_l, ks = 2 * l_band + 1, l_band + 1, plan.ks
@@ -368,35 +371,39 @@ def frame_matrix(family, taus, grid, scales, l_band):
         return np.zeros((n, n), dtype=complex)
 
     # per band its whole scales: one tau on the band's cells, which sit at
-    # longitudes (c + 1/2) 2 pi / N
-    whole = []
-    for _, idx, phis, _ in grid.bands:
-        regular = np.array_equal(
-            phis, (np.arange(len(idx)) + 0.5) * (2.0 * np.pi / len(idx)))
-        whole.append([j for j, t in enumerate(taus) if regular and (
-            np.ndim(t) == 0 or np.all(t[idx] == t[idx[0]]))])
+    # longitudes (c + 1/2) 2 pi / N; tested on all cells in band order
+    _, idxs, phis, measures = zip(*grid.bands)
+    counts = np.array([len(idx) for idx in idxs])
+    first, cell = np.cumsum(counts) - counts, np.concatenate(idxs)
+    ok = [np.concatenate(phis) == (np.arange(len(cell)) - np.repeat(
+        first, counts) + 0.5) * np.repeat(2.0 * np.pi / counts, counts)]
+    ok += [t == np.repeat(t[first], counts) for t in (
+        np.broadcast_to(t, grid.n_carriers)[cell] for t in taus)]
+    ok = np.logical_and.reduceat(ok, first, axis=1)
+    whole = ok[1:] & ok[0]      # [scale, band]
 
-    # the other scales: compact beta rows and H(d) per pair, stacked
-    mixed = [(b, band, js) for b, band in enumerate(grid.bands)
-             if (js := [j for j in range(len(taus)) if j not in whole[b]])]
+    # the other (band, scale) pairs: compact beta rows and H(d) per pair,
+    # stacked
+    qb, qj = np.nonzero(~whole.T)
     s = np.zeros((n, n), dtype=complex)
-    if mixed:
+    if len(qb):
         order = np.lexsort((l_of, m_of))
         off = np.searchsorted(m_of[order], np.arange(-l_band, l_band + 2))
-        mo, lo, sizes = m_of[order] + l_band, l_of[order], np.diff(off)
-        h = np.concatenate([(np.exp(1j * np.outer(m, phis)) * measure @ (
-            np.stack([wpair[j][idx] for j in js]))).transpose(1, 0, 2)
-            for _, (_, idx, phis, measure), js in mixed], axis=1)
+        mo, lo = m_of[order], l_of[order]
+        h = np.concatenate([np.exp(1j * np.outer(m, phis[b])) * measures[b] @ (
+            np.stack([wpair[j][idxs[b]] for j in qj[qb == b]]))
+            for b in np.flatnonzero(~whole.all(axis=0))]).transpose(1, 0, 2)
 
         def rows(p):
-            # beta at [m-major (m, l), (band, scale, pair)]
-            out, c = np.empty((n, len(p) * h.shape[1])), 0
-            for b, _, js in mixed:
-                t = plan.tilt(b)[p]
-                out[:, c:c + len(js) * len(p)] = (plan.kern[js][:, p][
-                    ..., lo] * t[:, mo, lo]).reshape(-1, n).T
-                c += len(js) * len(p)
-            return out
+            # beta at [m-major (m, l), (band, scale, pair)]: one gather from
+            # the store at flat offsets, where k < 0 reads order -m
+            pc, n_b = np.tile(p, len(qb)), len(grid.bands)
+            beta = np.add.outer(lo * n_b, (pc // 2 * n_m + l_band) * n_l * n_b
+                                + np.repeat(qb, len(p)))
+            beta += np.multiply.outer(mo * n_l * n_b, np.sign(ks[pc]))
+            beta = plan.store.reshape(-1).take(beta)
+            beta *= plan.kern[np.repeat(qj, len(p)), pc].T[lo]
+            return beta
 
         # the stacked rows of one chunk hold at most the tilt store's entries
         entries = n * h.size // n_m * (2 - same)
@@ -406,21 +413,23 @@ def frame_matrix(family, taus, grid, scales, l_band):
             high = low if same else rows(ib[ch])
             hc = h[:, :, ch].reshape(n_m, -1)
             hc = np.ascontiguousarray(hc.real), np.ascontiguousarray(hc.imag)
-            # one product per order m, H(m' - m) repeated over the degrees
-            # of each order m' as whole contiguous rows
+            z = np.empty_like(high)
+            # one product per order m, H(m' - m) taken over the degrees of
+            # each order m' into one buffer
             for i in range(n_m):
                 a, b = off[i], off[i + 1]
                 for part, hp in zip((s[a:b, a:].real, s[a:b, a:].imag), hc):
-                    z = np.repeat(hp[:n_m - i], sizes[i:], axis=0)
-                    z *= high[a:]
-                    part += low[a:b] @ z.T
+                    hp.take(mo[a:] + (l_band - i), 0, z[a:], "clip")
+                    z[a:] *= high[a:]
+                    part += low[a:b] @ z[a:].T
             del low, high, z  # before the n x n temporaries
         back = np.argsort(order)
         mirror = back[(l_of * (l_of + 1) - m_of)[order]]
         s += s[np.ix_(mirror, mirror)].T
-        for a, b in zip(off[:-1], off[1:]):
-            s[a:b, a:b] = 0.5 * (s[a:b, a:b] + s[a:b, a:b].conj().T)
-            s[b:, a:b] = s[a:b, b:].conj().T
+        # the blocks below m' = m are still zero: adding the conjugate
+        # transpose fills them, and the blocks m' = m go to half weight
+        s += s.conj().T
+        s[mo[:, None] == mo] *= 0.5
         s = s[np.ix_(back, back)]
 
     # the whole bands per order difference d: T_d[m] = sum_b v_d(b) sum_jp
@@ -431,8 +440,8 @@ def frame_matrix(family, taus, grid, scales, l_band):
                   m[:n_l] * (m[:n_l] + 1) + (m - l_band)[:, None], -1)
     blocks, flat = {}, s.reshape(-1).real
     ka, kb = plan.kern[:, ia, None], plan.kern[:, ib, None]
-    bands = [(b, grid.bands[b], js) for b, js in enumerate(whole) if js]
-    for b, (_, idx, _, measure), js in bands:
+    for b in np.flatnonzero(whole.any(axis=0)):
+        idx, measure, js = idxs[b], measures[b], np.flatnonzero(whole[:, b])
         t = plan.tilt(b)
         w = np.stack([wpair[j][idx[0]] for j in js])[..., None, None]
         # beta_jk at [m, l, (j, p)] and w_jp beta_jk' at [m, (j, p), l']
@@ -493,10 +502,11 @@ def reconstruct(coeffs, cfg=None):
     until a call on another frame, and CG starts from zero.  A per-carrier
     tau map's S serves this one solve, so CG starts from its LU solution
     (np.linalg.solve, backward stable, one copy of S).  An under-resolved
-    map starts from zero: its S may be singular, and CG from zero stays in
-    the Krylov space of b where an LU start would carry a null-space
-    component no CG step removes.  cfg.max_iterations counts the CG steps
-    after the start.
+    map's S may be singular, where an LU start would carry a null-space
+    component no CG step removes: it starts from the minimum-norm solution,
+    by eigh of S with the eigenvalues below 1e-12 times the largest dropped,
+    which is the input projected onto the range of S.  cfg.max_iterations
+    counts the CG steps after the start.
     """
     if cfg is None:
         cfg = FrameOperatorConfig()
@@ -514,8 +524,13 @@ def reconstruct(coeffs, cfg=None):
                               "degree l >= 1 carries no kernel energy, or "
                               "the grid is too coarse for this band")
     znorm = np.linalg.norm(b / diag)
-    if _kept(coeffs) or coeffs.under_resolved:
+    if _kept(coeffs):
         x, r = np.zeros_like(b), b
+    elif coeffs.under_resolved:
+        lam, v = np.linalg.eigh(sa)
+        keep = lam > 1e-12 * lam[-1]
+        x = v[:, keep] @ ((v[:, keep].conj().T @ b) / lam[keep])
+        r = b - sa @ x
     else:
         x = np.linalg.solve(sa, b)
         r = b - sa @ x

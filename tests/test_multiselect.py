@@ -2,11 +2,12 @@
 and the sup-norm oracle the acceptance suite reads."""
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sphwave import admissibility, multiselect, transform
+from sphwave import admissibility, multiselect, profiles, transform
 from sphwave.admissibility import wavelet_coefficient_table
 from sphwave.multiselect import (SelectivitySet, adaptive_analysis,
                                  refine_tau, select_tau, selectivity_scan)
@@ -208,24 +209,32 @@ def test_refine_tau_honors_tol(monkeypatch):
 
 def test_scan_norm_quadrature_once_per_scale(monkeypatch):
     # the kernel norm depends on (family, rho) only; a scan over several
-    # bands, scales and selectivities runs one quadrature per scale
+    # bands, scales and selectivities runs one quadrature per scale, and
+    # every scale reads the one cached 256-node rule
     grid = make_so3_grid(0.8, 0.5)
     f = _random_signal(8, 3)
     tsel = SelectivitySet((1.0, 2.0, 4.0))
     # warm the kernel tables, which run their own rules
     selectivity_scan(f, SCALES, grid, tsel)
-    calls = []
+    calls, quadratures = [], []
     leggauss = np.polynomial.legendre.leggauss
+    profile_fn = profiles.profile_fn
 
     def counted(n):
         calls.append(n)
         return leggauss(n)
 
+    def counted_profile(family):
+        quadratures.append(family)
+        return profile_fn(family)
+
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    monkeypatch.setattr(profiles, "profile_fn", counted_profile)
     # scales no other test uses, so their norms are not cached yet
     scales = make_scale_sequence(0.83, 0.5, 1)
     selectivity_scan(f, scales, grid, tsel)
-    assert len(calls) == len(scales), len(calls)
+    assert len(quadratures) == len(scales), len(quadratures)
+    assert calls == [], calls
     assert len(grid.bands) > 1
 
 
@@ -524,15 +533,10 @@ def test_adaptive_round_trip_at_defaults(monkeypatch):
         assert err < 1e-9, (seed, err)
 
 
-def test_tau_map_reconstruct_error_within_tolerance():
-    # a per-carrier tau map is solved from its LU start: the default
-    # tolerance 1e-10 bounds the error against the input, not only the
-    # Jacobi-scaled residual.  Two unit-energy kernels with tau 1 and 8,
-    # at least 90 degrees apart, planted as the adaptive_select workload
-    # plants them
-    l_band, grid = 16, make_so3_grid(0.2, 0.2)
-    th, ph = (np.array([getattr(c, a) for c in grid.cells])
-              for a in ("theta", "phi"))
+def _two_kernels(seed, l_band, grid):
+    # two unit-energy kernels with tau 1 and 8, at least 90 degrees apart,
+    # planted as the adaptive_select workload plants them
+    th, ph = grid.cells.theta, grid.cells.phi
     xyz = np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph),
                     np.cos(th)], axis=1)
     half = len(grid.axial_angles) // 2
@@ -542,18 +546,45 @@ def test_tau_map_reconstruct_error_within_tolerance():
         return _planted(l_band, spec, carrier, phi1,
                         1.0 / np.sqrt(wavelet_norm_sq(spec)), grid).values
 
+    rng = np.random.default_rng(seed)
+    a = int(rng.integers(grid.n_carriers))
+    b = int(rng.choice(np.flatnonzero(xyz @ xyz[a] <= np.cos(0.5 * np.pi))))
+    pa, pb = (float(grid.axial_angles[i]) for i in rng.integers(half, size=2))
+    return _signal(CoefficientTable(l_band, plant(1.0, a, pa)
+                                    + plant(8.0, b, pb)))
+
+
+def test_tau_map_reconstruct_error_within_tolerance():
+    # a per-carrier tau map is solved from its LU start: the default
+    # tolerance 1e-10 bounds the error against the input, not only the
+    # Jacobi-scaled residual
+    l_band, grid = 16, make_so3_grid(0.2, 0.2)
     for seed in range(1, 6):
-        rng = np.random.default_rng(seed)
-        a = int(rng.integers(grid.n_carriers))
-        b = int(rng.choice(np.flatnonzero(xyz @ xyz[a]
-                                          <= np.cos(0.5 * np.pi))))
-        pa, pb = (float(grid.axial_angles[i])
-                  for i in rng.integers(half, size=2))
-        f = _signal(CoefficientTable(l_band, plant(1.0, a, pa)
-                                     + plant(8.0, b, pb)))
+        f = _two_kernels(seed, l_band, grid)
         _, coeffs = adaptive_analysis(f, SCALES, grid, SelectivitySet())
         assert np.ndim(coeffs.taus[0]) == 1
         rec = reconstruct(coeffs)
         err = (np.linalg.norm(rec.values - f.values)
                / np.linalg.norm(f.values))
         assert err <= 1e-10, (seed, err)
+
+
+def test_tau_map_frame_matrix_peak_memory():
+    # the planted maps' S (4 tau per scale, most bands split): the stacked
+    # rows' gathers and the per-order buffer keep the traced peak within
+    # 3.2 S (2.8-2.9 S measured)
+    l_band, grid = 16, make_so3_grid(0.2, 0.2)
+    for seed in (1, 2, 3):
+        smap = selectivity_scan(_two_kernels(seed, l_band, grid), SCALES,
+                                grid, SelectivitySet())
+        taus = list(smap.tau_star)
+        transform.frame_matrix("omega", taus, grid, SCALES, l_band)  # warm
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            s = transform.frame_matrix("omega", taus, grid, SCALES, l_band)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.2 * s.nbytes, (seed, peak / s.nbytes)

@@ -910,7 +910,8 @@ def test_under_resolved_flag():
 def test_under_resolved_tau_map_starts_from_zero():
     # on a grid too coarse for the band S is singular (rank 112 of 120
     # here): an LU start would carry a null-space component that no CG
-    # step removes (relative error 7.7), so the map starts from zero
+    # step removes (relative error 7.7), so the map is solved for its
+    # minimum-norm solution
     grid = make_so3_grid(1.2, 2.0)
     f = _signal(_random_table(10, 46, 0))
     coeffs = forward_transform(f, _split_specs("omega", grid), grid, SCALES)
@@ -919,6 +920,30 @@ def test_under_resolved_tau_map_starts_from_zero():
     assert np.all(np.isfinite(rec.values))
     err = np.linalg.norm(rec.values - f.values) / np.linalg.norm(f.values)
     assert err < 1.0, err
+
+
+def test_under_resolved_tau_map_minimum_norm():
+    # S of random tau maps has rank 114 of 288 here, with a gap from 6e-7
+    # to 1e-17 of its largest singular value: the solve returns the input
+    # projected onto the range of S, error 0.77 (CG from zero left 2.4-2.6)
+    grid = make_so3_grid(1.5, 3.0)
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng(seed)
+        table = _random_table(16, seed, kill_below=0)
+        taus = [rng.choice(SelectivitySet().taus, grid.n_carriers)
+                for _ in SCALES]
+        specs = [tuple(WaveletSpec("omega", rho, t) for t in tau)
+                 for rho, tau in zip(SCALES, taus)]
+        coeffs = forward_transform(_signal(table), specs, grid, SCALES)
+        assert coeffs.under_resolved
+        _, sig, vh = np.linalg.svd(
+            frame_matrix("omega", coeffs.taus, grid, SCALES, 16)[1:, 1:])
+        vh = vh[sig > 1e-9 * sig[0]]
+        want = table.values[1:]
+        err = [np.linalg.norm(v - want) / np.linalg.norm(want) for v in (
+            vh.conj().T @ (vh @ want),
+            analyze_signal(reconstruct(coeffs)).values[1:])]
+        assert len(vh) == 114 and abs(err[1] - err[0]) <= 1e-8, err
 
 
 def test_spec_validation():
