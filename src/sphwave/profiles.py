@@ -129,18 +129,19 @@ def window_weights(taus, l_band):
     entry of taus (a scalar, or an array of any shape)."""
     uniq, inverse = np.unique(np.asarray(taus, dtype=float),
                               return_inverse=True)
-    rows = _weight_rows(uniq[:, None], np.arange(-l_band, l_band + 1))
+    k = np.arange(-l_band, l_band + 1)
+    rows = _weight_rows(uniq[:, None], k) * (k % 2)
     return rows[inverse].reshape(np.shape(taus) + (-1,))
 
 
 def _weight_rows(t, ks):
-    """w_k(tau) at the orders ks for the (checked) tau t broadcast to them."""
-    if t.size:
-        _check_tau(t.min())
-        _check_tau(t.max())
+    """w_k(tau) at the odd orders ks for the tau t, a float or an array."""
+    for x in (t,) if np.isscalar(t) else (t.min(), t.max()) if t.size else ():
+        _check_tau(x)
     k = np.abs(ks)
     # an odd |k| is at most the cut where the rule still keeps |k| - 2
-    return _tail_keeps(np.maximum(k - 2, 1), t) * angular_coefficient(t, k)
+    return (_tail_keeps(np.maximum(k - 2, 1), t) * ((8.0 * np.pi) ** 0.5 / t)
+            * np.exp(-k * k / (2.0 * t * t)))
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +297,14 @@ def _window_norm_sq(tau):
     """int_0^{2pi} f^2 dphi = sum_k |c_k|^2 / (2 pi) over all odd k, by
     Poisson summation (2 sqrt(pi) / tau) (1 + 2 sum_n (-1)^n e^{-(pi n
     tau / 2)^2}), elementwise in tau; past n = 4 the terms are < 1e-26."""
-    e = np.exp(np.multiply.outer(np.square(tau), _POISSON_EXPONENTS))
+    e = np.exp(np.multiply.outer(tau * tau, _POISSON_EXPONENTS))
     return 2.0 * np.pi ** 0.5 / tau * (1.0 + e @ _POISSON_WEIGHTS)
 
 
 def matched_weights(family, rhos, taus, ks):
-    """The matched filter's weights w_k(tau) / ||Psi_tau|| at the orders ks
-    as [rho, tau, k], over a sequence of scales and any array of taus."""
-    t = np.asarray(taus, dtype=float)[..., None]
+    """The matched filter's weights w_k(tau) / ||Psi_tau|| at the odd
+    orders ks as [rho, tau, k], over the scales rhos and taus (any array)."""
+    t = taus if np.isscalar(taus) else np.asarray(taus, float)[..., None]
     p = np.multiply.outer([profile_norm_sq(family, rho) for rho in rhos],
                           _window_norm_sq(t))
-    return _weight_rows(t, ks) / np.sqrt(p)
+    return _weight_rows(t, ks) / np.sqrt(p[..., None] if t is taus else p)

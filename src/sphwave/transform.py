@@ -123,25 +123,30 @@ def _wigner_d(theta, l):
 def _tilt_store(thetas, l_band):
     """d^l_mk(theta_b), odd k > 0, of the band colatitudes thetas as
     [k // 2, m + l_band, l, b], zero where l < max(|m|, k); d^l_{-m,-k} =
-    d^l_mk gives k < 0.  One product per degree; read-only, per band set."""
+    d^l_mk gives k < 0.  Read-only, per band set; one product per degree
+    and chunk of bands, two complex blocks of at most 2 MB or store / 5."""
     store = np.zeros(((l_band + 1) // 2, 2 * l_band + 1, l_band + 1,
                       len(thetas)))
     for l in range(1, l_band + 1):
-        store[:(l + 1) // 2, l_band - l:l_band + l + 1, l] = \
-            _wigner_d(np.array(thetas), l)[..., l + 1::2].T
+        step = max(1, max(store.nbytes, 10 << 20) // 160 // (2 * l + 1) ** 2)
+        for b in range(0, len(thetas), step):
+            store[:(l + 1) // 2, l_band - l:l_band + l + 1, l, b:b + step] = \
+                _wigner_d(np.array(thetas[b:b + step]), l)[..., l + 1::2].T
     store.flags.writeable = False
     return store
 
 
 @lru_cache(maxsize=4)
 def _cell_phases(phis, l_band):
-    """e^{i m phi} at the longitudes phis (float64 bytes) as [m + l_band,
-    cell], read-only: a running product over m > 0, conjugated for m < 0."""
+    """e^{i m phi} at the longitudes phis (float64 bytes) as [cell, m +
+    l_band], read-only: a running product over m > 0 in one vector (numpy
+    rounds overlapping strided columns otherwise), conjugated for m < 0."""
     e = np.exp(1j * np.frombuffer(phis))
-    out = np.ones((2 * l_band + 1, len(e)), dtype=complex)
-    for m in range(l_band + 1, len(out)):
-        np.multiply(out[m - 1], e, out=out[m])
-    np.conjugate(out[:l_band:-1], out=out[:l_band])
+    out, p = np.ones((len(e), 2 * l_band + 1), dtype=complex), e.copy()
+    for m in range(l_band + 1, out.shape[1]):
+        out[:, m] = p
+        p *= e
+    np.conjugate(out[:, :l_band:-1], out=out[:, :l_band])
     out.flags.writeable = False
     return out
 
@@ -157,8 +162,10 @@ class BandPlan:
     (k > 0, m) the store's [l, b] matrix times re/im of P_j[l, k] f_lm and
     of P_j[l, k] conj(f_l,-m), which is conj(X[-k, -m]) as P_j[l, -k] =
     P_j[l, k].  Per band one longitude product then serves all its cells,
-    and k < 0 is conjugated back.  weights(tau) scales each cell's row
-    before the axial phases; adjoint runs the steps transposed.
+    and k < 0 is conjugated back.  Cells run in band order, a band one row
+    block (span) of the grid's phase table and of d; carriers numbered
+    otherwise take one gather per call.  weights(tau) scales each cell's
+    row before the axial phases; adjoint runs the steps transposed.
     """
 
     def __init__(self, l_band, grid, family, scales):
@@ -174,10 +181,12 @@ class BandPlan:
         self._flat = m_of + l_band, l_of
         self.store = _tilt_store(tuple(float(b[0]) for b in self.bands),
                                  l_band)
-        rows = _cell_phases(np.concatenate([b[2] for b in self.bands])
-                            .tobytes(), l_band)
+        self.phases = _cell_phases(np.concatenate([b[2] for b in self.bands])
+                                   .tobytes(), l_band)
         at = np.cumsum([0] + [len(b[1]) for b in self.bands])
-        self._rows = [rows[:, a:b] for a, b in zip(at, at[1:])]
+        self.spans = [slice(a, b) for a, b in zip(at, at[1:])]
+        cell = np.concatenate([b[1] for b in self.bands])   # band order
+        self._cell = None if (cell == np.arange(len(cell))).all() else cell
 
     def tilt(self, b):
         """d^l_mk of band b as [k, m + l_band, l], k over ks."""
@@ -193,29 +202,30 @@ class BandPlan:
     def correlate(self, values, carrier=None):
         """tau-free correlations d[j, c, k] of a flat table with the kernel
         of every scale j at every cell c, or at the one carrier given."""
-        idxs, rows, store = [b[1] for b in self.bands], self._rows, self.store
+        ph, rows, cell, store = self.phases, self.spans, self._cell, self.store
         if carrier is not None:
-            b = next(b for b, idx in enumerate(idxs) if carrier in idx)
-            idxs, rows = [[0]], [rows[b][:, idxs[b] == carrier]]
+            r = carrier if cell is None else np.flatnonzero(cell == carrier)[0]
+            b = next(b for b, s in enumerate(rows) if s.start <= r < s.stop)
+            ph, rows, cell = ph[r:r + 1], [slice(0, 1)], None
             store = store[..., b:b + 1]
         n_k, n_m, n_l = self.store.shape[:3]
-        out = np.empty((len(self.kern), sum(map(len, idxs)), len(self.ks)),
-                       dtype=complex)
+        out = np.empty((len(self.kern), len(ph), len(self.ks)), dtype=complex)
         f = np.zeros((n_m, n_l, 2), dtype=complex)
         f[(*self._flat, 1)] = values
         np.conjugate(f[::-1, :, 1], out=f[:, :, 0])
         # per scale: P_j f at [k // 2, m, l, (-k, k)], X at [m, b, k // 2,
         # (-k re, -k im, k re, k im)]
         a = np.empty((n_k, n_m, n_l, 2), dtype=complex)
-        x = np.empty((n_m, len(idxs), n_k, 4))
+        x = np.empty((n_m, len(rows), n_k, 4))
         for kern, d in zip(self.kern[:, 1::2, None, :, None], out):
             np.multiply(f, kern, out=a)
             np.matmul(store.swapaxes(2, 3), a.view(float),
                       out=x.transpose(2, 0, 1, 3))
-            for b, (idx, e) in enumerate(zip(idxs, rows)):
-                d[idx] = e.T @ x[:, b].view(complex).reshape(n_m, -1)
+            for b, s in enumerate(rows):
+                np.matmul(ph[s], x[:, b].view(complex).reshape(n_m, -1),
+                          out=d[s])
         np.conjugate(out[..., ::2], out=out[..., ::2])
-        return out
+        return out if cell is None else out[:, np.argsort(cell)]
 
     def adjoint(self, d):
         """Flat table sum_c e^{-i m phi_c} sum_{j,k} beta_jk[m, l] d[j, c, k]
@@ -226,13 +236,12 @@ class BandPlan:
         x = np.empty((n_m, len(self.bands), self.store.shape[0], 4))
         y = np.empty(self.store.shape[:3] + (2,), dtype=complex)
         for kern in self.kern[:, 1::2, None, :, None]:
-            dj = next(d)
-            for b, ((_, idx, _, _), e) in enumerate(zip(self.bands,
-                                                        self._rows)):
-                g = dj[idx]
-                np.conjugate(g[:, 1::2], out=g[:, 1::2])
-                np.matmul(e, g, out=x[:, b].view(complex).reshape(n_m, -1))
-            del dj      # before the next scale's d[j] is made
+            g = next(d)     # in band order, in a copy: d is the caller's
+            g = g.copy() if self._cell is None else g[self._cell]
+            np.conjugate(g[:, 1::2], out=g[:, 1::2])
+            for b, s in enumerate(self.spans):
+                np.matmul(self.phases[s].T, g[s],
+                          out=x[:, b].view(complex).reshape(n_m, -1))
             np.matmul(self.store, x.transpose(2, 0, 1, 3), out=y.view(float))
             y *= kern
             acc = acc + y.sum(axis=0)
@@ -354,7 +363,8 @@ def frame_matrix(family, taus, grid, scales, l_band):
     a time: beta is one gather from the tilt store (k < 0 at order -m), and
     per order m one product, with H(m' - m) taken into one buffer, fills
     the blocks m' >= m of an m-major copy; one conjugate-transpose add
-    fills the rest.
+    fills the rest.  H reads e^{i d phi} from the band's span of the
+    grid's phase table, d > L as the product with e^{i L phi}.
     """
     plan = BandPlan(l_band, grid, family, scales)
     n_m, n_l, ks = 2 * l_band + 1, l_band + 1, plan.ks
@@ -390,8 +400,11 @@ def frame_matrix(family, taus, grid, scales, l_band):
         order = np.lexsort((l_of, m_of))
         off = np.searchsorted(m_of[order], np.arange(-l_band, l_band + 2))
         mo, lo = m_of[order], l_of[order]
-        h = np.concatenate([np.exp(1j * np.outer(m, phis[b])) * measures[b] @ (
-            np.stack([wpair[j][idxs[b]] for j in qj[qb == b]]))
+        # H per mixed band, e^{i d phi} as column L + d or (d > L) d x 2L
+        h = np.concatenate([np.concatenate((
+            (ph := plan.phases[plan.spans[b]])[:, l_band:],
+            ph[:, l_band + 1:] * ph[:, -1:]), 1).T * measures[b]
+            @ np.stack([wpair[j][idxs[b]] for j in qj[qb == b]])
             for b in np.flatnonzero(~whole.all(axis=0))]).transpose(1, 0, 2)
 
         def rows(p):

@@ -414,6 +414,12 @@ def per_entry_kernel_matrix(family, rho, l_band):
     return mat
 
 
+def exp_phase_table(phis, l_band):
+    """e^{i m phi} at the longitudes phis as [cell, m + l_band], one
+    np.exp per entry."""
+    return np.exp(1j * np.outer(phis, np.arange(-l_band, l_band + 1)))
+
+
 def per_band_tilt_store(thetas, l_band):
     """_tilt_store's [k // 2, m + l_band, l, b] layout filled with one
     _wigner_d block per (band, degree)."""

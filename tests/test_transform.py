@@ -497,6 +497,104 @@ def test_band_operator_adjoint_at_odd_band():
                 assert abs(lhs - rhs) <= 1e-13 * abs(lhs), fam
 
 
+def test_band_operator_carrier_permutation():
+    # the operator works in band order, so a grid whose carriers are
+    # renumbered gives the same numbers bit for bit at the renumbered
+    # carriers: correlate (all cells and one), adjoint and the transform,
+    # both families, 1 and 3 scales, uniform and per-carrier tau
+    l_band = 13
+    base = make_so3_grid(0.3, 0.3)
+    perm = _scattered_grid(base, range(len(base.bands)), 8)
+    # perm's carrier c is base's carrier order[c]
+    order = np.empty(base.n_carriers, dtype=int)
+    for (_, at, _, _), (_, idx, _, _) in zip(perm.bands, base.bands):
+        order[at] = idx
+    assert np.any(order != np.arange(len(order)))
+    f = _signal(_random_table(l_band, 97, kill_below=-1))
+    values = analyze_signal(f).values
+    rng = np.random.default_rng(98)
+    for scales in (make_scale_sequence(1.0, 0.5, 0),
+                   make_scale_sequence(1.0, 0.5, 2)):
+        for fam in ("omega", "upsilon"):
+            pb, pp = (BandPlan(l_band, g, fam, scales) for g in (base, perm))
+            d = pb.correlate(values)
+            assert np.array_equal(pp.correlate(values), d[:, order])
+            for c in (0, 77, perm.n_carriers - 1):
+                assert np.array_equal(pp.correlate(values, c),
+                                      pb.correlate(values, order[c]))
+            v = rng.standard_normal(d.shape) + 1j * rng.standard_normal(
+                d.shape)
+            assert np.array_equal(pp.adjoint(v[:, order]), pb.adjoint(v))
+            for split in (False, True):
+                got, want = (forward_transform(f, [
+                    tuple(WaveletSpec(fam, rho, t) for t in _split_taus(
+                        g, j % 2)) if split else WaveletSpec(fam, rho, 3.0)
+                    for j, rho in enumerate(scales)], g, scales)
+                    for g in (perm, base))
+                for a, b in zip(got.values, want.values):
+                    assert np.array_equal(a, b[order]), (fam, split)
+                assert np.array_equal(adjoint_transform(got).values,
+                                      adjoint_transform(want).values)
+
+
+def test_adjoint_leaves_its_input_unchanged():
+    # the k > 0 half is conjugated in a copy, on grids numbered band by
+    # band and on scattered ones, and a read-only input is accepted
+    l_band = 9
+    for grid in (make_so3_grid(0.5, 0.5),
+                 _scattered_grid(make_so3_grid(0.5, 0.5), [3, 0, 5], 2)):
+        plan = BandPlan(l_band, grid, "omega", SCALES)
+        d = plan.correlate(_random_table(l_band, 99).values)
+        keep = d.copy()
+        d.flags.writeable = False
+        back = plan.adjoint(d)
+        assert np.array_equal(d, keep)
+        assert np.array_equal(plan.adjoint(keep), back)
+
+
+def test_plans_share_one_phase_table():
+    # every plan on a grid and band limit reads the one cached table, cell
+    # by cell in band order, each band one span of rows: no per-plan copy
+    grid = make_so3_grid(0.4, 0.4)
+    l_band = 12
+    transform._cell_phases.cache_clear()
+    a = BandPlan(l_band, grid, "omega", SCALES)
+    b = BandPlan(l_band, grid, "upsilon", make_scale_sequence(0.7, 0.5, 2))
+    assert np.shares_memory(a.phases, b.phases)
+    info = transform._cell_phases.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert a.phases.shape == (grid.n_carriers, 2 * l_band + 1)
+    assert a.phases.flags.c_contiguous and not a.phases.flags.writeable
+    for s, (_, idx, phis, _) in zip(a.spans, grid.bands):
+        assert np.array_equal(grid.cells.phi[idx], phis)
+        want = oracles.exp_phase_table(phis, l_band)
+        assert np.max(np.abs(a.phases[s] - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("l_band", [8, 11, 14, 17])
+def test_tau_map_frame_matrix_phase_sums(l_band):
+    # the phase sums H take e^{i d phi} from the cached table (running
+    # products, d > L as a product of two columns); S stays within 1e-14 of
+    # the oracle's, which sums np.exp phases cell by cell.  Off-lattice
+    # longitudes put every band on the phase-sum path, uniform maps too
+    delta = {8: 0.5, 11: 0.4, 14: 0.3, 17: 0.25}[l_band]
+    base = make_so3_grid(delta, delta)
+    grid = _band_grid(base, range(len(base.bands)), shift=0.37)
+    rng = np.random.default_rng(l_band)
+    maps = {"uniform": [np.full(grid.n_carriers, 4.0)] * 2,
+            "band-split": [_split_taus(grid, j) for j in range(2)],
+            "random": [rng.choice([1.0, 2.0, 4.0, 8.0, 16.0], grid.n_carriers)
+                       for _ in range(2)]}
+    for fam in ("omega", "upsilon"):
+        for name, taus in maps.items():
+            s = frame_matrix(fam, taus, grid, SCALES, l_band)
+            want = oracles.adaptive_frame_matrix(
+                transform.TransformCoefficients(fam, l_band, (), tuple(taus),
+                                                grid, SCALES, False))
+            assert (np.max(np.abs(s - want))
+                    <= 1e-14 * np.max(np.abs(want))), (fam, name)
+
+
 def test_band_operator_peak_memory():
     # a warm correlate and a warm adjoint at L = 16 with 3 scales each
     # peak at most twice the tilt store: per scale buffers, no stacked or
@@ -982,3 +1080,31 @@ def test_tilt_store_matches_per_band_blocks():
     for l_band in (12, 17):
         assert np.array_equal(_tilt_store(thetas, l_band),
                               oracles.per_band_tilt_store(thetas, l_band))
+
+
+def test_tilt_store_built_in_band_chunks(monkeypatch):
+    # at L = 32, delta = 0.1 (45 bands) the top degrees take the bands in
+    # chunks: the store is the one of one block per (band, degree), bit for
+    # bit, and the build peaks at 1.25 times the store at most (all bands
+    # in one product per degree took 1.5 times)
+    grid = make_so3_grid(0.1, 0.1)
+    thetas = tuple(float(b[0]) for b in grid.bands)
+    calls, wigner = [], transform._wigner_d
+    monkeypatch.setattr(transform, "_wigner_d",
+                        lambda theta, l: calls.append(l) or wigner(theta, l))
+    build = transform._tilt_store.__wrapped__
+    store = build(thetas, 32)
+    assert calls.count(32) > 1 and calls.count(1) == 1, calls.count(32)
+    assert np.array_equal(store, oracles.per_band_tilt_store(thetas, 32))
+    monkeypatch.undo()
+    for l in range(1, 33):
+        _jx_basis(l)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        store = build(thetas, 32)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * store.nbytes, peak / store.nbytes
