@@ -102,12 +102,10 @@ def write_coefficients(path, coeffs):
     scales = coeffs.scales
     n_axial = len(grid.axial_angles)
     header = ("%s family=%s l_band=%d n_scales=%d rho0=%r q=%r "
-              "delta2=%r delta1=%r n_carriers=%d n_axial=%d "
-              "under_resolved=%d\n"
+              "delta2=%r delta1=%r n_carriers=%d n_axial=%d\n"
               % (COEFF_MAGIC, coeffs.family, coeffs.l_band, len(scales),
                  float(scales.rho0), float(scales.q), float(grid.delta2),
-                 float(grid.delta1), grid.n_carriers, n_axial,
-                 int(coeffs.under_resolved)))
+                 float(grid.delta1), grid.n_carriers, n_axial))
     taus = np.array([np.broadcast_to(t, grid.n_carriers) for t in coeffs.taus],
                     dtype=float)
     with open(path, "wb") as fh:
@@ -133,8 +131,6 @@ def read_coefficients(path):
                     lambda v: 0.0 < v <= 2.0 * np.pi)
     n_carriers = _field(fields, "n_carriers", int, path)
     n_axial = _field(fields, "n_axial", int, path)
-    under = bool(_field(fields, "under_resolved", int, path,
-                        lambda v: v in (0, 1)))
     scales = make_scale_sequence(rho0, q, n_scales - 1)
     grid = make_so3_grid(delta2, delta1)
     if grid.n_carriers != n_carriers or len(grid.axial_angles) != n_axial:
@@ -160,7 +156,7 @@ def read_coefficients(path):
                  for row in taus_flat)
     return TransformCoefficients(family, l_band,
                                  tuple(v.copy() for v in values),
-                                 taus, grid, scales, under)
+                                 taus, grid, scales)
 
 
 # ---------------------------------------------------------------------------

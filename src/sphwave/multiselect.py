@@ -7,9 +7,9 @@ the Cauchy-Schwarz correlation coefficient up to the fixed factor
 ||f||, so a planted kernel is recovered exactly at its own (tau, phi1);
 normalizing by the squared norm instead would bias the argmax toward
 sharp kernels, whose norm shrinks like 1/sqrt(tau).  The grid is the
-caller's, and the band limit L sets how fine it must be: forward_transform
-flags a grid with fewer than (L+1)^2 carriers, or fewer axial angles than
-the odd orders in use up to L need, as under_resolved.
+caller's, and the band limit L sets how fine it must be: coefficients
+on a grid with fewer than (L+1)^2 carriers, or fewer axial angles than
+the odd orders in use up to L need, are under_resolved.
 """
 
 from dataclasses import dataclass

@@ -104,6 +104,7 @@ class SO3Grid:
     cells is one read-only record array with a row per carrier, the
     center of its cell: theta, phi, theta_lo, theta_hi, phi_width and
     measure.  measures and each band's phis are views of its columns.
+    Carriers are numbered band by band, as the band operator requires.
     """
 
     delta2: float

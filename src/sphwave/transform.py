@@ -69,7 +69,18 @@ class TransformCoefficients:
     taus: tuple              # per scale: float, or ndarray per carrier
     grid: object
     scales: object
-    under_resolved: bool
+
+    @property
+    def under_resolved(self):
+        """Whether the grid is too coarse for the band: fewer axial angles
+        than the 2k + 1 the odd orders k in use need (k up to the largest
+        tau's cut, at most l_band), or fewer carriers than (l_band + 1)^2."""
+        k_need = min(self.l_band, default_k_cut(
+            max(float(np.max(t)) for t in self.taus)))
+        if k_need % 2 == 0:
+            k_need -= 1
+        return (len(self.grid.axial_angles) < 2 * k_need + 1
+                or self.grid.n_carriers < (self.l_band + 1) ** 2)
 
     @property
     def n_coefficients(self):
@@ -162,16 +173,15 @@ class BandPlan:
     (k > 0, m) the store's [l, b] matrix times re/im of P_j[l, k] f_lm and
     of P_j[l, k] conj(f_l,-m), which is conj(X[-k, -m]) as P_j[l, -k] =
     P_j[l, k].  Per band one longitude product then serves all its cells,
-    and k < 0 is conjugated back.  Cells run in band order, a band one row
-    block (span) of the grid's phase table and of d; carriers numbered
-    otherwise take one gather per call.  weights(tau) scales each cell's
-    row before the axial phases; adjoint runs the steps transposed.
+    and k < 0 is conjugated back.  Carriers must be numbered band by band
+    (ValueError otherwise), so a band is one row block (span) of the
+    grid's phase table and of d.  weights(tau) scales each cell's row
+    before the axial phases; adjoint runs the steps transposed.
     """
 
     def __init__(self, l_band, grid, family, scales):
         self.l_band, self.grid, self.family, self.scales = (l_band, grid,
                                                             family, scales)
-        self.bands = grid.bands
         odd = np.arange(1, l_band + 1, 2)
         self.ks = np.stack((-odd, odd), 1).reshape(-1)
         self.axial_phase = np.exp(1j * np.outer(self.ks, grid.axial_angles))
@@ -179,14 +189,14 @@ class BandPlan:
             self.ks + l_band] for rho in scales])   # P_j[l, k] at [j, k, l]
         l_of, m_of = degree_orders(l_band)
         self._flat = m_of + l_band, l_of
-        self.store = _tilt_store(tuple(float(b[0]) for b in self.bands),
+        if not np.array_equal(np.concatenate([b[1] for b in grid.bands]),
+                              np.arange(grid.n_carriers)):
+            raise ValueError("grid carriers are not numbered band by band")
+        self.store = _tilt_store(tuple(float(b[0]) for b in grid.bands),
                                  l_band)
-        self.phases = _cell_phases(np.concatenate([b[2] for b in self.bands])
-                                   .tobytes(), l_band)
-        at = np.cumsum([0] + [len(b[1]) for b in self.bands])
+        self.phases = _cell_phases(grid.cells.phi.tobytes(), l_band)
+        at = np.cumsum([0] + [len(b[1]) for b in grid.bands])
         self.spans = [slice(a, b) for a, b in zip(at, at[1:])]
-        cell = np.concatenate([b[1] for b in self.bands])   # band order
-        self._cell = None if (cell == np.arange(len(cell))).all() else cell
 
     def tilt(self, b):
         """d^l_mk of band b as [k, m + l_band, l], k over ks."""
@@ -202,11 +212,11 @@ class BandPlan:
     def correlate(self, values, carrier=None):
         """tau-free correlations d[j, c, k] of a flat table with the kernel
         of every scale j at every cell c, or at the one carrier given."""
-        ph, rows, cell, store = self.phases, self.spans, self._cell, self.store
+        ph, rows, store = self.phases, self.spans, self.store
         if carrier is not None:
-            r = carrier if cell is None else np.flatnonzero(cell == carrier)[0]
-            b = next(b for b, s in enumerate(rows) if s.start <= r < s.stop)
-            ph, rows, cell = ph[r:r + 1], [slice(0, 1)], None
+            b = next(b for b, s in enumerate(rows)
+                     if s.start <= carrier < s.stop)
+            ph, rows = ph[carrier:carrier + 1], [slice(0, 1)]
             store = store[..., b:b + 1]
         n_k, n_m, n_l = self.store.shape[:3]
         out = np.empty((len(self.kern), len(ph), len(self.ks)), dtype=complex)
@@ -225,7 +235,7 @@ class BandPlan:
                 np.matmul(ph[s], x[:, b].view(complex).reshape(n_m, -1),
                           out=d[s])
         np.conjugate(out[..., ::2], out=out[..., ::2])
-        return out if cell is None else out[:, np.argsort(cell)]
+        return out
 
     def adjoint(self, d):
         """Flat table sum_c e^{-i m phi_c} sum_{j,k} beta_jk[m, l] d[j, c, k]
@@ -233,11 +243,10 @@ class BandPlan:
         scale at a time.  Per band the product with e^{i m phi} gives X^T
         on k < 0 and its conjugate on k > 0, undone after the degree sum."""
         n_m, d, acc = self.store.shape[1], iter(d), 0.0
-        x = np.empty((n_m, len(self.bands), self.store.shape[0], 4))
+        x = np.empty((n_m, len(self.spans), self.store.shape[0], 4))
         y = np.empty(self.store.shape[:3] + (2,), dtype=complex)
         for kern in self.kern[:, 1::2, None, :, None]:
-            g = next(d)     # in band order, in a copy: d is the caller's
-            g = g.copy() if self._cell is None else g[self._cell]
+            g = next(d).copy()  # d is the caller's
             np.conjugate(g[:, 1::2], out=g[:, 1::2])
             for b, s in enumerate(self.spans):
                 np.matmul(self.phases[s].T, g[s],
@@ -279,8 +288,6 @@ def forward_transform(f, specs, grid, scales):
 
     specs gives the kernel per scale (one WaveletSpec) or per (scale,
     position) (a sequence of WaveletSpec per scale, carrier-ordered).
-    The under_resolved flag marks grids too coarse to separate the
-    axial orders or the positional degrees of freedom of the band.
     """
     family, taus = _normalize_specs(specs, grid, scales)
     table = analyze_signal(f)
@@ -292,17 +299,11 @@ def _coefficients(plan, d, taus):
     """The coefficients from the tau-free correlations d[j, c, k] of plan
     (weighted in place): each cell's row times w_k(tau), then the axial
     phases; taus[j] is one tau or one per carrier."""
-    grid, l_band = plan.grid, plan.l_band
     d *= plan.weights(taus).reshape(len(d), -1, d.shape[2])
     values = (d.reshape(-1, d.shape[2]) @ (plan.axial_phase / (4.0 * np.pi))
               ).reshape(d.shape[:2] + (-1,))
-    k_need = min(l_band, default_k_cut(max(float(np.max(t)) for t in taus)))
-    if k_need % 2 == 0:
-        k_need -= 1
-    under = (len(grid.axial_angles) < 2 * k_need + 1
-             or grid.n_carriers < (l_band + 1) ** 2)
-    return TransformCoefficients(plan.family, l_band, tuple(values),
-                                 tuple(taus), grid, plan.scales, under)
+    return TransformCoefficients(plan.family, plan.l_band, tuple(values),
+                                 tuple(taus), plan.grid, plan.scales)
 
 
 def adjoint_transform(coeffs):
@@ -366,6 +367,9 @@ def frame_matrix(family, taus, grid, scales, l_band):
     fills the rest.  H reads e^{i d phi} from the band's span of the
     grid's phase table, d > L as the product with e^{i L phi}.
     """
+    if len(taus) != len(scales):
+        raise ValueError("need one tau entry per scale: %d entries for %d "
+                         "scales" % (len(taus), len(scales)))
     plan = BandPlan(l_band, grid, family, scales)
     n_m, n_l, ks = 2 * l_band + 1, l_band + 1, plan.ks
     ia, ib = np.nonzero(((ks[:, None] - ks) % len(grid.axial_angles) == 0)
@@ -381,14 +385,13 @@ def frame_matrix(family, taus, grid, scales, l_band):
         return np.zeros((n, n), dtype=complex)
 
     # per band its whole scales: one tau on the band's cells, which sit at
-    # longitudes (c + 1/2) 2 pi / N; tested on all cells in band order
-    _, idxs, phis, measures = zip(*grid.bands)
-    counts = np.array([len(idx) for idx in idxs])
-    first, cell = np.cumsum(counts) - counts, np.concatenate(idxs)
-    ok = [np.concatenate(phis) == (np.arange(len(cell)) - np.repeat(
+    # longitudes (c + 1/2) 2 pi / N; tested on all cells at once
+    spans, first = plan.spans, np.array([s.start for s in plan.spans])
+    counts = np.diff(first, append=grid.n_carriers)
+    ok = [grid.cells.phi == (np.arange(grid.n_carriers) - np.repeat(
         first, counts) + 0.5) * np.repeat(2.0 * np.pi / counts, counts)]
     ok += [t == np.repeat(t[first], counts) for t in (
-        np.broadcast_to(t, grid.n_carriers)[cell] for t in taus)]
+        np.broadcast_to(t, grid.n_carriers) for t in taus)]
     ok = np.logical_and.reduceat(ok, first, axis=1)
     whole = ok[1:] & ok[0]      # [scale, band]
 
@@ -402,9 +405,9 @@ def frame_matrix(family, taus, grid, scales, l_band):
         mo, lo = m_of[order], l_of[order]
         # H per mixed band, e^{i d phi} as column L + d or (d > L) d x 2L
         h = np.concatenate([np.concatenate((
-            (ph := plan.phases[plan.spans[b]])[:, l_band:],
-            ph[:, l_band + 1:] * ph[:, -1:]), 1).T * measures[b]
-            @ np.stack([wpair[j][idxs[b]] for j in qj[qb == b]])
+            (ph := plan.phases[spans[b]])[:, l_band:],
+            ph[:, l_band + 1:] * ph[:, -1:]), 1).T * grid.measures[first[b]]
+            @ np.stack([wpair[j][spans[b]] for j in qj[qb == b]])
             for b in np.flatnonzero(~whole.all(axis=0))]).transpose(1, 0, 2)
 
         def rows(p):
@@ -454,15 +457,14 @@ def frame_matrix(family, taus, grid, scales, l_band):
     blocks, flat = {}, s.reshape(-1).real
     ka, kb = plan.kern[:, ia, None], plan.kern[:, ib, None]
     for b in np.flatnonzero(whole.any(axis=0)):
-        idx, measure, js = idxs[b], measures[b], np.flatnonzero(whole[:, b])
-        t = plan.tilt(b)
-        w = np.stack([wpair[j][idx[0]] for j in js])[..., None, None]
+        n_c, js, t = counts[b], np.flatnonzero(whole[:, b]), plan.tilt(b)
+        w = np.stack([wpair[j][first[b]] for j in js])[..., None, None]
         # beta_jk at [m, l, (j, p)] and w_jp beta_jk' at [m, (j, p), l']
         left = (ka[js] * t[ia]).reshape(-1, n_m, n_l).transpose(1, 2, 0)
         right = (w * kb[js] * t[ib]).reshape(-1, n_m, n_l).swapaxes(0, 1)
-        for q, d in enumerate(range(0, n_m, len(idx))):
-            blocks[d] = blocks.get(d, 0.0) + (-1) ** q * len(idx) * measure * (
-                left[:n_m - d] @ right[d:])
+        for q, d in enumerate(range(0, n_m, n_c)):
+            blocks[d] = blocks.get(d, 0.0) + (-1) ** q * n_c * grid.measures[
+                first[b]] * (left[:n_m - d] @ right[d:])
     for d, t in blocks.items():
         # T_d flipped in m, blocks transposed, is its mirror; the lower
         # blocks are its transpose

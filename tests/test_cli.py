@@ -393,8 +393,7 @@ def test_bad_input_exit_codes(tmp_path, capsys):
     cases = [(head.replace(b"family=omega", b"family=foo") + b"\n"
               + payload, "family")]
     for old, new in ((b"l_band=6", b"l_band=-1"),
-                     (b"n_scales=2", b"n_scales=0"),
-                     (b"under_resolved=0", b"under_resolved=7")):
+                     (b"n_scales=2", b"n_scales=0")):
         cases.append((head.replace(old, new) + b"\n" + payload,
                       repr(old.split(b"=")[0].decode())))
     for tau in (np.nan, 0.0, np.inf, 0.5, -3.0, 1e9):

@@ -10,10 +10,11 @@ from sphwave.fileio import (FileFormatError, read_coefficients,
                             read_selectivity_rows, read_signal, write_signal,
                             write_coefficients, write_selectivity_csv)
 from sphwave.multiselect import SelectivitySet, selectivity_scan
+from sphwave.profiles import WaveletSpec
 from sphwave.sphfn import CoefficientTable, default_grid_spec, \
     synthesize_signal
 from sphwave.so3 import make_scale_sequence, make_so3_grid
-from sphwave.transform import forward_transform, uniform_specs
+from sphwave.transform import forward_transform, reconstruct, uniform_specs
 
 SCALES = make_scale_sequence(1.0, 0.5, 1)
 
@@ -113,7 +114,6 @@ def test_coefficients_round_trip(tmp_path):
     # per-carrier selectivities survive as arrays
     thetas = np.array([c.theta for c in grid.cells])
     taus = np.where(thetas < 0.5 * np.pi, 1.0, 4.0)
-    from sphwave.profiles import WaveletSpec
     specs = tuple(tuple(WaveletSpec("omega", rho, float(t)) for t in taus)
                   for rho in SCALES)
     coeffs = forward_transform(f, specs, grid, SCALES)
@@ -122,6 +122,31 @@ def test_coefficients_round_trip(tmp_path):
     for j in range(2):
         assert np.array_equal(np.asarray(back.taus[j]), taus)
         assert np.array_equal(back.values[j], coeffs.values[j])
+
+
+def test_stale_under_resolved_field_is_ignored(tmp_path):
+    # the grid, band limit and tau block fix under_resolved, and the solve
+    # start follows it: a stale under_resolved=0 on an under-resolved tau
+    # map, as older files may carry, would pick the LU start of a singular
+    # S (relative error 222 in place of 0.49)
+    f = _noise_signal(12, 1)
+    rng = np.random.default_rng(1)
+    grid = make_so3_grid(1.5, 3.0)
+    specs = [tuple(WaveletSpec("omega", rho, t) for t in rng.choice(
+        SelectivitySet().taus, grid.n_carriers)) for rho in SCALES]
+    good, stale = tmp_path / "good.bin", tmp_path / "stale.bin"
+    write_coefficients(good, forward_transform(f, specs, grid, SCALES))
+    head, _, payload = good.read_bytes().partition(b"\n")
+    stale.write_bytes(head + b" under_resolved=0\n" + payload)
+    recs = []
+    for path in (good, stale):
+        coeffs = read_coefficients(path)
+        assert coeffs.under_resolved
+        recs.append(reconstruct(coeffs).values)
+    assert np.array_equal(*recs)
+    err = np.linalg.norm(recs[0] - f.values) / np.linalg.norm(f.values)
+    assert err < 0.5, err
+    assert b"under_resolved" not in head
 
 
 def test_coefficients_header_errors(tmp_path):
@@ -149,11 +174,10 @@ def test_coefficients_header_errors(tmp_path):
                      + b"\n" + payload)
     with pytest.raises(FileFormatError, match="family"):
         read_coefficients(path)
-    # header fields out of range: no band, no scale, a flag that is
-    # neither 0 nor 1, and scale or grid numbers their builders refuse
+    # header fields out of range: no band, no scale, and scale or grid
+    # numbers their builders refuse
     for field, old, bad in (("l_band", b"=6", b"=-1"),
                             ("n_scales", b"=2", b"=0"),
-                            ("under_resolved", b"=1", b"=7"),
                             ("rho0", b"=1.0", b"=-1.0"),
                             ("q", b"=0.5", b"=2.0"),
                             ("delta2", b"=0.8", b"=0.0"),

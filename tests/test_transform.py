@@ -435,28 +435,14 @@ def test_band_operator_matches_oracles():
                     assert abs(got[2] - want[2]) <= 1e-13 * want[2], fam
 
 
-def _scattered_grid(grid, bands, seed):
-    # a permuted subset of the bands whose cells are shuffled over the
-    # carrier order, so that no band holds contiguous cell indices
-    sub = _band_grid(grid, bands)
-    order = np.random.default_rng(seed).permutation(sub.n_carriers)
-    where = np.argsort(order)
-    return dataclasses.replace(
-        sub, cells=sub.cells[order],
-        bands=tuple((theta, where[idx], phis, measure)
-                    for theta, idx, phis, measure in sub.bands),
-        measures=sub.measures[order])
-
-
 def test_band_operator_adjoint_at_odd_band():
     # L = 17 has 9 orders k > 0, read through d^l_{-m,-k} = d^l_mk for
     # k < 0; a half read in the wrong order or unreversed in m breaks
     # <correlate(f), d> = <f, adjoint(d)> and the oracle values.  1 and 3
     # scales, both families, uniform and per-carrier tau, on a permuted
-    # subset of bands with scattered cell indices
+    # subset of bands
     l_band = 17
-    grid = _scattered_grid(make_so3_grid(0.3, 0.3), [5, 0, 9, 2, 7], 3)
-    assert all(np.any(np.diff(idx) != 1) for _, idx, _, _ in grid.bands)
+    grid = _band_grid(make_so3_grid(0.3, 0.3), [5, 0, 9, 2, 7])
     f = _signal(_random_table(l_band, 91, kill_below=-1))
     table = analyze_signal(f)
     rng = np.random.default_rng(92)
@@ -497,52 +483,36 @@ def test_band_operator_adjoint_at_odd_band():
                 assert abs(lhs - rhs) <= 1e-13 * abs(lhs), fam
 
 
-def test_band_operator_carrier_permutation():
-    # the operator works in band order, so a grid whose carriers are
-    # renumbered gives the same numbers bit for bit at the renumbered
-    # carriers: correlate (all cells and one), adjoint and the transform,
-    # both families, 1 and 3 scales, uniform and per-carrier tau
-    l_band = 13
-    base = make_so3_grid(0.3, 0.3)
-    perm = _scattered_grid(base, range(len(base.bands)), 8)
-    # perm's carrier c is base's carrier order[c]
-    order = np.empty(base.n_carriers, dtype=int)
-    for (_, at, _, _), (_, idx, _, _) in zip(perm.bands, base.bands):
-        order[at] = idx
-    assert np.any(order != np.arange(len(order)))
-    f = _signal(_random_table(l_band, 97, kill_below=-1))
-    values = analyze_signal(f).values
-    rng = np.random.default_rng(98)
-    for scales in (make_scale_sequence(1.0, 0.5, 0),
-                   make_scale_sequence(1.0, 0.5, 2)):
-        for fam in ("omega", "upsilon"):
-            pb, pp = (BandPlan(l_band, g, fam, scales) for g in (base, perm))
-            d = pb.correlate(values)
-            assert np.array_equal(pp.correlate(values), d[:, order])
-            for c in (0, 77, perm.n_carriers - 1):
-                assert np.array_equal(pp.correlate(values, c),
-                                      pb.correlate(values, order[c]))
-            v = rng.standard_normal(d.shape) + 1j * rng.standard_normal(
-                d.shape)
-            assert np.array_equal(pp.adjoint(v[:, order]), pb.adjoint(v))
-            for split in (False, True):
-                got, want = (forward_transform(f, [
-                    tuple(WaveletSpec(fam, rho, t) for t in _split_taus(
-                        g, j % 2)) if split else WaveletSpec(fam, rho, 3.0)
-                    for j, rho in enumerate(scales)], g, scales)
-                    for g in (perm, base))
-                for a, b in zip(got.values, want.values):
-                    assert np.array_equal(a, b[order]), (fam, split)
-                assert np.array_equal(adjoint_transform(got).values,
-                                      adjoint_transform(want).values)
+def test_band_operator_refuses_carriers_out_of_band_order():
+    # each band is one run of carriers, the bands in carrier order: a grid
+    # with its carriers shuffled over the bands, its bands reordered, or a
+    # band left out is refused by the band operator and every caller
+    base = make_so3_grid(0.5, 0.5)
+    order = np.random.default_rng(3).permutation(base.n_carriers)
+    where = np.argsort(order)
+    shuffled = dataclasses.replace(
+        base, cells=base.cells[order],
+        bands=tuple((theta, where[idx], phis, measure)
+                    for theta, idx, phis, measure in base.bands),
+        measures=base.measures[order])
+    f = _signal(_random_table(8, 100, kill_below=-1))
+    for grid in (shuffled, dataclasses.replace(base, bands=base.bands[::-1]),
+                 dataclasses.replace(base, bands=base.bands[:-1])):
+        with pytest.raises(ValueError, match="band by band"):
+            BandPlan(8, grid, "omega", SCALES)
+        with pytest.raises(ValueError, match="band by band"):
+            forward_transform(f, uniform_specs("omega", 2.0, SCALES), grid,
+                              SCALES)
+        with pytest.raises(ValueError, match="band by band"):
+            frame_matrix("omega", [2.0, 2.0], grid, SCALES, 8)
 
 
 def test_adjoint_leaves_its_input_unchanged():
-    # the k > 0 half is conjugated in a copy, on grids numbered band by
-    # band and on scattered ones, and a read-only input is accepted
+    # the k > 0 half is conjugated in a copy, on a whole grid and on a
+    # permuted subset of its bands, and a read-only input is accepted
     l_band = 9
     for grid in (make_so3_grid(0.5, 0.5),
-                 _scattered_grid(make_so3_grid(0.5, 0.5), [3, 0, 5], 2)):
+                 _band_grid(make_so3_grid(0.5, 0.5), [3, 0, 5])):
         plan = BandPlan(l_band, grid, "omega", SCALES)
         d = plan.correlate(_random_table(l_band, 99).values)
         keep = d.copy()
@@ -590,7 +560,7 @@ def test_tau_map_frame_matrix_phase_sums(l_band):
             s = frame_matrix(fam, taus, grid, SCALES, l_band)
             want = oracles.adaptive_frame_matrix(
                 transform.TransformCoefficients(fam, l_band, (), tuple(taus),
-                                                grid, SCALES, False))
+                                                grid, SCALES))
             assert (np.max(np.abs(s - want))
                     <= 1e-14 * np.max(np.abs(want))), (fam, name)
 
@@ -1062,6 +1032,14 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="family"):
         frame_matrix("foo", [2.0], make_so3_grid(0.8, 0.8),
                      make_scale_sequence(1.0, 0.5, 0), 6)
+    # one tau entry per scale: a short list would sum S over the first
+    # scales only, a long one index past the kernels
+    for taus in ([2.0], [2.0, 4.0], [2.0] * 4,
+                 [np.full(grid.n_carriers, 2.0)]):
+        with pytest.raises(ValueError, match="%d entries for 3 scales"
+                           % len(taus)):
+            frame_matrix("omega", taus, grid,
+                         make_scale_sequence(1.0, 0.5, 2), 6)
 
 
 def test_config_validation():
@@ -1075,7 +1053,7 @@ def test_config_validation():
 def test_tilt_store_matches_per_band_blocks():
     # one batched product per degree over all bands gives the store that
     # one _wigner_d block per (band, degree) gives, bit for bit
-    grid = _scattered_grid(make_so3_grid(0.3, 0.3), [5, 0, 9, 2, 7], 3)
+    grid = _band_grid(make_so3_grid(0.3, 0.3), [5, 0, 9, 2, 7])
     thetas = tuple(float(b[0]) for b in grid.bands)
     for l_band in (12, 17):
         assert np.array_equal(_tilt_store(thetas, l_band),
