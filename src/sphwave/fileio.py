@@ -97,8 +97,14 @@ def read_signal(path):
 # wavelet coefficient sets
 
 def write_coefficients(path, coeffs):
-    """Header with the rebuild parameters, then taus and values blocks."""
+    """Header with the rebuild parameters, then taus and values blocks; a
+    grid that make_so3_grid(delta2, delta1) does not rebuild is refused."""
     grid = coeffs.grid
+    rebuilt = make_so3_grid(grid.delta2, grid.delta1)
+    if not (np.array_equal(grid.cells, rebuilt.cells)
+            and np.array_equal(grid.axial_angles, rebuilt.axial_angles)):
+        raise ValueError("grid is not make_so3_grid(delta2, delta1), the "
+                         "one a coefficient file rebuilds")
     scales = coeffs.scales
     n_axial = len(grid.axial_angles)
     header = ("%s family=%s l_band=%d n_scales=%d rho0=%r q=%r "

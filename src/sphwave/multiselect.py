@@ -100,7 +100,7 @@ def _scan(f, scales, grid, tsel, family, carrier=None):
         # product with it scores a block of cells, 2^14 values at most (the
         # whole grid's 2.6 MB at L = 16 took fresh pages on every call)
         factor = (w.T[:, :, None] * plan.axial_phase[:, None]).reshape(
-            len(w.T), -1)
+            len(w.T), len(taus) * len(grid.axial_angles))
         step = max(1, 2 ** 14 // factor.shape[1])
         for a in range(0, d.shape[1], step):
             out[:, j, a:a + step] = _pick(np.abs(d[j, a:a + step] @ factor),

@@ -97,22 +97,19 @@ def make_scale_sequence(rho0, q=0.5, j_max=0):
 # ---------------------------------------------------------------------------
 # rotation grids
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SO3Grid:
     """Area partition x axial angles; every rotation of the discrete set.
 
     cells is one read-only record array with a row per carrier, the
     center of its cell: theta, phi, theta_lo, theta_hi, phi_width and
-    measure.  measures and each band's phis are views of its columns.
-    Carriers are numbered band by band, as the band operator requires.
+    measure, the quadrature weight.  Grids compare and hash by identity.
     """
 
     delta2: float
     delta1: float
     cells: np.recarray
     axial_angles: np.ndarray
-    bands: tuple    # per band: (theta, cell indices, phis, measure), read-only
-    measures: np.ndarray    # per carrier
 
     @property
     def n_carriers(self):
@@ -167,11 +164,8 @@ def make_so3_grid(delta2, delta1):
     cells.phi = (at - starts[b] + 0.5) * width[b]
     cells.theta_lo, cells.theta_hi, cells.phi_width = lo[b], hi[b], width[b]
     cells.measure = ((cos_edges[:-1] - cos_edges[1:]) * width)[b]
-    cells.flags.writeable = at.flags.writeable = False
-    theta, phi, measure = cells.theta, cells.phi, cells.measure
-    bands = tuple((theta[a], at[a:a + n], phi[a:a + n], measure[a])
-                  for a, n in zip(starts, n_cells))
+    cells.flags.writeable = False
 
     axial = np.arange(n_axial) * (2.0 * np.pi / n_axial)
     axial.flags.writeable = False
-    return SO3Grid(delta2, delta1, cells, axial, bands, measure)
+    return SO3Grid(delta2, delta1, cells, axial)

@@ -6,17 +6,18 @@ where a rotation acts by per-degree real Wigner blocks d^l(theta) and
 diagonal phases.  The kernel is steerable, Psi_l^k(tau) = w_k(tau) P_l^k,
 and one band operator (BandPlan) serves the forward transform, the
 adjoint, the matched filter and the frame operator S.  It reads the tilts
-of every latitude band from one band-last store and contracts over the
-degree l for all bands in one real product per scale, then over the
-orders m with each cell's longitude phase.  The cells enter S only
-through one phase sum per axial pair and order difference m' - m; a band
-whose cells share one tau on the regular longitude lattice needs no phase
-sum and contracts by itself over its (scale, pair) factors.
-Jacobi-preconditioned CG inverts S on the degrees l >= 1, the ones an odd
-order reaches; a frame with one tau per scale builds S once for all calls
-on it and starts CG from zero.  A per-carrier tau map builds S for one
-solve and starts CG from the LU solution of S or, when its grid is
-under-resolved and S may be singular, from the minimum-norm solution.
+of the latitude bands, runs of carriers at one colatitude, from one store
+and contracts over the degree l for all bands in one real product per
+scale, then over the orders m with each cell's longitude phase.  The
+cells enter S only through one phase sum per axial pair and order
+difference m' - m; a band whose cells share one tau and one measure on
+the regular longitude lattice needs no phase sum and contracts by itself
+over its (scale, pair) factors.  Jacobi-preconditioned CG inverts S on
+the degrees l >= 1, the ones an odd order reaches; a frame with one tau
+per scale builds S once for all calls on it and starts CG from zero.  A
+per-carrier tau map builds S for one solve and starts CG from the LU
+solution of S or, when its grid is under-resolved and S may be singular,
+from the minimum-norm solution.
 """
 
 from dataclasses import dataclass
@@ -89,7 +90,7 @@ class TransformCoefficients:
     def weights(self, j):
         """Quadrature weight of every (carrier, axial) sample at scale j."""
         arc = 2.0 * np.pi / len(self.grid.axial_angles)
-        w = self.grid.measures * arc * self.scales.log_step
+        w = self.grid.cells.measure * arc * self.scales.log_step
         return np.broadcast_to(w[:, None], self.values[j].shape)
 
     def total_energy(self):
@@ -173,10 +174,11 @@ class BandPlan:
     (k > 0, m) the store's [l, b] matrix times re/im of P_j[l, k] f_lm and
     of P_j[l, k] conj(f_l,-m), which is conj(X[-k, -m]) as P_j[l, -k] =
     P_j[l, k].  Per band one longitude product then serves all its cells,
-    and k < 0 is conjugated back.  Carriers must be numbered band by band
-    (ValueError otherwise), so a band is one row block (span) of the
-    grid's phase table and of d.  weights(tau) scales each cell's row
-    before the axial phases; adjoint runs the steps transposed.
+    and k < 0 is conjugated back.  A band is a maximal run of consecutive
+    carriers at one colatitude, one row block (span) of the grid's phase
+    table and of d; any carrier order works, a shuffled one in more and
+    shorter runs.  weights(tau) scales each cell's row before the axial
+    phases; adjoint runs the steps transposed.
     """
 
     def __init__(self, l_band, grid, family, scales):
@@ -189,14 +191,12 @@ class BandPlan:
             self.ks + l_band] for rho in scales])   # P_j[l, k] at [j, k, l]
         l_of, m_of = degree_orders(l_band)
         self._flat = m_of + l_band, l_of
-        if not np.array_equal(np.concatenate([b[1] for b in grid.bands]),
-                              np.arange(grid.n_carriers)):
-            raise ValueError("grid carriers are not numbered band by band")
-        self.store = _tilt_store(tuple(float(b[0]) for b in grid.bands),
-                                 l_band)
+        theta = grid.cells.theta    # a band is a run of carriers at one theta
+        self.first = np.flatnonzero(np.r_[True, theta[1:] != theta[:-1]])
+        self.store = _tilt_store(tuple(theta[self.first].tolist()), l_band)
         self.phases = _cell_phases(grid.cells.phi.tobytes(), l_band)
-        at = np.cumsum([0] + [len(b[1]) for b in grid.bands])
-        self.spans = [slice(a, b) for a, b in zip(at, at[1:])]
+        at = self.first.tolist() + [len(theta)]
+        self.spans = list(map(slice, at, at[1:]))
 
     def tilt(self, b):
         """d^l_mk of band b as [k, m + l_band, l], k over ks."""
@@ -204,9 +204,9 @@ class BandPlan:
         return np.stack((half[:, ::-1], half), 1).reshape(-1, *half.shape[1:])
 
     def weights(self, taus):
-        """Window weights w_k(tau) on ks, one row per entry of taus, each a
-        tau or (one per scale) an array of one tau per carrier."""
-        taus = np.stack(np.broadcast_arrays(*taus))
+        """Window weights w_k(tau) on ks as [entry, 1 or carrier, k], one
+        entry per scale: a tau or an array of one tau per carrier."""
+        taus = np.stack(np.broadcast_arrays(*taus)).reshape(len(taus), -1)
         return window_weights(taus, self.l_band)[..., self.ks + self.l_band]
 
     def correlate(self, values, carrier=None):
@@ -214,8 +214,7 @@ class BandPlan:
         of every scale j at every cell c, or at the one carrier given."""
         ph, rows, store = self.phases, self.spans, self.store
         if carrier is not None:
-            b = next(b for b, s in enumerate(rows)
-                     if s.start <= carrier < s.stop)
+            b = np.searchsorted(self.first, carrier, "right") - 1
             ph, rows = ph[carrier:carrier + 1], [slice(0, 1)]
             store = store[..., b:b + 1]
         n_k, n_m, n_l = self.store.shape[:3]
@@ -299,21 +298,17 @@ def _coefficients(plan, d, taus):
     """The coefficients from the tau-free correlations d[j, c, k] of plan
     (weighted in place): each cell's row times w_k(tau), then the axial
     phases; taus[j] is one tau or one per carrier."""
-    d *= plan.weights(taus).reshape(len(d), -1, d.shape[2])
-    values = (d.reshape(-1, d.shape[2]) @ (plan.axial_phase / (4.0 * np.pi))
-              ).reshape(d.shape[:2] + (-1,))
+    d *= plan.weights(taus)
+    values = d @ (plan.axial_phase / (4.0 * np.pi))
     return TransformCoefficients(plan.family, plan.l_band, tuple(values),
                                  tuple(taus), plan.grid, plan.scales)
 
 
 def adjoint_transform(coeffs):
     """Weighted synthesis sum: the frame image S f when coeffs came from f."""
-    grid = coeffs.grid
-    plan = BandPlan(coeffs.l_band, grid, coeffs.family, coeffs.scales)
+    plan = BandPlan(coeffs.l_band, coeffs.grid, coeffs.family, coeffs.scales)
     back = np.conj(plan.axial_phase).T / (4.0 * np.pi)
-    w = (plan.weights(coeffs.taus).reshape(len(coeffs.taus), -1,
-                                           len(plan.ks))
-         * coeffs.weights(0)[:, :1])
+    w = plan.weights(coeffs.taus) * coeffs.weights(0)[:, :1]
 
     def scaled():
         # one scale at a time: no stacked copy of the values
@@ -352,14 +347,15 @@ def frame_matrix(family, taus, grid, scales, l_band):
     taus[j] is the selectivity of scale j, one value or one per carrier.
     Block (m, m') of S sums beta_jk[m] beta_jk'[m']^T H(m' - m), beta_jk[m,
     l] = d^l_mk P_j[l, k], over bands, scales and axial pairs p = (k, k'),
-    k = k' (mod n_axial); H(d) = measure log_step / (8 pi) sum_c w_ck w_ck'
-    e^{i d phi_c} is the one place the cells and their selectivities enter.
-    T sums blocks m' >= m and pairs k + k' >= 0 (k + k' = 0 at half weight),
-    and beta_-k[-m] = beta_k[m] gives S[m, m'] = T[m, m'] + T[-m', -m]^T.
-    Whole bands (cells sharing one tau at longitudes (c + 1/2) 2 pi / N)
-    have H(d) = N H(0) (-1)^(d/N) where N divides d and 0 elsewhere: each
-    reads its tilt once, contracts over its own (scale, pair) factors once
-    for all its d, and the sums per d go straight into the flat layout.
+    k = k' (mod n_axial); H(d) = log_step / (8 pi) sum_c measure_c w_ck
+    w_ck' e^{i d phi_c} is the one place the cells and their selectivities
+    enter.  T sums blocks m' >= m and pairs k + k' >= 0 (k + k' = 0 at half
+    weight), and beta_-k[-m] = beta_k[m] gives S[m, m'] = T[m, m'] +
+    T[-m', -m]^T.  Whole bands (cells sharing one tau and one measure at
+    longitudes (c + 1/2) 2 pi / N) have H(d) = H(0) (-1)^(d/N) where N
+    divides d and 0 elsewhere: each reads its tilt once, contracts over its
+    own (scale, pair) factors once for all its d, and the sums per d go
+    straight into the flat layout.
     The other (band, scale) pairs are stacked, one chunk of axial pairs at
     a time: beta is one gather from the tilt store (k < 0 at order -m), and
     per order m one product, with H(m' - m) taken into one buffer, fills
@@ -384,16 +380,17 @@ def frame_matrix(family, taus, grid, scales, l_band):
     if not len(ia):     # no odd order below the band: nothing to sum
         return np.zeros((n, n), dtype=complex)
 
-    # per band its whole scales: one tau on the band's cells, which sit at
-    # longitudes (c + 1/2) 2 pi / N; tested on all cells at once
-    spans, first = plan.spans, np.array([s.start for s in plan.spans])
+    # per band its whole scales: one measure and tau on the band's cells,
+    # which sit at longitudes (c + 1/2) 2 pi / N; tested on all cells
+    spans, first = plan.spans, plan.first
     counts = np.diff(first, append=grid.n_carriers)
+    measure = grid.cells.measure
     ok = [grid.cells.phi == (np.arange(grid.n_carriers) - np.repeat(
         first, counts) + 0.5) * np.repeat(2.0 * np.pi / counts, counts)]
-    ok += [t == np.repeat(t[first], counts) for t in (
-        np.broadcast_to(t, grid.n_carriers) for t in taus)]
+    ok += [t == np.repeat(t[first], counts) for t in (measure, *(
+        np.broadcast_to(t, grid.n_carriers) for t in taus))]
     ok = np.logical_and.reduceat(ok, first, axis=1)
-    whole = ok[1:] & ok[0]      # [scale, band]
+    whole = ok[2:] & ok[0] & ok[1]      # [scale, band]
 
     # the other (band, scale) pairs: compact beta rows and H(d) per pair,
     # stacked
@@ -406,14 +403,14 @@ def frame_matrix(family, taus, grid, scales, l_band):
         # H per mixed band, e^{i d phi} as column L + d or (d > L) d x 2L
         h = np.concatenate([np.concatenate((
             (ph := plan.phases[spans[b]])[:, l_band:],
-            ph[:, l_band + 1:] * ph[:, -1:]), 1).T * grid.measures[first[b]]
+            ph[:, l_band + 1:] * ph[:, -1:]), 1).T * measure[spans[b]]
             @ np.stack([wpair[j][spans[b]] for j in qj[qb == b]])
             for b in np.flatnonzero(~whole.all(axis=0))]).transpose(1, 0, 2)
 
         def rows(p):
             # beta at [m-major (m, l), (band, scale, pair)]: one gather from
             # the store at flat offsets, where k < 0 reads order -m
-            pc, n_b = np.tile(p, len(qb)), len(grid.bands)
+            pc, n_b = np.tile(p, len(qb)), len(spans)
             beta = np.add.outer(lo * n_b, (pc // 2 * n_m + l_band) * n_l * n_b
                                 + np.repeat(qb, len(p)))
             beta += np.multiply.outer(mo * n_l * n_b, np.sign(ks[pc]))
@@ -463,7 +460,7 @@ def frame_matrix(family, taus, grid, scales, l_band):
         left = (ka[js] * t[ia]).reshape(-1, n_m, n_l).transpose(1, 2, 0)
         right = (w * kb[js] * t[ib]).reshape(-1, n_m, n_l).swapaxes(0, 1)
         for q, d in enumerate(range(0, n_m, n_c)):
-            blocks[d] = blocks.get(d, 0.0) + (-1) ** q * n_c * grid.measures[
+            blocks[d] = blocks.get(d, 0.0) + (-1) ** q * n_c * measure[
                 first[b]] * (left[:n_m - d] @ right[d:])
     for d, t in blocks.items():
         # T_d flipped in m, blocks transposed, is its mirror; the lower

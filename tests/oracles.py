@@ -778,7 +778,7 @@ def forward_per_tau(f, specs, grid, scales):
     axial = axial_phases(table.l_band, grid.axial_angles)
     values = [np.zeros((grid.n_carriers, len(grid.axial_angles)),
                        dtype=complex) for _ in scales]
-    for theta, idx, phis, _ in grid.bands:
+    for theta, idx, phis, _ in band_partition(grid):
         for j, rho in enumerate(scales):
             for tau, rows in _tau_groups(grid, taus[j], idx):
                 beta = tau_beta(theta, family, rho, tau, table.l_band)
@@ -793,7 +793,7 @@ def adjoint_per_tau(coeffs):
     axial = axial_phases(coeffs.l_band, grid.axial_angles)
     _, m_of = degree_orders(coeffs.l_band)
     out = np.zeros((coeffs.l_band + 1) ** 2, dtype=complex)
-    for theta, idx, phis, _ in grid.bands:
+    for theta, idx, phis, _ in band_partition(grid):
         for j, rho in enumerate(coeffs.scales):
             for tau, rows in _tau_groups(grid, coeffs.taus[j], idx):
                 beta = tau_beta(theta, coeffs.family, rho, tau, coeffs.l_band)
@@ -830,7 +830,7 @@ def scan_per_tau(f, scales, grid, tsel, family):
     taus = tuple(tsel)
     tol = TIE_MARGIN * np.sqrt(table.norm_sq())
     out = np.empty((3, len(scales), grid.n_carriers))
-    for theta, idx, phis, _ in grid.bands:
+    for theta, idx, phis, _ in band_partition(grid):
         rows = carried(phis, table)
         for j, rho in enumerate(scales):
             vals = landscape_per_tau(rows, theta, family, rho, taus,
@@ -899,6 +899,11 @@ def refine_per_tau(f, scales, j, alpha2, tsel, grid, family, tol=1e-4):
 # the truncated series; per band a batched (tau, cell, angle) landscape; and
 # a refine that rebuilds the weight row and the landscape for every score.
 
+def _tau_rows(plan, taus):
+    """The band operator's window weights, one row per tau: [tau, k]."""
+    return plan.weights(taus)[:, 0]
+
+
 def _series_norm_weights(w, family, rho, taus):
     """Window weight rows w, one per tau, over each kernel's series norm."""
     return w / np.sqrt([profile_norm_sq(family, rho) * window_norm_series(t)
@@ -917,10 +922,10 @@ def scan_band_landscape(f, scales, grid, tsel, family):
     tol = TIE_MARGIN * np.sqrt(table.norm_sq())
     out = np.empty((3, len(scales), grid.n_carriers))
     plan = BandPlan(table.l_band, grid, family, scales)
-    w = plan.weights(taus)
+    w = _tau_rows(plan, taus)
     w = [_series_norm_weights(w, family, rho, taus) for rho in scales]
     d = plan.correlate(table.values)
-    for _, idx, _, _ in grid.bands:
+    for _, idx, _, _ in band_partition(grid):
         for j, w_j in enumerate(w):
             land = _band_landscape(plan.axial_phase, d[j, idx], w_j)
             out[:, j, idx] = _pick(_cell_major(land), taus,
@@ -933,7 +938,7 @@ def _carrier_band_landscape(f, scales, j, alpha2, tsel, grid, family):
     plan = BandPlan(table.l_band, grid, family, (scales[j],))
     corr = plan.correlate(table.values, alpha2)[0]
     taus = tuple(tsel)
-    w = _series_norm_weights(plan.weights(taus), family, scales[j], taus)
+    w = _series_norm_weights(_tau_rows(plan, taus), family, scales[j], taus)
     tau, phi1, value = _pick(
         _cell_major(_band_landscape(plan.axial_phase, corr, w)), taus,
         grid.axial_angles, TIE_MARGIN * np.sqrt(table.norm_sq()))
@@ -955,7 +960,7 @@ def refine_band_landscape(f, scales, j, alpha2, tsel, grid, family,
     axial = np.exp(1j * np.outer(plan.ks, [phi1]))
 
     def score(tau):
-        w = _series_norm_weights(plan.weights((tau,)), family, scales[j],
+        w = _series_norm_weights(_tau_rows(plan, (tau,)), family, scales[j],
                                  (tau,))
         return float(_band_landscape(axial, corr, w)[0, 0, 0])
 

@@ -8,6 +8,8 @@ import os
 
 import pytest
 
+from oracles import band_partition
+
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "bench")
 
@@ -43,4 +45,4 @@ def test_bench_workload_runs(name, monkeypatch, tmp_path):
     assert ok, reason
     counts = wl.counts()
     assert counts["so3.carriers"] == wl.grid.n_carriers
-    assert counts["so3.bands"] == len(wl.grid.bands)
+    assert counts["so3.bands"] == len(band_partition(wl.grid))

@@ -203,6 +203,26 @@ def test_analyze_reconstruct_round_trip(tmp_path, capsys):
     assert "under-resolves" in capsys.readouterr().err
 
 
+def test_band_limit_zero_pipeline(tmp_path, capsys):
+    # a band limit 0 signal has no content an odd axial order reaches:
+    # analyze writes zero coefficients, reconstruct the zero signal, and
+    # select a map of zero values, each exiting 0
+    sig, coef, rec, out = (str(tmp_path / n) for n in (
+        "sig.bin", "coef.bin", "rec.bin", "map.csv"))
+    grid = ["--delta2", "0.5", "--delta1", "0.5"]
+    assert main(["synthesize", "--preset", "zonal-bump", "--l-band", "0",
+                 "--out", sig]) == 0
+    assert main(["analyze", "--in", sig, "--out", coef] + grid) == 0
+    assert main(["reconstruct", "--in", coef, "--out", rec]) == 0
+    assert main(["select", "--in", sig, "--out", out] + grid) == 0
+    assert capsys.readouterr().err == ""
+    assert not any(v.any() for v in read_coefficients(coef).values)
+    g = read_signal(rec)
+    assert g.spec.l_band == 0 and not g.values.any()
+    rows = read_selectivity_rows(out)
+    assert rows and all(row[6] == 0.0 for row in rows)
+
+
 def test_reconstruct_defaults_follow_library():
     parser, _ = build_parser()
     args = parser.parse_args(["reconstruct", "--in", "coef.bin"])

@@ -235,7 +235,7 @@ def test_scan_norm_quadrature_once_per_scale(monkeypatch):
     selectivity_scan(f, scales, grid, tsel)
     assert len(quadratures) == len(scales), len(quadratures)
     assert calls == [], calls
-    assert len(grid.bands) > 1
+    assert len(oracles.band_partition(grid)) > 1
 
 
 def test_selection_matches_per_tau_path():
@@ -379,7 +379,7 @@ def test_scan_tilt_once_per_band(monkeypatch):
         selectivity_scan(f, scales, grid, tsel)
         monkeypatch.undo()
         assert len(calls) == 1, (len(scales), len(calls))
-        assert len(calls[0][0]) == len(grid.bands)
+        assert len(calls[0][0]) == len(oracles.band_partition(grid))
 
 
 def test_picks_read_the_grid_store():
@@ -408,7 +408,8 @@ def test_scan_window_weights_once_per_scan(monkeypatch):
                                 lambda *a: calls.append(1) or weights(*a))
             selectivity_scan(f, scales, grid, tsel)
             monkeypatch.undo()
-            assert len(calls) == 1, (len(grid.bands), len(scales), calls)
+            assert len(calls) == 1, (len(oracles.band_partition(grid)),
+                                     len(scales), calls)
 
 
 def test_two_feature_signal_prefers_sharper():

@@ -1,5 +1,6 @@
 """Rotation parametrization, scale sequences, and rotation grids."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ import sphwave
 from sphwave import so3
 from sphwave.so3 import (MAX_CARRIERS, MAX_ROTATIONS, make_rotation,
                          make_scale_sequence, make_so3_grid)
+from sphwave.transform import BandPlan
 
 from oracles import (axis_rotation, band_partition, point_angles,
                      rotate_signal_pullback, rotation_matrix, sphere_points,
@@ -128,7 +130,7 @@ def _cell_diameter(cell):
 def test_grid_partition_properties():
     for delta2 in (0.8, 0.4, 0.2):
         grid = make_so3_grid(delta2, 0.5)
-        assert abs(np.sum(grid.measures) - 4.0 * np.pi) < 1e-10
+        assert abs(np.sum(grid.cells.measure) - 4.0 * np.pi) < 1e-10
         for cell in grid.cells:
             assert _cell_diameter(cell) <= delta2 * (1.0 + 1e-12)
             assert cell.theta_lo < cell.theta < cell.theta_hi
@@ -138,11 +140,12 @@ def test_grid_partition_properties():
 
 
 def test_grid_measures_built_once():
-    # the per-carrier measures are stored by the grid, not rebuilt from
-    # the cells on each access, and no caller can overwrite them
+    # the per-carrier measures are a column of the carrier table, built
+    # once with the grid, not rebuilt from the cells on each access, and
+    # no caller can overwrite them
     grid = make_so3_grid(0.4, 0.5)
-    m = grid.measures
-    assert grid.measures is m
+    m = grid.cells.measure
+    assert np.shares_memory(m, grid.cells)
     assert not m.flags.writeable
     assert np.array_equal(m, [c.measure for c in grid.cells])
     with pytest.raises(ValueError):
@@ -150,26 +153,31 @@ def test_grid_measures_built_once():
 
 
 def test_grid_carrier_table():
-    # one read-only record array holds the carriers; the per-carrier
-    # measures and every band's longitudes are views of its columns
+    # one read-only record array holds the carriers, and the grid keeps
+    # nothing else per carrier: the per-carrier measures and every band's
+    # longitudes (a span of the band operator) are views of its columns
     grid = make_so3_grid(0.4, 0.5)
     cells = grid.cells
     assert isinstance(cells, np.recarray) and len(cells) == grid.n_carriers
     assert cells.dtype.names == ("theta", "phi", "theta_lo", "theta_hi",
                                  "phi_width", "measure")
+    assert [f.name for f in dataclasses.fields(grid)] == [
+        "delta2", "delta1", "cells", "axial_angles"]
     assert not cells.flags.writeable
-    assert np.shares_memory(grid.measures, cells)
-    for theta, idx, phis, measure in grid.bands:
-        assert np.shares_memory(phis, cells)
-        assert np.array_equal(phis, cells.phi[idx])
-        assert np.all(cells.theta[idx] == theta)
-        assert np.all(cells.measure[idx] == measure)
+    assert np.shares_memory(cells.measure, cells)
+    plan = BandPlan(1, grid, "omega", make_scale_sequence(1.0))
+    for s, (theta, idx, phis, measure) in zip(plan.spans,
+                                              band_partition(grid)):
+        assert np.shares_memory(cells.phi[s], cells)
+        assert np.array_equal(phis, cells.phi[s])
+        assert np.all(cells.theta[s] == theta)
+        assert np.all(cells.measure[s] == measure)
     assert not hasattr(so3, "GridCell") and not hasattr(sphwave, "GridCell")
 
 
 def test_grid_memory_per_carrier():
-    # the grid keeps its carrier table (48 bytes a carrier) and the band
-    # index arrays (8 bytes a carrier), no object per carrier
+    # the grid keeps its carrier table (48 bytes a carrier), no band index
+    # arrays and no object per carrier
     make_so3_grid(0.05, 0.05)
     tracemalloc.start()
     try:
@@ -178,30 +186,45 @@ def test_grid_memory_per_carrier():
         kept = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    assert kept <= 100 * grid.n_carriers, kept / grid.n_carriers
+    assert kept <= 56 * grid.n_carriers, kept / grid.n_carriers
 
 
 def test_grid_bands_read_only():
     # a grid cannot change under a caller that keeps it, such as the
-    # frame operator kept by reconstruct
-    for _, idx, phis, _ in make_so3_grid(0.4, 0.5).bands:
-        for arr in (idx, phis):
-            with pytest.raises(ValueError):
-                arr[0] = 1
+    # frame operator kept by reconstruct: neither the columns its bands
+    # are found from nor its axial angles
+    grid = make_so3_grid(0.4, 0.5)
+    for arr in (grid.cells.theta, grid.cells.phi, grid.cells.measure,
+                grid.axial_angles):
+        with pytest.raises(ValueError):
+            arr[0] = 1
 
 
 def test_grid_bands_match_cell_partition():
-    # the stored bands equal the cells regrouped by latitude band
+    # the band operator's bands, runs of carriers at one colatitude, equal
+    # the cells regrouped by latitude band, one tilt per band
     for delta2, delta1 in ((np.pi, np.pi), (0.8, 0.5), (0.4, 0.2),
                            (0.25, 1.0), (0.1, 0.1)):
         grid = make_so3_grid(delta2, delta1)
         ref = band_partition(grid)
-        assert len(grid.bands) == len(ref), (delta2, delta1)
-        for (theta, idx, phis, measure), (r_theta, r_idx, r_phis,
-                                          r_measure) in zip(grid.bands, ref):
-            assert theta == r_theta and measure == r_measure
+        plan = BandPlan(1, grid, "omega", make_scale_sequence(1.0))
+        assert len(plan.spans) == len(ref), (delta2, delta1)
+        assert plan.store.shape[-1] == len(ref), (delta2, delta1)
+        for s, (r_theta, r_idx, r_phis, r_measure) in zip(plan.spans, ref):
+            idx = np.arange(grid.n_carriers)[s]
+            assert np.all(grid.cells.theta[s] == r_theta)
+            assert np.all(grid.cells.measure[s] == r_measure)
             assert np.array_equal(idx, r_idx) and idx.dtype == r_idx.dtype
-            assert np.array_equal(phis, r_phis)
+            assert np.array_equal(grid.cells.phi[s], r_phis)
+
+
+def test_grid_compares_and_hashes_by_identity():
+    # two grids of the same bounds are two grids, as reconstruct's kept
+    # frame (matched with `is`) has it; neither comparing nor hashing
+    # touches the arrays
+    a, b = make_so3_grid(0.5, 0.5), make_so3_grid(0.5, 0.5)
+    assert a == a and a != b and not a == b
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
 
 
 def test_grid_axial_angles():

@@ -9,8 +9,8 @@ import pytest
 from sphwave import transform
 from sphwave.admissibility import _kernel_matrix
 from sphwave.profiles import WaveletSpec, evaluate_wavelet, window_weights
-from sphwave.multiselect import (SelectivitySet, refine_tau, select_tau,
-                                 selectivity_scan)
+from sphwave.multiselect import (SelectivitySet, adaptive_analysis,
+                                 refine_tau, select_tau, selectivity_scan)
 from sphwave.sphfn import (CoefficientTable, SphericalSignal, analyze_signal,
                            coef_index, default_grid_spec, degree_orders,
                            grid_phis, make_colat_grid, synthesize_signal)
@@ -131,7 +131,8 @@ def test_band_tilt_cache_holds_one_half():
     # the number of odd orders: the k < 0 half is derived, not stored, and
     # the forward transform, the adjoint, S and the band reads share it
     grid = make_so3_grid(0.5, 0.5)
-    thetas = tuple(float(b[0]) for b in grid.bands)
+    bands = oracles.band_partition(grid)
+    thetas = tuple(float(b[0]) for b in bands)
     for l_band in (8, 16, 17):
         n_odd = 2 * ((l_band + 1) // 2)
         _tilt_store.cache_clear()
@@ -146,10 +147,10 @@ def test_band_tilt_cache_holds_one_half():
         # owned, so no larger array sits behind a view
         assert store.flags.owndata
         assert store.shape == (n_odd // 2, 2 * l_band + 1, l_band + 1,
-                               len(grid.bands))
+                               len(bands))
         plan = BandPlan(l_band, grid, "omega", SCALES)
         assert plan.store is store
-        for b in range(len(grid.bands)):
+        for b in range(len(bands)):
             tilt = plan.tilt(b)
             assert np.array_equal(tilt[1::2], store[..., b])
             assert np.array_equal(tilt[::2], store[:, ::-1, :, b])
@@ -340,16 +341,15 @@ def test_frame_matrix_on_aliased_axial_grids():
 def _band_grid(grid, bands, shift=0.0):
     # the grid restricted to some of its bands, each band's longitudes
     # turned by shift times its position in the list
-    cells = grid.cells[np.concatenate([grid.bands[b][1] for b in bands])]
-    kept, at = [], 0
+    parts = oracles.band_partition(grid)
+    cells = grid.cells[np.concatenate([parts[b][1] for b in bands])]
+    at = 0
     for i, b in enumerate(bands):
-        theta, idx, phis, measure = grid.bands[b]
-        phi = cells.phi[at:at + len(idx)]
-        phi[:] = np.mod(phis + shift * (i + 1), 2.0 * np.pi)
-        kept.append((theta, at + np.arange(len(idx)), phi, measure))
+        _, idx, phis, _ = parts[b]
+        cells.phi[at:at + len(idx)] = np.mod(phis + shift * (i + 1),
+                                             2.0 * np.pi)
         at += len(idx)
-    return dataclasses.replace(grid, cells=cells, bands=tuple(kept),
-                               measures=cells.measure)
+    return dataclasses.replace(grid, cells=cells)
 
 
 def test_frame_matrix_whole_band_closed_form():
@@ -379,7 +379,8 @@ def test_frame_matrix_on_shifted_longitudes():
     l_band = 8
     table = _random_table(l_band, 62, kill_below=-1)
     base = make_so3_grid(0.5, 0.5)
-    grid = _band_grid(base, range(len(base.bands)), shift=0.37)
+    grid = _band_grid(base, range(len(oracles.band_partition(base))),
+                      shift=0.37)
     for fam in ("omega", "upsilon"):
         mixed = [tuple(WaveletSpec(fam, rho, t) for t in _split_taus(grid, j))
                  for j, rho in enumerate(SCALES)]
@@ -402,14 +403,15 @@ def test_band_operator_matches_oracles():
     l_band = 16
     scales = make_scale_sequence(1.0, 0.5, 2)
     base = make_so3_grid(0.2, 0.2)
-    assert len(base.bands[0][1]) < 2 * l_band + 1
+    n_bands = len(oracles.band_partition(base))
+    assert len(oracles.band_partition(base)[0][1]) < 2 * l_band + 1
     f = _signal(_random_table(l_band, 67))
     tsel = SelectivitySet()
 
     def close(got, want):
         return np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-    for grid in (base, _band_grid(base, range(len(base.bands)), shift=0.37)):
+    for grid in (base, _band_grid(base, range(n_bands), shift=0.37)):
         for fam in ("omega", "upsilon"):
             specs = [tuple(WaveletSpec(fam, rho, t)
                            for t in _split_taus(grid, j % 2))
@@ -483,28 +485,64 @@ def test_band_operator_adjoint_at_odd_band():
                 assert abs(lhs - rhs) <= 1e-13 * abs(lhs), fam
 
 
-def test_band_operator_refuses_carriers_out_of_band_order():
-    # each band is one run of carriers, the bands in carrier order: a grid
-    # with its carriers shuffled over the bands, its bands reordered, or a
-    # band left out is refused by the band operator and every caller
+def test_band_operator_any_carrier_order():
+    # a band is a run of consecutive carriers at one colatitude, so any
+    # carrier order works: a grid with its carriers shuffled over the bands
+    # (runs of a cell or two) or its bands reversed gives the base grid's
+    # coefficients, renumbered, its S and its scan picks.  A band whose
+    # cells have unequal measures (on the longitude lattice, so only the
+    # measures keep it from the whole-band closed form) and all three keep
+    # S x = adjoint(forward(x)), uniform and per-carrier tau, both families
+    l_band = 8
     base = make_so3_grid(0.5, 0.5)
-    order = np.random.default_rng(3).permutation(base.n_carriers)
-    where = np.argsort(order)
-    shuffled = dataclasses.replace(
-        base, cells=base.cells[order],
-        bands=tuple((theta, where[idx], phis, measure)
-                    for theta, idx, phis, measure in base.bands),
-        measures=base.measures[order])
-    f = _signal(_random_table(8, 100, kill_below=-1))
-    for grid in (shuffled, dataclasses.replace(base, bands=base.bands[::-1]),
-                 dataclasses.replace(base, bands=base.bands[:-1])):
-        with pytest.raises(ValueError, match="band by band"):
-            BandPlan(8, grid, "omega", SCALES)
-        with pytest.raises(ValueError, match="band by band"):
-            forward_transform(f, uniform_specs("omega", 2.0, SCALES), grid,
-                              SCALES)
-        with pytest.raises(ValueError, match="band by band"):
-            frame_matrix("omega", [2.0, 2.0], grid, SCALES, 8)
+    bands = oracles.band_partition(base)
+    shuffled = np.random.default_rng(3).permutation(base.n_carriers)
+    reversed_ = np.concatenate([idx for _, idx, _, _ in bands[::-1]])
+    cells = base.cells.copy()
+    _, idx, phis, measure = bands[3]
+    cells.measure[idx] = measure * (1.0 + 0.5 * np.cos(phis))
+    unequal = dataclasses.replace(base, cells=cells)
+    table = _random_table(l_band, 100, kill_below=-1)
+    f = _signal(table)
+    tsel = SelectivitySet()
+
+    def close(got, want, tol):
+        return np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+    def specs(fam, taus):
+        return [WaveletSpec(fam, rho, t) if np.ndim(t) == 0 else
+                tuple(WaveletSpec(fam, rho, x) for x in t)
+                for rho, t in zip(SCALES, taus)]
+
+    for fam in ("omega", "upsilon"):
+        ref = selectivity_scan(f, SCALES, base, tsel, fam)
+        for order in (shuffled, reversed_, None):
+            grid = (unequal if order is None else
+                    dataclasses.replace(base, cells=base.cells[order]))
+            if order is not None:
+                n_runs = len(BandPlan(l_band, grid, fam, SCALES).spans)
+                assert (n_runs > len(bands) if order is shuffled
+                        else n_runs == len(bands))
+                smap = selectivity_scan(f, SCALES, grid, tsel, fam)
+                assert np.array_equal(smap.tau_star, ref.tau_star[:, order])
+                assert np.array_equal(smap.phi1_star,
+                                      ref.phi1_star[:, order])
+                assert close(smap.value, ref.value[:, order], 1e-14)
+            for taus in ([3.0, 3.0], [_split_taus(grid, j) for j in (0, 1)]):
+                coeffs = forward_transform(f, specs(fam, taus), grid, SCALES)
+                s = frame_matrix(fam, coeffs.taus, grid, SCALES, l_band)
+                st = adjoint_transform(coeffs).values
+                assert close(s @ table.values, st, 1e-12), fam
+                if order is None:
+                    continue
+                base_taus = [t if np.ndim(t) == 0 else t[np.argsort(order)]
+                             for t in coeffs.taus]
+                want = forward_transform(f, specs(fam, base_taus), base,
+                                         SCALES)
+                for got, w in zip(coeffs.values, want.values):
+                    assert close(got, w[order], 1e-15), fam
+                assert close(s, frame_matrix(fam, base_taus, base, SCALES,
+                                             l_band), 1e-13), fam
 
 
 def test_adjoint_leaves_its_input_unchanged():
@@ -535,8 +573,9 @@ def test_plans_share_one_phase_table():
     assert (info.misses, info.hits) == (1, 1)
     assert a.phases.shape == (grid.n_carriers, 2 * l_band + 1)
     assert a.phases.flags.c_contiguous and not a.phases.flags.writeable
-    for s, (_, idx, phis, _) in zip(a.spans, grid.bands):
-        assert np.array_equal(grid.cells.phi[idx], phis)
+    for s, (_, idx, phis, _) in zip(a.spans, oracles.band_partition(grid)):
+        assert np.array_equal(np.arange(grid.n_carriers)[s], idx)
+        assert np.array_equal(grid.cells.phi[s], phis)
         want = oracles.exp_phase_table(phis, l_band)
         assert np.max(np.abs(a.phases[s] - want)) <= 1e-14
 
@@ -549,7 +588,8 @@ def test_tau_map_frame_matrix_phase_sums(l_band):
     # longitudes put every band on the phase-sum path, uniform maps too
     delta = {8: 0.5, 11: 0.4, 14: 0.3, 17: 0.25}[l_band]
     base = make_so3_grid(delta, delta)
-    grid = _band_grid(base, range(len(base.bands)), shift=0.37)
+    grid = _band_grid(base, range(len(oracles.band_partition(base))),
+                      shift=0.37)
     rng = np.random.default_rng(l_band)
     maps = {"uniform": [np.full(grid.n_carriers, 4.0)] * 2,
             "band-split": [_split_taus(grid, j) for j in range(2)],
@@ -637,9 +677,10 @@ def test_frame_matrix_tau_alternating_by_band():
     scales = make_scale_sequence(1.0, 0.5, 2)
     grid = make_so3_grid(0.2, 0.2)
     odd = np.zeros(grid.n_carriers, dtype=bool)
-    for b, (_, idx, _, _) in enumerate(grid.bands):
+    bands = oracles.band_partition(grid)
+    for b, (_, idx, _, _) in enumerate(bands):
         odd[idx] = b % 2 == 1
-    first = np.arange(grid.n_carriers) < len(grid.bands[0][1])
+    first = np.arange(grid.n_carriers) < len(bands[0][1])
     uniform = np.full(grid.n_carriers, 4.0)
     theta = np.array([c.theta for c in grid.cells])
     maps = ([np.where(odd, 4.0, 1.0), np.where(odd, 2.0, 8.0), uniform],
@@ -665,6 +706,28 @@ def test_frame_matrix_without_odd_orders():
     for taus in ([2.0, 2.0], [_split_taus(grid, 0), 4.0]):
         s = frame_matrix("omega", taus, grid, SCALES, 0)
         assert s.shape == (1, 1) and s[0, 0] == 0.0
+
+
+def test_band_limit_zero():
+    # no odd axial order reaches degree 0: the forward transform, the
+    # adjoint, the scan and the adaptive analysis give zeros of the full
+    # shape, and reconstruct the zero signal, uniform tau and tau maps
+    grid = make_so3_grid(0.5, 0.5)
+    f = _signal(CoefficientTable(0, np.array([1.5 - 0.5j])))
+    tsel = SelectivitySet()
+    shape = (grid.n_carriers, len(grid.axial_angles))
+    smap, adaptive = adaptive_analysis(f, SCALES, grid, tsel)
+    assert np.all(smap.value == 0.0) and smap.tau_star.shape == (2, shape[0])
+    for specs in (uniform_specs("omega", 2.0, SCALES),
+                  [tuple(WaveletSpec("omega", rho, t)
+                         for t in _split_taus(grid, 0)) for rho in SCALES]):
+        coeffs = forward_transform(f, specs, grid, SCALES)
+        for c in (coeffs, adaptive):
+            assert all(v.shape == shape and not v.any() for v in c.values)
+            assert adjoint_transform(c).values.shape == (1,)
+            assert not adjoint_transform(c).values.any()
+            g = reconstruct(c)
+            assert g.spec == default_grid_spec(0) and not g.values.any()
 
 
 def test_frame_matrix_peak_memory():
@@ -700,8 +763,9 @@ def test_frame_matrix_tilt_reads_per_band(monkeypatch):
                         lambda plan, b: reads.append(b) or tilt(plan, b))
     frame_matrix("omega", [4.0] * 3, grid, scales, l_band)
     monkeypatch.undo()
-    assert stores == [tuple(float(b[0]) for b in grid.bands)], len(stores)
-    assert sorted(reads) == list(range(len(grid.bands))), reads
+    bands = oracles.band_partition(grid)
+    assert stores == [tuple(float(b[0]) for b in bands)], len(stores)
+    assert sorted(reads) == list(range(len(bands))), reads
 
 
 def test_rotate_coefficients_matches_pullback():
@@ -1054,7 +1118,7 @@ def test_tilt_store_matches_per_band_blocks():
     # one batched product per degree over all bands gives the store that
     # one _wigner_d block per (band, degree) gives, bit for bit
     grid = _band_grid(make_so3_grid(0.3, 0.3), [5, 0, 9, 2, 7])
-    thetas = tuple(float(b[0]) for b in grid.bands)
+    thetas = tuple(float(b[0]) for b in oracles.band_partition(grid))
     for l_band in (12, 17):
         assert np.array_equal(_tilt_store(thetas, l_band),
                               oracles.per_band_tilt_store(thetas, l_band))
@@ -1066,7 +1130,7 @@ def test_tilt_store_built_in_band_chunks(monkeypatch):
     # bit, and the build peaks at 1.25 times the store at most (all bands
     # in one product per degree took 1.5 times)
     grid = make_so3_grid(0.1, 0.1)
-    thetas = tuple(float(b[0]) for b in grid.bands)
+    thetas = tuple(float(b[0]) for b in oracles.band_partition(grid))
     calls, wigner = [], transform._wigner_d
     monkeypatch.setattr(transform, "_wigner_d",
                         lambda theta, l: calls.append(l) or wigner(theta, l))
