@@ -48,11 +48,8 @@ def cmd_profile(args):
     cols = [angular_window(t, phi) for t in args.taus]
     with _open_out(args.out) as fh:
         fh.write("phi," + ",".join("f_%g" % t for t in args.taus) + "\n")
-        for i, p in enumerate(phi):
-            fh.write("%r" % float(p))
-            for c in cols:
-                fh.write(",%r" % float(c[i]))
-            fh.write("\n")
+        for row in zip(phi, *cols):
+            fh.write(",".join(map(repr, map(float, row))) + "\n")
     return 0
 
 
@@ -72,10 +69,8 @@ def cmd_kernel(args):
         values = evaluate_wavelet(spec, tt, pp)
         with _open_out(args.out) as fh:
             fh.write("theta,phi,value\n")
-            for i in range(args.n_theta):
-                for j in range(args.n_phi):
-                    fh.write("%r,%r,%r\n" % (float(theta[i]), float(phi[j]),
-                                             float(values[i, j])))
+            for row in zip(tt.ravel(), pp.ravel(), values.ravel()):
+                fh.write("%r,%r,%r\n" % tuple(map(float, row)))
     return 0
 
 

@@ -170,11 +170,8 @@ def read_coefficients(path):
 
 def write_selectivity_csv(path, smap):
     with open(path, "w") as fh:
-        fh.write("j,alpha2,theta2,phi2,tau_star,phi1_star,value\n")
-        for j, a, t2, p2, tau, p1, val in smap.rows():
-            fh.write("%d,%d,%r,%r,%r,%r,%r\n"
-                     % (j, a, float(t2), float(p2), float(tau), float(p1),
-                        float(val)))
+        fh.write("j,alpha2,theta2,phi2,tau_star,phi1_star,value\n" + "".join(
+            "%d,%d,%r,%r,%r,%r,%r\n" % row for row in smap.rows()))
 
 
 def read_selectivity_rows(path):

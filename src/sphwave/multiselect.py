@@ -63,12 +63,15 @@ class SelectivityMap:
     scales: object
 
     def rows(self):
-        """(j, carrier, theta2, phi2, tau, phi1, value) rows."""
-        theta, phi = self.grid.cells.theta, self.grid.cells.phi
-        for j in range(self.tau_star.shape[0]):
-            for a in range(len(theta)):
-                yield (j, a, theta[a], phi[a], self.tau_star[j, a],
-                       self.phi1_star[j, a], self.value[j, a])
+        """(j, carrier, theta2, phi2, tau, phi1, value) rows of Python
+        numbers, built from whole columns."""
+        (n_j, n_c), cells = self.tau_star.shape, self.grid.cells
+        return zip(np.repeat(np.arange(n_j), n_c).tolist(),
+                   list(range(n_c)) * n_j,
+                   *(np.tile(x, n_j).tolist() for x in (cells.theta,
+                                                        cells.phi)),
+                   *(x.ravel().tolist() for x in (self.tau_star,
+                                                  self.phi1_star, self.value)))
 
 
 def _pick(values, taus, angles, tol):

@@ -12,12 +12,12 @@ scale, then over the orders m with each cell's longitude phase.  The
 cells enter S only through one phase sum per axial pair and order
 difference m' - m; a band whose cells share one tau and one measure on
 the regular longitude lattice needs no phase sum and contracts by itself
-over its (scale, pair) factors.  Jacobi-preconditioned CG inverts S on
-the degrees l >= 1, the ones an odd order reaches; a frame with one tau
-per scale builds S once for all calls on it and starts CG from zero.  A
-per-carrier tau map builds S for one solve and starts CG from the LU
-solution of S or, when its grid is under-resolved and S may be singular,
-from the minimum-norm solution.
+over its (scale, pair) factors.  S is real symmetric, S_R, in a real
+harmonic basis, where Jacobi-preconditioned CG inverts it on the degrees
+l >= 1; a frame with one tau per scale builds S_R once for all calls on
+it and starts CG from zero.  A per-carrier tau map builds S_R for one
+solve and starts CG from its LU solution or, when its grid is
+under-resolved and S_R may be singular, from the minimum-norm solution.
 """
 
 from dataclasses import dataclass
@@ -35,9 +35,9 @@ from .admissibility import _kernel_matrix
 class FrameOperatorConfig:
     """Iteration controls for inverting the frame operator: tolerance
     bounds the Jacobi-scaled relative residual ||D^-1 r|| / ||D^-1 b||
-    (D the frame diagonal), tested at the start and after each CG step;
-    max_iterations counts the CG steps after the start (see
-    reconstruct)."""
+    of the real-basis solve (D the diagonal of S_R, both right-hand sides
+    at once), tested at the start and after each CG step; max_iterations
+    counts the CG steps after the start (see reconstruct)."""
 
     max_iterations: int = 200
     tolerance: float = 1e-10
@@ -237,19 +237,23 @@ class BandPlan:
         return out
 
     def adjoint(self, d):
-        """Flat table sum_c e^{-i m phi_c} sum_{j,k} beta_jk[m, l] d[j, c, k]
-        over the grid's cells, the transpose of correlate; d is read one
-        scale at a time.  Per band the product with e^{i m phi} gives X^T
-        on k < 0 and its conjugate on k > 0, undone after the degree sum."""
+        """_adjoint of d, read one scale at a time and left as it is."""
+        return self._adjoint(np.where(self.ks > 0, g.conj(), g) for g in d)
+
+    def _adjoint(self, d):
+        """Flat table sum_c e^{-i m phi_c} sum_{j,k} beta_jk[m, l] d[j, c, k],
+        the transpose of correlate, from each d[j] with its k > 0 half
+        conjugated.  Per band the product with e^{i m phi} gives X^T on
+        k < 0 and its conjugate on k > 0, undone after the degree sum."""
         n_m, d, acc = self.store.shape[1], iter(d), 0.0
         x = np.empty((n_m, len(self.spans), self.store.shape[0], 4))
         y = np.empty(self.store.shape[:3] + (2,), dtype=complex)
         for kern in self.kern[:, 1::2, None, :, None]:
-            g = next(d).copy()  # d is the caller's
-            np.conjugate(g[:, 1::2], out=g[:, 1::2])
+            g = next(d)
             for b, s in enumerate(self.spans):
                 np.matmul(self.phases[s].T, g[s],
                           out=x[:, b].view(complex).reshape(n_m, -1))
+            del g   # before the next scale's d is made
             np.matmul(self.store, x.transpose(2, 0, 1, 3), out=y.view(float))
             y *= kern
             acc = acc + y.sum(axis=0)
@@ -311,13 +315,14 @@ def adjoint_transform(coeffs):
     w = plan.weights(coeffs.taus) * coeffs.weights(0)[:, :1]
 
     def scaled():
-        # one scale at a time: no stacked copy of the values
+        # one scale at a time, conjugated in place: no copy of the values
         for v, wj in zip(coeffs.values, w):
             dj = v @ back
             dj *= wj
+            np.conjugate(dj[:, 1::2], out=dj[:, 1::2])
             yield dj
             del dj
-    return CoefficientTable(coeffs.l_band, plan.adjoint(scaled()))
+    return CoefficientTable(coeffs.l_band, plan._adjoint(scaled()))
 
 
 def frame_apply(f, specs, grid, scales):
@@ -341,27 +346,37 @@ def rotate_coefficients(table, rotation):
 # ---------------------------------------------------------------------------
 # frame operator assembly and inversion
 
-def frame_matrix(family, taus, grid, scales, l_band):
-    """Dense frame operator S on coefficient tables.
+def _paired(l_band):
+    """Flat indices of the paired order, m = 0, 1..L, -1..-L with l
+    ascending in each, and its slices of m = 0, m > 0 and m < 0."""
+    l_of, m_of = degree_orders(l_band)
+    n0, h = l_band + 1, l_band * (l_band + 1) // 2
+    return (np.lexsort((l_of, np.where(m_of < 0, l_band - m_of, m_of))),
+            slice(0, n0), slice(n0, n0 + h), slice(n0 + h, None))
+
+
+def _real_frame_matrix(family, taus, grid, scales, l_band):
+    """The frame operator S_R = U S U^H in the real basis (see reconstruct).
 
     taus[j] is the selectivity of scale j, one value or one per carrier.
     Block (m, m') of S sums beta_jk[m] beta_jk'[m']^T H(m' - m), beta_jk[m,
     l] = d^l_mk P_j[l, k], over bands, scales and axial pairs p = (k, k'),
     k = k' (mod n_axial); H(d) = log_step / (8 pi) sum_c measure_c w_ck
     w_ck' e^{i d phi_c} is the one place the cells and their selectivities
-    enter.  T sums blocks m' >= m and pairs k + k' >= 0 (k + k' = 0 at half
-    weight), and beta_-k[-m] = beta_k[m] gives S[m, m'] = T[m, m'] +
-    T[-m', -m]^T.  Whole bands (cells sharing one tau and one measure at
+    enter.  T sums blocks m' >= m and pairs k + k' >= 0, with m' = m and
+    k + k' = 0 at half weight; beta_-k[-m] = beta_k[m] makes A[m, m'] =
+    T[m, m'] + T[-m', -m]^T with S = A + A^H, and one fold of T on slices
+    gives S_R.  Whole bands (cells sharing one tau and one measure at
     longitudes (c + 1/2) 2 pi / N) have H(d) = H(0) (-1)^(d/N) where N
     divides d and 0 elsewhere: each reads its tilt once, contracts over its
     own (scale, pair) factors once for all its d, and the sums per d go
-    straight into the flat layout.
+    straight into T.
     The other (band, scale) pairs are stacked, one chunk of axial pairs at
     a time: beta is one gather from the tilt store (k < 0 at order -m), and
     per order m one product, with H(m' - m) taken into one buffer, fills
-    the blocks m' >= m of an m-major copy; one conjugate-transpose add
-    fills the rest.  H reads e^{i d phi} from the band's span of the
-    grid's phase table, d > L as the product with e^{i L phi}.
+    its blocks m' >= m, one run of columns of the paired order.  H reads
+    e^{i d phi} from the band's span of the grid's phase table, d > L as
+    the product with e^{i L phi}.
     """
     if len(taus) != len(scales):
         raise ValueError("need one tau entry per scale: %d entries for %d "
@@ -375,10 +390,14 @@ def frame_matrix(family, taus, grid, scales, l_band):
               * scales.log_step / (8.0 * np.pi))
     wpair = [np.broadcast_to(pair_w * w[..., ia] * w[..., ib], (
         grid.n_carriers, len(ia))) for w in plan.weights(taus)]
-    l_of, m_of = degree_orders(l_band)
-    n, m = len(l_of), np.arange(n_m)
+    n, (order, *parts) = (l_band + 1) ** 2, _paired(l_band)
+    lo, mo = (v[order] for v in degree_orders(l_band))
     if not len(ia):     # no odd order below the band: nothing to sum
-        return np.zeros((n, n), dtype=complex)
+        return np.zeros((n, n))
+    # per order m its rows a:b in the paired order and its columns m' >= m
+    off = np.cumsum(np.r_[0, n_l, np.tile(np.arange(l_band, 0, -1), 2)])
+    cols = [(a, b, slice(a, off[n_l]) if mo[a] >= 0 else slice(0, b))
+            for a, b in zip(off.tolist(), off[1:].tolist())]
 
     # per band its whole scales: one measure and tau on the band's cells,
     # which sit at longitudes (c + 1/2) 2 pi / N; tested on all cells
@@ -395,20 +414,18 @@ def frame_matrix(family, taus, grid, scales, l_band):
     # the other (band, scale) pairs: compact beta rows and H(d) per pair,
     # stacked
     qb, qj = np.nonzero(~whole.T)
-    s = np.zeros((n, n), dtype=complex)
+    t = np.zeros((2, n, n))    # T's real and imaginary parts
     if len(qb):
-        order = np.lexsort((l_of, m_of))
-        off = np.searchsorted(m_of[order], np.arange(-l_band, l_band + 2))
-        mo, lo = m_of[order], l_of[order]
         # H per mixed band, e^{i d phi} as column L + d or (d > L) d x 2L
         h = np.concatenate([np.concatenate((
             (ph := plan.phases[spans[b]])[:, l_band:],
             ph[:, l_band + 1:] * ph[:, -1:]), 1).T * measure[spans[b]]
             @ np.stack([wpair[j][spans[b]] for j in qj[qb == b]])
             for b in np.flatnonzero(~whole.all(axis=0))]).transpose(1, 0, 2)
+        h[0] *= 0.5     # d = 0: the blocks m' = m, at half weight
 
         def rows(p):
-            # beta at [m-major (m, l), (band, scale, pair)]: one gather from
+            # beta at [paired (m, l), (band, scale, pair)]: one gather from
             # the store at flat offsets, where k < 0 reads order -m
             pc, n_b = np.tile(p, len(qb)), len(spans)
             beta = np.add.outer(lo * n_b, (pc // 2 * n_m + l_band) * n_l * n_b
@@ -429,55 +446,68 @@ def frame_matrix(family, taus, grid, scales, l_band):
             z = np.empty_like(high)
             # one product per order m, H(m' - m) taken over the degrees of
             # each order m' into one buffer
-            for i in range(n_m):
-                a, b = off[i], off[i + 1]
-                for part, hp in zip((s[a:b, a:].real, s[a:b, a:].imag), hc):
-                    hp.take(mo[a:] + (l_band - i), 0, z[a:], "clip")
-                    z[a:] *= high[a:]
-                    part += low[a:b] @ z[a:].T
+            for a, b, c in cols:
+                for part, hp in zip(t[:, a:b, c], hc):
+                    hp.take(mo[c] - mo[a], 0, z[c], "clip")
+                    z[c] *= high[c]
+                    part += low[a:b] @ z[c].T
             del low, high, z  # before the n x n temporaries
-        back = np.argsort(order)
-        mirror = back[(l_of * (l_of + 1) - m_of)[order]]
-        s += s[np.ix_(mirror, mirror)].T
-        # the blocks below m' = m are still zero: adding the conjugate
-        # transpose fills them, and the blocks m' = m go to half weight
-        s += s.conj().T
-        s[mo[:, None] == mo] *= 0.5
-        s = s[np.ix_(back, back)]
 
     # the whole bands per order difference d: T_d[m] = sum_b v_d(b) sum_jp
-    # beta_jk[m] w_jp beta_jk'[m + d]^T, v_d = N measure (-1)^(d/N), one
-    # contraction over the band's (scale, pair) factors for all its d,
-    # added at the flat indices at[m, l] (-1 where l < |m|)
-    at = np.where(m[:n_l] >= abs(m - l_band)[:, None],
-                  m[:n_l] * (m[:n_l] + 1) + (m - l_band)[:, None], -1)
-    blocks, flat = {}, s.reshape(-1).real
+    # beta_jk[m] w_jp beta_jk'[m + d]^T, v_d = N measure (-1)^(d/N) (half at
+    # d = 0), one contraction over the band's (scale, pair) factors for all
+    # its d, added at the paired order's entries at[m, l] (-1 if l < |m|)
+    at = np.full((n_m, n_l), -1)
+    at[mo + l_band, lo] = np.arange(n)
+    blocks = {}
     ka, kb = plan.kern[:, ia, None], plan.kern[:, ib, None]
     for b in np.flatnonzero(whole.any(axis=0)):
-        n_c, js, t = counts[b], np.flatnonzero(whole[:, b]), plan.tilt(b)
+        n_c, js, tb = counts[b], np.flatnonzero(whole[:, b]), plan.tilt(b)
         w = np.stack([wpair[j][first[b]] for j in js])[..., None, None]
         # beta_jk at [m, l, (j, p)] and w_jp beta_jk' at [m, (j, p), l']
-        left = (ka[js] * t[ia]).reshape(-1, n_m, n_l).transpose(1, 2, 0)
-        right = (w * kb[js] * t[ib]).reshape(-1, n_m, n_l).swapaxes(0, 1)
+        left = (ka[js] * tb[ia]).reshape(-1, n_m, n_l).transpose(1, 2, 0)
+        right = (w * kb[js] * tb[ib]).reshape(-1, n_m, n_l).swapaxes(0, 1)
         for q, d in enumerate(range(0, n_m, n_c)):
-            blocks[d] = blocks.get(d, 0.0) + (-1) ** q * n_c * measure[
-                first[b]] * (left[:n_m - d] @ right[d:])
-    for d, t in blocks.items():
-        # T_d flipped in m, blocks transposed, is its mirror; the lower
-        # blocks are its transpose
-        t = t + t[::-1].swapaxes(1, 2)
-        t = 0.5 * (t + t.swapaxes(1, 2)) if d == 0 else t
+            blocks[d] = blocks.get(d, 0.0) + (-1) ** q * n_c / (1 + (
+                d == 0)) * measure[first[b]] * (left[:n_m - d] @ right[d:])
+        del left, right
+    for d in list(blocks):
         row, col = at[:n_m - d, :, None], at[d:, None, :]
         keep = (row >= 0) & (col >= 0)
-        idx, t = (row * n + col)[keep], t[keep]
-        flat[idx] += t
-        if d:
-            flat[idx % n * n + idx // n] += t
-    return s
+        t[0].reshape(-1)[(row * n + col)[keep]] += blocks.pop(d)[keep]
+    # S_R = R + R^T, R = 2 Re(U T U^H) with T's blocks m' = m at half weight,
+    # on the slices of m = 0, m > 0, m < 0; T is 0 at m > 0 >= m', m = 0 > m'
+    (z, p, q), (re, im), r = parts, t, np.empty((n, n))
+    r[z, z] = 2.0 * re[z, z]
+    r[z, n_l:] = np.sqrt(2.0) * np.c_[re[z, p], -im[z, p]]
+    r[n_l:, z] = np.sqrt(2.0) * np.r_[re[q, z], -im[q, z]]
+    even, odd = re[p, p] + re[q, q], im[p, p] - im[q, q]
+    np.add(even, re[q, p], out=r[p, p])
+    np.subtract(even, re[q, p], out=r[q, q])
+    np.subtract(odd, im[q, p], out=r[q, p])
+    np.negative(np.add(odd, im[q, p], out=odd), out=r[p, q])
+    del t, re, im, even, odd    # T before R + R^T
+    return r + r.T
+
+
+def frame_matrix(family, taus, grid, scales, l_band):
+    """Dense frame operator S = U^H S_R U on flat tables, unfolded block by
+    block; taus[j] is one tau or one per carrier, as in _real_frame_matrix."""
+    sr, (order, z, c, s) = (_real_frame_matrix(family, taus, grid, scales,
+                                               l_band), _paired(l_band))
+    # per m = 0, m > 0, m < 0: flat indices, c and s rows, s's sign, scale
+    parts = ((z, z, z, 0, 1.), (c, c, s, 1, .5 ** .5), (s, c, s, -1, .5 ** .5))
+    out = np.empty(sr.shape, dtype=complex)
+    for i, ci, si, ui, gi in parts:
+        for j, cj, sj, uj, gj in parts:
+            at, g = np.ix_(order[i], order[j]), gi * gj
+            out.real[at] = g * (sr[ci, cj] + ui * uj * sr[si, sj])
+            out.imag[at] = g * (ui * sr[si, cj] - uj * sr[ci, sj])
+    return out
 
 
 # the last frame with one tau per scale: its grid (matched by identity),
-# the rest of its key (by value) and (S read-only, its diagonal on l >= 1).
+# the rest of its key (by value) and (S_R read-only, its diagonal on l >= 1).
 # A per-carrier tau map comes from one signal's scan and is not kept
 _frame_cache = [None]
 
@@ -489,17 +519,17 @@ def _kept(coeffs):
 
 
 def _frame(coeffs):
-    """S of the frame of coeffs and its diagonal on the degrees l >= 1;
-    built on a miss, which first drops the kept frame."""
+    """S_R of the frame of coeffs and its diagonal on the degrees l >= 1, a
+    column; built on a miss, which first drops the kept frame."""
     key = (coeffs.family, coeffs.scales, coeffs.l_band, coeffs.taus)
     keep, kept = _kept(coeffs), _frame_cache[0]
     if keep and kept and kept[0] is coeffs.grid and kept[1] == key:
         return kept[2]
     _frame_cache[0] = kept = None   # two S never coexist
-    s = frame_matrix(coeffs.family, coeffs.taus, coeffs.grid,
-                     coeffs.scales, coeffs.l_band)
+    s = _real_frame_matrix(coeffs.family, coeffs.taus, coeffs.grid,
+                           coeffs.scales, coeffs.l_band)
     s.flags.writeable = False
-    frame = s, s[1:, 1:].diagonal().real
+    frame = s, s[1:, 1:].diagonal()[:, None]
     if keep:
         _frame_cache[0] = coeffs.grid, key, frame
     return frame
@@ -508,27 +538,30 @@ def _frame(coeffs):
 def reconstruct(coeffs, cfg=None):
     """Invert the frame operator by Jacobi-preconditioned conjugate gradients.
 
-    Odd orders need |k| <= l, so no kernel reaches degree 0 and the solve
-    runs on the degrees l >= 1, a view of S; the result is band-limited to
-    the coefficients' band.  S of a frame with one tau per scale is kept
-    until a call on another frame, and CG starts from zero.  A per-carrier
-    tau map's S serves this one solve, so CG starts from its LU solution
-    (np.linalg.solve, backward stable, one copy of S).  An under-resolved
-    map's S may be singular, where an LU start would carry a null-space
-    component no CG step removes: it starts from the minimum-norm solution,
-    by eigh of S with the eigenvalues below 1e-12 times the largest dropped,
-    which is the input projected onto the range of S.  cfg.max_iterations
-    counts the CG steps after the start.
+    The kernels are real, so S_R = U S U^H is real symmetric in the real
+    basis U f: on the paired order f_l0, then c_lm = (f_lm + f_l,-m) / sqrt 2
+    and s_lm = i (f_l,-m - f_lm) / sqrt 2 for m > 0.  CG solves S_R x = U b,
+    b the adjoint image, for its real and imaginary parts at once, with D,
+    S_R's diagonal, as preconditioner; cfg.tolerance bounds ||D^-1 r|| /
+    ||D^-1 U b||, the residual a FrameConvergenceError carries.  No kernel
+    reaches degree 0 (odd orders need |k| <= l): the solve runs on l >= 1.
+    A kept S_R (one tau per scale) starts CG from zero.  A tau map's S_R
+    serves one solve: CG starts from the LU solution of S_R scaled to a
+    unit diagonal (np.linalg.solve, backward stable) or, if under-resolved
+    and so maybe singular, from the minimum-norm solution (eigh, eigenvalues
+    below 1e-12 times the largest dropped), as an LU start carries a
+    null-space part no CG step removes.  cfg.max_iterations counts the CG
+    steps after the start.
     """
     if cfg is None:
         cfg = FrameOperatorConfig()
-    l_band = coeffs.l_band
-    rhs = adjoint_transform(coeffs).values
-    s, diag = _frame(coeffs)
-    sa = s[1:, 1:]
-    b = rhs[1:]
-    table = CoefficientTable(l_band)
-    grid_spec = default_grid_spec(l_band)
+    l_band, (order, _, pos, neg) = coeffs.l_band, _paired(coeffs.l_band)
+    w, g = adjoint_transform(coeffs).values[order], np.sqrt(0.5)
+    w[pos], w[neg] = g * (w[pos] + w[neg]), 1j * g * (w[neg] - w[pos])
+    b = np.stack((w.real, w.imag), 1)[1:]     # U b, l >= 1
+    sr, diag = _frame(coeffs)
+    sa = sr[1:, 1:]
+    table, grid_spec = CoefficientTable(l_band), default_grid_spec(l_band)
     if np.linalg.norm(b) == 0.0:
         return synthesize_signal(table, grid_spec)
     if np.any(diag <= 0.0):
@@ -541,25 +574,27 @@ def reconstruct(coeffs, cfg=None):
     elif coeffs.under_resolved:
         lam, v = np.linalg.eigh(sa)
         keep = lam > 1e-12 * lam[-1]
-        x = v[:, keep] @ ((v[:, keep].conj().T @ b) / lam[keep])
+        x = v[:, keep] @ ((v[:, keep].T @ b) / lam[keep, None])
         r = b - sa @ x
-    else:
-        x = np.linalg.solve(sa, b)
+    else:   # LU of S_R scaled to a unit diagonal: its degrees are graded
+        x = (e := diag ** -0.5) * np.linalg.solve(sa * e * e.T, e * b)
         r = b - sa @ x
     z = p = r / diag
-    rz, residual = np.vdot(r, z).real, np.linalg.norm(z) / znorm
+    rz, residual = np.vdot(r, z), np.linalg.norm(z) / znorm
     for _ in range(cfg.max_iterations):
         if residual <= cfg.tolerance:
             break
         q = sa @ p
-        alpha = rz / np.vdot(p, q).real
+        alpha = rz / np.vdot(p, q)
         x = x + alpha * p
         r = r - alpha * q
         z = r / diag
         residual = np.linalg.norm(z) / znorm
-        rz, rz_old = np.vdot(r, z).real, rz
+        rz, rz_old = np.vdot(r, z), rz
         p = z + (rz / rz_old) * p
     if cfg.strict and not residual <= cfg.tolerance:
         raise FrameConvergenceError(residual, cfg.max_iterations)
-    table.values[1:] = x
+    w = np.r_[0.0, x @ np.array([1.0, 1j])]
+    w[pos], w[neg] = g * (w[pos] + 1j * w[neg]), g * (w[pos] - 1j * w[neg])
+    table.values[order] = w
     return synthesize_signal(table, grid_spec)

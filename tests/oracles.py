@@ -33,7 +33,10 @@ selectivity.  After it comes the matched filter as it was before its
 weights became one array function of tau: a norm per (scale, tau) with
 the window's part summed over its truncated odd-order series (whose
 orders _window_orders gives), a batched landscape per band, and a refine
-that rebuilds both for every score.
+that rebuilds both for every score.  Last, the real harmonic basis of the
+frame solve is built entry by entry as a unitary matrix, and the frame
+solve is done in the complex basis by np.linalg.solve on the library's
+public frame_matrix, a reference for reconstruct.
 """
 
 from dataclasses import dataclass
@@ -51,8 +54,11 @@ from sphwave.profiles import (WaveletSpec, _check_rho, _p1_expansion,
 from sphwave.sphfn import (CoefficientTable, SphericalSignal, analyze_signal,
                            coef_index, default_grid_spec, degree_orders,
                            grid_phis, legendre_P_all, legendre_rows,
-                           make_colat_grid, normalized_assoc_column)
-from sphwave.transform import BandPlan, _normalize_specs, _wigner_d
+                           make_colat_grid, normalized_assoc_column,
+                           synthesize_signal)
+from sphwave.transform import (BandPlan, _normalize_specs, _wigner_d,
+                               adjoint_transform)
+from sphwave.transform import frame_matrix as library_frame_matrix
 
 
 def band_partition(grid):
@@ -966,3 +972,36 @@ def refine_band_landscape(f, scales, j, alpha2, tsel, grid, family,
 
     tau = 0.5 * sum(golden_section(score, tau0, tsel, tol))
     return tau, phi1, score(tau)
+
+
+# ---------------------------------------------------------------------------
+# the real harmonic basis of the frame solve, and a complex-basis solve
+
+def real_basis(l_band):
+    """The unitary U from flat coefficient tables to the real basis, in the
+    paired order: f_l0 for l = 0..L, then c_lm = (f_lm + f_l,-m) / sqrt 2
+    and then s_lm = i (f_l,-m - f_lm) / sqrt 2, each for m = 1..L and l =
+    m..L.  A real signal has real c and s."""
+    n = (l_band + 1) ** 2
+    u = np.zeros((n, n), dtype=complex)
+    for row, l in enumerate(range(l_band + 1)):
+        u[row, coef_index(l, 0)] = 1.0
+    pairs = [(l, m) for m in range(1, l_band + 1)
+             for l in range(m, l_band + 1)]
+    g = np.sqrt(0.5)
+    for i, (l, m) in enumerate(pairs):
+        c, s = l_band + 1 + i, l_band + 1 + len(pairs) + i
+        u[c, coef_index(l, m)] = u[c, coef_index(l, -m)] = g
+        u[s, coef_index(l, m)], u[s, coef_index(l, -m)] = -1j * g, 1j * g
+    return u
+
+
+def reference_solve(coeffs):
+    """The signal of np.linalg.solve on the public complex frame_matrix, on
+    the degrees l >= 1, with the adjoint image of coeffs."""
+    s = library_frame_matrix(coeffs.family, coeffs.taus, coeffs.grid,
+                             coeffs.scales, coeffs.l_band)
+    table = CoefficientTable(coeffs.l_band)
+    table.values[1:] = np.linalg.solve(
+        s[1:, 1:], adjoint_transform(coeffs).values[1:])
+    return synthesize_signal(table, default_grid_spec(coeffs.l_band))

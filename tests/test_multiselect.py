@@ -570,10 +570,35 @@ def test_tau_map_reconstruct_error_within_tolerance():
         assert err <= 1e-10, (seed, err)
 
 
+def test_planted_tau_maps_in_the_real_basis():
+    # planted maps, seeds 1-3: S_R is U S U^H to 1e-15 of its largest entry
+    # and exactly symmetric, U the real basis built entry by entry, and
+    # reconstruct, from the LU of S_R scaled to a unit diagonal, agrees with
+    # np.linalg.solve on the public complex S to 1e-13 (1e-12 to 3e-11
+    # unscaled, where the paired order interleaves the graded degrees)
+    l_band = 12
+    u = oracles.real_basis(l_band)
+    for seed in (1, 2, 3):
+        f = _two_kernels(seed, l_band, GRID)
+        _, coeffs = adaptive_analysis(f, SCALES, GRID, SelectivitySet())
+        assert not coeffs.under_resolved
+        assert all(np.ptp(t) > 0 for t in coeffs.taus)
+        args = ("omega", coeffs.taus, GRID, SCALES, l_band)
+        sr = transform._real_frame_matrix(*args)
+        folded = u @ transform.frame_matrix(*args) @ u.conj().T
+        assert np.array_equal(sr, sr.T)
+        assert (np.max(np.abs(folded - sr))
+                <= 1e-15 * np.max(np.abs(sr))), seed
+        got = reconstruct(coeffs).values
+        want = oracles.reference_solve(coeffs).values
+        assert (np.linalg.norm(got - want)
+                <= 1e-13 * np.linalg.norm(want)), seed
+
+
 def test_tau_map_frame_matrix_peak_memory():
     # the planted maps' S (4 tau per scale, most bands split): the stacked
     # rows' gathers and the per-order buffer keep the traced peak within
-    # 3.2 S (2.8-2.9 S measured)
+    # 3.2 S (2.4-2.6 S measured)
     l_band, grid = 16, make_so3_grid(0.2, 0.2)
     for seed in (1, 2, 3):
         smap = selectivity_scan(_two_kernels(seed, l_band, grid), SCALES,

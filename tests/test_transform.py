@@ -19,7 +19,8 @@ from sphwave.transform import (FrameConvergenceError, FrameOperatorConfig,
                                adjoint_transform, forward_transform,
                                frame_matrix, reconstruct,
                                rotate_coefficients, uniform_specs)
-from sphwave.transform import BandPlan, _jx_basis, _tilt_store, _wigner_d
+from sphwave.transform import (BandPlan, _jx_basis, _real_frame_matrix,
+                               _tilt_store, _wigner_d)
 
 import oracles
 from oracles import rotate_signal_pullback, spherical_harmonic
@@ -890,21 +891,82 @@ def test_reconstruct_controls():
 
 
 def _count_frame_builds(monkeypatch):
-    # an empty frame cache for this test, and the frame_matrix calls
-    calls, build = [], transform.frame_matrix
+    # an empty frame cache for this test, and the builds of S in the real
+    # basis, the one reconstruct keeps
+    calls, build = [], transform._real_frame_matrix
 
     def counted(*args):
         calls.append(args)
         return build(*args)
 
     monkeypatch.setattr(transform, "_frame_cache", [None])
-    monkeypatch.setattr(transform, "frame_matrix", counted)
+    monkeypatch.setattr(transform, "_real_frame_matrix", counted)
     return calls
 
 
 def _split_specs(family, grid):
     return [tuple(WaveletSpec(family, rho, t) for t in _split_taus(grid, j))
             for j, rho in enumerate(SCALES)]
+
+
+def _check_real_basis(coeffs):
+    # S_R is U S U^H of the public S and exactly symmetric, U the real basis
+    # built entry by entry; the oracle's S folds to a real matrix
+    # (imaginary parts below 1e-15 of S_R's largest entry) that matches S_R
+    # to the oracles' 1e-13
+    c, u = coeffs, oracles.real_basis(coeffs.l_band)
+    sr = _real_frame_matrix(c.family, c.taus, c.grid, c.scales, c.l_band)
+    top = np.max(np.abs(sr))
+    assert sr.dtype == np.float64 and np.array_equal(sr, sr.T)
+    folded = u @ frame_matrix(c.family, c.taus, c.grid, c.scales,
+                              c.l_band) @ u.conj().T
+    assert np.max(np.abs(folded - sr)) <= 1e-15 * top, c.family
+    want = u @ oracles.adaptive_frame_matrix(c) @ u.conj().T
+    assert np.max(np.abs(want.imag)) <= 1e-15 * top, c.family
+    assert np.max(np.abs(want.real - sr)) <= 1e-13 * top, c.family
+
+
+def test_real_frame_matrix_is_s_in_the_real_basis():
+    # uniform frames of both families, and tau maps on a shuffled-carrier
+    # grid and on a shifted-longitude grid, which take the stacked rows
+    # (planted tau maps: test_multiselect)
+    l_band = 8
+    base = make_so3_grid(0.5, 0.5)
+    shuffled = dataclasses.replace(base, cells=base.cells[
+        np.random.default_rng(5).permutation(base.n_carriers)])
+    shifted = _band_grid(base, range(len(oracles.band_partition(base))),
+                         shift=0.37)
+    f = _signal(_random_table(l_band, 101, kill_below=-1))
+    for fam in ("omega", "upsilon"):
+        _check_real_basis(forward_transform(
+            f, uniform_specs(fam, 4.0, SCALES), base, SCALES))
+    for fam, grid in (("omega", shuffled), ("upsilon", shifted)):
+        _check_real_basis(forward_transform(f, _split_specs(fam, grid), grid,
+                                            SCALES))
+
+
+def test_reconstruct_uniform_matches_complex_reference_solve(monkeypatch):
+    # the real-basis solve against np.linalg.solve on the public complex S
+    # (oracles.reference_solve; planted tau maps: test_multiselect).
+    # Uniform frames of both families start CG from zero and take the
+    # steps the complex-basis solve took (5 at L = 8, tau 2; 7 at L = 12,
+    # tau 1); they agree to 1e-9, where the complex solve's CG ended 2e-11
+    # to 7e-11 from the reference.  The kept S_R is float64, 8 n^2 bytes
+    monkeypatch.setattr(transform, "_frame_cache", [None])
+    for l_band, delta, tau, steps in ((8, 0.3, 2.0, 5), (12, 0.3, 1.0, 7)):
+        grid = make_so3_grid(delta, delta)
+        f = _signal(_random_table(l_band, 7))
+        for fam in ("omega", "upsilon"):
+            coeffs = forward_transform(f, uniform_specs(fam, tau, SCALES),
+                                       grid, SCALES)
+            with pytest.raises(FrameConvergenceError):
+                reconstruct(coeffs, FrameOperatorConfig(steps - 1))
+            got = reconstruct(coeffs, FrameOperatorConfig(steps)).values
+            want = oracles.reference_solve(coeffs).values
+            assert (np.linalg.norm(got - want)
+                    <= 1e-9 * np.linalg.norm(want)), (l_band, fam)
+            s, _ = transform._frame_cache[0][2]
+            assert s.dtype == np.float64 and s.nbytes == 8 * (l_band + 1) ** 4
 
 
 def test_reconstruct_reuses_uniform_frame(monkeypatch):
@@ -921,10 +983,10 @@ def test_reconstruct_reuses_uniform_frame(monkeypatch):
                for c, want in zip(coeffs, first))
     assert len(calls) == 1
     s, diag = transform._frame_cache[0][2]
-    fresh = frame_matrix("omega", coeffs[0].taus, grid, SCALES, 6)
+    fresh = _real_frame_matrix("omega", coeffs[0].taus, grid, SCALES, 6)
     assert np.array_equal(s, fresh)
-    assert np.array_equal(diag, fresh.diagonal()[1:].real)
-    # the kept S is read-only; frame_matrix still returns its own array
+    assert np.array_equal(diag, fresh.diagonal()[1:, None])
+    # the kept S is read-only; a fresh build returns its own array
     with pytest.raises(ValueError):
         s[0, 0] = 1.0
     fresh[0, 0] = 1.0
