@@ -237,14 +237,11 @@ class BandPlan:
         return out
 
     def adjoint(self, d):
-        """_adjoint of d, read one scale at a time and left as it is."""
-        return self._adjoint(np.where(self.ks > 0, g.conj(), g) for g in d)
-
-    def _adjoint(self, d):
         """Flat table sum_c e^{-i m phi_c} sum_{j,k} beta_jk[m, l] d[j, c, k],
         the transpose of correlate, from each d[j] with its k > 0 half
-        conjugated.  Per band the product with e^{i m phi} gives X^T on
-        k < 0 and its conjugate on k > 0, undone after the degree sum."""
+        conjugated; d is read one scale at a time and never written.  Per
+        band the product with e^{i m phi} gives X^T on k < 0 and its
+        conjugate on k > 0, undone after the degree sum."""
         n_m, d, acc = self.store.shape[1], iter(d), 0.0
         x = np.empty((n_m, len(self.spans), self.store.shape[0], 4))
         y = np.empty(self.store.shape[:3] + (2,), dtype=complex)
@@ -322,7 +319,7 @@ def adjoint_transform(coeffs):
             np.conjugate(dj[:, 1::2], out=dj[:, 1::2])
             yield dj
             del dj
-    return CoefficientTable(coeffs.l_band, plan._adjoint(scaled()))
+    return CoefficientTable(coeffs.l_band, plan.adjoint(scaled()))
 
 
 def frame_apply(f, specs, grid, scales):

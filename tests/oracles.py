@@ -1,42 +1,29 @@
 """Reference implementations that only tests compare against.
 
-The dense frame builders below are the library's former per-degree
-constructions: a closed-form Hadamard factor for one selectivity per
-scale, and an explicit longitudinal phase sum for per-carrier
-selectivities.  The library now builds both cases from its band
-operator, and tests hold it to these.  flat_tilt_blocks lays the
-library's per-degree tilt blocks out in one flat array for the tests that
-compare whole tables.  The tilt blocks are the former per-harmonic
-construction, which analyzes every tilted harmonic as a
-gridded signal, and the band partition regroups a grid's cells by
-latitude band.  The remaining functions are independent routes to values
-the library computes otherwise: plain Legendre recurrences, unit vectors
-and harmonics at scattered points, the rotation matrix of three angles
-and pointwise rotation by it, the Legendre series forms of the kernel
-profiles, the Fourier series of the angular window and its slope, the
-profiles' theta slopes, the kernels' sup norms on a probe lattice, the
-P_l^1 coefficients beta_l and gamma_l summed one target degree at a time
-and the profiles rebuilt from them, the tau-free kernel table filled one
-(l, k) entry at a time and the tilt store filled one (band, degree)
-block at a time (the library builds both as arrays and must match them
-bit for bit), the matched filter's former
-one-candidate-at-a-time argmax, and the scale integrals by the library's
-former composite quadrature over rho, with the coefficient polynomial
-summed term by term, and by the former float closed form (the library
-now sums that closed form exactly).  The kernel coefficients are checked
-against their printed decay bound.  The last section keeps the
-per-selectivity construction that the steerable band operator replaced:
-the kernel coefficient with tau inside its formula, its per-(l, k) table
-loop, the complex flat tilt quadrature, and the forward transform,
-adjoint, scan, select and refine built on one complex band matrix per
-selectivity.  After it comes the matched filter as it was before its
-weights became one array function of tau: a norm per (scale, tau) with
-the window's part summed over its truncated odd-order series (whose
-orders _window_orders gives), a batched landscape per band, and a refine
-that rebuilds both for every score.  Last, the real harmonic basis of the
-frame solve is built entry by entry as a unitary matrix, and the frame
-solve is done in the complex basis by np.linalg.solve on the library's
-public frame_matrix, a reference for reconstruct.
+The dense frame builders are the library's former per-degree constructions:
+a closed-form Hadamard factor for one selectivity per scale, and an explicit
+longitudinal phase sum for per-carrier selectivities.  flat_tilt_blocks lays
+the library's tilt blocks out in one flat array, and the band partition
+regroups a grid's cells by latitude band.  The other functions are
+independent routes to values the library computes otherwise: plain Legendre
+recurrences, unit vectors and harmonics at scattered points, the rotation
+matrix of three angles and pointwise rotation by it, the Legendre series
+forms of the kernel profiles, the angular window's truncated odd-order
+series, its slope and its norm, the profiles' theta slopes, the kernels' sup
+norms on a probe lattice, the P_l^1 coefficients beta_l and gamma_l summed
+one target degree at a time and the profiles rebuilt from them, the tau-free
+kernel table filled one (l, k) entry at a time and the tilt store filled one
+(band, degree) block at a time (the library must match both bit for bit), a
+one-candidate-at-a-time argmax, the scale integrals by composite quadrature
+over rho, term by term, and in float closed form, and the kernel
+coefficients' printed decay bound.  The last sections hold the kernel
+coefficient with tau inside its formula, the tilt blocks by complex
+quadrature, and the transform by its definition, with no band operator:
+W_j(c, a) = 1/(4 pi) sum_k e^{i k alpha_a} sum_l Psi_lk(tau_c) sum_m
+d^l_mk(theta_c) e^{i m phi_c} f_lm, with the matched filter
+|<U_g Psi_tau, f>| / ||Psi_tau|| on it, picked one candidate at a time and
+refined by golden section; then the frame solve's real basis entry by entry,
+and np.linalg.solve on the public frame_matrix.
 """
 
 from dataclasses import dataclass
@@ -46,18 +33,14 @@ from math import fsum
 import numpy as np
 
 from sphwave.admissibility import _coefficient_polynomial, default_k_cut
-from sphwave.multiselect import TIE_MARGIN, _pick
 from sphwave.profiles import (WaveletSpec, _check_rho, _p1_expansion,
                               _profile_terms, _series_weight, profile_norm_sq,
-                              angular_coefficient, profile_fn,
-                              wavelet_norm_sq)
-from sphwave.sphfn import (CoefficientTable, SphericalSignal, analyze_signal,
-                           coef_index, default_grid_spec, degree_orders,
-                           grid_phis, legendre_P_all, legendre_rows,
-                           make_colat_grid, normalized_assoc_column,
-                           synthesize_signal)
-from sphwave.transform import (BandPlan, _normalize_specs, _wigner_d,
-                               adjoint_transform)
+                              angular_coefficient, profile_fn)
+from sphwave.sphfn import (CoefficientTable, coef_index, default_grid_spec,
+                           degree_orders, grid_phis, legendre_P_all,
+                           legendre_rows, make_colat_grid,
+                           normalized_assoc_column, synthesize_signal)
+from sphwave.transform import _wigner_d, adjoint_transform
 from sphwave.transform import frame_matrix as library_frame_matrix
 
 
@@ -94,30 +77,6 @@ def degree_blocks(flat):
             for l in range(l_band + 1)]
 
 
-def tilt_blocks(theta, l_band):
-    """Per-degree unitary blocks T^l[m, k] = <Y_l^m, Y_l^k o tilt^{-1}>.
-
-    Computed by analyzing each tilted harmonic on an exact quadrature
-    grid; a tilt preserves the degree, so the projection is exact.
-    """
-    spec = default_grid_spec(l_band)
-    colat = make_colat_grid(spec.n_theta)
-    tt, pp = np.meshgrid(colat.nodes, grid_phis(spec), indexing="ij")
-    xyz = np.tensordot(tilt_rotation(theta).T, sphere_points(tt, pp), axes=1)
-    ct = np.clip(xyz[0], -1.0, 1.0)
-    ph = np.arctan2(xyz[2], xyz[1])
-    blocks = [np.zeros((2 * l + 1, 2 * l + 1), dtype=complex)
-              for l in range(l_band + 1)]
-    for k in range(-l_band, l_band + 1):
-        ka = abs(k)
-        col = normalized_assoc_column(ka, ct, l_band)
-        phase = (-1.0) ** ka * np.exp(1j * k * ph)
-        for l in range(ka, l_band + 1):
-            sig = SphericalSignal(col[l - ka] * phase, spec)
-            blocks[l][:, k + l] = analyze_signal(sig, l).degree_block(l)
-    return blocks
-
-
 def frame_matrix(family, taus, grid, scales, l_band):
     """Dense frame operator on coefficient tables, uniform tau per scale.
 
@@ -133,20 +92,13 @@ def frame_matrix(family, taus, grid, scales, l_band):
     dm = m_of[None, :] - m_of[:, None]
     s = np.zeros((n, n), dtype=complex)
     for theta_b, idx, _, measure in band_partition(grid):
-        blocks = [_wigner_d(theta_b, l) for l in range(l_band + 1)]
         n_cells = len(idx)
-        tilt_part = np.zeros((len(ks), n), dtype=complex)
-        for l in range(1, l_band + 1):
-            kcols = [l + k for k in range(-l, l + 1) if k % 2 != 0]
-            rows = [int(np.where(ks == c - l)[0][0]) for c in kcols]
-            tilt_part[rows, coef_index(l, -l):coef_index(l, l) + 1] = (
-                np.conj(blocks[l][:, kcols]).T)
+        tilt = flat_tilt_blocks(theta_b, l_band)
         hadamard = (measure * n_cells
                     * np.exp(1j * dm * np.pi / n_cells) * (dm % n_cells == 0))
         for j, rho in enumerate(scales):
             kern = kernel_matrix(family, float(rho), float(taus[j]), l_band)
-            beta = tilt_part * np.conj(kern[l_of[None, :],
-                                            ks[:, None] + l_band])
+            beta = np.conj(tilt * kern[l_of])[:, ks + l_band].T
             core = beta.conj().T @ axial_gram @ beta
             s += (scales.log_step / (16.0 * np.pi ** 2)) * core * hadamard
     return s
@@ -168,13 +120,7 @@ def adaptive_frame_matrix(coeffs):
     axial_gram = 2.0 * np.pi * ((ks[:, None] - ks[None, :]) % n_axial == 0)
     s = np.zeros((n, n), dtype=complex)
     for theta_b, idx, phis, measure in band_partition(grid):
-        blocks = [_wigner_d(theta_b, l) for l in range(l_band + 1)]
-        tilt_part = np.zeros((len(ks), n), dtype=complex)
-        for l in range(1, l_band + 1):
-            kcols = [l + k for k in range(-l, l + 1) if k % 2 != 0]
-            rows = [int(np.where(ks == c - l)[0][0]) for c in kcols]
-            tilt_part[rows, coef_index(l, -l):coef_index(l, l) + 1] = (
-                np.conj(blocks[l][:, kcols]).T)
+        tilt = flat_tilt_blocks(theta_b, l_band)
         for j, rho in enumerate(coeffs.scales):
             tau_j = coeffs.taus[j]
             band_taus = (np.full(len(idx), tau_j) if np.ndim(tau_j) == 0
@@ -183,8 +129,7 @@ def adaptive_frame_matrix(coeffs):
                 sub = phis[band_taus == tau]
                 kern = kernel_matrix(coeffs.family, float(rho), float(tau),
                                      l_band)
-                beta = tilt_part * np.conj(kern[l_of[None, :],
-                                                ks[:, None] + l_band])
+                beta = np.conj(tilt * kern[l_of])[:, ks + l_band].T
                 core = beta.conj().T @ axial_gram @ beta
                 carried = np.exp(1j * np.outer(m_of, sub))
                 hadamard = measure * (np.conj(carried) @ carried.T)
@@ -675,7 +620,8 @@ def coefficient_upper_bound(spec, l, k):
 
 
 # ---------------------------------------------------------------------------
-# the former per-selectivity kernels and band operator
+# the kernel with tau inside its formula, the tilt blocks by quadrature, and
+# the transform and the matched filter by their definition
 
 def wavelet_coefficient(spec, l, k):
     """Kernel coefficient with tau inside the formula, as the library
@@ -715,16 +661,6 @@ def wavelet_coefficient_table(spec, l_band):
 
 
 @lru_cache(maxsize=None)
-def kernel_matrix(family, rho, tau, l_band):
-    """Kernel coefficients as a dense (l, k) matrix, index [l, k + l_band]."""
-    table = wavelet_coefficient_table(WaveletSpec(family, rho, tau), l_band)
-    mat = np.zeros((l_band + 1, 2 * l_band + 1), dtype=complex)
-    l_of, m_of = degree_orders(l_band)
-    mat[l_of, m_of + l_band] = table.values
-    return mat
-
-
-@lru_cache(maxsize=None)
 def tilt_blocks_flat(theta_key, l_band):
     """Flat tilt blocks by the library's former quadrature, kept
     complex: the imaginary part is the quadrature's roundoff."""
@@ -751,111 +687,66 @@ def tilt_blocks_flat(theta_key, l_band):
     return flat
 
 
-def tau_beta(theta, family, rho, tau, l_band):
-    """Complex band matrix conj(T^l[m, k] Psi_l^k(tau)) of one selectivity."""
-    ks = odd_orders(l_band)
-    l_of, _ = degree_orders(l_band)
-    tilt = tilt_blocks_flat(theta, l_band)[:, ks + l_band]
-    kern = kernel_matrix(family, float(rho), float(tau), l_band)
-    return np.conj(tilt.T * kern[l_of[None, :], ks[:, None] + l_band])
+@lru_cache(maxsize=None)
+def kernel_matrix(family, rho, tau, l_band):
+    """Kernel coefficients as a dense (l, k) matrix, index [l, k + l_band]."""
+    table = wavelet_coefficient_table(WaveletSpec(family, rho, tau), l_band)
+    mat = np.zeros((l_band + 1, 2 * l_band + 1), dtype=complex)
+    l_of, m_of = degree_orders(l_band)
+    mat[l_of, m_of + l_band] = table.values
+    return mat
 
 
-def _tau_groups(grid, taus_j, idx):
-    band_taus = np.broadcast_to(taus_j, grid.n_carriers)[idx]
-    for tau in np.unique(band_taus):
-        yield tau, band_taus == tau
+def carrier_sums(table, grid):
+    """V[c, l, k + L] = sum_m d^l_mk(theta_c) e^{i m phi_c} f_lm at every
+    carrier, 0 where |k| > l; d^l once per colatitude."""
+    l_band = table.l_band
+    thetas, band = np.unique(grid.cells.theta, return_inverse=True)
+    v = np.zeros((grid.n_carriers, l_band + 1, 2 * l_band + 1), dtype=complex)
+    for l in range(l_band + 1):
+        rows = exp_phase_table(grid.cells.phi, l) * table.degree_block(l)
+        v[:, l, l_band - l:l_band + l + 1] = np.einsum(
+            "cm,cmk->ck", rows, _wigner_d(thetas, l)[band])
+    return v
 
 
-def carried(phis, table):
-    """Cell rows e^{i m phi} f_lm of a flat table, one exp per entry."""
-    _, m_of = degree_orders(table.l_band)
-    return np.exp(1j * np.outer(phis, m_of)) * table.values
+def correlation(v, family, rho, taus, angles):
+    """W(c, a) = 1/(4 pi) sum_k e^{i k alpha_a} sum_l Psi_lk(tau_c) V[c, l,
+    k + L] of the carrier sums v; taus one tau or one per carrier of v."""
+    l_band = v.shape[1] - 1
+    psi = [kernel_matrix(family, float(rho), float(t), l_band)
+           for t in np.broadcast_to(taus, len(v))]
+    return np.sum(v * psi, 1) @ np.exp(1j * np.outer(
+        np.arange(-l_band, l_band + 1), angles)) / (4.0 * np.pi)
 
 
-def axial_phases(l_band, angles):
-    """e^{i k alpha} on the kernel's odd orders k, ascending."""
-    return np.exp(1j * np.outer(odd_orders(l_band), angles))
+def matched_value(v, family, rho, tau, angles):
+    """|<U_g Psi_tau, f>| / ||Psi_tau||, the window's norm by its series."""
+    return 4.0 * np.pi * np.abs(correlation(v, family, rho, tau, angles)) / (
+        np.sqrt(profile_norm_sq(family, rho) * window_norm_series(tau)))
 
 
-def forward_per_tau(f, specs, grid, scales):
-    """Coefficient arrays per scale, one band product per selectivity."""
-    family, taus = _normalize_specs(specs, grid, scales)
-    table = analyze_signal(f)
-    axial = axial_phases(table.l_band, grid.axial_angles)
-    values = [np.zeros((grid.n_carriers, len(grid.axial_angles)),
-                       dtype=complex) for _ in scales]
-    for theta, idx, phis, _ in band_partition(grid):
-        for j, rho in enumerate(scales):
-            for tau, rows in _tau_groups(grid, taus[j], idx):
-                beta = tau_beta(theta, family, rho, tau, table.l_band)
-                values[j][idx[rows]] = (carried(phis[rows], table) @ beta.T
-                                        @ axial / (4.0 * np.pi))
-    return values
-
-
-def adjoint_per_tau(coeffs):
-    """Flat coefficients of the adjoint, one band product per selectivity."""
-    grid = coeffs.grid
-    axial = axial_phases(coeffs.l_band, grid.axial_angles)
-    _, m_of = degree_orders(coeffs.l_band)
-    out = np.zeros((coeffs.l_band + 1) ** 2, dtype=complex)
-    for theta, idx, phis, _ in band_partition(grid):
-        for j, rho in enumerate(coeffs.scales):
-            for tau, rows in _tau_groups(grid, coeffs.taus[j], idx):
-                beta = tau_beta(theta, coeffs.family, rho, tau, coeffs.l_band)
-                cells = idx[rows]
-                d = (coeffs.values[j][cells] * coeffs.weights(j)[cells]
-                     @ np.conj(axial).T / (4.0 * np.pi))
-                out += np.sum(np.exp(-1j * np.outer(phis[rows], m_of))
-                              * (d @ np.conj(beta)), axis=0)
+def definition_scan(v, family, scales, tsel, angles, tol):
+    """(tau_star, phi1_star, value) per (scale, carrier) of v: each cell's
+    sequential_pick of matched_value over the set and the angles."""
+    out = np.empty((3, len(scales), len(v)))
+    for j, rho in enumerate(scales):
+        land = np.stack([matched_value(v, family, rho, t, angles)
+                         for t in tsel], 1)    # [cell, tau, angle]
+        for c, values in enumerate(land):
+            out[:, j, c] = sequential_pick(values, tsel.taus, angles, tol)
     return out
 
 
-def landscape_per_tau(rows, theta, family, rho, taus, angles):
-    """Normalized correlation per (tau, cell, axial angle) of carried rows
-    in one band."""
-    l_band = int(np.sqrt(rows.shape[1])) - 1
-    axial = axial_phases(l_band, angles)
-    out = np.empty((len(taus), len(rows), len(angles)))
-    for it, tau in enumerate(taus):
-        beta = tau_beta(theta, family, rho, tau, l_band)
-        norm = np.sqrt(wavelet_norm_sq(WaveletSpec(family, rho, tau)))
-        out[it] = np.abs(rows @ beta.T @ axial) / norm
-    return out
+def definition_refine(v, family, rho, tsel, tau0, phi1):
+    """(tau, phi1, value): golden_section to 1e-4 on matched_value at the
+    one carrier of v and the angle phi1, from the set member tau0."""
 
+    def score(tau):
+        return float(matched_value(v, family, rho, tau, [phi1])[0, 0])
 
-def _cell_major(values):
-    """A (tau, cell, angle) landscape as the [cell, (tau, angle)] rows _pick
-    reads."""
-    return np.moveaxis(values, 1, 0).reshape(values.shape[1], -1)
-
-
-def scan_per_tau(f, scales, grid, tsel, family):
-    """(tau_star, phi1_star, value) arrays, one landscape per selectivity."""
-    table = analyze_signal(f)
-    taus = tuple(tsel)
-    tol = TIE_MARGIN * np.sqrt(table.norm_sq())
-    out = np.empty((3, len(scales), grid.n_carriers))
-    for theta, idx, phis, _ in band_partition(grid):
-        rows = carried(phis, table)
-        for j, rho in enumerate(scales):
-            vals = landscape_per_tau(rows, theta, family, rho, taus,
-                                     grid.axial_angles)
-            out[:, j, idx] = _pick(_cell_major(vals), taus,
-                                   grid.axial_angles, tol)
-    return out
-
-
-def select_per_tau(f, scales, j, alpha2, tsel, grid, family):
-    table = analyze_signal(f)
-    cell = grid.cells[alpha2]
-    vals = landscape_per_tau(carried(np.array([cell.phi]), table),
-                             cell.theta, family, scales[j], tuple(tsel),
-                             grid.axial_angles)
-    tol = TIE_MARGIN * np.sqrt(table.norm_sq())
-    tau, phi1, value = _pick(_cell_major(vals), tuple(tsel),
-                             grid.axial_angles, tol)
-    return float(tau[0]), phi1[0], value[0]
+    tau = 0.5 * sum(golden_section(score, tau0, tsel, 1e-4))
+    return tau, phi1, score(tau)
 
 
 def golden_section(score, tau0, tsel, tol):
@@ -881,97 +772,6 @@ def golden_section(score, tau0, tsel, tol):
             c = b - gr * (b - a)
             fc = score(c)
     return a, b
-
-
-def refine_per_tau(f, scales, j, alpha2, tsel, grid, family, tol=1e-4):
-    """Golden-section refinement, rebuilding the band matrix per score."""
-    tau0, phi1, _ = select_per_tau(f, scales, j, alpha2, tsel, grid, family)
-    table = analyze_signal(f)
-    cell = grid.cells[alpha2]
-    rows = carried(np.array([cell.phi]), table)
-
-    def score(tau):
-        v = landscape_per_tau(rows, cell.theta, family, scales[j], (tau,),
-                              np.array([phi1]))
-        return float(v[0, 0, 0])
-
-    tau = 0.5 * sum(golden_section(score, tau0, tsel, tol))
-    return tau, phi1, score(tau)
-
-
-# ---------------------------------------------------------------------------
-# The matched filter before its weights were one array function of tau: each
-# (scale, tau) divided by its own norm, with the window's part summed over
-# the truncated series; per band a batched (tau, cell, angle) landscape; and
-# a refine that rebuilds the weight row and the landscape for every score.
-
-def _tau_rows(plan, taus):
-    """The band operator's window weights, one row per tau: [tau, k]."""
-    return plan.weights(taus)[:, 0]
-
-
-def _series_norm_weights(w, family, rho, taus):
-    """Window weight rows w, one per tau, over each kernel's series norm."""
-    return w / np.sqrt([profile_norm_sq(family, rho) * window_norm_series(t)
-                        for t in taus])[:, None]
-
-
-def _band_landscape(axial, d, w):
-    """|(d w_tau) @ axial| per (tau, ..., angle)."""
-    return np.abs((d * w[..., None, :]) @ axial)
-
-
-def scan_band_landscape(f, scales, grid, tsel, family):
-    """(tau_star, phi1_star, value) arrays of the former scan."""
-    table = analyze_signal(f)
-    taus = tuple(tsel)
-    tol = TIE_MARGIN * np.sqrt(table.norm_sq())
-    out = np.empty((3, len(scales), grid.n_carriers))
-    plan = BandPlan(table.l_band, grid, family, scales)
-    w = _tau_rows(plan, taus)
-    w = [_series_norm_weights(w, family, rho, taus) for rho in scales]
-    d = plan.correlate(table.values)
-    for _, idx, _, _ in band_partition(grid):
-        for j, w_j in enumerate(w):
-            land = _band_landscape(plan.axial_phase, d[j, idx], w_j)
-            out[:, j, idx] = _pick(_cell_major(land), taus,
-                                   grid.axial_angles, tol)
-    return out
-
-
-def _carrier_band_landscape(f, scales, j, alpha2, tsel, grid, family):
-    table = analyze_signal(f)
-    plan = BandPlan(table.l_band, grid, family, (scales[j],))
-    corr = plan.correlate(table.values, alpha2)[0]
-    taus = tuple(tsel)
-    w = _series_norm_weights(_tau_rows(plan, taus), family, scales[j], taus)
-    tau, phi1, value = _pick(
-        _cell_major(_band_landscape(plan.axial_phase, corr, w)), taus,
-        grid.axial_angles, TIE_MARGIN * np.sqrt(table.norm_sq()))
-    return float(tau[0]), phi1[0], value[0], corr, plan
-
-
-def select_band_landscape(f, scales, j, alpha2, tsel, grid, family):
-    """(tau, phi1, value) of the former select_tau."""
-    return _carrier_band_landscape(f, scales, j, alpha2, tsel, grid,
-                                   family)[:3]
-
-
-def refine_band_landscape(f, scales, j, alpha2, tsel, grid, family,
-                          tol=1e-4):
-    """(tau, phi1, value) of the former refine_tau: every score builds the
-    weight row of its tau, its series norm and a [1, K] x [K, 1] landscape."""
-    tau0, phi1, _, corr, plan = _carrier_band_landscape(
-        f, scales, j, alpha2, tsel, grid, family)
-    axial = np.exp(1j * np.outer(plan.ks, [phi1]))
-
-    def score(tau):
-        w = _series_norm_weights(_tau_rows(plan, (tau,)), family, scales[j],
-                                 (tau,))
-        return float(_band_landscape(axial, corr, w)[0, 0, 0])
-
-    tau = 0.5 * sum(golden_section(score, tau0, tsel, tol))
-    return tau, phi1, score(tau)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ import pytest
 
 from sphwave import admissibility, multiselect, profiles, transform
 from sphwave.admissibility import wavelet_coefficient_table
-from sphwave.multiselect import (SelectivitySet, adaptive_analysis,
-                                 refine_tau, select_tau, selectivity_scan)
+from sphwave.multiselect import (TIE_MARGIN, SelectivitySet,
+                                 adaptive_analysis, refine_tau, select_tau,
+                                 selectivity_scan)
 from sphwave.profiles import WaveletSpec, wavelet_norm_sq
 from sphwave.sphfn import (CoefficientTable, SphericalSignal, analyze_signal,
                            default_grid_spec, synthesize_signal)
@@ -238,9 +239,33 @@ def test_scan_norm_quadrature_once_per_scale(monkeypatch):
     assert len(oracles.band_partition(grid)) > 1
 
 
-def test_selection_matches_per_tau_path():
+def _check_picks(f, scales, grid, tsel, fam, cases, tol):
+    # the scan, select_tau and refine_tau against the matched filter by
+    # its definition at the (scale, carrier) cases: picked tau and angle
+    # exact, values within tol
+    table = analyze_signal(f)
+    v = oracles.carrier_sums(table, grid)
+    ref = oracles.definition_scan(v, fam, scales, tsel, grid.axial_angles,
+                                  TIE_MARGIN * np.sqrt(table.norm_sq()))
+    smap = selectivity_scan(f, scales, grid, tsel, fam)
+    assert np.array_equal(smap.tau_star, ref[0]), fam
+    assert np.array_equal(smap.phi1_star, ref[1]), fam
+    assert np.all(np.abs(smap.value - ref[2]) <= tol * ref[2]), fam
+    for j, c in cases:
+        pick = tuple(ref[:, j, c])
+        for got, want in (
+                (select_tau(f, scales, j, c, tsel, grid, fam), pick),
+                (refine_tau(f, scales, j, c, tsel, grid, fam),
+                 oracles.definition_refine(v[c:c + 1], fam, scales[j], tsel,
+                                           *pick[:2]))):
+            assert got[:2] == want[:2], (fam, j, c)
+            assert abs(got[2] - want[2]) <= tol * want[2], (fam, j, c)
+
+
+def test_selection_matches_definition():
     # every selectivity reweights one tau-free correlation per (band,
-    # scale); the reference rebuilds the band matrix per selectivity
+    # scale); the reference takes |<U_g Psi_tau, f>| / ||Psi_tau|| by the
+    # transform's definition
     tsel = SelectivitySet()
     for fam, l_band, grid in (("omega", 16, GRID),
                               ("upsilon", 16, GRID),
@@ -250,22 +275,8 @@ def test_selection_matches_per_tau_path():
         noise = analyze_signal(_random_signal(l_band, 7)).values
         f = _signal(CoefficientTable(l_band, plant + 0.01 * np.max(
             np.abs(plant)) * noise))
-        smap = selectivity_scan(f, SCALES, grid, tsel, fam)
-        ref = oracles.scan_per_tau(f, SCALES, grid, tsel, fam)
-        assert np.array_equal(smap.tau_star, ref[0]), fam
-        assert np.array_equal(smap.phi1_star, ref[1]), fam
-        assert np.all(np.abs(smap.value - ref[2]) <= 1e-13 * ref[2]), fam
-        for j, alpha2 in ((0, 40), (1, 40), (0, 3), (1, 17)):
-            got = select_tau(f, SCALES, j, alpha2, tsel, grid, fam)
-            want = oracles.select_per_tau(f, SCALES, j, alpha2, tsel, grid,
-                                          fam)
-            assert got[:2] == want[:2], (fam, j, alpha2)
-            assert abs(got[2] - want[2]) <= 1e-13 * want[2], (fam, alpha2)
-            got = refine_tau(f, SCALES, j, alpha2, tsel, grid, fam)
-            want = oracles.refine_per_tau(f, SCALES, j, alpha2, tsel, grid,
-                                          fam)
-            assert got[:2] == want[:2], (fam, j, alpha2)
-            assert abs(got[2] - want[2]) <= 1e-13 * want[2], (fam, alpha2)
+        _check_picks(f, SCALES, grid, tsel, fam,
+                     ((0, 40), (1, 40), (0, 3), (1, 17)), 1e-13)
 
 
 def test_refine_searches_below_smallest_tau():
@@ -279,6 +290,19 @@ def test_refine_searches_below_smallest_tau():
     assert phi1 == PHI1
     assert abs(tau - 1.4) < 5e-3, tau
     assert value > 1.02 * val_d
+    # above the largest member: a tau = 12 plant, picked at 8, refines
+    # above 8 to a higher value (the full-norm quotient pulls it below 12
+    # at L = 16)
+    tsel = SelectivitySet((1.0, 2.0, 4.0, 8.0), tau_cap=16.0)
+    grid = make_so3_grid(0.2, 0.2)
+    phi = float(grid.axial_angles[3])
+    f = _signal(_planted(16, WaveletSpec("omega", 1.0, 12.0), 40, phi,
+                         grid=grid))
+    tau_d, phi_d, val_d = select_tau(f, SCALES, 0, 40, tsel, grid)
+    assert (tau_d, phi_d) == (8.0, phi)
+    tau, phi1, value = refine_tau(f, SCALES, 0, 40, tsel, grid)
+    assert phi1 == phi
+    assert tau > 8.0 and value > val_d, (tau, value, val_d)
 
 
 def test_select_and_refine_refuse_bad_arguments():
@@ -295,10 +319,11 @@ def test_select_and_refine_refuse_bad_arguments():
             refine_tau(f, SCALES, 0, 40, tsel, GRID, tol=tol)
 
 
-def test_matched_filter_matches_former_path():
+def test_matched_filter_matches_definition():
     # one array function of tau gives the scan, select_tau and refine_tau
-    # their weights; the reference divides by one series norm per (scale,
-    # tau) and rebuilds the weights and landscape per refine score
+    # their weights, with the window's norm in closed form; the reference
+    # divides the definition's |<U_g Psi_tau, f>| by the norm with the
+    # window's part summed over its series, and refines on it
     tsel = SelectivitySet()
     for l_band in (12, 16):
         for fam in ("omega", "upsilon"):
@@ -312,26 +337,9 @@ def test_matched_filter_matches_former_path():
                     phi1 = float(rng.choice(GRID.axial_angles))
                     values = values + _planted(l_band, spec, c, phi1).values
                 f = _signal(CoefficientTable(l_band, values))
-                case = (l_band, fam, len(scales))
-                smap = selectivity_scan(f, scales, GRID, tsel, fam)
-                ref = oracles.scan_band_landscape(f, scales, GRID, tsel, fam)
-                assert np.array_equal(smap.tau_star, ref[0]), case
-                assert np.array_equal(smap.phi1_star, ref[1]), case
-                assert np.all(np.abs(smap.value - ref[2])
-                              <= 1e-14 * ref[2]), case
-                for j in range(len(scales)):
-                    for c in carriers:
-                        args = (f, scales, j, c, tsel, GRID, fam)
-                        got = select_tau(*args)
-                        want = oracles.select_band_landscape(*args)
-                        assert got[:2] == want[:2], (case, j, c)
-                        assert abs(got[2] - want[2]) <= 1e-14 * want[2], \
-                            (case, j, c)
-                        got = refine_tau(*args)
-                        want = oracles.refine_band_landscape(*args)
-                        assert got[1] == want[1], (case, j, c)
-                        for g, w in ((got[0], want[0]), (got[2], want[2])):
-                            assert abs(g - w) <= 1e-12 * w, (case, j, c)
+                _check_picks(f, scales, GRID, tsel, fam,
+                             [(j, c) for j in range(len(scales))
+                              for c in carriers], 1e-14)
 
 
 def test_refine_builds_no_kernel_table(monkeypatch):

@@ -9,8 +9,9 @@ import pytest
 from sphwave import transform
 from sphwave.admissibility import _kernel_matrix
 from sphwave.profiles import WaveletSpec, evaluate_wavelet, window_weights
-from sphwave.multiselect import (SelectivitySet, adaptive_analysis,
-                                 refine_tau, select_tau, selectivity_scan)
+from sphwave.multiselect import (TIE_MARGIN, SelectivitySet,
+                                 adaptive_analysis, refine_tau, select_tau,
+                                 selectivity_scan)
 from sphwave.sphfn import (CoefficientTable, SphericalSignal, analyze_signal,
                            coef_index, default_grid_spec, degree_orders,
                            grid_phis, make_colat_grid, synthesize_signal)
@@ -59,11 +60,12 @@ def test_tilt_blocks_unitary():
             assert np.max(np.abs(gram - np.eye(2 * l + 1))) < 1e-12, (theta, l)
     for l, b in enumerate(_wigner_d(0.0, l) for l in range(6)):
         assert np.max(np.abs(b - np.eye(2 * l + 1))) < 1e-12, l
-    # the per-harmonic analysis construction is the reference
+    # the quadrature construction is the reference
     rng = np.random.default_rng(41)
     for l_band in (4, 8, 12):
         for theta in np.round(rng.uniform(0.0, np.pi, 4), 12):
-            ref = oracles.tilt_blocks(theta, l_band)
+            ref = oracles.degree_blocks(oracles.tilt_blocks_flat(theta,
+                                                                 l_band))
             blocks = [_wigner_d(theta, l) for l in range(l_band + 1)]
             for l, (b, r) in enumerate(zip(blocks, ref)):
                 assert np.max(np.abs(b - r)) < 1e-13, (l_band, theta, l)
@@ -167,30 +169,53 @@ def _split_taus(grid, pattern):
     return np.where(np.sin(2.0 * ph) > 0.3, 16.0, np.where(th > 1.0, 5.0, 1.0))
 
 
-def test_steerable_operator_matches_per_tau_path():
+def _specs(fam, taus, scales=SCALES):
+    # one spec per scale for a uniform tau, one per carrier for an array
+    return [tuple(WaveletSpec(fam, rho, t) for t in tau) if np.ndim(tau)
+            else WaveletSpec(fam, rho, tau) for rho, tau in zip(scales, taus)]
+
+
+def _definition(v, fam, taus, grid, scales):
+    # the definition's W_j(c, a) per scale from the carrier sums v
+    return [oracles.correlation(v, fam, rho, t, grid.axial_angles)
+            for rho, t in zip(scales, taus)]
+
+
+def _close(got, want, tol=1e-13):
+    return np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
+def _adjoint_identity(coeffs, table, want, rng):
+    # <W f, v>_w = <f, adjoint(v)> for the definition's values want of the
+    # table f, random v and the weights of coeffs
+    v = [rng.standard_normal(w.shape) + 1j * rng.standard_normal(w.shape)
+         for w in want]
+    back = adjoint_transform(dataclasses.replace(coeffs, values=tuple(v)))
+    lhs = sum(np.vdot(w, coeffs.weights(j) * x)
+              for j, (w, x) in enumerate(zip(want, v)))
+    return abs(lhs - np.vdot(table.values, back.values)) <= 1e-13 * abs(lhs)
+
+
+def test_steerable_operator_matches_definition():
     # one tau-free band product per (band, scale), rows weighted per
-    # carrier, against one complex band product per selectivity
+    # carrier, against the transform's definition: the forward transform
+    # value by value, the adjoint by the weighted identity
+    rng = np.random.default_rng(70)
     for fam, l_band, delta in (("omega", 8, 0.5), ("upsilon", 8, 0.5),
                                ("omega", 16, 0.3), ("upsilon", 16, 0.3)):
         grid = make_so3_grid(delta, delta)
         f = _signal(_random_table(l_band, 71 + l_band))
-        specs = [tuple(WaveletSpec(fam, rho, t)
-                       for t in _split_taus(grid, j))
-                 for j, rho in enumerate(SCALES)]
-        for spec in (specs, uniform_specs(fam, 5.0, SCALES)):
-            coeffs = forward_transform(f, spec, grid, SCALES)
-            ref = oracles.forward_per_tau(f, spec, grid, SCALES)
-            for got, want in zip(coeffs.values, ref):
-                assert (np.max(np.abs(got - want))
-                        <= 1e-13 * np.max(np.abs(want))), (fam, l_band)
-            adj = adjoint_transform(coeffs).values
-            want = oracles.adjoint_per_tau(coeffs)
-            assert (np.max(np.abs(adj - want))
-                    <= 1e-13 * np.max(np.abs(want))), (fam, l_band)
+        table = analyze_signal(f)
+        v = oracles.carrier_sums(table, grid)
+        split = [_split_taus(grid, j) for j in range(len(SCALES))]
+        for taus in (split, [5.0] * len(SCALES)):
+            coeffs = forward_transform(f, _specs(fam, taus), grid, SCALES)
+            want = _definition(v, fam, taus, grid, SCALES)
+            assert all(map(_close, coeffs.values, want)), (fam, l_band)
+            assert _adjoint_identity(coeffs, table, want, rng), (fam, l_band)
             s = frame_matrix(fam, coeffs.taus, grid, SCALES, l_band)
-            want = oracles.adaptive_frame_matrix(coeffs)
-            assert (np.max(np.abs(s - want))
-                    <= 1e-13 * np.max(np.abs(want))), (fam, l_band)
+            assert _close(s, oracles.adaptive_frame_matrix(coeffs)), (
+                fam, l_band)
 
 
 def test_forward_matches_spatial_quadrature():
@@ -398,61 +423,64 @@ def test_frame_matrix_on_shifted_longitudes():
 
 def test_band_operator_matches_oracles():
     # forward, adjoint, frame operator, scan, select_tau and refine_tau all
-    # read the one band operator; the oracles build one complex band matrix
-    # per selectivity.  Polar bands have fewer than 2L + 1 cells, and the
-    # second grid's longitudes are off the (c + 1/2) 2 pi / N lattice
+    # read the one band operator; the oracles take the transform and the
+    # matched filter by their definition, and S by its phase sums.  Polar
+    # bands have fewer than 2L + 1 cells, and the second grid's longitudes
+    # are off the (c + 1/2) 2 pi / N lattice
     l_band = 16
     scales = make_scale_sequence(1.0, 0.5, 2)
     base = make_so3_grid(0.2, 0.2)
     n_bands = len(oracles.band_partition(base))
     assert len(oracles.band_partition(base)[0][1]) < 2 * l_band + 1
     f = _signal(_random_table(l_band, 67))
+    table = analyze_signal(f)
+    tol = TIE_MARGIN * np.sqrt(table.norm_sq())
     tsel = SelectivitySet()
-
-    def close(got, want):
-        return np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
+    rng = np.random.default_rng(68)
     for grid in (base, _band_grid(base, range(n_bands), shift=0.37)):
+        v = oracles.carrier_sums(table, grid)
         for fam in ("omega", "upsilon"):
-            specs = [tuple(WaveletSpec(fam, rho, t)
-                           for t in _split_taus(grid, j % 2))
-                     for j, rho in enumerate(scales)]
-            coeffs = forward_transform(f, specs, grid, scales)
-            want = oracles.forward_per_tau(f, specs, grid, scales)
-            assert all(map(close, coeffs.values, want)), fam
-            assert close(adjoint_transform(coeffs).values,
-                         oracles.adjoint_per_tau(coeffs)), fam
-            assert close(frame_matrix(fam, coeffs.taus, grid, scales, l_band),
-                         oracles.adaptive_frame_matrix(coeffs)), fam
+            taus = [_split_taus(grid, j % 2) for j in range(len(scales))]
+            coeffs = forward_transform(f, _specs(fam, taus, scales), grid,
+                                       scales)
+            want = _definition(v, fam, taus, grid, scales)
+            assert all(map(_close, coeffs.values, want)), fam
+            assert _adjoint_identity(coeffs, table, want, rng), fam
+            assert _close(frame_matrix(fam, coeffs.taus, grid, scales,
+                                       l_band),
+                          oracles.adaptive_frame_matrix(coeffs)), fam
             smap = selectivity_scan(f, scales, grid, tsel, fam)
-            ref = oracles.scan_per_tau(f, scales, grid, tsel, fam)
+            ref = oracles.definition_scan(v, fam, scales, tsel,
+                                          grid.axial_angles, tol)
             assert np.array_equal(smap.tau_star, ref[0]), fam
             assert np.array_equal(smap.phi1_star, ref[1]), fam
             assert np.all(np.abs(smap.value - ref[2]) <= 1e-13 * ref[2]), fam
             for j, alpha2 in ((0, 3), (1, 200), (2, grid.n_carriers - 5)):
-                for ours, theirs in ((select_tau, oracles.select_per_tau),
-                                     (refine_tau, oracles.refine_per_tau)):
-                    got = ours(f, scales, j, alpha2, tsel, grid, fam)
-                    want = theirs(f, scales, j, alpha2, tsel, grid, fam)
-                    assert got[:2] == want[:2], (fam, j, alpha2)
+                pick = ref[:, j, alpha2]
+                for got, want in (
+                        (select_tau(f, scales, j, alpha2, tsel, grid, fam),
+                         pick),
+                        (refine_tau(f, scales, j, alpha2, tsel, grid, fam),
+                         oracles.definition_refine(
+                             v[alpha2:alpha2 + 1], fam, scales[j], tsel,
+                             *pick[:2]))):
+                    assert got[:2] == tuple(want[:2]), (fam, j, alpha2)
                     assert abs(got[2] - want[2]) <= 1e-13 * want[2], fam
 
 
 def test_band_operator_adjoint_at_odd_band():
     # L = 17 has 9 orders k > 0, read through d^l_{-m,-k} = d^l_mk for
     # k < 0; a half read in the wrong order or unreversed in m breaks
-    # <correlate(f), d> = <f, adjoint(d)> and the oracle values.  1 and 3
-    # scales, both families, uniform and per-carrier tau, on a permuted
-    # subset of bands
+    # <correlate(f), d> = <f, adjoint(d)> (adjoint takes d with its k > 0
+    # half conjugated), the definition's values and the weighted identity
+    # <W f, v>_w = <f, adjoint(v)>.  1 and 3 scales, both families,
+    # uniform and per-carrier tau, on a permuted subset of bands
     l_band = 17
     grid = _band_grid(make_so3_grid(0.3, 0.3), [5, 0, 9, 2, 7])
     f = _signal(_random_table(l_band, 91, kill_below=-1))
     table = analyze_signal(f)
+    v = oracles.carrier_sums(table, grid)
     rng = np.random.default_rng(92)
-
-    def close(got, want):
-        return np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
     for scales in (make_scale_sequence(1.0, 0.5, 0),
                    make_scale_sequence(1.0, 0.5, 2)):
         for fam in ("omega", "upsilon"):
@@ -462,28 +490,17 @@ def test_band_operator_adjoint_at_odd_band():
             d = (rng.standard_normal(corr.shape)
                  + 1j * rng.standard_normal(corr.shape))
             lhs = np.vdot(corr, d)
-            rhs = np.vdot(table.values, plan.adjoint(d))
+            rhs = np.vdot(table.values, plan.adjoint(
+                np.where(plan.ks > 0, d.conj(), d)))
             assert abs(lhs - rhs) <= 1e-13 * np.linalg.norm(
                 corr) * np.linalg.norm(d), (fam, len(scales))
-            for specs in (uniform_specs(fam, 3.0, scales),
-                          [tuple(WaveletSpec(fam, rho, t)
-                                 for t in _split_taus(grid, j % 2))
-                           for j, rho in enumerate(scales)]):
-                coeffs = forward_transform(f, specs, grid, scales)
-                want = oracles.forward_per_tau(f, specs, grid, scales)
-                assert all(map(close, coeffs.values, want)), fam
-                assert close(adjoint_transform(coeffs).values,
-                             oracles.adjoint_per_tau(coeffs)), fam
-                # the weighted adjoint of the transform itself
-                v = [rng.standard_normal(w.shape)
-                     + 1j * rng.standard_normal(w.shape)
-                     for w in coeffs.values]
-                back = adjoint_transform(
-                    dataclasses.replace(coeffs, values=tuple(v)))
-                lhs = sum(np.vdot(c, coeffs.weights(j) * vj) for j, (c, vj)
-                          in enumerate(zip(coeffs.values, v)))
-                rhs = np.vdot(table.values, back.values)
-                assert abs(lhs - rhs) <= 1e-13 * abs(lhs), fam
+            for taus in ([3.0] * len(scales), [_split_taus(grid, j % 2)
+                                               for j in range(len(scales))]):
+                coeffs = forward_transform(f, _specs(fam, taus, scales), grid,
+                                           scales)
+                want = _definition(v, fam, taus, grid, scales)
+                assert all(map(_close, coeffs.values, want)), fam
+                assert _adjoint_identity(coeffs, table, want, rng), fam
 
 
 def test_band_operator_any_carrier_order():
@@ -507,14 +524,6 @@ def test_band_operator_any_carrier_order():
     f = _signal(table)
     tsel = SelectivitySet()
 
-    def close(got, want, tol):
-        return np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
-
-    def specs(fam, taus):
-        return [WaveletSpec(fam, rho, t) if np.ndim(t) == 0 else
-                tuple(WaveletSpec(fam, rho, x) for x in t)
-                for rho, t in zip(SCALES, taus)]
-
     for fam in ("omega", "upsilon"):
         ref = selectivity_scan(f, SCALES, base, tsel, fam)
         for order in (shuffled, reversed_, None):
@@ -528,32 +537,34 @@ def test_band_operator_any_carrier_order():
                 assert np.array_equal(smap.tau_star, ref.tau_star[:, order])
                 assert np.array_equal(smap.phi1_star,
                                       ref.phi1_star[:, order])
-                assert close(smap.value, ref.value[:, order], 1e-14)
+                assert _close(smap.value, ref.value[:, order], 1e-14)
             for taus in ([3.0, 3.0], [_split_taus(grid, j) for j in (0, 1)]):
-                coeffs = forward_transform(f, specs(fam, taus), grid, SCALES)
+                coeffs = forward_transform(f, _specs(fam, taus), grid, SCALES)
                 s = frame_matrix(fam, coeffs.taus, grid, SCALES, l_band)
                 st = adjoint_transform(coeffs).values
-                assert close(s @ table.values, st, 1e-12), fam
+                assert _close(s @ table.values, st, 1e-12), fam
                 if order is None:
                     continue
                 base_taus = [t if np.ndim(t) == 0 else t[np.argsort(order)]
                              for t in coeffs.taus]
-                want = forward_transform(f, specs(fam, base_taus), base,
+                want = forward_transform(f, _specs(fam, base_taus), base,
                                          SCALES)
                 for got, w in zip(coeffs.values, want.values):
-                    assert close(got, w[order], 1e-15), fam
-                assert close(s, frame_matrix(fam, base_taus, base, SCALES,
-                                             l_band), 1e-13), fam
+                    assert _close(got, w[order], 1e-15), fam
+                assert _close(s, frame_matrix(fam, base_taus, base, SCALES,
+                                              l_band), 1e-13), fam
 
 
 def test_adjoint_leaves_its_input_unchanged():
-    # the k > 0 half is conjugated in a copy, on a whole grid and on a
-    # permuted subset of its bands, and a read-only input is accepted
+    # adjoint reads d, its k > 0 half conjugated by the caller, and never
+    # writes into it, on a whole grid and on a permuted subset of its
+    # bands, and a read-only input is accepted
     l_band = 9
     for grid in (make_so3_grid(0.5, 0.5),
                  _band_grid(make_so3_grid(0.5, 0.5), [3, 0, 5])):
         plan = BandPlan(l_band, grid, "omega", SCALES)
         d = plan.correlate(_random_table(l_band, 99).values)
+        np.conjugate(d[..., 1::2], out=d[..., 1::2])
         keep = d.copy()
         d.flags.writeable = False
         back = plan.adjoint(d)
@@ -616,6 +627,7 @@ def test_band_operator_peak_memory():
     table = _random_table(l_band, 95)
     plan = BandPlan(l_band, grid, "omega", scales)
     d = plan.correlate(table.values)
+    np.conjugate(d[..., 1::2], out=d[..., 1::2])    # as adjoint takes it
     plan.adjoint(d)
     peaks = []
     tracemalloc.start()
