@@ -13,6 +13,7 @@ the odd orders in use up to L need, are under_resolved.
 """
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -85,13 +86,18 @@ def _pick(values, taus, angles, tol):
             values[np.arange(len(first)), first])
 
 
-def _scan(f, scales, grid, tsel, family, carrier=None):
+def _scan(f, scales, grid, tsel, family, at=None):
     """select_tau's picks (tau, phi1, value) per (scale, cell) of every band,
-    or of the one carrier given, with the tau-free correlations d[j, c, k]
-    and their band operator."""
-    if carrier is not None and carrier not in range(grid.n_carriers):
-        raise ValueError("no carrier %r in [0, %d)"
-                         % (carrier, grid.n_carriers))
+    or, at = (j, carrier), of scale j at the one carrier given, with the
+    tau-free correlations d[j, c, k] and their band operator."""
+    carrier = None
+    if at is not None:
+        j, carrier = at
+        for name, i, n in (("scale", j, len(scales)),
+                           ("carrier", carrier, grid.n_carriers)):
+            if not isinstance(i, Integral) or i not in range(n):
+                raise ValueError("no %s %r in [0, %d)" % (name, i, n))
+        scales = (scales[j],)
     table = analyze_signal(f)
     taus = tuple(tsel)
     tol = TIE_MARGIN * np.sqrt(table.norm_sq())
@@ -119,7 +125,7 @@ def select_tau(f, scales, j, alpha2, tsel, grid, family="omega"):
     of the maximum tie, and ties break toward the smaller tau, then the
     smaller angle.
     """
-    out = _scan(f, (scales[j],), grid, tsel, family, alpha2)[0][:, 0, 0]
+    out = _scan(f, scales, grid, tsel, family, (j, alpha2))[0][:, 0, 0]
     return float(out[0]), out[1], out[2]
 
 
@@ -141,7 +147,7 @@ def refine_tau(f, scales, j, alpha2, tsel, grid, family="omega",
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive, got %r" % (tol,))
-    out, d, plan = _scan(f, (scales[j],), grid, tsel, family, alpha2)
+    out, d, plan = _scan(f, scales, grid, tsel, family, (j, alpha2))
     taus, (tau0, phi1), ks = tuple(tsel), out[:2, 0, 0], plan.ks
     i0 = taus.index(tau0)
     a = taus[i0 - 1] if i0 > 0 else 1.0

@@ -12,12 +12,13 @@ scale, then over the orders m with each cell's longitude phase.  The
 cells enter S only through one phase sum per axial pair and order
 difference m' - m; a band whose cells share one tau and one measure on
 the regular longitude lattice needs no phase sum and contracts by itself
-over its (scale, pair) factors.  S is real symmetric, S_R, in a real
-harmonic basis, where Jacobi-preconditioned CG inverts it on the degrees
-l >= 1; a frame with one tau per scale builds S_R once for all calls on
-it and starts CG from zero.  A per-carrier tau map builds S_R for one
-solve and starts CG from its LU solution or, when its grid is
-under-resolved and S_R may be singular, from the minimum-norm solution.
+over its (scale, pair) factors.  The kernels are real, so in a real
+harmonic basis S is a real symmetric matrix S_R, the one frame_matrix
+builds, and Jacobi-preconditioned CG inverts it on the degrees l >= 1; a
+frame with one tau per scale builds S_R once for all calls on it and
+starts CG from zero.  A per-carrier tau map builds S_R for one solve and
+starts CG from its LU solution or, when its grid is under-resolved and
+S_R may be singular, from the minimum-norm solution.
 """
 
 from dataclasses import dataclass
@@ -352,8 +353,15 @@ def _paired(l_band):
             slice(0, n0), slice(n0, n0 + h), slice(n0 + h, None))
 
 
-def _real_frame_matrix(family, taus, grid, scales, l_band):
-    """The frame operator S_R = U S U^H in the real basis (see reconstruct).
+def frame_matrix(family, taus, grid, scales, l_band):
+    """The dense frame operator S_R, float64, in the real harmonic basis.
+
+    U maps a flat table f to f_l0 for l = 0..L, then c_lm = (f_lm +
+    f_l,-m) / sqrt 2 for m = 1..L, then s_lm = i (f_l,-m - f_lm) / sqrt 2
+    for m = 1..L, l ascending from m in each order: the paired order of
+    S_R's rows and columns.  U is unitary and the kernels are real, so
+    S_R = U S U^H is real symmetric; S = U^H S_R U is the operator on flat
+    tables, and S f = U^H (S_R (U f)).
 
     taus[j] is the selectivity of scale j, one value or one per carrier.
     Block (m, m') of S sums beta_jk[m] beta_jk'[m']^T H(m' - m), beta_jk[m,
@@ -487,22 +495,6 @@ def _real_frame_matrix(family, taus, grid, scales, l_band):
     return r + r.T
 
 
-def frame_matrix(family, taus, grid, scales, l_band):
-    """Dense frame operator S = U^H S_R U on flat tables, unfolded block by
-    block; taus[j] is one tau or one per carrier, as in _real_frame_matrix."""
-    sr, (order, z, c, s) = (_real_frame_matrix(family, taus, grid, scales,
-                                               l_band), _paired(l_band))
-    # per m = 0, m > 0, m < 0: flat indices, c and s rows, s's sign, scale
-    parts = ((z, z, z, 0, 1.), (c, c, s, 1, .5 ** .5), (s, c, s, -1, .5 ** .5))
-    out = np.empty(sr.shape, dtype=complex)
-    for i, ci, si, ui, gi in parts:
-        for j, cj, sj, uj, gj in parts:
-            at, g = np.ix_(order[i], order[j]), gi * gj
-            out.real[at] = g * (sr[ci, cj] + ui * uj * sr[si, sj])
-            out.imag[at] = g * (ui * sr[si, cj] - uj * sr[ci, sj])
-    return out
-
-
 # the last frame with one tau per scale: its grid (matched by identity),
 # the rest of its key (by value) and (S_R read-only, its diagonal on l >= 1).
 # A per-carrier tau map comes from one signal's scan and is not kept
@@ -523,8 +515,8 @@ def _frame(coeffs):
     if keep and kept and kept[0] is coeffs.grid and kept[1] == key:
         return kept[2]
     _frame_cache[0] = kept = None   # two S never coexist
-    s = _real_frame_matrix(coeffs.family, coeffs.taus, coeffs.grid,
-                           coeffs.scales, coeffs.l_band)
+    s = frame_matrix(coeffs.family, coeffs.taus, coeffs.grid,
+                     coeffs.scales, coeffs.l_band)
     s.flags.writeable = False
     frame = s, s[1:, 1:].diagonal()[:, None]
     if keep:
@@ -535,10 +527,8 @@ def _frame(coeffs):
 def reconstruct(coeffs, cfg=None):
     """Invert the frame operator by Jacobi-preconditioned conjugate gradients.
 
-    The kernels are real, so S_R = U S U^H is real symmetric in the real
-    basis U f: on the paired order f_l0, then c_lm = (f_lm + f_l,-m) / sqrt 2
-    and s_lm = i (f_l,-m - f_lm) / sqrt 2 for m > 0.  CG solves S_R x = U b,
-    b the adjoint image, for its real and imaginary parts at once, with D,
+    CG solves S_R x = U b in the real basis U of frame_matrix, b the
+    adjoint image, for its real and imaginary parts at once, with D,
     S_R's diagonal, as preconditioner; cfg.tolerance bounds ||D^-1 r|| /
     ||D^-1 U b||, the residual a FrameConvergenceError carries.  No kernel
     reaches degree 0 (odd orders need |k| <= l): the solve runs on l >= 1.

@@ -22,8 +22,10 @@ quadrature, and the transform by its definition, with no band operator:
 W_j(c, a) = 1/(4 pi) sum_k e^{i k alpha_a} sum_l Psi_lk(tau_c) sum_m
 d^l_mk(theta_c) e^{i m phi_c} f_lm, with the matched filter
 |<U_g Psi_tau, f>| / ||Psi_tau|| on it, picked one candidate at a time and
-refined by golden section; then the frame solve's real basis entry by entry,
-and np.linalg.solve on the public frame_matrix.
+refined by golden section; the kernel of the definition is the per-entry
+tau-free table times the window weights.  Then the frame solve's real basis
+entry by entry, the phase-sum S folded into it, and np.linalg.solve on
+S = U^H S_R U from the public frame_matrix.
 """
 
 from dataclasses import dataclass
@@ -33,9 +35,9 @@ from math import fsum
 import numpy as np
 
 from sphwave.admissibility import _coefficient_polynomial, default_k_cut
-from sphwave.profiles import (WaveletSpec, _check_rho, _p1_expansion,
-                              _profile_terms, _series_weight, profile_norm_sq,
-                              angular_coefficient, profile_fn)
+from sphwave.profiles import (_check_rho, _p1_expansion, _profile_terms,
+                              _series_weight, angular_coefficient, profile_fn,
+                              profile_norm_sq, window_weights)
 from sphwave.sphfn import (CoefficientTable, coef_index, default_grid_spec,
                            degree_orders, grid_phis, legendre_P_all,
                            legendre_rows, make_colat_grid,
@@ -57,7 +59,8 @@ def band_partition(grid):
 
 
 def odd_orders(l_band):
-    return np.array([k for k in range(-l_band, l_band + 1) if k % 2 != 0])
+    k = np.arange(-l_band, l_band + 1)
+    return k[k % 2 != 0]
 
 
 def flat_tilt_blocks(theta, l_band):
@@ -68,13 +71,6 @@ def flat_tilt_blocks(theta, l_band):
         block = _wigner_d(theta, l)
         flat[l * l:(l + 1) ** 2, l_band - l:l_band + l + 1] = block
     return flat
-
-
-def degree_blocks(flat):
-    """Per-degree blocks T^l[m, k] sliced from the flat tilt array."""
-    l_band = (flat.shape[1] - 1) // 2
-    return [flat[l * l:(l + 1) ** 2, l_band - l:l_band + l + 1]
-            for l in range(l_band + 1)]
 
 
 def frame_matrix(family, taus, grid, scales, l_band):
@@ -355,13 +351,16 @@ def profile_coefficient(family, rho, l, ka):
     return (-1.0) ** ka * rho / (4.0 * np.pi) * acc
 
 
+@lru_cache(maxsize=None)
 def per_entry_kernel_matrix(family, rho, l_band):
-    """_kernel_matrix's [l, k + l_band] layout filled one (l, k) at a time."""
+    """_kernel_matrix's [l, k + l_band] layout filled one (l, k) at a time;
+    cached per (family, rho, l_band) and read-only."""
     mat = np.zeros((l_band + 1, 2 * l_band + 1))
     for l in range(1, l_band + 1):
         for k in range(1, l + 1, 2):
             mat[l, l_band + k] = mat[l, l_band - k] = \
                 profile_coefficient(family, rho, l, k)
+    mat.flags.writeable = False
     return mat
 
 
@@ -687,14 +686,12 @@ def tilt_blocks_flat(theta_key, l_band):
     return flat
 
 
-@lru_cache(maxsize=None)
 def kernel_matrix(family, rho, tau, l_band):
-    """Kernel coefficients as a dense (l, k) matrix, index [l, k + l_band]."""
-    table = wavelet_coefficient_table(WaveletSpec(family, rho, tau), l_band)
-    mat = np.zeros((l_band + 1, 2 * l_band + 1), dtype=complex)
-    l_of, m_of = degree_orders(l_band)
-    mat[l_of, m_of + l_band] = table.values
-    return mat
+    """Kernel coefficients Psi_lk(tau) = w_k(tau) P_l^k as a dense (l, k)
+    matrix, index [l, k + l_band], the per-entry tau-free table times the
+    window weights; an array of tau stacks one matrix per entry."""
+    return per_entry_kernel_matrix(family, rho, l_band) * window_weights(
+        tau, l_band)[..., None, :]
 
 
 def carrier_sums(table, grid):
@@ -714,8 +711,8 @@ def correlation(v, family, rho, taus, angles):
     """W(c, a) = 1/(4 pi) sum_k e^{i k alpha_a} sum_l Psi_lk(tau_c) V[c, l,
     k + L] of the carrier sums v; taus one tau or one per carrier of v."""
     l_band = v.shape[1] - 1
-    psi = [kernel_matrix(family, float(rho), float(t), l_band)
-           for t in np.broadcast_to(taus, len(v))]
+    psi = kernel_matrix(family, float(rho), np.broadcast_to(taus, len(v)),
+                        l_band)
     return np.sum(v * psi, 1) @ np.exp(1j * np.outer(
         np.arange(-l_band, l_band + 1), angles)) / (4.0 * np.pi)
 
@@ -796,11 +793,22 @@ def real_basis(l_band):
     return u
 
 
+def folded_frame_matrix(coeffs):
+    """adaptive_frame_matrix in the real basis, U S U^H: complex, with an
+    imaginary part that is roundoff, to compare with the library's S_R."""
+    u = real_basis(coeffs.l_band)
+    return u @ adaptive_frame_matrix(coeffs) @ u.conj().T
+
+
 def reference_solve(coeffs):
-    """The signal of np.linalg.solve on the public complex frame_matrix, on
-    the degrees l >= 1, with the adjoint image of coeffs."""
-    s = library_frame_matrix(coeffs.family, coeffs.taus, coeffs.grid,
-                             coeffs.scales, coeffs.l_band)
+    """The signal of np.linalg.solve on S = U^H S_R U, S_R the public
+    frame_matrix, in the degree-major order on the degrees l >= 1, with the
+    adjoint image of coeffs (an unscaled LU in the paired order interleaves
+    the graded degrees)."""
+    u = real_basis(coeffs.l_band)
+    s = u.conj().T @ library_frame_matrix(
+        coeffs.family, coeffs.taus, coeffs.grid, coeffs.scales,
+        coeffs.l_band) @ u
     table = CoefficientTable(coeffs.l_band)
     table.values[1:] = np.linalg.solve(
         s[1:, 1:], adjoint_transform(coeffs).values[1:])
