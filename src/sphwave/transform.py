@@ -8,7 +8,8 @@ and one band operator (BandPlan) serves the forward transform, the
 adjoint, the matched filter and the frame operator S.  It reads the tilts
 of the latitude bands, runs of carriers at one colatitude, from one store
 and contracts over the degree l for all bands in one real product per
-scale, then over the orders m with each cell's longitude phase.  The
+scale, then over the orders m with each cell's longitude phase in one
+product per band for all scales (the adjoint: per band and scale).  The
 cells enter S only through one phase sum per axial pair and order
 difference m' - m; a band whose cells share one tau and one measure on
 the regular longitude lattice needs no phase sum and contracts by itself
@@ -174,12 +175,14 @@ class BandPlan:
     f_lm.  Per scale, X of all bands is one batched real product: per
     (k > 0, m) the store's [l, b] matrix times re/im of P_j[l, k] f_lm and
     of P_j[l, k] conj(f_l,-m), which is conj(X[-k, -m]) as P_j[l, -k] =
-    P_j[l, k].  Per band one longitude product then serves all its cells,
-    and k < 0 is conjugated back.  A band is a maximal run of consecutive
-    carriers at one colatitude, one row block (span) of the grid's phase
-    table and of d; any carrier order works, a shuffled one in more and
-    shorter runs.  weights(tau) scales each cell's row before the axial
-    phases; adjoint runs the steps transposed.
+    P_j[l, k].  X of all scales sits band-major, so per band one longitude
+    product then serves all its cells and scales, and k < 0 is conjugated
+    back.  A band is a maximal run of consecutive carriers at one
+    colatitude, one row block (span) of the grid's phase table and of d;
+    any carrier order works, a shuffled one in more and shorter runs.
+    weights(tau) scales each cell's row before the axial phases; adjoint
+    runs the steps transposed, one scale at a time, so that d need not be
+    held for all scales at once.
     """
 
     def __init__(self, l_band, grid, family, scales):
@@ -190,6 +193,9 @@ class BandPlan:
         self.axial_phase = np.exp(1j * np.outer(self.ks, grid.axial_angles))
         self.kern = np.array([_kernel_matrix(family, float(rho), l_band).T[
             self.ks + l_band] for rho in scales])   # P_j[l, k] at [j, k, l]
+        # P_j[l, k > 0] as [j, k // 2, 1, (l, 4)], repeated over re/im of
+        # (-k, k): a product with it runs one inner loop over l and re/im
+        self._kern_re_im = np.repeat(self.kern[:, 1::2, None], 4, axis=-1)
         l_of, m_of = degree_orders(l_band)
         self._flat = m_of + l_band, l_of
         theta = grid.cells.theta    # a band is a run of carriers at one theta
@@ -212,30 +218,33 @@ class BandPlan:
 
     def correlate(self, values, carrier=None):
         """tau-free correlations d[j, c, k] of a flat table with the kernel
-        of every scale j at every cell c, or at the one carrier given."""
+        of every scale j at every cell c, or at the one carrier given: a
+        transposed view of one [c, j, k] array, which may be written."""
         ph, rows, store = self.phases, self.spans, self.store
         if carrier is not None:
             b = np.searchsorted(self.first, carrier, "right") - 1
             ph, rows = ph[carrier:carrier + 1], [slice(0, 1)]
             store = store[..., b:b + 1]
-        n_k, n_m, n_l = self.store.shape[:3]
-        out = np.empty((len(self.kern), len(ph), len(self.ks)), dtype=complex)
+        (n_k, n_m, n_l), n_j = self.store.shape[:3], len(self.kern)
+        out = np.empty((len(ph), n_j, len(self.ks)), dtype=complex)
         f = np.zeros((n_m, n_l, 2), dtype=complex)
         f[(*self._flat, 1)] = values
         np.conjugate(f[::-1, :, 1], out=f[:, :, 0])
-        # per scale: P_j f at [k // 2, m, l, (-k, k)], X at [m, b, k // 2,
-        # (-k re, -k im, k re, k im)]
+        # per scale: P_j f at [k // 2, m, l, (-k, k)], into X at [m, b, j,
+        # k // 2, (-k re, -k im, k re, k im)]
         a = np.empty((n_k, n_m, n_l, 2), dtype=complex)
-        x = np.empty((n_m, len(rows), n_k, 4))
-        for kern, d in zip(self.kern[:, 1::2, None, :, None], out):
-            np.multiply(f, kern, out=a)
+        x = np.empty((n_m, len(rows), n_j, n_k, 4))
+        for j, kern in enumerate(self._kern_re_im):
+            np.multiply(f.view(float).reshape(n_m, 4 * n_l), kern,
+                        out=a.view(float).reshape(n_k, n_m, 4 * n_l))
             np.matmul(store.swapaxes(2, 3), a.view(float),
-                      out=x.transpose(2, 0, 1, 3))
-            for b, s in enumerate(rows):
-                np.matmul(ph[s], x[:, b].view(complex).reshape(n_m, -1),
-                          out=d[s])
+                      out=x[:, :, j].transpose(2, 0, 1, 3))
+        # per band one longitude product for all scales
+        for b, s in enumerate(rows):
+            np.matmul(ph[s], x[:, b].view(complex).reshape(n_m, -1),
+                      out=out[s].reshape(s.stop - s.start, -1))
         np.conjugate(out[..., ::2], out=out[..., ::2])
-        return out
+        return out.transpose(1, 0, 2)
 
     def adjoint(self, d):
         """Flat table sum_c e^{-i m phi_c} sum_{j,k} beta_jk[m, l] d[j, c, k],
@@ -243,17 +252,18 @@ class BandPlan:
         conjugated; d is read one scale at a time and never written.  Per
         band the product with e^{i m phi} gives X^T on k < 0 and its
         conjugate on k > 0, undone after the degree sum."""
-        n_m, d, acc = self.store.shape[1], iter(d), 0.0
-        x = np.empty((n_m, len(self.spans), self.store.shape[0], 4))
-        y = np.empty(self.store.shape[:3] + (2,), dtype=complex)
-        for kern in self.kern[:, 1::2, None, :, None]:
+        (n_k, n_m, n_l), d, acc = self.store.shape[:3], iter(d), 0.0
+        x = np.empty((n_m, len(self.spans), n_k, 4))
+        y = np.empty((n_k, n_m, n_l, 2), dtype=complex)
+        yk = y.view(float).reshape(n_k, n_m, 4 * n_l)
+        for kern in self._kern_re_im:
             g = next(d)
             for b, s in enumerate(self.spans):
                 np.matmul(self.phases[s].T, g[s],
                           out=x[:, b].view(complex).reshape(n_m, -1))
             del g   # before the next scale's d is made
             np.matmul(self.store, x.transpose(2, 0, 1, 3), out=y.view(float))
-            y *= kern
+            yk *= kern
             acc = acc + y.sum(axis=0)
         return (acc[::-1, :, 0] + acc[:, :, 1].conj())[self._flat]
 
@@ -310,13 +320,14 @@ def adjoint_transform(coeffs):
     """Weighted synthesis sum: the frame image S f when coeffs came from f."""
     plan = BandPlan(coeffs.l_band, coeffs.grid, coeffs.family, coeffs.scales)
     back = np.conj(plan.axial_phase).T / (4.0 * np.pi)
-    w = plan.weights(coeffs.taus) * coeffs.weights(0)[:, :1]
+    w, measure = plan.weights(coeffs.taus), coeffs.weights(0)[:, :1]
 
     def scaled():
-        # one scale at a time, conjugated in place: no copy of the values
+        # one scale at a time, conjugated in place: no copy of the values,
+        # and the weights of one scale at a time
         for v, wj in zip(coeffs.values, w):
             dj = v @ back
-            dj *= wj
+            dj *= wj * measure
             np.conjugate(dj[:, 1::2], out=dj[:, 1::2])
             yield dj
             del dj
@@ -419,7 +430,9 @@ def frame_matrix(family, taus, grid, scales, l_band):
     # the other (band, scale) pairs: compact beta rows and H(d) per pair,
     # stacked
     qb, qj = np.nonzero(~whole.T)
-    t = np.zeros((2, n, n))    # T's real and imaginary parts
+    # T's real part, and its imaginary part if a pair is stacked: a whole
+    # band's T_d is real
+    t = np.zeros((1 + bool(len(qb)), n, n))
     if len(qb):
         # H per mixed band, e^{i d phi} as column L + d or (d > L) d x 2L
         h = np.concatenate([np.concatenate((
@@ -482,16 +495,23 @@ def frame_matrix(family, taus, grid, scales, l_band):
         t[0].reshape(-1)[(row * n + col)[keep]] += blocks.pop(d)[keep]
     # S_R = R + R^T, R = 2 Re(U T U^H) with T's blocks m' = m at half weight,
     # on the slices of m = 0, m > 0, m < 0; T is 0 at m > 0 >= m', m = 0 > m'
-    (z, p, q), (re, im), r = parts, t, np.empty((n, n))
+    (z, p, q), re, r = parts, t[0], np.empty((n, n))
     r[z, z] = 2.0 * re[z, z]
-    r[z, n_l:] = np.sqrt(2.0) * np.c_[re[z, p], -im[z, p]]
-    r[n_l:, z] = np.sqrt(2.0) * np.r_[re[q, z], -im[q, z]]
-    even, odd = re[p, p] + re[q, q], im[p, p] - im[q, q]
+    r[z, p], r[p, z] = np.sqrt(2.0) * re[z, p], np.sqrt(2.0) * re[q, z]
+    even = re[p, p] + re[q, q]
     np.add(even, re[q, p], out=r[p, p])
     np.subtract(even, re[q, p], out=r[q, q])
-    np.subtract(odd, im[q, p], out=r[q, p])
-    np.negative(np.add(odd, im[q, p], out=odd), out=r[p, q])
-    del t, re, im, even, odd    # T before R + R^T
+    if len(t) > 1:
+        im = t[1]
+        r[z, q], r[q, z] = -np.sqrt(2.0) * im[z, p], -np.sqrt(2.0) * im[q, z]
+        odd = im[p, p] - im[q, q]
+        np.subtract(odd, im[q, p], out=r[q, p])
+        np.negative(np.add(odd, im[q, p], out=odd), out=r[p, q])
+        del im, odd
+    else:   # T real: zero blocks, signed as the terms above sign a zero T
+        r[z, q] = r[q, z] = r[p, q] = -0.0
+        r[q, p] = 0.0
+    del t, re, even    # T before R + R^T
     return r + r.T
 
 
