@@ -226,13 +226,15 @@ def synthesize_signal(table, spec):
     if spec.l_band < table.l_band:
         raise ValueError("grid spec band limit below the table band limit")
     l_band = table.l_band
-    l_of, m_of = degree_orders(l_band)
-    # s[i, m] = sum_l coef(l, m) (-1)^|m| Q_l^|m|(theta_i): the terms
-    # scattered to [m, l, theta], zero where l < |m|, summed over l in order
-    terms = np.zeros((2 * l_band + 1, l_band + 1, spec.n_theta), dtype=complex)
-    terms[m_of + l_band, l_of] = (table.values[:, None]
-                                  * _colat_rows(spec.n_theta, l_band))
+    rows = _colat_rows(spec.n_theta, l_band)
+    # s[i, m] = sum_l coef(l, m) (-1)^|m| Q_l^|m|(theta_i), one degree at a
+    # time (orders -l..l): each sum in l order, one degree's terms held
+    acc = np.zeros((2 * l_band + 1, spec.n_theta), dtype=complex)
+    for l in range(l_band + 1):
+        block = slice(l * l, (l + 1) ** 2)
+        acc[l_band - l:l_band + l + 1] += (table.values[block, None]
+                                           * rows[block])
     s = np.zeros((spec.n_theta, spec.n_phi), dtype=complex)
-    s[:, np.arange(-l_band, l_band + 1) % spec.n_phi] = terms.sum(axis=1).T
+    s[:, np.arange(-l_band, l_band + 1) % spec.n_phi] = acc.T
     values = np.fft.ifft(s, axis=1) * spec.n_phi
     return SphericalSignal(values=values, spec=spec)

@@ -430,9 +430,7 @@ def frame_matrix(family, taus, grid, scales, l_band):
     # the other (band, scale) pairs: compact beta rows and H(d) per pair,
     # stacked
     qb, qj = np.nonzero(~whole.T)
-    # T's real part, and its imaginary part if a pair is stacked: a whole
-    # band's T_d is real
-    t = np.zeros((1 + bool(len(qb)), n, n))
+    t = np.zeros((2, n, n))    # T's real and imaginary parts
     if len(qb):
         # H per mixed band, e^{i d phi} as column L + d or (d > L) d x 2L
         h = np.concatenate([np.concatenate((
@@ -495,23 +493,16 @@ def frame_matrix(family, taus, grid, scales, l_band):
         t[0].reshape(-1)[(row * n + col)[keep]] += blocks.pop(d)[keep]
     # S_R = R + R^T, R = 2 Re(U T U^H) with T's blocks m' = m at half weight,
     # on the slices of m = 0, m > 0, m < 0; T is 0 at m > 0 >= m', m = 0 > m'
-    (z, p, q), re, r = parts, t[0], np.empty((n, n))
+    (z, p, q), (re, im), r = parts, t, np.empty((n, n))
     r[z, z] = 2.0 * re[z, z]
-    r[z, p], r[p, z] = np.sqrt(2.0) * re[z, p], np.sqrt(2.0) * re[q, z]
-    even = re[p, p] + re[q, q]
+    r[z, n_l:] = np.sqrt(2.0) * np.c_[re[z, p], -im[z, p]]
+    r[n_l:, z] = np.sqrt(2.0) * np.r_[re[q, z], -im[q, z]]
+    even, odd = re[p, p] + re[q, q], im[p, p] - im[q, q]
     np.add(even, re[q, p], out=r[p, p])
     np.subtract(even, re[q, p], out=r[q, q])
-    if len(t) > 1:
-        im = t[1]
-        r[z, q], r[q, z] = -np.sqrt(2.0) * im[z, p], -np.sqrt(2.0) * im[q, z]
-        odd = im[p, p] - im[q, q]
-        np.subtract(odd, im[q, p], out=r[q, p])
-        np.negative(np.add(odd, im[q, p], out=odd), out=r[p, q])
-        del im, odd
-    else:   # T real: zero blocks, signed as the terms above sign a zero T
-        r[z, q] = r[q, z] = r[p, q] = -0.0
-        r[q, p] = 0.0
-    del t, re, even    # T before R + R^T
+    np.subtract(odd, im[q, p], out=r[q, p])
+    np.negative(np.add(odd, im[q, p], out=odd), out=r[p, q])
+    del t, re, im, even, odd    # T before R + R^T
     return r + r.T
 
 

@@ -784,8 +784,8 @@ def test_band_limit_zero():
 
 def test_frame_matrix_peak_memory():
     # whole bands are written straight into T in the paired order, with no
-    # mirrored or permuted copy, and each reads its tilt once; T is real
-    # when no pair is stacked, so T, the fold's R and S_R peak at 2.6 S_R
+    # mirrored or permuted copy, and each reads its tilt once: T, the
+    # fold's R and S_R peak at 3.8 S_R (4 S_R, 2 complex S, the bound)
     l_band = 16
     scales = make_scale_sequence(1.0, 0.5, 2)
     grid = make_so3_grid(0.2, 0.2)
@@ -799,7 +799,7 @@ def test_frame_matrix_peak_memory():
     finally:
         tracemalloc.stop()
     assert s.dtype == np.float64
-    assert peak <= 3.0 * s.nbytes, peak / s.nbytes
+    assert peak <= 4.0 * s.nbytes, peak / s.nbytes
 
 
 def test_frame_matrix_tilt_reads_per_band(monkeypatch):
