@@ -19,7 +19,7 @@ import numpy as np
 
 from .sphfn import analyze_signal
 from .profiles import _check_tau, matched_weights
-from .transform import BandPlan, _coefficients
+from .transform import _coefficients, _plan
 
 DEFAULT_TAUS = (1.0, 2.0, 4.0, 8.0, 16.0)
 TAU_CAP = 16.0
@@ -101,7 +101,7 @@ def _scan(f, scales, grid, tsel, family, at=None):
     table = analyze_signal(f)
     taus = tuple(tsel)
     tol = TIE_MARGIN * np.sqrt(table.norm_sq())
-    plan = BandPlan(table.l_band, grid, family, scales)
+    plan = _plan(table.l_band, grid, family, scales)
     d = plan.correlate(table.values, carrier)
     out = np.empty((3,) + d.shape[:2])
     for j, w in enumerate(matched_weights(family, scales, taus, plan.ks)):

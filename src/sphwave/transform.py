@@ -20,6 +20,9 @@ frame with one tau per scale builds S_R once for all calls on it and
 starts CG from zero.  A per-carrier tau map builds S_R for one solve and
 starts CG from its LU solution or, when its grid is under-resolved and
 S_R may be singular, from the minimum-norm solution.
+
+The last four band operators stay cached, per (band limit, grid, family,
+scales); none holds S, and each keeps its grid alive until it is evicted.
 """
 
 from dataclasses import dataclass
@@ -183,6 +186,11 @@ class BandPlan:
     weights(tau) scales each cell's row before the axial phases; adjoint
     runs the steps transposed, one scale at a time, so that d need not be
     held for all scales at once.
+
+    _plan caches the last four plans, keyed on the arguments as given: the
+    grid by identity, the scales by value and type (a (rho,) tuple never
+    answers a ScaleSequence).  A plan holds no S, its arrays are
+    read-only, and it keeps its grid alive while it is cached.
     """
 
     def __init__(self, l_band, grid, family, scales):
@@ -204,6 +212,10 @@ class BandPlan:
         self.phases = _cell_phases(grid.cells.phi.tobytes(), l_band)
         at = self.first.tolist() + [len(theta)]
         self.spans = list(map(slice, at, at[1:]))
+        for a in (self.ks, self.axial_phase, self.kern, self._kern_re_im,
+                  self.first):
+            a.flags.writeable = False
+        self._kept = None, None     # the last weights of one tau a scale
 
     def tilt(self, b):
         """d^l_mk of band b as [k, m + l_band, l], k over ks."""
@@ -212,9 +224,19 @@ class BandPlan:
 
     def weights(self, taus):
         """Window weights w_k(tau) on ks as [entry, 1 or carrier, k], one
-        entry per scale: a tau or an array of one tau per carrier."""
-        taus = np.stack(np.broadcast_arrays(*taus)).reshape(len(taus), -1)
-        return window_weights(taus, self.l_band)[..., self.ks + self.l_band]
+        entry per scale: a tau or an array of one tau per carrier.  With
+        one tau per scale the result is kept, read-only, for the next call
+        with the same taus; a tau map's weights are computed on every call."""
+        last, kept = self._kept     # read once: threads may share the plan
+        key = all(np.ndim(t) == 0 for t in taus) and tuple(map(float, taus))
+        if key and key == last:
+            return kept
+        w = np.stack(np.broadcast_arrays(*taus)).reshape(len(taus), -1)
+        w = window_weights(w, self.l_band)[..., self.ks + self.l_band]
+        if key:
+            w.flags.writeable = False
+            self._kept = key, w
+        return w
 
     def correlate(self, values, carrier=None):
         """tau-free correlations d[j, c, k] of a flat table with the kernel
@@ -268,6 +290,9 @@ class BandPlan:
         return (acc[::-1, :, 0] + acc[:, :, 1].conj())[self._flat]
 
 
+_plan = lru_cache(maxsize=4)(BandPlan)      # see BandPlan
+
+
 def uniform_specs(family, tau, scales):
     """One kernel spec per scale, same selectivity everywhere."""
     return tuple(WaveletSpec(family, rho, tau) for rho in scales)
@@ -302,7 +327,7 @@ def forward_transform(f, specs, grid, scales):
     """
     family, taus = _normalize_specs(specs, grid, scales)
     table = analyze_signal(f)
-    plan = BandPlan(table.l_band, grid, family, scales)
+    plan = _plan(table.l_band, grid, family, scales)
     return _coefficients(plan, plan.correlate(table.values), taus)
 
 
@@ -318,7 +343,7 @@ def _coefficients(plan, d, taus):
 
 def adjoint_transform(coeffs):
     """Weighted synthesis sum: the frame image S f when coeffs came from f."""
-    plan = BandPlan(coeffs.l_band, coeffs.grid, coeffs.family, coeffs.scales)
+    plan = _plan(coeffs.l_band, coeffs.grid, coeffs.family, coeffs.scales)
     back = np.conj(plan.axial_phase).T / (4.0 * np.pi)
     w, measure = plan.weights(coeffs.taus), coeffs.weights(0)[:, :1]
 
@@ -397,7 +422,7 @@ def frame_matrix(family, taus, grid, scales, l_band):
     if len(taus) != len(scales):
         raise ValueError("need one tau entry per scale: %d entries for %d "
                          "scales" % (len(taus), len(scales)))
-    plan = BandPlan(l_band, grid, family, scales)
+    plan = _plan(l_band, grid, family, scales)
     n_m, n_l, ks = 2 * l_band + 1, l_band + 1, plan.ks
     ia, ib = np.nonzero(((ks[:, None] - ks) % len(grid.axial_angles) == 0)
                         & (ks[:, None] + ks >= 0))

@@ -378,20 +378,23 @@ def test_refine_analyzes_signal_once(monkeypatch):
 
 def test_scan_tilt_once_per_band(monkeypatch):
     # the band operator contracts every scale against one read of the
-    # grid's tilt store, whatever the number of scales
+    # grid's tilt store, whatever the number of scales, made when its plan
+    # is built; a warm scan reuses the cached plan and reads no store
     grid = make_so3_grid(0.8, 0.5)
     f = _random_signal(8, 3)
     tsel = SelectivitySet()
+    thetas = tuple(float(b[0]) for b in oracles.band_partition(grid))
     for scales in (SCALES, make_scale_sequence(1.0, 0.5, 3)):
-        selectivity_scan(f, scales, grid, tsel)
+        transform._plan.cache_clear()
         calls = []
         store = transform._tilt_store
         monkeypatch.setattr(transform, "_tilt_store",
                             lambda *a: calls.append(a) or store(*a))
         selectivity_scan(f, scales, grid, tsel)
+        assert calls == [(thetas, 8)], (len(scales), len(calls))
+        selectivity_scan(f, scales, grid, tsel)
         monkeypatch.undo()
         assert len(calls) == 1, (len(scales), len(calls))
-        assert len(calls[0][0]) == len(oracles.band_partition(grid))
 
 
 def test_picks_read_the_grid_store():
@@ -399,6 +402,7 @@ def test_picks_read_the_grid_store():
     # of the grid the scan used: no one-band entry for a carrier
     f = _random_signal(8, 4)
     tsel = SelectivitySet()
+    transform._plan.cache_clear()
     transform._tilt_store.cache_clear()
     selectivity_scan(f, SCALES, GRID, tsel)
     for alpha2 in (0, 40, GRID.n_carriers - 1):

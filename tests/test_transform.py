@@ -1,7 +1,10 @@
 """Rotation-grid analysis, adjoint, frame operator, and reconstruction."""
 
+import concurrent.futures
 import dataclasses
+import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -803,23 +806,111 @@ def test_frame_matrix_peak_memory():
 
 
 def test_frame_matrix_tilt_reads_per_band(monkeypatch):
-    # each whole band contracts by itself: on a warm uniform frame its tilt
-    # is read once, through the band operator, whatever the scales
+    # each whole band contracts by itself: on a uniform frame its tilt is
+    # read once, through the band operator, whatever the scales; the store
+    # is read once, when the plan is built, and not from the cached plan
     l_band = 16
     scales = make_scale_sequence(1.0, 0.5, 2)
     grid = make_so3_grid(0.2, 0.2)
-    frame_matrix("omega", [4.0] * 3, grid, scales, l_band)   # warm caches
     stores, store = [], transform._tilt_store
     monkeypatch.setattr(transform, "_tilt_store",
                         lambda *a: stores.append(a[0]) or store(*a))
     reads, tilt = [], transform.BandPlan.tilt
     monkeypatch.setattr(transform.BandPlan, "tilt",
                         lambda plan, b: reads.append(b) or tilt(plan, b))
-    frame_matrix("omega", [4.0] * 3, grid, scales, l_band)
-    monkeypatch.undo()
     bands = oracles.band_partition(grid)
-    assert stores == [tuple(float(b[0]) for b in bands)], len(stores)
-    assert sorted(reads) == list(range(len(bands))), reads
+    transform._plan.cache_clear()
+    for _ in range(2):      # a cold plan, then the cached one
+        del reads[:]
+        frame_matrix("omega", [4.0] * 3, grid, scales, l_band)
+        assert stores == [tuple(float(b[0]) for b in bands)], len(stores)
+        assert sorted(reads) == list(range(len(bands))), reads
+    monkeypatch.undo()
+
+
+def test_plan_cache(monkeypatch):
+    # a warm forward transform and reconstruct build no band operator and
+    # no window weights, and give the bits of a cold run, as other taus on
+    # the warm plan give theirs; what a cached plan hands out is read-only;
+    # the key tells a ScaleSequence from a tuple of its scales; one grid
+    # more than the bound evicts the oldest plan, and with it the cache's
+    # hold on that grid
+    monkeypatch.setattr(transform, "_frame_cache", [None])
+    grid, l_band = make_so3_grid(0.5, 0.5), 6
+    f = _signal(_random_table(l_band, 47))
+    specs = uniform_specs("omega", 2.0, SCALES)
+
+    def roundtrip():
+        coeffs = forward_transform(f, specs, grid, SCALES)
+        return coeffs, reconstruct(coeffs)
+
+    transform._plan.cache_clear()
+    cold = roundtrip()
+    plans, weights, init = [], [], transform.BandPlan.__init__
+    monkeypatch.setattr(transform.BandPlan, "__init__",
+                        lambda *a: plans.append(1) or init(*a))
+    monkeypatch.setattr(transform, "window_weights",
+                        lambda *a, _w=window_weights: weights.append(1)
+                        or _w(*a))
+    warm = roundtrip()
+    assert (len(plans), len(weights)) == (0, 0)
+    assert all(np.array_equal(x, y) for x, y in zip(cold[0].values,
+                                                    warm[0].values))
+    assert np.array_equal(cold[1].values, warm[1].values)
+    monkeypatch.undo()
+    # other taus on the same plan do not read its kept weights
+    other = uniform_specs("omega", 4.0, SCALES)
+    got = forward_transform(f, other, grid, SCALES)
+    transform._plan.cache_clear()
+    want = forward_transform(f, other, grid, SCALES)
+    assert all(np.array_equal(x, y) for x, y in zip(got.values, want.values))
+
+    plan = transform._plan(l_band, grid, "omega", SCALES)
+    for a in (plan.ks, plan.axial_phase, plan.kern, plan._kern_re_im,
+              plan.first, plan.weights(warm[0].taus)):
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 0
+
+    scales = make_scale_sequence(1.0)
+    refine_tau(f, scales, 0, 3, SelectivitySet(), grid)
+    equal = make_scale_sequence(1.0)
+    coeffs = forward_transform(f, uniform_specs("omega", 2.0, equal), grid,
+                               equal)
+    assert coeffs.scales is equal, coeffs.scales
+    assert coeffs.total_energy() > 0.0      # reads the scales' log_step
+
+    transform._plan.cache_clear()
+    bound = transform._plan.cache_parameters()["maxsize"]
+    grids = [make_so3_grid(0.8, 0.5) for _ in range(bound + 1)]
+    oldest = weakref.ref(grids[0])
+    for g in grids:
+        forward_transform(f, specs, g, SCALES)
+    del grids[0]
+    assert oldest() is None
+    info = transform._plan.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (bound + 1, 0, bound)
+    forward_transform(f, specs, grids[0], SCALES)
+    assert transform._plan.cache_info().hits == 1
+
+
+def test_plan_shared_across_threads():
+    # threads that share one cached plan at different taus each get their
+    # own taus' coefficients, whichever weights the plan kept last
+    grid, l_band = make_so3_grid(0.5, 0.5), 6
+    f = _signal(_random_table(l_band, 48))
+    specs = [uniform_specs("omega", tau, SCALES) for tau in (2.0, 4.0)]
+    want = [forward_transform(f, s, grid, SCALES).values for s in specs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(4) as pool:
+            runs = [pool.submit(forward_transform, f, specs[i % 2], grid,
+                                SCALES) for i in range(200)]
+            got = [r.result(timeout=60).values for r in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(v, w) for i, g in enumerate(got)
+               for v, w in zip(g, want[i % 2])), len(got)
 
 
 def test_rotate_coefficients_matches_pullback():
