@@ -139,17 +139,20 @@ def _scales_and_grid(args):
     return scales, grid
 
 
+def _warned(coeffs):
+    if coeffs.under_resolved:
+        print("warning: grid under-resolves the signal band; reconstruction "
+              "from these coefficients will be degraded", file=sys.stderr)
+    return coeffs
+
+
 def cmd_analyze(args):
     _require_out(args)
     signal = read_signal(args.infile)
     scales, grid = _scales_and_grid(args)
     coeffs = forward_transform(
         signal, uniform_specs(args.family, args.tau, scales), grid, scales)
-    if coeffs.under_resolved:
-        print("warning: grid under-resolves the signal band; "
-              "reconstruction from these coefficients will be degraded",
-              file=sys.stderr)
-    write_coefficients(args.out, coeffs)
+    write_coefficients(args.out, _warned(coeffs))
     return 0
 
 
@@ -165,11 +168,10 @@ def cmd_select(args):
 
 def cmd_reconstruct(args):
     _require_out(args)
-    coeffs = read_coefficients(args.infile)
+    coeffs = _warned(read_coefficients(args.infile))   # before the solve
     cfg = FrameOperatorConfig(max_iterations=args.max_iterations,
                               tolerance=args.tolerance)
-    signal = reconstruct(coeffs, cfg)
-    write_signal(args.out, signal)
+    write_signal(args.out, reconstruct(coeffs, cfg))
     return 0
 
 

@@ -189,8 +189,8 @@ class BandPlan:
 
     _plan caches the last four plans, keyed on the arguments as given: the
     grid by identity, the scales by value and type (a (rho,) tuple never
-    answers a ScaleSequence).  A plan holds no S, its arrays are
-    read-only, and it keeps its grid alive while it is cached.
+    answers a ScaleSequence).  A plan keeps no S, only its last weights
+    (tau maps too), hands out read-only arrays and holds its grid while cached.
     """
 
     def __init__(self, l_band, grid, family, scales):
@@ -215,7 +215,7 @@ class BandPlan:
         for a in (self.ks, self.axial_phase, self.kern, self._kern_re_im,
                   self.first):
             a.flags.writeable = False
-        self._kept = None, None     # the last weights of one tau a scale
+        self._kept = None, None     # the last taus' key and weights
 
     def tilt(self, b):
         """d^l_mk of band b as [k, m + l_band, l], k over ks."""
@@ -224,18 +224,18 @@ class BandPlan:
 
     def weights(self, taus):
         """Window weights w_k(tau) on ks as [entry, 1 or carrier, k], one
-        entry per scale: a tau or an array of one tau per carrier.  With
-        one tau per scale the result is kept, read-only, for the next call
-        with the same taus; a tau map's weights are computed on every call."""
+        entry per scale: a tau or an array of one tau per carrier.  It is
+        kept, read-only, for the next call with equal taus, a tau map's by
+        its bytes: the forward, adjoint and S of a frame compute it once.
+        A kept tau map is J C K floats, 15.8 MB at L=64, delta=0.05, J=3."""
         last, kept = self._kept     # read once: threads may share the plan
-        key = all(np.ndim(t) == 0 for t in taus) and tuple(map(float, taus))
-        if key and key == last:
+        key = [(np.shape(t), np.asarray(t, float).tobytes()) for t in taus]
+        if key == last:
             return kept
         w = np.stack(np.broadcast_arrays(*taus)).reshape(len(taus), -1)
         w = window_weights(w, self.l_band)[..., self.ks + self.l_band]
-        if key:
-            w.flags.writeable = False
-            self._kept = key, w
+        w.flags.writeable = False
+        self._kept = key, w
         return w
 
     def correlate(self, values, carrier=None):
@@ -413,11 +413,11 @@ def frame_matrix(family, taus, grid, scales, l_band):
     own (scale, pair) factors once for all its d, and the sums per d go
     straight into T.
     The other (band, scale) pairs are stacked, one chunk of axial pairs at
-    a time: beta is one gather from the tilt store (k < 0 at order -m), and
-    per order m one product, with H(m' - m) taken into one buffer, fills
-    its blocks m' >= m, one run of columns of the paired order.  H reads
-    e^{i d phi} from the band's span of the grid's phase table, d > L as
-    the product with e^{i L phi}.
+    a time: beta is one gather per pair from the tilt store (k < 0 at
+    order -m), and per order m one product, with H(m' - m) taken into one
+    buffer, fills its blocks m' >= m, one run of columns of the paired
+    order.  H, one product per band, reads e^{i d phi} from the band's
+    span of the grid's phase table, d > L as the product with e^{i L phi}.
     """
     if len(taus) != len(scales):
         raise ValueError("need one tau entry per scale: %d entries for %d "
@@ -429,8 +429,8 @@ def frame_matrix(family, taus, grid, scales, l_band):
     same = np.array_equal(ia, ib)
     pair_w = (np.where(ks[ia] + ks[ib] == 0, 0.5, 1.0)
               * scales.log_step / (8.0 * np.pi))
-    wpair = [np.broadcast_to(pair_w * w[..., ia] * w[..., ib], (
-        grid.n_carriers, len(ia))) for w in plan.weights(taus)]
+    w = np.broadcast_to(plan.weights(taus), (len(scales), grid.n_carriers,
+                                             len(ks))).swapaxes(0, 1)
     n, (order, *parts) = (l_band + 1) ** 2, _paired(l_band)
     lo, mo = (v[order] for v in degree_orders(l_band))
     if not len(ia):     # no odd order below the band: nothing to sum
@@ -457,42 +457,49 @@ def frame_matrix(family, taus, grid, scales, l_band):
     qb, qj = np.nonzero(~whole.T)
     t = np.zeros((2, n, n))    # T's real and imaginary parts
     if len(qb):
-        # H per mixed band, e^{i d phi} as column L + d or (d > L) d x 2L
-        h = np.concatenate([np.concatenate((
-            (ph := plan.phases[spans[b]])[:, l_band:],
-            ph[:, l_band + 1:] * ph[:, -1:]), 1).T * measure[spans[b]]
-            @ np.stack([wpair[j][spans[b]] for j in qj[qb == b]])
-            for b in np.flatnonzero(~whole.all(axis=0))]).transpose(1, 0, 2)
+        # H per mixed band for all scales into [band, d, scale, pair], then
+        # its mixed columns; e^{i d phi} as column L + d or (d > L) d x 2L
+        h = np.empty((len(spans), n_m, len(scales), len(ia)), dtype=complex)
+        for b in np.flatnonzero(~whole.all(axis=0)):
+            ph, s = plan.phases[spans[b]], spans[b]
+            np.matmul(np.c_[ph[:, l_band:], ph[:, l_band + 1:] * ph[:, -1:]].T
+                      * measure[s], (pair_w * w[s, :, ia] * w[s, :, ib])
+                      .reshape(len(ph), -1), out=h[b].reshape(n_m, -1))
+        h = h[qb, :, qj].transpose(1, 0, 2)
         h[0] *= 0.5     # d = 0: the blocks m' = m, at half weight
 
         def rows(p):
-            # beta at [paired (m, l), (band, scale, pair)]: one gather from
-            # the store at flat offsets, where k < 0 reads order -m
-            pc, n_b = np.tile(p, len(qb)), len(spans)
-            beta = np.add.outer(lo * n_b, (pc // 2 * n_m + l_band) * n_l * n_b
-                                + np.repeat(qb, len(p)))
-            beta += np.multiply.outer(mo * n_l * n_b, np.sign(ks[pc]))
-            beta = plan.store.reshape(-1).take(beta)
-            beta *= plan.kern[np.repeat(qj, len(p)), pc].T[lo]
-            return beta
+            # beta at [paired (m, l), (band, scale), pair]: per pair a gather
+            # from the store (k < 0 reads order -m) times its kernel rows
+            beta = np.empty((n, len(qb), len(p)))
+            for i, k in enumerate(p.tolist()):
+                m = l_band + np.sign(ks[k]) * mo
+                np.multiply(plan.store[k // 2][m, lo].take(qb, 1),
+                            plan.kern[qj, k][:, lo].T, out=beta[:, :, i])
+            return beta.reshape(n, -1)
 
         # the stacked rows of one chunk hold at most the tilt store's entries
         entries = n * h.size // n_m * (2 - same)
-        for ch in np.array_split(np.arange(len(ia)), min(
-                len(ia), -(-entries // plan.store.size))):
+        chunks = np.array_split(np.arange(len(ia)), min(
+            len(ia), -(-entries // plan.store.size)))
+        hcs = [(np.ascontiguousarray(x.real), np.ascontiguousarray(x.imag))
+               for x in (h[:, :, ch].reshape(n_m, -1) for ch in chunks)]
+        del h   # H per chunk, its real and imaginary parts, from here on
+        for i, (ch, hc) in enumerate(zip(chunks, hcs)):
             low = rows(ia[ch])
             high = low if same else rows(ib[ch])
-            hc = h[:, :, ch].reshape(n_m, -1)
-            hc = np.ascontiguousarray(hc.real), np.ascontiguousarray(hc.imag)
             z = np.empty_like(high)
             # one product per order m, H(m' - m) taken over the degrees of
-            # each order m' into one buffer
+            # each order m' into one buffer; the first chunk writes T
             for a, b, c in cols:
                 for part, hp in zip(t[:, a:b, c], hc):
                     hp.take(mo[c] - mo[a], 0, z[c], "clip")
                     z[c] *= high[c]
-                    part += low[a:b] @ z[c].T
-            del low, high, z  # before the n x n temporaries
+                    if i:
+                        part += low[a:b] @ z[c].T
+                    else:
+                        np.matmul(low[a:b], z[c].T, out=part)
+            del low, high, z, hc, part, hp   # part, a view, holds T
 
     # the whole bands per order difference d: T_d[m] = sum_b v_d(b) sum_jp
     # beta_jk[m] w_jp beta_jk'[m + d]^T, v_d = N measure (-1)^(d/N) (half at
@@ -504,10 +511,11 @@ def frame_matrix(family, taus, grid, scales, l_band):
     ka, kb = plan.kern[:, ia, None], plan.kern[:, ib, None]
     for b in np.flatnonzero(whole.any(axis=0)):
         n_c, js, tb = counts[b], np.flatnonzero(whole[:, b]), plan.tilt(b)
-        w = np.stack([wpair[j][first[b]] for j in js])[..., None, None]
+        x = w[first[b], js]
+        wb = (pair_w * x[:, ia] * x[:, ib])[..., None, None]
         # beta_jk at [m, l, (j, p)] and w_jp beta_jk' at [m, (j, p), l']
         left = (ka[js] * tb[ia]).reshape(-1, n_m, n_l).transpose(1, 2, 0)
-        right = (w * kb[js] * tb[ib]).reshape(-1, n_m, n_l).swapaxes(0, 1)
+        right = (wb * kb[js] * tb[ib]).reshape(-1, n_m, n_l).swapaxes(0, 1)
         for q, d in enumerate(range(0, n_m, n_c)):
             blocks[d] = blocks.get(d, 0.0) + (-1) ** q * n_c / (1 + (
                 d == 0)) * measure[first[b]] * (left[:n_m - d] @ right[d:])

@@ -15,7 +15,7 @@ from sphwave.cli import build_parser, load_config, main
 from sphwave.fileio import (read_coefficients, read_selectivity_rows,
                             read_signal)
 from sphwave.sphfn import analyze_signal
-from sphwave.transform import FrameOperatorConfig
+from sphwave.transform import FrameOperatorConfig, reconstruct
 
 from oracles import (axis_rotation, harmonic_matrix, point_angles,
                      sphere_points, tilt_rotation, window_series)
@@ -181,7 +181,7 @@ def test_synthesize_ridge_rotation(tmp_path):
     assert np.max(np.abs(f90.values - expected)) < 1e-7 * scale
 
 
-def test_analyze_reconstruct_round_trip(tmp_path, capsys):
+def test_analyze_reconstruct_round_trip(tmp_path, capsys, monkeypatch):
     sig = tmp_path / "sig.bin"
     coef = tmp_path / "coef.bin"
     rec = tmp_path / "rec.bin"
@@ -191,16 +191,24 @@ def test_analyze_reconstruct_round_trip(tmp_path, capsys):
                  "--j-max", "1", "--out", str(coef)]) == 0
     assert capsys.readouterr().err == ""
     assert main(["reconstruct", "--in", str(coef), "--out", str(rec)]) == 0
+    assert capsys.readouterr().err == ""
     f = read_signal(sig)
     g = read_signal(rec)
     scale = np.max(np.abs(f.values))
     assert np.max(np.abs(g.values - f.values)) < 1e-6 * scale
 
-    # a too-coarse grid is flagged but still written
+    # a too-coarse grid is flagged but still written, and reconstruct
+    # gives analyze's warning before its solve, with the solve's exit code
     assert main(["analyze", "--in", str(sig), "--tau", "2", "--j-max", "1",
                  "--delta2", "0.8", "--delta1", "1.2",
                  "--out", str(coef)]) == 0
-    assert "under-resolves" in capsys.readouterr().err
+    warning = capsys.readouterr().err
+    assert "under-resolves" in warning
+    before = []
+    monkeypatch.setattr("sphwave.cli.reconstruct", lambda *a: before.append(
+        capsys.readouterr().err) or reconstruct(*a))
+    assert main(["reconstruct", "--in", str(coef), "--out", str(rec)]) == 0
+    assert before == [warning] and capsys.readouterr().err == ""
 
 
 def test_band_limit_zero_pipeline(tmp_path, capsys):

@@ -913,6 +913,81 @@ def test_plan_shared_across_threads():
                for v, w in zip(g, want[i % 2])), len(got)
 
 
+def test_tau_map_weights_kept(monkeypatch):
+    # the forward transform, its adjoint and S_R of one tau map compute the
+    # window weights once, and give a fresh plan's bits; the kept weights
+    # are read-only; a map changed in place is new taus
+    l_band, grid = 8, make_so3_grid(0.5, 0.5)
+    f = _signal(_random_table(l_band, 36))
+    taus = list(np.random.default_rng(36).choice(
+        [1.0, 2.0, 4.0, 8.0, 16.0], (len(SCALES), grid.n_carriers)))
+
+    def outputs():
+        coeffs = forward_transform(f, _specs("omega", taus), grid, SCALES)
+        return (*coeffs.values, adjoint_transform(coeffs).values,
+                frame_matrix("omega", taus, grid, SCALES, l_band))
+
+    calls = []
+    monkeypatch.setattr(transform, "window_weights",
+                        lambda *a, _w=window_weights: calls.append(1)
+                        or _w(*a))
+    transform._plan.cache_clear()
+    fresh = outputs()
+    assert len(calls) == 1
+    kept = outputs()        # new spec objects, equal taus
+    assert len(calls) == 1
+    assert all(np.array_equal(x, y) for x, y in zip(fresh, kept))
+    plan = transform._plan(l_band, grid, "omega", SCALES)
+    w = plan.weights(taus)
+    assert len(calls) == 1 and w.shape == (len(SCALES), grid.n_carriers,
+                                           len(plan.ks))
+    with pytest.raises(ValueError):
+        w[0, 0, 0] = 0.0
+
+    taus[0][::2] = 16.0 / taus[0][::2]
+    assert not np.array_equal(plan.weights(taus), w) and len(calls) == 2
+    changed = outputs()
+    transform._plan.cache_clear()
+    assert all(np.array_equal(x, y) for x, y in zip(changed, outputs()))
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("delta, shuffled", [
+    ((0.2, 0.2), False), ((0.3, 0.3), False), ((0.8, 1.2), False),
+    ((0.2, 0.2), True)])
+def test_frame_matrix_trace_identity(delta, shuffled):
+    # sum_m |d^l_mk|^2 = 1, so the mean of S_R's degree-l diagonal does not
+    # see where the cells are: it is (log_step / 2) / (2l + 1) sum_j sum_k
+    # P_j[l, k]^2 <w_k(tau_j)^2>, <.> the measure-weighted mean over the
+    # carriers and k over the odd orders of both signs (D_l with one tau
+    # per scale).  On whole bands, stacked rows (each band's carriers
+    # shuffled) and aliased axial pairs (6 angles at delta = (0.8, 1.2));
+    # at most 2.6e-15 relative measured
+    l_band, scales, rng = 16, SCALES3, np.random.default_rng(27)
+    grid = make_so3_grid(*delta)
+    if shuffled:
+        grid = dataclasses.replace(grid, cells=grid.cells[np.concatenate([
+            rng.permutation(idx) for _, idx, _, _ in
+            oracles.band_partition(grid)])])
+    degree = degree_orders(l_band)[0][transform._paired(l_band)[0]]
+    odd = np.arange(1, l_band + 1, 2)
+    ks = np.r_[-odd, odd] + l_band
+    mean = grid.cells.measure / grid.cells.measure.sum()
+    maps = [[tau] * 3 for tau in (1.0, 4.0, 16.0)] + [list(rng.choice(
+        [1.0, 2.0, 4.0, 8.0, 16.0], (3, grid.n_carriers))) for _ in range(2)]
+    for fam in BOTH:
+        for taus in maps:
+            sr = frame_matrix(fam, taus, grid, scales, l_band)
+            got = np.bincount(degree, sr.diagonal()) / np.bincount(degree)
+            want = sum(_kernel_matrix(fam, float(rho), l_band)[:, ks] ** 2
+                       @ (mean @ window_weights(np.broadcast_to(
+                           t, grid.n_carriers), l_band)[:, ks] ** 2)
+                       for rho, t in zip(scales, taus))
+            want *= scales.log_step / 2.0 / (2.0 * np.arange(l_band + 1) + 1)
+            assert got[0] == want[0] == 0.0, fam
+            assert np.max(np.abs(got[1:] / want[1:] - 1.0)) <= 1e-13, fam
+
+
 def test_rotate_coefficients_matches_pullback():
     l_band = 5
     table = _random_table(l_band, 44, kill_below=-1)
