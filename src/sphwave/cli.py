@@ -63,6 +63,9 @@ def cmd_kernel(args):
         values = evaluate_wavelet(spec, tt, pp)
         write_signal(args.out, SphericalSignal(values, gspec))
     else:
+        if min(args.n_theta, args.n_phi) < 1:
+            raise ValueError("need at least one sample in --n-theta and "
+                             "in --n-phi")
         theta = np.linspace(0.0, np.pi, args.n_theta)
         phi = np.linspace(-np.pi, np.pi, args.n_phi)
         tt, pp = np.meshgrid(theta, phi, indexing="ij")

@@ -15,14 +15,11 @@ difference m' - m; a band whose cells share one tau and one measure on
 the regular longitude lattice needs no phase sum and contracts by itself
 over its (scale, pair) factors.  The kernels are real, so in a real
 harmonic basis S is a real symmetric matrix S_R, the one frame_matrix
-builds, and Jacobi-preconditioned CG inverts it on the degrees l >= 1; a
-frame with one tau per scale builds S_R once for all calls on it and
-starts CG from zero.  A per-carrier tau map builds S_R for one solve and
-starts CG from its LU solution or, when its grid is under-resolved and
-S_R may be singular, from the minimum-norm solution.
+builds, and Jacobi-preconditioned CG inverts it on the degrees l >= 1.
 
 The last four band operators stay cached, per (band limit, grid, family,
-scales); none holds S, and each keeps its grid alive until it is evicted.
+scales); each keeps its grid alive until it is evicted, and the window
+weights and S_R of its last taus, one tau per scale or a tau map.
 """
 
 from dataclasses import dataclass
@@ -189,8 +186,11 @@ class BandPlan:
 
     _plan caches the last four plans, keyed on the arguments as given: the
     grid by identity, the scales by value and type (a (rho,) tuple never
-    answers a ScaleSequence).  A plan keeps no S, only its last weights
-    (tau maps too), hands out read-only arrays and holds its grid while cached.
+    answers a ScaleSequence).  A plan hands out read-only arrays, holds its
+    grid while cached and keeps one slot: the key of its last taus (shape
+    and float64 bytes), their weights and, once frame asks, their S_R.  So
+    a plan never holds two S, and the cache holds at most four, one per
+    plan: 4 x 8 (L + 1)^4 bytes, 4 x 143 MB at L=64 (from the shapes).
     """
 
     def __init__(self, l_band, grid, family, scales):
@@ -215,12 +215,25 @@ class BandPlan:
         for a in (self.ks, self.axial_phase, self.kern, self._kern_re_im,
                   self.first):
             a.flags.writeable = False
-        self._kept = None, None     # the last taus' key and weights
+        self._kept = None, None, None   # see _slot
 
     def tilt(self, b):
         """d^l_mk of band b as [k, m + l_band, l], k over ks."""
         half = self.store[..., b]
         return np.stack((half[:, ::-1], half), 1).reshape(-1, *half.shape[1:])
+
+    def _slot(self, taus):
+        """The kept (key, weights, frame or None) of taus, which other taus
+        replace whole; read once, written as one tuple (threads share it)."""
+        kept = self._kept
+        key = [(np.shape(t), np.asarray(t, float).tobytes()) for t in taus]
+        if key == kept[0]:
+            return kept
+        w = np.stack(np.broadcast_arrays(*taus)).reshape(len(taus), -1)
+        w = window_weights(w, self.l_band)[..., self.ks + self.l_band]
+        w.flags.writeable = False
+        self._kept = kept = key, w, None
+        return kept
 
     def weights(self, taus):
         """Window weights w_k(tau) on ks as [entry, 1 or carrier, k], one
@@ -228,15 +241,20 @@ class BandPlan:
         kept, read-only, for the next call with equal taus, a tau map's by
         its bytes: the forward, adjoint and S of a frame compute it once.
         A kept tau map is J C K floats, 15.8 MB at L=64, delta=0.05, J=3."""
-        last, kept = self._kept     # read once: threads may share the plan
-        key = [(np.shape(t), np.asarray(t, float).tobytes()) for t in taus]
-        if key == last:
-            return kept
-        w = np.stack(np.broadcast_arrays(*taus)).reshape(len(taus), -1)
-        w = window_weights(w, self.l_band)[..., self.ks + self.l_band]
-        w.flags.writeable = False
-        self._kept = key, w
-        return w
+        return self._slot(taus)[1]
+
+    def frame(self, taus):
+        """S_R of the frame at taus, read-only, and its diagonal on the
+        degrees l >= 1 as a column: built by frame_matrix on first use and
+        kept with the weights of taus, until other taus replace them."""
+        key, w, frame = self._slot(taus)
+        if frame is None:
+            s = frame_matrix(self.family, taus, self.grid, self.scales,
+                             self.l_band)
+            s.flags.writeable = False
+            frame = s, s[1:, 1:].diagonal()[:, None]
+            self._kept = key, w, frame
+        return frame
 
     def correlate(self, values, carrier=None):
         """tau-free correlations d[j, c, k] of a flat table with the kernel
@@ -539,35 +557,6 @@ def frame_matrix(family, taus, grid, scales, l_band):
     return r + r.T
 
 
-# the last frame with one tau per scale: its grid (matched by identity),
-# the rest of its key (by value) and (S_R read-only, its diagonal on l >= 1).
-# A per-carrier tau map comes from one signal's scan and is not kept
-_frame_cache = [None]
-
-
-def _kept(coeffs):
-    """Whether the frame of coeffs has one tau per scale, so that its S is
-    kept for later calls; a per-carrier tau map's S serves one solve."""
-    return all(np.ndim(t) == 0 for t in coeffs.taus)
-
-
-def _frame(coeffs):
-    """S_R of the frame of coeffs and its diagonal on the degrees l >= 1, a
-    column; built on a miss, which first drops the kept frame."""
-    key = (coeffs.family, coeffs.scales, coeffs.l_band, coeffs.taus)
-    keep, kept = _kept(coeffs), _frame_cache[0]
-    if keep and kept and kept[0] is coeffs.grid and kept[1] == key:
-        return kept[2]
-    _frame_cache[0] = kept = None   # two S never coexist
-    s = frame_matrix(coeffs.family, coeffs.taus, coeffs.grid,
-                     coeffs.scales, coeffs.l_band)
-    s.flags.writeable = False
-    frame = s, s[1:, 1:].diagonal()[:, None]
-    if keep:
-        _frame_cache[0] = coeffs.grid, key, frame
-    return frame
-
-
 def reconstruct(coeffs, cfg=None):
     """Invert the frame operator by Jacobi-preconditioned conjugate gradients.
 
@@ -576,13 +565,13 @@ def reconstruct(coeffs, cfg=None):
     S_R's diagonal, as preconditioner; cfg.tolerance bounds ||D^-1 r|| /
     ||D^-1 U b||, the residual a FrameConvergenceError carries.  No kernel
     reaches degree 0 (odd orders need |k| <= l): the solve runs on l >= 1.
-    A kept S_R (one tau per scale) starts CG from zero.  A tau map's S_R
-    serves one solve: CG starts from the LU solution of S_R scaled to a
-    unit diagonal (np.linalg.solve, backward stable) or, if under-resolved
-    and so maybe singular, from the minimum-norm solution (eigh, eigenvalues
-    below 1e-12 times the largest dropped), as an LU start carries a
-    null-space part no CG step removes.  cfg.max_iterations counts the CG
-    steps after the start.
+    S_R comes from the frame's plan (BandPlan.frame).  One tau per scale
+    starts CG from zero.  A tau map starts CG from the LU solution of S_R
+    scaled to a unit diagonal (np.linalg.solve, backward stable) or, if
+    under-resolved and so maybe singular, from the minimum-norm solution
+    (eigh, eigenvalues below 1e-12 times the largest dropped), as an LU
+    start carries a null-space part no CG step removes.
+    cfg.max_iterations counts the CG steps after the start.
     """
     if cfg is None:
         cfg = FrameOperatorConfig()
@@ -590,7 +579,8 @@ def reconstruct(coeffs, cfg=None):
     w, g = adjoint_transform(coeffs).values[order], np.sqrt(0.5)
     w[pos], w[neg] = g * (w[pos] + w[neg]), 1j * g * (w[neg] - w[pos])
     b = np.stack((w.real, w.imag), 1)[1:]     # U b, l >= 1
-    sr, diag = _frame(coeffs)
+    sr, diag = _plan(l_band, coeffs.grid, coeffs.family,
+                     coeffs.scales).frame(coeffs.taus)
     sa = sr[1:, 1:]
     table, grid_spec = CoefficientTable(l_band), default_grid_spec(l_band)
     if np.linalg.norm(b) == 0.0:
@@ -600,7 +590,7 @@ def reconstruct(coeffs, cfg=None):
                               "degree l >= 1 carries no kernel energy, or "
                               "the grid is too coarse for this band")
     znorm = np.linalg.norm(b / diag)
-    if _kept(coeffs):
+    if all(np.ndim(t) == 0 for t in coeffs.taus):
         x, r = np.zeros_like(b), b
     elif coeffs.under_resolved:
         lam, v = np.linalg.eigh(sa)

@@ -103,6 +103,17 @@ def test_kernel_csv_lobes(tmp_path):
     assert stats[16.0][1] < stats[1.0][1]
 
 
+def test_kernel_refuses_empty_grid(tmp_path, capsys):
+    # a CSV grid with no theta or no phi sample is a usage error, as
+    # profile --samples 0 is, and writes no header-only file
+    out = tmp_path / "k.csv"
+    for flag in ("--n-theta", "--n-phi"):
+        for n in ("0", "-1"):
+            assert main(["kernel", "--out", str(out), flag, n]) == 2
+            assert "at least one sample" in capsys.readouterr().err
+            assert not out.exists(), (flag, n)
+
+
 def test_kernel_bin_round_trip(tmp_path):
     out = tmp_path / "k.bin"
     args = ["kernel", "--format", "bin", "--out", str(out),

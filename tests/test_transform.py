@@ -834,8 +834,7 @@ def test_plan_cache(monkeypatch):
     # the warm plan give theirs; what a cached plan hands out is read-only;
     # the key tells a ScaleSequence from a tuple of its scales; one grid
     # more than the bound evicts the oldest plan, and with it the cache's
-    # hold on that grid
-    monkeypatch.setattr(transform, "_frame_cache", [None])
+    # hold on that grid and the S_R that plan kept
     grid, l_band = make_so3_grid(0.5, 0.5), 6
     f = _signal(_random_table(l_band, 47))
     specs = uniform_specs("omega", 2.0, SCALES)
@@ -883,34 +882,47 @@ def test_plan_cache(monkeypatch):
     bound = transform._plan.cache_parameters()["maxsize"]
     grids = [make_so3_grid(0.8, 0.5) for _ in range(bound + 1)]
     oldest = weakref.ref(grids[0])
-    for g in grids:
+    coeffs = forward_transform(f, specs, grids[0], SCALES)
+    reconstruct(coeffs)
+    kept = weakref.ref(transform._plan(l_band, grids[0], "omega", SCALES)
+                       .frame(coeffs.taus)[0])
+    hits = transform._plan.cache_info().hits
+    for g in grids[1:]:
         forward_transform(f, specs, g, SCALES)
-    del grids[0]
-    assert oldest() is None
+    del grids[0], coeffs
+    assert oldest() is None and kept() is None
     info = transform._plan.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (bound + 1, 0, bound)
+    assert (info.misses, info.hits, info.currsize) == (bound + 1, hits, bound)
     forward_transform(f, specs, grids[0], SCALES)
-    assert transform._plan.cache_info().hits == 1
+    assert transform._plan.cache_info().hits == hits + 1
 
 
 def test_plan_shared_across_threads():
     # threads that share one cached plan at different taus each get their
-    # own taus' coefficients, whichever weights the plan kept last
+    # own taus' coefficients and reconstruction, whichever weights and S_R
+    # the plan kept last
     grid, l_band = make_so3_grid(0.5, 0.5), 6
     f = _signal(_random_table(l_band, 48))
     specs = [uniform_specs("omega", tau, SCALES) for tau in (2.0, 4.0)]
-    want = [forward_transform(f, s, grid, SCALES).values for s in specs]
+    coeffs = [forward_transform(f, s, grid, SCALES) for s in specs]
+    want = [c.values for c in coeffs]
+    want_rec = [reconstruct(c).values for c in coeffs]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with concurrent.futures.ThreadPoolExecutor(4) as pool:
             runs = [pool.submit(forward_transform, f, specs[i % 2], grid,
                                 SCALES) for i in range(200)]
+            recs = [pool.submit(reconstruct, coeffs[i % 2])
+                    for i in range(40)]
             got = [r.result(timeout=60).values for r in runs]
+            got_rec = [r.result(timeout=60).values for r in recs]
     finally:
         sys.setswitchinterval(interval)
     assert all(np.array_equal(v, w) for i, g in enumerate(got)
                for v, w in zip(g, want[i % 2])), len(got)
+    assert all(np.array_equal(g, want_rec[i % 2])
+               for i, g in enumerate(got_rec)), len(got_rec)
 
 
 def test_tau_map_weights_kept(monkeypatch):
@@ -1103,20 +1115,20 @@ def test_reconstruct_controls():
 
 
 def _count_frame_builds(monkeypatch):
-    # an empty frame cache for this test, and the builds of S in the real
-    # basis, the one reconstruct keeps
+    # no cached plan, so no kept S, for this test, and the builds of S in
+    # the real basis, the one a plan keeps
     calls, build = [], transform.frame_matrix
 
     def counted(*args):
         calls.append(args)
         return build(*args)
 
-    monkeypatch.setattr(transform, "_frame_cache", [None])
+    transform._plan.cache_clear()
     monkeypatch.setattr(transform, "frame_matrix", counted)
     return calls
 
 
-def test_reconstruct_uniform_matches_complex_reference_solve(monkeypatch):
+def test_reconstruct_uniform_matches_complex_reference_solve():
     # the real-basis solve against np.linalg.solve on S = U^H S_R U in the
     # degree-major order (oracles.reference_solve; planted tau maps:
     # test_multiselect).
@@ -1124,7 +1136,7 @@ def test_reconstruct_uniform_matches_complex_reference_solve(monkeypatch):
     # steps the complex-basis solve took (5 at L = 8, tau 2; 7 at L = 12,
     # tau 1); they agree to 1e-9, where the complex solve's CG ended 2e-11
     # to 7e-11 from the reference.  The kept S_R is float64, 8 n^2 bytes
-    monkeypatch.setattr(transform, "_frame_cache", [None])
+    transform._plan.cache_clear()
     for l_band, delta, tau, steps in ((8, 0.3, 2.0, 5), (12, 0.3, 1.0, 7)):
         grid = make_so3_grid(delta, delta)
         f = _signal(_random_table(l_band, 7))
@@ -1137,7 +1149,8 @@ def test_reconstruct_uniform_matches_complex_reference_solve(monkeypatch):
             want = oracles.reference_solve(coeffs).values
             assert (np.linalg.norm(got - want)
                     <= 1e-9 * np.linalg.norm(want)), (l_band, fam)
-            s, _ = transform._frame_cache[0][2]
+            s, _ = transform._plan(l_band, grid, fam, SCALES).frame(
+                coeffs.taus)
             assert s.dtype == np.float64 and s.nbytes == 8 * (l_band + 1) ** 4
 
 
@@ -1154,7 +1167,8 @@ def test_reconstruct_reuses_uniform_frame(monkeypatch):
     assert all(np.array_equal(reconstruct(c).values, want)
                for c, want in zip(coeffs, first))
     assert len(calls) == 1
-    s, diag = transform._frame_cache[0][2]
+    s, diag = transform._plan(6, grid, "omega", SCALES).frame(coeffs[0].taus)
+    assert len(calls) == 1
     fresh = frame_matrix("omega", coeffs[0].taus, grid, SCALES, 6)
     assert np.array_equal(s, fresh)
     assert np.array_equal(diag, fresh.diagonal()[1:, None])
@@ -1162,7 +1176,7 @@ def test_reconstruct_reuses_uniform_frame(monkeypatch):
     with pytest.raises(ValueError):
         s[0, 0] = 1.0
     fresh[0, 0] = 1.0
-    transform._frame_cache[0] = None
+    transform._plan.cache_clear()
     assert np.array_equal(reconstruct(coeffs[1]).values, first[1])
     assert len(calls) == 2
 
@@ -1170,7 +1184,7 @@ def test_reconstruct_reuses_uniform_frame(monkeypatch):
 def test_reconstruct_refuses_degree_without_kernel_energy(monkeypatch):
     # the solve runs on every degree l >= 1: a degree no kernel reaches
     # leaves a zero on the frame diagonal and is refused, not dropped
-    monkeypatch.setattr(transform, "_frame_cache", [None])
+    transform._plan.cache_clear()
     kernel = transform._kernel_matrix
 
     def no_degree_one(family, rho, l_band):
@@ -1189,48 +1203,75 @@ def test_reconstruct_refuses_degree_without_kernel_energy(monkeypatch):
 
 def test_frame_cache_rebuilds_on_any_key_change(monkeypatch):
     # family, tau, scales, band limit and the grid object each make a
-    # new frame; one slot, so returning to the base frame rebuilds too
+    # new frame, built once.  A tau change replaces the S its plan kept,
+    # so returning to the base frame rebuilds; the others are plans of
+    # their own, and the base frame's plan, still cached, keeps its S
     calls = _count_frame_builds(monkeypatch)
     grid = make_so3_grid(0.5, 0.5)
     f6, f4 = (_signal(_random_table(l, 43, 0)) for l in (6, 4))
     other = make_scale_sequence(1.0, 0.6, 1)
     base = (f6, "omega", 2.0, SCALES, grid)
-    variants = [(f6, "upsilon", 2.0, SCALES, grid),
-                (f6, "omega", 4.0, SCALES, grid),
-                (f6, "omega", [2.0, 4.0], SCALES, grid),
-                (f6, "omega", 2.0, other, grid),
-                (f4, "omega", 2.0, SCALES, grid),
-                (f6, "omega", 2.0, SCALES, dataclasses.replace(grid))]
-    frames = [x for v in variants for x in (base, v)] + [variants[-1]]
-    for n, (f, fam, tau, scales, g) in enumerate(frames, 1):
+    # each variant, and whether the base frame rebuilds after it
+    variants = [((f6, "upsilon", 2.0, SCALES, grid), 0),
+                ((f6, "omega", 4.0, SCALES, grid), 1),
+                ((f6, "omega", [2.0, 4.0], SCALES, grid), 1),
+                ((f6, "omega", 2.0, other, grid), 0),
+                ((f4, "omega", 2.0, SCALES, grid), 0),
+                ((f6, "omega", 2.0, SCALES, dataclasses.replace(grid)), 0)]
+    frames = [(base, 1)] + [x for v, again in variants
+                            for x in ((v, 1), (base, again))]
+    builds = 0
+    for (f, fam, tau, scales, g), new in frames + [(variants[-1][0], 0)]:
         specs = ([WaveletSpec(fam, rho, t) for rho, t in zip(scales, tau)]
                  if isinstance(tau, list) else uniform_specs(fam, tau, scales))
         reconstruct(forward_transform(f, specs, g, scales))
-        assert len(calls) == min(n, len(frames) - 1), (n, fam, tau)
+        builds += new
+        assert len(calls) == builds, (builds, fam, tau)
 
 
-def test_per_carrier_taus_are_not_kept(monkeypatch):
-    # a per-carrier map comes from one signal's scan: it drops the kept
-    # uniform frame and keeps nothing itself
+def test_alternating_families_keep_their_frames(monkeypatch):
+    # each family's plan keeps its own S: six alternating omega / upsilon
+    # round trips on one grid build S twice, and each family's result
+    # keeps its bits
+    calls = _count_frame_builds(monkeypatch)
+    grid = make_so3_grid(0.5, 0.5)
+    f = _signal(_random_table(6, 49, 0))
+    recs = [reconstruct(forward_transform(
+        f, uniform_specs(fam, 4.0, SCALES), grid, SCALES)).values
+        for fam in ("omega", "upsilon") * 3]
+    assert len(calls) == 2
+    assert all(np.array_equal(r, recs[i % 2]) for i, r in enumerate(recs))
+
+
+def test_per_carrier_taus_are_kept(monkeypatch):
+    # a per-carrier map's S is kept on its plan in place of the uniform
+    # frame's: a second reconstruct of the same map builds nothing and
+    # gives the same bits, the kept S is read-only, and a map changed in
+    # place is new taus
     calls = _count_frame_builds(monkeypatch)
     grid = make_so3_grid(0.5, 0.5)
     f = _signal(_random_table(6, 44, 0))
     reconstruct(forward_transform(f, uniform_specs("omega", 2.0, SCALES),
                                   grid, SCALES))
-    assert transform._frame_cache[0] is not None
     adaptive = forward_transform(f, _specs("omega", _split(grid)), grid,
                                  SCALES)
     loose = FrameOperatorConfig(strict=False)
-    for n in (2, 3):
-        reconstruct(adaptive, loose)
-        assert len(calls) == n and transform._frame_cache == [None]
+    recs = [reconstruct(adaptive, loose).values for _ in range(2)]
+    assert len(calls) == 2 and np.array_equal(*recs)
+    s, _ = transform._plan(6, grid, "omega", SCALES).frame(adaptive.taus)
+    assert len(calls) == 2
+    with pytest.raises(ValueError):
+        s[0, 0] = 1.0
+    adaptive.taus[0][::2] = 4.0
+    reconstruct(adaptive, loose)
+    assert len(calls) == 3
 
 
 def test_reconstruct_controls_on_kept_frame(monkeypatch):
     # strict and loose solves end the same way whether S was built or
-    # kept; the adaptive frame (never kept) starts from its LU solution,
-    # so both return at 1e-15, and it raises the same each time at a
-    # tolerance no start reaches
+    # kept; the adaptive frame starts from its LU solution, so both
+    # return at 1e-15 on its kept S, and it raises the same each time at
+    # a tolerance no start reaches
     calls = _count_frame_builds(monkeypatch)
     grid = make_so3_grid(0.5, 0.5)
     f = _signal(_random_table(6, 45, 0))
@@ -1245,11 +1286,11 @@ def test_reconstruct_controls_on_kept_frame(monkeypatch):
     adaptive = forward_transform(f, _specs("omega", _split(grid)), grid,
                                  SCALES)
     for coeffs, (strict, loose), builds in (
-            (uniform, controls(1e-15), 2), (adaptive, controls(1e-300), 4)):
+            (uniform, controls(1e-15), 2), (adaptive, controls(1e-300), 2)):
         del calls[:]
         errors, recs = [], []
         for order in ((strict, loose), (loose, strict)):
-            transform._frame_cache[0] = None    # a miss, then a hit
+            transform._plan.cache_clear()   # a miss, then a hit
             for cfg in order:
                 if cfg.strict:
                     with pytest.raises(FrameConvergenceError) as info:
@@ -1262,7 +1303,7 @@ def test_reconstruct_controls_on_kept_frame(monkeypatch):
         assert len(calls) == builds
     del calls[:]
     recs = [reconstruct(adaptive, cfg).values for cfg in controls(1e-15)]
-    assert np.array_equal(*recs) and len(calls) == 2
+    assert np.array_equal(*recs) and len(calls) == 0
 
 
 def test_under_resolved_flag():
