@@ -135,21 +135,22 @@ def read_coefficients(path):
     delta2 = _field(fields, "delta2", float, path, lambda v: 0.0 < v <= np.pi)
     delta1 = _field(fields, "delta1", float, path,
                     lambda v: 0.0 < v <= 2.0 * np.pi)
-    n_carriers = _field(fields, "n_carriers", int, path)
-    n_axial = _field(fields, "n_axial", int, path)
+    n_carriers = _field(fields, "n_carriers", int, path, lambda v: v >= 1)
+    n_axial = _field(fields, "n_axial", int, path, lambda v: v >= 1)
+    # the payload size before any build: no scales or grid for a bad file
+    n_tau = n_scales * n_carriers
+    size = n_tau * (8 + 16 * n_axial)
+    if len(payload) != size:
+        raise FileFormatError("%s: payload holds %d bytes, header fields "
+                              "'n_scales'/'n_carriers'/'n_axial' imply %d"
+                              % (path, len(payload), size))
     scales = make_scale_sequence(rho0, q, n_scales - 1)
     grid = make_so3_grid(delta2, delta1)
     if grid.n_carriers != n_carriers or len(grid.axial_angles) != n_axial:
         raise FileFormatError("%s: header field 'n_carriers'/'n_axial' does "
                               "not match the rebuilt grid" % path)
-    tau_bytes = n_scales * n_carriers * 8
-    val_bytes = n_scales * n_carriers * n_axial * 16
-    if len(payload) != tau_bytes + val_bytes:
-        raise FileFormatError("%s: payload holds %d bytes, header implies %d"
-                              % (path, len(payload), tau_bytes + val_bytes))
-    taus_flat = np.frombuffer(payload, dtype="<f8", count=n_scales
-                              * n_carriers).reshape(n_scales, n_carriers)
-    values = np.frombuffer(payload, dtype="<c16", offset=tau_bytes)
+    taus_flat = np.frombuffer(payload, "<f8", n_tau).reshape(-1, n_carriers)
+    values = np.frombuffer(payload, dtype="<c16", offset=8 * n_tau)
     values = values.reshape(n_scales, n_carriers, n_axial)
     _check_finite(values, path)
     try:    # NaN fails both; np.unique would import numpy.ma

@@ -89,22 +89,20 @@ def _pick(values, taus, angles, tol):
 def _scan(f, scales, grid, tsel, family, at=None):
     """select_tau's picks (tau, phi1, value) per (scale, cell) of every band,
     or, at = (j, carrier), of scale j at the one carrier given, with the
-    tau-free correlations d[j, c, k] and their band operator."""
-    carrier = None
+    tau-free correlations d[j, c, k] and the band operator of all scales."""
     if at is not None:
-        j, carrier = at
-        for name, i, n in (("scale", j, len(scales)),
-                           ("carrier", carrier, grid.n_carriers)):
+        for name, i, n in zip(("scale", "carrier"), at,
+                              (len(scales), grid.n_carriers)):
             if not isinstance(i, Integral) or i not in range(n):
                 raise ValueError("no %s %r in [0, %d)" % (name, i, n))
-        scales = (scales[j],)
     table = analyze_signal(f)
     taus = tuple(tsel)
     tol = TIE_MARGIN * np.sqrt(table.norm_sq())
     plan = _plan(table.l_band, grid, family, scales)
-    d = plan.correlate(table.values, carrier)
+    d = plan.correlate(table.values, at)
+    picked = scales if at is None else (scales[at[0]],)
     out = np.empty((3,) + d.shape[:2])
-    for j, w in enumerate(matched_weights(family, scales, taus, plan.ks)):
+    for j, w in enumerate(matched_weights(family, picked, taus, plan.ks)):
         # the axial phases times each tau's weights, [k, (tau, angle)]: one
         # product with it scores a block of cells, 2^14 values at most (the
         # whole grid's 2.6 MB at L = 16 took fresh pages on every call)

@@ -18,8 +18,9 @@ harmonic basis S is a real symmetric matrix S_R, the one frame_matrix
 builds, and Jacobi-preconditioned CG inverts it on the degrees l >= 1.
 
 The last four band operators stay cached, per (band limit, grid, family,
-scales); each keeps its grid alive until it is evicted, and the window
-weights and S_R of its last taus, one tau per scale or a tau map.
+scales), and that cache bounds all the operator holds: each owns its tilt
+store and phase table, keeps its grid alive until it is evicted, and the
+window weights and S_R of its last taus, one tau per scale or a tau map.
 """
 
 from dataclasses import dataclass
@@ -133,11 +134,10 @@ def _wigner_d(theta, l):
     return turned.real
 
 
-@lru_cache(maxsize=8)
 def _tilt_store(thetas, l_band):
-    """d^l_mk(theta_b), odd k > 0, of the band colatitudes thetas as
+    """d^l_mk(theta_b), odd k > 0, at the band colatitudes (array) thetas as
     [k // 2, m + l_band, l, b], zero where l < max(|m|, k); d^l_{-m,-k} =
-    d^l_mk gives k < 0.  Read-only, per band set; one product per degree
+    d^l_mk gives k < 0.  Read-only, one per plan; one product per degree
     and chunk of bands, two complex blocks of at most 2 MB or store / 5."""
     store = np.zeros(((l_band + 1) // 2, 2 * l_band + 1, l_band + 1,
                       len(thetas)))
@@ -145,17 +145,16 @@ def _tilt_store(thetas, l_band):
         step = max(1, max(store.nbytes, 10 << 20) // 160 // (2 * l + 1) ** 2)
         for b in range(0, len(thetas), step):
             store[:(l + 1) // 2, l_band - l:l_band + l + 1, l, b:b + step] = \
-                _wigner_d(np.array(thetas[b:b + step]), l)[..., l + 1::2].T
+                _wigner_d(thetas[b:b + step], l)[..., l + 1::2].T
     store.flags.writeable = False
     return store
 
 
-@lru_cache(maxsize=4)
 def _cell_phases(phis, l_band):
-    """e^{i m phi} at the longitudes phis (float64 bytes) as [cell, m +
-    l_band], read-only: a running product over m > 0 in one vector (numpy
+    """e^{i m phi} at the longitudes phis (array) as [cell, m + l_band], one
+    per plan, read-only: a running product over m > 0 in one vector (numpy
     rounds overlapping strided columns otherwise), conjugated for m < 0."""
-    e = np.exp(1j * np.frombuffer(phis))
+    e = np.exp(1j * phis)
     out, p = np.ones((len(e), 2 * l_band + 1), dtype=complex), e.copy()
     for m in range(l_band + 1, out.shape[1]):
         out[:, m] = p
@@ -185,12 +184,13 @@ class BandPlan:
     held for all scales at once.
 
     _plan caches the last four plans, keyed on the arguments as given: the
-    grid by identity, the scales by value and type (a (rho,) tuple never
-    answers a ScaleSequence).  A plan hands out read-only arrays, holds its
-    grid while cached and keeps one slot: the key of its last taus (shape
-    and float64 bytes), their weights and, once frame asks, their S_R.  So
-    a plan never holds two S, and the cache holds at most four, one per
-    plan: 4 x 8 (L + 1)^4 bytes, 4 x 143 MB at L=64 (from the shapes).
+    grid by identity, the scales by value and type.  A plan owns its tilt
+    store and phase table, hands out read-only arrays, holds its grid while
+    cached and keeps one slot: the key of its last taus (shape and float64
+    bytes), their weights and, once frame asks, their S_R: 4 x 371 MB at
+    most at L=64, delta=0.05, from the shapes.  Two plans on one grid (two
+    families or scale sequences) each build a store and phases, 0.83 + 0.36
+    MB at L=16, delta=0.2, 191 + 21 MB in 1.2-1.4 s at L=64, delta=0.05.
     """
 
     def __init__(self, l_band, grid, family, scales):
@@ -208,8 +208,8 @@ class BandPlan:
         self._flat = m_of + l_band, l_of
         theta = grid.cells.theta    # a band is a run of carriers at one theta
         self.first = np.flatnonzero(np.r_[True, theta[1:] != theta[:-1]])
-        self.store = _tilt_store(tuple(theta[self.first].tolist()), l_band)
-        self.phases = _cell_phases(grid.cells.phi.tobytes(), l_band)
+        self.store = _tilt_store(theta[self.first], l_band)
+        self.phases = _cell_phases(grid.cells.phi, l_band)
         at = self.first.tolist() + [len(theta)]
         self.spans = list(map(slice, at, at[1:]))
         for a in (self.ks, self.axial_phase, self.kern, self._kern_re_im,
@@ -256,16 +256,17 @@ class BandPlan:
             self._kept = key, w, frame
         return frame
 
-    def correlate(self, values, carrier=None):
-        """tau-free correlations d[j, c, k] of a flat table with the kernel
-        of every scale j at every cell c, or at the one carrier given: a
-        transposed view of one [c, j, k] array, which may be written."""
-        ph, rows, store = self.phases, self.spans, self.store
-        if carrier is not None:
-            b = np.searchsorted(self.first, carrier, "right") - 1
-            ph, rows = ph[carrier:carrier + 1], [slice(0, 1)]
-            store = store[..., b:b + 1]
-        (n_k, n_m, n_l), n_j = self.store.shape[:3], len(self.kern)
+    def correlate(self, values, at=None):
+        """tau-free correlations d[j, c, k] of a flat table with the kernel of
+        every scale j at every cell c, or of scale j alone at the carrier c
+        of at = (j, c): a transposed view of one [c, j, k] array, writable."""
+        ph, rows, store, kerns = (self.phases, self.spans, self.store,
+                                  self._kern_re_im)
+        if at is not None:
+            b = np.searchsorted(self.first, at[1], "right") - 1
+            ph, rows = ph[at[1]:at[1] + 1], [slice(0, 1)]
+            store, kerns = store[..., b:b + 1], kerns[at[0]:at[0] + 1]
+        (n_k, n_m, n_l), n_j = self.store.shape[:3], len(kerns)
         out = np.empty((len(ph), n_j, len(self.ks)), dtype=complex)
         f = np.zeros((n_m, n_l, 2), dtype=complex)
         f[(*self._flat, 1)] = values
@@ -274,7 +275,7 @@ class BandPlan:
         # k // 2, (-k re, -k im, k re, k im)]
         a = np.empty((n_k, n_m, n_l, 2), dtype=complex)
         x = np.empty((n_m, len(rows), n_j, n_k, 4))
-        for j, kern in enumerate(self._kern_re_im):
+        for j, kern in enumerate(kerns):
             np.multiply(f.view(float).reshape(n_m, 4 * n_l), kern,
                         out=a.view(float).reshape(n_k, n_m, 4 * n_l))
             np.matmul(store.swapaxes(2, 3), a.view(float),

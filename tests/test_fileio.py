@@ -2,11 +2,13 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
-from sphwave.cli import load_config
+from sphwave import fileio
+from sphwave.cli import load_config, main
 from sphwave.fileio import (FileFormatError, read_coefficients,
                             read_selectivity_rows, read_signal, write_signal,
                             write_coefficients, write_selectivity_csv)
@@ -235,6 +237,46 @@ def test_coefficients_header_errors(tmp_path):
                          + block.tobytes())
         with pytest.raises(FileFormatError, match="non-finite"):
             read_coefficients(path)
+
+
+def test_coefficients_payload_checked_before_any_build(tmp_path, capsys,
+                                                      monkeypatch):
+    # the header's counts must imply the payload before the scales or the
+    # grid are built: a million scales (q close to 1) over a 64-byte
+    # payload build nothing, in the library and in `sphwave reconstruct`
+    path, out = tmp_path / "coef.bin", tmp_path / "out.sig"
+    grid = make_so3_grid(0.8, 1.2)
+    coeffs = forward_transform(_noise_signal(6, 7),
+                               uniform_specs("omega", 2.0, SCALES), grid,
+                               SCALES)
+    write_coefficients(path, coeffs)
+    head, _, payload = path.read_bytes().partition(b"\n")
+    huge = head.replace(b"n_scales=2", b"n_scales=1000000").replace(
+        b"q=0.5", b"q=0.9999999")
+    path.write_bytes(huge + b"\n" + bytes(64))
+
+    def refuse(*args):
+        raise AssertionError("built before the payload check")
+    monkeypatch.setattr(fileio, "make_scale_sequence", refuse)
+    monkeypatch.setattr(fileio, "make_so3_grid", refuse)
+    with pytest.raises(FileFormatError, match="payload"):
+        read_coefficients(path)
+    assert main(["reconstruct", "--in", str(path), "--out", str(out)]) == 2
+    assert "payload" in capsys.readouterr().err and not out.exists()
+    # no carrier or no axial angle is refused as a field
+    for field in (b"n_carriers", b"n_axial"):
+        bad = re.sub(field + rb"=\d+", field + b"=0", head)
+        path.write_bytes(bad + b"\n")
+        with pytest.raises(FileFormatError, match=field.decode()):
+            read_coefficients(path)
+    monkeypatch.undo()
+    # a payload that matches a header count the rebuilt grid does not have
+    n = grid.n_carriers - 1
+    path.write_bytes(head.replace(b"n_carriers=%d" % grid.n_carriers,
+                                  b"n_carriers=%d" % n) + b"\n"
+                     + payload[:len(payload) * n // grid.n_carriers])
+    with pytest.raises(FileFormatError, match="rebuilt grid"):
+        read_coefficients(path)
 
 
 def test_selectivity_csv_round_trip(tmp_path):

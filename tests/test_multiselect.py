@@ -383,7 +383,7 @@ def test_scan_tilt_once_per_band(monkeypatch):
     grid = make_so3_grid(0.8, 0.5)
     f = _random_signal(8, 3)
     tsel = SelectivitySet()
-    thetas = tuple(float(b[0]) for b in oracles.band_partition(grid))
+    thetas = [b[0] for b in oracles.band_partition(grid)]
     for scales in (SCALES, make_scale_sequence(1.0, 0.5, 3)):
         transform._plan.cache_clear()
         calls = []
@@ -391,24 +391,51 @@ def test_scan_tilt_once_per_band(monkeypatch):
         monkeypatch.setattr(transform, "_tilt_store",
                             lambda *a: calls.append(a) or store(*a))
         selectivity_scan(f, scales, grid, tsel)
-        assert calls == [(thetas, 8)], (len(scales), len(calls))
+        assert len(calls) == 1, (len(scales), len(calls))
+        (got, l_band), = calls
+        assert isinstance(got, np.ndarray) and l_band == 8
+        assert np.array_equal(got, thetas)
         selectivity_scan(f, scales, grid, tsel)
         monkeypatch.undo()
         assert len(calls) == 1, (len(scales), len(calls))
 
 
 def test_picks_read_the_grid_store():
-    # select_tau and refine_tau read their carrier's band from the store
-    # of the grid the scan used: no one-band entry for a carrier
+    # select_tau and refine_tau at every scale run on the plan the scan
+    # built, reading their carrier's band from its store: no plan of one
+    # scale, and no one-band store for a carrier
     f = _random_signal(8, 4)
     tsel = SelectivitySet()
     transform._plan.cache_clear()
-    transform._tilt_store.cache_clear()
     selectivity_scan(f, SCALES, GRID, tsel)
-    for alpha2 in (0, 40, GRID.n_carriers - 1):
-        select_tau(f, SCALES, 1, alpha2, tsel, GRID)
-        refine_tau(f, SCALES, 0, alpha2, tsel, GRID)
-    assert transform._tilt_store.cache_info().currsize == 1
+    for j in range(len(SCALES)):
+        for alpha2 in (0, 40, GRID.n_carriers - 1):
+            select_tau(f, SCALES, j, alpha2, tsel, GRID)
+            refine_tau(f, SCALES, j, alpha2, tsel, GRID)
+    assert transform._plan.cache_info().misses == 1
+
+
+def test_adaptive_op_builds_one_plan(monkeypatch):
+    # one adaptive op on a grid, the scan, the picks and refinements at
+    # every scale, the adaptive transform and its reconstruction, builds
+    # one band operator, and with it one tilt store and one phase table
+    f = _random_signal(8, 6)
+    tsel = SelectivitySet()
+    grid = make_so3_grid(0.4, 0.2)      # a new key: plans key grids by id
+    built, init = [], transform.BandPlan.__init__
+    monkeypatch.setattr(transform.BandPlan, "__init__",
+                        lambda *a: built.append("plan") or init(*a))
+    for name in ("_tilt_store", "_cell_phases"):
+        monkeypatch.setattr(transform, name, lambda *a, _n=name,
+                            _f=getattr(transform, name): built.append(_n)
+                            or _f(*a))
+    selectivity_scan(f, SCALES, grid, tsel)
+    for j in range(len(SCALES)):
+        select_tau(f, SCALES, j, 40, tsel, grid)
+        refine_tau(f, SCALES, j, 40, tsel, grid)
+    reconstruct(adaptive_analysis(f, SCALES, grid, tsel)[1])
+    monkeypatch.undo()
+    assert sorted(built) == ["_cell_phases", "_tilt_store", "plan"], built
 
 
 def test_scan_window_weights_once_per_scan(monkeypatch):

@@ -69,7 +69,7 @@ def test_tilt_blocks_unitary():
     for l_band in (4, 8, 12):
         for theta in np.round(rng.uniform(0.0, np.pi, 4), 12):
             blocks = [_wigner_d(theta, l) for l in range(l_band + 1)]
-            tilt = _tilt_store((0.3, theta, 2.9), l_band)[..., 1]
+            tilt = _tilt_store(np.array([0.3, theta, 2.9]), l_band)[..., 1]
             k = np.arange(1, l_band + 1, 2)[:, None, None]
             m = np.arange(-l_band, l_band + 1)[:, None]
             l = np.arange(l_band + 1)
@@ -127,35 +127,38 @@ def test_tilt_order_reversal():
             assert np.max(np.abs(d[::-1, ::-1] - d)) <= 1e-13, (theta, l)
 
 
-def test_band_tilt_cache_holds_one_half():
-    # one store per band set, K (L + 1)^2 float64 values per band with K
-    # the number of odd orders: the k < 0 half is derived, not stored, and
-    # the forward transform, the adjoint, S and the band reads share it
+def test_band_tilt_cache_holds_one_half(monkeypatch):
+    # the plan's one store, K (L + 1)^2 float64 values per band with K the
+    # number of odd orders: the k < 0 half is derived, not stored, and the
+    # forward transform, the adjoint, S and the band reads share it
     grid = make_so3_grid(0.5, 0.5)
     bands = oracles.band_partition(grid)
-    thetas = tuple(float(b[0]) for b in bands)
+    thetas = np.array([b[0] for b in bands])
+    stores = []
+    monkeypatch.setattr(transform, "_tilt_store",
+                        lambda *a: stores.append(a) or _tilt_store(*a))
     for l_band in (8, 16, 17):
         n_odd = 2 * ((l_band + 1) // 2)
-        _tilt_store.cache_clear()
+        del stores[:]
         coeffs = forward_transform(_signal(_random_table(l_band, 5)),
                                    uniform_specs("omega", 4.0, SCALES), grid,
                                    SCALES)
         adjoint_transform(coeffs)
         frame_matrix("omega", coeffs.taus, grid, SCALES, l_band)
-        assert _tilt_store.cache_info().currsize == 1
-        store = _tilt_store(thetas, l_band)
+        assert len(stores) == 1, len(stores)
+        plan = transform._plan(l_band, grid, "omega", SCALES)
+        store = plan.store
+        assert np.array_equal(store, _tilt_store(thetas, l_band))
         assert store.dtype == np.float64 and not store.flags.writeable
         # owned, so no larger array sits behind a view
         assert store.flags.owndata
         assert store.shape == (n_odd // 2, 2 * l_band + 1, l_band + 1,
                                len(bands))
-        plan = BandPlan(l_band, grid, "omega", SCALES)
-        assert plan.store is store
         for b in range(len(bands)):
             tilt = plan.tilt(b)
             assert np.array_equal(tilt[1::2], store[..., b])
             assert np.array_equal(tilt[::2], store[:, ::-1, :, b])
-        assert _tilt_store.cache_info().currsize == 1
+    monkeypatch.undo()
 
 
 def _split_taus(grid, pattern):
@@ -659,17 +662,12 @@ def test_adjoint_leaves_its_input_unchanged():
         assert np.array_equal(plan.adjoint(keep), back)
 
 
-def test_plans_share_one_phase_table():
-    # every plan on a grid and band limit reads the one cached table, cell
-    # by cell in band order, each band one span of rows: no per-plan copy
+def test_plan_phase_table_in_band_order():
+    # a plan's phase table holds e^{i m phi} cell by cell in band order,
+    # each band one span of rows
     grid = make_so3_grid(0.4, 0.4)
     l_band = 12
-    transform._cell_phases.cache_clear()
     a = BandPlan(l_band, grid, "omega", SCALES)
-    b = BandPlan(l_band, grid, "upsilon", make_scale_sequence(0.7, 0.5, 2))
-    assert np.shares_memory(a.phases, b.phases)
-    info = transform._cell_phases.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
     assert a.phases.shape == (grid.n_carriers, 2 * l_band + 1)
     assert a.phases.flags.c_contiguous and not a.phases.flags.writeable
     for s, (_, idx, phis, _) in zip(a.spans, oracles.band_partition(grid)):
@@ -709,7 +707,8 @@ def test_band_operator_peak_memory():
 def test_band_operator_scales_match_one_scale_plans():
     # one longitude product per band serves every scale, and each scale
     # still gets exactly what a plan over that scale alone gives: correlate
-    # at every cell and at one carrier, and adjoint on d nonzero at one
+    # at every cell and, scale by scale, at one carrier (the full plan
+    # reads only that scale's kernel rows), and adjoint on d nonzero at one
     # scale only, on the base grid and with its carriers shuffled over the
     # bands.  The correlations can be weighted in place
     scales = make_scale_sequence(1.0, 0.5, 2)
@@ -724,8 +723,9 @@ def test_band_operator_scales_match_one_scale_plans():
             d = plan.correlate(values)
             assert np.array_equal(d, [p.correlate(values)[0] for p in ones])
             c = grid.n_carriers // 3
-            assert np.array_equal(plan.correlate(values, c),
-                                  [p.correlate(values, c)[0] for p in ones])
+            for j, one in enumerate(ones):
+                assert np.array_equal(plan.correlate(values, (j, c)),
+                                      one.correlate(values, (0, c))), j
             g = np.where(plan.ks > 0, d.conj(), d)
             for j, one in enumerate(ones):
                 only = np.zeros_like(g)
@@ -808,7 +808,8 @@ def test_frame_matrix_peak_memory():
 def test_frame_matrix_tilt_reads_per_band(monkeypatch):
     # each whole band contracts by itself: on a uniform frame its tilt is
     # read once, through the band operator, whatever the scales; the store
-    # is read once, when the plan is built, and not from the cached plan
+    # is built once, from the band colatitudes, with the cold plan, and
+    # the cached plan builds none
     l_band = 16
     scales = make_scale_sequence(1.0, 0.5, 2)
     grid = make_so3_grid(0.2, 0.2)
@@ -823,7 +824,8 @@ def test_frame_matrix_tilt_reads_per_band(monkeypatch):
     for _ in range(2):      # a cold plan, then the cached one
         del reads[:]
         frame_matrix("omega", [4.0] * 3, grid, scales, l_band)
-        assert stores == [tuple(float(b[0]) for b in bands)], len(stores)
+        assert len(stores) == 1 and isinstance(stores[0], np.ndarray)
+        assert np.array_equal(stores[0], [b[0] for b in bands])
         assert sorted(reads) == list(range(len(bands))), reads
     monkeypatch.undo()
 
@@ -832,7 +834,7 @@ def test_plan_cache(monkeypatch):
     # a warm forward transform and reconstruct build no band operator and
     # no window weights, and give the bits of a cold run, as other taus on
     # the warm plan give theirs; what a cached plan hands out is read-only;
-    # the key tells a ScaleSequence from a tuple of its scales; one grid
+    # a scan's plan serves a transform at equal scales; one grid
     # more than the bound evicts the oldest plan, and with it the cache's
     # hold on that grid and the S_R that plan kept
     grid, l_band = make_so3_grid(0.5, 0.5), 6
@@ -875,7 +877,7 @@ def test_plan_cache(monkeypatch):
     equal = make_scale_sequence(1.0)
     coeffs = forward_transform(f, uniform_specs("omega", 2.0, equal), grid,
                                equal)
-    assert coeffs.scales is equal, coeffs.scales
+    assert coeffs.scales == equal, coeffs.scales
     assert coeffs.total_energy() > 0.0      # reads the scales' log_step
 
     transform._plan.cache_clear()
@@ -1397,7 +1399,7 @@ def test_tilt_store_matches_per_band_blocks():
     # one batched product per degree over all bands gives the store that
     # one _wigner_d block per (band, degree) gives, bit for bit
     grid = _band_grid(make_so3_grid(0.3, 0.3), [5, 0, 9, 2, 7])
-    thetas = tuple(float(b[0]) for b in oracles.band_partition(grid))
+    thetas = np.array([b[0] for b in oracles.band_partition(grid)])
     for l_band in (12, 17):
         assert np.array_equal(_tilt_store(thetas, l_band),
                               oracles.per_band_tilt_store(thetas, l_band))
@@ -1409,12 +1411,11 @@ def test_tilt_store_built_in_band_chunks(monkeypatch):
     # bit, and the build peaks at 1.25 times the store at most (all bands
     # in one product per degree took 1.5 times)
     grid = make_so3_grid(0.1, 0.1)
-    thetas = tuple(float(b[0]) for b in oracles.band_partition(grid))
+    thetas = np.array([b[0] for b in oracles.band_partition(grid)])
     calls, wigner = [], transform._wigner_d
     monkeypatch.setattr(transform, "_wigner_d",
                         lambda theta, l: calls.append(l) or wigner(theta, l))
-    build = transform._tilt_store.__wrapped__
-    store = build(thetas, 32)
+    store = transform._tilt_store(thetas, 32)
     assert calls.count(32) > 1 and calls.count(1) == 1, calls.count(32)
     assert np.array_equal(store, oracles.per_band_tilt_store(thetas, 32))
     monkeypatch.undo()
@@ -1424,7 +1425,7 @@ def test_tilt_store_built_in_band_chunks(monkeypatch):
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        store = build(thetas, 32)
+        store = transform._tilt_store(thetas, 32)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
