@@ -2,14 +2,15 @@
 
 The selection rule is a matched filter: over a finite selectivity set T
 and the grid's axial angles, maximize the correlation of the rotated
-kernel with the signal divided by the kernel's norm.  That quotient is
-the Cauchy-Schwarz correlation coefficient up to the fixed factor
-||f||, so a planted kernel is recovered exactly at its own (tau, phi1);
-normalizing by the squared norm instead would bias the argmax toward
-sharp kernels, whose norm shrinks like 1/sqrt(tau).  The grid is the
-caller's, and the band limit L sets how fine it must be: coefficients
-on a grid with fewer than (L+1)^2 carriers, or fewer axial angles than
-the odd orders in use up to L need, are under_resolved.
+kernel with the signal over the kernel's norm, the Cauchy-Schwarz
+coefficient up to the factor ||f||, so a planted kernel is recovered
+exactly at its own (tau, phi1); dividing by the squared norm would bias
+the argmax toward sharp kernels, whose norm shrinks like 1/sqrt(tau).
+Only odd axial orders occur, so on angles closed under the half-turn phi1
+is reported in [0, pi), the smaller of two equal scores.  The grid is the
+caller's, and the band limit L sets how fine it must be: coefficients on a
+grid with fewer than (L+1)^2 carriers, or fewer axial angles than the odd
+orders in use up to L need, are under_resolved.
 """
 
 from dataclasses import dataclass
@@ -87,31 +88,35 @@ def _pick(values, taus, angles, tol):
 
 
 def _scan(f, scales, grid, tsel, family, at=None):
-    """select_tau's picks (tau, phi1, value) per (scale, cell) of every band,
-    or, at = (j, carrier), of scale j at the one carrier given, with the
-    tau-free correlations d[j, c, k] and the band operator of all scales."""
+    """select_tau's picks (tau, phi1, value) per (scale, cell), or at = (j,
+    carrier) of scale j at that carrier, with the tau-free correlations
+    d[j, c, k] and the band operator of all scales.  Only odd k occur and
+    e^{ik(psi + pi)} = -e^{ik psi}, so on make_so3_grid's even lattices the
+    first half of the angles, where ties break, gives every pick."""
     if at is not None:
         for name, i, n in zip(("scale", "carrier"), at,
                               (len(scales), grid.n_carriers)):
             if not isinstance(i, Integral) or i not in range(n):
                 raise ValueError("no %s %r in [0, %d)" % (name, i, n))
-    table = analyze_signal(f)
-    taus = tuple(tsel)
+    table, taus = analyze_signal(f), tuple(tsel)
     tol = TIE_MARGIN * np.sqrt(table.norm_sq())
     plan = _plan(table.l_band, grid, family, scales)
     d = plan.correlate(table.values, at)
     picked = scales if at is None else (scales[at[0]],)
+    n = len(grid.axial_angles)      # halved on an even lattice: see above
+    n //= 2 if n % 2 == 0 and np.array_equal(
+        grid.axial_angles, np.arange(n) * (2.0 * np.pi / n)) else 1
     out = np.empty((3,) + d.shape[:2])
     for j, w in enumerate(matched_weights(family, picked, taus, plan.ks)):
         # the axial phases times each tau's weights, [k, (tau, angle)]: one
         # product with it scores a block of cells, 2^14 values at most (the
         # whole grid's 2.6 MB at L = 16 took fresh pages on every call)
-        factor = (w.T[:, :, None] * plan.axial_phase[:, None]).reshape(
-            len(w.T), len(taus) * len(grid.axial_angles))
+        factor = (w.T[:, :, None] * plan.axial_phase[:, None, :n]).reshape(
+            len(w.T), len(taus) * n)
         step = max(1, 2 ** 14 // factor.shape[1])
         for a in range(0, d.shape[1], step):
             out[:, j, a:a + step] = _pick(np.abs(d[j, a:a + step] @ factor),
-                                          taus, grid.axial_angles, tol)
+                                          taus, grid.axial_angles[:n], tol)
     return out, d, plan
 
 
@@ -119,9 +124,9 @@ def select_tau(f, scales, j, alpha2, tsel, grid, family="omega"):
     """Best (tau, axial angle) for one carrier by exhaustive search.
 
     Maximizes |<rotated kernel, f>| / ||kernel|| over the selectivity
-    set and the grid's axial angles.  Values within TIE_MARGIN * ||f||
-    of the maximum tie, and ties break toward the smaller tau, then the
-    smaller angle.
+    set and the grid's axial angles.  Values within TIE_MARGIN * ||f|| of
+    the maximum tie and go to the smaller tau, then angle: phi1 + pi ties
+    phi1, so on angles closed under the half-turn phi1 lies in [0, pi).
     """
     out = _scan(f, scales, grid, tsel, family, (j, alpha2))[0][:, 0, 0]
     return float(out[0]), out[1], out[2]

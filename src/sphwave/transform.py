@@ -309,7 +309,16 @@ class BandPlan:
         return (acc[::-1, :, 0] + acc[:, :, 1].conj())[self._flat]
 
 
-_plan = lru_cache(maxsize=4)(BandPlan)      # see BandPlan
+def _plan(l_band, grid, family, scales):
+    """The cached BandPlan (see there), once scales hash: a list does not."""
+    if type(scales).__hash__ is None:
+        raise ValueError("scales must hash: use make_scale_sequence")
+    return _plans(l_band, grid, family, scales)
+
+
+_plans = lru_cache(maxsize=4)(BandPlan)     # see BandPlan
+_plan.cache_info, _plan.cache_clear = _plans.cache_info, _plans.cache_clear
+_plan.cache_parameters = _plans.cache_parameters
 
 
 def uniform_specs(family, tau, scales):
@@ -435,8 +444,8 @@ def frame_matrix(family, taus, grid, scales, l_band):
     a time: beta is one gather per pair from the tilt store (k < 0 at
     order -m), and per order m one product, with H(m' - m) taken into one
     buffer, fills its blocks m' >= m, one run of columns of the paired
-    order.  H, one product per band, reads e^{i d phi} from the band's
-    span of the grid's phase table, d > L as the product with e^{i L phi}.
+    order.  H, one product per band, reads pair weights formed once for all
+    carriers and its cells' e^{i d phi}, e^{i (d-L) phi} e^{i L phi} if d > L.
     """
     if len(taus) != len(scales):
         raise ValueError("need one tau entry per scale: %d entries for %d "
@@ -477,13 +486,14 @@ def frame_matrix(family, taus, grid, scales, l_band):
     t = np.zeros((2, n, n))    # T's real and imaginary parts
     if len(qb):
         # H per mixed band for all scales into [band, d, scale, pair], then
-        # its mixed columns; e^{i d phi} as column L + d or (d > L) d x 2L
+        # its mixed columns: row d of e^{i d phi} measure times pair weights
         h = np.empty((len(spans), n_m, len(scales), len(ia)), dtype=complex)
+        pw = (pair_w * w[:, :, ia] * w[:, :, ib]).reshape(len(w), -1)
         for b in np.flatnonzero(~whole.all(axis=0)):
-            ph, s = plan.phases[spans[b]], spans[b]
-            np.matmul(np.c_[ph[:, l_band:], ph[:, l_band + 1:] * ph[:, -1:]].T
-                      * measure[s], (pair_w * w[s, :, ia] * w[s, :, ib])
-                      .reshape(len(ph), -1), out=h[b].reshape(n_m, -1))
+            ph, s = plan.phases[spans[b]].T, spans[b]
+            e = np.r_[ph[l_band:], ph[l_band + 1:] * ph[-1]]
+            e *= measure[s]
+            np.matmul(e, pw[s], out=h[b].reshape(n_m, -1))
         h = h[qb, :, qj].transpose(1, 0, 2)
         h[0] *= 0.5     # d = 0: the blocks m' = m, at half weight
 
@@ -503,7 +513,7 @@ def frame_matrix(family, taus, grid, scales, l_band):
             len(ia), -(-entries // plan.store.size)))
         hcs = [(np.ascontiguousarray(x.real), np.ascontiguousarray(x.imag))
                for x in (h[:, :, ch].reshape(n_m, -1) for ch in chunks)]
-        del h   # H per chunk, its real and imaginary parts, from here on
+        del h, pw   # H per chunk, its real and imaginary parts, from here on
         for i, (ch, hc) in enumerate(zip(chunks, hcs)):
             low = rows(ia[ch])
             high = low if same else rows(ib[ch])

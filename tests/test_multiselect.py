@@ -1,6 +1,7 @@
 """Matched-filter selectivity choice, refinement and adaptive analysis,
 and the sup-norm oracle the acceptance suite reads."""
 
+import dataclasses
 import sys
 import tracemalloc
 
@@ -17,7 +18,7 @@ from sphwave.sphfn import (CoefficientTable, SphericalSignal, analyze_signal,
                            default_grid_spec, synthesize_signal)
 from sphwave.so3 import make_rotation, make_scale_sequence, make_so3_grid
 from sphwave.transform import (forward_transform, reconstruct,
-                               rotate_coefficients)
+                               rotate_coefficients, uniform_specs)
 
 import oracles
 from oracles import sequential_pick
@@ -344,6 +345,56 @@ def test_matched_filter_matches_definition():
                 _check_picks(f, scales, GRID, tsel, fam,
                              [(j, c) for j in range(len(scales))
                               for c in carriers], 1e-14)
+
+
+def test_half_circle_scan_matches_full_circle(monkeypatch):
+    # only odd axial orders occur, so psi + pi scores as psi: on an even
+    # lattice of axial angles the scan scores the first half and picks what
+    # the definition picks over all of them; an odd lattice, or an even set
+    # not closed under the half-turn, is scored over every angle
+    widths, pick = [], multiselect._pick
+    monkeypatch.setattr(multiselect, "_pick", lambda values, taus, angles,
+                        tol: widths.append(len(angles))
+                        or pick(values, taus, angles, tol))
+    moved = make_so3_grid(0.8, 0.4)
+    angles = moved.axial_angles.copy()
+    angles[3] += 0.05
+    grids = [(make_so3_grid(0.8, 0.2), 16), (make_so3_grid(0.8, 0.4), 8),
+             (make_so3_grid(0.8, 0.5), 13),
+             (dataclasses.replace(moved, axial_angles=angles), 16)]
+    tsel, l_band = SelectivitySet(), 8
+    for grid, width in grids:
+        n = len(grid.axial_angles)
+        # planted in the second half of the circle, plus weak noise
+        phi1 = float(grid.axial_angles[n // 2 + 1])
+        for fam in ("omega", "upsilon"):
+            plant = _planted(l_band, WaveletSpec(fam, 1.0, 3.0), 20, phi1,
+                             grid=grid).values
+            noise = analyze_signal(_random_signal(l_band, n)).values
+            f = _signal(CoefficientTable(l_band, plant + 0.01 * np.max(
+                np.abs(plant)) * noise))
+            del widths[:]
+            _check_picks(f, SCALES, grid, tsel, fam, ((0, 20), (1, 7)), 1e-14)
+            assert set(widths) == {width}, (n, fam, widths)
+            if width < n:   # phi1 reported in [0, pi)
+                smap = selectivity_scan(f, SCALES, grid, tsel, fam)
+                assert np.all(smap.phi1_star < np.pi), (n, fam)
+
+
+def test_unhashable_scales_refused():
+    # a list of scales cannot key the plan cache: refused by name, not with
+    # the cache's TypeError
+    f, tsel = _random_signal(6, 2), SelectivitySet()
+    grid, scales = make_so3_grid(0.8, 0.8), [1.0, 0.5]
+    calls = [lambda: forward_transform(f, uniform_specs("omega", 2.0, scales),
+                                       grid, scales),
+             lambda: selectivity_scan(f, scales, grid, tsel),
+             lambda: select_tau(f, scales, 0, 3, tsel, grid),
+             lambda: refine_tau(f, scales, 0, 3, tsel, grid),
+             lambda: adaptive_analysis(f, scales, grid, tsel)]
+    for call in calls:
+        with pytest.raises(ValueError, match="make_scale_sequence"):
+            call()
 
 
 def test_refine_builds_no_kernel_table(monkeypatch):
