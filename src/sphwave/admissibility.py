@@ -18,7 +18,7 @@ banded (zero unless |n - l| <= 5). The integrands are polynomials for odd
 k, so Gauss-Legendre evaluates them exactly. The scale integrals
 G(l) = sum_k int |Psi_l^k|^2 drho/rho reduce to int rho p(r)^2 drho, a
 finite sum that is taken exactly.  Its error at k = 1 (6.1e-8 relative
-at l = 160) comes from the float moments H, not from the integration.
+at l = 160) comes from rounding any coefficient to a float, not from H.
 """
 
 import math
@@ -37,6 +37,9 @@ from .profiles import (FAMILY_ORDER, _check_family, _check_tau, _p1_expansion,
 VANISH_TOL = 1e-10
 # allowed overshoot of the analytic upper frame constant
 BOUND_SLACK = 1e-6
+# largest degree a report reaches: its time and memory grow as l_max^3
+# (moment tables of every odd order up to l_max)
+L_MAX_REPORT = 256
 
 
 # ---------------------------------------------------------------------------
@@ -66,9 +69,12 @@ def _moment_matrix(k, cap):
     return H
 
 
+@lru_cache(maxsize=4096)
 def _coefficient_polynomial(family, l, k):
     """Degrees and coefficients of sum_n w_n H[n,l,k] r^n over the sources
-    n of l (n + l odd, n <= l + 5) whose term is not zero."""
+    n of l (n + l odd, n <= l + 5) whose term is not zero: the one home of
+    the moment rule.  rho-free, so cached; 4096 entries (7.8 MB) hold one
+    family's orders k >= 3 up to l = 128."""
     H = _moment_matrix(k, 64 * ((max(l, k) + 63) // 64))
     n = np.arange(1 + l % 2, l + 6, 2)
     c = _series_weight(family, n) * H[n, l - k]
@@ -77,11 +83,6 @@ def _coefficient_polynomial(family, l, k):
 
 # ---------------------------------------------------------------------------
 # coefficients
-
-def _profile_coefficient(family, rho, l, ka):
-    """tau-free factor P_l^k of the coefficient at odd order ka = |k| >= 1."""
-    return _kernel_matrix(family, rho, l)[l, l + ka]
-
 
 def wavelet_coefficient(spec, l, k):
     """Fourier coefficient of the kernel at degree l, order k.
@@ -94,30 +95,26 @@ def wavelet_coefficient(spec, l, k):
     if k % 2 == 0:
         return 0.0j
     return complex(angular_coefficient(spec.tau, abs(k))
-                   * _profile_coefficient(spec.family, spec.rho, l, abs(k)))
+                   * _kernel_matrix(spec.family, spec.rho, l)[l, l + abs(k)])
 
 
 @lru_cache(maxsize=64)
 def _kernel_matrix(family, rho, l_band):
     """tau-free factors P_l^k as a dense (l, k) matrix, index [l, k + l_band];
-    the kernel of selectivity tau is window_weights(tau) * P.  Cached per
-    (family, rho, l_band) and read-only."""
+    the kernel of selectivity tau is window_weights(tau) * P.  Order 1
+    sums the closed-form P_l^1 expansion, every odd order k >= 3 the
+    coefficient polynomial.  Cached per (family, rho, l_band), read-only."""
     _check_family(family)
-    # coefficients of r^n in P_l^k at [n, k // 2, l], w_n times the P_l^1
-    # expansion (k = 1) or the moments, zero unless n + l odd, n <= l + 5
+    # coefficients of r^n in P_l^k at [n, k // 2, l]
     terms = np.zeros((l_band + 6, (l_band + 1) // 2, l_band + 1))
     for n in range(1, l_band + 6):
         for l, c in _p1_expansion(n).items():
             if l <= l_band:
-                terms[n, 0, l] = c
-    for k in range(3, l_band + 1, 2):
-        for cap in range(64 * ((k + 63) // 64), l_band + 64, 64):
-            lo, hi = max(k, cap - 63), min(cap, l_band) + 1
-            terms[:hi + 5, k // 2, lo:hi] = \
-                _moment_matrix(k, cap)[:hi + 5, lo - k:hi - k]
-    n, l = np.arange(l_band + 6)[:, None, None], np.arange(l_band + 1)
-    terms *= np.where(((n + l) % 2 == 1) & (n <= l + 5),
-                      _series_weight(family, n), 0)
+                terms[n, 0, l] = c * _series_weight(family, n)
+    for l in range(3, l_band + 1):
+        for k in range(3, l + 1, 2):
+            n, c = _coefficient_polynomial(family, l, k)
+            terms[list(n), k // 2, l] = c
     # ascending n, with r^n as the per-entry sums took it: a 0-d array for
     # order 1 and a numpy scalar for the others (the two round apart)
     r = np.exp(-rho)
@@ -125,7 +122,7 @@ def _kernel_matrix(family, rho, l_band):
     for n, t in enumerate(terms):
         acc += t * np.array([np.asarray(r) ** n] + [r ** n] * (len(acc) - 1))[
             :, None]
-    k = np.arange(1, l_band + 1, 2)
+    k, l = np.arange(1, l_band + 1, 2), np.arange(l_band + 1)
     pref = np.full(acc.shape, -rho / (4.0 * np.pi))
     pref[:1] = (-rho / (2.0 * np.sqrt(2.0 * np.pi) * np.pi)
                 * np.sqrt(l * (l + 1) / (2.0 * (2 * l + 1))))
@@ -234,8 +231,9 @@ def admissibility_report(family, tau, l_max):
     .failures and flip .ok, so callers can render partial results.
     """
     _check_family(family)
-    if l_max < 10:
-        raise ValueError("report requires l_max of at least 10")
+    if not 10 <= l_max <= L_MAX_REPORT:
+        raise ValueError("report requires l_max of at least 10 and at most "
+                         "%d, got %d" % (L_MAX_REPORT, l_max))
     order = FAMILY_ORDER[family]
     analytic = analytic_upper_bound(family, tau)
     ls = np.arange(l_max + 1)

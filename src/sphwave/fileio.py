@@ -8,9 +8,9 @@ never stored: they rebuild deterministically from the header fields.
 
 import numpy as np
 
-from .profiles import FAMILIES, _check_tau
+from .profiles import FAMILIES, RHO_MIN, _check_tau
 from .sphfn import SphericalGridSpec, SphericalSignal
-from .so3 import RATIO_SPAN, RHO0_FLOOR, make_scale_sequence, make_so3_grid
+from .so3 import RATIO_SPAN, make_scale_sequence, make_so3_grid
 from .transform import TransformCoefficients
 
 SIGNAL_MAGIC = "SPHSIG1"
@@ -129,8 +129,7 @@ def read_coefficients(path):
     l_band = _field(fields, "l_band", int, path, lambda v: v >= 0)
     n_scales = _field(fields, "n_scales", int, path, lambda v: v >= 1)
     # the ranges of make_scale_sequence and make_so3_grid, NaN refused
-    rho0 = _field(fields, "rho0", float, path,
-                  lambda v: RHO0_FLOOR < v < np.inf)
+    rho0 = _field(fields, "rho0", float, path, lambda v: RHO_MIN <= v < np.inf)
     q = _field(fields, "q", float, path, lambda v: 1.0 / RATIO_SPAN < v < 1.0)
     delta2 = _field(fields, "delta2", float, path, lambda v: 0.0 < v <= np.pi)
     delta1 = _field(fields, "delta1", float, path,

@@ -24,7 +24,10 @@ from functools import lru_cache
 
 import numpy as np
 
-# smallest supported scale: the rational forms lose accuracy below this
+from .sphfn import make_colat_grid
+
+# smallest supported scale, checked by every kernel, scale sequence and
+# coefficient file: the rational forms lose accuracy below this
 RHO_MIN = 1e-4
 # largest supported selectivity: the kernel tables' odd orders grow linearly
 # in tau (up to default_k_cut, below 6 tau + 9)
@@ -42,15 +45,14 @@ FAMILY_ORDER = {"omega": 0, "upsilon": 1}
 
 @dataclass
 class WaveletSpec:
-    """One kernel: family tag, scale rho > 0, angular selectivity tau >= 1."""
+    """One kernel: family tag, scale rho >= RHO_MIN, selectivity tau >= 1."""
     family: str
     rho: float
     tau: float
 
     def __post_init__(self):
         _check_family(self.family)
-        if not 0 < self.rho < np.inf:
-            raise ValueError("scale must be positive and finite")
+        _check_rho(self.rho)
         _check_tau(self.tau)
 
     @property
@@ -130,18 +132,18 @@ def window_weights(taus, l_band):
     uniq, inverse = np.unique(np.asarray(taus, dtype=float),
                               return_inverse=True)
     k = np.arange(-l_band, l_band + 1)
-    rows = _weight_rows(uniq[:, None], k) * (k % 2)
+    rows = _weight_rows(uniq[:, None], k)
     return rows[inverse].reshape(np.shape(taus) + (-1,))
 
 
 def _weight_rows(t, ks):
-    """w_k(tau) at the odd orders ks for the tau t, a float or an array."""
+    """w_k(tau) at the orders ks for the tau t, a float or an array: the
+    window coefficient cut by default_k_cut's rule."""
     for x in (t,) if np.isscalar(t) else (t.min(), t.max()) if t.size else ():
         _check_tau(x)
     k = np.abs(ks)
     # an odd |k| is at most the cut where the rule still keeps |k| - 2
-    return (_tail_keeps(np.maximum(k - 2, 1), t) * ((8.0 * np.pi) ** 0.5 / t)
-            * np.exp(-k * k / (2.0 * t * t)))
+    return _tail_keeps(np.maximum(k - 2, 1), t) * angular_coefficient(t, k)
 
 
 # ---------------------------------------------------------------------------
@@ -263,25 +265,17 @@ def evaluate_wavelet(spec, theta, phi):
 
 
 @lru_cache(maxsize=None)
-def _norm_rule(n_nodes):
-    """The n_nodes-point Gauss-Legendre rule in theta; read-only."""
-    u, w = np.polynomial.legendre.leggauss(n_nodes)
-    theta = np.arccos(u)
-    theta.flags.writeable = w.flags.writeable = False
-    return theta, w
-
-
-@lru_cache(maxsize=None)
 def profile_norm_sq(family, rho):
     """int_0^pi profile(theta)^2 sin(theta) dtheta by Gauss quadrature.
 
     Cached: it depends on (family, rho) only, and every selectivity of a
-    kernel shares it; so is the rule, of 256 nodes for every rho >= 0.16.
+    kernel shares it.  The rule is make_colat_grid's, of 256 nodes for
+    every rho >= 0.16, summed in leggauss order (theta descending).
     """
     _check_rho(rho)
-    theta, w = _norm_rule(int(max(256, min(4000, 40.0 / max(rho, 0.02)))))
-    v = profile_fn(family)(rho, theta)
-    return float(np.sum(w * v * v))
+    g = make_colat_grid(int(max(256, min(4000, 40.0 / max(rho, 0.02)))))
+    v = profile_fn(family)(rho, g.nodes[::-1])
+    return float(np.sum(g.weights[::-1] * v * v))
 
 
 def wavelet_norm_sq(spec):

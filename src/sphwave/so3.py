@@ -13,13 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# configured constraints: scale sequences take any positive coarsest scale
-# and shrink at most 4x per step.  Grids are capped for memory: the carrier
-# table takes 48 bytes a carrier (12.6 MB at MAX_CARRIERS), and a band
-# operator's cell phases 16 (2L + 1) bytes a carrier (0.54 GB at the cap and
-# L = 64); each rotation takes one complex coefficient per scale (268 MB at
-# MAX_ROTATIONS)
-RHO0_FLOOR = 0.0
+from .profiles import RHO_MIN, _check_rho
+
+# configured constraints: every scale of a sequence lies in the kernels'
+# range [RHO_MIN, inf), and scales shrink at most 4x per step.  Grids are
+# capped for memory: the carrier table takes 48 bytes a carrier (12.6 MB at
+# MAX_CARRIERS), and a band operator's cell phases 16 (2L + 1) bytes a
+# carrier (0.54 GB at the cap and L = 64); each rotation takes one complex
+# coefficient per scale (268 MB at MAX_ROTATIONS)
 RATIO_SPAN = 4.0
 MAX_CARRIERS = 2 ** 18
 MAX_ROTATIONS = 2 ** 24
@@ -78,18 +79,18 @@ class ScaleSequence:
 
 
 def make_scale_sequence(rho0, q=0.5, j_max=0):
-    """Geometric sequence of scales; q must lie in (1/4, 1)."""
+    """Geometric sequence of scales; q must lie in (1/4, 1) and the finest
+    scale rho0 q^j_max at or above RHO_MIN."""
     rho0 = float(rho0)
     q = float(q)
-    if not RHO0_FLOOR < rho0 < np.inf:
-        raise ValueError("coarsest scale must be positive and finite")
+    _check_rho(rho0)
     if not 1.0 / RATIO_SPAN < q < 1.0:
         raise ValueError("scale ratio must lie in (%.3g, 1)" % (1.0 / RATIO_SPAN,))
     if j_max < 0:
         raise ValueError("j_max must be nonnegative")
-    if not rho0 * q ** j_max > 0.0:
-        raise ValueError("j_max %d: the finest scale rho0 q^j_max underflows "
-                         "to 0" % j_max)
+    if not rho0 * q ** j_max >= RHO_MIN:
+        raise ValueError("j_max %d: the finest scale rho0 q^j_max lies below "
+                         "the supported range %g" % (j_max, RHO_MIN))
     scales = tuple(rho0 * q ** j for j in range(j_max + 1))
     return ScaleSequence(rho0, q, scales)
 

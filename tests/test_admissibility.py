@@ -260,6 +260,7 @@ def test_kernel_tables_one_rule_per_cap(monkeypatch):
     # caches, three scales' tables and a report up to degree 64 build the
     # 77-node rule of cap 64 once
     for fn in (admissibility._moment_rule, admissibility._moment_matrix,
+               admissibility._coefficient_polynomial,
                admissibility._kernel_matrix, admissibility._scale_integral):
         fn.cache_clear()
     calls = []
@@ -278,13 +279,39 @@ def test_kernel_tables_one_rule_per_cap(monkeypatch):
 
 def test_kernel_matrix_matches_per_entry_values():
     # the array-built table sums each entry's source degrees in the order
-    # the per-(l, k) formula does, so the two agree exactly; degree 70
-    # reads the moments of two caps
+    # the per-(l, k) formula does, so the two agree exactly; degrees 70
+    # and 130 read the moments of two and three caps
     for fam in ("omega", "upsilon"):
         for rho in (0.3, 1.0, 2.5):
             got = admissibility._kernel_matrix(fam, rho, 33)
             assert np.array_equal(
                 got, oracles.per_entry_kernel_matrix(fam, rho, 33)), (fam, rho)
-        got = admissibility._kernel_matrix(fam, 0.7, 70)
-        assert np.array_equal(got, oracles.per_entry_kernel_matrix(fam, 0.7,
-                                                                   70)), fam
+        for l_band in (70, 130):
+            got = admissibility._kernel_matrix(fam, 0.7, l_band)
+            assert np.array_equal(got, oracles.per_entry_kernel_matrix(
+                fam, 0.7, l_band)), (fam, l_band)
+
+
+def test_kernel_matrix_reads_the_moment_rule_once(monkeypatch):
+    # _coefficient_polynomial states the moment rule: from cold caches a
+    # table fills every odd order k >= 3 from it, one call per (l, k), and
+    # reads no moment table of its own; the polynomials are rho-free, so a
+    # table at a further scale reads no moment table at all
+    for fn in (admissibility._moment_rule, admissibility._moment_matrix,
+               admissibility._coefficient_polynomial,
+               admissibility._kernel_matrix):
+        fn.cache_clear()
+    polys, reads = [], []
+    polynomial = admissibility._coefficient_polynomial
+    moments = admissibility._moment_matrix
+    monkeypatch.setattr(admissibility, "_coefficient_polynomial",
+                        lambda *a: polys.append(a) or polynomial(*a))
+    monkeypatch.setattr(admissibility, "_moment_matrix",
+                        lambda *a: reads.append(a) or moments(*a))
+    admissibility._kernel_matrix("omega", 1.0, 16)
+    want = [("omega", l, k) for l in range(3, 17) for k in range(3, l + 1, 2)]
+    assert len(want) == 56 and sorted(polys) == want, polys
+    # one moment read per polynomial built, none of the table's own
+    assert len(reads) == polynomial.cache_info().misses == 56, len(reads)
+    admissibility._kernel_matrix("omega", 0.5, 16)
+    assert len(polys) == 112 and len(reads) == 56, len(reads)

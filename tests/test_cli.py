@@ -396,6 +396,11 @@ def test_bad_input_exit_codes(tmp_path, capsys):
     assert main(["analyze", "--in", str(sig), "--rho0", "inf",
                  "--out", str(out)]) == 2
     assert "finite" in capsys.readouterr().err
+    # analyze and select refuse the scales the kernels refuse
+    for cmd in ("analyze", "select"):
+        assert main([cmd, "--in", str(sig), "--rho0", "5e-5",
+                     "--out", str(out)]) == 2, cmd
+        assert "supported range" in capsys.readouterr().err, cmd
     assert main(["synthesize", "--preset", "two-ridges", "--phi", "inf",
                  "--out", str(out)]) == 2
     assert "finite" in capsys.readouterr().err
@@ -460,9 +465,9 @@ def _cap_address_space():
 
 def test_oversized_inputs_exit_2_fast(tmp_path):
     # a grid too large to allocate, a negative band limit, a finest scale
-    # that underflows and arrays numpy refuses to allocate stop at once
-    # with exit 2 and the field's name or numpy's message, not a
-    # traceback or a hang
+    # that underflows, a report degree above its bound and arrays numpy
+    # refuses to allocate stop at once with exit 2 and the field's name
+    # or numpy's message, not a traceback or a hang
     assert main(["synthesize", "--preset", "noise", "--l-band", "4",
                  "--out", str(tmp_path / "f.sig")]) == 0
     big = "Unable to allocate"
@@ -481,7 +486,8 @@ def test_oversized_inputs_exit_2_fast(tmp_path):
               "--out", "k.csv"], big),
             (["synthesize", "--preset", "noise", "--l-band", "100000000",
               "--out", "g.sig"], big),
-            (["verify", "--l-max", "1000000000000"], big)):
+            (["verify", "--l-max", "100000"], "l_max"),
+            (["verify", "--l-max", "1000000000000"], "l_max")):
         start = time.perf_counter()
         run = _run_cli(args, tmp_path, preexec_fn=_cap_address_space)
         took = time.perf_counter() - start
@@ -492,4 +498,3 @@ def test_oversized_inputs_exit_2_fast(tmp_path):
         assert took < 1.0, (args, took)
     for name in ("w.bin", "g.sig", "p.csv", "k.csv"):
         assert not (tmp_path / name).exists(), name
-

@@ -208,10 +208,11 @@ def test_coefficients_header_errors(tmp_path):
     with pytest.raises(FileFormatError, match="family"):
         read_coefficients(path)
     # header fields out of range: no band, no scale, and scale or grid
-    # numbers their builders refuse
+    # numbers their builders refuse (a coarsest scale below RHO_MIN too)
     for field, old, bad in (("l_band", b"=6", b"=-1"),
                             ("n_scales", b"=2", b"=0"),
                             ("rho0", b"=1.0", b"=-1.0"),
+                            ("rho0", b"=1.0", b"=5e-05"),
                             ("q", b"=0.5", b"=2.0"),
                             ("delta2", b"=0.8", b"=0.0"),
                             ("delta1", b"=1.2", b"=nan")):

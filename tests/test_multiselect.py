@@ -404,9 +404,11 @@ def test_refine_builds_no_kernel_table(monkeypatch):
     f = _signal(_planted(16, WaveletSpec("omega", 1.0, 5.0), 40, PHI1))
     refine_tau(f, SCALES, 0, 40, tsel, GRID)
     calls = []
-    for name in ("wavelet_coefficient", "_profile_coefficient"):
-        original = getattr(admissibility, name)
-        monkeypatch.setattr(admissibility, name,
+    for module, name in ((admissibility, "wavelet_coefficient"),
+                         (admissibility, "_kernel_matrix"),
+                         (transform, "_kernel_matrix")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name,
                             lambda *a, _f=original: calls.append(1) or _f(*a))
     # a tighter tolerance visits tau the first call never evaluated
     tau, _, _ = refine_tau(f, SCALES, 0, 40, tsel, GRID, tol=1e-7)

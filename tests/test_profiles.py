@@ -340,3 +340,5 @@ def test_scale_guards():
     for bad in (0.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="positive"):
             WaveletSpec("omega", bad, 2.0)
+    with pytest.raises(ValueError, match="supported range"):
+        WaveletSpec("omega", 5e-5, 1.0)

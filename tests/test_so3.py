@@ -10,6 +10,7 @@ import sphwave
 from sphwave import so3
 from sphwave.so3 import (MAX_CARRIERS, MAX_ROTATIONS, make_rotation,
                          make_scale_sequence, make_so3_grid)
+from sphwave.profiles import RHO_MIN
 from sphwave.transform import BandPlan
 
 from oracles import (axis_rotation, band_partition, point_angles,
@@ -103,11 +104,16 @@ def test_scale_sequence():
         make_scale_sequence(1.0, q=1.0)
     with pytest.raises(ValueError):
         make_scale_sequence(1.0, j_max=-1)
-    # a finest scale rho0 q^j_max that underflows to 0 is refused before
-    # the sequence is built, not later by each kernel at that scale
-    assert make_scale_sequence(1.0, 0.5, 1000)[-1] > 0.0
-    with pytest.raises(ValueError, match="j_max"):
-        make_scale_sequence(1.0, 0.5, 2000)
+    # every scale lies in the kernels' range [RHO_MIN, inf): a finest
+    # scale rho0 q^j_max below it, or one that underflows to 0, is refused
+    # before the sequence is built, not later by each kernel at that scale
+    assert make_scale_sequence(1.0, 0.5, 13)[-1] == 2.0 ** -13
+    assert make_scale_sequence(RHO_MIN).scales == (RHO_MIN,)
+    for j_max in (14, 1000, 2000):
+        with pytest.raises(ValueError, match="j_max %d" % j_max):
+            make_scale_sequence(1.0, 0.5, j_max)
+    with pytest.raises(ValueError, match="supported range"):
+        make_scale_sequence(5e-5)
 
 
 def _cell_diameter(cell):
