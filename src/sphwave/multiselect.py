@@ -19,7 +19,8 @@ from numbers import Integral
 import numpy as np
 
 from .sphfn import analyze_signal
-from .profiles import _check_tau, matched_weights
+from .profiles import (_check_tau, _weight_rows, _window_norm_sq,
+                       matched_weights, profile_norm_sq)
 from .transform import _coefficients, _plan
 
 DEFAULT_TAUS = (1.0, 2.0, 4.0, 8.0, 16.0)
@@ -89,7 +90,7 @@ def _pick(values, taus, angles, tol):
 
 def _scan(f, scales, grid, tsel, family, at=None):
     """select_tau's picks (tau, phi1, value) per (scale, cell), or at = (j,
-    carrier) of scale j at that carrier, with the tau-free correlations
+    carrier) of scale j at that carrier, with their kept tau-free rows
     d[j, c, k] and the band operator of all scales.  Only odd k occur and
     e^{ik(psi + pi)} = -e^{ik psi}, so on make_so3_grid's even lattices the
     first half of the angles, where ties break, gives every pick."""
@@ -101,8 +102,9 @@ def _scan(f, scales, grid, tsel, family, at=None):
     table, taus = analyze_signal(f), tuple(tsel)
     tol = TIE_MARGIN * np.sqrt(table.norm_sq())
     plan = _plan(table.l_band, grid, family, scales)
-    d = plan.correlate(table.values, at)
-    picked = scales if at is None else (scales[at[0]],)
+    d, picked = plan.correlations(table.values), scales
+    if at is not None:
+        d, picked = d[at[0]:at[0] + 1, at[1]:at[1] + 1], (scales[at[0]],)
     n = len(grid.axial_angles)      # halved on an even lattice: see above
     n //= 2 if n % 2 == 0 and np.array_equal(
         grid.axial_angles, np.arange(n) * (2.0 * np.pi / n)) else 1
@@ -144,7 +146,7 @@ def refine_tau(f, scales, j, alpha2, tsel, grid, family="omega",
 
     Keeps the winning axial angle fixed and searches the bracket between
     the discrete winner's neighbors in the set (1 and the cap at its ends)
-    to a width of tol * max(1, tau), tol > 0.  The carrier's tau-free
+    to a width of tol * max(1, tau), tol > 0.  The carrier's kept tau-free
     correlations, phased at that angle once, give each score |sum_k v_k
     w_k(tau)| / ||Psi_tau|| in O(k) array work; f is analyzed once.
     """
@@ -156,9 +158,11 @@ def refine_tau(f, scales, j, alpha2, tsel, grid, family="omega",
     a = taus[i0 - 1] if i0 > 0 else 1.0
     b = taus[i0 + 1] if i0 + 1 < len(taus) else tsel.tau_cap
     v = d[0, 0] * np.exp(1j * phi1 * ks)
+    norm = profile_norm_sq(family, scales[j])   # matched_weights at one tau
 
     def score(tau):
-        return abs(v @ matched_weights(family, (scales[j],), tau, ks)[0])
+        w = _weight_rows(tau, ks) / np.sqrt(norm * _window_norm_sq(tau))
+        return abs(v @ w)
 
     gr = 0.5 * (np.sqrt(5.0) - 1.0)
     c, d = b - gr * (b - a), a + gr * (b - a)

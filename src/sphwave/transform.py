@@ -19,8 +19,8 @@ builds, and Jacobi-preconditioned CG inverts it on the degrees l >= 1.
 
 The last four band operators stay cached, per (band limit, grid, family,
 scales), and that cache bounds all the operator holds: each owns its tilt
-store and phase table, keeps its grid alive until it is evicted, and the
-window weights and S_R of its last taus, one tau per scale or a tau map.
+store and phase table, keeps its grid alive until it is evicted, the
+window weights and S_R of its last taus and the correlations of one table.
 """
 
 from dataclasses import dataclass
@@ -186,11 +186,11 @@ class BandPlan:
     _plan caches the last four plans, keyed on the arguments as given: the
     grid by identity, the scales by value and type.  A plan owns its tilt
     store and phase table, hands out read-only arrays, holds its grid while
-    cached and keeps one slot: the key of its last taus (shape and float64
-    bytes), their weights and, once frame asks, their S_R: 4 x 371 MB at
-    most at L=64, delta=0.05, from the shapes.  Two plans on one grid (two
-    families or scale sequences) each build a store and phases, 0.83 + 0.36
-    MB at L=16, delta=0.2, 191 + 21 MB in 1.2-1.4 s at L=64, delta=0.05.
+    cached and keeps two slots: its last taus' key (shape and float64 bytes),
+    weights and, once frame asks, S_R, and one table's correlations, at most
+    4 x (371 + 31.6) MB at L=64, delta=0.05, J=3, from the shapes.  Two plans
+    on one grid (two families or scale sequences) each build a store and
+    phases, 191 + 21 MB in 1.2-1.4 s there, 0.83 + 0.36 MB at L=16, delta=0.2.
     """
 
     def __init__(self, l_band, grid, family, scales):
@@ -212,10 +212,15 @@ class BandPlan:
         self.phases = _cell_phases(grid.cells.phi, l_band)
         at = self.first.tolist() + [len(theta)]
         self.spans = list(map(slice, at, at[1:]))
+        # per band: its N cells at longitudes (c + 1/2) 2 pi / N, one measure
+        n, c, f = np.diff(at), grid.cells, self.first
+        x = (np.arange(len(c)) - f.repeat(n) + 0.5) * (2 * np.pi / n).repeat(n)
+        self.lattice = np.logical_and.reduceat(
+            (c.phi == x) & (c.measure == c.measure[f].repeat(n)), f)
         for a in (self.ks, self.axial_phase, self.kern, self._kern_re_im,
-                  self.first):
+                  self.first, self.lattice):
             a.flags.writeable = False
-        self._kept = None, None, None   # see _slot
+        self._kept, self._table = (None, None, None), {}    # see the slots
 
     def tilt(self, b):
         """d^l_mk of band b as [k, m + l_band, l], k over ks."""
@@ -256,17 +261,25 @@ class BandPlan:
             self._kept = key, w, frame
         return frame
 
-    def correlate(self, values, at=None):
+    def correlations(self, values, keep=True):
+        """correlate(values), read-only, kept by the table's bytes until
+        another table replaces it; if not keep, the table is let go: a kept
+        one read-only, another correlated afresh, writable."""
+        if (d := self._table.get(key := values.tobytes())) is None:
+            d = self.correlate(values)
+            if keep:
+                d.flags.writeable = False
+                self._table = {key: d}  # replaced whole: threads share it
+        elif not keep:
+            self._table.pop(key, None)
+        return d
+
+    def correlate(self, values):
         """tau-free correlations d[j, c, k] of a flat table with the kernel of
-        every scale j at every cell c, or of scale j alone at the carrier c
-        of at = (j, c): a transposed view of one [c, j, k] array, writable."""
+        every scale j at every cell c, writable: [c, j, k] transposed."""
         ph, rows, store, kerns = (self.phases, self.spans, self.store,
                                   self._kern_re_im)
-        if at is not None:
-            b = np.searchsorted(self.first, at[1], "right") - 1
-            ph, rows = ph[at[1]:at[1] + 1], [slice(0, 1)]
-            store, kerns = store[..., b:b + 1], kerns[at[0]:at[0] + 1]
-        (n_k, n_m, n_l), n_j = self.store.shape[:3], len(kerns)
+        (n_k, n_m, n_l), n_j = store.shape[:3], len(kerns)
         out = np.empty((len(ph), n_j, len(self.ks)), dtype=complex)
         f = np.zeros((n_m, n_l, 2), dtype=complex)
         f[(*self._flat, 1)] = values
@@ -356,14 +369,15 @@ def forward_transform(f, specs, grid, scales):
     family, taus = _normalize_specs(specs, grid, scales)
     table = analyze_signal(f)
     plan = _plan(table.l_band, grid, family, scales)
-    return _coefficients(plan, plan.correlate(table.values), taus)
+    return _coefficients(plan, plan.correlations(table.values, False), taus)
 
 
 def _coefficients(plan, d, taus):
     """The coefficients from the tau-free correlations d[j, c, k] of plan
-    (weighted in place): each cell's row times w_k(tau), then the axial
-    phases; taus[j] is one tau or one per carrier."""
-    d *= plan.weights(taus)
+    (weighted in place if writable): each cell's row times w_k(tau), then
+    the axial phases; taus[j] is one tau or one per carrier."""
+    w = plan.weights(taus)      # a kept d is read-only: threads share it
+    d = np.multiply(d, w, out=d if d.flags.writeable else None)
     values = d @ (plan.axial_phase / (4.0 * np.pi))
     return TransformCoefficients(plan.family, plan.l_band, tuple(values),
                                  tuple(taus), plan.grid, plan.scales)
@@ -468,17 +482,13 @@ def frame_matrix(family, taus, grid, scales, l_band):
     cols = [(a, b, slice(a, off[n_l]) if mo[a] >= 0 else slice(0, b))
             for a, b in zip(off.tolist(), off[1:].tolist())]
 
-    # per band its whole scales: one measure and tau on the band's cells,
-    # which sit at longitudes (c + 1/2) 2 pi / N; tested on all cells
-    spans, first = plan.spans, plan.first
+    # per band its whole scales, [scale, band]: on the lattice, one tau
+    spans, first, measure = plan.spans, plan.first, grid.cells.measure
     counts = np.diff(first, append=grid.n_carriers)
-    measure = grid.cells.measure
-    ok = [grid.cells.phi == (np.arange(grid.n_carriers) - np.repeat(
-        first, counts) + 0.5) * np.repeat(2.0 * np.pi / counts, counts)]
-    ok += [t == np.repeat(t[first], counts) for t in (measure, *(
-        np.broadcast_to(t, grid.n_carriers) for t in taus))]
-    ok = np.logical_and.reduceat(ok, first, axis=1)
-    whole = ok[2:] & ok[0] & ok[1]      # [scale, band]
+    whole = np.array([plan.lattice if np.ndim(t) == 0 else plan.lattice
+                      & np.logical_and.reduceat(t == t[first].repeat(counts),
+                                                first)
+                      for t in map(np.asarray, taus)])
 
     # the other (band, scale) pairs: compact beta rows and H(d) per pair,
     # stacked
@@ -609,7 +619,8 @@ def reconstruct(coeffs, cfg=None):
         x = v[:, keep] @ ((v[:, keep].T @ b) / lam[keep, None])
         r = b - sa @ x
     else:   # LU of S_R scaled to a unit diagonal: its degrees are graded
-        x = (e := diag ** -0.5) * np.linalg.solve(sa * e * e.T, e * b)
+        a = sa * (e := diag ** -0.5)    # one n x n temporary, not two
+        x = e * np.linalg.solve(np.multiply(a, e.T, out=a), e * b)
         r = b - sa @ x
     z = p = r / diag
     rz, residual = np.vdot(r, z), np.linalg.norm(z) / znorm

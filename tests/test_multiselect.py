@@ -1,6 +1,7 @@
 """Matched-filter selectivity choice, refinement and adaptive analysis,
 and the sup-norm oracle the acceptance suite reads."""
 
+import concurrent.futures
 import dataclasses
 import sys
 import tracemalloc
@@ -191,16 +192,17 @@ def test_refine_tau_sharpens_discrete_winner():
 
 
 def test_refine_tau_honors_tol(monkeypatch):
+    # each golden-section score takes the window norm at its tau once
     tsel = SelectivitySet()
     f = _signal(_planted(16, WaveletSpec("omega", 1.0, 5.0), 40, PHI1))
     calls = []
-    weights = multiselect.matched_weights
+    norm = multiselect._window_norm_sq
 
     def counted(*args):
         calls.append(1)
-        return weights(*args)
+        return norm(*args)
 
-    monkeypatch.setattr(multiselect, "matched_weights", counted)
+    monkeypatch.setattr(multiselect, "_window_norm_sq", counted)
     n_evals = []
     for tol in (0.5, 1e-4):
         calls.clear()
@@ -571,6 +573,88 @@ def test_adaptive_analysis_round_trip():
     rec = reconstruct(coeffs)
     scale = np.max(np.abs(f.values))
     assert np.max(np.abs(rec.values - f.values)) < 1e-6 * scale
+
+
+def test_adaptive_op_correlates_once(monkeypatch):
+    # the scan keeps f's tau-free correlations on its plan: the picks and
+    # refinements at carriers 0, 40 and the last on both scales read their
+    # rows, and the forward with the map's per-carrier specs weights them,
+    # so one adaptive op correlates f once; that forward gives the bits of
+    # a forward on a cleared cache
+    f = _random_signal(8, 62)
+    tsel = SelectivitySet()
+    transform._plan.cache_clear()
+    calls, correlate = [], transform.BandPlan.correlate
+    monkeypatch.setattr(transform.BandPlan, "correlate",
+                        lambda *a: calls.append(1) or correlate(*a))
+    smap = selectivity_scan(f, SCALES, GRID, tsel)
+    for j in range(len(SCALES)):
+        for alpha2 in (0, 40, GRID.n_carriers - 1):
+            select_tau(f, SCALES, j, alpha2, tsel, GRID)
+            refine_tau(f, SCALES, j, alpha2, tsel, GRID)
+    specs = tuple(tuple(WaveletSpec("omega", rho, t) for t in smap.tau_star[j])
+                  for j, rho in enumerate(SCALES))
+    got = forward_transform(f, specs, GRID, SCALES)
+    assert len(calls) == 1, len(calls)
+    transform._plan.cache_clear()
+    want = forward_transform(f, specs, GRID, SCALES)
+    assert all(np.array_equal(a, b) for a, b in zip(got.values, want.values))
+
+
+def test_picks_do_not_depend_on_plan_state():
+    # select_tau and refine_tau give the same bits on a cleared cache,
+    # after a scan of f and after a scan of another signal; a table changed
+    # in place is a new table, and a forward with no scan before it keeps
+    # no correlations on its plan
+    f, other = _random_signal(8, 63), _random_signal(8, 64)
+    tsel = SelectivitySet()
+    for family in ("omega", "upsilon"):
+        got = []
+        for before in (None, f, other):
+            transform._plan.cache_clear()
+            if before is not None:
+                selectivity_scan(before, SCALES, GRID, tsel, family)
+            got.append([pick(f, SCALES, j, 40, tsel, GRID, family)
+                        for pick in (select_tau, refine_tau)
+                        for j in range(len(SCALES))])
+        assert got[0] == got[1] == got[2], family
+    table = analyze_signal(f)
+    plan = transform._plan(table.l_band, GRID, "omega", SCALES)
+    kept = plan.correlations(table.values)
+    table.values[5] += 1.0
+    assert np.array_equal(plan.correlations(table.values),
+                          plan.correlate(table.values))
+    assert not np.array_equal(plan.correlations(table.values), kept)
+    transform._plan.cache_clear()
+    forward_transform(f, uniform_specs("omega", 2.0, SCALES), GRID, SCALES)
+    assert transform._plan(table.l_band, GRID, "omega", SCALES)._table == {}
+
+
+def test_kept_correlations_shared_across_threads():
+    # threads that share one plan scan f, pick and refine at one carrier and
+    # transform f with the map's per-carrier specs at once: the forward
+    # leaves the kept correlations unweighted, so each result has the bits
+    # of the same call run alone
+    f = _random_signal(8, 65)
+    tsel = SelectivitySet()
+    smap = selectivity_scan(f, SCALES, GRID, tsel)
+    specs = tuple(tuple(WaveletSpec("omega", rho, t) for t in smap.tau_star[j])
+                  for j, rho in enumerate(SCALES))
+    jobs = [lambda: selectivity_scan(f, SCALES, GRID, tsel).value,
+            lambda: select_tau(f, SCALES, 1, 40, tsel, GRID),
+            lambda: refine_tau(f, SCALES, 0, 40, tsel, GRID),
+            lambda: forward_transform(f, specs, GRID, SCALES).values]
+    want = [job() for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(4) as pool:
+            runs = [pool.submit(jobs[i % 4]) for i in range(120)]
+            got = [r.result(timeout=60) for r in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    for i, g in enumerate(got):
+        assert all(map(np.array_equal, g, want[i % 4])), i
 
 
 def test_adaptive_analysis_correlates_once(monkeypatch):

@@ -484,10 +484,11 @@ FRAME_CASES = {
         lambda g: [[1.0, 4.0, 16.0]]), 1e-13, ()),
     "alternating_by_band": (16, SCALES3, lambda: _frames(
         BOTH, [make_so3_grid(0.2, 0.2)], _band_maps), 1e-13, ()),
-    # whole bands, bands split by tau, and both in one frame
+    # whole bands, bands split by tau (one map a plain list), and both in
+    # one frame
     "hermitian": (16, SCALES3, lambda: _frames(
         ("omega",), [make_so3_grid(0.2, 0.2)], lambda g: [
-            [4.0] * 3, [_split_taus(g, 0), _hemispheres(g)[0], 4.0],
+            [4.0] * 3, [_split_taus(g, 0).tolist(), _hemispheres(g)[0], 4.0],
             _split(g, 3)]), 1e-13,
         (lambda sr, c: np.all(sr.diagonal()[1:] > 0.0),)),
     # at band limit 0 there is no odd axial order: S_R is the 1 x 1 zero
@@ -707,10 +708,10 @@ def test_band_operator_peak_memory():
 def test_band_operator_scales_match_one_scale_plans():
     # one longitude product per band serves every scale, and each scale
     # still gets exactly what a plan over that scale alone gives: correlate
-    # at every cell and, scale by scale, at one carrier (the full plan
-    # reads only that scale's kernel rows), and adjoint on d nonzero at one
-    # scale only, on the base grid and with its carriers shuffled over the
-    # bands.  The correlations can be weighted in place
+    # at every cell, the kept read-only correlations scale by scale, and
+    # adjoint on d nonzero at one scale only, on the base grid and with its
+    # carriers shuffled over the bands.  The correlations can be weighted
+    # in place, and a call that keeps nothing lets the kept ones go
     scales = make_scale_sequence(1.0, 0.5, 2)
     base = make_so3_grid(0.2, 0.2)
     shuffled = dataclasses.replace(base, cells=base.cells[
@@ -722,10 +723,10 @@ def test_band_operator_scales_match_one_scale_plans():
             ones = [BandPlan(l_band, grid, "omega", (rho,)) for rho in scales]
             d = plan.correlate(values)
             assert np.array_equal(d, [p.correlate(values)[0] for p in ones])
-            c = grid.n_carriers // 3
+            kept = plan.correlations(values)
+            assert not kept.flags.writeable
             for j, one in enumerate(ones):
-                assert np.array_equal(plan.correlate(values, (j, c)),
-                                      one.correlate(values, (0, c))), j
+                assert np.array_equal(kept[j], one.correlations(values)[0]), j
             g = np.where(plan.ks > 0, d.conj(), d)
             for j, one in enumerate(ones):
                 only = np.zeros_like(g)
@@ -736,6 +737,8 @@ def test_band_operator_scales_match_one_scale_plans():
             want = d * w
             d *= w
             assert np.array_equal(d, want)
+            assert plan.correlations(values, False) is kept
+            assert plan.correlations(values, False).flags.writeable
 
 
 def test_warm_roundtrip_peak_memory():
